@@ -57,7 +57,7 @@ fn record_pool_delta(trace: &mut TraceBuilder, before: Option<mb_pool::WorkerSta
 }
 
 /// Snapshot the global pool's counters when tracing is on.
-fn pool_snapshot(trace: &TraceBuilder) -> Option<mb_pool::WorkerStats> {
+pub(crate) fn pool_snapshot(trace: &TraceBuilder) -> Option<mb_pool::WorkerStats> {
     trace
         .is_enabled()
         .then(|| mb_pool::global().total_stats())
@@ -653,7 +653,8 @@ fn explain_encoded(
 /// [`MdpQuery::execute_ingest`](crate::query::MdpQuery::execute_ingest) —
 /// no `Point`s are ever built, yet the report is exactly what
 /// materializing the source and running [`execute_one_shot`] produces
-/// (same ids, same scores, same thresholds).
+/// (same ids, same scores, same thresholds). `pool_before` is the pool
+/// snapshot from before ingestion, which may itself have run on the pool.
 pub(crate) fn execute_one_shot_encoded(
     parts: QueryParts<'_>,
     flat: &[f64],
@@ -661,6 +662,7 @@ pub(crate) fn execute_one_shot_encoded(
     items: &ItemBatch,
     encoder: &AttributeEncoder,
     mut trace: TraceBuilder,
+    pool_before: Option<mb_pool::WorkerStats>,
 ) -> Result<MdpReport> {
     if items.is_empty() {
         return Err(PipelineError::EmptyInput);
@@ -671,7 +673,6 @@ pub(crate) fn execute_one_shot_encoded(
         ));
     }
     debug_assert_eq!(flat.len(), items.len() * dim);
-    let pool_before = pool_snapshot(&trace);
     let mut classifier =
         MdpClassifier::with_rule(parts.analysis, parts.rule.cloned(), parts.unsupervised);
     let classifications = classifier.classify_flat_traced(flat, dim, &mut trace)?;

@@ -52,7 +52,7 @@
 
 use crate::executor::{
     encoder_for, execute_coordinated, execute_naive, execute_one_shot, execute_one_shot_encoded,
-    execute_one_shot_with_model, train_model, FittedModel, QueryParts,
+    execute_one_shot_with_model, pool_snapshot, train_model, FittedModel, QueryParts,
 };
 use crate::operator::{Ingestor, Transformer};
 use crate::streaming::StreamingEngine;
@@ -418,10 +418,11 @@ impl MdpQuery {
                     mb_obs::TraceBuilder::new(self.analysis.obs, "one-shot");
                 let mut encoder = encoder_for(&self.analysis);
                 let mut all = crate::operator::EncodedBatch::default();
+                let pool_before = pool_snapshot(&trace);
                 let timer = trace.start();
                 let mut batches = 0usize;
                 while let Some(batch) = source.next_encoded_batch(&mut encoder)? {
-                    all.append(&batch)?;
+                    all.append(batch)?;
                     batches += 1;
                 }
                 if all.is_empty() {
@@ -438,6 +439,7 @@ impl MdpQuery {
                     &all.items,
                     &encoder,
                     trace,
+                    pool_before,
                 )
             }
             batch_executor => {

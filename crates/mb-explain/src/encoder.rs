@@ -5,17 +5,18 @@
 //! ids, so the explanation layer interns each distinct (attribute column,
 //! value) pair once and translates back when rendering explanations to users.
 //!
-//! For large batches, [`encode_rows_parallel`] shards the encode pass across
-//! the work-stealing pool: each shard interns misses into a private local
-//! dictionary, and the locals merge into the shared [`AttributeEncoder`] the
-//! same way the sketches merge — except the merge is ordered by each value's
-//! first occurrence in the input, so the assigned item ids (and therefore
-//! every downstream count, tree, and explanation) are *identical* to what a
-//! serial [`AttributeEncoder::encode_point`] loop would have produced.
+//! For large batches, [`encode_batch_parallel`] shards the encode pass
+//! across the work-stealing pool: each shard interns misses into a private
+//! local dictionary ([`ShardEncoder`]), and the locals merge into the shared
+//! [`AttributeEncoder`] the same way the sketches merge — except the merge
+//! is ordered by each value's first occurrence in the input, so the assigned
+//! item ids (and therefore every downstream count, tree, and explanation)
+//! are *identical* to what a serial [`AttributeEncoder::encode_point`] loop
+//! would have produced. CSV ingestion stitches its parsed chunks through
+//! the same three types.
 
 use crate::items::ItemBatch;
 use mb_fpgrowth::Item;
-use std::collections::HashMap;
 
 /// A decoded attribute: which column it came from and its string value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -232,25 +233,128 @@ impl AttributeEncoder {
     }
 }
 
-/// One shard's private output from the parallel encode pass: a columnar
-/// transaction batch with provisional item ids, plus the dictionary entries
-/// the shard minted (each with the global row index of its first
-/// occurrence).
-struct ShardEncode {
-    batch: ItemBatch,
-    /// Minted entries in local-id order; `.1` is the first global row index
-    /// at which the shard saw the value.
-    minted: Vec<(AttributeValue, usize)>,
+/// One shard's view of a scatter that encodes against a shared dictionary:
+/// values the frozen [`AttributeEncoder`] already knows keep their ids
+/// (read lock-free through a shared reference), and misses get provisional
+/// ids from a private dictionary, numbered from the frozen cardinality up so
+/// that "provisional" is recognizable as `id >= base`.
+///
+/// Shards must cover consecutive runs of the input. Interning their
+/// [`ShardDictionary`]s in input order then discovers new values in exactly
+/// the order a serial [`AttributeEncoder::encode`] pass would — a value's
+/// first occurrence lies in the earliest shard holding it, at its first
+/// occurrence there — so the final ids are those of the serial pass at any
+/// shard count and any thread interleaving.
+#[derive(Debug)]
+pub struct ShardEncoder<'a> {
+    frozen: &'a AttributeEncoder,
+    local: AttributeEncoder,
+}
+
+impl<'a> ShardEncoder<'a> {
+    /// Start a shard against `frozen`, which must not change until every
+    /// shard of the scatter has [finished](ShardEncoder::finish).
+    pub fn new(frozen: &'a AttributeEncoder) -> Self {
+        ShardEncoder {
+            frozen,
+            local: AttributeEncoder::new(),
+        }
+    }
+
+    /// The value's id: final if `frozen` knows it, provisional otherwise.
+    pub fn encode(&mut self, column: usize, value: &str) -> Item {
+        match self.frozen.lookup(column, value) {
+            Some(item) => item,
+            None => self.frozen.cardinality() as Item + self.local.encode(column, value),
+        }
+    }
+
+    /// Release the frozen dictionary and write what this shard minted over
+    /// `minted`'s previous content. The shard's own allocations end here, on
+    /// the thread that made them: a caller that brings its own (reused)
+    /// `minted` takes nothing away that a pool thread allocated.
+    pub fn finish(self, minted: &mut ShardDictionary) {
+        minted.base = self.frozen.cardinality() as Item;
+        minted.text.clear();
+        minted.entries.clear();
+        // The local dictionary's reverse table is exactly the minted values
+        // in provisional-id order.
+        for key in &self.local.reverse {
+            minted.text.push_str(&key.value);
+            minted.entries.push((key.column, minted.text.len()));
+        }
+    }
+}
+
+/// The values one [`ShardEncoder`] minted, in first-occurrence order.
+#[derive(Debug, Default)]
+pub struct ShardDictionary {
+    base: Item,
+    /// The values, end to end.
+    text: String,
+    /// Per value, its column and where it ends in `text`.
+    entries: Vec<(usize, usize)>,
+}
+
+impl ShardDictionary {
+    /// An empty dictionary with room for `values` values of `bytes` bytes
+    /// in all before it reallocates.
+    pub fn with_capacity(values: usize, bytes: usize) -> Self {
+        ShardDictionary {
+            base: 0,
+            text: String::with_capacity(bytes),
+            entries: Vec::with_capacity(values),
+        }
+    }
+
+    /// Intern the minted values into `encoder` — the dictionary the shard
+    /// was frozen against, with only the earlier shards of the same scatter
+    /// interned since — and return the provisional → final id table.
+    pub fn intern(&self, encoder: &mut AttributeEncoder) -> ShardRemap {
+        let mut start = 0;
+        ShardRemap {
+            base: self.base,
+            ids: self
+                .entries
+                .iter()
+                .map(|&(column, end)| {
+                    let item = encoder.encode(column, &self.text[start..end]);
+                    start = end;
+                    item
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Provisional → final item ids of one shard.
+#[derive(Debug)]
+pub struct ShardRemap {
+    base: Item,
+    ids: Vec<Item>,
+}
+
+impl ShardRemap {
+    /// Rewrite the shard's provisional ids in `items` to their final ids.
+    pub fn apply(&self, items: &mut [Item]) {
+        // A shard that minted nothing wrote no provisional id.
+        if self.ids.is_empty() {
+            return;
+        }
+        for item in items {
+            if *item >= self.base {
+                *item = self.ids[(*item - self.base) as usize];
+            }
+        }
+    }
 }
 
 /// Encode `rows` into one columnar [`ItemBatch`] in parallel shards on
 /// `pool`, interning any new attribute values into `encoder`.
 ///
-/// Each shard reads the pre-existing dictionary lock-free (shared
-/// reference) and mints provisional ids for misses in a private local
-/// dictionary. The shard dictionaries then merge into `encoder` ordered by
-/// first occurrence (row, then column), which makes the id assignment —
-/// and hence the returned batch — byte-identical to a serial
+/// Each shard encodes through a [`ShardEncoder`]; the shard dictionaries
+/// are then interned in shard (= row) order, which makes the id assignment
+/// — and hence the returned batch — byte-identical to a serial
 /// [`AttributeEncoder::encode_point`] loop over `rows`, for any shard count
 /// and any thread interleaving. Finally the provisional ids are rewritten
 /// to their merged ids, again in parallel, over the flat item arrays.
@@ -263,91 +367,33 @@ pub fn encode_batch_parallel<R>(
 where
     R: AsRef<[String]> + Sync,
 {
-    let base = encoder.cardinality() as Item;
     let num_shards = num_shards.clamp(1, rows.len().max(1));
     let shard_size = rows.len().div_ceil(num_shards).max(1);
 
-    // Scatter: encode each shard against the frozen global dictionary plus
-    // a private dictionary for misses. Provisional ids for misses start at
-    // `base`, so "miss" is recognizable downstream as `id >= base`.
-    let shard_inputs: Vec<(usize, &[R])> = rows
-        .chunks(shard_size)
-        .enumerate()
-        .map(|(i, chunk)| (i * shard_size, chunk))
-        .collect();
     let frozen = &*encoder;
-    let mut shards: Vec<ShardEncode> = pool.map_vec(shard_inputs, |(offset, shard_rows)| {
-        let mut local = AttributeEncoder::new();
-        let mut first_rows: Vec<usize> = Vec::new();
-        let columns = shard_rows.first().map_or(0, |r| r.as_ref().len());
-        let mut batch = ItemBatch::with_capacity(shard_rows.len(), columns);
-        for (row_in_shard, row) in shard_rows.iter().enumerate() {
-            for (column, value) in row.as_ref().iter().enumerate() {
-                if let Some(item) = frozen.lookup(column, value) {
-                    batch.push_item(item);
-                    continue;
+    let shards: Vec<(ItemBatch, ShardDictionary)> =
+        pool.map_vec(rows.chunks(shard_size).collect(), |shard_rows: &[R]| {
+            let mut shard = ShardEncoder::new(frozen);
+            let columns = shard_rows.first().map_or(0, |r| r.as_ref().len());
+            let mut batch = ItemBatch::with_capacity(shard_rows.len(), columns);
+            for row in shard_rows {
+                for (column, value) in row.as_ref().iter().enumerate() {
+                    batch.push_item(shard.encode(column, value));
                 }
-                let before = local.cardinality();
-                let provisional = local.encode(column, value);
-                if local.cardinality() > before {
-                    first_rows.push(offset + row_in_shard);
-                }
-                batch.push_item(base + provisional);
+                batch.finish_row();
             }
-            batch.finish_row();
-        }
-        // The local dictionary's reverse table is exactly the minted values
-        // in provisional-id order.
-        let minted = local.reverse.into_iter().zip(first_rows).collect();
-        ShardEncode { batch, minted }
-    });
+            let mut minted = ShardDictionary::default();
+            shard.finish(&mut minted);
+            (batch, minted)
+        });
 
-    // Merge dictionaries: dedupe the minted values across shards keeping the
-    // earliest occurrence, then intern into `encoder` ordered by (first row,
-    // column) — exactly the order a serial pass discovers values in. (Two
-    // distinct new values can share a row only in distinct columns, so the
-    // order is total.)
-    let mut first_seen: HashMap<&AttributeValue, usize> = HashMap::new();
-    for shard in &shards {
-        for (key, row) in &shard.minted {
-            first_seen
-                .entry(key)
-                .and_modify(|earliest| *earliest = (*earliest).min(*row))
-                .or_insert(*row);
-        }
-    }
-    let mut ordered: Vec<(&AttributeValue, usize)> =
-        first_seen.iter().map(|(&key, &row)| (key, row)).collect(); // mb-lint: allow(hashmap-order-hazard) -- sorted by (first row, column) on the next line, a unique key
-    ordered.sort_by_key(|&(key, row)| (row, key.column));
-    for (key, _) in &ordered {
-        encoder.encode(key.column, &key.value);
-    }
-
-    // Gather: rewrite each shard's provisional ids to merged ids in
-    // parallel over the flat item arrays, then concatenate the shard
-    // batches in shard (= row) order.
-    let remaps: Vec<Vec<Item>> = shards
-        .iter()
-        .map(|shard| {
-            shard
-                .minted
-                .iter()
-                .map(|(key, _)| {
-                    encoder
-                        .lookup(key.column, &key.value)
-                        .expect("merged dictionary entry missing")
-                })
-                .collect()
-        })
+    let work: Vec<(ItemBatch, ShardRemap)> = shards
+        .into_iter()
+        .map(|(batch, minted)| (batch, minted.intern(encoder)))
         .collect();
-    let shard_work: Vec<(ShardEncode, &Vec<Item>)> = shards.drain(..).zip(remaps.iter()).collect();
-    let rewritten: Vec<ItemBatch> = pool.map_vec(shard_work, |(mut shard, remap)| {
-        for item in shard.batch.items_mut() {
-            if *item >= base {
-                *item = remap[(*item - base) as usize];
-            }
-        }
-        shard.batch
+    let rewritten: Vec<ItemBatch> = pool.map_vec(work, |(mut batch, remap)| {
+        remap.apply(batch.items_mut());
+        batch
     });
     let mut out = ItemBatch::with_capacity(
         rows.len(),
@@ -496,6 +542,39 @@ mod tests {
         assert_eq!(parallel_txns, serial_txns);
         assert_eq!(parallel_enc.cardinality(), serial_enc.cardinality());
         assert_eq!(parallel_enc.lookup(0, "device_3"), Some(0));
+    }
+
+    #[test]
+    fn shards_stitched_in_order_mint_the_serial_ids() {
+        let mut encoder = AttributeEncoder::new();
+        encoder.encode(0, "known");
+        // Two consecutive shards; both meet "late" and each a value of its
+        // own, in the order a serial pass would: late, first, (late), second.
+        let mut minted = [ShardDictionary::default(), ShardDictionary::with_capacity(4, 32)];
+        let mut items = [Vec::new(), Vec::new()];
+        let rows: [&[(usize, &str)]; 2] = [
+            &[(0, "known"), (1, "late"), (0, "first")],
+            &[(1, "late"), (0, "second"), (0, "known")],
+        ];
+        for ((rows, minted), items) in rows.iter().zip(&mut minted).zip(&mut items) {
+            let mut shard = ShardEncoder::new(&encoder);
+            items.extend(rows.iter().map(|&(column, value)| shard.encode(column, value)));
+            shard.finish(minted);
+        }
+        assert_eq!(items, [vec![0, 1, 2], vec![1, 2, 0]], "provisional ids");
+        for (minted, items) in minted.iter().zip(&mut items) {
+            minted.intern(&mut encoder).apply(items);
+        }
+        assert_eq!(items, [vec![0, 1, 2], vec![1, 3, 0]]);
+        assert_eq!(encoder.decode(3), Some(&AttributeValue::new(0, "second")));
+        assert_eq!(encoder.cardinality(), 4);
+
+        // A reused dictionary holds only its latest shard.
+        let shard = ShardEncoder::new(&encoder);
+        shard.finish(&mut minted[1]);
+        let mut untouched = vec![0, 3];
+        minted[1].intern(&mut encoder).apply(&mut untouched);
+        assert_eq!((untouched, encoder.cardinality()), (vec![0, 3], 4));
     }
 
     #[test]

@@ -94,6 +94,12 @@ impl ItemBatch {
             .extend(other.offsets.iter().skip(1).map(|&o| base + o));
     }
 
+    /// Drop every row, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.items.clear();
+        self.offsets.truncate(1);
+    }
+
     /// Mutable access to the flat item array (id remapping passes).
     pub fn items_mut(&mut self) -> &mut [Item] {
         &mut self.items
@@ -164,6 +170,15 @@ mod tests {
             joined.to_rows(),
             vec![vec![1, 2], vec![3], vec![], vec![4, 5]]
         );
+    }
+
+    #[test]
+    fn clear_leaves_an_empty_batch_that_fills_again() {
+        let mut batch: ItemBatch = vec![vec![1, 2], vec![3]].into_iter().collect();
+        batch.clear();
+        assert_eq!(batch, ItemBatch::new());
+        batch.push_row(&[4]);
+        assert_eq!(batch.to_rows(), vec![vec![4]]);
     }
 
     #[test]

@@ -51,7 +51,8 @@ fn in_tests_or_benches(path: &str) -> bool {
 ///   (measures wall time by design), and `mb-serve` (scheduler timing).
 /// - `hashmap-order-hazard` covers only the output-bearing crates: core,
 ///   mb-explain, mb-fpgrowth, mb-sketch.
-/// - `no-unwrap-in-executors` pins the three hot-path files.
+/// - `no-unwrap-in-executors` pins the five hot-path files: the three
+///   executor/server ones and the two every ingested byte goes through.
 /// - `unsafe-needs-safety-comment` applies everywhere, tests included.
 pub fn rules_for_path(path: &str) -> Vec<RuleId> {
     let mut rules = vec![RuleId::UnsafeNeedsSafetyComment];
@@ -78,7 +79,9 @@ pub fn rules_for_path(path: &str) -> Vec<RuleId> {
     if matches!(
         path,
         "crates/core/src/executor.rs"
+            | "crates/core/src/operator.rs"
             | "crates/core/src/streaming.rs"
+            | "crates/mb-ingest/src/csv.rs"
             | "crates/mb-serve/src/server.rs"
     ) {
         rules.push(RuleId::NoUnwrapInExecutors);
@@ -159,6 +162,13 @@ mod tests {
             .contains(&RuleId::NoUnwrapInExecutors));
         assert!(rules_for_path("crates/mb-serve/src/server.rs")
             .contains(&RuleId::NoUnwrapInExecutors));
+        assert!(rules_for_path("crates/core/src/operator.rs")
+            .contains(&RuleId::NoUnwrapInExecutors));
+        assert!(rules_for_path("crates/mb-ingest/src/csv.rs")
+            .contains(&RuleId::NoUnwrapInExecutors));
+        assert!(
+            !rules_for_path("crates/mb-ingest/src/datasets.rs").contains(&RuleId::NoUnwrapInExecutors)
+        );
         assert!(
             !rules_for_path("crates/core/src/oneshot.rs").contains(&RuleId::NoUnwrapInExecutors)
         );

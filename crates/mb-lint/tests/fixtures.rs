@@ -6,7 +6,7 @@
 //! fails here.
 //!
 //! Fixtures are linted under *virtual* workspace paths (the path drives the
-//! rule policy — e.g. the unwrap rule only applies to the three hot-path
+//! rule policy — e.g. the unwrap rule only applies to the five hot-path
 //! files), and the tree under `tests/fixtures/` is excluded from the
 //! workspace walk so the seeded violations never pollute the self-scan.
 

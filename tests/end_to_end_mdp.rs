@@ -195,3 +195,51 @@ fn csv_ingestion_feeds_the_pipeline() {
         .iter()
         .any(|e| e.attributes.contains(&"device=B264".to_string())));
 }
+
+#[test]
+fn multi_block_csv_file_reports_the_bytes_of_the_in_memory_query() {
+    // ~2.6 MB on disk, so `from_path` reads it in three blocks, each cut
+    // into a chunk per pool thread; new device ids keep arriving, so later
+    // chunks mint dictionary entries too.
+    let rows = 60_000;
+    let mut csv = String::from("power,site,padding,device\n");
+    let mut points = Vec::with_capacity(rows);
+    for i in 0..rows {
+        let (power, device) = if i % 100 == 0 {
+            (95.0 + (i % 7) as f64, "B264".to_string())
+        } else {
+            (10.0 + (i % 13) as f64 * 0.3, format!("B{}", i % 4 + i / 5_000 * 10))
+        };
+        let site = format!("site {}", i % 3);
+        csv.push_str(&format!("{power},\"{site}\",{:0>24},{device}\n", i));
+        points.push(Point::new(vec![power], vec![device, site]));
+    }
+    assert!(csv.len() > 2 * macrobase::ingest::csv::BLOCK_BYTES);
+    let path = std::env::temp_dir().join(format!("macrobase_multi_block_{}.csv", std::process::id()));
+    std::fs::write(&path, &csv).unwrap();
+
+    let csv_query = macrobase::ingest::csv::CsvQuery::new(
+        vec!["power".to_string()],
+        vec!["device".to_string(), "site".to_string()],
+    );
+    let query = || {
+        MdpQuery::builder()
+            .explanation(ExplanationConfig::new(0.01, 3.0))
+            .attribute_names(vec!["device".to_string(), "site".to_string()])
+            .build()
+            .unwrap()
+    };
+    let mut source = CsvIngestor::from_path(&path, &csv_query, 512).unwrap();
+    let from_file = query().execute_ingest(&Executor::OneShot, &mut source);
+    std::fs::remove_file(&path).unwrap();
+    let from_file = from_file.unwrap();
+    let in_memory = query().execute(&Executor::OneShot, &points).unwrap();
+
+    assert_eq!(source.skipped_rows(), 0);
+    assert_eq!(from_file.num_points, rows);
+    assert!(reported_devices(&from_file).contains(&"B264".to_string()));
+    assert_eq!(
+        macrobase::core::wire::report_to_string(&from_file),
+        macrobase::core::wire::report_to_string(&in_memory)
+    );
+}

@@ -51,8 +51,9 @@ fn in_tests_or_benches(path: &str) -> bool {
 ///   (measures wall time by design), and `mb-serve` (scheduler timing).
 /// - `hashmap-order-hazard` covers only the output-bearing crates: core,
 ///   mb-explain, mb-fpgrowth, mb-sketch.
-/// - `no-unwrap-in-executors` pins the five hot-path files: the three
-///   executor/server ones and the two every ingested byte goes through.
+/// - `no-unwrap-in-executors` pins the seven hot-path files: the three
+///   executor/server ones, the two every ingested byte goes through, and
+///   the two every served cache miss trains through (`ModelCache`, FastMCD).
 /// - `unsafe-needs-safety-comment` applies everywhere, tests included.
 pub fn rules_for_path(path: &str) -> Vec<RuleId> {
     let mut rules = vec![RuleId::UnsafeNeedsSafetyComment];
@@ -82,7 +83,9 @@ pub fn rules_for_path(path: &str) -> Vec<RuleId> {
             | "crates/core/src/operator.rs"
             | "crates/core/src/streaming.rs"
             | "crates/mb-ingest/src/csv.rs"
+            | "crates/mb-serve/src/cache.rs"
             | "crates/mb-serve/src/server.rs"
+            | "crates/mb-stats/src/mcd.rs"
     ) {
         rules.push(RuleId::NoUnwrapInExecutors);
     }
@@ -165,6 +168,12 @@ mod tests {
         assert!(rules_for_path("crates/core/src/operator.rs")
             .contains(&RuleId::NoUnwrapInExecutors));
         assert!(rules_for_path("crates/mb-ingest/src/csv.rs")
+            .contains(&RuleId::NoUnwrapInExecutors));
+        assert!(rules_for_path("crates/mb-serve/src/cache.rs")
+            .contains(&RuleId::NoUnwrapInExecutors));
+        assert!(rules_for_path("crates/mb-stats/src/mcd.rs")
+            .contains(&RuleId::NoUnwrapInExecutors));
+        assert!(!rules_for_path("crates/mb-serve/src/scheduler.rs")
             .contains(&RuleId::NoUnwrapInExecutors));
         assert!(
             !rules_for_path("crates/mb-ingest/src/datasets.rs").contains(&RuleId::NoUnwrapInExecutors)

@@ -11,6 +11,7 @@
 //! ever changing a report.
 
 use crate::fingerprint::Fingerprint;
+use crate::lock;
 use macrobase_core::executor::FittedModel;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -51,6 +52,23 @@ struct Slot {
     cond: Condvar,
 }
 
+/// The first trainer's obligation to its waiters: whatever `state` holds
+/// when this drops is published and the condvar notified. It is created
+/// holding `Failed("training panicked")`, so a `train()` that unwinds still
+/// wakes every same-fingerprint requester — to an error — instead of leaving
+/// the slot `Training` and them parked forever.
+struct Publish<'a> {
+    slot: &'a Slot,
+    state: SlotState,
+}
+
+impl Drop for Publish<'_> {
+    fn drop(&mut self) {
+        *lock(&self.slot.state) = std::mem::replace(&mut self.state, SlotState::Training);
+        self.slot.cond.notify_all();
+    }
+}
+
 /// The cache proper: fingerprint-keyed slots.
 pub struct ModelCache {
     slots: Mutex<HashMap<Fingerprint, Arc<Slot>>>,
@@ -77,7 +95,7 @@ impl ModelCache {
         F: FnOnce() -> Result<FittedModel, String>,
     {
         let (slot, trainer) = {
-            let mut slots = self.slots.lock().expect("model cache poisoned");
+            let mut slots = lock(&self.slots);
             match slots.get(&fingerprint) {
                 Some(slot) => (Arc::clone(slot), false),
                 None => {
@@ -94,24 +112,24 @@ impl ModelCache {
         if trainer {
             // Train off every lock: other fingerprints stay available and
             // same-fingerprint requesters queue on the condvar.
-            let outcome = train();
-            let mut state = slot.state.lock().expect("model slot poisoned");
-            let result = match outcome {
+            let mut publish = Publish {
+                slot: &slot,
+                state: SlotState::Failed("training panicked".to_string()),
+            };
+            return match train() {
                 Ok(model) => {
                     let snapshot = Arc::new(ModelSnapshot { epoch: 1, model });
-                    *state = SlotState::Ready(Arc::clone(&snapshot));
+                    publish.state = SlotState::Ready(Arc::clone(&snapshot));
                     Ok((snapshot, CacheOutcome::Miss))
                 }
                 Err(message) => {
-                    *state = SlotState::Failed(message.clone());
+                    publish.state = SlotState::Failed(message.clone());
                     Err(message)
                 }
             };
-            slot.cond.notify_all();
-            return result;
         }
 
-        let mut state = slot.state.lock().expect("model slot poisoned");
+        let mut state = lock(&slot.state);
         loop {
             match &*state {
                 SlotState::Ready(snapshot) => {
@@ -122,7 +140,7 @@ impl ModelCache {
                     state = slot
                         .cond
                         .wait(state)
-                        .expect("model slot poisoned");
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
             }
         }
@@ -132,10 +150,10 @@ impl ModelCache {
     /// Never blocks on an in-flight training.
     pub fn peek(&self, fingerprint: Fingerprint) -> Option<Arc<ModelSnapshot>> {
         let slot = {
-            let slots = self.slots.lock().expect("model cache poisoned");
+            let slots = lock(&self.slots);
             slots.get(&fingerprint).map(Arc::clone)?
         };
-        let state = slot.state.lock().expect("model slot poisoned");
+        let state = lock(&slot.state);
         match &*state {
             SlotState::Ready(snapshot) => Some(Arc::clone(snapshot)),
             _ => None,
@@ -151,14 +169,14 @@ impl ModelCache {
         F: FnOnce() -> Result<FittedModel, String>,
     {
         let slot = {
-            let slots = self.slots.lock().expect("model cache poisoned");
+            let slots = lock(&self.slots);
             slots
                 .get(&fingerprint)
                 .map(Arc::clone)
                 .ok_or_else(|| "no model published for this fingerprint".to_string())?
         };
         let current_epoch = {
-            let state = slot.state.lock().expect("model slot poisoned");
+            let state = lock(&slot.state);
             match &*state {
                 SlotState::Ready(snapshot) => snapshot.epoch,
                 SlotState::Training => {
@@ -168,9 +186,11 @@ impl ModelCache {
             }
         };
         // Train with no lock held: in-flight scorers keep reading the
-        // current snapshot for the entire duration.
+        // current snapshot for the entire duration — and for good if
+        // `train` fails or unwinds, since nothing is written before it
+        // returns a model.
         let model = train()?;
-        let mut state = slot.state.lock().expect("model slot poisoned");
+        let mut state = lock(&slot.state);
         let epoch = match &*state {
             // Concurrent retrains may have advanced the epoch while this
             // one trained; publish after the newest.
@@ -261,5 +281,84 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, "boom");
         assert!(cache.peek(fp).is_none());
+    }
+
+    #[test]
+    fn a_panicking_trainer_fails_the_slot_and_wakes_its_waiters() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let cache = Arc::new(ModelCache::new());
+        let (fp, points) = fingerprint_and_model();
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (waiter_tx, waiter_rx) = mpsc::channel();
+
+        let trainer = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                cache.get_or_train(fp, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    panic!("estimator blew up")
+                })
+            })
+        };
+        // The slot is `Training` from here until the trainer is released.
+        started_rx.recv().unwrap();
+        // Not joined: a waiter that is never woken must fail this test by
+        // the timeout below, not hang it.
+        let waiter_cache = Arc::clone(&cache);
+        std::thread::spawn(move || {
+            let outcome =
+                waiter_cache.get_or_train(fp, || panic!("the slot already has a trainer"));
+            waiter_tx.send(outcome.map(|_| ())).unwrap();
+        });
+        release_tx.send(()).unwrap();
+        assert!(trainer.join().is_err(), "the trainer's panic propagates to it");
+
+        // Whether the waiter parked before or after the unwind, it must come
+        // back with the failure — before the guard it parked forever.
+        let waited = waiter_rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(waited, Ok(Err("training panicked".to_string())));
+        assert!(cache.peek(fp).is_none());
+
+        // An unrelated fingerprint still trains, and then hits.
+        let query = MdpQuery::with_defaults();
+        let other_points: Vec<Point> = points.iter().take(400).cloned().collect();
+        let other = Fingerprint::compute(query.analysis(), &other_points);
+        assert_ne!(other, fp);
+        let (_, outcome) = cache
+            .get_or_train(other, || query.train(&other_points).map_err(|e| e.to_string()))
+            .unwrap();
+        assert_eq!(outcome, CacheOutcome::Miss);
+        let (_, outcome) = cache
+            .get_or_train(other, || panic!("must not retrain a cached fingerprint"))
+            .unwrap();
+        assert_eq!(outcome, CacheOutcome::Hit);
+    }
+
+    #[test]
+    fn a_panicking_retrain_leaves_the_published_epoch_readable() {
+        let cache = ModelCache::new();
+        let (fp, points) = fingerprint_and_model();
+        let query = MdpQuery::with_defaults();
+        cache
+            .get_or_train(fp, || query.train(&points).map_err(|e| e.to_string()))
+            .unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.retrain(fp, || panic!("estimator blew up"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(cache.peek(fp).unwrap().epoch, 1);
+        let (snapshot, outcome) = cache
+            .get_or_train(fp, || panic!("must not retrain a cached fingerprint"))
+            .unwrap();
+        assert_eq!((snapshot.epoch, outcome), (1, CacheOutcome::Hit));
+        // And the slot still takes the next epoch.
+        let epoch = cache
+            .retrain(fp, || query.train(&points).map_err(|e| e.to_string()))
+            .unwrap();
+        assert_eq!(epoch, 2);
     }
 }

@@ -68,3 +68,14 @@ pub use server::{
     Closed, FeedSummary, JobResult, JobStatus, QuerySpec, ServeConfig, ServeError, Server,
 };
 pub use wire::{handle_line, serve_loop};
+
+/// Acquire a mutex, recovering from poisoning instead of panicking. A
+/// poisoned lock means some other thread panicked mid-update; the server's
+/// shared maps (jobs, sessions, registry) and the model cache's slots are
+/// valid after every individual insert/remove/assignment, so continuing with
+/// the inner guard is safe — and a resident server must never let one
+/// query's panic cascade into a process-wide one. Behaves identically to
+/// `.lock().expect(..)` when the lock is healthy.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

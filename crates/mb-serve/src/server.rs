@@ -10,25 +10,15 @@
 
 use crate::cache::{CacheOutcome, ModelCache, ModelSnapshot};
 use crate::fingerprint::Fingerprint;
+use crate::lock;
 use crate::scheduler::{Priority, Saturated, Scheduler};
 use macrobase_core::query::{AnalysisConfig, Executor, MdpQuery, StreamingOptions};
 use macrobase_core::streaming::StreamingSession;
 use macrobase_core::types::{MdpReport, Point};
 use mb_obs::MetricRegistry;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Acquire a mutex, recovering from poisoning instead of panicking. A
-/// poisoned lock means some other thread panicked mid-update; the server's
-/// shared maps (jobs, sessions, registry) are valid after every individual
-/// insert/remove, so continuing with the inner guard is safe — and a
-/// resident server must never let one query's panic cascade into a
-/// process-wide one. Behaves identically to `.lock().expect(..)` when the
-/// lock is healthy.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Server construction knobs.
 #[derive(Debug, Clone)]

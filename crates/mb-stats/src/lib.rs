@@ -11,8 +11,10 @@
 //!   derive solve/inverse/log-determinant from the shared factors.
 //! * [`mad`] — the robust univariate outlier scorer based on median/MAD.
 //! * [`mcd`] — the Minimum Covariance Determinant estimator (FastMCD) and
-//!   Mahalanobis-distance scoring for multivariate metrics; training
-//!   scatters its restarts and distance passes on the shared `mb_pool`.
+//!   Mahalanobis-distance scoring for multivariate metrics; starts
+//!   converge on a nested subsample and one finalist is polished on the
+//!   full sample, with starts, distance passes and subset covariances
+//!   scattered on the shared `mb_pool`.
 //! * [`zscore`] — the non-robust Z-score baseline used in Figure 3.
 //! * [`rand_ext`] — in-repo Gaussian/exponential samplers (Box–Muller) so the
 //!   workspace does not need `rand_distr`.
@@ -119,8 +121,8 @@ pub trait Estimator {
     /// row) — the columnar counterpart of [`train`].
     ///
     /// The default materializes row vectors and delegates to [`train`];
-    /// univariate estimators override it to fit straight off the flat
-    /// buffer without per-row allocation. Must produce exactly the model
+    /// every estimator in this crate overrides it to fit straight off the
+    /// flat buffer without per-row allocation. Must produce exactly the model
     /// [`train`] would fit on the same rows.
     ///
     /// [`train`]: Estimator::train

@@ -7,6 +7,7 @@
 //! pulling a linear-algebra dependency into the workspace.
 
 use crate::{Result, StatsError};
+use mb_pool::Pool;
 
 /// Dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -603,6 +604,91 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
+/// Rows per partial sum of [`covariance_of_rows`]. Fixed, so the partial
+/// sums and the order they merge in are the same on any pool.
+const COVARIANCE_CHUNK: usize = 4096;
+
+/// Sum `accumulate` over `0..count` into a `width`-long vector: one partial
+/// per [`COVARIANCE_CHUNK`] rows, scattered on `pool`, merged in chunk
+/// order. A single chunk runs inline and is the plain running sum.
+fn chunked_sum<F>(pool: &Pool, count: usize, width: usize, accumulate: F) -> Vec<f64>
+where
+    F: Fn(&mut [f64], std::ops::Range<usize>) + Sync,
+{
+    let starts: Vec<usize> = (0..count).step_by(COVARIANCE_CHUNK).collect();
+    let partials = pool.map_vec(starts, |start| {
+        let mut partial = vec![0.0; width];
+        accumulate(&mut partial, start..(start + COVARIANCE_CHUNK).min(count));
+        partial
+    });
+    let mut total = vec![0.0; width];
+    for partial in partials {
+        for (t, p) in total.iter_mut().zip(partial) {
+            *t += p;
+        }
+    }
+    total
+}
+
+/// Sample mean and covariance (dividing by `count - 1`) of the `dim`-length
+/// rows `row_at(0..count)`: one pass for the mean, one for the centered
+/// products, each summed by [`chunked_sum`] — so a large subset (FastMCD
+/// re-fits half the sample on every full-sample C-step) uses the whole
+/// pool, and the bits do not depend on how many threads that is. The one
+/// covariance loop in the crate: row vectors, an index list into them and
+/// an index list into a flat row-major buffer all pass through here.
+///
+/// Rows are *not* scanned for non-finite values; a NaN row yields a NaN
+/// covariance, which the factorization routines reject as
+/// [`StatsError::NonFinite`].
+pub(crate) fn covariance_of_rows<'a, R>(
+    pool: &Pool,
+    dim: usize,
+    count: usize,
+    row_at: R,
+) -> Result<(Vec<f64>, Matrix)>
+where
+    R: Fn(usize) -> &'a [f64] + Sync,
+{
+    if count < 2 {
+        return Err(StatsError::InsufficientData {
+            required: 2,
+            provided: count,
+        });
+    }
+    let mut means = chunked_sum(pool, count, dim, |sums, chunk| {
+        for k in chunk {
+            for (s, v) in sums.iter_mut().zip(row_at(k)) {
+                *s += v;
+            }
+        }
+    });
+    means.iter_mut().for_each(|m| *m /= count as f64);
+    let products = chunked_sum(pool, count, dim * dim, |upper, chunk| {
+        let mut centered = vec![0.0; dim];
+        for k in chunk {
+            for ((c, v), m) in centered.iter_mut().zip(row_at(k)).zip(&means) {
+                *c = v - m;
+            }
+            for (i, &ci) in centered.iter().enumerate() {
+                let row_i = &mut upper[i * dim + i..(i + 1) * dim];
+                for (sum, &cj) in row_i.iter_mut().zip(&centered[i..]) {
+                    *sum += ci * cj;
+                }
+            }
+        }
+    });
+    let mut cov = Matrix::from_vec(dim, dim, products);
+    let denom = (count - 1) as f64;
+    for i in 0..dim {
+        for j in i..dim {
+            cov[(i, j)] /= denom;
+            cov[(j, i)] = cov[(i, j)];
+        }
+    }
+    Ok((means, cov))
+}
+
 /// Compute the column-wise mean of a set of equal-length rows.
 pub fn column_means(rows: &[Vec<f64>]) -> Result<Vec<f64>> {
     let dim = crate::validate_sample(rows)?;
@@ -622,57 +708,22 @@ pub fn column_means(rows: &[Vec<f64>]) -> Result<Vec<f64>> {
 /// Returns `(mean, covariance)`.
 pub fn covariance_matrix(rows: &[Vec<f64>]) -> Result<(Vec<f64>, Matrix)> {
     let dim = crate::validate_sample(rows)?;
-    if rows.len() < 2 {
-        return Err(StatsError::InsufficientData {
-            required: 2,
-            provided: rows.len(),
-        });
-    }
-    let means = column_means(rows)?;
-    let mut cov = Matrix::zeros(dim, dim);
-    for row in rows {
-        for i in 0..dim {
-            let di = row[i] - means[i];
-            for j in i..dim {
-                let dj = row[j] - means[j];
-                cov[(i, j)] += di * dj;
-            }
-        }
-    }
-    let denom = (rows.len() - 1) as f64;
-    for i in 0..dim {
-        for j in i..dim {
-            cov[(i, j)] /= denom;
-            if i != j {
-                cov[(j, i)] = cov[(i, j)];
-            }
-        }
-    }
-    Ok((means, cov))
+    covariance_of_rows(mb_pool::global(), dim, rows.len(), |k| rows[k].as_slice())
 }
 
 /// Sample mean and covariance of the rows of `sample` selected by
 /// `indices`, visited in `indices` order — the arithmetic (and therefore
 /// the bits) matches materializing the selected rows and calling
-/// [`covariance_matrix`], without cloning a single row. FastMCD re-fits a
-/// subset of up to half the sample on *every* C-step, so the clone-free
-/// path matters there.
+/// [`covariance_matrix`], without cloning a single row.
 ///
 /// Indices are bounds-checked and the selected rows length-checked
 /// (typed errors, no panics). Unlike [`covariance_matrix`], rows are *not*
-/// re-scanned for non-finite values — callers like FastMCD validate the
-/// sample once up front; a NaN row yields a NaN covariance, which the
-/// factorization routines reject as [`StatsError::NonFinite`].
+/// re-scanned for non-finite values; a NaN row yields a NaN covariance,
+/// which the factorization routines reject as [`StatsError::NonFinite`].
 pub fn covariance_of_indices(
     sample: &[Vec<f64>],
     indices: &[usize],
 ) -> Result<(Vec<f64>, Matrix)> {
-    if indices.len() < 2 {
-        return Err(StatsError::InsufficientData {
-            required: 2,
-            provided: indices.len(),
-        });
-    }
     let dim = sample
         .first()
         .map(|row| row.len())
@@ -691,35 +742,9 @@ pub fn covariance_of_indices(
             });
         }
     }
-    let mut means = vec![0.0; dim];
-    for &idx in indices {
-        for (m, v) in means.iter_mut().zip(sample[idx].iter()) {
-            *m += v;
-        }
-    }
-    let n = indices.len() as f64;
-    means.iter_mut().for_each(|m| *m /= n);
-    let mut cov = Matrix::zeros(dim, dim);
-    for &idx in indices {
-        let row = &sample[idx];
-        for i in 0..dim {
-            let di = row[i] - means[i];
-            for j in i..dim {
-                let dj = row[j] - means[j];
-                cov[(i, j)] += di * dj;
-            }
-        }
-    }
-    let denom = (indices.len() - 1) as f64;
-    for i in 0..dim {
-        for j in i..dim {
-            cov[(i, j)] /= denom;
-            if i != j {
-                cov[(j, i)] = cov[(i, j)];
-            }
-        }
-    }
-    Ok((means, cov))
+    covariance_of_rows(mb_pool::global(), dim, indices.len(), |k| {
+        sample[indices[k]].as_slice()
+    })
 }
 
 #[cfg(test)]

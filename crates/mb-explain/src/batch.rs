@@ -229,33 +229,16 @@ impl BatchExplainer {
         // Stage 3: compute risk ratios; combinations (size >= 2) need one more
         // restricted pass over the inliers to obtain their inlier counts,
         // accumulated positionally alongside `combos`.
-        let combos: Vec<&FrequentItemset> = mined.iter().filter(|m| m.len() >= 2).collect();
-        let mut combo_inlier_counts: Vec<f64> = vec![0.0; combos.len()];
-        if !combos.is_empty() {
-            let mut present: Vec<Item> = Vec::new();
-            for (transaction, weight) in inliers {
-                present.clear();
-                present.extend(
-                    transaction
-                        .iter()
-                        .copied()
-                        .filter(|item| surviving.binary_search(item).is_ok()),
-                );
-                if present.is_empty() {
-                    continue;
-                }
-                present.sort_unstable();
-                for (pos, combo) in combos.iter().enumerate() {
-                    if combo
-                        .items
-                        .iter()
-                        .all(|item| present.binary_search(item).is_ok())
-                    {
-                        combo_inlier_counts[pos] += weight;
-                    }
-                }
+        let combos: Vec<&[Item]> = mined
+            .iter()
+            .filter(|m| m.len() >= 2)
+            .map(|m| m.items.as_slice())
+            .collect();
+        let combo_inlier_counts = count_combinations(&combos, |visit| {
+            for &(transaction, weight) in inliers {
+                visit(transaction, weight);
             }
-        }
+        });
 
         let mut explanations = Vec::new();
         let mut combo_pos = 0;
@@ -281,6 +264,89 @@ impl BatchExplainer {
             }
         }
         explanations
+    }
+}
+
+/// For each of `combos` (distinct, each sorted ascending), the total weight
+/// of the transactions that contain it — the restricted inlier pass of
+/// Algorithm 2. `transactions` is called once, with the visitor to feed, and
+/// not at all when there is nothing to count.
+///
+/// The combinations are laid out as a lexicographically sorted table, which
+/// is a trie read by range: a transaction, cut down to the items any
+/// combination uses, descends it one matching prefix at a time
+/// ([`add_contained`]). The cost per transaction follows the prefixes it
+/// actually shares with the table — never `transactions × combinations`, and
+/// never a sub-combination nobody asked about. Each count still accumulates
+/// in transaction order.
+pub(crate) fn count_combinations(
+    combos: &[&[Item]],
+    transactions: impl FnOnce(&mut dyn FnMut(&[Item], f64)),
+) -> Vec<f64> {
+    let mut counts = vec![0.0; combos.len()];
+    if combos.is_empty() {
+        return counts;
+    }
+    let mut table: Vec<(&[Item], usize)> = combos
+        .iter()
+        .enumerate()
+        .map(|(pos, &combo)| (combo, pos))
+        .collect();
+    table.sort_unstable();
+    let mut used: Vec<Item> = combos.iter().flat_map(|c| c.iter().copied()).collect();
+    used.sort_unstable();
+    used.dedup();
+    let shortest = combos.iter().map(|c| c.len()).min().unwrap_or(0);
+
+    let mut present: Vec<Item> = Vec::new();
+    transactions(&mut |transaction, weight| {
+        present.clear();
+        present.extend(
+            transaction
+                .iter()
+                .copied()
+                .filter(|item| used.binary_search(item).is_ok()),
+        );
+        if present.len() < shortest {
+            return;
+        }
+        present.sort_unstable();
+        present.dedup();
+        add_contained(&table, 0, &present, weight, &mut counts);
+    });
+    counts
+}
+
+/// Add `weight` to every combination of `table` contained in a transaction.
+/// `table` holds the combinations that agree on their first `depth` items,
+/// all of which the transaction has; `present` is what is left of the
+/// transaction after the last of those items (sorted, distinct).
+fn add_contained(
+    mut table: &[(&[Item], usize)],
+    depth: usize,
+    present: &[Item],
+    weight: f64,
+    counts: &mut [f64],
+) {
+    for (i, &item) in present.iter().enumerate() {
+        let skip = table.partition_point(|(combo, _)| combo[depth] < item);
+        table = &table[skip..];
+        let run = table.partition_point(|(combo, _)| combo[depth] == item);
+        let (mut sharing, rest) = table.split_at(run);
+        table = rest;
+        // A combination that ends here sorts ahead of its own extensions.
+        if let Some(&(combo, pos)) = sharing.first() {
+            if combo.len() == depth + 1 {
+                counts[pos] += weight;
+                sharing = &sharing[1..];
+            }
+        }
+        if !sharing.is_empty() {
+            add_contained(sharing, depth + 1, &present[i + 1..], weight, counts);
+        }
+        if table.is_empty() {
+            break;
+        }
     }
 }
 
@@ -594,6 +660,41 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+
+            // The sorted-table descent adds a transaction's weight to exactly
+            // the combinations a containment check per combination would —
+            // with repeated items in transactions and combinations that are
+            // prefixes of one another.
+            #[test]
+            fn counted_combinations_equal_a_containment_scan(
+                raw_combos in transactions(4, 10, 30),
+                inliers in transactions(7, 10, 120),
+            ) {
+                let mut combos: Vec<Vec<Item>> = raw_combos
+                    .into_iter()
+                    .map(|mut c| { c.sort_unstable(); c.dedup(); c })
+                    .filter(|c| !c.is_empty())
+                    .collect();
+                combos.sort();
+                combos.dedup();
+                // Ask in an order that is not the table's.
+                combos.reverse();
+                let asked: Vec<&[Item]> = combos.iter().map(Vec::as_slice).collect();
+                let counted = count_combinations(&asked, |visit| {
+                    for (i, t) in inliers.iter().enumerate() {
+                        visit(t, 1.0 + i as f64);
+                    }
+                });
+                for (combo, count) in combos.iter().zip(&counted) {
+                    let scanned: f64 = inliers
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, t)| combo.iter().all(|item| t.contains(item)))
+                        .map(|(i, _)| 1.0 + i as f64)
+                        .sum();
+                    prop_assert_eq!(*count, scanned);
+                }
+            }
 
             // The risk-ratio-ceiling pruning (candidate pre-filter + bounded
             // FP-growth descent) must be output-identical to the unpruned

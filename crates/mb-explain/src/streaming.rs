@@ -13,13 +13,13 @@
 //! mined with FPGrowth, single-item inlier counts come from the inlier AMC,
 //! and combination inlier counts are computed from the (compact) inlier tree.
 
+use crate::batch::count_combinations;
 use crate::risk_ratio::{Explanation, ExplanationStats};
 use crate::ExplanationConfig;
 use mb_fpgrowth::mcps::{McpsConfig, McpsTree};
 use mb_fpgrowth::Item;
 use mb_sketch::amc::{AmcSketch, MaintenancePolicy};
 use mb_sketch::{HeavyHitterSketch, Mergeable};
-use std::collections::{HashMap, HashSet};
 
 /// Configuration for the streaming explainer.
 #[derive(Debug, Clone)]
@@ -135,6 +135,15 @@ impl StreamingExplainer {
     /// *combinations* come from mining the outlier M-CPS-tree, whose item set
     /// lags by one window boundary by design (Appendix B).
     pub fn explain(&self) -> Vec<Explanation> {
+        self.explain_over(|visit| self.inlier_tree.for_each_path(visit))
+    }
+
+    /// [`explain`](Self::explain) with the inlier tree's walk passed in, so
+    /// tests can see whether (and how often) it is asked for.
+    fn explain_over(
+        &self,
+        inlier_paths: impl FnOnce(&mut dyn FnMut(&[Item], f64)),
+    ) -> Vec<Explanation> {
         if self.outlier_count <= 0.0 {
             return Vec::new();
         }
@@ -162,42 +171,26 @@ impl StreamingExplainer {
             return Vec::new();
         }
 
-        // Inlier counts: singles from the inlier AMC, combinations from the
-        // (compact) inlier tree's exported transactions.
-        let combos: Vec<&mb_fpgrowth::FrequentItemset> =
-            mined.iter().filter(|m| m.len() >= 2).collect();
-        let mut combo_inlier_counts: HashMap<&[Item], f64> = HashMap::new();
-        if !combos.is_empty() {
-            let candidate_items: HashSet<Item> = combos
-                .iter()
-                .flat_map(|c| c.items.iter().copied())
-                .collect();
-            let inlier_transactions = self.inlier_tree.mine_with_support(1e-9, usize::MAX);
-            // `mine_with_support` returns every itemset with its exact decayed
-            // support inside the tree; index the ones we need.
-            for itemset in &inlier_transactions {
-                if itemset.len() >= 2
-                    && itemset.items.iter().all(|i| candidate_items.contains(i))
-                {
-                    for combo in &combos {
-                        if combo.items == itemset.items {
-                            combo_inlier_counts
-                                .insert(combo.items.as_slice(), itemset.support);
-                        }
-                    }
-                }
-            }
-        }
+        // Inlier counts: singles from the inlier AMC; combinations by one walk
+        // over the inlier tree that adds each path's weight to exactly the
+        // outlier combinations it contains. The inlier tree is only ever
+        // asked about combinations the outliers produced, and not walked at
+        // all when they produced none.
+        let combos: Vec<&[Item]> = mined
+            .iter()
+            .filter(|m| m.len() >= 2)
+            .map(|m| m.items.as_slice())
+            .collect();
+        let combo_inlier_counts = count_combinations(&combos, inlier_paths);
 
         let mut explanations = Vec::new();
+        let mut combo_pos = 0;
         for itemset in &mined {
             let ai = if itemset.len() == 1 {
                 self.inlier_amc.estimate(&itemset.items[0])
             } else {
-                combo_inlier_counts
-                    .get(itemset.items.as_slice())
-                    .copied()
-                    .unwrap_or(0.0)
+                combo_pos += 1;
+                combo_inlier_counts[combo_pos - 1]
             };
             let stats = ExplanationStats::from_counts(
                 itemset.support,
@@ -233,7 +226,7 @@ impl Mergeable for StreamingExplainer {
 mod tests {
     use super::*;
     use crate::risk_ratio::rank_explanations;
-    use mb_stats::rand_ext::SplitMix64;
+    use mb_stats::rand_ext::{SplitMix64, Zipf};
 
     fn config(min_support: f64, min_risk_ratio: f64, decay: f64) -> StreamingExplainerConfig {
         StreamingExplainerConfig {
@@ -242,6 +235,191 @@ mod tests {
             amc_stable_size: 1_000,
             amc_maintenance_period: 1_000,
         }
+    }
+
+    impl StreamingExplainer {
+        /// The read path this module had before it counted instead of mined:
+        /// FP-growth over the whole inlier tree at zero support, then a linear
+        /// join against the outlier combinations. Kept as the reference.
+        fn oracle_explain(&self) -> Vec<Explanation> {
+            if self.outlier_count <= 0.0 {
+                return Vec::new();
+            }
+            let config = &self.config.explanation;
+            let min_outlier_count = (config.min_support * self.outlier_count).max(1.0);
+            let mut mined: Vec<mb_fpgrowth::FrequentItemset> = self
+                .outlier_amc
+                .items_above(min_outlier_count)
+                .into_iter()
+                .map(|(item, count)| mb_fpgrowth::FrequentItemset::new(vec![item], count))
+                .collect();
+            mined.extend(
+                self.outlier_tree
+                    .mine_with_support(min_outlier_count, config.max_combination_size)
+                    .into_iter()
+                    .filter(|m| m.len() >= 2),
+            );
+            let inlier_itemsets = self.inlier_tree.mine_with_support(1e-9, usize::MAX);
+            let mut explanations = Vec::new();
+            for itemset in &mined {
+                let ai = if itemset.len() == 1 {
+                    self.inlier_amc.estimate(&itemset.items[0])
+                } else {
+                    inlier_itemsets
+                        .iter()
+                        .find(|i| i.items == itemset.items)
+                        .map_or(0.0, |i| i.support)
+                };
+                let stats = ExplanationStats::from_counts(
+                    itemset.support,
+                    ai,
+                    self.outlier_count,
+                    self.inlier_count,
+                );
+                if stats.risk_ratio >= config.min_risk_ratio {
+                    explanations.push(Explanation::new(itemset.items.clone(), stats));
+                }
+            }
+            explanations
+        }
+    }
+
+    /// Same explanations as sets, every statistic within 1e-9.
+    fn assert_same_explanations(mut a: Vec<Explanation>, mut b: Vec<Explanation>) {
+        a.sort_by(|x, y| x.items.cmp(&y.items));
+        b.sort_by(|x, y| x.items.cmp(&y.items));
+        let items = |v: &[Explanation]| v.iter().map(|e| e.items.clone()).collect::<Vec<_>>();
+        assert_eq!(items(&a), items(&b));
+        let close = |x: f64, y: f64| (x - y).abs() < 1e-9 || x == y;
+        for (x, y) in a.iter().zip(&b) {
+            assert!(
+                close(x.stats.outlier_count, y.stats.outlier_count)
+                    && close(x.stats.inlier_count, y.stats.inlier_count)
+                    && close(x.stats.outlier_support, y.stats.outlier_support)
+                    && close(x.stats.risk_ratio, y.stats.risk_ratio),
+                "statistics differ: {x:?} vs {y:?}"
+            );
+        }
+    }
+
+    /// A labeled stream: `attributes` columns (item = 1000·column + value),
+    /// values Zipf- or uniformly distributed, outliers drawn six times as
+    /// often as inliers to value 0 of each column, so single values and
+    /// combinations of them stand out without being absent from the inliers.
+    fn generated_stream(
+        seed: u64,
+        rows: usize,
+        attributes: usize,
+        zipf: bool,
+        outlier_rate: f64,
+    ) -> Vec<(Vec<Item>, bool)> {
+        let mut rng = SplitMix64::new(seed);
+        let skewed = Zipf::new(40, 1.1);
+        (0..rows)
+            .map(|_| {
+                let is_outlier = rng.next_f64() < outlier_rate;
+                let items = (0..attributes)
+                    .map(|column| {
+                        let value = if rng.next_f64() < if is_outlier { 0.6 } else { 0.1 } {
+                            0
+                        } else if zipf {
+                            skewed.sample(&mut rng)
+                        } else {
+                            rng.next_below(40)
+                        };
+                        (1000 * column + value) as Item
+                    })
+                    .collect();
+                (items, is_outlier)
+            })
+            .collect()
+    }
+
+    /// Feed `stream` with `boundaries` evenly spaced window boundaries.
+    fn feed(explainer: &mut StreamingExplainer, stream: &[(Vec<Item>, bool)], boundaries: usize) {
+        let window = stream.len() / (boundaries + 1);
+        for (i, (items, is_outlier)) in stream.iter().enumerate() {
+            explainer.observe(items, *is_outlier);
+            if boundaries > 0 && (i + 1) % window == 0 && (i + 1) / window <= boundaries {
+                explainer.on_window_boundary();
+            }
+        }
+    }
+
+    mod read_path_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(40))]
+
+            // Counting the outliers' combinations in the inlier tree returns
+            // what mining the whole inlier tree and joining returned, on
+            // whole streams and on the merge of two half streams.
+            #[test]
+            fn counted_explanations_equal_the_mined_ones(
+                seed in 0u64..u64::MAX,
+                attributes in 1usize..7,
+                shape in 0usize..2,
+                outlier_pct in 0usize..6,
+                boundaries in 0usize..4,
+                decay_choice in 0usize..3,
+            ) {
+                let decay = [0.0, 0.01, 0.5][decay_choice];
+                let stream =
+                    generated_stream(seed, 2_000, attributes, shape == 0, outlier_pct as f64 / 100.0);
+                let mut whole = StreamingExplainer::new(config(0.02, 2.0, decay));
+                feed(&mut whole, &stream, boundaries);
+                assert_same_explanations(whole.explain(), whole.oracle_explain());
+
+                let (first, second) = stream.split_at(stream.len() / 2);
+                let mut left = StreamingExplainer::new(config(0.02, 2.0, decay));
+                let mut right = StreamingExplainer::new(config(0.02, 2.0, decay));
+                feed(&mut left, first, boundaries);
+                feed(&mut right, second, boundaries);
+                left.merge(right);
+                assert_same_explanations(left.explain(), left.oracle_explain());
+            }
+        }
+    }
+
+    #[test]
+    fn inlier_tree_is_walked_only_for_combinations() {
+        let walks = |explainer: &StreamingExplainer| {
+            let mut walks = 0;
+            let explanations = explainer.explain_over(|visit| {
+                walks += 1;
+                explainer.inlier_tree.for_each_path(visit);
+            });
+            assert_same_explanations(explanations, explainer.explain());
+            walks
+        };
+        // No outliers at all.
+        let mut explainer = StreamingExplainer::new(config(0.05, 3.0, 0.0));
+        for i in 0..500 {
+            explainer.observe(&[i % 7, 1000 + i % 3], false);
+        }
+        assert_eq!(walks(&explainer), 0);
+        // One attribute per row: singles only, nothing to combine.
+        let mut explainer = StreamingExplainer::new(config(0.05, 3.0, 0.0));
+        for (items, is_outlier) in generated_stream(5, 2_000, 1, true, 0.05) {
+            explainer.observe(&items, is_outlier);
+        }
+        assert!(!explainer.explain().is_empty());
+        assert_eq!(walks(&explainer), 0);
+        // Outliers whose values never repeat: no combination has support.
+        let mut explainer = StreamingExplainer::new(config(0.2, 3.0, 0.0));
+        for i in 0..1_000 {
+            explainer.observe(&[i, 10_000 + i], i % 50 == 0);
+        }
+        assert_eq!(walks(&explainer), 0);
+        // And once, not once per combination, when there are some.
+        let mut explainer = StreamingExplainer::new(config(0.02, 2.0, 0.0));
+        for (items, is_outlier) in generated_stream(6, 3_000, 4, true, 0.05) {
+            explainer.observe(&items, is_outlier);
+        }
+        assert!(explainer.explain().iter().any(|e| e.items.len() >= 2));
+        assert_eq!(walks(&explainer), 1);
     }
 
     #[test]

@@ -34,9 +34,7 @@ pub struct StreamingPrefixTree {
 /// probe and denser in cache than a per-node `HashMap`.
 #[derive(Debug, Clone)]
 struct PrefixNode {
-    item: Item,
     count: f64,
-    parent: usize,
     children: Vec<(Item, usize)>,
 }
 
@@ -53,9 +51,7 @@ impl StreamingPrefixTree {
     pub fn new() -> Self {
         StreamingPrefixTree {
             nodes: vec![PrefixNode {
-                item: Item::MAX,
                 count: 0.0,
-                parent: usize::MAX,
                 children: Vec::new(),
             }],
             item_counts: HashMap::new(),
@@ -97,17 +93,7 @@ impl StreamingPrefixTree {
             *self.item_counts.entry(item).or_insert(0.0) += weight;
         }
         self.total_weight += weight;
-        // Order by current frequency (descending), ties by item id so the
-        // order is deterministic.
-        unique.sort_by(|a, b| {
-            let ca = self.item_counts.get(a).copied().unwrap_or(0.0);
-            let cb = self.item_counts.get(b).copied().unwrap_or(0.0);
-            cb.total_cmp(&ca).then_with(|| a.cmp(b))
-        });
-        let mut current = ROOT;
-        for &item in &unique {
-            current = self.descend(current, item, weight);
-        }
+        self.insert_path(&mut unique, weight);
     }
 
     /// Walk from `current` to its `item` child (adding `weight`), creating
@@ -125,9 +111,7 @@ impl StreamingPrefixTree {
             Err(pos) => {
                 let idx = self.nodes.len();
                 self.nodes.push(PrefixNode {
-                    item,
                     count: weight,
-                    parent: current,
                     children: Vec::new(),
                 });
                 self.nodes[current].children.insert(pos, (item, idx));
@@ -153,95 +137,81 @@ impl StreamingPrefixTree {
         self.total_weight *= factor;
     }
 
-    /// Export the tree's contents as weighted transactions.
-    pub fn to_weighted_transactions(&self) -> Vec<(Vec<Item>, f64)> {
-        let mut out = Vec::new();
-        for node in self.nodes.iter().skip(1) {
-            let child_sum: f64 = node
+    /// Visit every stored transaction as `(root path, weight)`: one DFS from
+    /// the root over a reused path buffer, where a node's own weight is its
+    /// count minus its children's counts — the part of the count that stopped
+    /// at that node. Nothing is allocated per node, and this is the only
+    /// traversal of the tree: export, rebuild, merge and the explainers'
+    /// counting passes all read the tree through it.
+    pub fn for_each_path(&self, mut visit: impl FnMut(&[Item], f64)) {
+        let mut path: Vec<Item> = Vec::new();
+        // (node, index of its next unvisited child)
+        let mut stack: Vec<(usize, usize)> = vec![(ROOT, 0)];
+        while let Some((node, next)) = stack.last_mut() {
+            let Some(&(item, child)) = self.nodes[*node].children.get(*next) else {
+                stack.pop();
+                path.pop();
+                continue;
+            };
+            *next += 1;
+            path.push(item);
+            let below: f64 = self.nodes[child]
                 .children
                 .iter()
                 .map(|&(_, c)| self.nodes[c].count)
                 .sum();
-            let own = node.count - child_sum;
+            let own = self.nodes[child].count - below;
             if own > 1e-12 {
-                let mut path = vec![node.item];
-                let mut up = node.parent;
-                while up != ROOT && up != usize::MAX {
-                    path.push(self.nodes[up].item);
-                    up = self.nodes[up].parent;
-                }
-                path.reverse();
-                out.push((path, own));
+                visit(&path, own);
             }
+            stack.push((child, 0));
         }
+    }
+
+    /// Export the tree's contents as weighted transactions.
+    pub fn to_weighted_transactions(&self) -> Vec<(Vec<Item>, f64)> {
+        let mut out = Vec::new();
+        self.for_each_path(|path, weight| out.push((path.to_vec(), weight)));
         out
     }
 
     /// Rebuild the tree so every branch is sorted by current (decayed)
     /// frequency — the CPS-tree's branch-sorting step at a window boundary.
     pub fn restructure(&mut self) {
-        let transactions = self.to_weighted_transactions();
-        let item_counts = std::mem::take(&mut self.item_counts);
-        *self = StreamingPrefixTree::new();
-        self.item_counts = item_counts;
-        // Re-insert without double-counting item frequencies: temporarily
-        // zero them out and restore through insertions.
-        let preserved = std::mem::take(&mut self.item_counts);
-        for (items, weight) in &transactions {
-            self.insert_with_order(items, *weight, &preserved);
-        }
-        self.item_counts = preserved;
-        self.total_weight = transactions.iter().map(|(_, w)| w).sum();
+        self.rebuild(|_| true);
     }
 
-    /// Remove every item not contained in `keep`, then restructure.
+    /// Remove every item not contained in `keep`, then restructure. The
+    /// total weight is untouched (transactions whose items were all pruned
+    /// still count), so support fractions stay meaningful.
     pub fn retain_items(&mut self, keep: &HashSet<Item>) {
-        let transactions = self.to_weighted_transactions();
-        let mut kept_counts: HashMap<Item, f64> = HashMap::new();
-        let mut kept_transactions: Vec<(Vec<Item>, f64)> = Vec::new();
-        let mut total = 0.0;
-        for (items, weight) in transactions {
-            let filtered: Vec<Item> = items
-                .into_iter()
-                .filter(|item| keep.contains(item))
-                .collect();
-            total += weight;
-            if !filtered.is_empty() {
-                for &item in &filtered {
-                    *kept_counts.entry(item).or_insert(0.0) += weight;
-                }
-                kept_transactions.push((filtered, weight));
-            }
-        }
-        *self = StreamingPrefixTree::new();
-        self.item_counts = kept_counts;
-        let order_source = self.item_counts.clone();
-        for (items, weight) in &kept_transactions {
-            self.insert_with_order(items, *weight, &order_source);
-        }
-        // Preserve the stream's total weight (including transactions whose
-        // items were all pruned) so support fractions stay meaningful.
-        self.total_weight = total;
+        self.rebuild(|item| keep.contains(&item));
     }
 
-    /// Insert already-deduplicated items ordered by an external frequency
-    /// table, updating only node counts (not item counts / total weight).
-    fn insert_with_order(
-        &mut self,
-        items: &[Item],
-        weight: f64,
-        order: &HashMap<Item, f64>,
-    ) {
-        let mut unique: Vec<Item> = items.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        unique.sort_by(|a, b| {
-            let ca = order.get(a).copied().unwrap_or(0.0);
-            let cb = order.get(b).copied().unwrap_or(0.0);
-            cb.total_cmp(&ca).then_with(|| a.cmp(b))
+    /// Re-insert every stored path, restricted to the items `keep` accepts,
+    /// along the current frequency order.
+    fn rebuild(&mut self, keep: impl Fn(Item) -> bool) {
+        let mut old = std::mem::take(self);
+        self.total_weight = old.total_weight;
+        self.item_counts = std::mem::take(&mut old.item_counts);
+        self.item_counts.retain(|&item, _| keep(item));
+        let mut kept: Vec<Item> = Vec::new();
+        old.for_each_path(|path, weight| {
+            kept.clear();
+            kept.extend(path.iter().copied().filter(|&item| keep(item)));
+            self.insert_path(&mut kept, weight);
         });
+    }
+
+    /// Insert deduplicated items along the current frequency order
+    /// (descending, ties by item id so the order is deterministic), updating
+    /// only node counts — not item counts or the total weight.
+    fn insert_path(&mut self, items: &mut [Item], weight: f64) {
+        let counts = &self.item_counts;
+        let count = |item: &Item| counts.get(item).copied().unwrap_or(0.0);
+        items.sort_unstable_by(|a, b| count(b).total_cmp(&count(a)).then_with(|| a.cmp(b)));
         let mut current = ROOT;
-        for &item in &unique {
+        for &item in items.iter() {
             current = self.descend(current, item, weight);
         }
     }
@@ -267,10 +237,12 @@ impl Mergeable for StreamingPrefixTree {
         for (item, count) in &other.item_counts {
             *self.item_counts.entry(*item).or_insert(0.0) += count;
         }
-        let order = self.item_counts.clone();
-        for (path, weight) in other.to_weighted_transactions() {
-            self.insert_with_order(&path, weight, &order);
-        }
+        let mut path_buf: Vec<Item> = Vec::new();
+        other.for_each_path(|path, weight| {
+            path_buf.clear();
+            path_buf.extend_from_slice(path);
+            self.insert_path(&mut path_buf, weight);
+        });
         self.total_weight += other_weight;
     }
 }
@@ -490,6 +462,129 @@ mod tests {
         assert!((a.total_weight() - 8.0).abs() < 1e-9);
         assert!((a.item_count(3) - 1.0).abs() < 1e-9);
         assert_eq!(a.item_count(4), 0.0);
+    }
+
+    mod walk_props {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// The tree's contract, kept the slow way: every inserted transaction
+        /// as a sorted item set with its weight.
+        #[derive(Default)]
+        struct Model {
+            transactions: BTreeMap<Vec<Item>, f64>,
+            total: f64,
+        }
+
+        impl Model {
+            fn insert(&mut self, items: &[Item], weight: f64) {
+                let mut set = items.to_vec();
+                set.sort_unstable();
+                set.dedup();
+                if !set.is_empty() {
+                    *self.transactions.entry(set).or_insert(0.0) += weight;
+                    self.total += weight;
+                }
+            }
+
+            fn item_count(&self, item: Item) -> f64 {
+                self.transactions
+                    .iter()
+                    .filter(|(set, _)| set.contains(&item))
+                    .map(|(_, w)| w)
+                    .sum()
+            }
+        }
+
+        fn walked(tree: &StreamingPrefixTree) -> BTreeMap<Vec<Item>, f64> {
+            let mut out: BTreeMap<Vec<Item>, f64> = BTreeMap::new();
+            tree.for_each_path(|path, weight| {
+                let mut set = path.to_vec();
+                set.sort_unstable();
+                assert!(set.windows(2).all(|w| w[0] != w[1]), "path repeats an item");
+                *out.entry(set).or_insert(0.0) += weight;
+            });
+            out
+        }
+
+        fn agree(tree: &StreamingPrefixTree, model: &Model) -> Result<(), String> {
+            let walked = walked(tree);
+            prop_assert_eq!(
+                walked.keys().collect::<Vec<_>>(),
+                model.transactions.keys().collect::<Vec<_>>()
+            );
+            for (set, weight) in &model.transactions {
+                prop_assert!((walked[set] - weight).abs() < 1e-9, "weight of {set:?}");
+            }
+            // The export is the walk, collected.
+            let exported = tree.to_weighted_transactions();
+            prop_assert_eq!(exported.len(), {
+                let mut n = 0;
+                tree.for_each_path(|_, _| n += 1);
+                n
+            });
+            prop_assert!((tree.total_weight() - model.total).abs() < 1e-9);
+            for item in 0..8 {
+                prop_assert!((tree.item_count(item) - model.item_count(item)).abs() < 1e-9);
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            // Inserts, decay, item pruning, branch re-sorting and merges in any
+            // order: the walk always yields exactly the transaction multiset a
+            // plain map of the same operations holds.
+            #[test]
+            fn walk_yields_the_stored_multiset(
+                kinds in prop::collection::vec(0u8..10, 30..31),
+                item_sets in prop::collection::vec(prop::collection::vec(0u32..8, 0..5), 30..31),
+            ) {
+                let mut tree = StreamingPrefixTree::new();
+                let mut model = Model::default();
+                for (op, items) in kinds.iter().zip(&item_sets) {
+                    match op {
+                        0..=5 => {
+                            tree.insert(items, 1.0 + *op as f64 * 0.5);
+                            model.insert(items, 1.0 + *op as f64 * 0.5);
+                        }
+                        6 => {
+                            tree.decay(0.75);
+                            model.transactions.values_mut().for_each(|w| *w *= 0.75);
+                            model.total *= 0.75;
+                        }
+                        7 => {
+                            let keep: HashSet<Item> = items.iter().copied().collect();
+                            tree.retain_items(&keep);
+                            let old = std::mem::take(&mut model.transactions);
+                            for (set, weight) in old {
+                                let kept: Vec<Item> =
+                                    set.into_iter().filter(|i| keep.contains(i)).collect();
+                                if !kept.is_empty() {
+                                    *model.transactions.entry(kept).or_insert(0.0) += weight;
+                                }
+                            }
+                        }
+                        8 => tree.restructure(),
+                        _ => {
+                            let mut other = StreamingPrefixTree::new();
+                            for shift in 0..3 {
+                                let shifted: Vec<Item> =
+                                    items.iter().map(|i| (i + shift) % 8).collect();
+                                if !shifted.is_empty() {
+                                    other.insert(&shifted, 2.0);
+                                    model.insert(&shifted, 2.0);
+                                }
+                            }
+                            tree.merge(other);
+                        }
+                    }
+                    agree(&tree, &model)?;
+                }
+            }
+        }
     }
 
     #[test]

@@ -151,6 +151,12 @@ impl McpsTree {
         self.tree.node_count()
     }
 
+    /// Visit every transaction stored in the tree as `(root path, weight)`
+    /// without exporting it (see [`StreamingPrefixTree::for_each_path`]).
+    pub fn for_each_path(&self, visit: impl FnMut(&[Item], f64)) {
+        self.tree.for_each_path(visit)
+    }
+
     /// Decayed estimate of a single item's count from the AMC.
     pub fn item_estimate(&self, item: Item) -> f64 {
         self.amc.estimate(&item)

@@ -204,67 +204,99 @@ impl BatchExplainer {
             return Vec::new();
         }
 
-        // Stage 2: mine combinations over the outliers restricted to the
-        // surviving attribute values.
-        let filtered_outliers: Vec<(Vec<Item>, f64)> = outliers
-            .iter()
-            .map(|(t, weight)| {
-                (
-                    t.iter()
-                        .copied()
-                        .filter(|item| surviving.binary_search(item).is_ok())
-                        .collect::<Vec<Item>>(),
-                    *weight,
-                )
-            })
-            .filter(|(items, _)| !items.is_empty())
-            .collect();
-        let tree = FpTree::from_weighted_transactions(&filtered_outliers, min_outlier_count);
-        let mined: Vec<FrequentItemset> = if prune {
-            tree.mine_with_bound(min_outlier_count, self.config.max_combination_size, ceiling)
-        } else {
-            tree.mine(min_outlier_count, self.config.max_combination_size)
-        };
-
-        // Stage 3: compute risk ratios; combinations (size >= 2) need one more
-        // restricted pass over the inliers to obtain their inlier counts,
-        // accumulated positionally alongside `combos`.
-        let combos: Vec<&[Item]> = mined
-            .iter()
-            .filter(|m| m.len() >= 2)
-            .map(|m| m.items.as_slice())
-            .collect();
-        let combo_inlier_counts = count_combinations(&combos, |visit| {
-            for &(transaction, weight) in inliers {
-                visit(transaction, weight);
-            }
-        });
-
-        let mut explanations = Vec::new();
-        let mut combo_pos = 0;
-        for itemset in &mined {
-            let ai = if itemset.len() == 1 {
-                candidate_items
-                    .binary_search(&itemset.items[0])
-                    .map(|pos| candidate_inlier_counts[pos])
-                    .unwrap_or(0.0)
-            } else {
-                let count = combo_inlier_counts[combo_pos];
-                combo_pos += 1;
-                count
-            };
-            let stats = ExplanationStats::from_counts(
-                itemset.support,
-                ai,
-                total_outliers,
-                total_inliers,
-            );
-            if stats.risk_ratio >= self.config.min_risk_ratio {
-                explanations.push(Explanation::new(itemset.items.clone(), stats));
-            }
-        }
-        explanations
+        explain_combinations(
+            &self.config,
+            &surviving,
+            (total_outliers, total_inliers),
+            prune,
+            |visit| outliers.iter().for_each(|&(t, weight)| visit(t, weight)),
+            |visit| inliers.iter().for_each(|&(t, weight)| visit(t, weight)),
+            |item| {
+                let pos = candidate_items.binary_search(&item).ok()?;
+                Some(candidate_inlier_counts[pos])
+            },
+        )
     }
+}
+
+/// Stages 2 and 3 of Algorithm 2, for the batch and the streaming explainer
+/// alike: mine the outlier transactions restricted to `surviving` (sorted —
+/// the attribute values whose own risk ratio passed), count the mined
+/// combinations among the inlier transactions, and keep what clears the
+/// risk-ratio threshold.
+///
+/// Both classes arrive as a walk — a function that feeds every weighted
+/// transaction to the visitor it is given — so a caller holding a prefix tree
+/// need not export it. The inliers are walked once, and only if the outliers
+/// produced a combination. A mined single is scored against
+/// `single_inlier_count`; `None` leaves it out, for a caller that reports
+/// single values from a source of its own. `prune` turns the risk-ratio
+/// ceiling inside FP-growth on (off only in tests, which pin it
+/// output-identical).
+pub(crate) fn explain_combinations(
+    config: &ExplanationConfig,
+    surviving: &[Item],
+    (total_outliers, total_inliers): (f64, f64),
+    prune: bool,
+    outliers: impl FnOnce(&mut dyn FnMut(&[Item], f64)),
+    inliers: impl FnOnce(&mut dyn FnMut(&[Item], f64)),
+    single_inlier_count: impl Fn(Item) -> Option<f64>,
+) -> Vec<Explanation> {
+    let min_outlier_count = (config.min_support * total_outliers).max(1.0);
+    let ceiling = |support: f64| {
+        risk_ratio_from_totals(support, 0.0, total_outliers, total_inliers)
+            >= config.min_risk_ratio
+    };
+
+    // Stage 2: mine combinations over the outliers restricted to the
+    // surviving attribute values.
+    let mut filtered_outliers: Vec<(Vec<Item>, f64)> = Vec::new();
+    outliers(&mut |transaction, weight| {
+        let items: Vec<Item> = transaction
+            .iter()
+            .copied()
+            .filter(|item| surviving.binary_search(item).is_ok())
+            .collect();
+        if !items.is_empty() {
+            filtered_outliers.push((items, weight));
+        }
+    });
+    let tree = FpTree::from_weighted_transactions(&filtered_outliers, min_outlier_count);
+    let mined: Vec<FrequentItemset> = if prune {
+        tree.mine_with_bound(min_outlier_count, config.max_combination_size, ceiling)
+    } else {
+        tree.mine(min_outlier_count, config.max_combination_size)
+    };
+
+    // Stage 3: compute risk ratios; combinations (size >= 2) need one more
+    // restricted pass over the inliers to obtain their inlier counts,
+    // accumulated positionally alongside `combos`.
+    let combos: Vec<&[Item]> = mined
+        .iter()
+        .filter(|m| m.len() >= 2)
+        .map(|m| m.items.as_slice())
+        .collect();
+    let combo_inlier_counts = count_combinations(&combos, inliers);
+
+    let mut explanations = Vec::new();
+    let mut combo_pos = 0;
+    for itemset in &mined {
+        let ai = if itemset.len() == 1 {
+            match single_inlier_count(itemset.items[0]) {
+                Some(count) => count,
+                None => continue,
+            }
+        } else {
+            combo_pos += 1;
+            combo_inlier_counts[combo_pos - 1]
+        };
+        let stats =
+            ExplanationStats::from_counts(itemset.support, ai, total_outliers, total_inliers);
+        if stats.risk_ratio >= config.min_risk_ratio {
+            explanations.push(Explanation::new(itemset.items.clone(), stats));
+        }
+    }
+    explanations
 }
 
 /// For each of `combos` (distinct, each sorted ascending), the total weight
@@ -279,7 +311,7 @@ impl BatchExplainer {
 /// actually shares with the table — never `transactions × combinations`, and
 /// never a sub-combination nobody asked about. Each count still accumulates
 /// in transaction order.
-pub(crate) fn count_combinations(
+fn count_combinations(
     combos: &[&[Item]],
     transactions: impl FnOnce(&mut dyn FnMut(&[Item], f64)),
 ) -> Vec<f64> {

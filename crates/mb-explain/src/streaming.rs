@@ -13,7 +13,7 @@
 //! mined with FPGrowth, single-item inlier counts come from the inlier AMC,
 //! and combination inlier counts are computed from the (compact) inlier tree.
 
-use crate::batch::count_combinations;
+use crate::batch::explain_combinations;
 use crate::risk_ratio::{Explanation, ExplanationStats};
 use crate::ExplanationConfig;
 use mb_fpgrowth::mcps::{McpsConfig, McpsTree};
@@ -128,12 +128,14 @@ impl StreamingExplainer {
         self.inlier_count
     }
 
-    /// Produce the current explanations on demand.
+    /// Produce the current explanations on demand, in Algorithm 2's order.
     ///
     /// Single attribute values are explained directly from the AMC sketches
-    /// (which adapt immediately to newly frequent items); attribute
-    /// *combinations* come from mining the outlier M-CPS-tree, whose item set
-    /// lags by one window boundary by design (Appendix B).
+    /// (which adapt immediately to newly frequent items). Only the values
+    /// whose own risk ratio passes go on: the outlier M-CPS-tree — whose item
+    /// set lags by one window boundary by design (Appendix B) — is mined
+    /// restricted to them, and the inlier tree is asked for the counts of the
+    /// combinations that produced, nothing else.
     pub fn explain(&self) -> Vec<Explanation> {
         self.explain_over(|visit| self.inlier_tree.for_each_path(visit))
     }
@@ -147,61 +149,37 @@ impl StreamingExplainer {
         if self.outlier_count <= 0.0 {
             return Vec::new();
         }
-        let min_outlier_count =
-            (self.config.explanation.min_support * self.outlier_count).max(1.0);
+        let config = &self.config.explanation;
+        let min_outlier_count = (config.min_support * self.outlier_count).max(1.0);
 
-        // Singles straight from the AMC sketches.
-        let mut mined: Vec<mb_fpgrowth::FrequentItemset> = self
-            .outlier_amc
-            .items_above(min_outlier_count)
-            .into_iter()
-            .map(|(item, count)| mb_fpgrowth::FrequentItemset::new(vec![item], count))
-            .collect();
-        // Combinations from the outlier M-CPS-tree.
-        mined.extend(
-            self.outlier_tree
-                .mine_with_support(
-                    min_outlier_count,
-                    self.config.explanation.max_combination_size,
-                )
-                .into_iter()
-                .filter(|m| m.len() >= 2),
-        );
-        if mined.is_empty() {
-            return Vec::new();
-        }
-
-        // Inlier counts: singles from the inlier AMC; combinations by one walk
-        // over the inlier tree that adds each path's weight to exactly the
-        // outlier combinations it contains. The inlier tree is only ever
-        // asked about combinations the outliers produced, and not walked at
-        // all when they produced none.
-        let combos: Vec<&[Item]> = mined
-            .iter()
-            .filter(|m| m.len() >= 2)
-            .map(|m| m.items.as_slice())
-            .collect();
-        let combo_inlier_counts = count_combinations(&combos, inlier_paths);
-
+        // Stage 1: supported singles from the outlier AMC, scored against the
+        // inlier AMC.
         let mut explanations = Vec::new();
-        let mut combo_pos = 0;
-        for itemset in &mined {
-            let ai = if itemset.len() == 1 {
-                self.inlier_amc.estimate(&itemset.items[0])
-            } else {
-                combo_pos += 1;
-                combo_inlier_counts[combo_pos - 1]
-            };
+        for (item, count) in self.outlier_amc.items_above(min_outlier_count) {
             let stats = ExplanationStats::from_counts(
-                itemset.support,
-                ai,
+                count,
+                self.inlier_amc.estimate(&item),
                 self.outlier_count,
                 self.inlier_count,
             );
-            if stats.risk_ratio >= self.config.explanation.min_risk_ratio {
-                explanations.push(Explanation::new(itemset.items.clone(), stats));
+            if stats.risk_ratio >= config.min_risk_ratio {
+                explanations.push(Explanation::new(vec![item], stats));
             }
         }
+        let mut surviving: Vec<Item> = explanations.iter().map(|e| e.items[0]).collect();
+        surviving.sort_unstable();
+
+        // Stages 2 and 3, shared with the batch explainer. The tree's own
+        // single counts lag the AMC's, so its singles are not reported.
+        explanations.extend(explain_combinations(
+            config,
+            &surviving,
+            (self.outlier_count, self.inlier_count),
+            true,
+            |visit| self.outlier_tree.for_each_path(visit),
+            inlier_paths,
+            |_| None,
+        ));
         explanations
     }
 }
@@ -239,8 +217,9 @@ mod tests {
 
     impl StreamingExplainer {
         /// The read path this module had before it counted instead of mined:
-        /// FP-growth over the whole inlier tree at zero support, then a linear
-        /// join against the outlier combinations. Kept as the reference.
+        /// every supported combination of the outlier tree, whatever its
+        /// members' own risk ratios; FP-growth over the whole inlier tree at
+        /// zero support; a linear join of the two. Kept as the reference.
         fn oracle_explain(&self) -> Vec<Explanation> {
             if self.outlier_count <= 0.0 {
                 return Vec::new();
@@ -282,6 +261,20 @@ mod tests {
             }
             explanations
         }
+    }
+
+    /// What Algorithm 2's order keeps of the reference's answer: every single,
+    /// and the combinations all of whose members are reported singles.
+    fn with_passing_members(reference: Vec<Explanation>) -> Vec<Explanation> {
+        let singles: Vec<Item> = reference
+            .iter()
+            .filter(|e| e.items.len() == 1)
+            .map(|e| e.items[0])
+            .collect();
+        reference
+            .into_iter()
+            .filter(|e| e.items.iter().all(|item| singles.contains(item)))
+            .collect()
     }
 
     /// Same explanations as sets, every statistic within 1e-9.
@@ -353,11 +346,13 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(40))]
 
-            // Counting the outliers' combinations in the inlier tree returns
-            // what mining the whole inlier tree and joining returned, on
-            // whole streams and on the merge of two half streams.
+            // Mining only the surviving outlier values and counting their
+            // combinations in the inlier tree returns what mining both whole
+            // trees and joining returned, less the combinations with a member
+            // whose own risk ratio fails — on whole streams and on the merge
+            // of two half streams.
             #[test]
-            fn counted_explanations_equal_the_mined_ones(
+            fn explanations_equal_the_mined_ones_with_passing_members(
                 seed in 0u64..u64::MAX,
                 attributes in 1usize..7,
                 shape in 0usize..2,
@@ -370,7 +365,7 @@ mod tests {
                     generated_stream(seed, 2_000, attributes, shape == 0, outlier_pct as f64 / 100.0);
                 let mut whole = StreamingExplainer::new(config(0.02, 2.0, decay));
                 feed(&mut whole, &stream, boundaries);
-                assert_same_explanations(whole.explain(), whole.oracle_explain());
+                assert_same_explanations(whole.explain(), with_passing_members(whole.oracle_explain()));
 
                 let (first, second) = stream.split_at(stream.len() / 2);
                 let mut left = StreamingExplainer::new(config(0.02, 2.0, decay));
@@ -378,8 +373,34 @@ mod tests {
                 feed(&mut left, first, boundaries);
                 feed(&mut right, second, boundaries);
                 left.merge(right);
-                assert_same_explanations(left.explain(), left.oracle_explain());
+                assert_same_explanations(left.explain(), with_passing_members(left.oracle_explain()));
             }
+        }
+    }
+
+    #[test]
+    fn one_undecayed_window_explains_like_the_batch_explainer() {
+        // No boundary: the trees still admit everything; AMCs under their
+        // stable size: exact counts. Unit weights, so even the sums are exact.
+        for (seed, attributes, zipf) in [(1, 3, true), (2, 6, true), (3, 4, false)] {
+            let stream = generated_stream(seed, 4_000, attributes, zipf, 0.03);
+            let mut streaming = StreamingExplainer::new(config(0.02, 2.0, 0.0));
+            feed(&mut streaming, &stream, 0);
+            let rows = |outlier: bool| -> Vec<Vec<Item>> {
+                stream
+                    .iter()
+                    .filter(|(_, is_outlier)| *is_outlier == outlier)
+                    .map(|(items, _)| items.clone())
+                    .collect()
+            };
+            let batch = crate::batch::BatchExplainer::new(ExplanationConfig::new(0.02, 2.0))
+                .explain(&rows(true), &rows(false));
+            assert!(batch.iter().any(|e| e.items.len() >= 2));
+            let by_items = |mut v: Vec<Explanation>| {
+                v.sort_by(|x, y| x.items.cmp(&y.items));
+                v
+            };
+            assert_eq!(by_items(streaming.explain()), by_items(batch));
         }
     }
 

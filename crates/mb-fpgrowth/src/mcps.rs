@@ -52,6 +52,11 @@ pub struct McpsTree {
     tree: StreamingPrefixTree,
     amc: AmcSketch<Item>,
     frequent: HashSet<Item>,
+    /// Decayed number of transactions observed. Every support threshold —
+    /// admission at a boundary, [`mine`](McpsTree::mine) — is a fraction of
+    /// this, never of the AMC's total, which counts item observations (one
+    /// per attribute of every transaction).
+    transactions: f64,
     /// Whether at least one window boundary has elapsed; before that the
     /// frequent set is still being bootstrapped and every item is admitted
     /// (it will be pruned at the first boundary if insufficiently supported).
@@ -78,6 +83,7 @@ impl McpsTree {
             tree: StreamingPrefixTree::new(),
             amc,
             frequent: HashSet::new(),
+            transactions: 0.0,
             bootstrapping: true,
         }
     }
@@ -89,6 +95,7 @@ impl McpsTree {
 
     /// Observe one point's attribute items.
     pub fn insert(&mut self, items: &[Item]) {
+        self.transactions += 1.0;
         for &item in items {
             self.amc.observe(item);
         }
@@ -112,8 +119,9 @@ impl McpsTree {
         let keep_factor = 1.0 - self.config.decay_rate;
         self.amc.decay(keep_factor);
         self.tree.decay(keep_factor);
+        self.transactions *= keep_factor;
 
-        let threshold = self.config.min_support_fraction * self.amc.total_weight();
+        let threshold = self.config.min_support_fraction * self.transactions;
         self.frequent = self
             .amc
             .items_above(threshold)
@@ -127,7 +135,7 @@ impl McpsTree {
     /// Mine itemsets whose decayed support fraction is at least the
     /// configured minimum, bounded to combinations of `max_size` items.
     pub fn mine(&self, max_size: usize) -> Vec<FrequentItemset> {
-        let min_count = self.config.min_support_fraction * self.tree.total_weight();
+        let min_count = self.config.min_support_fraction * self.transactions;
         self.tree.mine(min_count, max_size)
     }
 
@@ -162,9 +170,9 @@ impl McpsTree {
         self.amc.estimate(&item)
     }
 
-    /// Total decayed weight observed by the AMC.
+    /// Decayed number of transactions observed.
     pub fn total_weight(&self) -> f64 {
-        self.amc.total_weight()
+        self.transactions
     }
 }
 
@@ -185,6 +193,7 @@ impl Mergeable for McpsTree {
         self.amc.merge(other.amc);
         self.tree.merge(other.tree);
         self.frequent.extend(other.frequent);
+        self.transactions += other.transactions;
         self.bootstrapping = self.bootstrapping && other.bootstrapping;
     }
 }
@@ -244,6 +253,36 @@ mod tests {
         }
         let mined = mcps.mine_with_support(5.0, 2);
         assert!(mined.iter().any(|r| r.items == vec![1, 7]));
+    }
+
+    #[test]
+    fn admission_threshold_counts_rows_not_item_observations() {
+        // An item in 0.2% of the rows clears a 0.1% support fraction however
+        // many attributes a row has; measured against the AMC's total (one
+        // observation per attribute) it stopped clearing it at three.
+        for attributes in [1usize, 3, 6] {
+            let mut mcps = McpsTree::new(config(0.001, 0.0));
+            let row = |i: usize, first: Item| -> Vec<Item> {
+                std::iter::once(first)
+                    .chain((1..attributes).map(|a| (100 * a + i % 5) as Item))
+                    .collect()
+            };
+            for i in 0..5_000 {
+                mcps.insert(&row(i, (i % 5) as Item));
+            }
+            mcps.on_window_boundary();
+            for i in 0..5_000 {
+                let first = if i % 250 == 0 { 77 } else { (i % 5) as Item };
+                mcps.insert(&row(i, first));
+            }
+            mcps.on_window_boundary();
+            assert!((mcps.total_weight() - 10_000.0).abs() < 1e-9);
+            assert!((mcps.item_estimate(77) - 20.0).abs() < 1e-9);
+            assert!(
+                mcps.frequent_items().contains(&77),
+                "not admitted with {attributes} attributes per row"
+            );
+        }
     }
 
     #[test]

@@ -18,8 +18,7 @@ use crate::risk_ratio::{Explanation, ExplanationStats};
 use crate::ExplanationConfig;
 use mb_fpgrowth::mcps::{McpsConfig, McpsTree};
 use mb_fpgrowth::Item;
-use mb_sketch::amc::{AmcSketch, MaintenancePolicy};
-use mb_sketch::{HeavyHitterSketch, Mergeable};
+use mb_sketch::Mergeable;
 
 /// Configuration for the streaming explainer.
 #[derive(Debug, Clone)]
@@ -49,8 +48,6 @@ impl Default for StreamingExplainerConfig {
 #[derive(Debug, Clone)]
 pub struct StreamingExplainer {
     config: StreamingExplainerConfig,
-    outlier_amc: AmcSketch<Item>,
-    inlier_amc: AmcSketch<Item>,
     outlier_tree: McpsTree,
     inlier_tree: McpsTree,
     outlier_count: f64,
@@ -60,13 +57,6 @@ pub struct StreamingExplainer {
 impl StreamingExplainer {
     /// Create a streaming explainer.
     pub fn new(config: StreamingExplainerConfig) -> Self {
-        let amc = |seed_offset: u64| {
-            let _ = seed_offset;
-            AmcSketch::with_policy(
-                config.amc_stable_size,
-                MaintenancePolicy::EveryNObservations(config.amc_maintenance_period),
-            )
-        };
         let tree_config = McpsConfig {
             min_support_fraction: config.explanation.min_support,
             decay_rate: config.decay_rate,
@@ -74,8 +64,6 @@ impl StreamingExplainer {
             amc_maintenance_period: config.amc_maintenance_period,
         };
         StreamingExplainer {
-            outlier_amc: amc(0),
-            inlier_amc: amc(1),
             outlier_tree: McpsTree::new(tree_config.clone()),
             inlier_tree: McpsTree::new(tree_config),
             outlier_count: 0.0,
@@ -93,15 +81,9 @@ impl StreamingExplainer {
     pub fn observe(&mut self, items: &[Item], is_outlier: bool) {
         if is_outlier {
             self.outlier_count += 1.0;
-            for &item in items {
-                self.outlier_amc.observe(item);
-            }
             self.outlier_tree.insert(items);
         } else {
             self.inlier_count += 1.0;
-            for &item in items {
-                self.inlier_amc.observe(item);
-            }
             self.inlier_tree.insert(items);
         }
     }
@@ -110,8 +92,6 @@ impl StreamingExplainer {
     /// to currently frequent items.
     pub fn on_window_boundary(&mut self) {
         let keep = 1.0 - self.config.decay_rate;
-        self.outlier_amc.decay(keep);
-        self.inlier_amc.decay(keep);
         self.outlier_tree.on_window_boundary();
         self.inlier_tree.on_window_boundary();
         self.outlier_count *= keep;
@@ -155,10 +135,10 @@ impl StreamingExplainer {
         // Stage 1: supported singles from the outlier AMC, scored against the
         // inlier AMC.
         let mut explanations = Vec::new();
-        for (item, count) in self.outlier_amc.items_above(min_outlier_count) {
+        for (item, count) in self.outlier_tree.items_above(min_outlier_count) {
             let stats = ExplanationStats::from_counts(
                 count,
-                self.inlier_amc.estimate(&item),
+                self.inlier_tree.item_estimate(item),
                 self.outlier_count,
                 self.inlier_count,
             );
@@ -191,8 +171,6 @@ impl Mergeable for StreamingExplainer {
     /// so explanations computed from the merged operator reflect combined
     /// counts rather than a union of separately thresholded result sets.
     fn merge(&mut self, other: Self) {
-        self.outlier_amc.merge(other.outlier_amc);
-        self.inlier_amc.merge(other.inlier_amc);
         self.outlier_tree.merge(other.outlier_tree);
         self.inlier_tree.merge(other.inlier_tree);
         self.outlier_count += other.outlier_count;
@@ -227,7 +205,7 @@ mod tests {
             let config = &self.config.explanation;
             let min_outlier_count = (config.min_support * self.outlier_count).max(1.0);
             let mut mined: Vec<mb_fpgrowth::FrequentItemset> = self
-                .outlier_amc
+                .outlier_tree
                 .items_above(min_outlier_count)
                 .into_iter()
                 .map(|(item, count)| mb_fpgrowth::FrequentItemset::new(vec![item], count))
@@ -242,7 +220,7 @@ mod tests {
             let mut explanations = Vec::new();
             for itemset in &mined {
                 let ai = if itemset.len() == 1 {
-                    self.inlier_amc.estimate(&itemset.items[0])
+                    self.inlier_tree.item_estimate(itemset.items[0])
                 } else {
                     inlier_itemsets
                         .iter()
@@ -375,6 +353,62 @@ mod tests {
                 left.merge(right);
                 assert_same_explanations(left.explain(), with_passing_members(left.oracle_explain()));
             }
+        }
+    }
+
+    #[test]
+    fn the_trees_sketches_hold_what_a_separate_pair_held() {
+        // The explainer used to keep an AMC per class beside the one inside
+        // each class's tree. Rebuilt here, that pair — fed, decayed and merged
+        // alongside — agrees with the trees' own sketches on every item.
+        use mb_sketch::amc::{AmcSketch, MaintenancePolicy};
+        use mb_sketch::HeavyHitterSketch;
+        type Pair = [AmcSketch<Item>; 2];
+        let cfg = config(0.02, 2.0, 0.25);
+        let pair = || -> Pair {
+            [(); 2].map(|()| {
+                AmcSketch::with_policy(
+                    cfg.amc_stable_size,
+                    MaintenancePolicy::EveryNObservations(cfg.amc_maintenance_period),
+                )
+            })
+        };
+        let stream = generated_stream(9, 6_000, 5, true, 0.04);
+        let run = |rows: &[(Vec<Item>, bool)]| -> (StreamingExplainer, Pair) {
+            let mut explainer = StreamingExplainer::new(cfg.clone());
+            let mut amcs = pair();
+            for (i, (items, is_outlier)) in rows.iter().enumerate() {
+                explainer.observe(items, *is_outlier);
+                for &item in items {
+                    amcs[usize::from(!*is_outlier)].observe(item);
+                }
+                if (i + 1) % 1_000 == 0 {
+                    explainer.on_window_boundary();
+                    amcs.iter_mut().for_each(|amc| amc.decay(1.0 - cfg.decay_rate));
+                }
+            }
+            (explainer, amcs)
+        };
+        let (first, second) = stream.split_at(3_000);
+        let (mut explainer, [mut outlier_amc, mut inlier_amc]) = run(first);
+        let (other, [other_outlier_amc, other_inlier_amc]) = run(second);
+        explainer.merge(other);
+        outlier_amc.merge(other_outlier_amc);
+        inlier_amc.merge(other_inlier_amc);
+
+        for (tree, amc) in [
+            (&explainer.outlier_tree, &outlier_amc),
+            (&explainer.inlier_tree, &inlier_amc),
+        ] {
+            assert!(amc.tracked_items() > 100);
+            for (item, count) in amc.entries() {
+                assert_eq!(tree.item_estimate(item), count);
+            }
+            let sorted = |mut v: Vec<(Item, f64)>| {
+                v.sort_by_key(|&(item, _)| item);
+                v
+            };
+            assert_eq!(sorted(tree.items_above(3.0)), sorted(amc.items_above(3.0)));
         }
     }
 

@@ -170,6 +170,12 @@ impl McpsTree {
         self.amc.estimate(&item)
     }
 
+    /// Items whose decayed AMC estimate is at least `threshold`, by
+    /// decreasing estimate.
+    pub fn items_above(&self, threshold: f64) -> Vec<(Item, f64)> {
+        self.amc.items_above(threshold)
+    }
+
     /// Decayed number of transactions observed.
     pub fn total_weight(&self) -> f64 {
         self.transactions

@@ -72,6 +72,10 @@ pub(crate) struct StreamingEngine {
     metrics: MetricRegistry,
     /// Accumulated wall time inside [`StreamingEngine::observe`].
     observe_wall_ns: u64,
+    /// The `explain` span: wall time and count of the explanation renders
+    /// [`StreamingEngine::report`] has done, with the latest render's decayed
+    /// outlier count in and explanations out.
+    explain_span: StageTrace,
 }
 
 impl StreamingEngine {
@@ -112,6 +116,13 @@ impl StreamingEngine {
             obs_enabled: analysis.obs.is_enabled(),
             metrics: MetricRegistry::new(),
             observe_wall_ns: 0,
+            explain_span: StageTrace {
+                stage: stage::EXPLAIN.to_string(),
+                wall_ns: 0,
+                rows_in: 0,
+                rows_out: 0,
+                batches: 0,
+            },
         }
     }
 
@@ -266,7 +277,8 @@ impl StreamingEngine {
     }
 
     pub(crate) fn report(&mut self) -> MdpReport {
-        let explanations = if self.skip_explanation {
+        let explain_start = StageTimer::start_if(self.obs_enabled && !self.skip_explanation);
+        let explanations: Vec<RenderedExplanation> = if self.skip_explanation {
             Vec::new()
         } else {
             let mut explanations = self.explainer.explain();
@@ -280,6 +292,15 @@ impl StreamingEngine {
                 })
                 .collect()
         };
+        if explain_start.is_running() {
+            let explain_ns = explain_start.elapsed_ns();
+            self.metrics.record_ns("explain_ns", explain_ns);
+            let span = &mut self.explain_span;
+            span.wall_ns = span.wall_ns.saturating_add(explain_ns);
+            span.rows_in = self.explainer.outlier_count().round() as u64;
+            span.rows_out = explanations.len() as u64;
+            span.batches += 1;
+        }
         let cutoff = match self.model.as_mut() {
             Some(StreamingModel::Mad(c)) => c.current_cutoff(),
             Some(StreamingModel::Mcd(c)) => c.current_cutoff(),
@@ -312,15 +333,18 @@ impl StreamingEngine {
         Some(QueryTrace {
             executor: "streaming".to_string(),
             partitions: 1,
-            // One synthetic span: the streaming engine scores point-at-a-time,
-            // so the whole observe loop is its `score` stage.
-            stages: vec![StageTrace {
+            // Two spans: the streaming engine scores point-at-a-time, so the
+            // whole observe loop is its `score` stage; every report rendered
+            // so far, this one included, is its `explain` stage.
+            stages: std::iter::once(StageTrace {
                 stage: stage::SCORE.to_string(),
                 wall_ns: self.observe_wall_ns,
                 rows_in: self.points_seen,
                 rows_out: self.outliers_seen,
                 batches: 1,
-            }],
+            })
+            .chain((self.explain_span.batches > 0).then(|| self.explain_span.clone()))
+            .collect(),
             counters: registry.counter_entries(),
             gauges: registry.gauge_entries(),
             histograms: registry.histogram_snapshots(),
@@ -816,6 +840,43 @@ mod tests {
         let second = session.report();
         assert_eq!(first, second);
         assert!(first.num_outliers > 0);
+    }
+
+    #[test]
+    fn traced_report_adds_an_explain_span_and_changes_nothing_else() {
+        let points: Vec<Point> = (0..12_000)
+            .map(|i| {
+                let value = if i % 150 == 0 { 400.0 } else { 10.0 + (i % 7) as f64 };
+                Point::simple(value, format!("d{}", if i % 150 == 0 { 99 } else { i % 20 }))
+            })
+            .collect();
+        let render = |traced: bool| {
+            let builder = if traced { test_query().traced() } else { test_query() };
+            let mut session = builder.build().unwrap().into_streaming(&test_options()).unwrap();
+            session.feed(&points).unwrap();
+            (session.report(), session.report())
+        };
+        let (plain, _) = render(false);
+        let (mut first, second) = render(true);
+        assert!(plain.trace.is_none());
+        assert!(!plain.explanations.is_empty());
+
+        let trace = first.trace.take().expect("trace populated");
+        assert_eq!(
+            crate::wire::report_to_string(&first),
+            crate::wire::report_to_string(&plain)
+        );
+        let span = trace.stage(stage::EXPLAIN).expect("explain span");
+        assert_eq!(span.batches, 1);
+        assert_eq!(span.rows_out as usize, plain.explanations.len());
+        assert!(span.rows_in > 0 && span.rows_in <= plain.num_outliers as u64);
+        assert!(span.wall_ns > 0);
+        assert_eq!(trace.histogram("explain_ns").expect("explain histogram").count, 1);
+        // The span accumulates over a session's reports, like `score` does
+        // over its points.
+        let again = second.trace.expect("trace populated");
+        assert_eq!(again.stage(stage::EXPLAIN).unwrap().batches, 2);
+        assert_eq!(again.histogram("explain_ns").unwrap().count, 2);
     }
 
     #[allow(deprecated)]

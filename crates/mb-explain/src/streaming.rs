@@ -1,17 +1,28 @@
 //! Streaming explanation (Section 5.3, right half of Figure 2).
 //!
-//! The streaming explainer maintains, for each class (outlier / inlier):
-//!
-//! * an **AMC sketch** of single attribute-value frequencies, and
-//! * an **M-CPS-tree** of attribute combinations restricted to currently
-//!   frequent items.
+//! The streaming explainer maintains, for each class (outlier / inlier), one
+//! **M-CPS-tree** of attribute combinations restricted to currently frequent
+//! items, and reads single attribute-value frequencies from the **AMC
+//! sketch** that tree carries (the sketch is what decides admission, so there
+//! is one per class, not one here and one there).
 //!
 //! When a labeled point arrives, its attribute items are inserted into the
-//! structures of its class. At each window boundary all counts are decayed
-//! and the trees are pruned/re-sorted. Explanations are produced *on demand*
-//! (the operator acts as a streaming view maintainer): the outlier tree is
-//! mined with FPGrowth, single-item inlier counts come from the inlier AMC,
-//! and combination inlier counts are computed from the (compact) inlier tree.
+//! tree of its class. At each window boundary all counts are decayed and the
+//! trees are pruned/re-sorted. Explanations are produced *on demand* (the
+//! operator acts as a streaming view maintainer), in Algorithm 2's order:
+//!
+//! 1. supported single values come from the outlier AMC and are scored
+//!    against the inlier AMC; only values whose own risk ratio passes go on;
+//! 2. the outlier tree (small: outliers are ~1% of the stream) is mined
+//!    restricted to those values, with the risk-ratio ceiling inside
+//!    FP-growth;
+//! 3. the inlier tree is never mined. It is walked once, each stored path
+//!    adding its weight to exactly the combinations of step 2 it contains —
+//!    and not walked at all when step 2 produced none.
+//!
+//! Steps 2 and 3 are [`crate::batch`]'s stages 2 and 3, the same function. A
+//! snapshot therefore costs what the outliers cost plus one pass over the
+//! inlier tree's nodes, not what mining the inliers would cost.
 
 use crate::batch::explain_combinations;
 use crate::risk_ratio::{Explanation, ExplanationStats};

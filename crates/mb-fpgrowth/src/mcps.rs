@@ -8,10 +8,16 @@
 //! * On insertion, a point's attributes are first recorded in the AMC; only
 //!   the attributes in the current frequent set are inserted into the tree.
 //! * At each window boundary, the AMC and tree counts are decayed, the
-//!   frequent set is recomputed from the AMC, items that fell out of it are
-//!   removed from the tree, and branches are re-sorted into
-//!   frequency-descending order.
-//! * Explanations are produced by running FPGrowth over the tree.
+//!   frequent set is recomputed from the AMC — an item is frequent when its
+//!   estimate reaches the support fraction of the decayed number of
+//!   *transactions*, the unit [`McpsTree::mine`] thresholds in too — items
+//!   that fell out of it are removed from the tree, and branches are
+//!   re-sorted into frequency-descending order.
+//! * The outlier side of an explanation is produced by running FPGrowth over
+//!   the tree ([`McpsTree::mine`]); the inlier side never mines — it reads
+//!   single counts off the AMC ([`McpsTree::item_estimate`],
+//!   [`McpsTree::items_above`]) and counts chosen combinations in one walk
+//!   over the stored paths ([`McpsTree::for_each_path`]).
 
 use crate::cps::StreamingPrefixTree;
 use crate::{FrequentItemset, Item};

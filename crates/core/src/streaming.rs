@@ -330,21 +330,23 @@ impl StreamingEngine {
         registry.add("points", self.points_seen);
         registry.add("outliers", self.outliers_seen);
         registry.set_gauge("model_staleness", self.model_staleness() as f64);
+        // Two spans: the streaming engine scores point-at-a-time, so the
+        // whole observe loop is its `score` stage; every report rendered so
+        // far, this one included, is its `explain` stage.
+        let mut stages = vec![StageTrace {
+            stage: stage::SCORE.to_string(),
+            wall_ns: self.observe_wall_ns,
+            rows_in: self.points_seen,
+            rows_out: self.outliers_seen,
+            batches: 1,
+        }];
+        if self.explain_span.batches > 0 {
+            stages.push(self.explain_span.clone());
+        }
         Some(QueryTrace {
             executor: "streaming".to_string(),
             partitions: 1,
-            // Two spans: the streaming engine scores point-at-a-time, so the
-            // whole observe loop is its `score` stage; every report rendered
-            // so far, this one included, is its `explain` stage.
-            stages: std::iter::once(StageTrace {
-                stage: stage::SCORE.to_string(),
-                wall_ns: self.observe_wall_ns,
-                rows_in: self.points_seen,
-                rows_out: self.outliers_seen,
-                batches: 1,
-            })
-            .chain((self.explain_span.batches > 0).then(|| self.explain_span.clone()))
-            .collect(),
+            stages,
             counters: registry.counter_entries(),
             gauges: registry.gauge_entries(),
             histograms: registry.histogram_snapshots(),

@@ -124,7 +124,7 @@ impl BatchExplainer {
         if total_outliers <= 0.0 {
             return Vec::new();
         }
-        let min_outlier_count = (self.config.min_support * total_outliers).max(1.0);
+        let min_outlier_count = self.config.min_outlier_count(total_outliers);
         let min_risk_ratio = self.config.min_risk_ratio;
         let ceiling = |support: f64| {
             risk_ratio_from_totals(support, 0.0, total_outliers, total_inliers) >= min_risk_ratio
@@ -242,7 +242,7 @@ pub(crate) fn explain_combinations(
     inliers: impl FnOnce(&mut dyn FnMut(&[Item], f64)),
     single_inlier_count: impl Fn(Item) -> Option<f64>,
 ) -> Vec<Explanation> {
-    let min_outlier_count = (config.min_support * total_outliers).max(1.0);
+    let min_outlier_count = config.min_outlier_count(total_outliers);
     let ceiling = |support: f64| {
         risk_ratio_from_totals(support, 0.0, total_outliers, total_inliers)
             >= config.min_risk_ratio
@@ -396,7 +396,7 @@ pub fn naive_fpgrowth_explain(
     if outliers.is_empty() {
         return Vec::new();
     }
-    let min_outlier_count = (config.min_support * total_outliers).max(1.0);
+    let min_outlier_count = config.min_outlier_count(total_outliers);
 
     // Mine the outlier side.
     let outlier_tree = FpTree::from_transactions(outliers, min_outlier_count);

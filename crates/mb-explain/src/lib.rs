@@ -94,6 +94,12 @@ impl ExplanationConfig {
         }
     }
 
+    /// The outlier count a combination needs to be supported: `min_support`
+    /// of the (possibly decayed) outlier total, and never less than one.
+    pub(crate) fn min_outlier_count(&self, total_outliers: f64) -> f64 {
+        (self.min_support * total_outliers).max(1.0)
+    }
+
     /// Builder-style setter for the maximum combination size.
     pub fn with_max_combination_size(mut self, size: usize) -> Self {
         self.max_combination_size = size;

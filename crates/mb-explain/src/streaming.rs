@@ -61,8 +61,6 @@ pub struct StreamingExplainer {
     config: StreamingExplainerConfig,
     outlier_tree: McpsTree,
     inlier_tree: McpsTree,
-    outlier_count: f64,
-    inlier_count: f64,
 }
 
 impl StreamingExplainer {
@@ -77,8 +75,6 @@ impl StreamingExplainer {
         StreamingExplainer {
             outlier_tree: McpsTree::new(tree_config.clone()),
             inlier_tree: McpsTree::new(tree_config),
-            outlier_count: 0.0,
-            inlier_count: 0.0,
             config,
         }
     }
@@ -91,10 +87,8 @@ impl StreamingExplainer {
     /// Observe one labeled point's attribute items.
     pub fn observe(&mut self, items: &[Item], is_outlier: bool) {
         if is_outlier {
-            self.outlier_count += 1.0;
             self.outlier_tree.insert(items);
         } else {
-            self.inlier_count += 1.0;
             self.inlier_tree.insert(items);
         }
     }
@@ -102,21 +96,18 @@ impl StreamingExplainer {
     /// Close the current window: decay every sketch/tree and prune the trees
     /// to currently frequent items.
     pub fn on_window_boundary(&mut self) {
-        let keep = 1.0 - self.config.decay_rate;
         self.outlier_tree.on_window_boundary();
         self.inlier_tree.on_window_boundary();
-        self.outlier_count *= keep;
-        self.inlier_count *= keep;
     }
 
     /// Current decayed number of outlier points observed.
     pub fn outlier_count(&self) -> f64 {
-        self.outlier_count
+        self.outlier_tree.total_weight()
     }
 
     /// Current decayed number of inlier points observed.
     pub fn inlier_count(&self) -> f64 {
-        self.inlier_count
+        self.inlier_tree.total_weight()
     }
 
     /// Produce the current explanations on demand, in Algorithm 2's order.
@@ -137,22 +128,20 @@ impl StreamingExplainer {
         &self,
         inlier_paths: impl FnOnce(&mut dyn FnMut(&[Item], f64)),
     ) -> Vec<Explanation> {
-        if self.outlier_count <= 0.0 {
+        let (total_outliers, total_inliers) = (self.outlier_count(), self.inlier_count());
+        if total_outliers <= 0.0 {
             return Vec::new();
         }
         let config = &self.config.explanation;
-        let min_outlier_count = (config.min_support * self.outlier_count).max(1.0);
+        let min_outlier_count = config.min_outlier_count(total_outliers);
 
         // Stage 1: supported singles from the outlier AMC, scored against the
         // inlier AMC.
         let mut explanations = Vec::new();
         for (item, count) in self.outlier_tree.items_above(min_outlier_count) {
-            let stats = ExplanationStats::from_counts(
-                count,
-                self.inlier_tree.item_estimate(item),
-                self.outlier_count,
-                self.inlier_count,
-            );
+            let inlier_count = self.inlier_tree.item_estimate(item);
+            let stats =
+                ExplanationStats::from_counts(count, inlier_count, total_outliers, total_inliers);
             if stats.risk_ratio >= config.min_risk_ratio {
                 explanations.push(Explanation::new(vec![item], stats));
             }
@@ -165,7 +154,7 @@ impl StreamingExplainer {
         explanations.extend(explain_combinations(
             config,
             &surviving,
-            (self.outlier_count, self.inlier_count),
+            (total_outliers, total_inliers),
             true,
             |visit| self.outlier_tree.for_each_path(visit),
             inlier_paths,
@@ -184,8 +173,6 @@ impl Mergeable for StreamingExplainer {
     fn merge(&mut self, other: Self) {
         self.outlier_tree.merge(other.outlier_tree);
         self.inlier_tree.merge(other.inlier_tree);
-        self.outlier_count += other.outlier_count;
-        self.inlier_count += other.inlier_count;
     }
 }
 
@@ -210,11 +197,11 @@ mod tests {
         /// members' own risk ratios; FP-growth over the whole inlier tree at
         /// zero support; a linear join of the two. Kept as the reference.
         fn oracle_explain(&self) -> Vec<Explanation> {
-            if self.outlier_count <= 0.0 {
+            if self.outlier_count() <= 0.0 {
                 return Vec::new();
             }
             let config = &self.config.explanation;
-            let min_outlier_count = (config.min_support * self.outlier_count).max(1.0);
+            let min_outlier_count = config.min_outlier_count(self.outlier_count());
             let mut mined: Vec<mb_fpgrowth::FrequentItemset> = self
                 .outlier_tree
                 .items_above(min_outlier_count)
@@ -241,8 +228,8 @@ mod tests {
                 let stats = ExplanationStats::from_counts(
                     itemset.support,
                     ai,
-                    self.outlier_count,
-                    self.inlier_count,
+                    self.outlier_count(),
+                    self.inlier_count(),
                 );
                 if stats.risk_ratio >= config.min_risk_ratio {
                     explanations.push(Explanation::new(itemset.items.clone(), stats));
@@ -350,11 +337,17 @@ mod tests {
                 decay_choice in 0usize..3,
             ) {
                 let decay = [0.0, 0.01, 0.5][decay_choice];
-                let stream =
-                    generated_stream(seed, 2_000, attributes, shape == 0, outlier_pct as f64 / 100.0);
+                let outlier_rate = outlier_pct as f64 / 100.0;
+                let stream = generated_stream(seed, 2_000, attributes, shape == 0, outlier_rate);
+                let agrees = |explainer: &StreamingExplainer| {
+                    assert_same_explanations(
+                        explainer.explain(),
+                        with_passing_members(explainer.oracle_explain()),
+                    );
+                };
                 let mut whole = StreamingExplainer::new(config(0.02, 2.0, decay));
                 feed(&mut whole, &stream, boundaries);
-                assert_same_explanations(whole.explain(), with_passing_members(whole.oracle_explain()));
+                agrees(&whole);
 
                 let (first, second) = stream.split_at(stream.len() / 2);
                 let mut left = StreamingExplainer::new(config(0.02, 2.0, decay));
@@ -362,7 +355,7 @@ mod tests {
                 feed(&mut left, first, boundaries);
                 feed(&mut right, second, boundaries);
                 left.merge(right);
-                assert_same_explanations(left.explain(), with_passing_members(left.oracle_explain()));
+                agrees(&left);
             }
         }
     }

@@ -1082,12 +1082,22 @@ mod tests {
                 s.spawn(|| std::hint::black_box(()));
             }
         });
-        let per_worker = pool.worker_stats();
-        assert_eq!(per_worker.len(), 3);
-        let folded = per_worker
-            .into_iter()
-            .fold(pool.helper_stats(), WorkerStats::combined);
-        assert_eq!(folded, pool.total_stats());
+        // A worker may still be on its way to park after the scope returns
+        // (bumping `idle_parks`), so compare the fold against totals that
+        // did not move while the per-worker counters were read. Counters
+        // only grow, so equal totals before and after mean nothing changed.
+        let folded = loop {
+            let before = pool.total_stats();
+            let per_worker = pool.worker_stats();
+            assert_eq!(per_worker.len(), 3);
+            let folded = per_worker
+                .into_iter()
+                .fold(pool.helper_stats(), WorkerStats::combined);
+            if pool.total_stats() == before {
+                assert_eq!(folded, before);
+                break folded;
+            }
+        };
         assert_eq!(folded.tasks_executed, 64);
         let again = pool.total_stats().since(&folded);
         assert_eq!(again.tasks_executed, 0);

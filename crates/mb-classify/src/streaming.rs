@@ -100,7 +100,9 @@ impl<E: Estimator> StreamingClassifier<E> {
     pub fn observe(&mut self, metrics: &[f64]) -> Classification {
         self.total_points += 1;
         self.points_since_retrain += 1;
-        self.input_reservoir.observe(metrics.to_vec());
+        // The row is copied only if the reservoir keeps it.
+        self.input_reservoir
+            .observe_with(1.0, || metrics.to_vec());
 
         // Initial training once enough points are buffered, then periodic
         // retraining on the damped reservoir.
@@ -131,11 +133,11 @@ impl<E: Estimator> StreamingClassifier<E> {
     /// Force a model retrain from the current input reservoir.
     pub fn retrain(&mut self) {
         self.points_since_retrain = 0;
-        let sample = self.input_reservoir.snapshot();
+        let sample = self.input_reservoir.sample();
         if sample.is_empty() {
             return;
         }
-        if self.estimator.train(&sample).is_ok() {
+        if self.estimator.train(sample).is_ok() {
             self.model_trained = true;
         }
     }

@@ -13,7 +13,122 @@
 use crate::fptree::FpTree;
 use crate::{FrequentItemset, Item};
 use mb_sketch::Mergeable;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+
+/// "No node" in every link and "empty" in every table slot: the root is
+/// nobody's child and nobody's sibling, so its index is free to mean that.
+const NONE: u32 = 0;
+const ROOT: u32 = 0;
+
+/// The rank of an item that [`StreamingPrefixTree::frequency_ranks`] left out.
+const DROPPED: u32 = u32::MAX;
+
+/// Sibling-list steps [`StreamingPrefixTree::link_child`] takes from the
+/// head before it also asks the edge table for the predecessor.
+const WALK_BEFORE_PROBING: usize = 8;
+
+/// `index` as the `u32` the arena's links and tables store.
+fn arena_index(index: usize) -> u32 {
+    u32::try_from(index).expect("a prefix tree numbers its nodes and items in 32 bits")
+}
+
+/// An integer that sorts ascending where `count` sorts descending under
+/// [`f64::total_cmp`] (whose own bit trick this is, complemented).
+fn descending_key(count: f64) -> i64 {
+    let bits = count.to_bits() as i64;
+    !(bits ^ ((((bits >> 63) as u64) >> 1) as i64))
+}
+
+/// Open-addressed `(parent, item) → value` table: linear probing, a fixed
+/// multiplicative hash, values non-zero. A slot holds the item and the
+/// value; the parent half of the key is read from whatever the value
+/// indexes (`parent_of`), so a slot is 8 bytes and a table twice the size of
+/// its contents stays in cache beside the arrays it points into.
+///
+/// An item table is the same table with every parent the root.
+#[derive(Debug, Clone)]
+pub(crate) struct EdgeTable {
+    slots: Vec<(Item, u32)>,
+    len: usize,
+}
+
+impl EdgeTable {
+    /// A table that holds `entries` entries before it first grows.
+    pub(crate) fn with_capacity(entries: usize) -> Self {
+        EdgeTable {
+            slots: vec![(0, NONE); (entries * 2).next_power_of_two().max(16)],
+            len: 0,
+        }
+    }
+
+    /// The slot holding `(parent, item)`, or the empty one it would go in.
+    fn slot_of(&self, parent: u32, item: Item, parent_of: impl Fn(u32) -> u32) -> usize {
+        let key = (u64::from(parent) << 32) | u64::from(item);
+        let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mask = self.slots.len() - 1;
+        let mut slot = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            let (slot_item, value) = self.slots[slot];
+            if value == NONE || (slot_item == item && parent_of(value) == parent) {
+                return slot;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The value stored for `(parent, item)`, [`NONE`] if there is none.
+    fn get(&self, parent: u32, item: Item, parent_of: impl Fn(u32) -> u32) -> u32 {
+        self.slots[self.slot_of(parent, item, parent_of)].1
+    }
+
+    /// Fill the empty slot [`slot_of`](Self::slot_of) returned, then double
+    /// the table if that left it more than half full — so there is always an
+    /// empty slot to return, and looking a key up never allocates.
+    fn fill(&mut self, slot: usize, item: Item, value: u32, parent_of: impl Fn(u32) -> u32) {
+        debug_assert!(self.slots[slot].1 == NONE && value != NONE);
+        self.slots[slot] = (item, value);
+        self.len += 1;
+        if self.len * 2 <= self.slots.len() {
+            return;
+        }
+        let doubled = vec![(0, NONE); self.slots.len() * 2];
+        for (item, value) in std::mem::replace(&mut self.slots, doubled) {
+            if value != NONE {
+                let slot = self.slot_of(parent_of(value), item, &parent_of);
+                self.slots[slot] = (item, value);
+            }
+        }
+    }
+
+    /// As an item table: the value stored for `item`, 0 if there is none.
+    pub(crate) fn item(&self, item: Item) -> u32 {
+        self.get(ROOT, item, |_| ROOT)
+    }
+
+    /// As an item table: the items in it, in slot order.
+    pub(crate) fn items(&self) -> impl Iterator<Item = Item> + '_ {
+        let filled = self.slots.iter().filter(|&&(_, value)| value != NONE);
+        filled.map(|&(item, _)| item)
+    }
+
+    /// As an item table: store the non-zero `value` for an `item` not in it.
+    pub(crate) fn add_item(&mut self, item: Item, value: u32) {
+        let slot = self.slot_of(ROOT, item, |_| ROOT);
+        self.fill(slot, item, value, |_| ROOT);
+    }
+}
+
+/// A node's place in the tree; its count is kept apart, in
+/// `StreamingPrefixTree::counts`.
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    item: Item,
+    parent: u32,
+    /// The child with the largest item id.
+    first_child: u32,
+    /// The sibling with the next smaller item id.
+    next_sibling: u32,
+}
 
 /// An incrementally maintained, weighted, frequency-descending prefix tree.
 ///
@@ -21,24 +136,28 @@ use std::collections::{HashMap, HashSet};
 /// stores transactions compactly along shared prefixes and supports decay,
 /// restructuring, item removal, and FPGrowth mining (by exporting its
 /// contents as weighted transactions).
+///
+/// The nodes are a flat arena, index 0 the root: counts in one vector, links
+/// in another, and one open-addressed table from `(parent, item)` to the
+/// child, so a step down the tree is one probe whatever the fan-out and no
+/// node owns heap memory. Siblings are chained by item id, so that
+/// [`for_each_path`](Self::for_each_path) visits them in ascending id without
+/// sorting — the order every float sum downstream of it depends on. Item
+/// frequencies sit in dense vectors behind an item table of the same kind.
 #[derive(Debug, Clone)]
 pub struct StreamingPrefixTree {
-    nodes: Vec<PrefixNode>,
-    item_counts: HashMap<Item, f64>,
+    counts: Vec<f64>,
+    links: Vec<Links>,
+    edges: EdgeTable,
+    /// `item → index + 1` into `item_ids` / `item_counts`.
+    item_index: EdgeTable,
+    item_ids: Vec<Item>,
+    item_counts: Vec<f64>,
     total_weight: f64,
+    /// Scratch of [`insert`](Self::insert): the transaction as
+    /// `(descending_key(item count), item)` sort keys.
+    keys: Vec<(i64, Item)>,
 }
-
-/// Children are a vector of `(item, node index)` pairs sorted by item id
-/// (binary search), matching the batch [`FpTree`]'s arena layout: streaming
-/// sibling fan-out is small, so the flat sorted vector is both faster to
-/// probe and denser in cache than a per-node `HashMap`.
-#[derive(Debug, Clone)]
-struct PrefixNode {
-    count: f64,
-    children: Vec<(Item, usize)>,
-}
-
-const ROOT: usize = 0;
 
 impl Default for StreamingPrefixTree {
     fn default() -> Self {
@@ -49,24 +168,40 @@ impl Default for StreamingPrefixTree {
 impl StreamingPrefixTree {
     /// Create an empty tree.
     pub fn new() -> Self {
+        Self::with_capacity(0, 0)
+    }
+
+    /// An empty tree with room for `nodes` nodes over `items` items.
+    fn with_capacity(nodes: usize, items: usize) -> Self {
+        let mut counts = Vec::with_capacity(nodes + 1);
+        let mut links = Vec::with_capacity(nodes + 1);
+        counts.push(0.0);
+        links.push(Links {
+            item: 0,
+            parent: ROOT,
+            first_child: NONE,
+            next_sibling: NONE,
+        });
         StreamingPrefixTree {
-            nodes: vec![PrefixNode {
-                count: 0.0,
-                children: Vec::new(),
-            }],
-            item_counts: HashMap::new(),
+            counts,
+            links,
+            edges: EdgeTable::with_capacity(nodes),
+            item_index: EdgeTable::with_capacity(items),
+            item_ids: Vec::with_capacity(items),
+            item_counts: Vec::with_capacity(items),
             total_weight: 0.0,
+            keys: Vec::new(),
         }
     }
 
     /// Number of nodes excluding the root.
     pub fn node_count(&self) -> usize {
-        self.nodes.len() - 1
+        self.counts.len() - 1
     }
 
     /// Number of distinct items currently present in the tree.
     pub fn distinct_items(&self) -> usize {
-        self.item_counts.len()
+        self.item_ids.len()
     }
 
     /// Total decayed weight of inserted transactions.
@@ -76,47 +211,119 @@ impl StreamingPrefixTree {
 
     /// Current per-item decayed frequency.
     pub fn item_count(&self, item: Item) -> f64 {
-        self.item_counts.get(&item).copied().unwrap_or(0.0)
+        match self.item_index.item(item) {
+            NONE => 0.0,
+            index => self.item_counts[index as usize - 1],
+        }
+    }
+
+    /// Add `weight` to `item`'s frequency and return the new frequency.
+    fn add_item_count(&mut self, item: Item, weight: f64) -> f64 {
+        let mut index = self.item_index.item(item);
+        if index == NONE {
+            self.item_ids.push(item);
+            self.item_counts.push(0.0);
+            index = arena_index(self.item_ids.len());
+            self.item_index.add_item(item, index);
+        }
+        let count = &mut self.item_counts[index as usize - 1];
+        *count += weight;
+        *count
     }
 
     /// Insert a transaction with the given weight. Items are deduplicated and
     /// inserted in the tree's current frequency-descending order.
+    ///
+    /// Allocates only to grow: a transaction whose path exists writes the
+    /// scratch buffer, its items' counts and the nodes along the path.
     pub fn insert(&mut self, items: &[Item], weight: f64) {
         assert!(weight > 0.0, "transaction weight must be positive");
-        let mut unique: Vec<Item> = items.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        if unique.is_empty() {
-            return;
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        keys.extend(items.iter().map(|&item| (0, item)));
+        keys.sort_unstable_by_key(|&(_, item)| item);
+        keys.dedup_by_key(|&mut (_, item)| item);
+        if !keys.is_empty() {
+            // Each count is read here, once, as it is incremented; the sort
+            // compares integers.
+            for (key, item) in keys.iter_mut() {
+                *key = descending_key(self.add_item_count(*item, weight));
+            }
+            self.total_weight += weight;
+            // Frequency descending, ties by item id: a deterministic order.
+            keys.sort_unstable();
+            let mut current = ROOT;
+            for &(_, item) in &keys {
+                current = self.descend(current, item, weight);
+            }
         }
-        for &item in &unique {
-            *self.item_counts.entry(item).or_insert(0.0) += weight;
-        }
-        self.total_weight += weight;
-        self.insert_path(&mut unique, weight);
+        self.keys = keys;
     }
 
-    /// Walk from `current` to its `item` child (adding `weight`), creating
-    /// the child if absent. Children stay sorted by item id.
-    fn descend(&mut self, current: usize, item: Item, weight: f64) -> usize {
-        match self.nodes[current]
-            .children
-            .binary_search_by_key(&item, |&(i, _)| i)
-        {
-            Ok(pos) => {
-                let child = self.nodes[current].children[pos].1;
-                self.nodes[child].count += weight;
-                child
+    /// Walk from `parent` to its `item` child (adding `weight`), creating
+    /// the child if absent.
+    fn descend(&mut self, parent: u32, item: Item, weight: f64) -> u32 {
+        let links = &self.links;
+        let slot = self
+            .edges
+            .slot_of(parent, item, |node| links[node as usize].parent);
+        let found = self.edges.slots[slot].1;
+        if found != NONE {
+            self.counts[found as usize] += weight;
+            return found;
+        }
+        let child = arena_index(self.counts.len());
+        self.counts.push(weight);
+        self.links.push(Links {
+            item,
+            parent,
+            first_child: NONE,
+            next_sibling: NONE,
+        });
+        let links = &self.links;
+        self.edges
+            .fill(slot, item, child, |node| links[node as usize].parent);
+        self.link_child(parent, child);
+        child
+    }
+
+    /// Chain the new node `child` into `parent`'s sibling list, which stays
+    /// in descending item id.
+    ///
+    /// Its place is looked for from the head. Under a wide parent that alone
+    /// is a long walk, so after a few steps the edge table is also asked for
+    /// `item + 1`, `item + 2`, … — the first hit is the node to go after. A
+    /// wide parent's children are close together in id (ids are dense to
+    /// begin with), so the search ends in about `min(position, gap)` steps.
+    fn link_child(&mut self, parent: u32, child: u32) {
+        let item = self.links[child as usize].item;
+        let mut before = NONE;
+        let mut after = self.links[parent as usize].first_child;
+        let mut probe = item;
+        let mut walked = 0;
+        while after != NONE && self.links[after as usize].item > item {
+            before = after;
+            after = self.links[after as usize].next_sibling;
+            walked += 1;
+            if walked > WALK_BEFORE_PROBING {
+                // `before` holds a larger id, so this stops at or below it.
+                probe += 1;
+                let links = &self.links;
+                let hit = self
+                    .edges
+                    .get(parent, probe, |node| links[node as usize].parent);
+                if hit != NONE {
+                    before = hit;
+                    after = self.links[hit as usize].next_sibling;
+                    break;
+                }
             }
-            Err(pos) => {
-                let idx = self.nodes.len();
-                self.nodes.push(PrefixNode {
-                    count: weight,
-                    children: Vec::new(),
-                });
-                self.nodes[current].children.insert(pos, (item, idx));
-                idx
-            }
+        }
+        self.links[child as usize].next_sibling = after;
+        if before == NONE {
+            self.links[parent as usize].first_child = child;
+        } else {
+            self.links[before as usize].next_sibling = child;
         }
     }
 
@@ -127,11 +334,7 @@ impl StreamingPrefixTree {
             (0.0..=1.0).contains(&factor),
             "decay factor must be in [0, 1]"
         );
-        for node in self.nodes.iter_mut().skip(1) {
-            node.count *= factor;
-        }
-        // mb-lint: allow(hashmap-order-hazard) -- order-insensitive scaling: each count shrinks independently
-        for count in self.item_counts.values_mut() {
+        for count in self.counts[1..].iter_mut().chain(&mut self.item_counts) {
             *count *= factor;
         }
         self.total_weight *= factor;
@@ -143,28 +346,39 @@ impl StreamingPrefixTree {
     /// at that node. Nothing is allocated per node, and this is the only
     /// traversal of the tree: export, rebuild, merge and the explainers'
     /// counting passes all read the tree through it.
-    pub fn for_each_path(&self, mut visit: impl FnMut(&[Item], f64)) {
-        let mut path: Vec<Item> = Vec::new();
-        // (node, index of its next unvisited child)
-        let mut stack: Vec<(usize, usize)> = vec![(ROOT, 0)];
-        while let Some((node, next)) = stack.last_mut() {
-            let Some(&(item, child)) = self.nodes[*node].children.get(*next) else {
-                stack.pop();
-                path.pop();
-                continue;
-            };
-            *next += 1;
-            path.push(item);
-            let below: f64 = self.nodes[child]
-                .children
-                .iter()
-                .map(|&(_, c)| self.nodes[c].count)
-                .sum();
-            let own = self.nodes[child].count - below;
+    pub fn for_each_path(&self, visit: impl FnMut(&[Item], f64)) {
+        self.walk(|item| item, visit);
+    }
+
+    /// [`for_each_path`](Self::for_each_path) with every item on the path
+    /// replaced by `label(item)`, taken once as the walk enters the node.
+    fn walk<T>(&self, mut label: impl FnMut(Item) -> T, mut visit: impl FnMut(&[T], f64)) {
+        let mut path: Vec<T> = Vec::new();
+        // Nodes to enter, each with the length of the path above it. Pushing
+        // a sibling chain (descending ids) makes it pop in ascending ids.
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        let push_children = |stack: &mut Vec<(u32, usize)>, parent: u32, depth: usize| {
+            let mut child = self.links[parent as usize].first_child;
+            while child != NONE {
+                stack.push((child, depth));
+                child = self.links[child as usize].next_sibling;
+            }
+        };
+        push_children(&mut stack, ROOT, 0);
+        while let Some((node, depth)) = stack.pop() {
+            path.truncate(depth);
+            path.push(label(self.links[node as usize].item));
+            let pushed = stack.len();
+            push_children(&mut stack, node, depth + 1);
+            // Summed in ascending id, as the children are visited.
+            let mut below = 0.0;
+            for &(child, _) in stack[pushed..].iter().rev() {
+                below += self.counts[child as usize];
+            }
+            let own = self.counts[node as usize] - below;
             if own > 1e-12 {
                 visit(&path, own);
             }
-            stack.push((child, 0));
         }
     }
 
@@ -191,29 +405,54 @@ impl StreamingPrefixTree {
     /// Re-insert every stored path, restricted to the items `keep` accepts,
     /// along the current frequency order.
     fn rebuild(&mut self, keep: impl Fn(Item) -> bool) {
-        let mut old = std::mem::take(self);
-        self.total_weight = old.total_weight;
-        self.item_counts = std::mem::take(&mut old.item_counts);
-        self.item_counts.retain(|&item, _| keep(item));
-        let mut kept: Vec<Item> = Vec::new();
-        old.for_each_path(|path, weight| {
-            kept.clear();
-            kept.extend(path.iter().copied().filter(|&item| keep(item)));
-            self.insert_path(&mut kept, weight);
-        });
+        let (rank_of, by_rank) = self.frequency_ranks(keep);
+        let mut rebuilt = StreamingPrefixTree::with_capacity(self.node_count(), by_rank.len());
+        rebuilt.total_weight = self.total_weight;
+        for &item in &by_rank {
+            rebuilt.add_item_count(item, self.item_count(item));
+        }
+        rebuilt.absorb_paths(self, &rank_of, &by_rank);
+        *self = rebuilt;
     }
 
-    /// Insert deduplicated items along the current frequency order
-    /// (descending, ties by item id so the order is deterministic), updating
-    /// only node counts — not item counts or the total weight.
-    fn insert_path(&mut self, items: &mut [Item], weight: f64) {
-        let counts = &self.item_counts;
-        let count = |item: &Item| counts.get(item).copied().unwrap_or(0.0);
-        items.sort_unstable_by(|a, b| count(b).total_cmp(&count(a)).then_with(|| a.cmp(b)));
-        let mut current = ROOT;
-        for &item in items.iter() {
-            current = self.descend(current, item, weight);
+    /// Rank the items `keep` accepts once, most frequent first, ties by item
+    /// id — the order [`insert`](Self::insert) sorts one transaction into.
+    /// Returns each item's rank by its index into `item_ids` ([`DROPPED`] if
+    /// `keep` refused it), and the items by rank.
+    fn frequency_ranks(&self, keep: impl Fn(Item) -> bool) -> (Vec<u32>, Vec<Item>) {
+        let (ids, counts) = (&self.item_ids, &self.item_counts);
+        let mut order: Vec<usize> = (0..ids.len()).filter(|&index| keep(ids[index])).collect();
+        order.sort_unstable_by(|&a, &b| {
+            counts[b]
+                .total_cmp(&counts[a])
+                .then_with(|| ids[a].cmp(&ids[b]))
+        });
+        let mut rank_of = vec![DROPPED; ids.len()];
+        for (rank, &index) in order.iter().enumerate() {
+            rank_of[index] = arena_index(rank);
         }
+        (rank_of, order.iter().map(|&index| ids[index]).collect())
+    }
+
+    /// Add every path of `source` to this tree's nodes — not to its item
+    /// counts or total weight. `rank_of[i]` is the rank of `source`'s item
+    /// `i` in this tree's [frequency order](Self::frequency_ranks), or
+    /// [`DROPPED`]; `by_rank` maps a rank back to the item. Sorting a path's
+    /// ranks puts it in that order with no count looked up.
+    fn absorb_paths(&mut self, source: &StreamingPrefixTree, rank_of: &[u32], by_rank: &[Item]) {
+        let mut ranks: Vec<u32> = Vec::new();
+        source.walk(
+            |item| rank_of[source.item_index.item(item) as usize - 1],
+            |path, weight| {
+                ranks.clear();
+                ranks.extend(path.iter().copied().filter(|&rank| rank != DROPPED));
+                ranks.sort_unstable();
+                let mut current = ROOT;
+                for &rank in &ranks {
+                    current = self.descend(current, by_rank[rank as usize], weight);
+                }
+            },
+        );
     }
 
     /// Mine frequent itemsets from the current tree contents via FPGrowth.
@@ -232,18 +471,17 @@ impl Mergeable for StreamingPrefixTree {
     /// transaction multisets, so mining it equals mining the concatenated
     /// streams; total weight (including fully-pruned transactions) adds.
     fn merge(&mut self, other: Self) {
-        let other_weight = other.total_weight;
-        // mb-lint: allow(hashmap-order-hazard) -- order-insensitive fold: each item's count accumulates independently
-        for (item, count) in &other.item_counts {
-            *self.item_counts.entry(*item).or_insert(0.0) += count;
+        for (&item, &count) in other.item_ids.iter().zip(&other.item_counts) {
+            self.add_item_count(item, count);
         }
-        let mut path_buf: Vec<Item> = Vec::new();
-        other.for_each_path(|path, weight| {
-            path_buf.clear();
-            path_buf.extend_from_slice(path);
-            self.insert_path(&mut path_buf, weight);
-        });
-        self.total_weight += other_weight;
+        let (rank_here, by_rank) = self.frequency_ranks(|_| true);
+        let rank_of: Vec<u32> = other
+            .item_ids
+            .iter()
+            .map(|&item| rank_here[self.item_index.item(item) as usize - 1])
+            .collect();
+        self.absorb_paths(&other, &rank_of, &by_rank);
+        self.total_weight += other.total_weight;
     }
 }
 
@@ -583,6 +821,426 @@ mod tests {
                     }
                     agree(&tree, &model)?;
                 }
+            }
+        }
+    }
+
+    /// The node layout [`StreamingPrefixTree`] had before its flat arena: a
+    /// `Vec` of nodes each owning a sorted `Vec<(Item, usize)>` of children,
+    /// item counts in a `HashMap`, every path sorted through a comparator that
+    /// looks both counts up. Slow, and plainly right; `against_the_old_layout`
+    /// holds the arena to it bit for bit.
+    mod oracle {
+        use crate::fptree::FpTree;
+        use crate::{FrequentItemset, Item};
+        use mb_sketch::Mergeable;
+        use std::collections::{HashMap, HashSet};
+
+        /// An incrementally maintained, weighted, frequency-descending prefix tree.
+        ///
+        /// This is the structural core shared by the CPS-tree and M-CPS-tree; it
+        /// stores transactions compactly along shared prefixes and supports decay,
+        /// restructuring, item removal, and FPGrowth mining (by exporting its
+        /// contents as weighted transactions).
+        #[derive(Debug, Clone)]
+        pub struct OraclePrefixTree {
+            nodes: Vec<PrefixNode>,
+            item_counts: HashMap<Item, f64>,
+            total_weight: f64,
+        }
+
+        /// Children are a vector of `(item, node index)` pairs sorted by item id
+        /// (binary search), matching the batch [`FpTree`]'s arena layout: streaming
+        /// sibling fan-out is small, so the flat sorted vector is both faster to
+        /// probe and denser in cache than a per-node `HashMap`.
+        #[derive(Debug, Clone)]
+        struct PrefixNode {
+            count: f64,
+            children: Vec<(Item, usize)>,
+        }
+
+        const ROOT: usize = 0;
+
+        impl Default for OraclePrefixTree {
+            fn default() -> Self {
+                Self::new()
+            }
+        }
+
+        impl OraclePrefixTree {
+            /// Create an empty tree.
+            pub fn new() -> Self {
+                OraclePrefixTree {
+                    nodes: vec![PrefixNode {
+                        count: 0.0,
+                        children: Vec::new(),
+                    }],
+                    item_counts: HashMap::new(),
+                    total_weight: 0.0,
+                }
+            }
+
+            /// Number of nodes excluding the root.
+            pub fn node_count(&self) -> usize {
+                self.nodes.len() - 1
+            }
+
+            /// Number of distinct items currently present in the tree.
+            pub fn distinct_items(&self) -> usize {
+                self.item_counts.len()
+            }
+
+            /// Total decayed weight of inserted transactions.
+            pub fn total_weight(&self) -> f64 {
+                self.total_weight
+            }
+
+            /// Current per-item decayed frequency.
+            pub fn item_count(&self, item: Item) -> f64 {
+                self.item_counts.get(&item).copied().unwrap_or(0.0)
+            }
+
+            /// Insert a transaction with the given weight. Items are deduplicated and
+            /// inserted in the tree's current frequency-descending order.
+            pub fn insert(&mut self, items: &[Item], weight: f64) {
+                assert!(weight > 0.0, "transaction weight must be positive");
+                let mut unique: Vec<Item> = items.to_vec();
+                unique.sort_unstable();
+                unique.dedup();
+                if unique.is_empty() {
+                    return;
+                }
+                for &item in &unique {
+                    *self.item_counts.entry(item).or_insert(0.0) += weight;
+                }
+                self.total_weight += weight;
+                self.insert_path(&mut unique, weight);
+            }
+
+            /// Walk from `current` to its `item` child (adding `weight`), creating
+            /// the child if absent. Children stay sorted by item id.
+            fn descend(&mut self, current: usize, item: Item, weight: f64) -> usize {
+                match self.nodes[current]
+                    .children
+                    .binary_search_by_key(&item, |&(i, _)| i)
+                {
+                    Ok(pos) => {
+                        let child = self.nodes[current].children[pos].1;
+                        self.nodes[child].count += weight;
+                        child
+                    }
+                    Err(pos) => {
+                        let idx = self.nodes.len();
+                        self.nodes.push(PrefixNode {
+                            count: weight,
+                            children: Vec::new(),
+                        });
+                        self.nodes[current].children.insert(pos, (item, idx));
+                        idx
+                    }
+                }
+            }
+
+            /// Multiply every node count, item count, and the total weight by
+            /// `factor` (exponential damping at a window boundary).
+            pub fn decay(&mut self, factor: f64) {
+                assert!(
+                    (0.0..=1.0).contains(&factor),
+                    "decay factor must be in [0, 1]"
+                );
+                for node in self.nodes.iter_mut().skip(1) {
+                    node.count *= factor;
+                }
+                    for count in self.item_counts.values_mut() {
+                    *count *= factor;
+                }
+                self.total_weight *= factor;
+            }
+
+            /// Visit every stored transaction as `(root path, weight)`: one DFS from
+            /// the root over a reused path buffer, where a node's own weight is its
+            /// count minus its children's counts — the part of the count that stopped
+            /// at that node. Nothing is allocated per node, and this is the only
+            /// traversal of the tree: export, rebuild, merge and the explainers'
+            /// counting passes all read the tree through it.
+            pub fn for_each_path(&self, mut visit: impl FnMut(&[Item], f64)) {
+                let mut path: Vec<Item> = Vec::new();
+                // (node, index of its next unvisited child)
+                let mut stack: Vec<(usize, usize)> = vec![(ROOT, 0)];
+                while let Some((node, next)) = stack.last_mut() {
+                    let Some(&(item, child)) = self.nodes[*node].children.get(*next) else {
+                        stack.pop();
+                        path.pop();
+                        continue;
+                    };
+                    *next += 1;
+                    path.push(item);
+                    let below: f64 = self.nodes[child]
+                        .children
+                        .iter()
+                        .map(|&(_, c)| self.nodes[c].count)
+                        .sum();
+                    let own = self.nodes[child].count - below;
+                    if own > 1e-12 {
+                        visit(&path, own);
+                    }
+                    stack.push((child, 0));
+                }
+            }
+
+            /// Export the tree's contents as weighted transactions.
+            pub fn to_weighted_transactions(&self) -> Vec<(Vec<Item>, f64)> {
+                let mut out = Vec::new();
+                self.for_each_path(|path, weight| out.push((path.to_vec(), weight)));
+                out
+            }
+
+            /// Rebuild the tree so every branch is sorted by current (decayed)
+            /// frequency — the CPS-tree's branch-sorting step at a window boundary.
+            pub fn restructure(&mut self) {
+                self.rebuild(|_| true);
+            }
+
+            /// Remove every item not contained in `keep`, then restructure. The
+            /// total weight is untouched (transactions whose items were all pruned
+            /// still count), so support fractions stay meaningful.
+            pub fn retain_items(&mut self, keep: &HashSet<Item>) {
+                self.rebuild(|item| keep.contains(&item));
+            }
+
+            /// Re-insert every stored path, restricted to the items `keep` accepts,
+            /// along the current frequency order.
+            fn rebuild(&mut self, keep: impl Fn(Item) -> bool) {
+                let mut old = std::mem::take(self);
+                self.total_weight = old.total_weight;
+                self.item_counts = std::mem::take(&mut old.item_counts);
+                self.item_counts.retain(|&item, _| keep(item));
+                let mut kept: Vec<Item> = Vec::new();
+                old.for_each_path(|path, weight| {
+                    kept.clear();
+                    kept.extend(path.iter().copied().filter(|&item| keep(item)));
+                    self.insert_path(&mut kept, weight);
+                });
+            }
+
+            /// Insert deduplicated items along the current frequency order
+            /// (descending, ties by item id so the order is deterministic), updating
+            /// only node counts — not item counts or the total weight.
+            fn insert_path(&mut self, items: &mut [Item], weight: f64) {
+                let counts = &self.item_counts;
+                let count = |item: &Item| counts.get(item).copied().unwrap_or(0.0);
+                items.sort_unstable_by(|a, b| count(b).total_cmp(&count(a)).then_with(|| a.cmp(b)));
+                let mut current = ROOT;
+                for &item in items.iter() {
+                    current = self.descend(current, item, weight);
+                }
+            }
+
+            /// Mine frequent itemsets from the current tree contents via FPGrowth.
+            pub fn mine(&self, min_support: f64, max_size: usize) -> Vec<FrequentItemset> {
+                let transactions = self.to_weighted_transactions();
+                let tree = FpTree::from_weighted_transactions(&transactions, min_support);
+                tree.mine(min_support, max_size)
+            }
+        }
+
+        impl Mergeable for OraclePrefixTree {
+            /// Merge another prefix tree into this one: item frequencies add, and
+            /// the other tree's transactions are re-inserted ordered by the
+            /// *combined* frequencies (count addition along shared prefixes). The
+            /// merged tree stores exactly the union of both trees' weighted
+            /// transaction multisets, so mining it equals mining the concatenated
+            /// streams; total weight (including fully-pruned transactions) adds.
+            fn merge(&mut self, other: Self) {
+                let other_weight = other.total_weight;
+                for (item, count) in &other.item_counts {
+                    *self.item_counts.entry(*item).or_insert(0.0) += count;
+                }
+                let mut path_buf: Vec<Item> = Vec::new();
+                other.for_each_path(|path, weight| {
+                    path_buf.clear();
+                    path_buf.extend_from_slice(path);
+                    self.insert_path(&mut path_buf, weight);
+                });
+                self.total_weight += other_weight;
+            }
+        }
+    }
+
+    /// The arena against the layout it replaced ([`oracle`]):
+    /// the same operations on both, and everything either can be asked must
+    /// come back the same — float results bit for bit.
+    mod against_the_old_layout {
+        use super::*;
+        use super::oracle::OraclePrefixTree;
+        use mb_stats::rand_ext::{SplitMix64, Zipf};
+
+        /// The arena and the oracle, kept in step.
+        #[derive(Default)]
+        struct Pair {
+            arena: StreamingPrefixTree,
+            oracle: OraclePrefixTree,
+        }
+
+        impl Pair {
+            fn insert(&mut self, items: &[Item], weight: f64) {
+                self.arena.insert(items, weight);
+                self.oracle.insert(items, weight);
+            }
+
+            fn assert_same(&self, alphabet: usize) {
+                let (arena, oracle) = (&self.arena, &self.oracle);
+                let bits = |transactions: Vec<(Vec<Item>, f64)>| -> Vec<(Vec<Item>, u64)> {
+                    transactions
+                        .into_iter()
+                        .map(|(path, weight)| (path, weight.to_bits()))
+                        .collect()
+                };
+                assert_eq!(
+                    bits(arena.to_weighted_transactions()),
+                    bits(oracle.to_weighted_transactions())
+                );
+                assert_eq!(arena.node_count(), oracle.node_count());
+                assert_eq!(arena.distinct_items(), oracle.distinct_items());
+                assert_eq!(
+                    arena.total_weight().to_bits(),
+                    oracle.total_weight().to_bits()
+                );
+                for item in 0..alphabet as Item {
+                    assert_eq!(
+                        arena.item_count(item).to_bits(),
+                        oracle.item_count(item).to_bits(),
+                        "count of item {item}"
+                    );
+                }
+                let support = arena.total_weight() * 0.05;
+                let (mined, expected) = (arena.mine(support, 3), oracle.mine(support, 3));
+                assert_eq!(mined.len(), expected.len());
+                for (m, e) in mined.iter().zip(&expected) {
+                    assert_eq!(m.items, e.items);
+                    assert_eq!(m.support.to_bits(), e.support.to_bits());
+                }
+            }
+        }
+
+        /// 1–8 items over `alphabet` ids, Zipf or uniform, with a repeated
+        /// item in about one row of four.
+        fn row(rng: &mut SplitMix64, zipf: Option<&Zipf>, alphabet: usize) -> Vec<Item> {
+            let mut items: Vec<Item> = (0..1 + rng.next_below(8))
+                .map(|_| match zipf {
+                    Some(zipf) => zipf.sample(rng) as Item,
+                    None => rng.next_below(alphabet) as Item,
+                })
+                .collect();
+            if rng.next_below(4) == 0 {
+                items.push(items[rng.next_below(items.len())]);
+            }
+            items
+        }
+
+        const WEIGHTS: [f64; 5] = [1.0, 1.0, 0.5, 2.25, 1.0 / 3.0];
+
+        fn run(seed: u64, skewed: bool, alphabet: usize, steps: usize) {
+            let mut rng = SplitMix64::new(seed);
+            let zipf = skewed.then(|| Zipf::new(alphabet, 1.1));
+            let mut pair = Pair::default();
+            for step in 0..steps {
+                match rng.next_below(100) {
+                    0..=2 => {
+                        let factor = [0.99, 0.5, 0.0][rng.next_below(3)];
+                        pair.arena.decay(factor);
+                        pair.oracle.decay(factor);
+                    }
+                    3..=4 => {
+                        pair.arena.restructure();
+                        pair.oracle.restructure();
+                    }
+                    5..=6 => {
+                        let keep: HashSet<Item> = (0..alphabet as Item)
+                            .filter(|_| rng.next_below(10) < 8)
+                            .collect();
+                        pair.arena.retain_items(&keep);
+                        pair.oracle.retain_items(&keep);
+                    }
+                    7..=8 => {
+                        let mut other = Pair::default();
+                        for _ in 0..rng.next_below(40) {
+                            let items = row(&mut rng, zipf.as_ref(), alphabet);
+                            other.insert(&items, WEIGHTS[rng.next_below(WEIGHTS.len())]);
+                        }
+                        if rng.next_below(2) == 0 {
+                            other.arena.restructure();
+                            other.oracle.restructure();
+                        }
+                        pair.arena.merge(other.arena);
+                        pair.oracle.merge(other.oracle);
+                    }
+                    _ => {
+                        let items = row(&mut rng, zipf.as_ref(), alphabet);
+                        pair.insert(&items, WEIGHTS[rng.next_below(WEIGHTS.len())]);
+                        if step % 64 != 0 {
+                            continue;
+                        }
+                    }
+                }
+                pair.assert_same(alphabet);
+            }
+            pair.assert_same(alphabet);
+        }
+
+        #[test]
+        fn generated_streams_agree_bit_for_bit() {
+            for seed in 0..6 {
+                run(seed, true, 40, 1_500);
+                run(100 + seed, false, 12, 1_500);
+                run(200 + seed, true, 600, 1_500);
+            }
+        }
+
+        #[test]
+        fn agreement_survives_table_growth() {
+            // 30K rows over 3K ids leave some 100K nodes: the edge table
+            // doubles a dozen times from its first 16 slots, the item table
+            // eight.
+            let mut rng = SplitMix64::new(77);
+            let mut pair = Pair::default();
+            for _ in 0..30_000 {
+                let items = row(&mut rng, None, 3_000);
+                pair.insert(&items, 1.0);
+            }
+            assert!(pair.arena.node_count() > 50_000);
+            assert!(pair.arena.edges.slots.len() >= 2 * pair.arena.node_count());
+            pair.assert_same(3_000);
+            pair.arena.decay(0.9);
+            pair.oracle.decay(0.9);
+            pair.arena.restructure();
+            pair.oracle.restructure();
+            pair.assert_same(3_000);
+        }
+
+        #[test]
+        fn wide_parents_keep_their_children_in_id_order() {
+            // One parent, thousands of children arriving in no order: dense
+            // ids (the table probe finds the predecessor), then ids a thousand
+            // apart (only the walk from the head can).
+            for stride in [1, 1_000] {
+                let mut rng = SplitMix64::new(5);
+                let mut pair = Pair::default();
+                pair.insert(&[0], 1e9);
+                for _ in 0..6_000 {
+                    let child = 1 + (rng.next_below(3_000) as Item) * stride;
+                    pair.insert(&[0, child], 1.0);
+                }
+                let children: Vec<Item> = pair
+                    .arena
+                    .to_weighted_transactions()
+                    .iter()
+                    .filter(|(path, _)| path.len() == 2)
+                    .map(|(path, _)| path[1])
+                    .collect();
+                assert!(children.len() > 2_000);
+                assert!(children.windows(2).all(|pair| pair[0] < pair[1]));
+                pair.assert_same(0);
             }
         }
     }

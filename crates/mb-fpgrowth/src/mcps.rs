@@ -19,7 +19,7 @@
 //!   [`McpsTree::items_above`]) and counts chosen combinations in one walk
 //!   over the stored paths ([`McpsTree::for_each_path`]).
 
-use crate::cps::StreamingPrefixTree;
+use crate::cps::{EdgeTable, StreamingPrefixTree};
 use crate::{FrequentItemset, Item};
 use mb_sketch::amc::{AmcSketch, MaintenancePolicy};
 use mb_sketch::{HeavyHitterSketch, Mergeable};
@@ -58,6 +58,11 @@ pub struct McpsTree {
     tree: StreamingPrefixTree,
     amc: AmcSketch<Item>,
     frequent: HashSet<Item>,
+    /// `frequent` again, as the item table [`insert`](McpsTree::insert)
+    /// filters every point through.
+    admits: EdgeTable,
+    /// Scratch of [`insert`](McpsTree::insert): the point's admitted items.
+    admitted: Vec<Item>,
     /// Decayed number of transactions observed. Every support threshold —
     /// admission at a boundary, [`mine`](McpsTree::mine) — is a fraction of
     /// this, never of the AMC's total, which counts item observations (one
@@ -89,6 +94,8 @@ impl McpsTree {
             tree: StreamingPrefixTree::new(),
             amc,
             frequent: HashSet::new(),
+            admits: EdgeTable::with_capacity(0),
+            admitted: Vec::new(),
             transactions: 0.0,
             bootstrapping: true,
         }
@@ -105,18 +112,24 @@ impl McpsTree {
         for &item in items {
             self.amc.observe(item);
         }
-        let admitted: Vec<Item> = if self.bootstrapping {
-            items.to_vec()
+        if self.bootstrapping {
+            self.tree.insert(items, 1.0);
         } else {
-            items
-                .iter()
-                .copied()
-                .filter(|item| self.frequent.contains(item))
-                .collect()
-        };
-        if !admitted.is_empty() {
-            self.tree.insert(&admitted, 1.0);
+            let admits = &self.admits;
+            self.admitted.clear();
+            self.admitted
+                .extend(items.iter().filter(|&&item| admits.item(item) != 0));
+            self.tree.insert(&self.admitted, 1.0);
         }
+    }
+
+    /// Admit exactly `items` from the next insertion on.
+    fn set_frequent(&mut self, items: Vec<Item>) {
+        self.admits = EdgeTable::with_capacity(items.len());
+        for &item in &items {
+            self.admits.add_item(item, 1);
+        }
+        self.frequent = items.into_iter().collect();
     }
 
     /// Close the current window: decay, recompute the frequent item set from
@@ -128,12 +141,8 @@ impl McpsTree {
         self.transactions *= keep_factor;
 
         let threshold = self.config.min_support_fraction * self.transactions;
-        self.frequent = self
-            .amc
-            .items_above(threshold)
-            .into_iter()
-            .map(|(item, _)| item)
-            .collect();
+        let supported = self.amc.items_above(threshold);
+        self.set_frequent(supported.into_iter().map(|(item, _)| item).collect());
         self.tree.retain_items(&self.frequent);
         self.bootstrapping = false;
     }
@@ -204,7 +213,11 @@ impl Mergeable for McpsTree {
         );
         self.amc.merge(other.amc);
         self.tree.merge(other.tree);
-        self.frequent.extend(other.frequent);
+        for item in other.admits.items() {
+            if self.frequent.insert(item) {
+                self.admits.add_item(item, 1);
+            }
+        }
         self.transactions += other.transactions;
         self.bootstrapping = self.bootstrapping && other.bootstrapping;
     }

@@ -176,6 +176,31 @@ impl Default for StreamingOptions {
     }
 }
 
+impl StreamingOptions {
+    /// Reject values the streaming engine's sketches and trees assert
+    /// against (they arrive off the wire), naming the field.
+    fn validate(&self) -> Result<()> {
+        let invalid = |field: &str, rule: &str, got: &dyn std::fmt::Display| {
+            Err(PipelineError::InvalidConfiguration(format!(
+                "streaming option {field} must be {rule}, got {got}"
+            )))
+        };
+        if self.reservoir_size < 1 {
+            return invalid("reservoir_size", "at least 1", &self.reservoir_size);
+        }
+        if !(0.0..1.0).contains(&self.decay_rate) {
+            return invalid("decay_rate", "in [0, 1)", &self.decay_rate);
+        }
+        if self.decay_period < 1 {
+            return invalid("decay_period", "at least 1", &self.decay_period);
+        }
+        if self.retrain_period < 1 {
+            return invalid("retrain_period", "at least 1", &self.retrain_period);
+        }
+        Ok(())
+    }
+}
+
 /// An execution backend for an [`MdpQuery`]. All four modes consume the same
 /// query and produce the same unified [`MdpReport`] shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -276,7 +301,16 @@ impl MdpQuery {
 
     /// Reject query/backend combinations that cannot be executed faithfully.
     fn check_backend(&self, executor: &Executor) -> Result<()> {
-        if let Executor::Streaming { .. } = executor {
+        if let Executor::Streaming { options } = executor {
+            options.validate()?;
+            // The streaming explainer's trees take support as a fraction of
+            // the decayed stream and assert it is one.
+            let min_support = self.analysis.explanation.min_support;
+            if !(min_support > 0.0 && min_support < 1.0) {
+                return Err(PipelineError::InvalidConfiguration(format!(
+                    "streaming min_support must be in (0, 1), got {min_support}"
+                )));
+            }
             if self.analysis.retain_scores {
                 return Err(PipelineError::UnsupportedByBackend {
                     feature: "retain_scores",
@@ -729,6 +763,50 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn invalid_streaming_options_are_typed_errors_naming_the_field() {
+        let base = StreamingOptions::default;
+        let cases = [
+            ("reservoir_size", StreamingOptions { reservoir_size: 0, ..base() }),
+            ("decay_rate", StreamingOptions { decay_rate: 1.5, ..base() }),
+            ("decay_rate", StreamingOptions { decay_rate: 1.0, ..base() }),
+            ("decay_rate", StreamingOptions { decay_rate: -0.1, ..base() }),
+            ("decay_rate", StreamingOptions { decay_rate: f64::NAN, ..base() }),
+            ("decay_period", StreamingOptions { decay_period: 0, ..base() }),
+            ("retrain_period", StreamingOptions { retrain_period: 0, ..base() }),
+        ];
+        let points = planted_points(500);
+        for (field, options) in cases {
+            let names_field = |result: Result<()>| match result {
+                Err(PipelineError::InvalidConfiguration(message)) => message.contains(field),
+                _ => false,
+            };
+            let session = MdpQuery::with_defaults().into_streaming(&options);
+            assert!(names_field(session.map(|_| ())), "into_streaming, {field}");
+            let executor = Executor::Streaming { options };
+            let report = MdpQuery::with_defaults().execute(&executor, &points);
+            assert!(names_field(report.map(|_| ())), "execute, {field}");
+        }
+        // The edges of the valid ranges are accepted.
+        let edge = StreamingOptions {
+            reservoir_size: 1,
+            decay_rate: 0.0,
+            decay_period: 1,
+            retrain_period: 1,
+            ..base()
+        };
+        assert!(MdpQuery::with_defaults().into_streaming(&edge).is_ok());
+
+        for min_support in [0.0, 1.0, f64::NAN] {
+            let thresholds = ExplanationConfig::new(min_support, 3.0);
+            let query = MdpQuery::builder().explanation(thresholds).build().unwrap();
+            assert!(matches!(
+                query.into_streaming(&base()),
+                Err(PipelineError::InvalidConfiguration(message)) if message.contains("min_support")
+            ));
+        }
     }
 
     #[test]

@@ -189,6 +189,54 @@ fn protocol_typos_and_misuse_are_typed_errors() {
 }
 
 #[test]
+fn invalid_streaming_options_are_typed_errors_and_the_server_lives() {
+    let server = Server::start(ServeConfig::default());
+    let message = |response: &Value| -> String {
+        get_str(get(response, "error").unwrap(), "message")
+            .unwrap()
+            .to_string()
+    };
+
+    // Opening a session: each bad knob is refused by name, nothing panics.
+    for (field, knob) in [
+        ("decay_rate", r#""decay_rate":1.5"#),
+        ("reservoir_size", r#""reservoir_size":0"#),
+        ("decay_period", r#""decay_period":0"#),
+        ("retrain_period", r#""retrain_period":0"#),
+    ] {
+        let open = format!(r#"{{"op":"submit","id":"bad","executor":{{"mode":"streaming",{knob}}}}}"#);
+        let response = request(&server, &open);
+        assert_eq!(error_kind(&response), "query", "{field}");
+        assert!(message(&response).contains(field), "{response}");
+    }
+
+    // The same options on a batch submission fail the job, not the worker.
+    let points: Vec<Point> = corpus().into_iter().take(300).collect();
+    let submit = format!(
+        r#"{{"op":"submit","id":"job","executor":{{"mode":"streaming","decay_rate":1.5}},"points":{}}}"#,
+        points_to_json(&points)
+    );
+    assert_ok(&request(&server, &submit));
+    let response = request(&server, r#"{"op":"poll","id":"job","wait_ms":120000}"#);
+    assert_ok(&response);
+    assert_eq!(get_str(&response, "state"), Some("failed"));
+    assert!(get_str(&response, "message").unwrap().contains("decay_rate"));
+
+    // The server still answers: the refused id is free, and a valid session
+    // under it opens and takes points.
+    let response = request(
+        &server,
+        r#"{"op":"submit","id":"bad","executor":{"mode":"streaming","decay_rate":0.5}}"#,
+    );
+    assert_eq!(get_str(assert_ok(&response), "state"), Some("session"));
+    let feed = format!(
+        r#"{{"op":"feed","id":"bad","points":{}}}"#,
+        points_to_json(&points)
+    );
+    assert_eq!(get_f64(assert_ok(&request(&server, &feed)), "points"), Some(300.0));
+}
+
+#[test]
 fn serve_loop_answers_line_by_line_until_eof() {
     let server = Server::start(ServeConfig::default());
     let input = b"{\"op\":\"stats\"}\n\n{\"op\":\"poll\",\"id\":\"nope\"}\n".to_vec();

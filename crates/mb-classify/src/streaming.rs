@@ -101,8 +101,7 @@ impl<E: Estimator> StreamingClassifier<E> {
         self.total_points += 1;
         self.points_since_retrain += 1;
         // The row is copied only if the reservoir keeps it.
-        self.input_reservoir
-            .observe_with(1.0, || metrics.to_vec());
+        self.input_reservoir.observe_with(1.0, || metrics.to_vec());
 
         // Initial training once enough points are buffered, then periodic
         // retraining on the damped reservoir.

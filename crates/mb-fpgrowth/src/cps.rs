@@ -101,8 +101,13 @@ impl EdgeTable {
     }
 
     /// As an item table: the value stored for `item`, 0 if there is none.
-    pub(crate) fn item(&self, item: Item) -> u32 {
+    fn item(&self, item: Item) -> u32 {
         self.get(ROOT, item, |_| ROOT)
+    }
+
+    /// As an item table: whether `item` is in it.
+    pub(crate) fn has_item(&self, item: Item) -> bool {
+        self.item(item) != NONE
     }
 
     /// As an item table: the items in it, in slot order.
@@ -420,18 +425,17 @@ impl StreamingPrefixTree {
     /// Returns each item's rank by its index into `item_ids` ([`DROPPED`] if
     /// `keep` refused it), and the items by rank.
     fn frequency_ranks(&self, keep: impl Fn(Item) -> bool) -> (Vec<u32>, Vec<Item>) {
-        let (ids, counts) = (&self.item_ids, &self.item_counts);
-        let mut order: Vec<usize> = (0..ids.len()).filter(|&index| keep(ids[index])).collect();
-        order.sort_unstable_by(|&a, &b| {
-            counts[b]
-                .total_cmp(&counts[a])
-                .then_with(|| ids[a].cmp(&ids[b]))
-        });
-        let mut rank_of = vec![DROPPED; ids.len()];
-        for (rank, &index) in order.iter().enumerate() {
+        let items = self.item_ids.iter().zip(&self.item_counts).enumerate();
+        let mut order: Vec<(i64, Item, usize)> = items
+            .filter(|&(_, (&item, _))| keep(item))
+            .map(|(index, (&item, &count))| (descending_key(count), item, index))
+            .collect();
+        order.sort_unstable();
+        let mut rank_of = vec![DROPPED; self.item_ids.len()];
+        for (rank, &(_, _, index)) in order.iter().enumerate() {
             rank_of[index] = arena_index(rank);
         }
-        (rank_of, order.iter().map(|&index| ids[index]).collect())
+        (rank_of, order.iter().map(|&(_, item, _)| item).collect())
     }
 
     /// Add every path of `source` to this tree's nodes — not to its item
@@ -536,6 +540,34 @@ impl CpsTree {
 mod tests {
     use super::*;
     use crate::sort_canonical;
+
+    #[test]
+    fn descending_key_orders_like_total_cmp_reversed() {
+        let values = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5e-324,
+            1.0 / 3.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    descending_key(a).cmp(&descending_key(b)),
+                    b.total_cmp(&a),
+                    "{a} against {b}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn insert_and_counts() {
@@ -850,9 +882,8 @@ mod tests {
         }
 
         /// Children are a vector of `(item, node index)` pairs sorted by item id
-        /// (binary search), matching the batch [`FpTree`]'s arena layout: streaming
-        /// sibling fan-out is small, so the flat sorted vector is both faster to
-        /// probe and denser in cache than a per-node `HashMap`.
+        /// and binary-searched: one heap allocation a node and two dependent
+        /// cache misses a level, which is why the tree no longer looks like this.
         #[derive(Debug, Clone)]
         struct PrefixNode {
             count: f64,

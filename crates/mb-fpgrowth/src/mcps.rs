@@ -118,7 +118,7 @@ impl McpsTree {
             let admits = &self.admits;
             self.admitted.clear();
             self.admitted
-                .extend(items.iter().filter(|&&item| admits.item(item) != 0));
+                .extend(items.iter().filter(|&&item| admits.has_item(item)));
             self.tree.insert(&self.admitted, 1.0);
         }
     }

@@ -1270,7 +1270,7 @@ mod tests {
                     .map(|(path, _)| path[1])
                     .collect();
                 assert!(children.len() > 2_000);
-                assert!(children.windows(2).all(|pair| pair[0] < pair[1]));
+                assert!(children.windows(2).all(|ids| ids[0] < ids[1]));
                 pair.assert_same(0);
             }
         }

@@ -100,8 +100,7 @@ impl<E: Estimator> StreamingClassifier<E> {
     pub fn observe(&mut self, metrics: &[f64]) -> Classification {
         self.total_points += 1;
         self.points_since_retrain += 1;
-        // The row is copied only if the reservoir keeps it.
-        self.input_reservoir.observe_with(1.0, || metrics.to_vec());
+        self.input_reservoir.observe(metrics.to_vec());
 
         // Initial training once enough points are buffered, then periodic
         // retraining on the damped reservoir.

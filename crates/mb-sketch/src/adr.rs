@@ -72,34 +72,6 @@ impl<T> AdaptableDampedReservoir<T> {
         self.total_observed
     }
 
-    /// [`observe_weighted`](StreamSampler::observe_weighted) for an item
-    /// that costs something to build: `make` is called only if the reservoir
-    /// keeps the item, after the same random draws in the same order.
-    pub fn observe_with(&mut self, weight: f64, make: impl FnOnce() -> T) {
-        assert!(weight > 0.0, "observation weight must be positive");
-        self.total_observed += 1;
-        self.current_weight += weight;
-        if self.items.len() < self.capacity {
-            self.items.push(make());
-        } else {
-            // Insert with probability k / cw, evicting a random resident.
-            // "Overweight" items (k/cw > 1) are always retained — the min()
-            // below keeps the probability well-formed in that regime.
-            let p = (self.capacity as f64 / self.current_weight).min(1.0);
-            if self.rng.next_f64() < p {
-                let victim = self.rng.next_below(self.capacity);
-                self.items[victim] = make();
-            }
-        }
-        if let DecayPolicy::EveryNItems(n) = self.policy {
-            self.items_since_decay += 1;
-            if self.items_since_decay >= n {
-                self.items_since_decay = 0;
-                self.decay();
-            }
-        }
-    }
-
     /// Clone the current sample out of the reservoir.
     pub fn snapshot(&self) -> Vec<T>
     where
@@ -159,7 +131,28 @@ impl<T> Mergeable for AdaptableDampedReservoir<T> {
 
 impl<T> StreamSampler<T> for AdaptableDampedReservoir<T> {
     fn observe_weighted(&mut self, item: T, weight: f64) {
-        self.observe_with(weight, move || item);
+        assert!(weight > 0.0, "observation weight must be positive");
+        self.total_observed += 1;
+        self.current_weight += weight;
+        if self.items.len() < self.capacity {
+            self.items.push(item);
+        } else {
+            // Insert with probability k / cw, evicting a random resident.
+            // "Overweight" items (k/cw > 1) are always retained — the min()
+            // below keeps the probability well-formed in that regime.
+            let p = (self.capacity as f64 / self.current_weight).min(1.0);
+            if self.rng.next_f64() < p {
+                let victim = self.rng.next_below(self.capacity);
+                self.items[victim] = item;
+            }
+        }
+        if let DecayPolicy::EveryNItems(n) = self.policy {
+            self.items_since_decay += 1;
+            if self.items_since_decay >= n {
+                self.items_since_decay = 0;
+                self.decay();
+            }
+        }
     }
 
     fn decay(&mut self) {
@@ -192,25 +185,6 @@ mod tests {
         }
         assert_eq!(adr.len(), 50);
         assert_eq!(adr.observed(), 1000);
-    }
-
-    #[test]
-    fn observe_with_builds_only_what_is_kept_and_draws_like_observe() {
-        let policy = DecayPolicy::EveryNItems(700);
-        let mut eager = AdaptableDampedReservoir::new(50, 0.1, policy, 9);
-        let mut lazy = AdaptableDampedReservoir::new(50, 0.1, policy, 9);
-        let mut built = 0;
-        for i in 0..5_000 {
-            eager.observe(i);
-            lazy.observe_with(1.0, || {
-                built += 1;
-                i
-            });
-        }
-        assert_eq!(eager.sample(), lazy.sample());
-        assert_eq!(eager.current_weight(), lazy.current_weight());
-        // 50 to fill the reservoir, then only the admitted few.
-        assert!((50..1_000).contains(&built), "built {built} of 5000");
     }
 
     #[test]

@@ -41,9 +41,11 @@ enum SlotState {
     Training,
     /// Published and shareable. Replaced wholesale on retrain.
     Ready(Arc<ModelSnapshot>),
-    /// Training failed. Sticky: the same inputs would fail the same way
-    /// (training is deterministic), so repeat requesters get the same error
-    /// without re-paying for the attempt.
+    /// Training failed. Requesters already waiting on the slot get the
+    /// error; the slot has left the map by then, so the next requester
+    /// trains again — a failure may be transient (a panic, an injected
+    /// fault), and one must not poison a fingerprint for the life of the
+    /// process.
     Failed(String),
 }
 
@@ -56,16 +58,29 @@ struct Slot {
 /// when this drops is published and the condvar notified. It is created
 /// holding `Failed("training panicked")`, so a `train()` that unwinds still
 /// wakes every same-fingerprint requester — to an error — instead of leaving
-/// the slot `Training` and them parked forever.
+/// the slot `Training` and them parked forever. A failed slot is then taken
+/// out of the map, so the failure is not cached.
 struct Publish<'a> {
-    slot: &'a Slot,
+    cache: &'a ModelCache,
+    fingerprint: Fingerprint,
+    slot: &'a Arc<Slot>,
     state: SlotState,
 }
 
 impl Drop for Publish<'_> {
     fn drop(&mut self) {
+        let failed = matches!(self.state, SlotState::Failed(_));
         *lock(&self.slot.state) = std::mem::replace(&mut self.state, SlotState::Training);
         self.slot.cond.notify_all();
+        if failed {
+            let mut slots = lock(&self.cache.slots);
+            if slots
+                .get(&self.fingerprint)
+                .is_some_and(|slot| Arc::ptr_eq(slot, self.slot))
+            {
+                slots.remove(&self.fingerprint);
+            }
+        }
     }
 }
 
@@ -83,9 +98,10 @@ impl ModelCache {
     }
 
     /// Fetch the current snapshot for `fingerprint`, training it with
-    /// `train` if no slot exists yet. Exactly one caller per fingerprint
-    /// runs `train`; everyone else blocks until publication and shares the
-    /// result.
+    /// `train` if no slot exists yet. Exactly one caller at a time runs
+    /// `train` for a fingerprint; everyone else blocks until publication and
+    /// shares the result — a model, or the error, after which the next
+    /// caller trains again.
     pub fn get_or_train<F>(
         &self,
         fingerprint: Fingerprint,
@@ -113,6 +129,8 @@ impl ModelCache {
             // Train off every lock: other fingerprints stay available and
             // same-fingerprint requesters queue on the condvar.
             let mut publish = Publish {
+                cache: self,
+                fingerprint,
                 slot: &slot,
                 state: SlotState::Failed("training panicked".to_string()),
             };
@@ -269,18 +287,28 @@ mod tests {
     }
 
     #[test]
-    fn training_failures_are_sticky_and_typed() {
+    fn a_failed_training_is_typed_and_the_next_request_trains_again() {
         let cache = ModelCache::new();
-        let (fp, _) = fingerprint_and_model();
-        let err = cache
-            .get_or_train(fp, || Err::<FittedModel, _>("boom".to_string()))
-            .unwrap_err();
-        assert_eq!(err, "boom");
-        let err = cache
-            .get_or_train(fp, || panic!("failure is sticky; no second attempt"))
-            .unwrap_err();
-        assert_eq!(err, "boom");
+        let (fp, points) = fingerprint_and_model();
+        let query = MdpQuery::with_defaults();
+        let trainings = std::cell::Cell::new(0);
+        let flaky = || {
+            trainings.set(trainings.get() + 1);
+            if trainings.get() == 1 {
+                Err("boom".to_string())
+            } else {
+                query.train(&points).map_err(|e| e.to_string())
+            }
+        };
+        assert_eq!(cache.get_or_train(fp, flaky).unwrap_err(), "boom");
         assert!(cache.peek(fp).is_none());
+        let (snapshot, outcome) = cache.get_or_train(fp, flaky).unwrap();
+        assert_eq!((snapshot.epoch, outcome), (1, CacheOutcome::Miss));
+        assert_eq!(trainings.get(), 2);
+        let (_, outcome) = cache
+            .get_or_train(fp, || panic!("must not retrain a cached fingerprint"))
+            .unwrap();
+        assert_eq!(outcome, CacheOutcome::Hit);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! for mergeable [`ExplainState`]s — reproducing the one-shot report exactly
 //! at any partition count.
 
-use crate::operator::{Classifier, Explainer};
+use crate::operator::{check_columns, Classifier, ColumnarInput, Explainer};
 use crate::parallel::{partition_chunks, resolve_num_partitions, scatter};
 use crate::query::{AnalysisConfig, EstimatorKind};
 use crate::types::{MdpReport, Point, RenderedExplanation};
@@ -483,10 +483,10 @@ fn fit_model<E: Estimator>(
     Ok((classifier, threshold.cutoff()))
 }
 
-/// Train a query's classification model over a batch without classifying or
-/// explaining anything (the fit half of the one-shot engine).
-pub(crate) fn train_model(parts: QueryParts<'_>, points: &[Point]) -> Result<FittedModel> {
-    let dim = check_dimensions(points)?;
+/// Train a query's classification model over a row-major metric buffer
+/// (`dim` values per row, both already validated) without classifying or
+/// explaining anything: the fit half of the one-shot engine.
+pub(crate) fn train_model(parts: QueryParts<'_>, flat: &[f64], dim: usize) -> Result<FittedModel> {
     if !parts.unsupervised {
         return Ok(FittedModel {
             kind: FittedModelKind::RuleOnly,
@@ -494,19 +494,18 @@ pub(crate) fn train_model(parts: QueryParts<'_>, points: &[Point]) -> Result<Fit
             dim,
         });
     }
-    let flat = flatten_metrics(points, dim);
     let analysis = parts.analysis;
     let (kind, cutoff) = match analysis.estimator.resolve(dim) {
         EstimatorKind::Mad => {
-            let (c, cutoff) = fit_model(MadEstimator::new(), analysis, &flat, dim)?;
+            let (c, cutoff) = fit_model(MadEstimator::new(), analysis, flat, dim)?;
             (FittedModelKind::Mad(c), cutoff)
         }
         EstimatorKind::ZScore => {
-            let (c, cutoff) = fit_model(ZScoreEstimator::new(), analysis, &flat, dim)?;
+            let (c, cutoff) = fit_model(ZScoreEstimator::new(), analysis, flat, dim)?;
             (FittedModelKind::ZScore(c), cutoff)
         }
         EstimatorKind::Mcd => {
-            let (c, cutoff) = fit_model(McdEstimator::with_defaults(), analysis, &flat, dim)?;
+            let (c, cutoff) = fit_model(McdEstimator::with_defaults(), analysis, flat, dim)?;
             (FittedModelKind::Mcd(c), cutoff)
         }
         EstimatorKind::Auto => unreachable!("resolve() eliminates Auto"),
@@ -518,18 +517,21 @@ pub(crate) fn train_model(parts: QueryParts<'_>, points: &[Point]) -> Result<Fit
     })
 }
 
-/// The one-shot engine with a pre-trained model: score, threshold, rule-OR,
-/// and explain — exactly the operation sequence of [`execute_one_shot`]
-/// minus the fit, so running a batch against a model trained on that same
-/// batch reproduces the one-shot report byte for byte.
+/// The one-shot engine with a pre-trained model over a columnar input:
+/// score, threshold, rule-OR, and explain — exactly the operation sequence
+/// of [`execute_one_shot`] minus the fit and the encode, so running a batch
+/// against a model trained on that same batch reproduces the one-shot
+/// report byte for byte. Records into, and finishes, the input's trace.
 pub(crate) fn execute_one_shot_with_model(
     parts: QueryParts<'_>,
     model: &FittedModel,
-    points: &[Point],
+    input: &mut ColumnarInput,
 ) -> Result<MdpReport> {
-    let mut trace = TraceBuilder::new(parts.analysis.obs, "one-shot");
-    let pool_before = pool_snapshot(&trace);
-    let dim = check_dimensions(points)?;
+    let mut trace = std::mem::replace(&mut input.trace, TraceBuilder::disabled());
+    let pool_before = input.pool_before.take();
+    let ColumnarInput { batch, encoder, .. } = input;
+    check_columns(batch)?;
+    let (flat, dim, rows) = (batch.metrics.as_slice(), batch.dim, batch.len());
     if dim != model.dim {
         return Err(PipelineError::InconsistentDimensions {
             expected: model.dim,
@@ -541,12 +543,9 @@ pub(crate) fn execute_one_shot_with_model(
             "model and query disagree on the unsupervised classification stage".to_string(),
         ));
     }
-    let timer = trace.start();
-    let flat = flatten_metrics(points, dim);
-    trace.finish_stage(timer, "flatten", points.len(), points.len(), 1);
 
     let timer = trace.start();
-    let mut classifications = match model.score_flat(&flat, dim)? {
+    let mut classifications = match model.score_flat(flat, dim)? {
         Some(scores) => {
             let cutoff = model.cutoff.ok_or_else(|| {
                 PipelineError::InvalidConfiguration(
@@ -564,7 +563,7 @@ pub(crate) fn execute_one_shot_with_model(
                 score: 0.0,
                 label: Label::Inlier,
             };
-            points.len()
+            rows
         ],
     };
     if let Some(rule) = parts.rule {
@@ -576,34 +575,22 @@ pub(crate) fn execute_one_shot_with_model(
         .iter()
         .filter(|c| c.label.is_outlier())
         .count();
-    trace.finish_stage(timer, stage::SCORE, points.len(), num_outliers, 1);
+    trace.finish_stage(timer, stage::SCORE, rows, num_outliers, 1);
 
     let explanations = if parts.analysis.skip_explanation {
         Vec::new()
     } else {
-        let analysis = parts.analysis;
-        let mut encoder = encoder_for(analysis);
-        let attribute_rows: Vec<&[String]> =
-            points.iter().map(|p| p.attributes.as_slice()).collect();
-        let encode_shards = resolve_num_partitions(0);
         let timer = trace.start();
-        let batch = encode_batch_parallel(
-            &mut encoder,
-            mb_pool::global(),
-            &attribute_rows,
-            encode_shards,
-        );
-        trace.finish_stage(timer, stage::ENCODE, points.len(), points.len(), encode_shards);
-        let timer = trace.start();
-        let explanations = explain_encoded(analysis, &encoder, &batch, &classifications);
-        trace.finish_stage(timer, stage::EXPLAIN, points.len(), explanations.len(), 1);
+        let explanations =
+            explain_encoded(parts.analysis, encoder, &batch.items, &classifications);
+        trace.finish_stage(timer, stage::EXPLAIN, rows, explanations.len(), 1);
         explanations
     };
 
     record_pool_delta(&mut trace, pool_before);
     Ok(MdpReport {
         explanations,
-        num_points: points.len(),
+        num_points: rows,
         num_outliers,
         score_cutoff: if parts.unsupervised { model.cutoff } else { None },
         scores: if parts.analysis.retain_scores {

@@ -15,9 +15,12 @@
 //! [`crate::executor::MdpClassifier`] and [`crate::executor::MdpExplainer`]
 //! through exactly these interfaces.
 
+use crate::executor::{check_dimensions, encoder_for, flatten_metrics, pool_snapshot};
+use crate::parallel::resolve_num_partitions;
+use crate::query::AnalysisConfig;
 use crate::types::Point;
 use mb_classify::{Classification, Label};
-use mb_explain::encoder::{ShardDictionary, ShardEncoder};
+use mb_explain::encoder::{encode_batch_parallel, ShardDictionary, ShardEncoder};
 use mb_explain::{AttributeEncoder, ItemBatch};
 use mb_ingest::csv::{CsvError, CsvQuery, CsvReader, RowSink, BLOCK_BYTES};
 use std::fs::File;
@@ -66,6 +69,81 @@ impl EncodedBatch {
             self.items.append(&other.items);
         }
         Ok(())
+    }
+}
+
+/// Reject a columnar batch the one-shot engine cannot run: the row-form
+/// [`check_dimensions`] errors for no rows and for rows without metrics,
+/// and a metric buffer that does not hold `dim` values per row.
+pub(crate) fn check_columns(batch: &EncodedBatch) -> crate::Result<()> {
+    if batch.is_empty() {
+        return Err(crate::PipelineError::EmptyInput);
+    }
+    if batch.dim == 0 {
+        return Err(crate::PipelineError::InvalidConfiguration(
+            "points must have at least one metric".to_string(),
+        ));
+    }
+    if batch.metrics.len() != batch.len() * batch.dim {
+        return Err(crate::PipelineError::InvalidConfiguration(format!(
+            "{} metric values for {} rows of {}",
+            batch.metrics.len(),
+            batch.len(),
+            batch.dim
+        )));
+    }
+    Ok(())
+}
+
+/// A one-shot query's input in columns — metrics flat, attributes interned
+/// into the query's dictionary — plus the trace its construction was timed
+/// on. An ingestor or a wire decoder fills [`ColumnarInput::new`] in place;
+/// [`ColumnarInput::from_points`] is the adaptor for rows already in memory.
+#[derive(Debug)]
+pub struct ColumnarInput {
+    /// The rows: metrics and encoded attribute items.
+    pub batch: EncodedBatch,
+    /// The dictionary the batch's items were interned into.
+    pub encoder: AttributeEncoder,
+    pub(crate) trace: mb_obs::TraceBuilder,
+    pub(crate) pool_before: Option<mb_pool::WorkerStats>,
+}
+
+impl ColumnarInput {
+    /// An empty input for `analysis`: its attribute dictionary, and a trace
+    /// started now, so the work that fills the input is part of the query.
+    pub fn new(analysis: &AnalysisConfig) -> Self {
+        let trace = mb_obs::TraceBuilder::new(analysis.obs, "one-shot");
+        ColumnarInput {
+            batch: EncodedBatch::default(),
+            encoder: encoder_for(analysis),
+            pool_before: pool_snapshot(&trace),
+            trace,
+        }
+    }
+
+    /// Flatten and dictionary-encode stored points (the encode pass sharded
+    /// over the pool, with the ids a serial pass assigns). Fails as the
+    /// one-shot engine does on an empty, zero-metric, or ragged batch.
+    pub fn from_points(analysis: &AnalysisConfig, points: &[Point]) -> crate::Result<Self> {
+        let mut input = ColumnarInput::new(analysis);
+        let dim = check_dimensions(points)?;
+        let timer = input.trace.start();
+        input.batch.metrics = flatten_metrics(points, dim);
+        input.batch.dim = dim;
+        input
+            .trace
+            .finish_stage(timer, "flatten", points.len(), points.len(), 1);
+        let attribute_rows: Vec<&[String]> =
+            points.iter().map(|p| p.attributes.as_slice()).collect();
+        let shards = resolve_num_partitions(0);
+        let timer = input.trace.start();
+        input.batch.items =
+            encode_batch_parallel(&mut input.encoder, mb_pool::global(), &attribute_rows, shards);
+        input
+            .trace
+            .finish_stage(timer, mb_obs::stage::ENCODE, points.len(), points.len(), shards);
+        Ok(input)
     }
 }
 

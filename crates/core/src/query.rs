@@ -51,10 +51,11 @@
 //! ```
 
 use crate::executor::{
-    encoder_for, execute_coordinated, execute_naive, execute_one_shot, execute_one_shot_encoded,
-    execute_one_shot_with_model, pool_snapshot, train_model, FittedModel, QueryParts,
+    check_dimensions, execute_coordinated, execute_naive, execute_one_shot,
+    execute_one_shot_encoded, execute_one_shot_with_model, flatten_metrics, train_model,
+    FittedModel, QueryParts,
 };
-use crate::operator::{Ingestor, Transformer};
+use crate::operator::{check_columns, ColumnarInput, EncodedBatch, Ingestor, Transformer};
 use crate::streaming::StreamingEngine;
 use crate::types::{MdpReport, Point};
 use crate::{PipelineError, Result};
@@ -448,29 +449,33 @@ impl MdpQuery {
             // — ids, scores, threshold, explanations — is exactly what the
             // materializing path below produces.
             Executor::OneShot if self.transformers.is_empty() => {
-                let mut trace =
-                    mb_obs::TraceBuilder::new(self.analysis.obs, "one-shot");
-                let mut encoder = encoder_for(&self.analysis);
-                let mut all = crate::operator::EncodedBatch::default();
-                let pool_before = pool_snapshot(&trace);
-                let timer = trace.start();
+                let mut input = ColumnarInput::new(&self.analysis);
+                let timer = input.trace.start();
                 let mut batches = 0usize;
-                while let Some(batch) = source.next_encoded_batch(&mut encoder)? {
-                    all.append(batch)?;
+                while let Some(batch) = source.next_encoded_batch(&mut input.encoder)? {
+                    input.batch.append(batch)?;
                     batches += 1;
                 }
-                if all.is_empty() {
+                if input.batch.is_empty() {
                     return Err(PipelineError::EmptyInput);
                 }
                 // The fast path encodes *during* ingestion, so one span
                 // covers both stages of the paper pipeline.
-                let rows = all.len();
-                trace.finish_stage(timer, mb_obs::stage::INGEST, rows, rows, batches);
+                let rows = input.batch.len();
+                input
+                    .trace
+                    .finish_stage(timer, mb_obs::stage::INGEST, rows, rows, batches);
+                let ColumnarInput {
+                    batch,
+                    encoder,
+                    trace,
+                    pool_before,
+                } = input;
                 execute_one_shot_encoded(
                     self.parts(),
-                    &all.metrics,
-                    all.dim,
-                    &all.items,
+                    &batch.metrics,
+                    batch.dim,
+                    &batch.items,
                     &encoder,
                     trace,
                     pool_before,
@@ -506,7 +511,8 @@ impl MdpQuery {
     /// Fit this query's classification model over a batch without
     /// classifying or explaining anything — the train half of the one-shot
     /// engine, split out so a model can be fitted once and shared (see
-    /// [`FittedModel`]).
+    /// [`FittedModel`]). An adaptor: the metrics are flattened and handed to
+    /// [`train_columns`].
     ///
     /// Training is deterministic: the same query and batch always produce
     /// the same model, and [`execute_with_model`] over the training batch
@@ -515,23 +521,51 @@ impl MdpQuery {
     ///
     /// [`execute`]: MdpQuery::execute
     /// [`execute_with_model`]: MdpQuery::execute_with_model
+    /// [`train_columns`]: MdpQuery::train_columns
     pub fn train(&self, points: &[Point]) -> Result<FittedModel> {
         self.check_model_compatible()?;
-        train_model(self.parts(), points)
+        let dim = check_dimensions(points)?;
+        train_model(self.parts(), &flatten_metrics(points, dim), dim)
+    }
+
+    /// [`train`](MdpQuery::train) over a columnar batch: only its metrics
+    /// are read.
+    pub fn train_columns(&self, batch: &EncodedBatch) -> Result<FittedModel> {
+        self.check_model_compatible()?;
+        check_columns(batch)?;
+        train_model(self.parts(), &batch.metrics, batch.dim)
     }
 
     /// Execute one-shot classification and explanation against a
     /// pre-trained model instead of fitting one — the score half of the
-    /// train/score split (see [`MdpQuery::train`]).
+    /// train/score split (see [`MdpQuery::train`]). An adaptor: the points
+    /// are flattened and encoded ([`ColumnarInput::from_points`]) and handed
+    /// to [`execute_columns_with_model`].
     ///
     /// The batch's dimensionality must match the model's, and the model's
     /// classification stages must match the query's (both unsupervised or
     /// both rule-only); mismatches are typed errors. Takes `&self`: with no
     /// transformer chain (rejected with a typed error) the query holds no
     /// mutable state, so one query can score many batches concurrently.
+    ///
+    /// [`execute_columns_with_model`]: MdpQuery::execute_columns_with_model
     pub fn execute_with_model(&self, model: &FittedModel, points: &[Point]) -> Result<MdpReport> {
         self.check_model_compatible()?;
-        execute_one_shot_with_model(self.parts(), model, points)
+        let mut input = ColumnarInput::from_points(&self.analysis, points)?;
+        execute_one_shot_with_model(self.parts(), model, &mut input)
+    }
+
+    /// [`execute_with_model`](MdpQuery::execute_with_model) over an input
+    /// already in columns, whose items were interned into `input.encoder`.
+    /// The report goes out with the input's trace, so a second call on the
+    /// same input is untraced; the batch and encoder stay with the caller.
+    pub fn execute_columns_with_model(
+        &self,
+        model: &FittedModel,
+        input: &mut ColumnarInput,
+    ) -> Result<MdpReport> {
+        self.check_model_compatible()?;
+        execute_one_shot_with_model(self.parts(), model, input)
     }
 
     /// Turn the query into an incremental streaming session

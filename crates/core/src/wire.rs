@@ -36,7 +36,10 @@ use crate::types::{MdpReport, Point, RenderedExplanation};
 use mb_explain::risk_ratio::ExplanationStats;
 use mb_fpgrowth::Item;
 use mb_obs::{HistogramSnapshot, QueryTrace, StageTrace};
-use serde_json::{Map, Value};
+use crate::operator::{check_columns, ColumnarInput, EncodedBatch};
+use mb_explain::AttributeEncoder;
+use serde_json::{Map, ParseError, Value};
+use std::borrow::Cow;
 
 /// Error produced when decoding a report from JSON that does not match the
 /// wire schema.
@@ -80,16 +83,22 @@ fn f64_to_value(v: f64) -> Value {
     }
 }
 
+/// The inverse of [`f64_to_value`]'s string spellings.
+fn non_finite(name: &str) -> Option<f64> {
+    match name {
+        "Infinity" => Some(f64::INFINITY),
+        "-Infinity" => Some(f64::NEG_INFINITY),
+        "NaN" => Some(f64::NAN),
+        _ => None,
+    }
+}
+
+fn number_value(value: &Value) -> Option<f64> {
+    value.as_f64().or_else(|| value.as_str().and_then(non_finite))
+}
+
 fn f64_from_value(value: &Value, field: &str) -> Result<f64, WireError> {
-    if let Some(n) = value.as_f64() {
-        return Ok(n);
-    }
-    match value.as_str() {
-        Some("Infinity") => Ok(f64::INFINITY),
-        Some("-Infinity") => Ok(f64::NEG_INFINITY),
-        Some("NaN") => Ok(f64::NAN),
-        _ => Err(WireError::new(field, "expected a number")),
-    }
+    number_value(value).ok_or_else(|| WireError::new(field, "expected a number"))
 }
 
 fn usize_from_value(value: &Value, field: &str) -> Result<usize, WireError> {
@@ -605,35 +614,95 @@ pub fn point_to_json(point: &Point) -> Value {
     Value::Object(map)
 }
 
+/// What is wrong with one point object. Field labels are built from it only
+/// when a decode fails, so the success path formats nothing.
+#[derive(Debug)]
+enum PointFault {
+    NotObject,
+    Unknown(String),
+    Duplicate(&'static str),
+    Missing(&'static str),
+    NotArray(&'static str),
+    /// Element `index` of `metrics` (not a number) or `attributes` (not a
+    /// string).
+    Element(&'static str, usize),
+}
+
+impl PointFault {
+    fn at(self, point: &str) -> WireError {
+        match self {
+            PointFault::NotObject => WireError::new(point, "expected a point object"),
+            PointFault::Unknown(key) => WireError::new(format!("{point}.{key}"), "unknown field"),
+            PointFault::Duplicate(key) => {
+                WireError::new(format!("{point}.{key}"), "duplicate field")
+            }
+            PointFault::Missing(key) => WireError::new(format!("{point}.{key}"), "missing field"),
+            PointFault::NotArray(key) => {
+                WireError::new(format!("{point}.{key}"), "expected an array")
+            }
+            PointFault::Element(key, index) => WireError::new(
+                format!("{point}.{key}[{index}]"),
+                if key == METRICS {
+                    "expected a number"
+                } else {
+                    "expected a string"
+                },
+            ),
+        }
+    }
+}
+
+/// What is wrong with a `points` array: not an array, or the first bad
+/// point.
+#[derive(Debug)]
+enum PointsFault {
+    NotArray,
+    Point(usize, PointFault),
+}
+
+impl PointsFault {
+    fn at(self, context: &str) -> WireError {
+        match self {
+            PointsFault::NotArray => WireError::new(context, "expected an array"),
+            PointsFault::Point(index, fault) => fault.at(&format!("{context}[{index}]")),
+        }
+    }
+}
+
+const METRICS: &str = "metrics";
+const ATTRIBUTES: &str = "attributes";
+
+fn point_value(value: &Value) -> Result<Point, PointFault> {
+    let map = value.as_object().ok_or(PointFault::NotObject)?;
+    if let Some((key, _)) = map.iter().find(|(key, _)| *key != METRICS && *key != ATTRIBUTES) {
+        return Err(PointFault::Unknown(key.clone()));
+    }
+    let elements = |key: &'static str| match map.get(key) {
+        None => Err(PointFault::Missing(key)),
+        Some(Value::Array(items)) => Ok(items),
+        Some(_) => Err(PointFault::NotArray(key)),
+    };
+    let metrics = elements(METRICS)?
+        .iter()
+        .enumerate()
+        .map(|(i, v)| number_value(v).ok_or(PointFault::Element(METRICS, i)))
+        .collect::<Result<Vec<f64>, PointFault>>()?;
+    let attributes = elements(ATTRIBUTES)?
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            v.as_str()
+                .map(str::to_string)
+                .ok_or(PointFault::Element(ATTRIBUTES, i))
+        })
+        .collect::<Result<Vec<String>, PointFault>>()?;
+    Ok(Point::new(metrics, attributes))
+}
+
 /// Decode a [`Point`] from the encoding of [`point_to_json`]. Unknown keys
 /// are a typed error.
 pub fn point_from_json(value: &Value, context: &str) -> Result<Point, WireError> {
-    let map = value
-        .as_object()
-        .ok_or_else(|| WireError::new(context, "expected a point object"))?;
-    reject_unknown_keys(map, &["metrics", "attributes"], context)?;
-    let prefix = format!("{context}.");
-    let metrics = array(
-        field(map, "metrics", &prefix)?,
-        &format!("{context}.metrics"),
-    )?
-    .iter()
-    .enumerate()
-    .map(|(i, v)| f64_from_value(v, &format!("{context}.metrics[{i}]")))
-    .collect::<Result<Vec<f64>, WireError>>()?;
-    let attributes = array(
-        field(map, "attributes", &prefix)?,
-        &format!("{context}.attributes"),
-    )?
-    .iter()
-    .enumerate()
-    .map(|(i, v)| {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| WireError::new(format!("{context}.attributes[{i}]"), "expected a string"))
-    })
-    .collect::<Result<Vec<String>, WireError>>()?;
-    Ok(Point::new(metrics, attributes))
+    point_value(value).map_err(|fault| fault.at(context))
 }
 
 /// Encode a batch of points as a JSON array.
@@ -643,10 +712,13 @@ pub fn points_to_json(points: &[Point]) -> Value {
 
 /// Decode a batch of points from a JSON array of point objects.
 pub fn points_from_json(value: &Value, context: &str) -> Result<Vec<Point>, WireError> {
-    array(value, context)?
+    let Value::Array(items) = value else {
+        return Err(PointsFault::NotArray.at(context));
+    };
+    items
         .iter()
         .enumerate()
-        .map(|(i, v)| point_from_json(v, &format!("{context}[{i}]")))
+        .map(|(i, v)| point_value(v).map_err(|fault| PointsFault::Point(i, fault).at(context)))
         .collect()
 }
 
@@ -906,6 +978,775 @@ pub fn executor_from_json(value: &Value, context: &str) -> Result<Executor, Wire
     }
 }
 
+// ---------------------------------------------------------------------------
+// The byte scanner. A served request is one line of JSON and its `points`
+// array is nearly all of it; building a `Value` tree for that array, then a
+// `Point` per row, cost more than scoring the rows. The scanner reads the
+// text once and accepts exactly what `serde_json::from_str` followed by the
+// `Value` codecs above accepts — the same grammar, number conversions,
+// `ParseError` offsets and messages, and `WireError` fields — writing each
+// row straight to where it is going.
+// ---------------------------------------------------------------------------
+
+/// Nesting deeper than this is refused as malformed, with serde_json's own
+/// limit and message. The `Value` parser recurses once per level, so on
+/// hostile input nested a few hundred thousand deep it overflows its stack.
+const MAX_DEPTH: usize = 128;
+
+/// Where decoded points go. A point's metrics and attributes arrive in the
+/// order its fields do, then `end_point`; a decode that fails discards the
+/// sink.
+trait PointSink {
+    fn metric(&mut self, value: f64);
+    fn attribute(&mut self, column: usize, value: &str);
+    fn end_point(&mut self);
+}
+
+/// Rows as [`Point`]s: feeds, and the partitioned and streaming executors.
+#[derive(Default)]
+struct PointRows {
+    points: Vec<Point>,
+    metrics: Vec<f64>,
+    attributes: Vec<String>,
+}
+
+impl PointSink for PointRows {
+    fn metric(&mut self, value: f64) {
+        self.metrics.push(value);
+    }
+
+    fn attribute(&mut self, _column: usize, value: &str) {
+        self.attributes.push(value.to_string());
+    }
+
+    fn end_point(&mut self) {
+        let (dim, width) = (self.metrics.len(), self.attributes.len());
+        let metrics = std::mem::replace(&mut self.metrics, Vec::with_capacity(dim));
+        let attributes = std::mem::replace(&mut self.attributes, Vec::with_capacity(width));
+        self.points.push(Point::new(metrics, attributes));
+    }
+}
+
+/// Rows straight into columns: metrics appended to the flat buffer,
+/// attributes interned as they are read — row by row, column by column, so
+/// the ids are those a serial `encode_point` pass assigns. The shape the
+/// row-form engine checks is tracked on the way: the first row's metric
+/// count, and the count of the first row that differs from it.
+struct ColumnRows<'a> {
+    batch: &'a mut EncodedBatch,
+    encoder: &'a mut AttributeEncoder,
+    row_start: usize,
+    first_dim: Option<usize>,
+    ragged: Option<usize>,
+}
+
+impl PointSink for ColumnRows<'_> {
+    fn metric(&mut self, value: f64) {
+        self.batch.metrics.push(value);
+    }
+
+    fn attribute(&mut self, column: usize, value: &str) {
+        let item = self.encoder.encode(column, value);
+        self.batch.items.push_item(item);
+    }
+
+    fn end_point(&mut self) {
+        let dim = self.batch.metrics.len() - self.row_start;
+        self.row_start = self.batch.metrics.len();
+        match self.first_dim {
+            None => self.first_dim = Some(dim),
+            Some(first) if first != dim => {
+                self.ragged.get_or_insert(dim);
+            }
+            Some(_) => {}
+        }
+        self.batch.items.finish_row();
+    }
+}
+
+impl ColumnRows<'_> {
+    /// Set the batch's dimensionality; the error the one-shot engine gives
+    /// these rows, in its order: none, no metrics, then ragged.
+    fn finish(self) -> crate::Result<()> {
+        self.batch.dim = self.first_dim.unwrap_or(0);
+        match (self.first_dim, self.ragged) {
+            (Some(expected), Some(actual)) if expected > 0 => {
+                Err(crate::PipelineError::InconsistentDimensions { expected, actual })
+            }
+            _ => check_columns(self.batch),
+        }
+    }
+}
+
+/// The fields of one point object seen so far, and what was wrong with
+/// them.
+#[derive(Default)]
+struct PointFields {
+    unknown: Option<String>,
+    duplicate: Option<&'static str>,
+    metrics: Field,
+    attributes: Field,
+}
+
+#[derive(Default)]
+struct Field {
+    seen: bool,
+    fault: Option<PointFault>,
+}
+
+impl PointFields {
+    fn clean(&self) -> bool {
+        self.unknown.is_none()
+            && self.duplicate.is_none()
+            && self.metrics.fault.is_none()
+            && self.attributes.fault.is_none()
+    }
+
+    /// The fault [`point_from_json`] reports, whatever order the fields
+    /// came in: the first unknown key, then `metrics`, then `attributes`.
+    fn fault(self) -> Option<PointFault> {
+        if let Some(key) = self.unknown {
+            return Some(PointFault::Unknown(key));
+        }
+        if let Some(key) = self.duplicate {
+            return Some(PointFault::Duplicate(key));
+        }
+        for (key, field) in [(METRICS, self.metrics), (ATTRIBUTES, self.attributes)] {
+            if !field.seen {
+                return Some(PointFault::Missing(key));
+            }
+            if field.fault.is_some() {
+                return field.fault;
+            }
+        }
+        None
+    }
+}
+
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of each byte of `word` that equals `byte`, and possibly of
+/// bytes after the first such one: exact up to and including the lowest.
+fn has_byte(word: u64, byte: u8) -> u64 {
+    let x = word ^ (LOW_BITS * u64::from(byte));
+    x.wrapping_sub(LOW_BITS) & !x & HIGH_BITS
+}
+
+/// The high bit of each byte of `word` that is not an ASCII digit.
+fn non_digits(word: u64) -> u64 {
+    let x = word ^ (LOW_BITS * u64::from(b'0'));
+    // A byte is a digit when it is now below 10: adding 0x76 to its low
+    // seven bits sets the high bit exactly when it is 10 or more, with no
+    // carry into the next byte.
+    (((x & !HIGH_BITS) + LOW_BITS * 0x76) | x) & HIGH_BITS
+}
+
+/// The length of the run of bytes from `start` that `keep` accepts, eight
+/// bytes at a time: `stops` marks (at least the lowest of) the bytes of a
+/// little-endian word that end the run.
+fn run(bytes: &[u8], start: usize, stops: impl Fn(u64) -> u64, keep: impl Fn(u8) -> bool) -> usize {
+    let rest = bytes.get(start..).unwrap_or_default();
+    let mut n = 0;
+    while let Some(chunk) = rest.get(n..n + 8).and_then(|c| <[u8; 8]>::try_from(c).ok()) {
+        let stop = stops(u64::from_le_bytes(chunk));
+        if stop != 0 {
+            return n + stop.trailing_zeros() as usize / 8;
+        }
+        n += 8;
+    }
+    n + rest.get(n..).unwrap_or_default().iter().take_while(|&&c| keep(c)).count()
+}
+
+struct Scanner<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    /// Containers open around the value being read.
+    depth: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn new(text: &'a str) -> Self {
+        Scanner {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    fn error(&self, message: &str) -> ParseError {
+        ParseError {
+            offset: self.pos,
+            message: message.to_string(),
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_whitespace(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn consume(&mut self, byte: u8) -> Result<(), ParseError> {
+        if self.peek() == Some(byte) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.error(&format!("expected '{}'", byte as char)))
+        }
+    }
+
+    /// The end of the document: only whitespace may follow.
+    fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_whitespace();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.error("trailing characters after JSON document"))
+        }
+    }
+
+    /// `text[start..pos]`. The scanner stops only on ASCII bytes or at the
+    /// end, which are always character boundaries.
+    fn slice(&self, start: usize) -> Result<&'a str, ParseError> {
+        self.text
+            .get(start..self.pos)
+            .ok_or_else(|| self.error("invalid UTF-8 in string"))
+    }
+
+    fn literal(&mut self, literal: &str) -> Result<(), ParseError> {
+        if self.bytes.get(self.pos..).is_some_and(|rest| rest.starts_with(literal.as_bytes())) {
+            self.pos += literal.len();
+            Ok(())
+        } else {
+            Err(self.error(&format!("expected '{literal}'")))
+        }
+    }
+
+    /// Past a run of string bytes that need no unescaping.
+    fn skip_plain(&mut self) {
+        self.pos += run(self.bytes, self.pos, |word| {
+            has_byte(word, b'"') | has_byte(word, b'\\')
+        }, |c| c != b'"' && c != b'\\');
+    }
+
+    /// The character the backslash escape at `pos` stands for.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        self.pos += 1;
+        let escape = self.peek().ok_or_else(|| self.error("unterminated escape"))?;
+        self.pos += 1;
+        Ok(match escape {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{0008}',
+            b'f' => '\u{000C}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hex = self
+                    .bytes
+                    .get(self.pos..self.pos + 4)
+                    .ok_or_else(|| self.error("truncated \\u escape"))?;
+                // `from_str_radix`, quirks and all (it takes a leading `+`),
+                // because that is what the parser calls.
+                let code = std::str::from_utf8(hex)
+                    .ok()
+                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    .ok_or_else(|| self.error("invalid \\u escape"))?;
+                self.pos += 4;
+                char::from_u32(code)
+                    .ok_or_else(|| self.error("\\u escape is not a scalar value"))?
+            }
+            _ => return Err(self.error("unknown escape character")),
+        })
+    }
+
+    /// A string, borrowed from the text unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.consume(b'"')?;
+        let start = self.pos;
+        self.skip_plain();
+        if self.peek() == Some(b'"') {
+            let plain = self.slice(start)?;
+            self.pos += 1;
+            return Ok(Cow::Borrowed(plain));
+        }
+        let mut out = String::from(self.slice(start)?);
+        loop {
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
+                }
+                Some(_) => out.push(self.escape()?),
+                None => return Err(self.error("unterminated string")),
+            }
+            let start = self.pos;
+            self.skip_plain();
+            out.push_str(self.slice(start)?);
+        }
+    }
+
+    fn skip_string(&mut self) -> Result<(), ParseError> {
+        self.consume(b'"')?;
+        loop {
+            self.skip_plain();
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                Some(_) => {
+                    self.escape()?;
+                }
+                None => return Err(self.error("unterminated string")),
+            }
+        }
+    }
+
+    fn digits(&mut self) -> usize {
+        let digits = run(self.bytes, self.pos, non_digits, |c| c.is_ascii_digit());
+        self.pos += digits;
+        digits
+    }
+
+    /// Past a number token as the parser delimits it: `-`? digits, then an
+    /// optional fraction and exponent. Returns where it starts, whether it
+    /// is a float, and whether `str::parse` accepts it — some digit before
+    /// the exponent, and one after the exponent's sign.
+    fn number_token(&mut self) -> (usize, bool, bool) {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let mut mantissa = self.digits();
+        let mut is_float = false;
+        let mut exponent = true;
+        if self.peek() == Some(b'.') {
+            is_float = true;
+            self.pos += 1;
+            mantissa += self.digits();
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            is_float = true;
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            exponent = self.digits() > 0;
+        }
+        (start, is_float, mantissa > 0 && exponent)
+    }
+
+    fn skip_number(&mut self) -> Result<(), ParseError> {
+        let (_, _, valid) = self.number_token();
+        if valid {
+            Ok(())
+        } else {
+            Err(self.error("invalid number"))
+        }
+    }
+
+    /// A number as `Value::as_f64` reads the parser's: integers go through
+    /// `i64`, then `u64`, before `f64`, so `-0` is `+0.0`.
+    fn number(&mut self) -> Result<f64, ParseError> {
+        let (start, is_float, _) = self.number_token();
+        let text = self.slice(start)?;
+        if !is_float {
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(i as f64);
+            }
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(u as f64);
+            }
+        }
+        text.parse::<f64>()
+            .map_err(|_| self.error("invalid number"))
+    }
+
+    /// A member's key and colon, up to its value.
+    fn skip_key(&mut self) -> Result<(), ParseError> {
+        self.skip_whitespace();
+        self.skip_string()?;
+        self.skip_whitespace();
+        self.consume(b':')?;
+        self.skip_whitespace();
+        Ok(())
+    }
+
+    /// Past one value, validating it as the parser would and building
+    /// nothing. Iterative, with `depth` more containers open around it than
+    /// around the value the scanner was set to read.
+    fn skip_value(&mut self, depth: usize) -> Result<(), ParseError> {
+        let mut open: Vec<u8> = Vec::new();
+        loop {
+            match self.peek() {
+                Some(c @ (b'{' | b'[')) => {
+                    if self.depth + depth + open.len() >= MAX_DEPTH {
+                        return Err(self.error("recursion limit exceeded"));
+                    }
+                    let close = if c == b'{' { b'}' } else { b']' };
+                    self.pos += 1;
+                    self.skip_whitespace();
+                    if self.peek() != Some(close) {
+                        open.push(close);
+                        if close == b'}' {
+                            self.skip_key()?;
+                        }
+                        continue;
+                    }
+                    self.pos += 1;
+                }
+                Some(b'"') => self.skip_string()?,
+                Some(b't') => self.literal("true")?,
+                Some(b'f') => self.literal("false")?,
+                Some(b'n') => self.literal("null")?,
+                Some(b'-' | b'0'..=b'9') => self.skip_number()?,
+                _ => return Err(self.error("expected a JSON value")),
+            }
+            // A value ended: close containers until one continues.
+            loop {
+                let Some(&close) = open.last() else {
+                    return Ok(());
+                };
+                self.skip_whitespace();
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        if close == b'}' {
+                            self.skip_key()?;
+                        } else {
+                            self.skip_whitespace();
+                        }
+                        break;
+                    }
+                    Some(c) if c == close => {
+                        self.pos += 1;
+                        open.pop();
+                    }
+                    _ => return Err(self.separator_error(close)),
+                }
+            }
+        }
+    }
+
+    fn separator_error(&self, close: u8) -> ParseError {
+        self.error(if close == b'}' {
+            "expected ',' or '}' in object"
+        } else {
+            "expected ',' or ']' in array"
+        })
+    }
+
+    /// After an element or member: past a `,` (`true`) or the closing byte
+    /// (`false`).
+    fn next_or_close(&mut self, close: u8) -> Result<bool, ParseError> {
+        self.skip_whitespace();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(c) if c == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(self.separator_error(close)),
+        }
+    }
+
+    /// Past the opening byte of a container and its whitespace; `false` if
+    /// it closes right away.
+    fn open(&mut self, close: u8) -> bool {
+        self.pos += 1;
+        self.skip_whitespace();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            false
+        } else {
+            true
+        }
+    }
+
+    /// A `points` value into `sink`. Returns the first schema fault only
+    /// once the whole value has been checked, because a syntax error
+    /// anywhere wins when `from_str` runs first.
+    fn points<S: PointSink>(&mut self, sink: &mut S) -> Result<Option<PointsFault>, ParseError> {
+        if self.peek() != Some(b'[') {
+            self.skip_value(0)?;
+            return Ok(Some(PointsFault::NotArray));
+        }
+        let mut fault = None;
+        let mut more = self.open(b']');
+        let mut index = 0;
+        while more {
+            self.skip_whitespace();
+            if fault.is_none() && self.peek() == Some(b'{') {
+                fault = self.point(sink)?.map(|f| PointsFault::Point(index, f));
+            } else {
+                self.skip_value(1)?;
+                fault.get_or_insert(PointsFault::Point(index, PointFault::NotObject));
+            }
+            more = self.next_or_close(b']')?;
+            index += 1;
+        }
+        Ok(fault)
+    }
+
+    /// One point object, fields in either order; `None` if it went into
+    /// `sink` whole.
+    fn point<S: PointSink>(&mut self, sink: &mut S) -> Result<Option<PointFault>, ParseError> {
+        let mut fields = PointFields::default();
+        let mut more = self.open(b'}');
+        while more {
+            self.skip_whitespace();
+            let key = self.string()?;
+            self.skip_whitespace();
+            self.consume(b':')?;
+            self.skip_whitespace();
+            let live = fields.clean();
+            match key.as_ref() {
+                METRICS if !fields.metrics.seen => {
+                    fields.metrics = self.elements(METRICS, live, sink)?;
+                }
+                ATTRIBUTES if !fields.attributes.seen => {
+                    fields.attributes = self.elements(ATTRIBUTES, live, sink)?;
+                }
+                METRICS | ATTRIBUTES => {
+                    fields
+                        .duplicate
+                        .get_or_insert(if key == METRICS { METRICS } else { ATTRIBUTES });
+                    self.skip_value(2)?;
+                }
+                _ => {
+                    if fields.unknown.is_none() {
+                        fields.unknown = Some(key.into_owned());
+                    }
+                    self.skip_value(2)?;
+                }
+            }
+            more = self.next_or_close(b'}')?;
+        }
+        let fault = fields.fault();
+        if fault.is_none() {
+            sink.end_point();
+        }
+        Ok(fault)
+    }
+
+    /// The `metrics` or `attributes` array of a point, its elements written
+    /// to `sink` while `live` and the array is sound.
+    fn elements<S: PointSink>(
+        &mut self,
+        key: &'static str,
+        live: bool,
+        sink: &mut S,
+    ) -> Result<Field, ParseError> {
+        let mut field = Field {
+            seen: true,
+            fault: None,
+        };
+        if self.peek() != Some(b'[') {
+            self.skip_value(2)?;
+            field.fault = Some(PointFault::NotArray(key));
+            return Ok(field);
+        }
+        let mut more = self.open(b']');
+        let mut index = 0;
+        while more {
+            self.skip_whitespace();
+            let write = live && field.fault.is_none();
+            let sound = match (key, self.peek()) {
+                (METRICS, Some(b'-' | b'0'..=b'9')) => {
+                    let value = self.number()?;
+                    if write {
+                        sink.metric(value);
+                    }
+                    true
+                }
+                (METRICS, Some(b'"')) => match non_finite(&self.string()?) {
+                    Some(value) => {
+                        if write {
+                            sink.metric(value);
+                        }
+                        true
+                    }
+                    None => false,
+                },
+                (_, Some(b'"')) => {
+                    let value = self.string()?;
+                    if write {
+                        sink.attribute(index, &value);
+                    }
+                    true
+                }
+                _ => {
+                    self.skip_value(3)?;
+                    false
+                }
+            };
+            if !sound && field.fault.is_none() {
+                field.fault = Some(PointFault::Element(key, index));
+            }
+            more = self.next_or_close(b']')?;
+            index += 1;
+        }
+        Ok(field)
+    }
+}
+
+/// A whole `points` document into `sink`.
+fn scan_points<S: PointSink>(text: &str, context: &str, sink: &mut S) -> Result<(), WireError> {
+    let mut scanner = Scanner::new(text);
+    scanner.skip_whitespace();
+    let scanned = scanner
+        .points(sink)
+        .and_then(|fault| scanner.finish().map(|()| fault));
+    match scanned {
+        Ok(None) => Ok(()),
+        Ok(Some(fault)) => Err(fault.at(context)),
+        Err(e) => Err(WireError::new(context, format!("malformed JSON: {e}"))),
+    }
+}
+
+/// A fresh input's columns and encoder as a sink; `finish` closes it.
+fn column_rows(input: &mut ColumnarInput) -> ColumnRows<'_> {
+    ColumnRows {
+        row_start: input.batch.metrics.len(),
+        batch: &mut input.batch,
+        encoder: &mut input.encoder,
+        first_dim: None,
+        ragged: None,
+    }
+}
+
+fn record_ingest(input: &mut ColumnarInput, timer: mb_obs::StageTimer) {
+    let rows = input.batch.len();
+    input
+        .trace
+        .finish_stage(timer, mb_obs::stage::INGEST, rows, rows, 1);
+}
+
+/// Decode a `points` array from JSON text: what `serde_json::from_str` then
+/// [`points_from_json`] return, without the `Value` tree — the same points,
+/// and the same [`WireError`] for a schema fault. A syntax error is a
+/// `WireError` at `context` reading `malformed JSON: ` and the parser's
+/// error. One intended difference: a point naming `metrics` or
+/// `attributes` twice is refused (`duplicate field`) where the `Value` map
+/// kept the last.
+pub fn points_from_str(text: &str, context: &str) -> Result<Vec<Point>, WireError> {
+    let mut rows = PointRows::default();
+    scan_points(text, context, &mut rows)?;
+    Ok(rows.points)
+}
+
+/// [`points_from_str`] straight into a fresh [`ColumnarInput`] — metrics
+/// into its flat buffer, attributes interned into its dictionary — with the
+/// scan recorded on its trace as the ingest stage. The outer error is a
+/// malformed array. The inner one is a well-formed array the one-shot
+/// engine cannot run (no rows, no metrics, ragged rows): the error a
+/// standalone one-shot query returns for it.
+pub fn points_into_columns(
+    text: &str,
+    context: &str,
+    input: &mut ColumnarInput,
+) -> Result<crate::Result<()>, WireError> {
+    let timer = input.trace.start();
+    let mut rows = column_rows(input);
+    scan_points(text, context, &mut rows)?;
+    let shape = rows.finish();
+    record_ingest(input, timer);
+    Ok(shape)
+}
+
+/// Reads a JSON object member by member, checking the whole text exactly as
+/// `serde_json::from_str` checks it (the same [`ParseError`]). Each value is
+/// either skipped, yielding its raw text, or — for a `points` array —
+/// decoded where it lies. A request line is read with this, so its `points`
+/// array is scanned once and no `Value` is built for it.
+pub struct ObjectReader<'a> {
+    scanner: Scanner<'a>,
+    /// Whether a member's value was read since the last key.
+    after_value: bool,
+    /// Whether another member follows.
+    more: bool,
+}
+
+impl<'a> ObjectReader<'a> {
+    /// A reader at the first member, or `None` (once the whole document
+    /// has been checked) if it is some other value than an object.
+    pub fn new(text: &'a str) -> Result<Option<Self>, ParseError> {
+        let mut scanner = Scanner::new(text);
+        scanner.skip_whitespace();
+        if scanner.peek() != Some(b'{') {
+            scanner.skip_value(0)?;
+            scanner.finish()?;
+            return Ok(None);
+        }
+        let more = scanner.open(b'}');
+        scanner.depth = 1;
+        Ok(Some(ObjectReader {
+            scanner,
+            after_value: false,
+            more,
+        }))
+    }
+
+    /// The next member's key, to be followed by reading its value; `None`
+    /// once the object, and the document, have ended.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        let scanner = &mut self.scanner;
+        if std::mem::take(&mut self.after_value) {
+            self.more = scanner.next_or_close(b'}')?;
+        }
+        if !self.more {
+            scanner.finish()?;
+            return Ok(None);
+        }
+        scanner.skip_whitespace();
+        let key = scanner.string()?;
+        scanner.skip_whitespace();
+        scanner.consume(b':')?;
+        scanner.skip_whitespace();
+        Ok(Some(key))
+    }
+
+    /// Skip the current member's value, returning its text.
+    pub fn value(&mut self) -> Result<&'a str, ParseError> {
+        let start = self.scanner.pos;
+        self.scanner.skip_value(0)?;
+        self.after_value = true;
+        self.scanner.slice(start)
+    }
+
+    /// Decode the current member's value as [`points_into_columns`] does,
+    /// returning its text and the decode's outcome. The outer error is a
+    /// syntax error in the document.
+    pub fn points_into_columns(
+        &mut self,
+        context: &str,
+        input: &mut ColumnarInput,
+    ) -> Result<(&'a str, Result<crate::Result<()>, WireError>), ParseError> {
+        let start = self.scanner.pos;
+        let timer = input.trace.start();
+        let mut rows = column_rows(input);
+        let fault = self.scanner.points(&mut rows)?;
+        let shape = rows.finish();
+        record_ingest(input, timer);
+        self.after_value = true;
+        let text = self.scanner.slice(start)?;
+        Ok((text, fault.map_or(Ok(shape), |fault| Err(fault.at(context)))))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1082,5 +1923,422 @@ mod tests {
         let err = report_from_str("{}").unwrap_err();
         assert!(err.field.starts_with("report."), "{err}");
         assert_eq!(err.message, "missing field");
+    }
+
+    // -----------------------------------------------------------------------
+    // The byte scanner against `serde_json::from_str` + the `Value` codecs.
+    // -----------------------------------------------------------------------
+
+    /// A small deterministic generator (xorshift64*), so every case is
+    /// reproducible from its seed.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn chance(&mut self, percent: usize) -> bool {
+            self.below(100) < percent
+        }
+
+        fn pick<'a>(&mut self, choices: &[&'a str]) -> &'a str {
+            choices[self.below(choices.len())]
+        }
+
+        fn ws(&mut self) -> &'static str {
+            self.pick(&["", "", "", " ", "\n", "\t\r ", "  "])
+        }
+    }
+
+    fn number_text(g: &mut Gen) -> String {
+        match g.below(4) {
+            0 => g
+                .pick(&[
+                    "0", "-0", "-0.0", "0.0", "1e3", "1E-2", "-12.5e+1", "2.5E+0",
+                    "9007199254740993", "-9007199254740993", "9223372036854775807",
+                    "9223372036854775808", "-9223372036854775809", "18446744073709551615",
+                    "18446744073709551616", "123456789012345678901234567890", "1e400",
+                    "-1e400", "4.9e-324", "1e-400", "\"Infinity\"", "\"-Infinity\"",
+                    "\"NaN\"", "\"\\u004eaN\"", "01", "-007", "1.", "1.e5", "-.5",
+                ])
+                .to_string(),
+            1 => format!("{}", g.next() as i64 >> g.below(64)),
+            2 => format!("{:e}", (g.next() % 1_000_000) as f64 / 977.0),
+            _ => format!("{}", (g.next() % 100_000_000) as f64 / 4_096.0 - 9_000.0),
+        }
+    }
+
+    fn attribute_text(g: &mut Gen) -> String {
+        if g.chance(70) {
+            return format!("\"v{}\"", g.below(6));
+        }
+        g.pick(&[
+            "\"\"", "\"b\\\"c\"", "\"\\u0041\"", "\"\\u00e9x\"", "\"é✓\"", "\"\\/\\b\\f\\n\\r\\t\"",
+            "\"a\\\\\"", "\"\\u+041\"",
+        ])
+        .to_string()
+    }
+
+    fn key_text(g: &mut Gen, key: &str) -> String {
+        if g.chance(90) {
+            return format!("\"{key}\"");
+        }
+        // The same key spelled through escapes.
+        let mut out = String::from("\"");
+        for c in key.chars() {
+            if g.chance(50) {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            } else {
+                out.push(c);
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// One generated `points` text, and whether some point names a field
+    /// twice (the one place the scanner may differ on purpose).
+    fn points_text(g: &mut Gen) -> (String, bool) {
+        if g.chance(2) {
+            return (g.pick(&["{}", "1", "null", "\"points\"", " true "]).to_string(), false);
+        }
+        let rows = g.below(6);
+        let dim = if g.chance(10) { g.below(3) } else { 2 };
+        let mut duplicate = false;
+        let mut points = Vec::new();
+        for _ in 0..rows {
+            if g.chance(2) {
+                points.push(g.pick(&["1", "[]", "null", "\"p\""]).to_string());
+                continue;
+            }
+            let dim = if g.chance(5) { dim + 1 } else { dim };
+            let metrics: Vec<String> = (0..dim)
+                .map(|_| {
+                    if g.chance(3) {
+                        g.pick(&["true", "null", "[1]", "{}", "\"x\"", "\"Infinityy\""])
+                            .to_string()
+                    } else {
+                        number_text(g)
+                    }
+                })
+                .collect();
+            let attributes: Vec<String> = (0..2)
+                .map(|_| {
+                    if g.chance(3) {
+                        g.pick(&["1", "null", "[]", "{\"a\":1}"]).to_string()
+                    } else {
+                        attribute_text(g)
+                    }
+                })
+                .collect();
+            let array = |g: &mut Gen, items: &[String]| {
+                let sep = format!(",{}", g.ws());
+                format!("[{}{}{}]", g.ws(), items.join(&sep), g.ws())
+            };
+            let metrics_value = if g.chance(2) {
+                "1".to_string()
+            } else {
+                array(g, &metrics)
+            };
+            let attributes_value = array(g, &attributes);
+            let mut members = vec![
+                (key_text(g, "metrics"), metrics_value),
+                (key_text(g, "attributes"), attributes_value),
+            ];
+            match g.below(40) {
+                0 => members.push(("\"metric\"".to_string(), "[]".to_string())),
+                1 => members.insert(0, ("\"x\"".to_string(), "{\"y\":[1]}".to_string())),
+                2 => {
+                    members.remove(g.below(2));
+                }
+                3 => {
+                    duplicate = true;
+                    let again = members[g.below(2)].clone();
+                    members.push(again);
+                }
+                _ => {}
+            }
+            if g.chance(50) {
+                members.reverse();
+            }
+            let body: Vec<String> = members
+                .into_iter()
+                .map(|(k, v)| format!("{k}{}:{}{v}", g.ws(), g.ws()))
+                .collect();
+            let sep = format!(",{}", g.ws());
+            points.push(format!("{{{}{}{}}}", g.ws(), body.join(&sep), g.ws()));
+        }
+        let sep = format!(",{}", g.ws());
+        (format!("{}[{}{}{}]{}", g.ws(), g.ws(), points.join(&sep), g.ws(), g.ws()), duplicate)
+    }
+
+    /// Replace, insert, or delete a few characters, favoring the ones JSON
+    /// syntax turns on.
+    fn mutate(g: &mut Gen, text: &str) -> String {
+        let mut chars: Vec<char> = text.chars().collect();
+        for _ in 0..1 + g.below(3) {
+            let at = g.below(chars.len() + 1);
+            let c = g
+                .pick(&["{", "}", "[", "]", "\"", ",", ":", "\\", " ", "-", ".", "0", "e", "t", "u", "é"])
+                .chars()
+                .next()
+                .unwrap();
+            match g.below(3) {
+                0 if at < chars.len() => chars[at] = c,
+                1 => chars.insert(at, c),
+                _ if at < chars.len() => {
+                    chars.remove(at);
+                }
+                _ => {}
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    fn oracle(text: &str) -> Result<Vec<Point>, WireError> {
+        let value = serde_json::from_str(text)
+            .map_err(|e| WireError::new("points", format!("malformed JSON: {e}")))?;
+        points_from_json(&value, "points")
+    }
+
+    /// Points compared by metric bits, so `NaN` equals itself.
+    type Exact<'a> = Result<Vec<(Vec<u64>, &'a [String])>, &'a WireError>;
+
+    fn exactly(decoded: &Result<Vec<Point>, WireError>) -> Exact<'_> {
+        decoded.as_ref().map(|points| {
+            points
+                .iter()
+                .map(|p| (p.metrics.iter().map(|m| m.to_bits()).collect(), p.attributes.as_slice()))
+                .collect()
+        })
+    }
+
+    fn metric_bits(points: &[Point]) -> Vec<u64> {
+        points
+            .iter()
+            .flat_map(|p| p.metrics.iter().map(|m| m.to_bits()))
+            .collect()
+    }
+
+    /// Both decoders over `text`: the row-form one must equal the oracle,
+    /// and the columnar one must hold the oracle's metric bits, the item
+    /// ids of a serial `encode_point` pass, and the row-form engine's shape
+    /// error.
+    fn check_against_oracle(text: &str, duplicate: bool) {
+        let expected = oracle(text);
+        let rows = points_from_str(text, "points");
+        let mut input = ColumnarInput::new(&AnalysisConfig::default());
+        let columns = points_into_columns(text, "points", &mut input);
+        if duplicate && rows.as_ref().is_err_and(|e| e.message == "duplicate field") {
+            assert!(columns.is_err(), "{text}");
+            return;
+        }
+        assert_eq!(exactly(&rows), exactly(&expected), "{text}");
+        let Ok(points) = expected else {
+            assert_eq!(columns.err(), rows.err(), "{text}");
+            return;
+        };
+        let shape = columns.unwrap_or_else(|e| panic!("{text}: {e}"));
+        let standalone = crate::executor::check_dimensions(&points);
+        assert_eq!(
+            shape.map_err(|e| e.to_string()),
+            standalone.as_ref().map(|_| ()).map_err(|e| e.to_string()),
+            "{text}"
+        );
+        let batch_bits: Vec<u64> = input.batch.metrics.iter().map(|m| m.to_bits()).collect();
+        assert_eq!(batch_bits, metric_bits(&points), "{text}");
+        let mut encoder = AttributeEncoder::new();
+        let items: Vec<Vec<Item>> = points
+            .iter()
+            .map(|p| encoder.encode_point(&p.attributes))
+            .collect();
+        assert_eq!(input.batch.items.to_rows(), items, "{text}");
+        assert_eq!(input.encoder.cardinality(), encoder.cardinality());
+        if let Ok(dim) = standalone {
+            assert_eq!(input.batch.dim, dim);
+        }
+    }
+
+    #[test]
+    fn scanner_decodes_generated_points_exactly_as_the_value_path() {
+        let mut g = Gen(0x5EED_0001);
+        for _ in 0..4_000 {
+            let (text, duplicate) = points_text(&mut g);
+            check_against_oracle(&text, duplicate);
+            let mutated = mutate(&mut g, &text);
+            check_against_oracle(&mutated, duplicate);
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_small_line_fails_as_the_value_path_does() {
+        let line = " [ {\"metrics\" : [1.5, -0, 1e3, \"NaN\"], \"attributes\":[\"a\\\"b\", \"\\u00e9\"]},\n\
+                    {\"attributes\":[\"c\",\"d\"],\"m\\u0065trics\":[-2.5E-3,18446744073709551616,\"-Infinity\",7]} ] ";
+        assert!(oracle(line).is_ok());
+        for end in (0..=line.len()).filter(|&end| line.is_char_boundary(end)) {
+            check_against_oracle(&line[..end], false);
+        }
+    }
+
+    #[test]
+    fn negative_zero_integers_and_huge_numbers_convert_as_the_value_path() {
+        let text = "[{\"metrics\":[-0,-0.0,9007199254740993,18446744073709551616,\
+                    -9223372036854775809,1e400],\"attributes\":[]}]";
+        let points = points_from_str(text, "points").unwrap();
+        let m = &points[0].metrics;
+        assert_eq!(m[0].to_bits(), 0.0f64.to_bits(), "-0 is an integer, so +0.0");
+        assert_eq!(m[1].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(m[2], 9_007_199_254_740_992.0);
+        assert_eq!(m[3], 18_446_744_073_709_551_616.0);
+        assert_eq!(m[4], -9_223_372_036_854_775_808.0);
+        assert_eq!(m[5], f64::INFINITY);
+        assert_eq!(exactly(&oracle(text)), exactly(&Ok(points)));
+    }
+
+    #[test]
+    fn duplicate_fields_are_refused_by_name() {
+        let err = points_from_str(
+            "[{\"metrics\":[1],\"attributes\":[],\"metrics\":[2]}]",
+            "points",
+        )
+        .unwrap_err();
+        assert_eq!(err, WireError::new("points[0].metrics", "duplicate field"));
+        // An unknown key still wins, as it does on the `Value` path.
+        let err = points_from_str(
+            "[{\"metrics\":[1],\"x\":0,\"metrics\":[2],\"attributes\":[]}]",
+            "points",
+        )
+        .unwrap_err();
+        assert_eq!(err, WireError::new("points[0].x", "unknown field"));
+    }
+
+    #[test]
+    fn the_number_scan_accepts_exactly_what_str_parse_does() {
+        // Every token over this alphabet up to five bytes long that starts
+        // the way the parser dispatches a number.
+        let alphabet = b"-05.eE+";
+        let mut tokens = vec![String::new()];
+        let mut all = Vec::new();
+        for _ in 0..5 {
+            let mut next = Vec::new();
+            for t in &tokens {
+                for &c in alphabet {
+                    let mut t = t.clone();
+                    t.push(c as char);
+                    next.push(t);
+                }
+            }
+            all.extend(next.iter().cloned());
+            tokens = next;
+        }
+        for token in all.iter().filter(|t| t.starts_with(['-', '0', '5'])) {
+            let mut parse = Scanner::new(token);
+            let parsed = parse.number().map(|_| parse.pos);
+            let mut skip = Scanner::new(token);
+            let skipped = skip.skip_number().map(|()| skip.pos);
+            assert_eq!(parsed, skipped, "{token:?}");
+        }
+    }
+
+    /// An object's members as the `Value` map keeps them — first-occurrence
+    /// order, last value — read with [`ObjectReader`]. `points` members are
+    /// decoded in place when `decode` is set, and their outcome must be what
+    /// decoding their text on its own gives.
+    fn object_members(text: &str, decode: bool) -> Result<Option<Vec<(String, &str)>>, ParseError> {
+        let Some(mut reader) = ObjectReader::new(text)? else {
+            return Ok(None);
+        };
+        let mut members: Vec<(String, &str)> = Vec::new();
+        while let Some(key) = reader.next_key()? {
+            let value = if decode && key == "points" {
+                let mut input = ColumnarInput::new(&AnalysisConfig::default());
+                let (value, outcome) = reader.points_into_columns("points", &mut input)?;
+                let mut alone = ColumnarInput::new(&AnalysisConfig::default());
+                let expected = points_into_columns(value, "points", &mut alone);
+                assert_eq!(
+                    outcome.map(|shape| shape.map_err(|e| e.to_string())),
+                    expected.map(|shape| shape.map_err(|e| e.to_string())),
+                    "{value}"
+                );
+                assert_eq!(input.batch.metrics.len(), alone.batch.metrics.len());
+                assert_eq!(input.batch.items, alone.batch.items);
+                value
+            } else {
+                reader.value()?
+            };
+            match members.iter_mut().find(|(k, _)| k.as_str() == key.as_ref()) {
+                Some(member) => member.1 = value,
+                None => members.push((key.into_owned(), value)),
+            }
+        }
+        Ok(Some(members))
+    }
+
+    #[test]
+    fn the_object_reader_splits_exactly_what_from_str_parses() {
+        let mut g = Gen(0x5EED_0002);
+        let mut lines = vec![
+            "{\"a\":1,\"b\":[2,{\"c\":null}],\"a\":\"x\"}".to_string(),
+            " {} ".to_string(),
+            "[1,2]".to_string(),
+            "{\"op\":\"submit\"} x".to_string(),
+        ];
+        for _ in 0..2_000 {
+            let (points, _) = points_text(&mut g);
+            let line = format!(
+                "{{{}\"op\"{}:\"submit\",{}\"analysis\":{{\"traced\":true}},\"p\\u006fints\":{points},\"id\":\"q\"}}",
+                g.ws(),
+                g.ws(),
+                g.ws()
+            );
+            lines.push(mutate(&mut g, &line));
+            lines.push(line);
+        }
+        for (n, line) in lines.iter().enumerate() {
+            let expected = serde_json::from_str(line);
+            let split = object_members(line, n % 2 == 0);
+            match (expected, split) {
+                (Err(e), got) => assert_eq!(got, Err(e), "{line}"),
+                (Ok(Value::Object(map)), Ok(Some(members))) => {
+                    let keys: Vec<&String> = map.iter().map(|(k, _)| k).collect();
+                    assert_eq!(keys, members.iter().map(|(k, _)| k).collect::<Vec<_>>());
+                    for (key, text) in members {
+                        assert_eq!(serde_json::from_str(text).as_ref(), Ok(map.get(&key).unwrap()));
+                    }
+                }
+                (Ok(Value::Object(_)), got) => panic!("{line}: {got:?}"),
+                (Ok(_), got) => assert_eq!(got, Ok(None), "{line}"),
+            }
+        }
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_and_deep_nesting_is_refused() {
+        let mut g = Gen(0x5EED_0003);
+        let pool = ["{", "}", "[", "]", "\"", ",", ":", "\\", "u", "0", "9", "-", "e", ".", " ", "t", "n", "é"];
+        for _ in 0..20_000 {
+            let text: String = (0..g.below(24)).map(|_| g.pick(&pool)).collect();
+            check_against_oracle(&text, false);
+            let _ = object_members(&text, true);
+        }
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        let err = object_members(&deep, false).unwrap_err();
+        assert_eq!(err.message, "recursion limit exceeded");
+        let deep_member = format!("{{\"points\":{deep}}}");
+        let err = object_members(&deep_member, true).unwrap_err();
+        assert_eq!(err.message, "recursion limit exceeded");
+        let err = points_from_str(&deep, "points").unwrap_err();
+        assert!(err.message.contains("recursion limit exceeded"), "{err}");
+        // Within the limit, nesting is an ordinary schema error.
+        let nested = format!("[{{\"metrics\":[{}1{}],\"attributes\":[]}}]", "[".repeat(100), "]".repeat(100));
+        check_against_oracle(&nested, false);
     }
 }

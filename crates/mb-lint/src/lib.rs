@@ -51,9 +51,11 @@ fn in_tests_or_benches(path: &str) -> bool {
 ///   (measures wall time by design), and `mb-serve` (scheduler timing).
 /// - `hashmap-order-hazard` covers only the output-bearing crates: core,
 ///   mb-explain, mb-fpgrowth, mb-sketch.
-/// - `no-unwrap-in-executors` pins the seven hot-path files: the three
-///   executor/server ones, the two every ingested byte goes through, and
-///   the two every served cache miss trains through (`ModelCache`, FastMCD).
+/// - `no-unwrap-in-executors` pins the ten hot-path files: the four
+///   executor/server ones (engines, server, scheduler), the four every
+///   ingested or served byte goes through (CSV, operators, both wire
+///   decoders), and the two every served cache miss trains through
+///   (`ModelCache`, FastMCD).
 /// - `unsafe-needs-safety-comment` applies everywhere, tests included.
 pub fn rules_for_path(path: &str) -> Vec<RuleId> {
     let mut rules = vec![RuleId::UnsafeNeedsSafetyComment];
@@ -82,9 +84,12 @@ pub fn rules_for_path(path: &str) -> Vec<RuleId> {
         "crates/core/src/executor.rs"
             | "crates/core/src/operator.rs"
             | "crates/core/src/streaming.rs"
+            | "crates/core/src/wire.rs"
             | "crates/mb-ingest/src/csv.rs"
             | "crates/mb-serve/src/cache.rs"
+            | "crates/mb-serve/src/scheduler.rs"
             | "crates/mb-serve/src/server.rs"
+            | "crates/mb-serve/src/wire.rs"
             | "crates/mb-stats/src/mcd.rs"
     ) {
         rules.push(RuleId::NoUnwrapInExecutors);
@@ -173,7 +178,11 @@ mod tests {
             .contains(&RuleId::NoUnwrapInExecutors));
         assert!(rules_for_path("crates/mb-stats/src/mcd.rs")
             .contains(&RuleId::NoUnwrapInExecutors));
-        assert!(!rules_for_path("crates/mb-serve/src/scheduler.rs")
+        assert!(rules_for_path("crates/mb-serve/src/scheduler.rs")
+            .contains(&RuleId::NoUnwrapInExecutors));
+        assert!(rules_for_path("crates/core/src/wire.rs")
+            .contains(&RuleId::NoUnwrapInExecutors));
+        assert!(rules_for_path("crates/mb-serve/src/wire.rs")
             .contains(&RuleId::NoUnwrapInExecutors));
         assert!(
             !rules_for_path("crates/mb-ingest/src/datasets.rs").contains(&RuleId::NoUnwrapInExecutors)

@@ -10,6 +10,7 @@
 //! deterministically), so equal fingerprints really do mean bit-identical
 //! models.
 
+use macrobase_core::operator::EncodedBatch;
 use macrobase_core::query::{AnalysisConfig, EstimatorKind};
 use macrobase_core::types::Point;
 
@@ -55,6 +56,33 @@ fn estimator_tag(kind: EstimatorKind) -> u64 {
 impl Fingerprint {
     /// Fingerprint a (config, training batch) pair.
     pub fn compute(analysis: &AnalysisConfig, points: &[Point]) -> Fingerprint {
+        let dim = points.first().map_or(0, |p| p.metrics.len());
+        Fingerprint::digest(analysis, points.len(), dim, |data| {
+            for point in points {
+                for &metric in &point.metrics {
+                    data.write_f64(metric);
+                }
+            }
+        })
+    }
+
+    /// [`compute`](Fingerprint::compute) over a batch in columns: its flat
+    /// metric buffer holds the same values in the same order, so the digest
+    /// is the same.
+    pub fn of_columns(analysis: &AnalysisConfig, batch: &EncodedBatch) -> Fingerprint {
+        Fingerprint::digest(analysis, batch.len(), batch.dim, |data| {
+            for &metric in &batch.metrics {
+                data.write_f64(metric);
+            }
+        })
+    }
+
+    fn digest(
+        analysis: &AnalysisConfig,
+        rows: usize,
+        dim: usize,
+        metrics: impl FnOnce(&mut Fnv),
+    ) -> Fingerprint {
         let mut config = Fnv::new();
         config.write_u64(estimator_tag(analysis.estimator));
         config.write_f64(analysis.target_percentile);
@@ -67,13 +95,9 @@ impl Fingerprint {
         }
 
         let mut data = Fnv::new();
-        data.write_u64(points.len() as u64);
-        data.write_u64(points.first().map_or(0, |p| p.metrics.len()) as u64);
-        for point in points {
-            for &metric in &point.metrics {
-                data.write_f64(metric);
-            }
-        }
+        data.write_u64(rows as u64);
+        data.write_u64(dim as u64);
+        metrics(&mut data);
         Fingerprint {
             config: config.0,
             data: data.0,
@@ -84,6 +108,7 @@ impl Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use macrobase_core::operator::ColumnarInput;
 
     fn points() -> Vec<Point> {
         (0..100)
@@ -132,5 +157,18 @@ mod tests {
         let mut relabeled = batch;
         relabeled[0].attributes[0] = "other".to_string();
         assert_eq!(Fingerprint::compute(&base, &relabeled), reference);
+    }
+
+    #[test]
+    fn columns_fingerprint_as_their_points_do() {
+        let analysis = AnalysisConfig::default();
+        let mut batch = points();
+        batch[3].metrics[0] = -0.0;
+        batch[4].metrics[0] = f64::NAN;
+        let columns = ColumnarInput::from_points(&analysis, &batch).unwrap();
+        assert_eq!(
+            Fingerprint::of_columns(&analysis, &columns.batch),
+            Fingerprint::compute(&analysis, &batch)
+        );
     }
 }

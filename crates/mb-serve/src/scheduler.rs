@@ -7,6 +7,7 @@
 //! control (how many queries run at once) independent of execution
 //! parallelism (how many cores each query uses).
 
+use crate::lock;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -121,7 +122,7 @@ impl Scheduler {
                 std::thread::Builder::new()
                     .name(format!("mb-serve-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    .expect("failed to spawn scheduler worker")
+                    .expect("failed to spawn scheduler worker") // mb-lint: allow(no-unwrap-in-executors) -- at startup, before any request: a server with no workers cannot serve
             })
             .collect();
         Scheduler {
@@ -139,7 +140,7 @@ impl Scheduler {
         priority: Priority,
         work: Box<dyn FnOnce() + Send>,
     ) -> Result<(), Saturated> {
-        let mut queues = self.shared.queues.lock().expect("scheduler poisoned");
+        let mut queues = lock(&self.shared.queues);
         let queued = queues.len();
         if queued >= self.limit {
             return Err(Saturated {
@@ -165,24 +166,19 @@ impl Scheduler {
     /// the job already started (or never existed) — the caller then handles
     /// running-job cancellation itself.
     pub fn cancel(&self, id: &str) -> bool {
-        self.shared
-            .queues
-            .lock()
-            .expect("scheduler poisoned")
-            .remove(id)
+        lock(&self.shared.queues).remove(id)
     }
 
     /// Number of jobs waiting for a worker (all classes).
     pub fn depth(&self) -> usize {
-        self.shared.queues.lock().expect("scheduler poisoned").len()
+        lock(&self.shared.queues).len()
     }
 }
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
         {
-            let mut queues = self.shared.queues.lock().expect("scheduler poisoned");
-            queues.shutdown = true;
+            lock(&self.shared.queues).shutdown = true;
         }
         self.shared.cond.notify_all();
         for handle in self.workers.drain(..) {
@@ -194,7 +190,7 @@ impl Drop for Scheduler {
 fn worker_loop(shared: &SchedulerShared) {
     loop {
         let job = {
-            let mut queues = shared.queues.lock().expect("scheduler poisoned");
+            let mut queues = lock(&shared.queues);
             loop {
                 if let Some(job) = queues.pop() {
                     break job;
@@ -202,10 +198,15 @@ fn worker_loop(shared: &SchedulerShared) {
                 if queues.shutdown {
                     return;
                 }
-                queues = shared.cond.wait(queues).expect("scheduler poisoned");
+                queues = shared
+                    .cond
+                    .wait(queues)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        (job.work)();
+        // The worker set is fixed: a job that panics must not take its
+        // worker with it. The job publishes its own failure as it unwinds.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job.work));
     }
 }
 
@@ -298,5 +299,49 @@ mod tests {
         gate_tx.send(()).unwrap();
         drop(scheduler); // joins workers, draining the queue
         assert_eq!(ran.load(Ordering::SeqCst), 2); // a + c, not b
+    }
+
+    #[test]
+    fn a_panicking_job_keeps_its_worker() {
+        let scheduler = Scheduler::start(2, 16);
+        let (done_tx, done_rx) = mpsc::channel();
+        scheduler
+            .submit("boom", Priority::High, Box::new(|| panic!("estimator blew up")))
+            .unwrap();
+        for n in 0..6 {
+            let done = done_tx.clone();
+            scheduler
+                .submit(&format!("j{n}"), Priority::Normal, Box::new(move || done.send(n).unwrap()))
+                .unwrap();
+        }
+        let mut ran: Vec<i32> = (0..6)
+            .map(|_| done_rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap())
+            .collect();
+        ran.sort_unstable();
+        assert_eq!(ran, [0, 1, 2, 3, 4, 5]);
+        while scheduler.depth() > 0 {
+            std::thread::yield_now();
+        }
+        // Both workers are still there: two gated jobs run at once.
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let gate_rx = Arc::new(Mutex::new(gate_rx));
+        let (started_tx, started_rx) = mpsc::channel();
+        for id in ["g0", "g1"] {
+            let (gate, started) = (Arc::clone(&gate_rx), started_tx.clone());
+            scheduler
+                .submit(
+                    id,
+                    Priority::Normal,
+                    Box::new(move || {
+                        started.send(()).unwrap();
+                        let _ = gate.lock().unwrap().recv();
+                    }),
+                )
+                .unwrap();
+        }
+        for _ in 0..2 {
+            started_rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
+        }
+        drop(gate_tx);
     }
 }

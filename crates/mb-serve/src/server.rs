@@ -12,6 +12,7 @@ use crate::cache::{CacheOutcome, ModelCache, ModelSnapshot};
 use crate::fingerprint::Fingerprint;
 use crate::lock;
 use crate::scheduler::{Priority, Saturated, Scheduler};
+use macrobase_core::operator::{ColumnarInput, EncodedBatch};
 use macrobase_core::query::{AnalysisConfig, Executor, MdpQuery, StreamingOptions};
 use macrobase_core::streaming::StreamingSession;
 use macrobase_core::types::{MdpReport, Point};
@@ -143,7 +144,17 @@ struct JobEntry {
     submitted: Instant,
     /// Cache provenance for retrains: the fingerprint plus what is needed
     /// to train its next epoch.
-    retrain_source: Option<(Fingerprint, AnalysisConfig, Arc<Vec<Point>>)>,
+    retrain_source: RetrainSource,
+}
+
+/// What a job runs over.
+pub(crate) enum JobInput {
+    /// A one-shot job's rows in columns, encoded against the query's
+    /// dictionary — or why they cannot be run, which fails the job with the
+    /// error the standalone query returns.
+    Columns(Result<Box<ColumnarInput>, String>),
+    /// Rows for the partitioned and streaming executors.
+    Points(Vec<Point>),
 }
 
 struct SessionEntry {
@@ -198,12 +209,32 @@ impl Server {
     /// Submit a batch query under a fresh id. One-shot executions go
     /// through the shared model cache (train once, score for every
     /// subscriber); partitioned and run-to-completion streaming executions
-    /// run the standalone engines unchanged.
+    /// run the standalone engines unchanged. A one-shot batch is flattened
+    /// and encoded here, on the caller's thread, into the columns the job
+    /// runs over — the form the wire front end decodes requests into.
     pub fn submit(
         &self,
         id: &str,
         spec: QuerySpec,
         points: Vec<Point>,
+        priority: Priority,
+    ) -> Result<(), ServeError> {
+        let input = match spec.executor {
+            Executor::OneShot => JobInput::Columns(
+                ColumnarInput::from_points(&spec.analysis, &points)
+                    .map(Box::new)
+                    .map_err(|e| e.to_string()),
+            ),
+            _ => JobInput::Points(points),
+        };
+        self.submit_input(id, spec, input, priority)
+    }
+
+    pub(crate) fn submit_input(
+        &self,
+        id: &str,
+        spec: QuerySpec,
+        input: JobInput,
         priority: Priority,
     ) -> Result<(), ServeError> {
         {
@@ -229,7 +260,7 @@ impl Server {
         }
         let inner = Arc::clone(&self.inner);
         let job_id = id.to_string();
-        let work = Box::new(move || run_job(&inner, &job_id, spec, points));
+        let work = Box::new(move || run_job(&inner, &job_id, spec, input));
         if let Err(saturated) = self.scheduler.submit(id, priority, work) {
             let mut jobs = lock(&self.inner.jobs);
             jobs.remove(id);
@@ -332,12 +363,12 @@ impl Server {
                 )
             })?
         };
-        let (fingerprint, analysis, points) = source;
+        let (fingerprint, analysis, batch) = source;
         let inner = Arc::clone(&self.inner);
         let work = Box::new(move || {
             let query = MdpQuery::new(analysis);
             let outcome = inner.cache.retrain(fingerprint, || {
-                query.train(&points).map_err(|e| e.to_string())
+                query.train_columns(&batch).map_err(|e| e.to_string())
             });
             if outcome.is_ok() {
                 inner.count("model_trainings");
@@ -474,7 +505,7 @@ fn build_session(
 }
 
 /// Execute one job on a worker thread and publish its terminal status.
-fn run_job(inner: &Inner, id: &str, spec: QuerySpec, points: Vec<Point>) {
+fn run_job(inner: &Inner, id: &str, spec: QuerySpec, input: JobInput) {
     // Claim the job; a close() racing ahead of the worker wins.
     {
         let mut jobs = lock(&inner.jobs);
@@ -494,52 +525,72 @@ fn run_job(inner: &Inner, id: &str, spec: QuerySpec, points: Vec<Point>) {
         inner.jobs_cond.notify_all();
     }
 
+    let mut publish = Publish {
+        inner,
+        id,
+        outcome: Err("job panicked".to_string()),
+        retrain_source: None,
+    };
     let exec_start = Instant::now();
-    let (outcome, retrain_source) = execute_job(inner, spec, points);
+    (publish.outcome, publish.retrain_source) = execute_job(inner, spec, input);
     inner.record_ns(
         "exec_ns",
         u64::try_from(exec_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
     );
-
-    let mut jobs = lock(&inner.jobs);
-    let Some(entry) = jobs.get_mut(id) else {
-        return;
-    };
-    if entry.cancel_requested {
-        // Closed while running: the result is discarded, as promised.
-        entry.status = JobStatus::Cancelled;
-    } else {
-        entry.retrain_source = retrain_source;
-        entry.status = match outcome {
-            Ok(result) => {
-                inner.count("jobs_completed");
-                JobStatus::Done(Box::new(result))
-            }
-            Err(message) => {
-                inner.count("jobs_failed");
-                JobStatus::Failed(message)
-            }
-        };
-    }
-    drop(jobs);
-    inner.jobs_cond.notify_all();
 }
 
-type RetrainSource = Option<(Fingerprint, AnalysisConfig, Arc<Vec<Point>>)>;
+/// A running job's obligation to its pollers: whatever `outcome` holds when
+/// this drops becomes the job's terminal status, and pollers are woken. It
+/// starts as `Failed("job panicked")`, so a job that unwinds still ends
+/// instead of staying `Running` until every poll times out.
+struct Publish<'a> {
+    inner: &'a Inner,
+    id: &'a str,
+    outcome: Result<JobResult, String>,
+    retrain_source: RetrainSource,
+}
+
+impl Drop for Publish<'_> {
+    fn drop(&mut self) {
+        let mut jobs = lock(&self.inner.jobs);
+        let Some(entry) = jobs.get_mut(self.id) else {
+            return;
+        };
+        if entry.cancel_requested {
+            // Closed while running: the result is discarded, as promised.
+            entry.status = JobStatus::Cancelled;
+        } else {
+            entry.retrain_source = self.retrain_source.take();
+            entry.status = match std::mem::replace(&mut self.outcome, Err(String::new())) {
+                Ok(result) => {
+                    self.inner.count("jobs_completed");
+                    JobStatus::Done(Box::new(result))
+                }
+                Err(message) => {
+                    self.inner.count("jobs_failed");
+                    JobStatus::Failed(message)
+                }
+            };
+        }
+        drop(jobs);
+        self.inner.jobs_cond.notify_all();
+    }
+}
+
+type RetrainSource = Option<(Fingerprint, AnalysisConfig, Arc<EncodedBatch>)>;
 
 fn execute_job(
     inner: &Inner,
     spec: QuerySpec,
-    points: Vec<Point>,
+    input: JobInput,
 ) -> (Result<JobResult, String>, RetrainSource) {
-    match spec.executor {
-        Executor::OneShot => {
-            let fingerprint = Fingerprint::compute(&spec.analysis, &points);
-            let points = Arc::new(points);
+    match input {
+        JobInput::Columns(Err(message)) => (Err(message), None),
+        JobInput::Columns(Ok(mut input)) => {
+            let fingerprint = Fingerprint::of_columns(&spec.analysis, &input.batch);
             let query = MdpQuery::new(spec.analysis.clone());
-            let train_points = Arc::clone(&points);
             let cached = inner.cache.get_or_train(fingerprint, || {
-                query.train(&train_points).map_err(|e| e.to_string())
+                query.train_columns(&input.batch).map_err(|e| e.to_string())
             });
             let (snapshot, outcome) = match cached {
                 Ok(hit) => hit,
@@ -557,7 +608,7 @@ fn execute_job(
                 CacheOutcome::Hit => inner.count("cache_hits"),
             }
             let result = query
-                .execute_with_model(&snapshot.model, &points)
+                .execute_columns_with_model(&snapshot.model, &mut input)
                 .map(|report| JobResult {
                     report,
                     model_epoch: Some(snapshot.epoch),
@@ -566,13 +617,13 @@ fn execute_job(
                 .map_err(|e| e.to_string());
             (
                 result,
-                Some((fingerprint, spec.analysis, points)),
+                Some((fingerprint, spec.analysis, Arc::new(input.batch))),
             )
         }
-        executor => {
+        JobInput::Points(points) => {
             let mut query = MdpQuery::new(spec.analysis);
             let result = query
-                .execute(&executor, &points)
+                .execute(&spec.executor, &points)
                 .map(|report| JobResult {
                     report,
                     model_epoch: None,
@@ -581,5 +632,47 @@ fn execute_job(
                 .map_err(|e| e.to_string());
             (result, None)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_job_that_unwinds_fails_and_wakes_its_poller() {
+        let server = Arc::new(Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        }));
+        lock(&server.inner.jobs).insert(
+            "j".to_string(),
+            JobEntry {
+                status: JobStatus::Running,
+                cancel_requested: false,
+                submitted: Instant::now(),
+                retrain_source: None,
+            },
+        );
+        let poller = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.poll("j", Some(Duration::from_secs(60))))
+        };
+        let inner = Arc::clone(&server.inner);
+        let worker = std::thread::spawn(move || {
+            let _publish = Publish {
+                inner: &inner,
+                id: "j",
+                outcome: Err("job panicked".to_string()),
+                retrain_source: None,
+            };
+            panic!("estimator blew up");
+        });
+        assert!(worker.join().is_err());
+        // Whether the poller parked before or after the unwind, it comes back
+        // with the failure, not `Running` at its timeout.
+        let status = poller.join().unwrap().unwrap();
+        assert!(matches!(status, JobStatus::Failed(ref m) if m == "job panicked"), "{status:?}");
+        assert_eq!(server.stats().counter("jobs_failed"), 1);
     }
 }

@@ -8,16 +8,27 @@
 //! standalone run. Unknown ops *and unknown top-level keys* are typed
 //! errors: a misspelled field never silently falls back to a default.
 //!
+//! A line is read member by member by the `core::wire` byte scanner, which
+//! checks the whole line as the JSON parser would. The small members (`op`,
+//! `id`, `priority`, `analysis`, `executor`, `wait_ms`) are parsed into
+//! `Value`s; the `points` array never is. A one-shot submission's array is
+//! decoded straight into the columns its job runs over, interned into the
+//! query's dictionary — during that same read when the members before it
+//! already settle the query (the usual key order), otherwise from its text
+//! once `analysis` and `executor` are known.
+//!
 //! Responses always carry `"ok"`. Failures look like
 //! `{"ok":false,"error":{"kind":...,"message":...}}`; the kinds are
 //! `malformed`, `protocol`, `unknown_op`, `saturated`, `duplicate_id`,
 //! `unknown_id`, `bad_request`, and `query`.
 
 use crate::scheduler::Priority;
-use crate::server::{Closed, JobStatus, QuerySpec, ServeError, Server};
-use macrobase_core::query::Executor;
+use crate::server::{Closed, JobInput, JobStatus, QuerySpec, ServeError, Server};
+use macrobase_core::operator::ColumnarInput;
+use macrobase_core::query::{AnalysisConfig, Executor};
 use macrobase_core::wire::{
-    analysis_from_json, executor_from_json, points_from_json, report_to_json,
+    analysis_from_json, executor_from_json, points_from_str, points_into_columns, report_to_json,
+    ObjectReader, WireError,
 };
 use serde_json::{Map, Value};
 use std::io::{BufRead, Write};
@@ -53,8 +64,97 @@ fn ok_response(op: &str, id: Option<&str>) -> Map {
     map
 }
 
-fn check_keys(map: &Map, allowed: &[&str]) -> Result<(), Value> {
-    for (key, _) in map.iter() {
+/// What decoding a `points` array into columns gave: the input, and the
+/// decode's outcome (see `points_into_columns`).
+type Decoded = (ColumnarInput, Result<macrobase_core::Result<()>, WireError>);
+
+/// A request line split into its members, each kept as raw text until a
+/// handler asks for it — except a one-shot submission's `points`, which are
+/// decoded into columns as the line is read when they can be.
+struct Request<'a> {
+    members: Vec<(String, &'a str)>,
+    columns: Option<Decoded>,
+}
+
+impl<'a> Request<'a> {
+    /// Read a line; `None` if it is some other JSON value than an object.
+    fn read(line: &'a str) -> Result<Option<Request<'a>>, serde_json::ParseError> {
+        let Some(mut reader) = ObjectReader::new(line)? else {
+            return Ok(None);
+        };
+        let mut request = Request {
+            members: Vec::new(),
+            columns: None,
+        };
+        while let Some(key) = reader.next_key()? {
+            let text = match key.as_ref() {
+                "points" => match request.one_shot_input() {
+                    Some(mut input) => {
+                        let (text, outcome) = reader.points_into_columns("points", &mut input)?;
+                        request.columns = Some((input, outcome));
+                        text
+                    }
+                    None => {
+                        request.columns = None;
+                        reader.value()?
+                    }
+                },
+                // These decide where the points go: seen after them, they
+                // void the decode.
+                "op" | "analysis" | "executor" => {
+                    request.columns = None;
+                    reader.value()?
+                }
+                _ => reader.value()?,
+            };
+            match request.members.iter_mut().find(|(k, _)| k.as_str() == key.as_ref()) {
+                Some(member) => member.1 = text,
+                None => request.members.push((key.into_owned(), text)),
+            }
+        }
+        Ok(Some(request))
+    }
+
+    /// The input a one-shot submission's points are decoded into, if the
+    /// members read so far make this one: op `submit`, a valid analysis (or
+    /// none), and a one-shot executor (or none yet).
+    fn one_shot_input(&self) -> Option<ColumnarInput> {
+        if self.get("op").ok()??.as_str() != Some("submit") {
+            return None;
+        }
+        if let Some(executor) = self.get("executor").ok()? {
+            if executor_from_json(&executor, "executor").ok()? != Executor::OneShot {
+                return None;
+            }
+        }
+        let analysis = match self.get("analysis").ok()? {
+            Some(analysis) => analysis_from_json(&analysis, "analysis").ok()?,
+            None => AnalysisConfig::default(),
+        };
+        Some(ColumnarInput::new(&analysis))
+    }
+
+    fn raw(&self, key: &str) -> Option<&'a str> {
+        self.members
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|&(_, text)| text)
+    }
+
+    /// A small member as a `Value`, through the same parser as ever. Its
+    /// text was checked when the line was split, so this does not fail.
+    fn get(&self, key: &str) -> Result<Option<Value>, Value> {
+        self.raw(key)
+            .map(|text| {
+                serde_json::from_str(text)
+                    .map_err(|e| error_response("malformed", format!("malformed JSON: {e}")))
+            })
+            .transpose()
+    }
+}
+
+fn check_keys(request: &Request<'_>, allowed: &[&str]) -> Result<(), Value> {
+    for (key, _) in &request.members {
         if !allowed.contains(&key.as_str()) {
             return Err(error_response(
                 "protocol",
@@ -65,12 +165,16 @@ fn check_keys(map: &Map, allowed: &[&str]) -> Result<(), Value> {
     Ok(())
 }
 
-fn required_id(map: &Map) -> Result<String, Value> {
-    match map.get("id") {
-        Some(Value::String(id)) => Ok(id.clone()),
+fn required_id(request: &Request<'_>) -> Result<String, Value> {
+    match request.get("id")? {
+        Some(Value::String(id)) => Ok(id),
         Some(_) => Err(error_response("protocol", "id must be a string")),
         None => Err(error_response("protocol", "missing field id")),
     }
+}
+
+fn protocol_error(e: impl std::fmt::Display) -> Value {
+    error_response("protocol", e.to_string())
 }
 
 /// Handle one request line, returning the response line (no trailing
@@ -81,25 +185,24 @@ pub fn handle_line(server: &Server, line: &str) -> String {
 }
 
 fn handle_value(server: &Server, line: &str) -> Value {
-    let value: Value = match serde_json::from_str(line) {
-        Ok(value) => value,
+    let mut request = match Request::read(line) {
+        Ok(Some(request)) => request,
+        Ok(None) => return error_response("malformed", "request must be a JSON object"),
         Err(e) => return error_response("malformed", format!("malformed JSON: {e}")),
     };
-    let Some(map) = value.as_object() else {
-        return error_response("malformed", "request must be a JSON object");
-    };
-    let op = match map.get("op") {
-        Some(Value::String(op)) => op.clone(),
-        Some(_) => return error_response("protocol", "op must be a string"),
-        None => return error_response("protocol", "missing field op"),
+    let op = match request.get("op") {
+        Ok(Some(Value::String(op))) => op,
+        Ok(Some(_)) => return error_response("protocol", "op must be a string"),
+        Ok(None) => return error_response("protocol", "missing field op"),
+        Err(response) => return response,
     };
     let result = match op.as_str() {
-        "submit" => handle_submit(server, map),
-        "poll" => handle_poll(server, map),
-        "feed" => handle_feed(server, map),
-        "close" => handle_close(server, map),
-        "retrain" => handle_retrain(server, map),
-        "stats" => handle_stats(server, map),
+        "submit" => handle_submit(server, &mut request),
+        "poll" => handle_poll(server, &request),
+        "feed" => handle_feed(server, &request),
+        "close" => handle_close(server, &request),
+        "retrain" => handle_retrain(server, &request),
+        "stats" => handle_stats(server, &request),
         _ => Err(error_response(
             "unknown_op",
             format!("unknown op {op:?}; expected submit, poll, feed, close, retrain, or stats"),
@@ -110,10 +213,10 @@ fn handle_value(server: &Server, line: &str) -> Value {
     }
 }
 
-fn handle_submit(server: &Server, map: &Map) -> Result<Value, Value> {
-    check_keys(map, &["op", "id", "priority", "analysis", "executor", "points"])?;
-    let id = required_id(map)?;
-    let priority = match map.get("priority") {
+fn handle_submit(server: &Server, request: &mut Request<'_>) -> Result<Value, Value> {
+    check_keys(request, &["op", "id", "priority", "analysis", "executor", "points"])?;
+    let id = required_id(request)?;
+    let priority = match request.get("priority")? {
         None => Priority::Normal,
         Some(v) => {
             let name = v
@@ -124,28 +227,37 @@ fn handle_submit(server: &Server, map: &Map) -> Result<Value, Value> {
             })?
         }
     };
-    let analysis = match map.get("analysis") {
-        Some(v) => analysis_from_json(v, "analysis")
-            .map_err(|e| error_response("protocol", e.to_string()))?,
+    let analysis = match request.get("analysis")? {
+        Some(v) => analysis_from_json(&v, "analysis").map_err(protocol_error)?,
         None => Default::default(),
     };
-    let executor = match map.get("executor") {
-        Some(v) => executor_from_json(v, "executor")
-            .map_err(|e| error_response("protocol", e.to_string()))?,
+    let executor = match request.get("executor")? {
+        Some(v) => executor_from_json(&v, "executor").map_err(protocol_error)?,
         None => Executor::OneShot,
     };
     let spec = QuerySpec { analysis, executor };
 
     // A streaming executor with no inline points opens a session to feed;
-    // everything else is a batch job over the supplied points.
-    let points = match map.get("points") {
-        Some(v) => Some(
-            points_from_json(v, "points")
-                .map_err(|e| error_response("protocol", e.to_string()))?,
-        ),
+    // everything else is a batch job over the supplied points — in columns
+    // for one-shot, as rows for the other executors.
+    let input = match request.raw("points") {
+        Some(text) if spec.executor == Executor::OneShot => {
+            let (columns, outcome) = request.columns.take().unwrap_or_else(|| {
+                let mut columns = ColumnarInput::new(&spec.analysis);
+                let outcome = points_into_columns(text, "points", &mut columns);
+                (columns, outcome)
+            });
+            let shape = outcome.map_err(protocol_error)?;
+            Some(JobInput::Columns(
+                shape.map(|()| Box::new(columns)).map_err(|e| e.to_string()),
+            ))
+        }
+        Some(text) => Some(JobInput::Points(
+            points_from_str(text, "points").map_err(protocol_error)?,
+        )),
         None => None,
     };
-    match points {
+    match input {
         None => {
             if !matches!(spec.executor, Executor::Streaming { .. }) {
                 return Err(error_response(
@@ -160,9 +272,9 @@ fn handle_submit(server: &Server, map: &Map) -> Result<Value, Value> {
             response.insert("state".to_string(), Value::String("session".to_string()));
             Ok(Value::Object(response))
         }
-        Some(points) => {
+        Some(input) => {
             server
-                .submit(&id, spec, points, priority)
+                .submit_input(&id, spec, input, priority)
                 .map_err(serve_error_response)?;
             let mut response = ok_response("submit", Some(&id));
             response.insert("state".to_string(), Value::String("queued".to_string()));
@@ -171,10 +283,10 @@ fn handle_submit(server: &Server, map: &Map) -> Result<Value, Value> {
     }
 }
 
-fn handle_poll(server: &Server, map: &Map) -> Result<Value, Value> {
-    check_keys(map, &["op", "id", "wait_ms"])?;
-    let id = required_id(map)?;
-    let wait = match map.get("wait_ms") {
+fn handle_poll(server: &Server, request: &Request<'_>) -> Result<Value, Value> {
+    check_keys(request, &["op", "id", "wait_ms"])?;
+    let id = required_id(request)?;
+    let wait = match request.get("wait_ms")? {
         None => None,
         Some(v) => {
             let ms = v
@@ -244,15 +356,16 @@ fn handle_poll(server: &Server, map: &Map) -> Result<Value, Value> {
     }
 }
 
-fn handle_feed(server: &Server, map: &Map) -> Result<Value, Value> {
-    check_keys(map, &["op", "id", "points"])?;
-    let id = required_id(map)?;
-    let points = points_from_json(
-        map.get("points")
+fn handle_feed(server: &Server, request: &Request<'_>) -> Result<Value, Value> {
+    check_keys(request, &["op", "id", "points"])?;
+    let id = required_id(request)?;
+    let points = points_from_str(
+        request
+            .raw("points")
             .ok_or_else(|| error_response("protocol", "missing field points"))?,
         "points",
     )
-    .map_err(|e| error_response("protocol", e.to_string()))?;
+    .map_err(protocol_error)?;
     let summary = server
         .feed(&id, &points)
         .map_err(serve_error_response)?;
@@ -267,9 +380,9 @@ fn handle_feed(server: &Server, map: &Map) -> Result<Value, Value> {
     Ok(Value::Object(response))
 }
 
-fn handle_close(server: &Server, map: &Map) -> Result<Value, Value> {
-    check_keys(map, &["op", "id"])?;
-    let id = required_id(map)?;
+fn handle_close(server: &Server, request: &Request<'_>) -> Result<Value, Value> {
+    check_keys(request, &["op", "id"])?;
+    let id = required_id(request)?;
     let closed = server.close(&id).map_err(serve_error_response)?;
     let mut response = ok_response("close", Some(&id));
     response.insert(
@@ -285,15 +398,15 @@ fn handle_close(server: &Server, map: &Map) -> Result<Value, Value> {
     Ok(Value::Object(response))
 }
 
-fn handle_retrain(server: &Server, map: &Map) -> Result<Value, Value> {
-    check_keys(map, &["op", "id"])?;
-    let id = required_id(map)?;
+fn handle_retrain(server: &Server, request: &Request<'_>) -> Result<Value, Value> {
+    check_keys(request, &["op", "id"])?;
+    let id = required_id(request)?;
     server.retrain(&id).map_err(serve_error_response)?;
     Ok(Value::Object(ok_response("retrain", Some(&id))))
 }
 
-fn handle_stats(server: &Server, map: &Map) -> Result<Value, Value> {
-    check_keys(map, &["op"])?;
+fn handle_stats(server: &Server, request: &Request<'_>) -> Result<Value, Value> {
+    check_keys(request, &["op"])?;
     let registry = server.stats();
     let mut counters = Map::new();
     for (name, value) in registry.counter_entries() {

@@ -252,3 +252,155 @@ fn serve_loop_answers_line_by_line_until_eof() {
     let err: Value = serde_json::from_str(lines[1]).unwrap();
     assert_eq!(error_kind(&err), "unknown_id");
 }
+
+/// Poll a job to its terminal state and return `(state, message)`.
+fn finished(server: &Server, id: &str) -> (String, Option<String>) {
+    let response = request(server, &format!(r#"{{"op":"poll","id":"{id}","wait_ms":120000}}"#));
+    assert_ok(&response);
+    (
+        get_str(&response, "state").unwrap().to_string(),
+        get_str(&response, "message").map(str::to_string),
+    )
+}
+
+#[test]
+fn unusable_batches_fail_the_job_with_the_standalone_error() {
+    let server = Server::start(ServeConfig::default());
+    let point = |metrics: &str| format!(r#"{{"metrics":[{metrics}],"attributes":["a"]}}"#);
+    let cases = [
+        ("empty", String::new(), Vec::new()),
+        ("zero_metric", point(""), vec![Point::new(vec![], vec!["a".into()])]),
+        (
+            "ragged",
+            format!("{},{},{}", point("1.0"), point("2.0"), point("3.0, 4.0")),
+            vec![
+                Point::simple(1.0, "a"),
+                Point::simple(2.0, "a"),
+                Point::new(vec![3.0, 4.0], vec!["a".into()]),
+            ],
+        ),
+    ];
+    for (id, points, standalone) in cases {
+        for executor in [r#"{"mode":"one_shot"}"#, r#"{"mode":"coordinated","partitions":2}"#] {
+            let submit = format!(
+                r#"{{"op":"submit","id":"{id}","executor":{executor},"points":[{points}]}}"#
+            );
+            assert_eq!(get_str(assert_ok(&request(&server, &submit)), "state"), Some("queued"));
+            let expected = MdpQuery::with_defaults()
+                .execute(&Executor::OneShot, &standalone)
+                .unwrap_err()
+                .to_string();
+            assert_eq!(
+                finished(&server, id),
+                ("failed".to_string(), Some(expected)),
+                "{id} on {executor}"
+            );
+            assert_ok(&request(&server, &format!(r#"{{"op":"close","id":"{id}"}}"#)));
+        }
+    }
+    // The server still serves a good batch afterwards.
+    let submit = format!(
+        r#"{{"op":"submit","id":"good","points":{}}}"#,
+        points_to_json(&corpus())
+    );
+    assert_ok(&request(&server, &submit));
+    assert_eq!(finished(&server, "good").0, "done");
+}
+
+#[test]
+fn a_traced_served_report_accounts_for_its_decode() {
+    let server = Server::start(ServeConfig::default());
+    let submit = format!(
+        r#"{{"op":"submit","id":"t","points":{},"analysis":{{"traced":true}}}}"#,
+        points_to_json(&corpus())
+    );
+    assert_ok(&request(&server, &submit));
+    let response = request(&server, r#"{"op":"poll","id":"t","wait_ms":120000}"#);
+    let report = macrobase_core::wire::report_from_json(get(&response, "report").unwrap()).unwrap();
+    let trace = report.trace.expect("a traced query carries its trace");
+    let stages: Vec<&str> = trace.stages.iter().map(|s| s.stage.as_str()).collect();
+    for stage in &stages {
+        assert!(mb_obs::stage::ALL.contains(stage), "{stage} is not a pipeline stage: {stages:?}");
+    }
+    assert_eq!(stages.first(), Some(&mb_obs::stage::INGEST), "{stages:?}");
+    assert_eq!(trace.stage(mb_obs::stage::INGEST).unwrap().rows_in, 3_000);
+}
+
+/// A tiny deterministic generator (xorshift64*).
+struct Gen(u64);
+
+impl Gen {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n as u64) as usize
+    }
+}
+
+#[test]
+fn mangled_points_get_the_value_decoders_answer_and_the_server_lives() {
+    let server = Server::start(ServeConfig {
+        max_queue: 100_000,
+        ..ServeConfig::default()
+    });
+    let clean = r#"[{"metrics":[1.5,-0,"NaN"],"attributes":["a\"b","é"]},{"attributes":["c","d"],"metrics":[2,1e3,"-Infinity"]}]"#;
+    let pool: Vec<char> = "{}[]\",:\\ -.0eutn1é".chars().collect();
+    let mut g = Gen(0x5EED_0004);
+    for n in 0..3_000 {
+        let mut chars: Vec<char> = clean.chars().collect();
+        for _ in 0..1 + g.below(3) {
+            let at = g.below(chars.len() + 1);
+            let c = pool[g.below(pool.len())];
+            match g.below(3) {
+                0 if at < chars.len() => chars[at] = c,
+                1 => chars.insert(at, c),
+                _ if at < chars.len() => {
+                    chars.remove(at);
+                }
+                _ => {}
+            }
+        }
+        let points: String = chars.into_iter().collect();
+        for executor in ["one_shot", "naive"] {
+            // Points last are decoded as the line is read; points first,
+            // from their text once the rest is known.
+            let line = if n % 2 == 0 {
+                format!(
+                    r#"{{"op":"submit","id":"m{n}{executor}","executor":{{"mode":"{executor}"}},"points":{points}}}"#
+                )
+            } else {
+                format!(
+                    r#"{{"points":{points},"executor":{{"mode":"{executor}"}},"id":"m{n}{executor}","op":"submit"}}"#
+                )
+            };
+            let expected = match serde_json::from_str(&line) {
+                Err(e) => ("malformed".to_string(), format!("malformed JSON: {e}")),
+                Ok(value) => match macrobase_core::wire::points_from_json(
+                    get(&value, "points").unwrap(),
+                    "points",
+                ) {
+                    Err(e) => ("protocol".to_string(), e.to_string()),
+                    Ok(_) => ("queued".to_string(), String::new()),
+                },
+            };
+            let response = request(&server, &line);
+            let got = match get_str(&response, "state") {
+                Some(state) => (state.to_string(), String::new()),
+                None => (
+                    error_kind(&response),
+                    get_str(get(&response, "error").unwrap(), "message").unwrap().to_string(),
+                ),
+            };
+            assert_eq!(got, expected, "{line}");
+        }
+    }
+    // Nesting deep enough to overflow a recursive parser is refused, typed.
+    for deep in [
+        format!(r#"{{"op":"submit","id":"d","points":{}}}"#, "[".repeat(1_000_000)),
+        format!(r#"{{"op":"submit","id":"d","analysis":{}}}"#, "[".repeat(1_000_000)),
+    ] {
+        assert_eq!(error_kind(&request(&server, &deep)), "malformed");
+    }
+    assert_ok(&request(&server, r#"{"op":"stats"}"#));
+}

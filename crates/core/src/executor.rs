@@ -581,8 +581,7 @@ pub(crate) fn execute_one_shot_with_model(
         Vec::new()
     } else {
         let timer = trace.start();
-        let explanations =
-            explain_encoded(parts.analysis, encoder, &batch.items, &classifications);
+        let explanations = explain_encoded(parts.analysis, encoder, &batch.items, &classifications);
         trace.finish_stage(timer, stage::EXPLAIN, rows, explanations.len(), 1);
         explanations
     };
@@ -634,32 +633,27 @@ fn explain_encoded(
         .collect()
 }
 
-/// The one-shot engine over a pre-encoded columnar batch: contiguous
+/// The one-shot engine over a pre-encoded columnar input: contiguous
 /// row-major metrics plus the [`ItemBatch`] an ingestor produced against
-/// `encoder`. This is the zero-rematerialization fast path of
+/// the input's encoder. This is the zero-rematerialization fast path of
 /// [`MdpQuery::execute_ingest`](crate::query::MdpQuery::execute_ingest) —
 /// no `Point`s are ever built, yet the report is exactly what
 /// materializing the source and running [`execute_one_shot`] produces
-/// (same ids, same scores, same thresholds). `pool_before` is the pool
-/// snapshot from before ingestion, which may itself have run on the pool.
+/// (same ids, same scores, same thresholds). The input's trace and pool
+/// snapshot date from before ingestion, which may itself have run on the
+/// pool.
 pub(crate) fn execute_one_shot_encoded(
     parts: QueryParts<'_>,
-    flat: &[f64],
-    dim: usize,
-    items: &ItemBatch,
-    encoder: &AttributeEncoder,
-    mut trace: TraceBuilder,
-    pool_before: Option<mb_pool::WorkerStats>,
+    input: ColumnarInput,
 ) -> Result<MdpReport> {
-    if items.is_empty() {
-        return Err(PipelineError::EmptyInput);
-    }
-    if dim == 0 {
-        return Err(PipelineError::InvalidConfiguration(
-            "points must have at least one metric".to_string(),
-        ));
-    }
-    debug_assert_eq!(flat.len(), items.len() * dim);
+    let ColumnarInput {
+        batch,
+        encoder,
+        mut trace,
+        pool_before,
+    } = input;
+    check_columns(&batch)?;
+    let (flat, dim, items) = (batch.metrics.as_slice(), batch.dim, &batch.items);
     let mut classifier =
         MdpClassifier::with_rule(parts.analysis, parts.rule.cloned(), parts.unsupervised);
     let classifications = classifier.classify_flat_traced(flat, dim, &mut trace)?;
@@ -672,7 +666,7 @@ pub(crate) fn execute_one_shot_encoded(
         Vec::new()
     } else {
         let timer = trace.start();
-        let explanations = explain_encoded(parts.analysis, encoder, items, &classifications);
+        let explanations = explain_encoded(parts.analysis, &encoder, items, &classifications);
         trace.finish_stage(timer, stage::EXPLAIN, items.len(), explanations.len(), 1);
         explanations
     };

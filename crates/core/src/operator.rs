@@ -138,11 +138,19 @@ impl ColumnarInput {
             points.iter().map(|p| p.attributes.as_slice()).collect();
         let shards = resolve_num_partitions(0);
         let timer = input.trace.start();
-        input.batch.items =
-            encode_batch_parallel(&mut input.encoder, mb_pool::global(), &attribute_rows, shards);
-        input
-            .trace
-            .finish_stage(timer, mb_obs::stage::ENCODE, points.len(), points.len(), shards);
+        input.batch.items = encode_batch_parallel(
+            &mut input.encoder,
+            mb_pool::global(),
+            &attribute_rows,
+            shards,
+        );
+        input.trace.finish_stage(
+            timer,
+            mb_obs::stage::ENCODE,
+            points.len(),
+            points.len(),
+            shards,
+        );
         Ok(input)
     }
 }

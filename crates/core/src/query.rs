@@ -465,21 +465,7 @@ impl MdpQuery {
                 input
                     .trace
                     .finish_stage(timer, mb_obs::stage::INGEST, rows, rows, batches);
-                let ColumnarInput {
-                    batch,
-                    encoder,
-                    trace,
-                    pool_before,
-                } = input;
-                execute_one_shot_encoded(
-                    self.parts(),
-                    &batch.metrics,
-                    batch.dim,
-                    &batch.items,
-                    &encoder,
-                    trace,
-                    pool_before,
-                )
+                execute_one_shot_encoded(self.parts(), input)
             }
             batch_executor => {
                 let mut all = Vec::new();
@@ -511,8 +497,8 @@ impl MdpQuery {
     /// Fit this query's classification model over a batch without
     /// classifying or explaining anything — the train half of the one-shot
     /// engine, split out so a model can be fitted once and shared (see
-    /// [`FittedModel`]). An adaptor: the metrics are flattened and handed to
-    /// [`train_columns`].
+    /// [`FittedModel`]). An adaptor: the metrics are flattened and fitted
+    /// as [`train_columns`] fits a batch's.
     ///
     /// Training is deterministic: the same query and batch always produce
     /// the same model, and [`execute_with_model`] over the training batch
@@ -539,8 +525,8 @@ impl MdpQuery {
     /// Execute one-shot classification and explanation against a
     /// pre-trained model instead of fitting one — the score half of the
     /// train/score split (see [`MdpQuery::train`]). An adaptor: the points
-    /// are flattened and encoded ([`ColumnarInput::from_points`]) and handed
-    /// to [`execute_columns_with_model`].
+    /// are flattened and encoded ([`ColumnarInput::from_points`]) and run
+    /// through the engine behind [`execute_columns_with_model`].
     ///
     /// The batch's dimensionality must match the model's, and the model's
     /// classification stages must match the query's (both unsupervised or

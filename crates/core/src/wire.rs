@@ -31,13 +31,13 @@
 //! assert_eq!(decoded, report);
 //! ```
 
+use crate::operator::{check_columns, ColumnarInput, EncodedBatch};
 use crate::query::{AnalysisConfig, EstimatorKind, Executor, StreamingOptions};
 use crate::types::{MdpReport, Point, RenderedExplanation};
 use mb_explain::risk_ratio::ExplanationStats;
+use mb_explain::AttributeEncoder;
 use mb_fpgrowth::Item;
 use mb_obs::{HistogramSnapshot, QueryTrace, StageTrace};
-use crate::operator::{check_columns, ColumnarInput, EncodedBatch};
-use mb_explain::AttributeEncoder;
 use serde_json::{Map, ParseError, Value};
 use std::borrow::Cow;
 
@@ -94,7 +94,9 @@ fn non_finite(name: &str) -> Option<f64> {
 }
 
 fn number_value(value: &Value) -> Option<f64> {
-    value.as_f64().or_else(|| value.as_str().and_then(non_finite))
+    value
+        .as_f64()
+        .or_else(|| value.as_str().and_then(non_finite))
 }
 
 fn f64_from_value(value: &Value, field: &str) -> Result<f64, WireError> {
@@ -674,7 +676,10 @@ const ATTRIBUTES: &str = "attributes";
 
 fn point_value(value: &Value) -> Result<Point, PointFault> {
     let map = value.as_object().ok_or(PointFault::NotObject)?;
-    if let Some((key, _)) = map.iter().find(|(key, _)| *key != METRICS && *key != ATTRIBUTES) {
+    if let Some((key, _)) = map
+        .iter()
+        .find(|(key, _)| *key != METRICS && *key != ATTRIBUTES)
+    {
         return Err(PointFault::Unknown(key.clone()));
     }
     let elements = |key: &'static str| match map.get(key) {
@@ -1155,7 +1160,12 @@ fn run(bytes: &[u8], start: usize, stops: impl Fn(u64) -> u64, keep: impl Fn(u8)
         }
         n += 8;
     }
-    n + rest.get(n..).unwrap_or_default().iter().take_while(|&&c| keep(c)).count()
+    n + rest
+        .get(n..)
+        .unwrap_or_default()
+        .iter()
+        .take_while(|&&c| keep(c))
+        .count()
 }
 
 struct Scanner<'a> {
@@ -1221,7 +1231,11 @@ impl<'a> Scanner<'a> {
     }
 
     fn literal(&mut self, literal: &str) -> Result<(), ParseError> {
-        if self.bytes.get(self.pos..).is_some_and(|rest| rest.starts_with(literal.as_bytes())) {
+        if self
+            .bytes
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(literal.as_bytes()))
+        {
             self.pos += literal.len();
             Ok(())
         } else {
@@ -1231,15 +1245,20 @@ impl<'a> Scanner<'a> {
 
     /// Past a run of string bytes that need no unescaping.
     fn skip_plain(&mut self) {
-        self.pos += run(self.bytes, self.pos, |word| {
-            has_byte(word, b'"') | has_byte(word, b'\\')
-        }, |c| c != b'"' && c != b'\\');
+        self.pos += run(
+            self.bytes,
+            self.pos,
+            |word| has_byte(word, b'"') | has_byte(word, b'\\'),
+            |c| c != b'"' && c != b'\\',
+        );
     }
 
     /// The character the backslash escape at `pos` stands for.
     fn escape(&mut self) -> Result<char, ParseError> {
         self.pos += 1;
-        let escape = self.peek().ok_or_else(|| self.error("unterminated escape"))?;
+        let escape = self
+            .peek()
+            .ok_or_else(|| self.error("unterminated escape"))?;
         self.pos += 1;
         Ok(match escape {
             b'"' => '"',
@@ -1521,9 +1540,11 @@ impl<'a> Scanner<'a> {
                     fields.attributes = self.elements(ATTRIBUTES, live, sink)?;
                 }
                 METRICS | ATTRIBUTES => {
-                    fields
-                        .duplicate
-                        .get_or_insert(if key == METRICS { METRICS } else { ATTRIBUTES });
+                    fields.duplicate.get_or_insert(if key == METRICS {
+                        METRICS
+                    } else {
+                        ATTRIBUTES
+                    });
                     self.skip_value(2)?;
                 }
                 _ => {
@@ -1743,7 +1764,10 @@ impl<'a> ObjectReader<'a> {
         record_ingest(input, timer);
         self.after_value = true;
         let text = self.scanner.slice(start)?;
-        Ok((text, fault.map_or(Ok(shape), |fault| Err(fault.at(context)))))
+        Ok((
+            text,
+            fault.map_or(Ok(shape), |fault| Err(fault.at(context))),
+        ))
     }
 }
 
@@ -1962,12 +1986,35 @@ mod tests {
         match g.below(4) {
             0 => g
                 .pick(&[
-                    "0", "-0", "-0.0", "0.0", "1e3", "1E-2", "-12.5e+1", "2.5E+0",
-                    "9007199254740993", "-9007199254740993", "9223372036854775807",
-                    "9223372036854775808", "-9223372036854775809", "18446744073709551615",
-                    "18446744073709551616", "123456789012345678901234567890", "1e400",
-                    "-1e400", "4.9e-324", "1e-400", "\"Infinity\"", "\"-Infinity\"",
-                    "\"NaN\"", "\"\\u004eaN\"", "01", "-007", "1.", "1.e5", "-.5",
+                    "0",
+                    "-0",
+                    "-0.0",
+                    "0.0",
+                    "1e3",
+                    "1E-2",
+                    "-12.5e+1",
+                    "2.5E+0",
+                    "9007199254740993",
+                    "-9007199254740993",
+                    "9223372036854775807",
+                    "9223372036854775808",
+                    "-9223372036854775809",
+                    "18446744073709551615",
+                    "18446744073709551616",
+                    "123456789012345678901234567890",
+                    "1e400",
+                    "-1e400",
+                    "4.9e-324",
+                    "1e-400",
+                    "\"Infinity\"",
+                    "\"-Infinity\"",
+                    "\"NaN\"",
+                    "\"\\u004eaN\"",
+                    "01",
+                    "-007",
+                    "1.",
+                    "1.e5",
+                    "-.5",
                 ])
                 .to_string(),
             1 => format!("{}", g.next() as i64 >> g.below(64)),
@@ -1981,8 +2028,14 @@ mod tests {
             return format!("\"v{}\"", g.below(6));
         }
         g.pick(&[
-            "\"\"", "\"b\\\"c\"", "\"\\u0041\"", "\"\\u00e9x\"", "\"é✓\"", "\"\\/\\b\\f\\n\\r\\t\"",
-            "\"a\\\\\"", "\"\\u+041\"",
+            "\"\"",
+            "\"b\\\"c\"",
+            "\"\\u0041\"",
+            "\"\\u00e9x\"",
+            "\"é✓\"",
+            "\"\\/\\b\\f\\n\\r\\t\"",
+            "\"a\\\\\"",
+            "\"\\u+041\"",
         ])
         .to_string()
     }
@@ -2008,7 +2061,11 @@ mod tests {
     /// twice (the one place the scanner may differ on purpose).
     fn points_text(g: &mut Gen) -> (String, bool) {
         if g.chance(2) {
-            return (g.pick(&["{}", "1", "null", "\"points\"", " true "]).to_string(), false);
+            return (
+                g.pick(&["{}", "1", "null", "\"points\"", " true "])
+                    .to_string(),
+                false,
+            );
         }
         let rows = g.below(6);
         let dim = if g.chance(10) { g.below(3) } else { 2 };
@@ -2077,7 +2134,17 @@ mod tests {
             points.push(format!("{{{}{}{}}}", g.ws(), body.join(&sep), g.ws()));
         }
         let sep = format!(",{}", g.ws());
-        (format!("{}[{}{}{}]{}", g.ws(), g.ws(), points.join(&sep), g.ws(), g.ws()), duplicate)
+        (
+            format!(
+                "{}[{}{}{}]{}",
+                g.ws(),
+                g.ws(),
+                points.join(&sep),
+                g.ws(),
+                g.ws()
+            ),
+            duplicate,
+        )
     }
 
     /// Replace, insert, or delete a few characters, favoring the ones JSON
@@ -2087,7 +2154,10 @@ mod tests {
         for _ in 0..1 + g.below(3) {
             let at = g.below(chars.len() + 1);
             let c = g
-                .pick(&["{", "}", "[", "]", "\"", ",", ":", "\\", " ", "-", ".", "0", "e", "t", "u", "é"])
+                .pick(&[
+                    "{", "}", "[", "]", "\"", ",", ":", "\\", " ", "-", ".", "0", "e", "t", "u",
+                    "é",
+                ])
                 .chars()
                 .next()
                 .unwrap();
@@ -2116,7 +2186,12 @@ mod tests {
         decoded.as_ref().map(|points| {
             points
                 .iter()
-                .map(|p| (p.metrics.iter().map(|m| m.to_bits()).collect(), p.attributes.as_slice()))
+                .map(|p| {
+                    (
+                        p.metrics.iter().map(|m| m.to_bits()).collect(),
+                        p.attributes.as_slice(),
+                    )
+                })
                 .collect()
         })
     }
@@ -2194,7 +2269,11 @@ mod tests {
                     -9223372036854775809,1e400],\"attributes\":[]}]";
         let points = points_from_str(text, "points").unwrap();
         let m = &points[0].metrics;
-        assert_eq!(m[0].to_bits(), 0.0f64.to_bits(), "-0 is an integer, so +0.0");
+        assert_eq!(
+            m[0].to_bits(),
+            0.0f64.to_bits(),
+            "-0 is an integer, so +0.0"
+        );
         assert_eq!(m[1].to_bits(), (-0.0f64).to_bits());
         assert_eq!(m[2], 9_007_199_254_740_992.0);
         assert_eq!(m[3], 18_446_744_073_709_551_616.0);
@@ -2311,7 +2390,10 @@ mod tests {
                     let keys: Vec<&String> = map.iter().map(|(k, _)| k).collect();
                     assert_eq!(keys, members.iter().map(|(k, _)| k).collect::<Vec<_>>());
                     for (key, text) in members {
-                        assert_eq!(serde_json::from_str(text).as_ref(), Ok(map.get(&key).unwrap()));
+                        assert_eq!(
+                            serde_json::from_str(text).as_ref(),
+                            Ok(map.get(&key).unwrap())
+                        );
                     }
                 }
                 (Ok(Value::Object(_)), got) => panic!("{line}: {got:?}"),
@@ -2323,7 +2405,10 @@ mod tests {
     #[test]
     fn arbitrary_bytes_never_panic_and_deep_nesting_is_refused() {
         let mut g = Gen(0x5EED_0003);
-        let pool = ["{", "}", "[", "]", "\"", ",", ":", "\\", "u", "0", "9", "-", "e", ".", " ", "t", "n", "é"];
+        let pool = [
+            "{", "}", "[", "]", "\"", ",", ":", "\\", "u", "0", "9", "-", "e", ".", " ", "t", "n",
+            "é",
+        ];
         for _ in 0..20_000 {
             let text: String = (0..g.below(24)).map(|_| g.pick(&pool)).collect();
             check_against_oracle(&text, false);
@@ -2338,7 +2423,11 @@ mod tests {
         let err = points_from_str(&deep, "points").unwrap_err();
         assert!(err.message.contains("recursion limit exceeded"), "{err}");
         // Within the limit, nesting is an ordinary schema error.
-        let nested = format!("[{{\"metrics\":[{}1{}],\"attributes\":[]}}]", "[".repeat(100), "]".repeat(100));
+        let nested = format!(
+            "[{{\"metrics\":[{}1{}],\"attributes\":[]}}]",
+            "[".repeat(100),
+            "]".repeat(100)
+        );
         check_against_oracle(&nested, false);
     }
 }

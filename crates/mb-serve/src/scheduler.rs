@@ -306,16 +306,28 @@ mod tests {
         let scheduler = Scheduler::start(2, 16);
         let (done_tx, done_rx) = mpsc::channel();
         scheduler
-            .submit("boom", Priority::High, Box::new(|| panic!("estimator blew up")))
+            .submit(
+                "boom",
+                Priority::High,
+                Box::new(|| panic!("estimator blew up")),
+            )
             .unwrap();
         for n in 0..6 {
             let done = done_tx.clone();
             scheduler
-                .submit(&format!("j{n}"), Priority::Normal, Box::new(move || done.send(n).unwrap()))
+                .submit(
+                    &format!("j{n}"),
+                    Priority::Normal,
+                    Box::new(move || done.send(n).unwrap()),
+                )
                 .unwrap();
         }
         let mut ran: Vec<i32> = (0..6)
-            .map(|_| done_rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap())
+            .map(|_| {
+                done_rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .unwrap()
+            })
             .collect();
         ran.sort_unstable();
         assert_eq!(ran, [0, 1, 2, 3, 4, 5]);
@@ -340,7 +352,9 @@ mod tests {
                 .unwrap();
         }
         for _ in 0..2 {
-            started_rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
+            started_rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap();
         }
         drop(gate_tx);
     }

@@ -672,7 +672,10 @@ mod tests {
         // Whether the poller parked before or after the unwind, it comes back
         // with the failure, not `Running` at its timeout.
         let status = poller.join().unwrap().unwrap();
-        assert!(matches!(status, JobStatus::Failed(ref m) if m == "job panicked"), "{status:?}");
+        assert!(
+            matches!(status, JobStatus::Failed(ref m) if m == "job panicked"),
+            "{status:?}"
+        );
         assert_eq!(server.stats().counter("jobs_failed"), 1);
     }
 }

@@ -107,7 +107,11 @@ impl<'a> Request<'a> {
                 }
                 _ => reader.value()?,
             };
-            match request.members.iter_mut().find(|(k, _)| k.as_str() == key.as_ref()) {
+            match request
+                .members
+                .iter_mut()
+                .find(|(k, _)| k.as_str() == key.as_ref())
+            {
                 Some(member) => member.1 = text,
                 None => request.members.push((key.into_owned(), text)),
             }
@@ -214,7 +218,10 @@ fn handle_value(server: &Server, line: &str) -> Value {
 }
 
 fn handle_submit(server: &Server, request: &mut Request<'_>) -> Result<Value, Value> {
-    check_keys(request, &["op", "id", "priority", "analysis", "executor", "points"])?;
+    check_keys(
+        request,
+        &["op", "id", "priority", "analysis", "executor", "points"],
+    )?;
     let id = required_id(request)?;
     let priority = match request.get("priority")? {
         None => Priority::Normal,

@@ -255,7 +255,10 @@ fn serve_loop_answers_line_by_line_until_eof() {
 
 /// Poll a job to its terminal state and return `(state, message)`.
 fn finished(server: &Server, id: &str) -> (String, Option<String>) {
-    let response = request(server, &format!(r#"{{"op":"poll","id":"{id}","wait_ms":120000}}"#));
+    let response = request(
+        server,
+        &format!(r#"{{"op":"poll","id":"{id}","wait_ms":120000}}"#),
+    );
     assert_ok(&response);
     (
         get_str(&response, "state").unwrap().to_string(),
@@ -269,7 +272,11 @@ fn unusable_batches_fail_the_job_with_the_standalone_error() {
     let point = |metrics: &str| format!(r#"{{"metrics":[{metrics}],"attributes":["a"]}}"#);
     let cases = [
         ("empty", String::new(), Vec::new()),
-        ("zero_metric", point(""), vec![Point::new(vec![], vec!["a".into()])]),
+        (
+            "zero_metric",
+            point(""),
+            vec![Point::new(vec![], vec!["a".into()])],
+        ),
         (
             "ragged",
             format!("{},{},{}", point("1.0"), point("2.0"), point("3.0, 4.0")),
@@ -281,11 +288,17 @@ fn unusable_batches_fail_the_job_with_the_standalone_error() {
         ),
     ];
     for (id, points, standalone) in cases {
-        for executor in [r#"{"mode":"one_shot"}"#, r#"{"mode":"coordinated","partitions":2}"#] {
+        for executor in [
+            r#"{"mode":"one_shot"}"#,
+            r#"{"mode":"coordinated","partitions":2}"#,
+        ] {
             let submit = format!(
                 r#"{{"op":"submit","id":"{id}","executor":{executor},"points":[{points}]}}"#
             );
-            assert_eq!(get_str(assert_ok(&request(&server, &submit)), "state"), Some("queued"));
+            assert_eq!(
+                get_str(assert_ok(&request(&server, &submit)), "state"),
+                Some("queued")
+            );
             let expected = MdpQuery::with_defaults()
                 .execute(&Executor::OneShot, &standalone)
                 .unwrap_err()
@@ -295,7 +308,10 @@ fn unusable_batches_fail_the_job_with_the_standalone_error() {
                 ("failed".to_string(), Some(expected)),
                 "{id} on {executor}"
             );
-            assert_ok(&request(&server, &format!(r#"{{"op":"close","id":"{id}"}}"#)));
+            assert_ok(&request(
+                &server,
+                &format!(r#"{{"op":"close","id":"{id}"}}"#),
+            ));
         }
     }
     // The server still serves a good batch afterwards.
@@ -320,7 +336,10 @@ fn a_traced_served_report_accounts_for_its_decode() {
     let trace = report.trace.expect("a traced query carries its trace");
     let stages: Vec<&str> = trace.stages.iter().map(|s| s.stage.as_str()).collect();
     for stage in &stages {
-        assert!(mb_obs::stage::ALL.contains(stage), "{stage} is not a pipeline stage: {stages:?}");
+        assert!(
+            mb_obs::stage::ALL.contains(stage),
+            "{stage} is not a pipeline stage: {stages:?}"
+        );
     }
     assert_eq!(stages.first(), Some(&mb_obs::stage::INGEST), "{stages:?}");
     assert_eq!(trace.stage(mb_obs::stage::INGEST).unwrap().rows_in, 3_000);
@@ -389,7 +408,9 @@ fn mangled_points_get_the_value_decoders_answer_and_the_server_lives() {
                 Some(state) => (state.to_string(), String::new()),
                 None => (
                     error_kind(&response),
-                    get_str(get(&response, "error").unwrap(), "message").unwrap().to_string(),
+                    get_str(get(&response, "error").unwrap(), "message")
+                        .unwrap()
+                        .to_string(),
                 ),
             };
             assert_eq!(got, expected, "{line}");
@@ -397,8 +418,14 @@ fn mangled_points_get_the_value_decoders_answer_and_the_server_lives() {
     }
     // Nesting deep enough to overflow a recursive parser is refused, typed.
     for deep in [
-        format!(r#"{{"op":"submit","id":"d","points":{}}}"#, "[".repeat(1_000_000)),
-        format!(r#"{{"op":"submit","id":"d","analysis":{}}}"#, "[".repeat(1_000_000)),
+        format!(
+            r#"{{"op":"submit","id":"d","points":{}}}"#,
+            "[".repeat(1_000_000)
+        ),
+        format!(
+            r#"{{"op":"submit","id":"d","analysis":{}}}"#,
+            "[".repeat(1_000_000)
+        ),
     ] {
         assert_eq!(error_kind(&request(&server, &deep)), "malformed");
     }

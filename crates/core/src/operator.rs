@@ -123,8 +123,10 @@ impl ColumnarInput {
     }
 
     /// Flatten and dictionary-encode stored points (the encode pass sharded
-    /// over the pool, with the ids a serial pass assigns). Fails as the
-    /// one-shot engine does on an empty, zero-metric, or ragged batch.
+    /// over the pool, with the ids a serial pass assigns). A query that
+    /// skips explanation never reads the items, so its rows are only
+    /// counted. Fails as the one-shot engine does on an empty, zero-metric,
+    /// or ragged batch.
     pub fn from_points(analysis: &AnalysisConfig, points: &[Point]) -> crate::Result<Self> {
         let mut input = ColumnarInput::new(analysis);
         let dim = check_dimensions(points)?;
@@ -134,6 +136,11 @@ impl ColumnarInput {
         input
             .trace
             .finish_stage(timer, "flatten", points.len(), points.len(), 1);
+        if analysis.skip_explanation {
+            input.batch.items = ItemBatch::with_capacity(points.len(), 0);
+            points.iter().for_each(|_| input.batch.items.finish_row());
+            return Ok(input);
+        }
         let attribute_rows: Vec<&[String]> =
             points.iter().map(|p| p.attributes.as_slice()).collect();
         let shards = resolve_num_partitions(0);

@@ -1034,12 +1034,14 @@ impl PointSink for PointRows {
 
 /// Rows straight into columns: metrics appended to the flat buffer,
 /// attributes interned as they are read — row by row, column by column, so
-/// the ids are those a serial `encode_point` pass assigns. The shape the
-/// row-form engine checks is tracked on the way: the first row's metric
-/// count, and the count of the first row that differs from it.
+/// the ids are those a serial `encode_point` pass assigns — unless `intern`
+/// is off, when rows keep no items. The shape the row-form engine checks is
+/// tracked on the way: the first row's metric count, and the count of the
+/// first row that differs from it.
 struct ColumnRows<'a> {
     batch: &'a mut EncodedBatch,
     encoder: &'a mut AttributeEncoder,
+    intern: bool,
     row_start: usize,
     first_dim: Option<usize>,
     ragged: Option<usize>,
@@ -1051,8 +1053,10 @@ impl PointSink for ColumnRows<'_> {
     }
 
     fn attribute(&mut self, column: usize, value: &str) {
-        let item = self.encoder.encode(column, value);
-        self.batch.items.push_item(item);
+        if self.intern {
+            let item = self.encoder.encode(column, value);
+            self.batch.items.push_item(item);
+        }
     }
 
     fn end_point(&mut self) {
@@ -1638,24 +1642,6 @@ fn scan_points<S: PointSink>(text: &str, context: &str, sink: &mut S) -> Result<
     }
 }
 
-/// A fresh input's columns and encoder as a sink; `finish` closes it.
-fn column_rows(input: &mut ColumnarInput) -> ColumnRows<'_> {
-    ColumnRows {
-        row_start: input.batch.metrics.len(),
-        batch: &mut input.batch,
-        encoder: &mut input.encoder,
-        first_dim: None,
-        ragged: None,
-    }
-}
-
-fn record_ingest(input: &mut ColumnarInput, timer: mb_obs::StageTimer) {
-    let rows = input.batch.len();
-    input
-        .trace
-        .finish_stage(timer, mb_obs::stage::INGEST, rows, rows, 1);
-}
-
 /// Decode a `points` array from JSON text: what `serde_json::from_str` then
 /// [`points_from_json`] return, without the `Value` tree — the same points,
 /// and the same [`WireError`] for a schema fault. A syntax error is a
@@ -1669,30 +1655,41 @@ pub fn points_from_str(text: &str, context: &str) -> Result<Vec<Point>, WireErro
     Ok(rows.points)
 }
 
-/// [`points_from_str`] straight into a fresh [`ColumnarInput`] — metrics
-/// into its flat buffer, attributes interned into its dictionary — with the
-/// scan recorded on its trace as the ingest stage. The outer error is a
-/// malformed array. The inner one is a well-formed array the one-shot
-/// engine cannot run (no rows, no metrics, ragged rows): the error a
-/// standalone one-shot query returns for it.
+/// [`points_from_str`] straight into a fresh [`ColumnarInput`] for
+/// `analysis` — metrics into its flat buffer, attributes interned into its
+/// dictionary (only counted, for a query that skips explanation) — with
+/// the scan recorded on its trace as the ingest stage. The error is a
+/// malformed array. The returned result is a well-formed array the
+/// one-shot engine cannot run (no rows, no metrics, ragged rows): the
+/// error a standalone one-shot query returns for it.
 pub fn points_into_columns(
     text: &str,
     context: &str,
-    input: &mut ColumnarInput,
-) -> Result<crate::Result<()>, WireError> {
+    analysis: &AnalysisConfig,
+) -> Result<(ColumnarInput, crate::Result<()>), WireError> {
+    let mut input = ColumnarInput::new(analysis);
     let timer = input.trace.start();
-    let mut rows = column_rows(input);
+    let mut rows = ColumnRows {
+        batch: &mut input.batch,
+        encoder: &mut input.encoder,
+        intern: !analysis.skip_explanation,
+        row_start: 0,
+        first_dim: None,
+        ragged: None,
+    };
     scan_points(text, context, &mut rows)?;
     let shape = rows.finish();
-    record_ingest(input, timer);
-    Ok(shape)
+    let rows = input.batch.len();
+    input
+        .trace
+        .finish_stage(timer, mb_obs::stage::INGEST, rows, rows, 1);
+    Ok((input, shape))
 }
 
 /// Reads a JSON object member by member, checking the whole text exactly as
-/// `serde_json::from_str` checks it (the same [`ParseError`]). Each value is
-/// either skipped, yielding its raw text, or — for a `points` array —
-/// decoded where it lies. A request line is read with this, so its `points`
-/// array is scanned once and no `Value` is built for it.
+/// `serde_json::from_str` checks it (the same [`ParseError`]) and yielding
+/// each value's raw text. A request line is split with this, so no `Value`
+/// is built for its `points` array.
 pub struct ObjectReader<'a> {
     scanner: Scanner<'a>,
     /// Whether a member's value was read since the last key.
@@ -1746,28 +1743,6 @@ impl<'a> ObjectReader<'a> {
         self.scanner.skip_value(0)?;
         self.after_value = true;
         self.scanner.slice(start)
-    }
-
-    /// Decode the current member's value as [`points_into_columns`] does,
-    /// returning its text and the decode's outcome. The outer error is a
-    /// syntax error in the document.
-    pub fn points_into_columns(
-        &mut self,
-        context: &str,
-        input: &mut ColumnarInput,
-    ) -> Result<(&'a str, Result<crate::Result<()>, WireError>), ParseError> {
-        let start = self.scanner.pos;
-        let timer = input.trace.start();
-        let mut rows = column_rows(input);
-        let fault = self.scanner.points(&mut rows)?;
-        let shape = rows.finish();
-        record_ingest(input, timer);
-        self.after_value = true;
-        let text = self.scanner.slice(start)?;
-        Ok((
-            text,
-            fault.map_or(Ok(shape), |fault| Err(fault.at(context))),
-        ))
     }
 }
 
@@ -2210,8 +2185,7 @@ mod tests {
     fn check_against_oracle(text: &str, duplicate: bool) {
         let expected = oracle(text);
         let rows = points_from_str(text, "points");
-        let mut input = ColumnarInput::new(&AnalysisConfig::default());
-        let columns = points_into_columns(text, "points", &mut input);
+        let columns = points_into_columns(text, "points", &AnalysisConfig::default());
         if duplicate && rows.as_ref().is_err_and(|e| e.message == "duplicate field") {
             assert!(columns.is_err(), "{text}");
             return;
@@ -2221,7 +2195,7 @@ mod tests {
             assert_eq!(columns.err(), rows.err(), "{text}");
             return;
         };
-        let shape = columns.unwrap_or_else(|e| panic!("{text}: {e}"));
+        let (input, shape) = columns.unwrap_or_else(|e| panic!("{text}: {e}"));
         let standalone = crate::executor::check_dimensions(&points);
         assert_eq!(
             shape.map_err(|e| e.to_string()),
@@ -2251,6 +2225,28 @@ mod tests {
             let mutated = mutate(&mut g, &text);
             check_against_oracle(&mutated, duplicate);
         }
+    }
+
+    #[test]
+    fn a_query_that_skips_explanation_gets_counted_rows_and_no_dictionary() {
+        let text = "[{\"metrics\":[1,2],\"attributes\":[\"a\",\"b\"]},\
+                    {\"metrics\":[3,4],\"attributes\":[\"a\",\"c\"]}]";
+        let skip = AnalysisConfig {
+            skip_explanation: true,
+            ..AnalysisConfig::default()
+        };
+        let (full, _) = points_into_columns(text, "points", &AnalysisConfig::default()).unwrap();
+        let (scanned, shape) = points_into_columns(text, "points", &skip).unwrap();
+        let points = points_from_str(text, "points").unwrap();
+        let adapted = ColumnarInput::from_points(&skip, &points).unwrap();
+        assert!(shape.is_ok());
+        for input in [&scanned, &adapted] {
+            assert_eq!(input.batch.metrics, full.batch.metrics);
+            assert_eq!(input.batch.dim, 2);
+            assert_eq!(input.batch.items.to_rows(), vec![Vec::<Item>::new(); 2]);
+            assert_eq!(input.encoder.cardinality(), 0);
+        }
+        assert_eq!(full.encoder.cardinality(), 3);
     }
 
     #[test]
@@ -2328,31 +2324,14 @@ mod tests {
     }
 
     /// An object's members as the `Value` map keeps them — first-occurrence
-    /// order, last value — read with [`ObjectReader`]. `points` members are
-    /// decoded in place when `decode` is set, and their outcome must be what
-    /// decoding their text on its own gives.
-    fn object_members(text: &str, decode: bool) -> Result<Option<Vec<(String, &str)>>, ParseError> {
+    /// order, last value — read with [`ObjectReader`].
+    fn object_members(text: &str) -> Result<Option<Vec<(String, &str)>>, ParseError> {
         let Some(mut reader) = ObjectReader::new(text)? else {
             return Ok(None);
         };
         let mut members: Vec<(String, &str)> = Vec::new();
         while let Some(key) = reader.next_key()? {
-            let value = if decode && key == "points" {
-                let mut input = ColumnarInput::new(&AnalysisConfig::default());
-                let (value, outcome) = reader.points_into_columns("points", &mut input)?;
-                let mut alone = ColumnarInput::new(&AnalysisConfig::default());
-                let expected = points_into_columns(value, "points", &mut alone);
-                assert_eq!(
-                    outcome.map(|shape| shape.map_err(|e| e.to_string())),
-                    expected.map(|shape| shape.map_err(|e| e.to_string())),
-                    "{value}"
-                );
-                assert_eq!(input.batch.metrics.len(), alone.batch.metrics.len());
-                assert_eq!(input.batch.items, alone.batch.items);
-                value
-            } else {
-                reader.value()?
-            };
+            let value = reader.value()?;
             match members.iter_mut().find(|(k, _)| k.as_str() == key.as_ref()) {
                 Some(member) => member.1 = value,
                 None => members.push((key.into_owned(), value)),
@@ -2381,9 +2360,9 @@ mod tests {
             lines.push(mutate(&mut g, &line));
             lines.push(line);
         }
-        for (n, line) in lines.iter().enumerate() {
+        for line in &lines {
             let expected = serde_json::from_str(line);
-            let split = object_members(line, n % 2 == 0);
+            let split = object_members(line);
             match (expected, split) {
                 (Err(e), got) => assert_eq!(got, Err(e), "{line}"),
                 (Ok(Value::Object(map)), Ok(Some(members))) => {
@@ -2412,13 +2391,13 @@ mod tests {
         for _ in 0..20_000 {
             let text: String = (0..g.below(24)).map(|_| g.pick(&pool)).collect();
             check_against_oracle(&text, false);
-            let _ = object_members(&text, true);
+            let _ = object_members(&text);
         }
         let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
-        let err = object_members(&deep, false).unwrap_err();
+        let err = object_members(&deep).unwrap_err();
         assert_eq!(err.message, "recursion limit exceeded");
         let deep_member = format!("{{\"points\":{deep}}}");
-        let err = object_members(&deep_member, true).unwrap_err();
+        let err = object_members(&deep_member).unwrap_err();
         assert_eq!(err.message, "recursion limit exceeded");
         let err = points_from_str(&deep, "points").unwrap_err();
         assert!(err.message.contains("recursion limit exceeded"), "{err}");

@@ -69,7 +69,7 @@ impl Fingerprint {
     /// [`compute`](Fingerprint::compute) over a batch in columns: its flat
     /// metric buffer holds the same values in the same order, so the digest
     /// is the same.
-    pub fn of_columns(analysis: &AnalysisConfig, batch: &EncodedBatch) -> Fingerprint {
+    pub(crate) fn of_columns(analysis: &AnalysisConfig, batch: &EncodedBatch) -> Fingerprint {
         Fingerprint::digest(analysis, batch.len(), batch.dim, |data| {
             for &metric in &batch.metrics {
                 data.write_f64(metric);

@@ -8,14 +8,13 @@
 //! standalone run. Unknown ops *and unknown top-level keys* are typed
 //! errors: a misspelled field never silently falls back to a default.
 //!
-//! A line is read member by member by the `core::wire` byte scanner, which
+//! A line is split member by member by the `core::wire` byte scanner, which
 //! checks the whole line as the JSON parser would. The small members (`op`,
 //! `id`, `priority`, `analysis`, `executor`, `wait_ms`) are parsed into
-//! `Value`s; the `points` array never is. A one-shot submission's array is
-//! decoded straight into the columns its job runs over, interned into the
-//! query's dictionary — during that same read when the members before it
-//! already settle the query (the usual key order), otherwise from its text
-//! once `analysis` and `executor` are known.
+//! `Value`s; the `points` array never is. Once `analysis` and `executor` are
+//! known, a one-shot submission's array is decoded from its text straight
+//! into the columns its job runs over, interned into the query's
+//! dictionary, whatever order the members came in.
 //!
 //! Responses always carry `"ok"`. Failures look like
 //! `{"ok":false,"error":{"kind":...,"message":...}}`; the kinds are
@@ -24,11 +23,10 @@
 
 use crate::scheduler::Priority;
 use crate::server::{Closed, JobInput, JobStatus, QuerySpec, ServeError, Server};
-use macrobase_core::operator::ColumnarInput;
-use macrobase_core::query::{AnalysisConfig, Executor};
+use macrobase_core::query::Executor;
 use macrobase_core::wire::{
     analysis_from_json, executor_from_json, points_from_str, points_into_columns, report_to_json,
-    ObjectReader, WireError,
+    ObjectReader,
 };
 use serde_json::{Map, Value};
 use std::io::{BufRead, Write};
@@ -64,16 +62,11 @@ fn ok_response(op: &str, id: Option<&str>) -> Map {
     map
 }
 
-/// What decoding a `points` array into columns gave: the input, and the
-/// decode's outcome (see `points_into_columns`).
-type Decoded = (ColumnarInput, Result<macrobase_core::Result<()>, WireError>);
-
 /// A request line split into its members, each kept as raw text until a
-/// handler asks for it — except a one-shot submission's `points`, which are
-/// decoded into columns as the line is read when they can be.
+/// handler asks for it. A repeated key keeps its first position and its
+/// last value, as the `Value` map does.
 struct Request<'a> {
     members: Vec<(String, &'a str)>,
-    columns: Option<Decoded>,
 }
 
 impl<'a> Request<'a> {
@@ -82,60 +75,15 @@ impl<'a> Request<'a> {
         let Some(mut reader) = ObjectReader::new(line)? else {
             return Ok(None);
         };
-        let mut request = Request {
-            members: Vec::new(),
-            columns: None,
-        };
+        let mut members: Vec<(String, &'a str)> = Vec::new();
         while let Some(key) = reader.next_key()? {
-            let text = match key.as_ref() {
-                "points" => match request.one_shot_input() {
-                    Some(mut input) => {
-                        let (text, outcome) = reader.points_into_columns("points", &mut input)?;
-                        request.columns = Some((input, outcome));
-                        text
-                    }
-                    None => {
-                        request.columns = None;
-                        reader.value()?
-                    }
-                },
-                // These decide where the points go: seen after them, they
-                // void the decode.
-                "op" | "analysis" | "executor" => {
-                    request.columns = None;
-                    reader.value()?
-                }
-                _ => reader.value()?,
-            };
-            match request
-                .members
-                .iter_mut()
-                .find(|(k, _)| k.as_str() == key.as_ref())
-            {
+            let text = reader.value()?;
+            match members.iter_mut().find(|(k, _)| k.as_str() == key.as_ref()) {
                 Some(member) => member.1 = text,
-                None => request.members.push((key.into_owned(), text)),
+                None => members.push((key.into_owned(), text)),
             }
         }
-        Ok(Some(request))
-    }
-
-    /// The input a one-shot submission's points are decoded into, if the
-    /// members read so far make this one: op `submit`, a valid analysis (or
-    /// none), and a one-shot executor (or none yet).
-    fn one_shot_input(&self) -> Option<ColumnarInput> {
-        if self.get("op").ok()??.as_str() != Some("submit") {
-            return None;
-        }
-        if let Some(executor) = self.get("executor").ok()? {
-            if executor_from_json(&executor, "executor").ok()? != Executor::OneShot {
-                return None;
-            }
-        }
-        let analysis = match self.get("analysis").ok()? {
-            Some(analysis) => analysis_from_json(&analysis, "analysis").ok()?,
-            None => AnalysisConfig::default(),
-        };
-        Some(ColumnarInput::new(&analysis))
+        Ok(Some(Request { members }))
     }
 
     fn raw(&self, key: &str) -> Option<&'a str> {
@@ -189,7 +137,7 @@ pub fn handle_line(server: &Server, line: &str) -> String {
 }
 
 fn handle_value(server: &Server, line: &str) -> Value {
-    let mut request = match Request::read(line) {
+    let request = match Request::read(line) {
         Ok(Some(request)) => request,
         Ok(None) => return error_response("malformed", "request must be a JSON object"),
         Err(e) => return error_response("malformed", format!("malformed JSON: {e}")),
@@ -201,7 +149,7 @@ fn handle_value(server: &Server, line: &str) -> Value {
         Err(response) => return response,
     };
     let result = match op.as_str() {
-        "submit" => handle_submit(server, &mut request),
+        "submit" => handle_submit(server, &request),
         "poll" => handle_poll(server, &request),
         "feed" => handle_feed(server, &request),
         "close" => handle_close(server, &request),
@@ -217,7 +165,7 @@ fn handle_value(server: &Server, line: &str) -> Value {
     }
 }
 
-fn handle_submit(server: &Server, request: &mut Request<'_>) -> Result<Value, Value> {
+fn handle_submit(server: &Server, request: &Request<'_>) -> Result<Value, Value> {
     check_keys(
         request,
         &["op", "id", "priority", "analysis", "executor", "points"],
@@ -249,12 +197,8 @@ fn handle_submit(server: &Server, request: &mut Request<'_>) -> Result<Value, Va
     // for one-shot, as rows for the other executors.
     let input = match request.raw("points") {
         Some(text) if spec.executor == Executor::OneShot => {
-            let (columns, outcome) = request.columns.take().unwrap_or_else(|| {
-                let mut columns = ColumnarInput::new(&spec.analysis);
-                let outcome = points_into_columns(text, "points", &mut columns);
-                (columns, outcome)
-            });
-            let shape = outcome.map_err(protocol_error)?;
+            let (columns, shape) =
+                points_into_columns(text, "points", &spec.analysis).map_err(protocol_error)?;
             Some(JobInput::Columns(
                 shape.map(|()| Box::new(columns)).map_err(|e| e.to_string()),
             ))

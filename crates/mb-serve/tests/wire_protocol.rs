@@ -2,11 +2,12 @@
 //! lines, responses parsed and checked — including the typed unknown-field
 //! errors the protocol promises.
 
-use macrobase_core::query::{Executor, MdpQuery};
+use macrobase_core::query::{AnalysisConfig, Executor, MdpQuery};
 use macrobase_core::types::Point;
 use macrobase_core::wire::{points_to_json, report_to_json};
-use mb_serve::{handle_line, serve_loop, ServeConfig, Server};
+use mb_serve::{handle_line, serve_loop, JobStatus, Priority, QuerySpec, ServeConfig, Server};
 use serde_json::Value;
+use std::time::Duration;
 
 fn corpus() -> Vec<Point> {
     let mut points: Vec<Point> = (0..3_000)
@@ -98,6 +99,41 @@ fn submit_poll_close_round_trip_preserves_report_bytes() {
         Some(1.0)
     );
     assert!(get_f64(&stats, "uptime_ns").is_some());
+}
+
+#[test]
+fn a_query_that_skips_explanation_serves_its_standalone_report() {
+    let points = corpus();
+    let analysis = AnalysisConfig {
+        skip_explanation: true,
+        retain_outlier_rows: true,
+        ..AnalysisConfig::default()
+    };
+    let standalone = MdpQuery::new(analysis.clone())
+        .execute(&Executor::OneShot, &points)
+        .unwrap();
+    let server = Server::start(ServeConfig::default());
+    let submit = format!(
+        r#"{{"op":"submit","id":"s","analysis":{{"skip_explanation":true,"retain_outlier_rows":true}},"points":{}}}"#,
+        points_to_json(&points)
+    );
+    assert_ok(&request(&server, &submit));
+    let response = request(&server, r#"{"op":"poll","id":"s","wait_ms":120000}"#);
+    assert_eq!(get_str(&response, "state"), Some("done"), "{response}");
+    assert_eq!(
+        get(&response, "report").unwrap().to_string(),
+        report_to_json(&standalone).to_string()
+    );
+    // Through the in-process surface too.
+    let spec = QuerySpec {
+        analysis,
+        executor: Executor::OneShot,
+    };
+    server.submit("s2", spec, points, Priority::Normal).unwrap();
+    match server.poll("s2", Some(Duration::from_secs(120))).unwrap() {
+        JobStatus::Done(result) => assert_eq!(result.report, standalone),
+        other => panic!("{other:?}"),
+    }
 }
 
 #[test]
@@ -382,8 +418,8 @@ fn mangled_points_get_the_value_decoders_answer_and_the_server_lives() {
         }
         let points: String = chars.into_iter().collect();
         for executor in ["one_shot", "naive"] {
-            // Points last are decoded as the line is read; points first,
-            // from their text once the rest is known.
+            // Either key order: the points are decoded from their text once
+            // the rest of the line is known.
             let line = if n % 2 == 0 {
                 format!(
                     r#"{{"op":"submit","id":"m{n}{executor}","executor":{{"mode":"{executor}"}},"points":{points}}}"#

@@ -14,7 +14,7 @@
 //! compared in order, key by key:
 //!
 //! * **volatile keys** (wall clock and anything derived from it — `seconds`,
-//!   `*_per_s`, `*throughput*`) are checked for presence only;
+//!   `*_s`, `*throughput*`) are checked for presence only;
 //! * **strings/booleans** must match exactly;
 //! * **numbers** must agree within a tolerance: `|a - b| <= max(abs_tol,
 //!   rel_tol * max(|a|, |b|))` with `rel_tol = abs_tol = 0.15` by default
@@ -32,10 +32,12 @@ use std::process::ExitCode;
 /// Keys whose values depend on wall clock and may vary freely across runs.
 /// Telemetry keys (`trace`, stage `*_ms`/`*_ns` timings, idle counters) are
 /// volatile too: a traced run diffs cleanly against an untraced baseline.
+/// `*_s` covers both `*_per_s` rates and durations in seconds (table5's
+/// `macrobase_s`, `cube_s`, ...).
 fn is_volatile(key: &str) -> bool {
     key == "seconds"
         || key.ends_with("_seconds")
-        || key.ends_with("_per_s")
+        || key.ends_with("_s")
         || key.ends_with("_per_second")
         || key.ends_with("_us")
         || key.ends_with("_ms")
@@ -196,5 +198,61 @@ fn main() -> ExitCode {
             mismatches.len()
         );
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn keys(value: &Value, out: &mut Vec<String>) {
+        match value {
+            Value::Object(object) => {
+                for (key, inner) in object.iter() {
+                    out.push(key.clone());
+                    keys(inner, out);
+                }
+            }
+            Value::Array(items) => items.iter().for_each(|inner| keys(inner, out)),
+            _ => {}
+        }
+    }
+
+    // The `*_s` rule exists for table5's timings. Outside table5 it may
+    // exempt only what `*_per_s` already did, so no key another baseline
+    // compares is loosened by it.
+    #[test]
+    fn seconds_suffix_exempts_only_rates_outside_table5() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines");
+        let mut checked = 0;
+        for dir in [root.to_string(), format!("{root}/scheduled")] {
+            for entry in std::fs::read_dir(&dir).expect("baseline dir") {
+                let path = entry.expect("dir entry").path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                if !name.ends_with(".jsonl") || name.starts_with("table5") {
+                    continue;
+                }
+                let text = std::fs::read_to_string(&path).expect("baseline file");
+                let mut found = Vec::new();
+                for row in parse_rows("baseline", &name, &text).expect("rows parse") {
+                    keys(&row, &mut found);
+                }
+                for key in found.iter().filter(|k| k.ends_with("_s")) {
+                    assert!(key.ends_with("_per_s"), "{name}: `_s` rule exempts {key:?}");
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked >= 12, "only {checked} baseline files found");
+    }
+
+    #[test]
+    fn table5_timings_are_volatile_and_its_hash_is_not() {
+        for key in ["macrobase_s", "fpgrowth_s", "cube_s", "dt10_s", "dt100_s", "apriori_s"] {
+            assert!(is_volatile(key), "{key}");
+        }
+        for key in ["macrobase_fnv", "macrobase_explanations", "query"] {
+            assert!(!is_volatile(key), "{key}");
+        }
     }
 }

@@ -4,7 +4,10 @@
 //! depth 10 and 100 (DT10/DT100), and Apriori (AP).
 //!
 //! Each strategy receives the same pre-classified outlier/inlier transaction
-//! sets so the comparison isolates explanation cost, as in the paper.
+//! sets so the comparison isolates explanation cost, as in the paper. The MB
+//! column's output is pinned too: `macrobase_fnv` hashes its ranked
+//! explanations bit for bit, so CI can diff it while the `*_s` timings are
+//! presence-only.
 
 use macrobase_core::query::{Executor, MdpQuery};
 use mb_bench::{arg_usize, emit_json, records_to_points, timed};
@@ -12,6 +15,7 @@ use mb_classify::Label;
 use mb_explain::baselines::{apriori_explain, cube_explain, decision_tree_explain};
 use mb_explain::batch::{naive_fpgrowth_explain, BatchExplainer};
 use mb_explain::encoder::AttributeEncoder;
+use mb_explain::risk_ratio::{rank_explanations, Explanation};
 use mb_explain::ExplanationConfig;
 use mb_fpgrowth::Item;
 use mb_ingest::datasets::{generate_dataset, DatasetId, DatasetScale};
@@ -50,6 +54,30 @@ fn classify_and_encode(
     (outliers, inliers)
 }
 
+/// FNV-1a (64-bit) over ranked explanations: each one's items, a separator,
+/// then the bits of every stats field. Equal hashes mean identical output.
+fn explanations_fnv(explanations: &[Explanation]) -> String {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for e in explanations {
+        let s = &e.stats;
+        let stats = [
+            s.outlier_count,
+            s.inlier_count,
+            s.outlier_support,
+            s.risk_ratio,
+            s.total_outliers,
+            s.total_inliers,
+        ];
+        let words = e.items.iter().map(|&item| u64::from(item));
+        for word in words.chain([u64::MAX]).chain(stats.map(f64::to_bits)) {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    format!("{hash:016x}")
+}
+
 fn main() {
     let divisor = arg_usize("--scale-divisor", 500);
     let config = ExplanationConfig::new(0.001, 3.0).with_max_combination_size(3);
@@ -66,7 +94,9 @@ fn main() {
         let (outliers, inliers) = classify_and_encode(&points);
         let name = format!("{}C", id.query_prefix());
 
-        let (mb_result, mb) = timed(|| BatchExplainer::new(config).explain(&outliers, &inliers));
+        let (mut mb_result, mb) =
+            timed(|| BatchExplainer::new(config).explain(&outliers, &inliers));
+        rank_explanations(&mut mb_result);
         let (_, fp) = timed(|| naive_fpgrowth_explain(&outliers, &inliers, &config));
         // Cubing enumerates every value combination; on the very wide queries
         // it is the strategy the paper reports as DNF — guard with a column
@@ -106,6 +136,7 @@ fn main() {
                 "dt100_s": dt100,
                 "apriori_s": ap,
                 "macrobase_explanations": mb_result.len(),
+                "macrobase_fnv": explanations_fnv(&mb_result),
             }),
         );
     }

@@ -428,6 +428,7 @@ pub fn naive_fpgrowth_explain(
 mod tests {
     use super::*;
     use crate::risk_ratio::rank_explanations;
+    use mb_stats::rand_ext::SplitMix64;
 
     /// Build a synthetic workload where outliers are dominated by the
     /// attribute pair (1, 2) (e.g. device type B264 + app version 2.26.3)
@@ -673,6 +674,336 @@ mod tests {
             explainer.explain_weighted_impl(&wo, &wi, to, ti, true),
             explainer.explain_weighted_impl(&wo, &wi, to, ti, false),
         );
+    }
+
+    /// Stages 1–3 as they were before the dense slot tables: a sorted
+    /// candidate list binary-searched per item, per-transaction
+    /// `sort_unstable` + `dedup`, and single counts gathered as
+    /// `(item, weight)` pairs under a stable sort. Kept as the reference the
+    /// counting passes must reproduce bit for bit.
+    mod oracle {
+        use super::super::add_contained;
+        use crate::risk_ratio::{risk_ratio_from_totals, Explanation, ExplanationStats};
+        use crate::ExplanationConfig;
+        use mb_fpgrowth::fptree::FpTree;
+        use mb_fpgrowth::{FrequentItemset, Item};
+
+        pub(super) fn explain_weighted(
+            config: &ExplanationConfig,
+            outliers: &[(&[Item], f64)],
+            inliers: &[(&[Item], f64)],
+            (total_outliers, total_inliers): (f64, f64),
+            prune: bool,
+        ) -> Vec<Explanation> {
+            if total_outliers <= 0.0 {
+                return Vec::new();
+            }
+            let min_outlier_count = config.min_outlier_count(total_outliers);
+            let ceiling = |support: f64| {
+                risk_ratio_from_totals(support, 0.0, total_outliers, total_inliers)
+                    >= config.min_risk_ratio
+            };
+            let mut outlier_pairs: Vec<(Item, f64)> = Vec::new();
+            let mut seen: Vec<Item> = Vec::new();
+            for (transaction, weight) in outliers {
+                seen.clear();
+                seen.extend_from_slice(transaction);
+                seen.sort_unstable();
+                seen.dedup();
+                for &item in &seen {
+                    outlier_pairs.push((item, *weight));
+                }
+            }
+            outlier_pairs.sort_by_key(|&(item, _)| item);
+            let mut outlier_singles: Vec<(Item, f64)> = Vec::new();
+            for (item, weight) in outlier_pairs {
+                match outlier_singles.last_mut() {
+                    Some(last) if last.0 == item => last.1 += weight,
+                    _ => outlier_singles.push((item, weight)),
+                }
+            }
+            let candidates: Vec<(Item, f64)> = outlier_singles
+                .iter()
+                .copied()
+                .filter(|&(_, count)| count >= min_outlier_count && (!prune || ceiling(count)))
+                .collect();
+            if candidates.is_empty() {
+                return Vec::new();
+            }
+            let candidate_items: Vec<Item> = candidates.iter().map(|&(item, _)| item).collect();
+            let mut candidate_inlier_counts: Vec<f64> = vec![0.0; candidates.len()];
+            let mut seen_pos: Vec<usize> = Vec::new();
+            for (transaction, weight) in inliers {
+                seen_pos.clear();
+                seen_pos.extend(
+                    transaction
+                        .iter()
+                        .filter_map(|item| candidate_items.binary_search(item).ok()),
+                );
+                seen_pos.sort_unstable();
+                seen_pos.dedup();
+                for &pos in &seen_pos {
+                    candidate_inlier_counts[pos] += weight;
+                }
+            }
+            let surviving: Vec<Item> = candidates
+                .iter()
+                .enumerate()
+                .filter(|&(pos, &(_, ao))| {
+                    risk_ratio_from_totals(
+                        ao,
+                        candidate_inlier_counts[pos],
+                        total_outliers,
+                        total_inliers,
+                    ) >= config.min_risk_ratio
+                })
+                .map(|(_, &(item, _))| item)
+                .collect();
+            if surviving.is_empty() {
+                return Vec::new();
+            }
+
+            // Stage 2, with `surviving` binary-searched per item.
+            let mut filtered_outliers: Vec<(Vec<Item>, f64)> = Vec::new();
+            for &(transaction, weight) in outliers {
+                let items: Vec<Item> = transaction
+                    .iter()
+                    .copied()
+                    .filter(|item| surviving.binary_search(item).is_ok())
+                    .collect();
+                if !items.is_empty() {
+                    filtered_outliers.push((items, weight));
+                }
+            }
+            let tree = FpTree::from_weighted_transactions(&filtered_outliers, min_outlier_count);
+            let mined: Vec<FrequentItemset> = if prune {
+                tree.mine_with_bound(min_outlier_count, config.max_combination_size, ceiling)
+            } else {
+                tree.mine(min_outlier_count, config.max_combination_size)
+            };
+
+            // Stage 3.
+            let combos: Vec<&[Item]> = mined
+                .iter()
+                .filter(|m| m.len() >= 2)
+                .map(|m| m.items.as_slice())
+                .collect();
+            let combo_inlier_counts = count_combinations(&combos, inliers);
+            let mut explanations = Vec::new();
+            let mut combo_pos = 0;
+            for itemset in &mined {
+                let ai = if itemset.len() == 1 {
+                    let pos = candidate_items.binary_search(&itemset.items[0]).unwrap();
+                    candidate_inlier_counts[pos]
+                } else {
+                    combo_pos += 1;
+                    combo_inlier_counts[combo_pos - 1]
+                };
+                let stats = ExplanationStats::from_counts(
+                    itemset.support,
+                    ai,
+                    total_outliers,
+                    total_inliers,
+                );
+                if stats.risk_ratio >= config.min_risk_ratio {
+                    explanations.push(Explanation::new(itemset.items.clone(), stats));
+                }
+            }
+            explanations
+        }
+
+        /// Stage 3's restricted pass, with `used` binary-searched per item
+        /// and every transaction sorted and deduplicated.
+        pub(super) fn count_combinations(
+            combos: &[&[Item]],
+            transactions: &[(&[Item], f64)],
+        ) -> Vec<f64> {
+            let mut counts = vec![0.0; combos.len()];
+            if combos.is_empty() {
+                return counts;
+            }
+            let mut table: Vec<(&[Item], usize)> = combos
+                .iter()
+                .enumerate()
+                .map(|(pos, &combo)| (combo, pos))
+                .collect();
+            table.sort_unstable();
+            let mut used: Vec<Item> = combos.iter().flat_map(|c| c.iter().copied()).collect();
+            used.sort_unstable();
+            used.dedup();
+            let shortest = combos.iter().map(|c| c.len()).min().unwrap_or(0);
+            let mut present: Vec<Item> = Vec::new();
+            for &(transaction, weight) in transactions {
+                present.clear();
+                present.extend(
+                    transaction
+                        .iter()
+                        .copied()
+                        .filter(|item| used.binary_search(item).is_ok()),
+                );
+                if present.len() < shortest {
+                    continue;
+                }
+                present.sort_unstable();
+                present.dedup();
+                add_contained(&table, 0, &present, weight, &mut counts);
+            }
+            counts
+        }
+    }
+
+    /// Weighted transactions of one class.
+    type Weighted = Vec<(Vec<Item>, f64)>;
+
+    /// One generated case for the differential test: both classes' weighted
+    /// transactions over a small palette of ids, their class totals, and a
+    /// configuration. The case number picks the shape, so every shape the
+    /// dense tables could get wrong recurs:
+    /// * ids dense from 0, or sparse up to 2^16 or 2^24 (16M-slot tables);
+    /// * outlier ids all above every inlier id, all below, or interleaved;
+    /// * unit, decayed (`0.95^k`) or arbitrary weights;
+    /// * empty transactions, duplicate items inside one transaction, and no
+    ///   outliers, no inliers or neither.
+    fn generated_case(case: u64) -> (Weighted, Weighted, (f64, f64), ExplanationConfig) {
+        let mut rng = SplitMix64::new(0x5107 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        // A 2^24-id table takes a while to fill in a debug build.
+        let id_bound = match case % 16 {
+            15 => 1 << 24,
+            3 | 7 | 11 => 1 << 16,
+            _ => 40,
+        };
+        let mut palette: Vec<Item> = (0..1 + rng.next_below(12))
+            .map(|_| rng.next_below(id_bound) as Item)
+            .collect();
+        palette.sort_unstable();
+        palette.dedup();
+        // Which part of the palette each class draws from.
+        let half = palette.len().div_ceil(2);
+        let (low, high, all) = (
+            &palette[..half],
+            &palette[palette.len() - half..],
+            &palette[..],
+        );
+        let (outlier_ids, inlier_ids) = match case % 3 {
+            0 => (all, all),
+            1 => (high, low),
+            _ => (low, high),
+        };
+        let weight_mode = (case / 3) % 4;
+        let weight = |rng: &mut SplitMix64| match weight_mode {
+            0 => 1.0,
+            1 => 0.95f64.powi(rng.next_below(60) as i32),
+            2 => 0.001 + 50.0 * rng.next_f64(),
+            _ => [1.0, 0.5, 0.95f64.powi(7), 3.25][rng.next_below(4)],
+        };
+        let class = |ids: &[Item], rows: usize, rng: &mut SplitMix64| -> Weighted {
+            (0..rows)
+                .map(|_| {
+                    let len = rng.next_below(7);
+                    let row = (0..len).map(|_| ids[rng.next_below(ids.len())]).collect();
+                    (row, weight(rng))
+                })
+                .collect()
+        };
+        let outlier_rows = if case % 7 == 0 || case % 13 == 0 {
+            0
+        } else {
+            1 + rng.next_below(40)
+        };
+        let inlier_rows = if case % 11 == 0 || case % 13 == 0 {
+            0
+        } else {
+            1 + rng.next_below(200)
+        };
+        let outliers = class(outlier_ids, outlier_rows, &mut rng);
+        let inliers = class(inlier_ids, inlier_rows, &mut rng);
+        // Attribute-less points count toward the totals without appearing.
+        let total = |class: &Weighted, rng: &mut SplitMix64| {
+            class.iter().map(|(_, w)| w).sum::<f64>() + rng.next_below(3) as f64
+        };
+        let totals = (total(&outliers, &mut rng), total(&inliers, &mut rng));
+        let config =
+            ExplanationConfig::new(0.01 + 0.49 * rng.next_f64(), 1.0 + 9.0 * rng.next_f64())
+                .with_max_combination_size(1 + rng.next_below(4));
+        (outliers, inliers, totals, config)
+    }
+
+    fn assert_bit_identical(actual: &[Explanation], expected: &[Explanation], case: u64) {
+        assert_eq!(
+            actual.len(),
+            expected.len(),
+            "case {case}: {actual:?} vs {expected:?}"
+        );
+        for (a, e) in actual.iter().zip(expected) {
+            assert_eq!(a.items, e.items, "case {case}");
+            let bits = |x: &Explanation| {
+                let s = &x.stats;
+                [
+                    s.outlier_count,
+                    s.inlier_count,
+                    s.outlier_support,
+                    s.risk_ratio,
+                    s.total_outliers,
+                    s.total_inliers,
+                ]
+                .map(f64::to_bits)
+            };
+            assert_eq!(bits(a), bits(e), "case {case}: {a:?} vs {e:?}");
+        }
+    }
+
+    // The counting passes against the oracle: same explanations, in the
+    // same order, with the same bits, pruned and unpruned.
+    #[test]
+    fn counting_passes_equal_the_sorted_oracle() {
+        let mut reported = 0;
+        for case in 0..240 {
+            let (outliers, inliers, totals, config) = generated_case(case);
+            let wo: Vec<(&[Item], f64)> =
+                outliers.iter().map(|(t, w)| (t.as_slice(), *w)).collect();
+            let wi: Vec<(&[Item], f64)> = inliers.iter().map(|(t, w)| (t.as_slice(), *w)).collect();
+            let explainer = BatchExplainer::new(config);
+            for prune in [true, false] {
+                let expected = oracle::explain_weighted(&config, &wo, &wi, totals, prune);
+                let actual = explainer.explain_weighted_impl(&wo, &wi, totals.0, totals.1, prune);
+                assert_bit_identical(&actual, &expected, case);
+                reported += expected.len();
+            }
+        }
+        // The generator must reach the interesting part of the space.
+        assert!(
+            reported > 500,
+            "only {reported} explanations across all cases"
+        );
+    }
+
+    // Stage 3 alone, as the streaming explainer calls it: any combinations,
+    // any weights, sparse ids.
+    #[test]
+    fn combination_counts_equal_the_sorted_oracle() {
+        for case in 0..120 {
+            let (outliers, inliers, _, _) = generated_case(case);
+            let mut combos: Vec<Vec<Item>> = outliers
+                .iter()
+                .map(|(t, _)| {
+                    let mut c = t.clone();
+                    c.sort_unstable();
+                    c.dedup();
+                    c
+                })
+                .filter(|c| !c.is_empty())
+                .collect();
+            combos.sort();
+            combos.dedup();
+            combos.reverse();
+            let asked: Vec<&[Item]> = combos.iter().map(Vec::as_slice).collect();
+            let wi: Vec<(&[Item], f64)> = inliers.iter().map(|(t, w)| (t.as_slice(), *w)).collect();
+            let expected = oracle::count_combinations(&asked, &wi);
+            let actual =
+                count_combinations(&asked, |visit| wi.iter().for_each(|&(t, w)| visit(t, w)));
+            let bits = |counts: &[f64]| counts.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&actual), bits(&expected), "case {case}");
+        }
     }
 
     mod pruning_props {

@@ -18,6 +18,11 @@ use mb_fpgrowth::{FrequentItemset, Item};
 use std::collections::HashMap;
 
 /// The outlier-aware batch explainer (Algorithm 2).
+///
+/// Its counting passes index scratch tables by item id, so a call costs 4 B
+/// per id up to its largest outlier item id on top of its output. Every
+/// in-tree caller passes [`AttributeEncoder`](crate::AttributeEncoder) ids,
+/// which are dense from 0, and no wire or CSV boundary can supply an id.
 #[derive(Debug, Clone)]
 pub struct BatchExplainer {
     config: ExplanationConfig,
@@ -32,13 +37,9 @@ impl BatchExplainer {
     /// Produce explanations for a batch of outlier and inlier transactions
     /// (each transaction is one point's encoded attribute items).
     pub fn explain(&self, outliers: &[Vec<Item>], inliers: &[Vec<Item>]) -> Vec<Explanation> {
-        let weighted_outliers: Vec<(&[Item], f64)> =
-            outliers.iter().map(|t| (t.as_slice(), 1.0)).collect();
-        let weighted_inliers: Vec<(&[Item], f64)> =
-            inliers.iter().map(|t| (t.as_slice(), 1.0)).collect();
         self.explain_weighted(
-            &weighted_outliers,
-            &weighted_inliers,
+            walk(outliers.iter().map(|t| (t.as_slice(), 1.0))),
+            walk(inliers.iter().map(|t| (t.as_slice(), 1.0))),
             outliers.len() as f64,
             inliers.len() as f64,
         )
@@ -63,8 +64,8 @@ impl BatchExplainer {
             }
         }
         self.explain_weighted(
-            &outliers,
-            &inliers,
+            walk(outliers.iter().copied()),
+            walk(inliers.iter().copied()),
             outliers.len() as f64,
             inliers.len() as f64,
         )
@@ -76,28 +77,23 @@ impl BatchExplainer {
     /// explaining the concatenated partitions in one shot (no string-level
     /// union, no per-partition pruning).
     pub fn explain_state(&self, state: &ExplainState) -> Vec<Explanation> {
-        let outliers = state.outlier_transactions();
-        let inliers = state.inlier_transactions();
-        let weighted_outliers: Vec<(&[Item], f64)> =
-            outliers.iter().map(|(t, w)| (t.as_slice(), *w)).collect();
-        let weighted_inliers: Vec<(&[Item], f64)> =
-            inliers.iter().map(|(t, w)| (t.as_slice(), *w)).collect();
+        let (outliers, inliers) = (state.outlier_transactions(), state.inlier_transactions());
         self.explain_weighted(
-            &weighted_outliers,
-            &weighted_inliers,
+            walk(outliers.iter().map(|(t, w)| (t.as_slice(), *w))),
+            walk(inliers.iter().map(|(t, w)| (t.as_slice(), *w))),
             state.total_outliers(),
             state.total_inliers(),
         )
     }
 
     /// The outlier-aware strategy over weighted, possibly pre-aggregated
-    /// transactions. `total_outliers`/`total_inliers` are passed explicitly
-    /// because attribute-less points count toward class totals without
-    /// appearing as transactions.
+    /// transactions, each class given as a walk. `total_outliers` /
+    /// `total_inliers` are passed explicitly because attribute-less points
+    /// count toward class totals without appearing as transactions.
     fn explain_weighted(
         &self,
-        outliers: &[(&[Item], f64)],
-        inliers: &[(&[Item], f64)],
+        outliers: impl Fn(Visit),
+        inliers: impl Fn(Visit),
         total_outliers: f64,
         total_inliers: f64,
     ) -> Vec<Explanation> {
@@ -115,8 +111,8 @@ impl BatchExplainer {
     /// only shrink) is output-identical by construction.
     fn explain_weighted_impl(
         &self,
-        outliers: &[(&[Item], f64)],
-        inliers: &[(&[Item], f64)],
+        outliers: impl Fn(Visit),
+        inliers: impl Fn(Visit),
         total_outliers: f64,
         total_inliers: f64,
         prune: bool,
@@ -131,74 +127,35 @@ impl BatchExplainer {
         };
 
         // Stage 1a: count single attribute values over the (small) outlier
-        // set. Per-item occurrences are gathered and aggregated by a stable
-        // sort over (item, weight) pairs — within one item, weights still sum
-        // in transaction order, so weighted totals are bit-identical to a
-        // map-based accumulation.
-        let mut outlier_pairs: Vec<(Item, f64)> = Vec::new();
-        let mut seen: Vec<Item> = Vec::new();
-        for (transaction, weight) in outliers {
-            seen.clear();
-            seen.extend_from_slice(transaction);
-            seen.sort_unstable();
-            seen.dedup();
-            for &item in &seen {
-                outlier_pairs.push((item, *weight));
-            }
-        }
-        outlier_pairs.sort_by_key(|&(item, _)| item);
-        let mut outlier_singles: Vec<(Item, f64)> = Vec::new();
-        for (item, weight) in outlier_pairs {
-            match outlier_singles.last_mut() {
-                Some(last) if last.0 == item => last.1 += weight,
-                _ => outlier_singles.push((item, weight)),
-            }
-        }
-        // Candidates stay sorted by item id, so every later membership test
-        // is a binary search over this small vector — no hashing anywhere on
-        // the inlier-scan hot path.
-        let candidates: Vec<(Item, f64)> = outlier_singles
-            .iter()
-            .copied()
-            .filter(|&(_, count)| count >= min_outlier_count && (!prune || ceiling(count)))
-            .collect();
+        // set, keeping the supported ones. The table of every outlier value
+        // is the largest scratch table of a call; it goes here.
+        let candidates: Vec<(Item, f64)> = {
+            let mut singles = SlotTable::default();
+            let counts = singles.count(&outliers, true);
+            singles
+                .items
+                .into_iter()
+                .zip(counts)
+                .filter(|&(_, count)| count >= min_outlier_count && (!prune || ceiling(count)))
+                .collect()
+        };
         if candidates.is_empty() {
             return Vec::new();
         }
-        let candidate_items: Vec<Item> = candidates.iter().map(|&(item, _)| item).collect();
 
         // Stage 1b: one pass over the inliers counting ONLY the supported
         // candidates (this is the cardinality-aware pruning).
-        let mut candidate_inlier_counts: Vec<f64> = vec![0.0; candidates.len()];
-        let mut seen_pos: Vec<usize> = Vec::new();
-        for (transaction, weight) in inliers {
-            seen_pos.clear();
-            seen_pos.extend(
-                transaction
-                    .iter()
-                    .filter_map(|item| candidate_items.binary_search(item).ok()),
-            );
-            seen_pos.sort_unstable();
-            seen_pos.dedup();
-            for &pos in &seen_pos {
-                candidate_inlier_counts[pos] += weight;
-            }
-        }
+        let mut candidate_slots = SlotTable::of(candidates.iter().map(|&(item, _)| item));
+        let candidate_inlier_counts = candidate_slots.count(&inliers, false);
 
-        // Stage 1c: filter candidates by single-item risk ratio (sorted
-        // order is preserved).
+        // Stage 1c: filter candidates by single-item risk ratio.
         let surviving: Vec<Item> = candidates
             .iter()
-            .enumerate()
-            .filter(|&(pos, &(_, ao))| {
-                risk_ratio_from_totals(
-                    ao,
-                    candidate_inlier_counts[pos],
-                    total_outliers,
-                    total_inliers,
-                ) >= self.config.min_risk_ratio
+            .zip(&candidate_inlier_counts)
+            .filter(|&(&(_, ao), &ai)| {
+                risk_ratio_from_totals(ao, ai, total_outliers, total_inliers) >= min_risk_ratio
             })
-            .map(|(_, &(item, _))| item)
+            .map(|(&(item, _), _)| item)
             .collect();
         if surviving.is_empty() {
             return Vec::new();
@@ -209,19 +166,111 @@ impl BatchExplainer {
             &surviving,
             (total_outliers, total_inliers),
             prune,
-            |visit| outliers.iter().for_each(|&(t, weight)| visit(t, weight)),
-            |visit| inliers.iter().for_each(|&(t, weight)| visit(t, weight)),
-            |item| {
-                let pos = candidate_items.binary_search(&item).ok()?;
-                Some(candidate_inlier_counts[pos])
-            },
+            &outliers,
+            &inliers,
+            |item| Some(candidate_inlier_counts[candidate_slots.slot(item)?]),
         )
     }
 }
 
+/// What a walk feeds each `(transaction, weight)` of a class to.
+type Visit<'a> = &'a mut dyn FnMut(&[Item], f64);
+
+/// A class of weighted transactions as a walk that can be replayed: each
+/// call feeds every `(transaction, weight)` of `class` to the visitor, in
+/// order.
+fn walk<'a>(class: impl Iterator<Item = (&'a [Item], f64)> + Clone) -> impl Fn(Visit) {
+    move |visit| {
+        class
+            .clone()
+            .for_each(|(transaction, weight)| visit(transaction, weight))
+    }
+}
+
+/// Marks an id the table does not hold.
+const ABSENT: u32 = u32::MAX;
+
+/// A dense item-id → slot table for Algorithm 2's counting passes. A lookup
+/// is one array index where a sorted list took a binary search, and a
+/// per-slot stamp of the last transaction that counted the slot stands in
+/// for sorting and deduplicating every transaction. It costs 4 B per id up
+/// to the largest id it holds.
+#[derive(Default)]
+struct SlotTable {
+    /// Item id → slot, or [`ABSENT`].
+    slot_of: Vec<u32>,
+    /// Slot → item id, in insertion order.
+    items: Vec<Item>,
+    /// Slot → the last transaction that met it (transactions count from 1).
+    stamps: Vec<usize>,
+}
+
+impl SlotTable {
+    /// A table holding each of `items` once.
+    fn of(items: impl IntoIterator<Item = Item>) -> Self {
+        let mut table = SlotTable::default();
+        for item in items {
+            if table.slot(item).is_none() {
+                table.insert(item);
+            }
+        }
+        table
+    }
+
+    /// Give the absent `item` the next slot.
+    fn insert(&mut self, item: Item) {
+        let id = item as usize;
+        if id >= self.slot_of.len() {
+            self.slot_of.resize(id + 1, ABSENT);
+        }
+        self.slot_of[id] = self.items.len() as u32;
+        self.items.push(item);
+        self.stamps.push(0);
+    }
+
+    fn slot(&self, item: Item) -> Option<usize> {
+        match self.slot_of.get(item as usize) {
+            Some(&slot) if slot != ABSENT => Some(slot as usize),
+            _ => None,
+        }
+    }
+
+    /// The slot of `item` if the table holds it and transaction `t` has not
+    /// met it yet; marks it met.
+    fn first_in(&mut self, item: Item, t: usize) -> Option<usize> {
+        let slot = self.slot(item)?;
+        if self.stamps[slot] == t {
+            return None;
+        }
+        self.stamps[slot] = t;
+        Some(slot)
+    }
+
+    /// Per slot, the total weight of the transactions that contain its
+    /// item. Each transaction adds its weight once, in walk order; with
+    /// `add_new`, items the table lacks are given slots as they appear.
+    fn count(&mut self, transactions: impl FnOnce(Visit), add_new: bool) -> Vec<f64> {
+        let mut counts = vec![0.0; self.items.len()];
+        let mut t = 0;
+        transactions(&mut |transaction, weight| {
+            t += 1;
+            for &item in transaction {
+                if add_new && self.slot(item).is_none() {
+                    self.insert(item);
+                    counts.push(0.0);
+                }
+                if let Some(slot) = self.first_in(item, t) {
+                    counts[slot] += weight;
+                }
+            }
+        });
+        counts
+    }
+}
+
 /// Stages 2 and 3 of Algorithm 2, for the batch and the streaming explainer
-/// alike: mine the outlier transactions restricted to `surviving` (sorted —
-/// the attribute values whose own risk ratio passed), count the mined
+/// alike: mine the outlier transactions restricted to `surviving` (the
+/// attribute values whose own risk ratio passed), count the mined
 /// combinations among the inlier transactions, and keep what clears the
 /// risk-ratio threshold.
 ///
@@ -238,8 +287,8 @@ pub(crate) fn explain_combinations(
     surviving: &[Item],
     (total_outliers, total_inliers): (f64, f64),
     prune: bool,
-    outliers: impl FnOnce(&mut dyn FnMut(&[Item], f64)),
-    inliers: impl FnOnce(&mut dyn FnMut(&[Item], f64)),
+    outliers: impl FnOnce(Visit),
+    inliers: impl FnOnce(Visit),
     single_inlier_count: impl Fn(Item) -> Option<f64>,
 ) -> Vec<Explanation> {
     let min_outlier_count = config.min_outlier_count(total_outliers);
@@ -250,12 +299,13 @@ pub(crate) fn explain_combinations(
 
     // Stage 2: mine combinations over the outliers restricted to the
     // surviving attribute values.
+    let surviving = SlotTable::of(surviving.iter().copied());
     let mut filtered_outliers: Vec<(Vec<Item>, f64)> = Vec::new();
     outliers(&mut |transaction, weight| {
         let items: Vec<Item> = transaction
             .iter()
             .copied()
-            .filter(|item| surviving.binary_search(item).is_ok())
+            .filter(|&item| surviving.slot(item).is_some())
             .collect();
         if !items.is_empty() {
             filtered_outliers.push((items, weight));
@@ -305,16 +355,13 @@ pub(crate) fn explain_combinations(
 /// not at all when there is nothing to count.
 ///
 /// The combinations are laid out as a lexicographically sorted table, which
-/// is a trie read by range: a transaction, cut down to the items any
+/// is a trie read by range: a transaction, cut down to the distinct items any
 /// combination uses, descends it one matching prefix at a time
 /// ([`add_contained`]). The cost per transaction follows the prefixes it
 /// actually shares with the table — never `transactions × combinations`, and
 /// never a sub-combination nobody asked about. Each count still accumulates
 /// in transaction order.
-fn count_combinations(
-    combos: &[&[Item]],
-    transactions: impl FnOnce(&mut dyn FnMut(&[Item], f64)),
-) -> Vec<f64> {
+fn count_combinations(combos: &[&[Item]], transactions: impl FnOnce(Visit)) -> Vec<f64> {
     let mut counts = vec![0.0; combos.len()];
     if combos.is_empty() {
         return counts;
@@ -325,25 +372,24 @@ fn count_combinations(
         .map(|(pos, &combo)| (combo, pos))
         .collect();
     table.sort_unstable();
-    let mut used: Vec<Item> = combos.iter().flat_map(|c| c.iter().copied()).collect();
-    used.sort_unstable();
-    used.dedup();
+    let mut used = SlotTable::of(combos.iter().flat_map(|c| c.iter().copied()));
     let shortest = combos.iter().map(|c| c.len()).min().unwrap_or(0);
 
     let mut present: Vec<Item> = Vec::new();
+    let mut t = 0;
     transactions(&mut |transaction, weight| {
+        t += 1;
         present.clear();
         present.extend(
             transaction
                 .iter()
                 .copied()
-                .filter(|item| used.binary_search(item).is_ok()),
+                .filter(|&item| used.first_in(item, t).is_some()),
         );
         if present.len() < shortest {
             return;
         }
         present.sort_unstable();
-        present.dedup();
         add_contained(&table, 0, &present, weight, &mut counts);
     });
     counts
@@ -670,10 +716,16 @@ mod tests {
         let wo: Vec<(&[Item], f64)> = outliers.iter().map(|t| (t.as_slice(), 1.0)).collect();
         let wi: Vec<(&[Item], f64)> = inliers.iter().map(|t| (t.as_slice(), 1.0)).collect();
         let (to, ti) = (outliers.len() as f64, inliers.len() as f64);
-        assert_same_explanations(
-            explainer.explain_weighted_impl(&wo, &wi, to, ti, true),
-            explainer.explain_weighted_impl(&wo, &wi, to, ti, false),
-        );
+        let explain = |prune| {
+            explainer.explain_weighted_impl(
+                walk(wo.iter().copied()),
+                walk(wi.iter().copied()),
+                to,
+                ti,
+                prune,
+            )
+        };
+        assert_same_explanations(explain(true), explain(false));
     }
 
     /// Stages 1–3 as they were before the dense slot tables: a sorted
@@ -965,7 +1017,13 @@ mod tests {
             let explainer = BatchExplainer::new(config);
             for prune in [true, false] {
                 let expected = oracle::explain_weighted(&config, &wo, &wi, totals, prune);
-                let actual = explainer.explain_weighted_impl(&wo, &wi, totals.0, totals.1, prune);
+                let actual = explainer.explain_weighted_impl(
+                    walk(wo.iter().copied()),
+                    walk(wi.iter().copied()),
+                    totals.0,
+                    totals.1,
+                    prune,
+                );
                 assert_bit_identical(&actual, &expected, case);
                 reported += expected.len();
             }
@@ -1077,9 +1135,16 @@ mod tests {
                 let wi: Vec<(&[Item], f64)> =
                     inliers.iter().map(|t| (t.as_slice(), 1.0)).collect();
                 let (to, ti) = (outliers.len() as f64, inliers.len() as f64);
-                let pruned = explainer.explain_weighted_impl(&wo, &wi, to, ti, true);
-                let unpruned = explainer.explain_weighted_impl(&wo, &wi, to, ti, false);
-                assert_same_explanations(pruned, unpruned);
+                let explain = |prune| {
+                    explainer.explain_weighted_impl(
+                        walk(wo.iter().copied()),
+                        walk(wi.iter().copied()),
+                        to,
+                        ti,
+                        prune,
+                    )
+                };
+                assert_same_explanations(explain(true), explain(false));
             }
         }
     }

@@ -146,8 +146,7 @@ impl StreamingExplainer {
                 explanations.push(Explanation::new(vec![item], stats));
             }
         }
-        let mut surviving: Vec<Item> = explanations.iter().map(|e| e.items[0]).collect();
-        surviving.sort_unstable();
+        let surviving: Vec<Item> = explanations.iter().map(|e| e.items[0]).collect();
 
         // Stages 2 and 3, shared with the batch explainer. The tree's own
         // single counts lag the AMC's, so its singles are not reported.

@@ -54,20 +54,26 @@ impl BatchExplainer {
         rows: &ItemBatch,
         outlier: impl Fn(usize) -> bool,
     ) -> Vec<Explanation> {
-        let mut outliers: Vec<(&[Item], f64)> = Vec::new();
-        let mut inliers: Vec<(&[Item], f64)> = Vec::new();
-        for (r, row) in rows.iter().enumerate() {
-            if outlier(r) {
-                outliers.push((row, 1.0));
-            } else {
-                inliers.push((row, 1.0));
+        // The outliers (~1% of rows, walked twice) are gathered once; the
+        // inliers are walked in place, by label.
+        let outliers: Vec<&[Item]> = rows
+            .iter()
+            .enumerate()
+            .filter(|&(r, _)| outlier(r))
+            .map(|(_, row)| row)
+            .collect();
+        let inliers = |visit: Visit| {
+            for (r, row) in rows.iter().enumerate() {
+                if !outlier(r) {
+                    visit(row, 1.0);
+                }
             }
-        }
+        };
         self.explain_weighted(
-            walk(outliers.iter().copied()),
-            walk(inliers.iter().copied()),
+            walk(outliers.iter().map(|&t| (t, 1.0))),
+            inliers,
             outliers.len() as f64,
-            inliers.len() as f64,
+            (rows.len() - outliers.len()) as f64,
         )
     }
 

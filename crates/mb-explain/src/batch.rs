@@ -137,7 +137,8 @@ impl BatchExplainer {
         // is the largest scratch table of a call; it goes here.
         let candidates: Vec<(Item, f64)> = {
             let mut singles = SlotTable::default();
-            let counts = singles.count(&outliers, true);
+            outliers(&mut |transaction, _| transaction.iter().for_each(|&item| singles.add(item)));
+            let counts = singles.count(&outliers);
             singles
                 .items
                 .into_iter()
@@ -152,7 +153,7 @@ impl BatchExplainer {
         // Stage 1b: one pass over the inliers counting ONLY the supported
         // candidates (this is the cardinality-aware pruning).
         let mut candidate_slots = SlotTable::of(candidates.iter().map(|&(item, _)| item));
-        let candidate_inlier_counts = candidate_slots.count(&inliers, false);
+        let candidate_inlier_counts = candidate_slots.count(&inliers);
 
         // Stage 1c: filter candidates by single-item risk ratio.
         let surviving: Vec<Item> = candidates
@@ -215,16 +216,15 @@ impl SlotTable {
     /// A table holding each of `items` once.
     fn of(items: impl IntoIterator<Item = Item>) -> Self {
         let mut table = SlotTable::default();
-        for item in items {
-            if table.slot(item).is_none() {
-                table.insert(item);
-            }
-        }
+        items.into_iter().for_each(|item| table.add(item));
         table
     }
 
-    /// Give the absent `item` the next slot.
-    fn insert(&mut self, item: Item) {
+    /// Give `item` the next slot, unless it has one.
+    fn add(&mut self, item: Item) {
+        if self.slot(item).is_some() {
+            return;
+        }
         let id = item as usize;
         if id >= self.slot_of.len() {
             self.slot_of.resize(id + 1, ABSENT);
@@ -253,18 +253,13 @@ impl SlotTable {
     }
 
     /// Per slot, the total weight of the transactions that contain its
-    /// item. Each transaction adds its weight once, in walk order; with
-    /// `add_new`, items the table lacks are given slots as they appear.
-    fn count(&mut self, transactions: impl FnOnce(Visit), add_new: bool) -> Vec<f64> {
+    /// item. Each transaction adds its weight once, in walk order.
+    fn count(&mut self, transactions: impl FnOnce(Visit)) -> Vec<f64> {
         let mut counts = vec![0.0; self.items.len()];
         let mut t = 0;
         transactions(&mut |transaction, weight| {
             t += 1;
             for &item in transaction {
-                if add_new && self.slot(item).is_none() {
-                    self.insert(item);
-                    counts.push(0.0);
-                }
                 if let Some(slot) = self.first_in(item, t) {
                     counts[slot] += weight;
                 }

@@ -134,7 +134,7 @@ impl BatchExplainer {
 
         // Stage 1a: count single attribute values over the (small) outlier
         // set, keeping the supported ones. The table of every outlier value
-        // is the largest scratch table of a call; it goes here.
+        // is a call's largest scratch table, so it is dropped with this block.
         let candidates: Vec<(Item, f64)> = {
             let mut singles = SlotTable::default();
             outliers(&mut |transaction, _| transaction.iter().for_each(|&item| singles.add(item)));

@@ -591,6 +591,102 @@ mod tests {
         assert_eq!(enc.cardinality(), 2);
     }
 
+    /// Values that reach every branch of the key hash and every way two keys
+    /// can nearly collide: a value of each length 0..=40, the same value with
+    /// one byte changed at each position, NUL padding, and multi-byte UTF-8
+    /// on both sides of 16 bytes.
+    fn tricky_values() -> Vec<String> {
+        let letters: String = ('a'..='z').chain('A'..='Z').collect();
+        let mut values = Vec::new();
+        for len in 0..=40 {
+            let value = &letters[..len];
+            values.push(value.to_string());
+            for at in 0..len {
+                let mut changed = value.to_string();
+                changed.replace_range(at..at + 1, "#");
+                values.push(changed);
+            }
+        }
+        for value in ["\0", "\0\0", "a\0", "é", "日本語", "🦀", "ß🦀ß🦀ß🦀ß🦀ß"] {
+            values.push(value.to_string());
+        }
+        values.push("ü".repeat(9));
+        values.push("日本語".repeat(4));
+        values
+    }
+
+    /// One generated case for the differential test: ragged rows over
+    /// [`tricky_values`], a shard count (1–16, more than the rows in the
+    /// small cases), and the values interned before the encode (none for a
+    /// fresh encoder). Every fourth case sweeps all the values, then all of
+    /// them again one column over; the others draw skewed from a slice of
+    /// them, so values recur within and across shards.
+    fn generated_case(case: u64) -> (Vec<Vec<String>>, usize, Vec<(usize, String)>) {
+        use mb_stats::rand_ext::SplitMix64;
+        let mut rng = SplitMix64::new(0xE2C0 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let values = tricky_values();
+        let columns = 1 + rng.next_below(6);
+        let mut rows = Vec::new();
+        if case % 4 == 0 {
+            for shift in 0..2 {
+                for chunk in values.chunks(columns) {
+                    let mut row = vec![values[1].clone(); shift];
+                    row.extend_from_slice(chunk);
+                    rows.push(row);
+                }
+            }
+        } else {
+            let palette = &values[rng.next_below(values.len())..];
+            let count = if case % 4 == 1 { rng.next_below(4) } else { rng.next_below(400) };
+            for _ in 0..count {
+                let len = rng.next_below(columns + 1);
+                rows.push(
+                    (0..len)
+                        .map(|_| {
+                            let skew = 1 + rng.next_below(palette.len());
+                            palette[rng.next_below(skew)].clone()
+                        })
+                        .collect(),
+                );
+            }
+        }
+        let shards = 1 + (case as usize) % 16;
+        let mut preinterned = Vec::new();
+        if case % 3 != 0 {
+            for _ in 0..rng.next_below(50) {
+                let value = values[rng.next_below(values.len())].clone();
+                preinterned.push((rng.next_below(columns + 1), value));
+            }
+        }
+        (rows, shards, preinterned)
+    }
+
+    #[test]
+    fn sharded_encode_equals_a_serial_encode_point_loop() {
+        let pool = mb_pool::Pool::new(4);
+        for case in 0..240 {
+            let (rows, shards, preinterned) = generated_case(case);
+            let mut serial = AttributeEncoder::new();
+            for (column, value) in &preinterned {
+                serial.encode(*column, value);
+            }
+            let mut sharded = serial.clone();
+            let expected: ItemBatch = rows.iter().map(|row| serial.encode_point(row)).collect();
+            let batch = encode_batch_parallel(&mut sharded, &pool, &rows, shards);
+            assert_eq!(batch, expected, "case {case}: {shards} shards");
+            assert_eq!(sharded.cardinality(), serial.cardinality(), "case {case}");
+            for item in 0..serial.cardinality() as Item {
+                assert_eq!(sharded.decode(item), serial.decode(item), "case {case}: id {item}");
+            }
+            for (r, row) in rows.iter().enumerate() {
+                for (column, (value, &item)) in row.iter().zip(batch.row(r)).enumerate() {
+                    let decoded = sharded.decode(item).map(|av| (av.column, av.value.as_str()));
+                    assert_eq!(decoded, Some((column, value.as_str())), "case {case}: row {r}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn parallel_encode_keeps_column_names() {
         let pool = mb_pool::Pool::new(2);

@@ -11,6 +11,13 @@
 
 use mb_fpgrowth::Item;
 
+/// The offset of a row ending `len` items into a batch. Offsets are `u32`,
+/// so a batch of more than `u32::MAX` items panics here, in every build,
+/// rather than wrap and silently splice rows together.
+pub(crate) fn end_offset(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| panic!("ItemBatch overflow: more than u32::MAX items"))
+}
+
 /// A batch of item transactions in struct-of-arrays (CSR) form: a flat item
 /// array plus a row-offset table (`offsets.len() == rows + 1`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,8 +83,7 @@ impl ItemBatch {
 
     /// Close the row currently being built (possibly empty).
     pub fn finish_row(&mut self) {
-        debug_assert!(self.items.len() <= u32::MAX as usize, "ItemBatch overflow");
-        self.offsets.push(self.items.len() as u32);
+        self.offsets.push(end_offset(self.items.len()));
     }
 
     /// Append a whole row at once.
@@ -88,10 +94,10 @@ impl ItemBatch {
 
     /// Append all of `other`'s rows after this batch's rows.
     pub fn append(&mut self, other: &ItemBatch) {
-        let base = self.items.len() as u32;
+        let base = self.items.len();
         self.items.extend_from_slice(&other.items);
         self.offsets
-            .extend(other.offsets.iter().skip(1).map(|&o| base + o));
+            .extend(other.offsets.iter().skip(1).map(|&o| end_offset(base + o as usize)));
     }
 
     /// Drop every row, keeping the allocations.
@@ -170,6 +176,13 @@ mod tests {
             joined.to_rows(),
             vec![vec![1, 2], vec![3], vec![], vec![4, 5]]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "ItemBatch overflow: more than u32::MAX items")]
+    fn offsets_reach_u32_max_and_no_further() {
+        assert_eq!(end_offset(u32::MAX as usize), u32::MAX);
+        end_offset(u32::MAX as usize + 1);
     }
 
     #[test]

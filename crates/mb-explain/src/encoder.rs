@@ -6,16 +6,25 @@
 //! value) pair once and translates back when rendering explanations to users.
 //!
 //! For large batches, [`encode_batch_parallel`] shards the encode pass
-//! across the work-stealing pool: each shard interns misses into a private
-//! local dictionary ([`ShardEncoder`]), and the locals merge into the shared
+//! across the work-stealing pool: a serial pass lays out the row offsets,
+//! each shard writes its ids straight into its own run of the batch's one
+//! items array and interns misses into a private local dictionary
+//! ([`ShardEncoder`]), and the locals merge into the shared
 //! [`AttributeEncoder`] the same way the sketches merge — except the merge
 //! is ordered by each value's first occurrence in the input, so the assigned
 //! item ids (and therefore every downstream count, tree, and explanation)
 //! are *identical* to what a serial [`AttributeEncoder::encode_point`] loop
 //! would have produced. CSV ingestion stitches its parsed chunks through
 //! the same three types.
+//!
+//! Every path in — in-memory batches, CSV chunks, served points, streaming
+//! — hashes a (column, value) key once, with one word-at-a-time
+//! folded-multiply hash. Ids are assigned by first occurrence, never by hash
+//! value, so the hash decides only how long a probe is. It is unkeyed:
+//! values crafted to collide lengthen probes, and cannot change an id,
+//! because every probe compares the full key.
 
-use crate::items::ItemBatch;
+use crate::items::{end_offset, ItemBatch};
 use mb_fpgrowth::Item;
 
 /// A decoded attribute: which column it came from and its string value.
@@ -43,18 +52,52 @@ impl std::fmt::Display for AttributeValue {
     }
 }
 
-/// FNV-1a over the column index and the value bytes. Fixed constants — the
-/// hash is a pure function of the key, so two encoders built from the same
-/// stream are identical, thread count notwithstanding.
+/// The fractional digits of π. Fixed, so the hash is a pure function of the
+/// key and two encoders built from the same stream are identical, thread
+/// count notwithstanding.
+const HASH_KEYS: [u64; 2] = [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344];
+
+/// The 128-bit product of `a` and `b`, its halves folded together by xor.
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let full = u128::from(a) * u128::from(b);
+    (full as u64) ^ ((full >> 64) as u64)
+}
+
+/// The little-endian `N`-byte word at `bytes[at..]`, zero-extended; the
+/// caller has checked that it lies inside `bytes`.
+fn word<const N: usize>(bytes: &[u8], at: usize) -> u64 {
+    let mut le = [0; 8];
+    le[..N].copy_from_slice(&bytes[at..at + N]);
+    u64::from_le_bytes(le)
+}
+
+/// A word at a time, not a byte: the column and the length are mixed into
+/// one seed word; a value of up to 16 bytes is read as two (possibly
+/// overlapping) words, a longer one in 16-byte blocks folded into the seed
+/// and then its last 16 bytes; one folded multiply finishes.
 fn key_hash(column: usize, value: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in (column as u64).to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    for &b in value.as_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let [k0, k1] = HASH_KEYS;
+    let bytes = value.as_bytes();
+    let len = bytes.len();
+    let mut seed = k0 ^ (column as u64).rotate_left(32) ^ len as u64;
+    let (a, b) = match len {
+        0 => (0, 0),
+        1..=3 => {
+            let (first, middle, last) = (bytes[0], bytes[len / 2], bytes[len - 1]);
+            (u64::from(first) << 16 | u64::from(middle) << 8 | u64::from(last), 0)
+        }
+        4..=7 => (word::<4>(bytes, 0), word::<4>(bytes, len - 4)),
+        8..=16 => (word::<8>(bytes, 0), word::<8>(bytes, len - 8)),
+        _ => {
+            let mut at = 0;
+            while len - at > 16 {
+                seed = fold_mul(word::<8>(bytes, at) ^ k1, word::<8>(bytes, at + 8) ^ seed);
+                at += 16;
+            }
+            (word::<8>(bytes, len - 16), word::<8>(bytes, len - 8))
+        }
+    };
+    fold_mul(a ^ k1, b ^ seed)
 }
 
 /// Open-addressing index from key hash to item id, resolved against the
@@ -151,12 +194,12 @@ impl AttributeEncoder {
 
     /// Intern one (column, value) pair, returning its item id.
     pub fn encode(&mut self, column: usize, value: &str) -> Item {
-        let hash = key_hash(column, value);
-        let reverse = &self.reverse;
-        if let Some(item) = self.index.find(hash, |item| {
-            let av = &reverse[item as usize];
-            av.column == column && av.value == value
-        }) {
+        self.encode_hashed(key_hash(column, value), column, value)
+    }
+
+    /// [`encode`](AttributeEncoder::encode) with the key's hash already taken.
+    fn encode_hashed(&mut self, hash: u64, column: usize, value: &str) -> Item {
+        if let Some(item) = self.find(hash, column, value) {
             return item;
         }
         let item = self.reverse.len() as Item;
@@ -191,10 +234,12 @@ impl AttributeEncoder {
 
     /// Look up an item id without interning; `None` if never seen.
     pub fn lookup(&self, column: usize, value: &str) -> Option<Item> {
-        let hash = key_hash(column, value);
-        let reverse = &self.reverse;
+        self.find(key_hash(column, value), column, value)
+    }
+
+    fn find(&self, hash: u64, column: usize, value: &str) -> Option<Item> {
         self.index.find(hash, |item| {
-            let av = &reverse[item as usize];
+            let av = &self.reverse[item as usize];
             av.column == column && av.value == value
         })
     }
@@ -263,9 +308,12 @@ impl<'a> ShardEncoder<'a> {
 
     /// The value's id: final if `frozen` knows it, provisional otherwise.
     pub fn encode(&mut self, column: usize, value: &str) -> Item {
-        match self.frozen.lookup(column, value) {
+        let hash = key_hash(column, value);
+        match self.frozen.find(hash, column, value) {
             Some(item) => item,
-            None => self.frozen.cardinality() as Item + self.local.encode(column, value),
+            None => {
+                self.frozen.cardinality() as Item + self.local.encode_hashed(hash, column, value)
+            }
         }
     }
 
@@ -352,12 +400,14 @@ impl ShardRemap {
 /// Encode `rows` into one columnar [`ItemBatch`] in parallel shards on
 /// `pool`, interning any new attribute values into `encoder`.
 ///
-/// Each shard encodes through a [`ShardEncoder`]; the shard dictionaries
-/// are then interned in shard (= row) order, which makes the id assignment
-/// — and hence the returned batch — byte-identical to a serial
+/// A serial pass first lays out the row offsets, so the batch's one items
+/// array is allocated here and each shard writes its ids straight into its
+/// own run of it through a [`ShardEncoder`]. The shard dictionaries are then
+/// interned in shard (= row) order, which makes the id assignment — and
+/// hence the returned batch — byte-identical to a serial
 /// [`AttributeEncoder::encode_point`] loop over `rows`, for any shard count
-/// and any thread interleaving. Finally the provisional ids are rewritten
-/// to their merged ids, again in parallel, over the flat item arrays.
+/// and any thread interleaving. Finally each shard's provisional ids are
+/// rewritten to their merged ids in place, again in parallel.
 pub fn encode_batch_parallel<R>(
     encoder: &mut AttributeEncoder,
     pool: &mb_pool::Pool,
@@ -370,39 +420,49 @@ where
     let num_shards = num_shards.clamp(1, rows.len().max(1));
     let shard_size = rows.len().div_ceil(num_shards).max(1);
 
-    let frozen = &*encoder;
-    let shards: Vec<(ItemBatch, ShardDictionary)> =
-        pool.map_vec(rows.chunks(shard_size).collect(), |shard_rows: &[R]| {
-            let mut shard = ShardEncoder::new(frozen);
-            let columns = shard_rows.first().map_or(0, |r| r.as_ref().len());
-            let mut batch = ItemBatch::with_capacity(shard_rows.len(), columns);
-            for row in shard_rows {
-                for (column, value) in row.as_ref().iter().enumerate() {
-                    batch.push_item(shard.encode(column, value));
-                }
-                batch.finish_row();
-            }
-            let mut minted = ShardDictionary::default();
-            shard.finish(&mut minted);
-            (batch, minted)
-        });
-
-    let work: Vec<(ItemBatch, ShardRemap)> = shards
-        .into_iter()
-        .map(|(batch, minted)| (batch, minted.intern(encoder)))
+    let mut offsets = Vec::with_capacity(rows.len() + 1);
+    offsets.push(0);
+    let mut end = 0;
+    offsets.extend(rows.iter().map(|row| {
+        end += row.as_ref().len();
+        end_offset(end)
+    }));
+    // The pool threads write only what is allocated here: the items and the
+    // shard dictionaries (ARCHITECTURE, "Ingest: block → chunk → stitch",
+    // memory bound; a dictionary grows in the arena it started in).
+    let mut items = vec![0; end];
+    let mut minted: Vec<ShardDictionary> = (0..num_shards)
+        .map(|_| ShardDictionary::with_capacity(64, 1024))
         .collect();
-    let rewritten: Vec<ItemBatch> = pool.map_vec(work, |(mut batch, remap)| {
-        remap.apply(batch.items_mut());
-        batch
-    });
-    let mut out = ItemBatch::with_capacity(
-        rows.len(),
-        rewritten.iter().map(ItemBatch::num_items).sum::<usize>() / rows.len().max(1) + 1,
-    );
-    for shard in &rewritten {
-        out.append(shard);
+    let mut work = Vec::with_capacity(num_shards);
+    let mut rest = items.as_mut_slice();
+    for ((first, shard_rows), minted) in (0..rows.len())
+        .step_by(shard_size)
+        .zip(rows.chunks(shard_size))
+        .zip(&mut minted)
+    {
+        let len = offsets[first + shard_rows.len()] - offsets[first];
+        let (out, tail) = std::mem::take(&mut rest).split_at_mut(len as usize);
+        rest = tail;
+        work.push((shard_rows, out, minted));
     }
-    out
+
+    let frozen = &*encoder;
+    let written = pool.map_vec(work, |(shard_rows, out, minted)| {
+        let mut shard = ShardEncoder::new(frozen);
+        let mut slots = out.iter_mut();
+        for row in shard_rows {
+            for ((column, value), slot) in row.as_ref().iter().enumerate().zip(&mut slots) {
+                *slot = shard.encode(column, value);
+            }
+        }
+        shard.finish(minted);
+        out
+    });
+
+    let remaps: Vec<ShardRemap> = minted.iter().map(|m| m.intern(encoder)).collect();
+    pool.map_vec(remaps.iter().zip(written).collect(), |(remap, out)| remap.apply(out));
+    ItemBatch::from_parts(items, offsets)
 }
 
 /// [`encode_batch_parallel`] materialized into the row-major
@@ -659,6 +719,18 @@ mod tests {
             }
         }
         (rows, shards, preinterned)
+    }
+
+    #[test]
+    fn key_hash_reads_every_byte_the_column_and_the_length() {
+        let values = tricky_values();
+        let mut hashes: Vec<u64> = (0..3)
+            .flat_map(|column| values.iter().map(move |value| key_hash(column, value)))
+            .collect();
+        let keys = hashes.len();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), keys, "two of {keys} keys share a hash");
     }
 
     #[test]

@@ -48,6 +48,15 @@ impl ItemBatch {
         }
     }
 
+    /// A batch of `items` delimited by `offsets`, which the caller built to
+    /// the invariant on the field: a leading `0`, non-decreasing, ending at
+    /// `items.len()`.
+    pub(crate) fn from_parts(items: Vec<Item>, offsets: Vec<u32>) -> Self {
+        debug_assert_eq!(offsets.first(), Some(&0));
+        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(items.len()));
+        ItemBatch { items, offsets }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.offsets.len() - 1

@@ -465,20 +465,6 @@ where
     ItemBatch::from_parts(items, offsets)
 }
 
-/// [`encode_batch_parallel`] materialized into the row-major
-/// `Vec<Vec<Item>>` layout, for callers that still need per-row vectors.
-pub fn encode_rows_parallel<R>(
-    encoder: &mut AttributeEncoder,
-    pool: &mb_pool::Pool,
-    rows: &[R],
-    num_shards: usize,
-) -> Vec<Vec<Item>>
-where
-    R: AsRef<[String]> + Sync,
-{
-    encode_batch_parallel(encoder, pool, rows, num_shards).to_rows()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,7 +559,7 @@ mod tests {
         let pool = mb_pool::Pool::new(4);
         for shards in [1usize, 2, 3, 7, 16] {
             let mut enc = AttributeEncoder::new();
-            let txns = encode_rows_parallel(&mut enc, &pool, &rows, shards);
+            let txns = encode_batch_parallel(&mut enc, &pool, &rows, shards).to_rows();
             assert_eq!(txns, serial_txns, "transactions diverged at {shards} shards");
             assert_eq!(enc.cardinality(), serial_enc.cardinality());
             for item in 0..enc.cardinality() as Item {
@@ -598,7 +584,7 @@ mod tests {
         let serial_txns: Vec<Vec<Item>> =
             rows.iter().map(|row| serial_enc.encode_point(row)).collect();
         let pool = mb_pool::Pool::new(3);
-        let parallel_txns = encode_rows_parallel(&mut parallel_enc, &pool, &rows, 5);
+        let parallel_txns = encode_batch_parallel(&mut parallel_enc, &pool, &rows, 5).to_rows();
         assert_eq!(parallel_txns, serial_txns);
         assert_eq!(parallel_enc.cardinality(), serial_enc.cardinality());
         assert_eq!(parallel_enc.lookup(0, "device_3"), Some(0));
@@ -642,11 +628,11 @@ mod tests {
         let pool = mb_pool::Pool::new(2);
         let mut enc = AttributeEncoder::new();
         let empty: Vec<Vec<String>> = Vec::new();
-        assert!(encode_rows_parallel(&mut enc, &pool, &empty, 8).is_empty());
+        assert!(encode_batch_parallel(&mut enc, &pool, &empty, 8).is_empty());
         assert_eq!(enc.cardinality(), 0);
 
         let one = vec![vec!["a".to_string(), "b".to_string()]];
-        let txns = encode_rows_parallel(&mut enc, &pool, &one, 8);
+        let txns = encode_batch_parallel(&mut enc, &pool, &one, 8).to_rows();
         assert_eq!(txns, vec![vec![0, 1]]);
         assert_eq!(enc.cardinality(), 2);
     }
@@ -770,7 +756,7 @@ mod tests {
             vec!["B264".to_string(), "2.26.3".to_string()],
             vec!["B101".to_string(), "2.26.3".to_string()],
         ];
-        let txns = encode_rows_parallel(&mut enc, &pool, &rows, 2);
+        let txns = encode_batch_parallel(&mut enc, &pool, &rows, 2).to_rows();
         assert_eq!(
             enc.describe(&txns[0]),
             vec!["device_type=B264", "app_version=2.26.3"]

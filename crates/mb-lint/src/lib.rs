@@ -51,11 +51,12 @@ fn in_tests_or_benches(path: &str) -> bool {
 ///   (measures wall time by design), and `mb-serve` (scheduler timing).
 /// - `hashmap-order-hazard` covers only the output-bearing crates: core,
 ///   mb-explain, mb-fpgrowth, mb-sketch.
-/// - `no-unwrap-in-executors` pins the ten hot-path files: the four
+/// - `no-unwrap-in-executors` pins the twelve hot-path files: the four
 ///   executor/server ones (engines, server, scheduler), the four every
 ///   ingested or served byte goes through (CSV, operators, both wire
-///   decoders), and the two every served cache miss trains through
-///   (`ModelCache`, FastMCD).
+///   decoders), the two every attribute value is encoded through (the
+///   dictionary encoder, `ItemBatch`), and the two every served cache miss
+///   trains through (`ModelCache`, FastMCD).
 /// - `unsafe-needs-safety-comment` applies everywhere, tests included.
 pub fn rules_for_path(path: &str) -> Vec<RuleId> {
     let mut rules = vec![RuleId::UnsafeNeedsSafetyComment];
@@ -85,6 +86,8 @@ pub fn rules_for_path(path: &str) -> Vec<RuleId> {
             | "crates/core/src/operator.rs"
             | "crates/core/src/streaming.rs"
             | "crates/core/src/wire.rs"
+            | "crates/mb-explain/src/encoder.rs"
+            | "crates/mb-explain/src/items.rs"
             | "crates/mb-ingest/src/csv.rs"
             | "crates/mb-serve/src/cache.rs"
             | "crates/mb-serve/src/scheduler.rs"
@@ -184,6 +187,13 @@ mod tests {
             .contains(&RuleId::NoUnwrapInExecutors));
         assert!(rules_for_path("crates/mb-serve/src/wire.rs")
             .contains(&RuleId::NoUnwrapInExecutors));
+        assert!(rules_for_path("crates/mb-explain/src/encoder.rs")
+            .contains(&RuleId::NoUnwrapInExecutors));
+        assert!(rules_for_path("crates/mb-explain/src/items.rs")
+            .contains(&RuleId::NoUnwrapInExecutors));
+        assert!(
+            !rules_for_path("crates/mb-explain/src/batch.rs").contains(&RuleId::NoUnwrapInExecutors)
+        );
         assert!(
             !rules_for_path("crates/mb-ingest/src/datasets.rs").contains(&RuleId::NoUnwrapInExecutors)
         );

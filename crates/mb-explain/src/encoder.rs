@@ -84,7 +84,8 @@ fn key_hash(column: usize, value: &str) -> u64 {
         0 => (0, 0),
         1..=3 => {
             let (first, middle, last) = (bytes[0], bytes[len / 2], bytes[len - 1]);
-            (u64::from(first) << 16 | u64::from(middle) << 8 | u64::from(last), 0)
+            let bytes = u64::from(first) << 16 | u64::from(middle) << 8 | u64::from(last);
+            (bytes, 0)
         }
         4..=7 => (word::<4>(bytes, 0), word::<4>(bytes, len - 4)),
         8..=16 => (word::<8>(bytes, 0), word::<8>(bytes, len - 8)),
@@ -461,7 +462,9 @@ where
     });
 
     let remaps: Vec<ShardRemap> = minted.iter().map(|m| m.intern(encoder)).collect();
-    pool.map_vec(remaps.iter().zip(written).collect(), |(remap, out)| remap.apply(out));
+    pool.map_vec(remaps.iter().zip(written).collect(), |(remap, out)| {
+        remap.apply(out)
+    });
     ItemBatch::from_parts(items, offsets)
 }
 
@@ -653,9 +656,10 @@ mod tests {
                 values.push(changed);
             }
         }
-        for value in ["\0", "\0\0", "a\0", "é", "日本語", "🦀", "ß🦀ß🦀ß🦀ß🦀ß"] {
+        for value in ["\0", "\0\0", "a\0", "é", "日本語", "🦀"] {
             values.push(value.to_string());
         }
+        values.push("ß🦀".repeat(4) + "ß");
         values.push("ü".repeat(9));
         values.push("日本語".repeat(4));
         values
@@ -683,7 +687,7 @@ mod tests {
             }
         } else {
             let palette = &values[rng.next_below(values.len())..];
-            let count = if case % 4 == 1 { rng.next_below(4) } else { rng.next_below(400) };
+            let count = rng.next_below(if case % 4 == 1 { 4 } else { 400 });
             for _ in 0..count {
                 let len = rng.next_below(columns + 1);
                 rows.push(
@@ -734,12 +738,13 @@ mod tests {
             assert_eq!(batch, expected, "case {case}: {shards} shards");
             assert_eq!(sharded.cardinality(), serial.cardinality(), "case {case}");
             for item in 0..serial.cardinality() as Item {
-                assert_eq!(sharded.decode(item), serial.decode(item), "case {case}: id {item}");
+                let (got, want) = (sharded.decode(item), serial.decode(item));
+                assert_eq!(got, want, "case {case}: id {item}");
             }
             for (r, row) in rows.iter().enumerate() {
                 for (column, (value, &item)) in row.iter().zip(batch.row(r)).enumerate() {
-                    let decoded = sharded.decode(item).map(|av| (av.column, av.value.as_str()));
-                    assert_eq!(decoded, Some((column, value.as_str())), "case {case}: row {r}");
+                    let want = AttributeValue::new(column, value.as_str());
+                    assert_eq!(sharded.decode(item), Some(&want), "case {case}: row {r}");
                 }
             }
         }

@@ -105,8 +105,13 @@ impl ItemBatch {
     pub fn append(&mut self, other: &ItemBatch) {
         let base = self.items.len();
         self.items.extend_from_slice(&other.items);
-        self.offsets
-            .extend(other.offsets.iter().skip(1).map(|&o| end_offset(base + o as usize)));
+        self.offsets.extend(
+            other
+                .offsets
+                .iter()
+                .skip(1)
+                .map(|&o| end_offset(base + o as usize)),
+        );
     }
 
     /// Drop every row, keeping the allocations.

@@ -432,24 +432,18 @@ where
     // shard dictionaries (ARCHITECTURE, "Ingest: block → chunk → stitch",
     // memory bound; a dictionary grows in the arena it started in).
     let mut items = vec![0; end];
-    let mut minted: Vec<ShardDictionary> = (0..num_shards)
-        .map(|_| ShardDictionary::with_capacity(64, 1024))
-        .collect();
     let mut work = Vec::with_capacity(num_shards);
     let mut rest = items.as_mut_slice();
-    for ((first, shard_rows), minted) in (0..rows.len())
-        .step_by(shard_size)
-        .zip(rows.chunks(shard_size))
-        .zip(&mut minted)
-    {
+    for (shard, shard_rows) in rows.chunks(shard_size).enumerate() {
+        let first = shard * shard_size;
         let len = offsets[first + shard_rows.len()] - offsets[first];
         let (out, tail) = std::mem::take(&mut rest).split_at_mut(len as usize);
         rest = tail;
-        work.push((shard_rows, out, minted));
+        work.push((shard_rows, out, ShardDictionary::with_capacity(64, 1024)));
     }
 
     let frozen = &*encoder;
-    let written = pool.map_vec(work, |(shard_rows, out, minted)| {
+    let written = pool.map_vec(work, |(shard_rows, out, mut minted)| {
         let mut shard = ShardEncoder::new(frozen);
         let mut slots = out.iter_mut();
         for row in shard_rows {
@@ -457,14 +451,15 @@ where
                 *slot = shard.encode(column, value);
             }
         }
-        shard.finish(minted);
-        out
+        shard.finish(&mut minted);
+        (out, minted)
     });
 
-    let remaps: Vec<ShardRemap> = minted.iter().map(|m| m.intern(encoder)).collect();
-    pool.map_vec(remaps.iter().zip(written).collect(), |(remap, out)| {
-        remap.apply(out)
-    });
+    let remaps: Vec<(&mut [Item], ShardRemap)> = written
+        .into_iter()
+        .map(|(out, minted)| (out, minted.intern(encoder)))
+        .collect();
+    pool.map_vec(remaps, |(out, remap)| remap.apply(out));
     ItemBatch::from_parts(items, offsets)
 }
 

@@ -105,13 +105,9 @@ impl ItemBatch {
     pub fn append(&mut self, other: &ItemBatch) {
         let base = self.items.len();
         self.items.extend_from_slice(&other.items);
-        self.offsets.extend(
-            other
-                .offsets
-                .iter()
-                .skip(1)
-                .map(|&o| end_offset(base + o as usize)),
-        );
+        for &o in &other.offsets[1..] {
+            self.offsets.push(end_offset(base + o as usize));
+        }
     }
 
     /// Drop every row, keeping the allocations.

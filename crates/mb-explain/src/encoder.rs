@@ -71,10 +71,10 @@ fn word<const N: usize>(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(le)
 }
 
-/// A word at a time, not a byte: the column and the length are mixed into
-/// one seed word; a value of up to 16 bytes is read as two (possibly
-/// overlapping) words, a longer one in 16-byte blocks folded into the seed
-/// and then its last 16 bytes; one folded multiply finishes.
+/// The dictionary's key hash, a word at a time: the column and the length
+/// are mixed into one seed word; a value of up to 16 bytes is read as two
+/// (possibly overlapping) words, a longer one in 16-byte blocks folded into
+/// the seed and then its last 16 bytes; one folded multiply finishes.
 fn key_hash(column: usize, value: &str) -> u64 {
     let [k0, k1] = HASH_KEYS;
     let bytes = value.as_bytes();
@@ -84,8 +84,8 @@ fn key_hash(column: usize, value: &str) -> u64 {
         0 => (0, 0),
         1..=3 => {
             let (first, middle, last) = (bytes[0], bytes[len / 2], bytes[len - 1]);
-            let bytes = u64::from(first) << 16 | u64::from(middle) << 8 | u64::from(last);
-            (bytes, 0)
+            let packed = u64::from(first) << 16 | u64::from(middle) << 8 | u64::from(last);
+            (packed, 0)
         }
         4..=7 => (word::<4>(bytes, 0), word::<4>(bytes, len - 4)),
         8..=16 => (word::<8>(bytes, 0), word::<8>(bytes, len - 8)),

@@ -188,6 +188,129 @@ fn every_backend_consumes_the_same_ingestor_fed_query() {
     }
 }
 
+/// `n` points of `dim` metrics over two attribute columns, with every 100th
+/// point a planted extreme on `device_bad` and every 250th a modest bump on
+/// `device_rule` that only a rule above 13 catches.
+fn planted(n: usize, dim: usize) -> Vec<Point> {
+    (0..n)
+        .map(|i| {
+            let (value, device) = if i % 100 == 0 {
+                (400.0, "device_bad".to_string())
+            } else if i % 250 == 7 {
+                (14.0, "device_rule".to_string())
+            } else {
+                (10.0 + (i % 9) as f64 * 0.2, format!("device_{}", i % 60))
+            };
+            let metrics = (0..dim).map(|d| value + d as f64 * (i % 5) as f64 * 0.1).collect();
+            Point::new(metrics, vec![device, format!("fw_{}", i % 3)])
+        })
+        .collect()
+}
+
+/// One query's report through every batch entry point, as wire bytes with
+/// the trace stripped, each labelled with the entry point that made it.
+fn reports_through_every_entry_point(
+    build: &dyn Fn() -> MdpQuery,
+    points: &[Point],
+) -> Vec<(String, String)> {
+    use macrobase::core::operator::ColumnarInput;
+    use macrobase::core::wire::report_to_string;
+    let bytes = |mut report: MdpReport| {
+        report.trace = None;
+        report_to_string(&report)
+    };
+    let mut reports = vec![(
+        "execute(OneShot)".to_string(),
+        bytes(build().execute(&Executor::OneShot, points).unwrap()),
+    )];
+    for batch_size in [1, 777] {
+        for executor in [Executor::OneShot, Executor::Coordinated { partitions: 3 }] {
+            let mut source = VecIngestor::new(points.to_vec(), batch_size);
+            let report = build().execute_ingest(&executor, &mut source).unwrap();
+            reports.push((
+                format!("execute_ingest({}), batches of {batch_size}", executor.name()),
+                bytes(report),
+            ));
+        }
+    }
+    let query = build();
+    let model = query.train(points).unwrap();
+    reports.push((
+        "train + execute_with_model".to_string(),
+        bytes(query.execute_with_model(&model, points).unwrap()),
+    ));
+    let mut input = ColumnarInput::from_points(query.analysis(), points).unwrap();
+    let model = query.train_columns(&input.batch).unwrap();
+    reports.push((
+        "from_points + train_columns + execute_columns_with_model".to_string(),
+        bytes(query.execute_columns_with_model(&model, &mut input).unwrap()),
+    ));
+    for partitions in 1..=8 {
+        let executor = Executor::Coordinated { partitions };
+        reports.push((
+            format!("execute(Coordinated {{ partitions: {partitions} }})"),
+            bytes(build().execute(&executor, points).unwrap()),
+        ));
+    }
+    reports
+}
+
+#[test]
+fn every_batch_entry_point_gives_the_same_report_bytes() {
+    let rule = || RuleClassifier::single(0, Comparison::GreaterThan, 13.0);
+    let base = || {
+        MdpQuery::builder()
+            .explanation(ExplanationConfig::new(0.01, 3.0))
+            .attribute_names(vec!["device_id".to_string(), "firmware".to_string()])
+    };
+    let cases: Vec<(&str, usize, Box<dyn Fn() -> MdpQuery>)> = vec![
+        ("MAD", 1, Box::new(move || base().build().unwrap())),
+        (
+            "forced ZScore",
+            1,
+            Box::new(move || base().estimator(EstimatorKind::ZScore).build().unwrap()),
+        ),
+        ("2-d Auto (MCD)", 2, Box::new(move || base().build().unwrap())),
+        (
+            "hybrid rule",
+            1,
+            Box::new(move || base().supervised_rule(rule()).build().unwrap()),
+        ),
+        (
+            "rule-only",
+            1,
+            Box::new(move || {
+                base()
+                    .without_unsupervised()
+                    .supervised_rule(rule())
+                    .build()
+                    .unwrap()
+            }),
+        ),
+        (
+            "skip_explanation",
+            1,
+            Box::new(move || base().skip_explanation().build().unwrap()),
+        ),
+        (
+            "retain_scores + retain_outlier_rows",
+            1,
+            Box::new(move || base().retain_scores().retain_outlier_rows().build().unwrap()),
+        ),
+        ("traced", 1, Box::new(move || base().traced().build().unwrap())),
+    ];
+    for (case, dim, build) in &cases {
+        let points = planted(3_000, *dim);
+        let reports = reports_through_every_entry_point(build.as_ref(), &points);
+        let (reference_name, reference) = &reports[0];
+        let report = macrobase::core::wire::report_from_str(reference).unwrap();
+        assert!(report.num_outliers >= 30, "{case}: {} outliers", report.num_outliers);
+        for (name, bytes) in &reports[1..] {
+            assert_eq!(bytes, reference, "{case}: {name} differs from {reference_name}");
+        }
+    }
+}
+
 #[test]
 fn naive_partitioned_report_carries_partition_detail_and_no_global_cutoff() {
     let points = workload(8_000);

@@ -1,26 +1,30 @@
-//! Batch execution engines behind the [`Executor`](crate::query::Executor)
-//! backends, built by driving the Table 1 operator traits.
+//! The batch execution core behind the [`Executor`] backends.
 //!
-//! All three batch backends share two real operators:
+//! One-shot execution is one engine over a
+//! [`ColumnarInput`]: `train_model` fits the query's estimator, scores every
+//! row once and cuts the percentile threshold; a shared tail labels the rows
+//! (OR-ing in the query's supervised rule), explains them through
+//! `explain_encoded`, and builds the report in `assemble_report`. Running
+//! against a pre-trained [`FittedModel`] is the same tail after scoring
+//! alone, so a batch scored against a model trained on itself reproduces the
+//! one-shot report byte for byte.
 //!
-//! * [`MdpClassifier`] — the MDP classification stage as a
-//!   [`Classifier`]: robust-estimator scoring at a percentile threshold,
-//!   optionally OR-ed with a supervised [`RuleClassifier`] (hybrid
-//!   supervision), or rule-only.
-//! * [`MdpExplainer`] — the MDP explanation stage as an [`Explainer`]:
-//!   dictionary attribute encoding feeding the cardinality-aware risk-ratio
-//!   strategy (Algorithm 2), ranked and rendered.
+//! The partitioned backends are built from the same pieces. The coordinated
+//! engine takes the same columnar input and the same fit, label step and
+//! report assembly; it scatters the scoring pass over partitions against the
+//! one fitted model, cuts one threshold over the merged scores, and merges
+//! per-partition [`ExplainState`]s on items — the only point where partitions
+//! coordinate — so it reproduces the one-shot report at any partition count.
+//! The naïve engine runs the one-shot engine per partition and unions the
+//! rendered results.
 //!
-//! `execute_one_shot` composes exactly these two; the naïve partitioned
-//! engine runs it per partition; the coordinated engine decomposes the
-//! classifier into fit/score/threshold so one model can be broadcast and one
-//! threshold cut over merged scores, and swaps the explainer's accumulation
-//! for mergeable [`ExplainState`]s — reproducing the one-shot report exactly
-//! at any partition count.
+//! [`MdpClassifier`] and [`MdpExplainer`] expose the classify and explain
+//! halves as Table 1 [`Classifier`] / [`Explainer`] operators. They are
+//! adaptors over this core, not what the engines drive.
 
 use crate::operator::{check_columns, Classifier, ColumnarInput, Explainer};
 use crate::parallel::{partition_chunks, resolve_num_partitions, scatter};
-use crate::query::{AnalysisConfig, EstimatorKind};
+use crate::query::{AnalysisConfig, EstimatorKind, Executor};
 use crate::types::{MdpReport, Point, RenderedExplanation};
 use crate::{PipelineError, Result};
 use mb_classify::batch::{BatchClassifier, BatchClassifierConfig};
@@ -28,16 +32,15 @@ use mb_classify::rule::{label_or, RuleClassifier};
 use mb_classify::threshold::StaticThreshold;
 use mb_classify::{Classification, Label};
 use mb_explain::batch::BatchExplainer;
-use mb_explain::encoder::{encode_batch_parallel, AttributeEncoder};
-use mb_explain::partition::ExplainState;
+use mb_explain::encoder::AttributeEncoder;
 use mb_explain::risk_ratio::rank_explanations;
-use mb_explain::{ItemBatch, Mergeable};
+use mb_explain::{ExplainState, Explanation, ExplanationConfig, ItemBatch, Mergeable};
 use mb_fpgrowth::Item;
-use mb_obs::{stage, MetricRegistry, TraceBuilder};
+use mb_obs::{stage, MetricRegistry, StageTimer, TraceBuilder};
 use mb_stats::mad::MadEstimator;
 use mb_stats::mcd::McdEstimator;
 use mb_stats::zscore::ZScoreEstimator;
-use mb_stats::Estimator;
+use mb_stats::{Estimator, StatsError};
 use std::collections::HashMap;
 
 /// Fold the global pool's activity delta since `before` into a trace's
@@ -92,13 +95,34 @@ pub(crate) fn check_dimensions(points: &[Point]) -> Result<usize> {
     Ok(dim)
 }
 
+/// Copy every point's metrics into one contiguous row-major buffer — the
+/// layout the flat classifier/estimator paths consume. One allocation for
+/// the whole batch instead of one clone per point.
+pub(crate) fn flatten_metrics(points: &[Point], dim: usize) -> Vec<f64> {
+    let mut flat = Vec::with_capacity(points.len() * dim);
+    for p in points {
+        flat.extend_from_slice(&p.metrics);
+    }
+    flat
+}
+
+/// The attribute encoder a query's analysis configuration asks for (named
+/// columns when given, anonymous otherwise). Shared by every backend so the
+/// selection rule cannot drift between batch and streaming engines.
+pub(crate) fn encoder_for(analysis: &AnalysisConfig) -> AttributeEncoder {
+    if analysis.attribute_names.is_empty() {
+        AttributeEncoder::new()
+    } else {
+        AttributeEncoder::with_column_names(analysis.attribute_names.clone())
+    }
+}
+
 /// The MDP classification stage as a reusable [`Classifier`] operator:
 /// unsupervised robust-estimator scoring cut at a percentile, a supervised
 /// rule, or both OR-ed (hybrid supervision).
 #[derive(Debug, Clone)]
 pub struct MdpClassifier {
-    estimator: EstimatorKind,
-    config: BatchClassifierConfig,
+    analysis: AnalysisConfig,
     rule: Option<RuleClassifier>,
     unsupervised: bool,
     cutoff: Option<f64>,
@@ -118,11 +142,7 @@ impl MdpClassifier {
         unsupervised: bool,
     ) -> Self {
         MdpClassifier {
-            estimator: analysis.estimator,
-            config: BatchClassifierConfig {
-                target_percentile: analysis.target_percentile,
-                training_sample_size: analysis.training_sample_size,
-            },
+            analysis: analysis.clone(),
             rule,
             unsupervised,
             cutoff: None,
@@ -135,108 +155,23 @@ impl MdpClassifier {
     pub fn cutoff(&self) -> Option<f64> {
         self.cutoff
     }
-
-    /// Fit, score, threshold, and label — the exact operation sequence of
-    /// [`BatchClassifier::classify_batch_flat`], unrolled here so the train
-    /// and score halves can be timed as separate trace stages. Results are
-    /// identical to the composite call (same ops in the same order); the
-    /// trace builder is inert unless the query enabled telemetry.
-    fn classify_unsupervised<E: Estimator>(
-        &mut self,
-        estimator: E,
-        flat: &[f64],
-        dim: usize,
-        trace: &mut TraceBuilder,
-    ) -> Result<Vec<Classification>> {
-        let rows = flat.len() / dim.max(1);
-        let mut classifier = BatchClassifier::new(estimator, self.config);
-        let timer = trace.start();
-        classifier.fit_flat(flat, dim)?;
-        trace.finish_stage(timer, stage::TRAIN, rows, rows, 1);
-        let timer = trace.start();
-        let scores = classifier.score_batch_flat(flat, dim)?;
-        let threshold = StaticThreshold::from_scores(&scores, self.config.target_percentile)?;
-        classifier.set_threshold(threshold);
-        let classifications: Vec<Classification> = scores
-            .into_iter()
-            .map(|score| threshold.classify(score))
-            .collect();
-        if trace.is_enabled() {
-            let outliers = classifications
-                .iter()
-                .filter(|c| c.label.is_outlier())
-                .count();
-            trace.finish_stage(timer, stage::SCORE, rows, outliers, 1);
-        }
-        self.cutoff = classifier.threshold().map(|t| t.cutoff());
-        Ok(classifications)
-    }
-}
-
-/// Copy every point's metrics into one contiguous row-major buffer — the
-/// layout the flat classifier/estimator paths consume. One allocation for
-/// the whole batch instead of one clone per point.
-pub(crate) fn flatten_metrics(points: &[Point], dim: usize) -> Vec<f64> {
-    let mut flat = Vec::with_capacity(points.len() * dim);
-    for p in points {
-        flat.extend_from_slice(&p.metrics);
-    }
-    flat
-}
-
-impl MdpClassifier {
-    /// Classify a contiguous row-major metric buffer (`dim` values per row):
-    /// the columnar entry every batch path funnels through. Produces exactly
-    /// the classifications the row-major [`Classifier::classify`] does.
-    pub(crate) fn classify_flat(&mut self, flat: &[f64], dim: usize) -> Result<Vec<Classification>> {
-        self.classify_flat_traced(flat, dim, &mut TraceBuilder::disabled())
-    }
-
-    /// [`classify_flat`](MdpClassifier::classify_flat) with train/score
-    /// stage timing recorded on `trace` (inert when telemetry is off).
-    pub(crate) fn classify_flat_traced(
-        &mut self,
-        flat: &[f64],
-        dim: usize,
-        trace: &mut TraceBuilder,
-    ) -> Result<Vec<Classification>> {
-        let mut classifications = if self.unsupervised {
-            match self.estimator.resolve(dim) {
-                EstimatorKind::Mad => {
-                    self.classify_unsupervised(MadEstimator::new(), flat, dim, trace)?
-                }
-                EstimatorKind::ZScore => {
-                    self.classify_unsupervised(ZScoreEstimator::new(), flat, dim, trace)?
-                }
-                EstimatorKind::Mcd => {
-                    self.classify_unsupervised(McdEstimator::with_defaults(), flat, dim, trace)?
-                }
-                EstimatorKind::Auto => unreachable!("resolve() eliminates Auto"),
-            }
-        } else {
-            self.cutoff = None;
-            vec![
-                Classification {
-                    score: 0.0,
-                    label: Label::Inlier,
-                };
-                flat.len() / dim
-            ]
-        };
-        if let Some(rule) = &self.rule {
-            for (classification, row) in classifications.iter_mut().zip(flat.chunks_exact(dim)) {
-                classification.label = label_or(classification.label, rule.classify(row));
-            }
-        }
-        Ok(classifications)
-    }
 }
 
 impl Classifier for MdpClassifier {
+    /// Fit, score and threshold as the one-shot engine does, then its label
+    /// step: the same classifications a one-shot query assigns these rows.
     fn classify(&mut self, points: &[Point]) -> Result<Vec<Classification>> {
         let dim = check_dimensions(points)?;
         let flat = flatten_metrics(points, dim);
-        self.classify_flat(&flat, dim)
+        let parts = QueryParts {
+            analysis: &self.analysis,
+            rule: self.rule.as_ref(),
+            unsupervised: self.unsupervised,
+        };
+        let mut trace = TraceBuilder::disabled();
+        let (model, scored) = train_model(parts, &flat, dim, &mut trace)?;
+        self.cutoff = model.cutoff;
+        Ok(label_rows(parts, model.cutoff, scored, &flat, dim, &mut trace, 1))
     }
 }
 
@@ -245,7 +180,7 @@ impl Classifier for MdpClassifier {
 /// cardinality-aware risk-ratio strategy, ranked and rendered.
 pub struct MdpExplainer {
     encoder: AttributeEncoder,
-    config: mb_explain::ExplanationConfig,
+    config: ExplanationConfig,
     batch: ItemBatch,
     labels: Vec<bool>,
     scratch: Vec<Item>,
@@ -280,120 +215,37 @@ impl Explainer for MdpExplainer {
     }
 
     fn explanations(&mut self) -> Vec<RenderedExplanation> {
-        let explainer = BatchExplainer::new(self.config);
         let labels = &self.labels;
-        let mut explanations = explainer.explain_labeled(&self.batch, |r| labels[r]);
-        rank_explanations(&mut explanations);
-        explanations
-            .into_iter()
-            .map(|e| RenderedExplanation {
-                attributes: self.encoder.describe(&e.items),
-                items: e.items,
-                stats: e.stats,
-            })
-            .collect()
+        explain_encoded(self.config, &self.encoder, &self.batch, |r| labels[r])
     }
 }
 
-/// The attribute encoder a query's analysis configuration asks for (named
-/// columns when given, anonymous otherwise). Shared by every backend so the
-/// selection rule cannot drift between batch and streaming engines.
-pub(crate) fn encoder_for(analysis: &AnalysisConfig) -> AttributeEncoder {
-    if analysis.attribute_names.is_empty() {
-        AttributeEncoder::new()
-    } else {
-        AttributeEncoder::with_column_names(analysis.attribute_names.clone())
-    }
+/// Rank explanations and render their items against the dictionary that
+/// minted them — how every engine, batch and streaming, turns mined
+/// itemsets into a report's explanations.
+pub(crate) fn render_explanations(
+    encoder: &AttributeEncoder,
+    mut explanations: Vec<Explanation>,
+) -> Vec<RenderedExplanation> {
+    rank_explanations(&mut explanations);
+    explanations
+        .into_iter()
+        .map(|e| RenderedExplanation {
+            attributes: encoder.describe(&e.items),
+            items: e.items,
+            stats: e.stats,
+        })
+        .collect()
 }
 
-/// The one-shot engine: drive [`MdpClassifier`] then [`MdpExplainer`] over
-/// the whole batch on the calling thread. Returns the per-point
-/// classifications (for callers that need labeled points, e.g. the
-/// deprecated `Pipeline::run`) alongside the unified report.
-pub(crate) fn execute_one_shot(
-    parts: QueryParts<'_>,
-    points: &[Point],
-) -> Result<(Vec<Classification>, MdpReport)> {
-    execute_one_shot_impl(parts, points, true)
-}
-
-/// [`execute_one_shot`] with control over pool-counter recording: the naïve
-/// engine runs this per partition concurrently, where per-partition global
-/// pool deltas would overlap and double-count, so only top-level entries
-/// pass `record_pool`.
-fn execute_one_shot_impl(
-    parts: QueryParts<'_>,
-    points: &[Point],
-    record_pool: bool,
-) -> Result<(Vec<Classification>, MdpReport)> {
-    let mut trace = TraceBuilder::new(parts.analysis.obs, "one-shot");
-    let pool_before = if record_pool {
-        pool_snapshot(&trace)
-    } else {
-        None
-    };
-    let dim = check_dimensions(points)?;
-    let timer = trace.start();
-    let flat = flatten_metrics(points, dim);
-    trace.finish_stage(timer, "flatten", points.len(), points.len(), 1);
-    let mut classifier =
-        MdpClassifier::with_rule(parts.analysis, parts.rule.cloned(), parts.unsupervised);
-    let classifications = classifier.classify_flat_traced(&flat, dim, &mut trace)?;
-    let num_outliers = classifications
-        .iter()
-        .filter(|c| c.label.is_outlier())
-        .count();
-
-    let explanations = if parts.analysis.skip_explanation {
-        Vec::new()
-    } else {
-        // Columnar explanation path: shard the encode pass across the pool
-        // (the first-occurrence-ordered dictionary merge reproduces the ids
-        // a serial pass assigns) and explain straight off the ItemBatch —
-        // strings stop flowing past this point.
-        let analysis = parts.analysis;
-        let mut encoder = encoder_for(analysis);
-        let attribute_rows: Vec<&[String]> =
-            points.iter().map(|p| p.attributes.as_slice()).collect();
-        let encode_shards = resolve_num_partitions(0);
-        let timer = trace.start();
-        let batch = encode_batch_parallel(
-            &mut encoder,
-            mb_pool::global(),
-            &attribute_rows,
-            encode_shards,
-        );
-        trace.finish_stage(timer, stage::ENCODE, points.len(), points.len(), encode_shards);
-        let timer = trace.start();
-        let explanations = explain_encoded(analysis, &encoder, &batch, &classifications);
-        trace.finish_stage(timer, stage::EXPLAIN, points.len(), explanations.len(), 1);
-        explanations
-    };
-
-    record_pool_delta(&mut trace, pool_before);
-    let report = MdpReport {
-        explanations,
-        num_points: points.len(),
-        num_outliers,
-        score_cutoff: classifier.cutoff(),
-        scores: if parts.analysis.retain_scores {
-            classifications.iter().map(|c| c.score).collect()
-        } else {
-            Vec::new()
-        },
-        outlier_rows: if parts.analysis.retain_outlier_rows {
-            classifications
-                .iter()
-                .enumerate()
-                .filter_map(|(row, c)| c.label.is_outlier().then_some(row))
-                .collect()
-        } else {
-            Vec::new()
-        },
-        partition_reports: None,
-        trace: trace.finish(),
-    };
-    Ok((classifications, report))
+/// Explain a labelled columnar batch and render it against its encoder.
+fn explain_encoded(
+    config: ExplanationConfig,
+    encoder: &AttributeEncoder,
+    batch: &ItemBatch,
+    outlier: impl Fn(usize) -> bool,
+) -> Vec<RenderedExplanation> {
+    render_explanations(encoder, BatchExplainer::new(config).explain_labeled(batch, outlier))
 }
 
 /// Dispatch between the concrete fitted batch classifiers a
@@ -447,8 +299,14 @@ impl FittedModel {
     }
 
     /// Score a contiguous row-major metric buffer against the fitted
-    /// estimator; `None` for rule-only models.
+    /// estimator; `None` for rule-only models. Every batch path scores here,
+    /// so this is where a NaN or infinite metric fails: a capped fit reads
+    /// only its sample and a pre-trained model none of the batch, and
+    /// either would otherwise score the row NaN and label it inlier.
     fn score_flat(&self, flat: &[f64], dim: usize) -> Result<Option<Vec<f64>>> {
+        if self.is_unsupervised() && !flat.iter().all(|v| v.is_finite()) {
+            return Err(StatsError::NonFinite.into());
+        }
         let scores = match &self.kind {
             FittedModelKind::Mad(c) => c.score_batch_flat(flat, dim)?,
             FittedModelKind::Mcd(c) => c.score_batch_flat(flat, dim)?,
@@ -459,106 +317,122 @@ impl FittedModel {
     }
 }
 
-/// Fit one estimator and cut its threshold — the exact fit → score →
-/// threshold sequence of
-/// [`MdpClassifier::classify_unsupervised`], so a model trained here and
-/// applied to its own training batch labels every row identically.
-fn fit_model<E: Estimator>(
-    estimator: E,
-    analysis: &AnalysisConfig,
-    flat: &[f64],
-    dim: usize,
-) -> Result<(BatchClassifier<E>, f64)> {
-    let mut classifier = BatchClassifier::new(
-        estimator,
-        BatchClassifierConfig {
-            target_percentile: analysis.target_percentile,
-            training_sample_size: analysis.training_sample_size,
-        },
-    );
-    classifier.fit_flat(flat, dim)?;
-    let scores = classifier.score_batch_flat(flat, dim)?;
-    let threshold = StaticThreshold::from_scores(&scores, analysis.target_percentile)?;
-    classifier.set_threshold(threshold);
-    Ok((classifier, threshold.cutoff()))
-}
-
-/// Train a query's classification model over a row-major metric buffer
-/// (`dim` values per row, both already validated) without classifying or
-/// explaining anything: the fit half of the one-shot engine.
-pub(crate) fn train_model(parts: QueryParts<'_>, flat: &[f64], dim: usize) -> Result<FittedModel> {
-    if !parts.unsupervised {
-        return Ok(FittedModel {
-            kind: FittedModelKind::RuleOnly,
-            cutoff: None,
-            dim,
-        });
+/// Fit the query's estimator over a row-major metric buffer, honouring the
+/// training-sample cap, without scoring anything; a rule-only query fits
+/// nothing. The cutoff is left for the caller to cut over its scores.
+fn fit(parts: QueryParts<'_>, flat: &[f64], dim: usize) -> Result<FittedModel> {
+    fn fitted<E: Estimator>(
+        estimator: E,
+        analysis: &AnalysisConfig,
+        flat: &[f64],
+        dim: usize,
+    ) -> Result<BatchClassifier<E>> {
+        let mut classifier = BatchClassifier::new(
+            estimator,
+            BatchClassifierConfig {
+                target_percentile: analysis.target_percentile,
+                training_sample_size: analysis.training_sample_size,
+            },
+        );
+        classifier.fit_flat(flat, dim)?;
+        Ok(classifier)
     }
     let analysis = parts.analysis;
-    let (kind, cutoff) = match analysis.estimator.resolve(dim) {
-        EstimatorKind::Mad => {
-            let (c, cutoff) = fit_model(MadEstimator::new(), analysis, flat, dim)?;
-            (FittedModelKind::Mad(c), cutoff)
+    let kind = if !parts.unsupervised {
+        FittedModelKind::RuleOnly
+    } else {
+        match analysis.estimator.resolve(dim) {
+            EstimatorKind::Mad => {
+                FittedModelKind::Mad(fitted(MadEstimator::new(), analysis, flat, dim)?)
+            }
+            EstimatorKind::ZScore => {
+                FittedModelKind::ZScore(fitted(ZScoreEstimator::new(), analysis, flat, dim)?)
+            }
+            EstimatorKind::Mcd => {
+                FittedModelKind::Mcd(fitted(McdEstimator::with_defaults(), analysis, flat, dim)?)
+            }
+            EstimatorKind::Auto => unreachable!("resolve() eliminates Auto"),
         }
-        EstimatorKind::ZScore => {
-            let (c, cutoff) = fit_model(ZScoreEstimator::new(), analysis, flat, dim)?;
-            (FittedModelKind::ZScore(c), cutoff)
-        }
-        EstimatorKind::Mcd => {
-            let (c, cutoff) = fit_model(McdEstimator::with_defaults(), analysis, flat, dim)?;
-            (FittedModelKind::Mcd(c), cutoff)
-        }
-        EstimatorKind::Auto => unreachable!("resolve() eliminates Auto"),
     };
     Ok(FittedModel {
         kind,
-        cutoff: Some(cutoff),
+        cutoff: None,
         dim,
     })
 }
 
-/// The one-shot engine with a pre-trained model over a columnar input:
-/// score, threshold, rule-OR, and explain — exactly the operation sequence
-/// of [`execute_one_shot`] minus the fit and the encode, so running a batch
-/// against a model trained on that same batch reproduces the one-shot
-/// report byte for byte. Records into, and finishes, the input's trace.
-pub(crate) fn execute_one_shot_with_model(
-    parts: QueryParts<'_>,
-    model: &FittedModel,
-    input: &mut ColumnarInput,
-) -> Result<MdpReport> {
-    let mut trace = std::mem::replace(&mut input.trace, TraceBuilder::disabled());
-    let pool_before = input.pool_before.take();
-    let ColumnarInput { batch, encoder, .. } = input;
-    check_columns(batch)?;
-    let (flat, dim, rows) = (batch.metrics.as_slice(), batch.dim, batch.len());
-    if dim != model.dim {
-        return Err(PipelineError::InconsistentDimensions {
-            expected: model.dim,
-            actual: dim,
-        });
-    }
-    if model.is_unsupervised() != parts.unsupervised {
-        return Err(PipelineError::InvalidConfiguration(
-            "model and query disagree on the unsupervised classification stage".to_string(),
-        ));
-    }
+/// A batch's scores against a model (`None` under a rule-only model), with
+/// the `score` span still open: [`label_rows`] closes it once every row
+/// carries its label.
+pub(crate) struct Scored {
+    scores: Option<Vec<f64>>,
+    timer: StageTimer,
+}
 
+/// Score a batch against a model, opening the `score` span.
+fn score(model: &FittedModel, flat: &[f64], dim: usize, trace: &TraceBuilder) -> Result<Scored> {
     let timer = trace.start();
-    let mut classifications = match model.score_flat(flat, dim)? {
-        Some(scores) => {
-            let cutoff = model.cutoff.ok_or_else(|| {
-                PipelineError::InvalidConfiguration(
-                    "fitted model carries no score threshold".to_string(),
-                )
-            })?;
+    Ok(Scored {
+        scores: model.score_flat(flat, dim)?,
+        timer,
+    })
+}
+
+/// Train a query's model over a row-major metric buffer (`dim` values per
+/// row, both already validated): the one fit → score → threshold sequence.
+/// The training batch's scores come back beside the model, so one-shot
+/// execution labels them instead of scoring each row a second time. `train`
+/// times the fit alone; the `score` span opened here stays open for the
+/// label step.
+pub(crate) fn train_model(
+    parts: QueryParts<'_>,
+    flat: &[f64],
+    dim: usize,
+    trace: &mut TraceBuilder,
+) -> Result<(FittedModel, Scored)> {
+    let rows = flat.len() / dim;
+    let timer = trace.start();
+    let mut model = fit(parts, flat, dim)?;
+    if model.is_unsupervised() {
+        trace.finish_stage(timer, stage::TRAIN, rows, rows, 1);
+    }
+    let scored = score(&model, flat, dim, trace)?;
+    if let Some(scores) = &scored.scores {
+        let threshold = StaticThreshold::from_scores(scores, parts.analysis.target_percentile)?;
+        model.cutoff = Some(threshold.cutoff());
+    }
+    Ok((model, scored))
+}
+
+fn count_outliers(classifications: &[Classification]) -> usize {
+    classifications
+        .iter()
+        .filter(|c| c.label.is_outlier())
+        .count()
+}
+
+/// The label step every batch path shares: the percentile cutoff over the
+/// scores (every row an inlier at score 0 without them), OR-ed with the
+/// query's supervised rule over the flat rows. Closes the `score` span.
+fn label_rows(
+    parts: QueryParts<'_>,
+    cutoff: Option<f64>,
+    scored: Scored,
+    flat: &[f64],
+    dim: usize,
+    trace: &mut TraceBuilder,
+    batches: usize,
+) -> Vec<Classification> {
+    let rows = flat.len() / dim;
+    let mut classifications: Vec<Classification> = match (scored.scores, cutoff) {
+        (Some(scores), Some(cutoff)) => {
             let threshold = StaticThreshold::new(cutoff);
             scores
                 .into_iter()
                 .map(|score| threshold.classify(score))
                 .collect()
         }
-        None => vec![
+        _ => vec![
             Classification {
                 score: 0.0,
                 label: Label::Inlier,
@@ -571,33 +445,35 @@ pub(crate) fn execute_one_shot_with_model(
             classification.label = label_or(classification.label, rule.classify(row));
         }
     }
-    let num_outliers = classifications
-        .iter()
-        .filter(|c| c.label.is_outlier())
-        .count();
-    trace.finish_stage(timer, stage::SCORE, rows, num_outliers, 1);
+    if trace.is_enabled() {
+        let outliers = count_outliers(&classifications);
+        trace.finish_stage(scored.timer, stage::SCORE, rows, outliers, batches);
+    }
+    classifications
+}
 
-    let explanations = if parts.analysis.skip_explanation {
-        Vec::new()
-    } else {
-        let timer = trace.start();
-        let explanations = explain_encoded(parts.analysis, encoder, &batch.items, &classifications);
-        trace.finish_stage(timer, stage::EXPLAIN, rows, explanations.len(), 1);
-        explanations
-    };
-
+/// Build the report of a labelled batch: the last step of every
+/// single-model engine. Records the pool delta and finishes the trace.
+fn assemble_report(
+    analysis: &AnalysisConfig,
+    classifications: &[Classification],
+    score_cutoff: Option<f64>,
+    explanations: Vec<RenderedExplanation>,
+    mut trace: TraceBuilder,
+    pool_before: Option<mb_pool::WorkerStats>,
+) -> MdpReport {
     record_pool_delta(&mut trace, pool_before);
-    Ok(MdpReport {
+    MdpReport {
         explanations,
-        num_points: rows,
-        num_outliers,
-        score_cutoff: if parts.unsupervised { model.cutoff } else { None },
-        scores: if parts.analysis.retain_scores {
+        num_points: classifications.len(),
+        num_outliers: count_outliers(classifications),
+        score_cutoff,
+        scores: if analysis.retain_scores {
             classifications.iter().map(|c| c.score).collect()
         } else {
             Vec::new()
         },
-        outlier_rows: if parts.analysis.retain_outlier_rows {
+        outlier_rows: if analysis.retain_outlier_rows {
             classifications
                 .iter()
                 .enumerate()
@@ -608,274 +484,179 @@ pub(crate) fn execute_one_shot_with_model(
         },
         partition_reports: None,
         trace: trace.finish(),
-    })
+    }
 }
 
-/// Explain a labeled columnar batch and render against its encoder — the
-/// shared tail of both one-shot entry points.
-fn explain_encoded(
-    analysis: &AnalysisConfig,
-    encoder: &AttributeEncoder,
-    batch: &ItemBatch,
-    classifications: &[Classification],
-) -> Vec<RenderedExplanation> {
-    let explainer = BatchExplainer::new(analysis.explanation);
-    let mut explanations =
-        explainer.explain_labeled(batch, |r| classifications[r].label.is_outlier());
-    rank_explanations(&mut explanations);
-    explanations
-        .into_iter()
-        .map(|e| RenderedExplanation {
-            attributes: encoder.describe(&e.items),
-            items: e.items,
-            stats: e.stats,
-        })
-        .collect()
-}
-
-/// The one-shot engine over a pre-encoded columnar input: contiguous
-/// row-major metrics plus the [`ItemBatch`] an ingestor produced against
-/// the input's encoder. This is the zero-rematerialization fast path of
-/// [`MdpQuery::execute_ingest`](crate::query::MdpQuery::execute_ingest) —
-/// no `Point`s are ever built, yet the report is exactly what
-/// materializing the source and running [`execute_one_shot`] produces
-/// (same ids, same scores, same thresholds). The input's trace and pool
-/// snapshot date from before ingestion, which may itself have run on the
-/// pool.
-pub(crate) fn execute_one_shot_encoded(
+/// The one-shot engine: fit the query's model on the input's batch, then
+/// the with-model engine's tail over the scores the fit produced. Records
+/// into, and finishes, the input's trace.
+pub(crate) fn train_and_execute(
     parts: QueryParts<'_>,
-    input: ColumnarInput,
+    input: &mut ColumnarInput,
 ) -> Result<MdpReport> {
+    check_columns(&input.batch)?;
+    let batch = &input.batch;
+    let (model, scored) = train_model(parts, &batch.metrics, batch.dim, &mut input.trace)?;
+    Ok(finish_one_shot(parts, &model, input, scored))
+}
+
+/// The with-model engine: score the input against a pre-trained model, then
+/// label, explain and report exactly as [`train_and_execute`] does. Records
+/// into, and finishes, the input's trace.
+pub(crate) fn execute_with_model(
+    parts: QueryParts<'_>,
+    model: &FittedModel,
+    input: &mut ColumnarInput,
+) -> Result<MdpReport> {
+    check_columns(&input.batch)?;
+    let dim = input.batch.dim;
+    if dim != model.dim {
+        return Err(PipelineError::InconsistentDimensions {
+            expected: model.dim,
+            actual: dim,
+        });
+    }
+    if model.is_unsupervised() != parts.unsupervised {
+        return Err(PipelineError::InvalidConfiguration(
+            "model and query disagree on the unsupervised classification stage".to_string(),
+        ));
+    }
+    let scored = score(model, &input.batch.metrics, dim, &input.trace)?;
+    Ok(finish_one_shot(parts, model, input, scored))
+}
+
+/// The shared tail of both one-shot engines: label, explain, report.
+fn finish_one_shot(
+    parts: QueryParts<'_>,
+    model: &FittedModel,
+    input: &mut ColumnarInput,
+    scored: Scored,
+) -> MdpReport {
+    let mut trace = std::mem::replace(&mut input.trace, TraceBuilder::disabled());
     let ColumnarInput {
         batch,
         encoder,
-        mut trace,
         pool_before,
+        ..
     } = input;
-    check_columns(&batch)?;
-    let (flat, dim, items) = (batch.metrics.as_slice(), batch.dim, &batch.items);
-    let mut classifier =
-        MdpClassifier::with_rule(parts.analysis, parts.rule.cloned(), parts.unsupervised);
-    let classifications = classifier.classify_flat_traced(flat, dim, &mut trace)?;
-    let num_outliers = classifications
-        .iter()
-        .filter(|c| c.label.is_outlier())
-        .count();
-
+    let classifications = label_rows(
+        parts,
+        model.cutoff,
+        scored,
+        &batch.metrics,
+        batch.dim,
+        &mut trace,
+        1,
+    );
     let explanations = if parts.analysis.skip_explanation {
         Vec::new()
     } else {
         let timer = trace.start();
-        let explanations = explain_encoded(parts.analysis, &encoder, items, &classifications);
-        trace.finish_stage(timer, stage::EXPLAIN, items.len(), explanations.len(), 1);
+        let explanations = explain_encoded(parts.analysis.explanation, encoder, &batch.items, |r| {
+            classifications[r].label.is_outlier()
+        });
+        trace.finish_stage(timer, stage::EXPLAIN, batch.len(), explanations.len(), 1);
         explanations
     };
-
-    record_pool_delta(&mut trace, pool_before);
-    Ok(MdpReport {
+    assemble_report(
+        parts.analysis,
+        &classifications,
+        model.cutoff,
         explanations,
-        num_points: items.len(),
-        num_outliers,
-        score_cutoff: classifier.cutoff(),
-        scores: if parts.analysis.retain_scores {
-            classifications.iter().map(|c| c.score).collect()
-        } else {
-            Vec::new()
-        },
-        outlier_rows: if parts.analysis.retain_outlier_rows {
-            classifications
-                .iter()
-                .enumerate()
-                .filter_map(|(row, c)| c.label.is_outlier().then_some(row))
-                .collect()
-        } else {
-            Vec::new()
-        },
-        partition_reports: None,
-        trace: trace.finish(),
-    })
+        trace,
+        pool_before.take(),
+    )
 }
 
-/// Fit once on the global batch, scatter the scoring pass, and cut one
-/// threshold over the merged score vector.
-///
-/// The fit itself is no longer a serial section: FastMCD scatters its
-/// training restarts as pool tasks (deterministic best-of-restarts merge,
-/// so the model is a pure function of the batch and seed at any thread
-/// count), and each partition's scoring below goes through the estimator's
-/// bulk path — for MCD the parallel Mahalanobis distance pass — which
-/// nests on the same pool. Both levels return exactly the per-row scores
-/// of a serial loop, preserving coordinated ≡ one-shot byte equality.
-fn coordinated_scores<E: Estimator + Sync>(
-    estimator: E,
-    flat: &[f64],
-    dim: usize,
-    num_partitions: usize,
-    analysis: &AnalysisConfig,
-    trace: &mut TraceBuilder,
-) -> Result<(Vec<f64>, f64)> {
-    let mut classifier = BatchClassifier::new(
-        estimator,
-        BatchClassifierConfig {
-            target_percentile: analysis.target_percentile,
-            training_sample_size: analysis.training_sample_size,
-        },
-    );
-    let rows = flat.len() / dim;
-    let timer = trace.start();
-    classifier.fit_flat(flat, dim)?;
-    trace.finish_stage(timer, stage::TRAIN, rows, rows, 1);
-
-    // Scatter: partitions score communication-free against the shared model,
-    // each over a row-aligned slice of the contiguous metric buffer. Chunk
-    // boundaries cannot perturb results — each row's score is a pure
-    // function of the shared model and that row. When tracing, each scatter
-    // task carries its own registry shard (rows scored, tasks run) — the
-    // thread-local half of the telemetry design, folded below with the same
-    // `Mergeable` algebra the explanation states use.
-    let chunk_rows = rows.div_ceil(num_partitions).max(1);
-    let classifier_ref = &classifier;
-    let tracing = trace.is_enabled();
-    let timer = trace.start();
-    let score_chunks: Vec<(mb_stats::Result<Vec<f64>>, MetricRegistry)> =
-        scatter(flat.chunks(chunk_rows * dim).collect(), |chunk| {
-            let scored = classifier_ref.score_batch_flat(chunk, dim);
-            let mut shard = MetricRegistry::new();
-            if tracing {
-                shard.add("score_rows", (chunk.len() / dim) as u64);
-                shard.add("score_tasks", 1);
-            }
-            (scored, shard)
-        });
-    let batches = score_chunks.len();
-    let mut scores: Vec<f64> = Vec::with_capacity(rows);
-    for (chunk, shard) in score_chunks {
-        scores.extend(chunk?);
-        trace.merge_registry(shard);
-    }
-
-    // Gather: one percentile threshold over the merged score vector.
-    let threshold = StaticThreshold::from_scores(&scores, analysis.target_percentile)
-        .map_err(PipelineError::from)?;
-    trace.finish_stage(timer, stage::SCORE, rows, rows, batches);
-    Ok((scores, threshold.cutoff()))
-}
-
-/// The coordinated partitioned engine: shared trained model, global score
-/// threshold, merged pre-render explanation state. Produces exactly the
-/// one-shot report for any partition count (see the module docs of
-/// [`crate::coordinated`] for the design rationale).
+/// The coordinated partitioned engine over the same columnar input as the
+/// one-shot engine: one model fitted on the global batch (honouring the
+/// training-sample cap) and shared by reference, partitions scoring against
+/// it communication-free, one percentile threshold over the merged scores,
+/// and per-partition pre-render [`ExplainState`]s merged on items before
+/// the support and risk-ratio thresholds apply. Produces exactly the
+/// one-shot report for any partition count, while the scoring and counting
+/// passes scale with cores (FastMCD's fit and distance pass also fan out on
+/// the pool, with results that do not depend on the thread count).
 pub(crate) fn execute_coordinated(
     parts: QueryParts<'_>,
-    points: &[Point],
+    input: &mut ColumnarInput,
     num_partitions: usize,
 ) -> Result<MdpReport> {
+    check_columns(&input.batch)?;
     let num_partitions = resolve_num_partitions(num_partitions);
-    let dim = check_dimensions(points)?;
-    let analysis = parts.analysis;
-    let mut trace = TraceBuilder::new(analysis.obs, "coordinated");
+    let mut trace = std::mem::replace(&mut input.trace, TraceBuilder::disabled());
     trace.set_partitions(num_partitions);
-    let pool_before = pool_snapshot(&trace);
+    let ColumnarInput {
+        batch,
+        encoder,
+        pool_before,
+        ..
+    } = input;
+    let (flat, dim, rows) = (batch.metrics.as_slice(), batch.dim, batch.len());
+    let chunk_rows = rows.div_ceil(num_partitions).max(1);
+    let tracing = trace.is_enabled();
 
-    let (scores, cutoff) = if parts.unsupervised {
+    let timer = trace.start();
+    let model = fit(parts, flat, dim)?;
+    let (cutoff, scored, score_batches) = if model.is_unsupervised() {
+        trace.finish_stage(timer, stage::TRAIN, rows, rows, 1);
+        // Scatter: partitions score against the shared model, each over a
+        // row-aligned slice of the metric buffer. Each row's score is a pure
+        // function of the model and that row, so chunk boundaries cannot
+        // perturb results. When tracing, each task carries its own registry
+        // shard, folded below with the `Mergeable` algebra the explanation
+        // states use.
+        let model = &model;
         let timer = trace.start();
-        let flat = flatten_metrics(points, dim);
-        trace.finish_stage(timer, "flatten", points.len(), points.len(), 1);
-        let (scores, cutoff) = match analysis.estimator.resolve(dim) {
-            EstimatorKind::Mad => coordinated_scores(
-                MadEstimator::new(),
-                &flat,
-                dim,
-                num_partitions,
-                analysis,
-                &mut trace,
-            )?,
-            EstimatorKind::ZScore => coordinated_scores(
-                ZScoreEstimator::new(),
-                &flat,
-                dim,
-                num_partitions,
-                analysis,
-                &mut trace,
-            )?,
-            EstimatorKind::Mcd => coordinated_scores(
-                McdEstimator::with_defaults(),
-                &flat,
-                dim,
-                num_partitions,
-                analysis,
-                &mut trace,
-            )?,
-            EstimatorKind::Auto => unreachable!("resolve() eliminates Auto"),
-        };
-        (scores, Some(cutoff))
-    } else {
-        (vec![0.0; points.len()], None)
-    };
-
-    // Label merge: percentile cutoff OR-ed with the supervised rule (the
-    // rule evaluates per point, so it scatters alongside the scores).
-    let labels: Vec<bool> = match (parts.rule, cutoff) {
-        (None, Some(cutoff)) => scores.iter().map(|&s| s >= cutoff).collect(),
-        (None, None) => return Err(PipelineError::MissingClassifier),
-        (Some(rule), cutoff) => {
-            let point_chunks = partition_chunks(points, num_partitions);
-            let score_chunks = partition_chunks(&scores, num_partitions);
-            let work: Vec<(&[Point], &[f64])> =
-                point_chunks.into_iter().zip(score_chunks).collect();
-            let label_chunks: Vec<Vec<bool>> = scatter(work, |(chunk, chunk_scores)| {
-                chunk
-                    .iter()
-                    .zip(chunk_scores)
-                    .map(|(point, &score)| {
-                        cutoff.is_some_and(|c| score >= c)
-                            || rule.classify(&point.metrics).is_outlier()
-                    })
-                    .collect()
+        let score_chunks: Vec<(Result<Option<Vec<f64>>>, MetricRegistry)> =
+            scatter(flat.chunks(chunk_rows * dim).collect(), |chunk| {
+                let scored = model.score_flat(chunk, dim);
+                let mut shard = MetricRegistry::new();
+                if tracing {
+                    shard.add("score_rows", (chunk.len() / dim) as u64);
+                    shard.add("score_tasks", 1);
+                }
+                (scored, shard)
             });
-            label_chunks.concat()
+        let batches = score_chunks.len();
+        let mut scores: Vec<f64> = Vec::with_capacity(rows);
+        for (chunk, shard) in score_chunks {
+            scores.extend(chunk?.unwrap_or_default());
+            trace.merge_registry(shard);
         }
+        // Gather: one percentile threshold over the merged score vector.
+        let threshold = StaticThreshold::from_scores(&scores, parts.analysis.target_percentile)?;
+        let scored = Scored {
+            scores: Some(scores),
+            timer,
+        };
+        (Some(threshold.cutoff()), scored, batches)
+    } else {
+        let scored = Scored {
+            scores: None,
+            timer: trace.start(),
+        };
+        (None, scored, 1)
     };
-    let num_outliers = labels.iter().filter(|&&outlier| outlier).count();
+    let classifications = label_rows(parts, cutoff, scored, flat, dim, &mut trace, score_batches);
 
-    let explanations = if analysis.skip_explanation {
+    let explanations = if parts.analysis.skip_explanation {
         Vec::new()
     } else {
-        // Encode attributes through one shared dictionary so item ids agree
-        // across partitions (the naïve mode's per-partition encoders are why
-        // it can only union rendered strings). The encode pass itself shards
-        // across the pool; the first-occurrence-ordered dictionary merge
-        // keeps the assigned ids identical to a serial pass, so this does
-        // not perturb the one-shot-equivalence guarantee.
-        let mut encoder = encoder_for(analysis);
-        let attribute_rows: Vec<&[String]> =
-            points.iter().map(|p| p.attributes.as_slice()).collect();
-        let timer = trace.start();
-        let batch = encode_batch_parallel(
-            &mut encoder,
-            mb_pool::global(),
-            &attribute_rows,
-            num_partitions,
-        );
-        trace.finish_stage(timer, stage::ENCODE, points.len(), batch.len(), num_partitions);
-
         // Scatter: per-partition pre-render explanation state over
-        // contiguous row ranges of the columnar batch. When tracing, each
-        // task also owns a metric-registry shard (rows observed, tasks run),
-        // merged below alongside the explanation states themselves — both
-        // ride the same coordination-free scatter/merge algebra.
-        let chunk_rows = batch.len().div_ceil(num_partitions).max(1);
-        let ranges: Vec<(usize, usize)> = (0..batch.len())
+        // contiguous row ranges of the shared dictionary's item batch (one
+        // dictionary, so item ids agree across partitions). Each task also
+        // owns a registry shard, merged alongside the states.
+        let ranges: Vec<(usize, usize)> = (0..rows)
             .step_by(chunk_rows)
-            .map(|start| (start, (start + chunk_rows).min(batch.len())))
+            .map(|start| (start, (start + chunk_rows).min(rows)))
             .collect();
-        let (batch_ref, labels_ref) = (&batch, &labels);
-        let tracing = trace.is_enabled();
+        let (items, labels) = (&batch.items, &classifications);
         let timer = trace.start();
         let states: Vec<(ExplainState, MetricRegistry)> = scatter(ranges, |(start, end)| {
             let mut state = ExplainState::new();
-            for (r, &label) in labels_ref.iter().enumerate().take(end).skip(start) {
-                state.observe(batch_ref.row(r), label);
+            for (r, c) in (start..end).zip(&labels[start..end]) {
+                state.observe(items.row(r), c.label.is_outlier());
             }
             let mut shard = MetricRegistry::new();
             if tracing {
@@ -892,50 +673,19 @@ pub(crate) fn execute_coordinated(
             merged.merge(state);
             trace.merge_registry(shard);
         }
-        let explainer = BatchExplainer::new(analysis.explanation);
-        let mut explanations = explainer.explain_state(&merged);
-        rank_explanations(&mut explanations);
-        let rendered: Vec<RenderedExplanation> = explanations
-            .into_iter()
-            .map(|e| RenderedExplanation {
-                attributes: encoder.describe(&e.items),
-                items: e.items,
-                stats: e.stats,
-            })
-            .collect();
-        trace.finish_stage(
-            timer,
-            stage::EXPLAIN,
-            points.len(),
-            rendered.len(),
-            explain_batches,
-        );
+        let explainer = BatchExplainer::new(parts.analysis.explanation);
+        let rendered = render_explanations(encoder, explainer.explain_state(&merged));
+        trace.finish_stage(timer, stage::EXPLAIN, rows, rendered.len(), explain_batches);
         rendered
     };
-    record_pool_delta(&mut trace, pool_before);
-
-    Ok(MdpReport {
+    Ok(assemble_report(
+        parts.analysis,
+        &classifications,
+        cutoff,
         explanations,
-        num_points: points.len(),
-        num_outliers,
-        score_cutoff: cutoff,
-        scores: if analysis.retain_scores {
-            scores
-        } else {
-            Vec::new()
-        },
-        outlier_rows: if analysis.retain_outlier_rows {
-            labels
-                .iter()
-                .enumerate()
-                .filter_map(|(row, &outlier)| outlier.then_some(row))
-                .collect()
-        } else {
-            Vec::new()
-        },
-        partition_reports: None,
-        trace: trace.finish(),
-    })
+        trace,
+        pool_before.take(),
+    ))
 }
 
 /// Union explanations across partition reports, deduplicating by the
@@ -983,27 +733,32 @@ pub(crate) fn execute_naive(
         return Err(PipelineError::EmptyInput);
     }
     let num_partitions = resolve_num_partitions(num_partitions);
-    let mut trace = TraceBuilder::new(parts.analysis.obs, "naive");
+    let executor = Executor::NaivePartitioned {
+        partitions: num_partitions,
+    };
+    let mut trace = TraceBuilder::new(parts.analysis.obs, executor.name());
     trace.set_partitions(num_partitions);
     let pool_before = pool_snapshot(&trace);
     let chunks = partition_chunks(points, num_partitions);
 
-    // Run each partition as its own pool task (shared-nothing: each gets its
-    // own classifier and explainer and sees only its chunk). Sub-executions
-    // record their own per-partition traces but skip the global pool delta —
-    // only this top-level trace snapshots the pool, so task counts are not
-    // double-counted.
+    // Each partition is a one-shot query of its own, run as a pool task
+    // that sees only its chunk. Partitions record their own traces but not
+    // the pool delta: theirs would overlap, so only this top-level trace
+    // snapshots the pool and task counts are not double-counted.
     let timer = trace.start();
-    let results: Vec<Result<(Vec<Classification>, MdpReport)>> =
-        scatter(chunks, |chunk| execute_one_shot_impl(parts, chunk, false));
+    let results: Vec<Result<MdpReport>> = scatter(chunks, |chunk| {
+        let mut input = ColumnarInput::from_points(parts.analysis, chunk)?;
+        input.pool_before = None;
+        train_and_execute(parts, &mut input)
+    });
 
     let mut partition_reports = Vec::with_capacity(results.len());
     for r in results {
-        partition_reports.push(r?.1);
+        partition_reports.push(r?);
     }
     trace.finish_stage(
         timer,
-        "execute",
+        stage::EXECUTE,
         points.len(),
         points.len(),
         partition_reports.len(),
@@ -1161,6 +916,36 @@ mod tests {
         );
         assert!(report.score_cutoff.is_none());
         assert!(partitions.iter().all(|r| r.score_cutoff.is_some()));
+
+        // The union is deduplicated by combination and still names the
+        // planted device at every fan-out.
+        for partitions in [2, 4, 8] {
+            let report = run(query(), &Executor::NaivePartitioned { partitions }, &points);
+            let mut combinations: Vec<&Vec<String>> =
+                report.explanations.iter().map(|e| &e.attributes).collect();
+            let before = combinations.len();
+            combinations.sort();
+            combinations.dedup();
+            assert_eq!(combinations.len(), before, "{partitions} partitions");
+            assert!(
+                report
+                    .explanations
+                    .iter()
+                    .any(|e| e.attributes.iter().any(|a| a.contains("device_bad"))),
+                "device_bad missing with {partitions} partitions"
+            );
+        }
+        // One partition is the one-shot query; zero means one per pool
+        // worker.
+        let one = run(query(), &Executor::NaivePartitioned { partitions: 1 }, &points);
+        let reference = run(query(), &Executor::OneShot, &points);
+        assert_eq!(one.num_outliers, reference.num_outliers);
+        assert_eq!(one.explanations, reference.explanations);
+        let auto = run(query(), &Executor::NaivePartitioned { partitions: 0 }, &points);
+        assert_eq!(
+            auto.partition_reports.unwrap().len(),
+            crate::parallel::default_num_partitions()
+        );
     }
 
     #[test]
@@ -1173,6 +958,10 @@ mod tests {
             assert_eq!(report.score_cutoff, reference.score_cutoff);
             assert_eq!(report.explanations.len(), reference.explanations.len());
         }
+        // More partitions than rows: the empty partitions drop out.
+        let few = workload(5);
+        let reference = run(query(), &Executor::OneShot, &few);
+        assert_eq!(run(query(), &Executor::Coordinated { partitions: 8 }, &few), reference);
     }
 
     fn run(mut query: MdpQuery, executor: &Executor, points: &[Point]) -> MdpReport {
@@ -1289,6 +1078,7 @@ mod tests {
             let untraced = run(query(), &executor, &points);
             let mut traced = run(traced_query(), &executor, &points);
             let trace = traced.trace.take().expect("trace populated");
+            assert_eq!(trace.executor, executor.name());
             assert!(!trace.stages.is_empty(), "{} recorded no stages", executor.name());
             // Stripped of telemetry, the traced report is the untraced one.
             if let Some(partitions) = traced.partition_reports.as_mut() {

@@ -16,13 +16,15 @@
 //!   any [`Executor`] backend — one-shot, coordinated partitioned, naïve
 //!   partitioned, or streaming — over a slice or any ingestor, returning
 //!   one unified [`MdpReport`].
-//! * [`executor`] — the batch engines behind those backends, built from the
-//!   real Table 1 operators ([`MdpClassifier`], [`MdpExplainer`]).
+//! * [`executor`] — the batch core behind those backends: one-shot is
+//!   training followed by the with-model engine over a columnar input, the
+//!   coordinated engine scatters the same pieces, the naïve engine runs
+//!   one-shot per partition; [`MdpClassifier`] and [`MdpExplainer`] are
+//!   Table 1 operator adaptors over it.
 //! * [`streaming`] — the exponentially weighted streaming (EWS) engine and
 //!   the incremental [`StreamingSession`].
-//! * [`coordinated`] / [`parallel`] / [`oneshot`] / [`pipeline`] —
-//!   partitioning utilities plus the deprecated pre-query entry points,
-//!   kept as thin shims over the shared engines.
+//! * [`parallel`] — the partitioning utilities the partitioned backends
+//!   share.
 //! * [`presentation`] — ranking and text rendering of explanation reports.
 //!
 //! ## Example
@@ -55,12 +57,9 @@
 
 #![warn(missing_docs)]
 
-pub mod coordinated;
 pub mod executor;
 pub mod operator;
-pub mod oneshot;
 pub mod parallel;
-pub mod pipeline;
 pub mod presentation;
 pub mod query;
 pub mod streaming;
@@ -74,17 +73,6 @@ pub use parallel::default_num_partitions;
 pub use query::{AnalysisConfig, EstimatorKind, Executor, MdpQuery, MdpQueryBuilder, StreamingOptions};
 pub use streaming::StreamingSession;
 pub use types::{MdpReport, Point, RenderedExplanation};
-
-#[allow(deprecated)]
-pub use coordinated::run_coordinated;
-#[allow(deprecated)]
-pub use oneshot::{MdpConfig, MdpOneShot};
-#[allow(deprecated)]
-pub use parallel::run_partitioned;
-#[allow(deprecated)]
-pub use pipeline::{Pipeline, PipelineBuilder};
-#[allow(deprecated)]
-pub use streaming::{MdpStreaming, StreamingMdpConfig};
 
 /// Errors surfaced by query construction and execution.
 #[derive(Debug)]

@@ -10,14 +10,14 @@
 //! clone or re-own the batch. Closure adapters are provided so quick
 //! domain-specific transforms don't require a new type.
 //!
-//! These traits are *driven*: the batch backends of
-//! [`crate::query::Executor`] execute queries by composing
-//! [`crate::executor::MdpClassifier`] and [`crate::executor::MdpExplainer`]
-//! through exactly these interfaces.
+//! The MDP's own stages implement them as
+//! [`crate::executor::MdpClassifier`] and [`crate::executor::MdpExplainer`],
+//! adaptors over the batch core the [`crate::query::Executor`] backends run
+//! on columns ([`ColumnarInput`]).
 
 use crate::executor::{check_dimensions, encoder_for, flatten_metrics, pool_snapshot};
 use crate::parallel::resolve_num_partitions;
-use crate::query::AnalysisConfig;
+use crate::query::{AnalysisConfig, Executor};
 use crate::types::Point;
 use mb_classify::{Classification, Label};
 use mb_explain::encoder::{encode_batch_parallel, ShardDictionary, ShardEncoder};
@@ -113,7 +113,13 @@ impl ColumnarInput {
     /// An empty input for `analysis`: its attribute dictionary, and a trace
     /// started now, so the work that fills the input is part of the query.
     pub fn new(analysis: &AnalysisConfig) -> Self {
-        let trace = mb_obs::TraceBuilder::new(analysis.obs, "one-shot");
+        Self::for_executor(analysis, &Executor::OneShot)
+    }
+
+    /// [`ColumnarInput::new`] for a query `executor` will run: its trace
+    /// carries that executor's name.
+    pub(crate) fn for_executor(analysis: &AnalysisConfig, executor: &Executor) -> Self {
+        let trace = mb_obs::TraceBuilder::new(analysis.obs, executor.name());
         ColumnarInput {
             batch: EncodedBatch::default(),
             encoder: encoder_for(analysis),
@@ -129,36 +135,38 @@ impl ColumnarInput {
     /// or ragged batch.
     pub fn from_points(analysis: &AnalysisConfig, points: &[Point]) -> crate::Result<Self> {
         let mut input = ColumnarInput::new(analysis);
+        input.fill(analysis, points)?;
+        Ok(input)
+    }
+
+    /// Flatten and encode `points` into this empty input, as
+    /// [`ColumnarInput::from_points`] does.
+    pub(crate) fn fill(&mut self, analysis: &AnalysisConfig, points: &[Point]) -> crate::Result<()> {
         let dim = check_dimensions(points)?;
-        let timer = input.trace.start();
-        input.batch.metrics = flatten_metrics(points, dim);
-        input.batch.dim = dim;
-        input
-            .trace
-            .finish_stage(timer, "flatten", points.len(), points.len(), 1);
+        let timer = self.trace.start();
+        self.batch.metrics = flatten_metrics(points, dim);
+        self.batch.dim = dim;
+        self.trace
+            .finish_stage(timer, mb_obs::stage::FLATTEN, points.len(), points.len(), 1);
         if analysis.skip_explanation {
-            input.batch.items = ItemBatch::with_capacity(points.len(), 0);
-            points.iter().for_each(|_| input.batch.items.finish_row());
-            return Ok(input);
+            self.batch.items = ItemBatch::with_capacity(points.len(), 0);
+            points.iter().for_each(|_| self.batch.items.finish_row());
+            return Ok(());
         }
         let attribute_rows: Vec<&[String]> =
             points.iter().map(|p| p.attributes.as_slice()).collect();
         let shards = resolve_num_partitions(0);
-        let timer = input.trace.start();
-        input.batch.items = encode_batch_parallel(
-            &mut input.encoder,
-            mb_pool::global(),
-            &attribute_rows,
-            shards,
-        );
-        input.trace.finish_stage(
+        let timer = self.trace.start();
+        self.batch.items =
+            encode_batch_parallel(&mut self.encoder, mb_pool::global(), &attribute_rows, shards);
+        self.trace.finish_stage(
             timer,
             mb_obs::stage::ENCODE,
             points.len(),
             points.len(),
             shards,
         );
-        Ok(input)
+        Ok(())
     }
 }
 

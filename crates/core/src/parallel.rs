@@ -1,18 +1,7 @@
-//! Naïve shared-nothing partitioned execution (Appendix D, Figure 11) and
-//! the scatter scaffold shared by both partitioned backends.
-//!
-//! The paper's preliminary scale-out strategy partitions the input across
-//! cores, runs an independent MDP query per partition, and returns the union
-//! of the per-partition explanations. Throughput scales linearly, but
-//! accuracy degrades because each partition trains on a sample of the data
-//! and explanations are not coordinated across partitions — the benchmark
-//! harness reproduces both halves of that trade-off. The engine lives in
-//! [`crate::executor`] (`Executor::NaivePartitioned`); this module keeps
-//! the partitioning utilities and the deprecated free-function entry point.
-
-use crate::query::{AnalysisConfig, Executor, MdpQuery};
-use crate::types::{MdpReport, Point, RenderedExplanation};
-use crate::Result;
+//! The partitioning scaffold shared by both partitioned backends
+//! (`Executor::Coordinated` and `Executor::NaivePartitioned`, whose engines
+//! live in [`crate::executor`]): partition counts, contiguous chunks, and
+//! the scatter onto the shared pool.
 
 /// The partition count used when a caller passes `0`: one partition per
 /// worker in the shared execution pool. This respects
@@ -56,145 +45,4 @@ where
     F: Fn(I) -> O + Sync,
 {
     mb_pool::global().map_vec(chunks, work)
-}
-
-/// The result of a partitioned run: per-partition reports plus the unioned
-/// explanation set (superseded by the unified [`MdpReport`], whose
-/// `partition_reports` field carries the per-partition detail).
-#[deprecated(
-    since = "0.5.0",
-    note = "use MdpQuery::execute with Executor::NaivePartitioned; per-partition detail is in MdpReport::partition_reports"
-)]
-#[derive(Debug)]
-pub struct PartitionedReport {
-    /// One report per partition, in partition order.
-    pub partition_reports: Vec<MdpReport>,
-    /// Union of all partitions' explanations (deduplicated by attribute
-    /// combination, keeping the highest-risk-ratio instance).
-    pub merged_explanations: Vec<RenderedExplanation>,
-    /// Total points processed across partitions.
-    pub num_points: usize,
-}
-
-/// Execute `config` over `points` split into `num_partitions` shared-nothing
-/// partitions, each processed as an independent pool task (superseded by
-/// [`MdpQuery::execute`](crate::query::MdpQuery::execute) with
-/// [`Executor::NaivePartitioned`](crate::query::Executor)). Pass `0` for
-/// `num_partitions` to use one partition per available core
-/// ([`default_num_partitions`]).
-#[deprecated(
-    since = "0.5.0",
-    note = "use MdpQuery::execute with Executor::NaivePartitioned { partitions }"
-)]
-#[allow(deprecated)]
-pub fn run_partitioned(
-    points: &[Point],
-    num_partitions: usize,
-    config: &AnalysisConfig,
-) -> Result<PartitionedReport> {
-    let report = MdpQuery::new(config.clone()).execute(
-        &Executor::NaivePartitioned {
-            partitions: num_partitions,
-        },
-        points,
-    )?;
-    Ok(PartitionedReport {
-        num_points: report.num_points,
-        partition_reports: report
-            .partition_reports
-            .expect("naive partitioned reports always carry partition detail"),
-        merged_explanations: report.explanations,
-    })
-}
-
-#[allow(deprecated)]
-#[cfg(test)]
-mod tests {
-    use super::*;
-    #[allow(deprecated)]
-    use crate::oneshot::MdpOneShot;
-    use mb_explain::ExplanationConfig;
-
-    fn workload(n: usize) -> Vec<Point> {
-        let mut points: Vec<Point> = (0..n)
-            .map(|i| {
-                Point::new(
-                    vec![10.0 + (i % 9) as f64 * 0.2],
-                    vec![format!("device_{}", i % 60)],
-                )
-            })
-            .collect();
-        for i in 0..(n / 100) {
-            points[i * 100] = Point::new(vec![400.0], vec!["device_bad".to_string()]);
-        }
-        points
-    }
-
-    fn config() -> AnalysisConfig {
-        AnalysisConfig {
-            explanation: ExplanationConfig::new(0.01, 3.0),
-            attribute_names: vec!["device_id".to_string()],
-            ..AnalysisConfig::default()
-        }
-    }
-
-    #[test]
-    fn single_partition_matches_one_shot() {
-        let points = workload(10_000);
-        let partitioned = run_partitioned(&points, 1, &config()).unwrap();
-        let direct = MdpOneShot::new(config()).run(&points).unwrap();
-        assert_eq!(partitioned.partition_reports.len(), 1);
-        assert_eq!(
-            partitioned.partition_reports[0].num_outliers,
-            direct.num_outliers
-        );
-        assert_eq!(
-            partitioned.merged_explanations.len(),
-            direct.explanations.len()
-        );
-    }
-
-    #[test]
-    fn multiple_partitions_still_find_the_planted_device() {
-        let points = workload(20_000);
-        for num_partitions in [2, 4, 8] {
-            let result = run_partitioned(&points, num_partitions, &config()).unwrap();
-            assert_eq!(result.partition_reports.len(), num_partitions);
-            assert!(
-                result
-                    .merged_explanations
-                    .iter()
-                    .any(|e| e.attributes.iter().any(|a| a.contains("device_bad"))),
-                "device_bad missing with {num_partitions} partitions"
-            );
-            assert_eq!(result.num_points, 20_000);
-        }
-    }
-
-    #[test]
-    fn merged_explanations_are_deduplicated() {
-        let points = workload(20_000);
-        let result = run_partitioned(&points, 4, &config()).unwrap();
-        let mut combos: Vec<&Vec<String>> = result
-            .merged_explanations
-            .iter()
-            .map(|e| &e.attributes)
-            .collect();
-        let before = combos.len();
-        combos.sort();
-        combos.dedup();
-        assert_eq!(before, combos.len());
-    }
-
-    #[test]
-    fn empty_input_is_rejected() {
-        assert!(run_partitioned(&[], 4, &config()).is_err());
-    }
-
-    #[test]
-    fn zero_partitions_derives_count_from_available_parallelism() {
-        let points = workload(10_000);
-        let result = run_partitioned(&points, 0, &config()).unwrap();
-        assert_eq!(result.partition_reports.len(), default_num_partitions());
-    }
 }

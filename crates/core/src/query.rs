@@ -51,9 +51,8 @@
 //! ```
 
 use crate::executor::{
-    check_dimensions, execute_coordinated, execute_naive, execute_one_shot,
-    execute_one_shot_encoded, execute_one_shot_with_model, flatten_metrics, train_model,
-    FittedModel, QueryParts,
+    check_dimensions, execute_coordinated, execute_naive, execute_with_model, flatten_metrics,
+    train_and_execute, train_model, FittedModel, QueryParts,
 };
 use crate::operator::{check_columns, ColumnarInput, EncodedBatch, Ingestor, Transformer};
 use crate::streaming::StreamingEngine;
@@ -61,6 +60,7 @@ use crate::types::{MdpReport, Point};
 use crate::{PipelineError, Result};
 use mb_classify::rule::RuleClassifier;
 use mb_explain::ExplanationConfig;
+use mb_obs::TraceBuilder;
 use std::borrow::Cow;
 
 /// Which robust estimator the classification stage uses.
@@ -356,21 +356,24 @@ impl MdpQuery {
         points
     }
 
-    /// Dispatch an already-transformed batch to a batch backend.
+    /// Dispatch an already-transformed batch to a batch backend: the
+    /// naïve engine splits the rows, the others run on them in columns.
     fn dispatch_batch(&self, executor: &Executor, input: &[Point]) -> Result<MdpReport> {
+        if let Executor::NaivePartitioned { partitions } = executor {
+            return execute_naive(self.parts(), input, *partitions);
+        }
+        let mut columns = ColumnarInput::for_executor(&self.analysis, executor);
+        columns.fill(&self.analysis, input)?;
+        self.dispatch_columns(executor, &mut columns)
+    }
+
+    /// Run a columnar input on the one-shot or the coordinated engine.
+    fn dispatch_columns(&self, executor: &Executor, input: &mut ColumnarInput) -> Result<MdpReport> {
         match executor {
-            Executor::OneShot => {
-                execute_one_shot(self.parts(), input).map(|(_, report)| report)
-            }
             Executor::Coordinated { partitions } => {
                 execute_coordinated(self.parts(), input, *partitions)
             }
-            Executor::NaivePartitioned { partitions } => {
-                execute_naive(self.parts(), input, *partitions)
-            }
-            Executor::Streaming { .. } => {
-                unreachable!("streaming is handled before batch dispatch")
-            }
+            _ => train_and_execute(self.parts(), input),
         }
     }
 
@@ -442,14 +445,15 @@ impl MdpQuery {
                 }
                 Ok(engine.report())
             }
-            // One-shot with no transformer chain is the columnar fast path:
-            // ingest pre-encoded batches (metrics flat, attributes interned
-            // straight into the query's dictionary) and never materialize a
-            // `Point`. Encoding order equals ingestion order, so the report
-            // — ids, scores, threshold, explanations — is exactly what the
-            // materializing path below produces.
-            Executor::OneShot if self.transformers.is_empty() => {
-                let mut input = ColumnarInput::new(&self.analysis);
+            // Without a transformer chain the one-shot and coordinated
+            // engines take the columnar fast path: ingest pre-encoded
+            // batches (metrics flat, attributes interned straight into the
+            // query's dictionary) and never materialize a `Point`. Encoding
+            // order equals ingestion order, so the report — ids, scores,
+            // threshold, explanations — is exactly what the materializing
+            // path below produces.
+            Executor::OneShot | Executor::Coordinated { .. } if self.transformers.is_empty() => {
+                let mut input = ColumnarInput::for_executor(&self.analysis, executor);
                 let timer = input.trace.start();
                 let mut batches = 0usize;
                 while let Some(batch) = source.next_encoded_batch(&mut input.encoder)? {
@@ -465,7 +469,7 @@ impl MdpQuery {
                 input
                     .trace
                     .finish_stage(timer, mb_obs::stage::INGEST, rows, rows, batches);
-                execute_one_shot_encoded(self.parts(), input)
+                self.dispatch_columns(executor, &mut input)
             }
             batch_executor => {
                 let mut all = Vec::new();
@@ -511,7 +515,9 @@ impl MdpQuery {
     pub fn train(&self, points: &[Point]) -> Result<FittedModel> {
         self.check_model_compatible()?;
         let dim = check_dimensions(points)?;
-        train_model(self.parts(), &flatten_metrics(points, dim), dim)
+        let flat = flatten_metrics(points, dim);
+        let (model, _) = train_model(self.parts(), &flat, dim, &mut TraceBuilder::disabled())?;
+        Ok(model)
     }
 
     /// [`train`](MdpQuery::train) over a columnar batch: only its metrics
@@ -519,7 +525,9 @@ impl MdpQuery {
     pub fn train_columns(&self, batch: &EncodedBatch) -> Result<FittedModel> {
         self.check_model_compatible()?;
         check_columns(batch)?;
-        train_model(self.parts(), &batch.metrics, batch.dim)
+        let (model, _) =
+            train_model(self.parts(), &batch.metrics, batch.dim, &mut TraceBuilder::disabled())?;
+        Ok(model)
     }
 
     /// Execute one-shot classification and explanation against a
@@ -538,7 +546,7 @@ impl MdpQuery {
     pub fn execute_with_model(&self, model: &FittedModel, points: &[Point]) -> Result<MdpReport> {
         self.check_model_compatible()?;
         let mut input = ColumnarInput::from_points(&self.analysis, points)?;
-        execute_one_shot_with_model(self.parts(), model, &mut input)
+        execute_with_model(self.parts(), model, &mut input)
     }
 
     /// [`execute_with_model`](MdpQuery::execute_with_model) over an input
@@ -551,7 +559,7 @@ impl MdpQuery {
         input: &mut ColumnarInput,
     ) -> Result<MdpReport> {
         self.check_model_compatible()?;
-        execute_one_shot_with_model(self.parts(), model, input)
+        execute_with_model(self.parts(), model, input)
     }
 
     /// Turn the query into an incremental streaming session
@@ -877,6 +885,43 @@ mod tests {
             assert!(
                 matches!(query.execute(&executor, &[]), Err(PipelineError::EmptyInput)),
                 "{} accepted empty input",
+                executor.name()
+            );
+        }
+        // So is a batch a transformer empties, and a ragged batch is typed
+        // too, on every batch backend.
+        let ragged = vec![
+            Point::new(vec![1.0], vec!["a".to_string()]),
+            Point::new(vec![1.0, 2.0], vec!["a".to_string()]),
+        ];
+        for executor in [
+            Executor::OneShot,
+            Executor::Coordinated { partitions: 1 },
+            Executor::NaivePartitioned { partitions: 1 },
+        ] {
+            let mut emptied = MdpQuery::builder()
+                .transform(Box::new(crate::operator::BatchTransformer::new(
+                    |_: Vec<Point>| Vec::new(),
+                )))
+                .build()
+                .unwrap();
+            assert!(
+                matches!(
+                    emptied.execute(&executor, &planted_points(10)),
+                    Err(PipelineError::EmptyInput)
+                ),
+                "{} accepted an emptied batch",
+                executor.name()
+            );
+            assert!(
+                matches!(
+                    MdpQuery::with_defaults().execute(&executor, &ragged),
+                    Err(PipelineError::InconsistentDimensions {
+                        expected: 1,
+                        actual: 2
+                    })
+                ),
+                "{} accepted ragged metrics",
                 executor.name()
             );
         }

@@ -8,6 +8,7 @@
 //! live monitoring. Build sessions with
 //! [`MdpQuery::into_streaming`](crate::query::MdpQuery::into_streaming).
 
+use crate::executor::render_explanations;
 use crate::query::{AnalysisConfig, EstimatorKind, StreamingOptions};
 use crate::types::{MdpReport, Point, RenderedExplanation};
 use crate::{PipelineError, Result};
@@ -15,9 +16,7 @@ use mb_classify::rule::{label_or, RuleClassifier};
 use mb_classify::streaming::{StreamingClassifier, StreamingClassifierConfig};
 use mb_classify::Label;
 use mb_explain::encoder::AttributeEncoder;
-use mb_explain::risk_ratio::rank_explanations;
 use mb_explain::streaming::{StreamingExplainer, StreamingExplainerConfig};
-use mb_explain::ExplanationConfig;
 use mb_obs::{stage, MetricRegistry, QueryTrace, StageTimer, StageTrace};
 use mb_stats::mad::MadEstimator;
 use mb_stats::mcd::McdEstimator;
@@ -34,7 +33,7 @@ enum StreamingModel {
 
 /// The streaming (EWS) engine: ADR-trained classifier, AMC + M-CPS
 /// explainer, per-point decay bookkeeping. Shared by the streaming executor
-/// backend, [`StreamingSession`], and the deprecated [`MdpStreaming`] shim.
+/// backend and [`StreamingSession`].
 pub(crate) struct StreamingEngine {
     estimator: EstimatorKind,
     target_percentile: f64,
@@ -281,16 +280,7 @@ impl StreamingEngine {
         let explanations: Vec<RenderedExplanation> = if self.skip_explanation {
             Vec::new()
         } else {
-            let mut explanations = self.explainer.explain();
-            rank_explanations(&mut explanations);
-            explanations
-                .into_iter()
-                .map(|e| RenderedExplanation {
-                    attributes: self.encoder.describe(&e.items),
-                    items: e.items,
-                    stats: e.stats,
-                })
-                .collect()
+            render_explanations(&self.encoder, self.explainer.explain())
         };
         if explain_start.is_running() {
             let explain_ns = explain_start.elapsed_ns();
@@ -423,136 +413,11 @@ impl StreamingSession {
     }
 }
 
-/// Configuration of a streaming MDP query (superseded by
-/// [`AnalysisConfig`] + [`StreamingOptions`]).
-#[deprecated(
-    since = "0.5.0",
-    note = "use AnalysisConfig + StreamingOptions with MdpQuery and Executor::Streaming"
-)]
-#[derive(Debug, Clone)]
-pub struct StreamingMdpConfig {
-    /// Score percentile above which points are outliers.
-    pub target_percentile: f64,
-    /// Explanation thresholds.
-    pub explanation: ExplanationConfig,
-    /// Reservoir / sketch sizes (paper default 10K).
-    pub reservoir_size: usize,
-    /// Decay rate applied at each period boundary (paper default 0.01).
-    pub decay_rate: f64,
-    /// Number of points between decay period boundaries (paper default 100K).
-    pub decay_period: u64,
-    /// Number of points between model retrainings.
-    pub retrain_period: u64,
-    /// Optional attribute column names for rendering.
-    pub attribute_names: Vec<String>,
-    /// Whether to skip maintaining explanation state (throughput measurements
-    /// without explanation, as in Table 2).
-    pub skip_explanation: bool,
-    /// RNG seed for the reservoirs.
-    pub seed: u64,
-}
-
-#[allow(deprecated)]
-impl Default for StreamingMdpConfig {
-    fn default() -> Self {
-        StreamingMdpConfig {
-            target_percentile: 0.99,
-            explanation: ExplanationConfig::default(),
-            reservoir_size: 10_000,
-            decay_rate: 0.01,
-            decay_period: 100_000,
-            retrain_period: 10_000,
-            attribute_names: Vec::new(),
-            skip_explanation: false,
-            seed: 0xE75,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl StreamingMdpConfig {
-    fn split(&self) -> (AnalysisConfig, StreamingOptions) {
-        (
-            AnalysisConfig {
-                target_percentile: self.target_percentile,
-                explanation: self.explanation,
-                attribute_names: self.attribute_names.clone(),
-                skip_explanation: self.skip_explanation,
-                ..AnalysisConfig::default()
-            },
-            StreamingOptions {
-                reservoir_size: self.reservoir_size,
-                decay_rate: self.decay_rate,
-                decay_period: self.decay_period,
-                retrain_period: self.retrain_period,
-                seed: self.seed,
-            },
-        )
-    }
-}
-
-/// The streaming (EWS) MDP pipeline (superseded by [`StreamingSession`] /
-/// [`Executor::Streaming`](crate::query::Executor)).
-#[deprecated(
-    since = "0.5.0",
-    note = "use MdpQuery::into_streaming (incremental) or Executor::Streaming (run-to-completion)"
-)]
-pub struct MdpStreaming {
-    engine: StreamingEngine,
-}
-
-#[allow(deprecated)]
-impl MdpStreaming {
-    /// Create a streaming pipeline.
-    pub fn new(config: StreamingMdpConfig) -> Self {
-        let (analysis, options) = config.split();
-        MdpStreaming {
-            engine: StreamingEngine::new(&analysis, &options, None, true),
-        }
-    }
-
-    /// Create a streaming pipeline with default (paper) parameters.
-    pub fn with_defaults() -> Self {
-        Self::new(StreamingMdpConfig::default())
-    }
-
-    /// Observe one point, returning its label.
-    pub fn observe(&mut self, point: &Point) -> Result<Label> {
-        self.engine.observe(point)
-    }
-
-    /// Force a decay period boundary (also called automatically every
-    /// `decay_period` points).
-    pub fn on_period_boundary(&mut self) {
-        self.engine.on_period_boundary()
-    }
-
-    /// Total points observed so far.
-    pub fn points_seen(&self) -> u64 {
-        self.engine.points_seen()
-    }
-
-    /// Total points labeled outlier so far.
-    pub fn outliers_seen(&self) -> u64 {
-        self.engine.outliers_seen()
-    }
-
-    /// Whether the underlying model has completed its warm-up training.
-    pub fn is_trained(&self) -> bool {
-        self.engine.is_trained()
-    }
-
-    /// Produce the current explanations on demand (the streaming explainer is
-    /// a continuously maintained view; this renders it).
-    pub fn report(&mut self) -> MdpReport {
-        self.engine.report()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::{Executor, MdpQuery, MdpQueryBuilder};
+    use mb_explain::ExplanationConfig;
     use mb_ingest::synthetic::{device_workload, DeviceWorkloadConfig};
 
     fn test_options() -> StreamingOptions {
@@ -879,34 +744,5 @@ mod tests {
         let again = second.trace.expect("trace populated");
         assert_eq!(again.stage(stage::EXPLAIN).unwrap().batches, 2);
         assert_eq!(again.histogram("explain_ns").unwrap().count, 2);
-    }
-
-    #[allow(deprecated)]
-    #[test]
-    fn deprecated_shim_matches_session_behaviour() {
-        let config = StreamingMdpConfig {
-            explanation: ExplanationConfig::new(0.01, 3.0),
-            reservoir_size: 2_000,
-            decay_rate: 0.05,
-            decay_period: 10_000,
-            retrain_period: 5_000,
-            attribute_names: vec!["device_id".to_string()],
-            ..StreamingMdpConfig::default()
-        };
-        let mut shim = MdpStreaming::new(config);
-        let mut session = test_query()
-            .build()
-            .unwrap()
-            .into_streaming(&test_options())
-            .unwrap();
-        for i in 0..20_000 {
-            let value = if i % 500 == 0 { 300.0 } else { 10.0 + (i % 9) as f64 };
-            let point = Point::simple(value, format!("d{}", i % 30));
-            shim.observe(&point).unwrap();
-            session.observe(&point).unwrap();
-        }
-        assert_eq!(shim.points_seen(), session.points_seen());
-        assert_eq!(shim.outliers_seen(), session.outliers_seen());
-        assert_eq!(shim.report().num_outliers, session.report().num_outliers);
     }
 }

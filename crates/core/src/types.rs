@@ -1,6 +1,5 @@
-//! Core data types: points, labeled points, and explanation reports.
+//! Core data types: points and explanation reports.
 
-use mb_classify::Label;
 use mb_explain::risk_ratio::ExplanationStats;
 use mb_fpgrowth::Item;
 
@@ -37,17 +36,6 @@ impl Point {
     pub fn dimension(&self) -> usize {
         self.metrics.len()
     }
-}
-
-/// A point together with its classification outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LabeledPoint {
-    /// The classified point.
-    pub point: Point,
-    /// The outlier score assigned by the classifier.
-    pub score: f64,
-    /// The label implied by the score and threshold.
-    pub label: Label,
 }
 
 /// One explanation rendered for presentation: decoded attribute strings plus

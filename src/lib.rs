@@ -99,21 +99,8 @@ pub mod prelude {
         AnalysisConfig, EstimatorKind, Executor, MdpQuery, MdpQueryBuilder, StreamingOptions,
     };
     pub use crate::core::streaming::StreamingSession;
-    pub use crate::core::types::{LabeledPoint, MdpReport, Point, RenderedExplanation};
+    pub use crate::core::types::{MdpReport, Point, RenderedExplanation};
     pub use crate::core::{Classification, Label, PipelineError};
     pub use crate::explain::ExplanationConfig;
     pub use crate::obs::{ObsConfig, QueryTrace};
-
-    // Deprecated pre-query entry points, kept so existing code compiles
-    // (each carries a migration pointer in its deprecation note).
-    #[allow(deprecated)]
-    pub use crate::core::coordinated::run_coordinated;
-    #[allow(deprecated)]
-    pub use crate::core::oneshot::{MdpConfig, MdpOneShot};
-    #[allow(deprecated)]
-    pub use crate::core::parallel::run_partitioned;
-    #[allow(deprecated)]
-    pub use crate::core::pipeline::{Pipeline, PipelineBuilder};
-    #[allow(deprecated)]
-    pub use crate::core::streaming::{MdpStreaming, StreamingMdpConfig};
 }

@@ -245,7 +245,8 @@ fn reports_through_every_entry_point(
         "from_points + train_columns + execute_columns_with_model".to_string(),
         bytes(query.execute_columns_with_model(&model, &mut input).unwrap()),
     ));
-    for partitions in 1..=8 {
+    // Zero partitions means one per pool worker.
+    for partitions in 0..=8 {
         let executor = Executor::Coordinated { partitions };
         reports.push((
             format!("execute(Coordinated {{ partitions: {partitions} }})"),
@@ -257,57 +258,87 @@ fn reports_through_every_entry_point(
 
 #[test]
 fn every_batch_entry_point_gives_the_same_report_bytes() {
-    let rule = || RuleClassifier::single(0, Comparison::GreaterThan, 13.0);
+    fn rule() -> RuleClassifier {
+        RuleClassifier::single(0, Comparison::GreaterThan, 13.0)
+    }
     let base = || {
         MdpQuery::builder()
             .explanation(ExplanationConfig::new(0.01, 3.0))
             .attribute_names(vec!["device_id".to_string(), "firmware".to_string()])
     };
-    let cases: Vec<(&str, usize, Box<dyn Fn() -> MdpQuery>)> = vec![
-        ("MAD", 1, Box::new(move || base().build().unwrap())),
-        (
-            "forced ZScore",
-            1,
-            Box::new(move || base().estimator(EstimatorKind::ZScore).build().unwrap()),
-        ),
-        ("2-d Auto (MCD)", 2, Box::new(move || base().build().unwrap())),
-        (
-            "hybrid rule",
-            1,
-            Box::new(move || base().supervised_rule(rule()).build().unwrap()),
-        ),
-        (
-            "rule-only",
-            1,
-            Box::new(move || {
-                base()
-                    .without_unsupervised()
-                    .supervised_rule(rule())
-                    .build()
-                    .unwrap()
-            }),
-        ),
-        (
-            "skip_explanation",
-            1,
-            Box::new(move || base().skip_explanation().build().unwrap()),
-        ),
-        (
-            "retain_scores + retain_outlier_rows",
-            1,
-            Box::new(move || base().retain_scores().retain_outlier_rows().build().unwrap()),
-        ),
-        ("traced", 1, Box::new(move || base().traced().build().unwrap())),
+    // Each case: its name, the metric dimensionality, and what it adds to
+    // the base query.
+    type Shape = fn(MdpQueryBuilder) -> MdpQueryBuilder;
+    let cases: [(&str, usize, Shape); 8] = [
+        ("MAD", 1, |q| q),
+        ("forced ZScore", 1, |q| q.estimator(EstimatorKind::ZScore)),
+        ("2-d Auto (MCD)", 2, |q| q),
+        ("hybrid rule", 1, |q| q.supervised_rule(rule())),
+        ("rule-only", 1, |q| q.without_unsupervised().supervised_rule(rule())),
+        ("skip_explanation", 1, |q| q.skip_explanation()),
+        ("retain_scores + retain_outlier_rows", 1, |q| {
+            q.retain_scores().retain_outlier_rows()
+        }),
+        ("traced", 1, |q| q.traced()),
     ];
-    for (case, dim, build) in &cases {
-        let points = planted(3_000, *dim);
-        let reports = reports_through_every_entry_point(build.as_ref(), &points);
+    for (case, dim, shape) in cases {
+        let points = planted(3_000, dim);
+        let reports = reports_through_every_entry_point(&|| shape(base()).build().unwrap(), &points);
         let (reference_name, reference) = &reports[0];
         let report = macrobase::core::wire::report_from_str(reference).unwrap();
-        assert!(report.num_outliers >= 30, "{case}: {} outliers", report.num_outliers);
+        // 1% of the rows are planted extremes; the 99th-percentile cut (and
+        // a rule above 13) flags them, and not many more.
+        assert!((30..150).contains(&report.num_outliers), "{case}: {} outliers", report.num_outliers);
+        let names_planted = report
+            .explanations
+            .iter()
+            .any(|e| e.attributes.iter().any(|a| a.contains("device_bad")));
+        assert_eq!(names_planted, case != "skip_explanation", "{case}");
+        if case == "retain_scores + retain_outlier_rows" {
+            assert_eq!(report.scores.len(), 3_000);
+            assert_eq!(report.outlier_rows.len(), report.num_outliers);
+        }
         for (name, bytes) in &reports[1..] {
             assert_eq!(bytes, reference, "{case}: {name} differs from {reference_name}");
         }
+    }
+}
+
+/// A NaN or infinite metric fails every batch path with the error an
+/// uncapped fit raises: a capped fit never reads most rows and a
+/// pre-trained model none of the batch, yet neither may score such a row.
+#[test]
+fn non_finite_metrics_fail_every_batch_path_as_the_uncapped_fit_does() {
+    let outcome = |result: Result<MdpReport, PipelineError>| match result {
+        Ok(report) => format!(
+            "Ok: {} outliers, cutoff {:?}",
+            report.num_outliers, report.score_cutoff
+        ),
+        Err(error) => error.to_string(),
+    };
+    let clean = planted(10_000, 1);
+    let poisoned = |value: f64, every: usize| {
+        let mut points = clean.clone();
+        for point in points.iter_mut().skip(1).step_by(every) {
+            point.metrics[0] = value;
+        }
+        points
+    };
+    let capped = || MdpQuery::builder().training_sample_size(100).build().unwrap();
+    let clean_model = MdpQuery::with_defaults().train(&clean).unwrap();
+    for points in [
+        poisoned(f64::NAN, 10_000),
+        poisoned(f64::NAN, 7),
+        poisoned(f64::INFINITY, 10_000),
+    ] {
+        let expected = outcome(MdpQuery::with_defaults().execute(&Executor::OneShot, &points));
+        assert!(expected.contains("non-finite"), "{expected}");
+        for executor in [Executor::OneShot, Executor::Coordinated { partitions: 3 }] {
+            let capped_report = capped().execute(&executor, &points);
+            assert_eq!(outcome(capped_report), expected, "capped {}", executor.name());
+        }
+        let with_model = MdpQuery::with_defaults().execute_with_model(&clean_model, &points);
+        assert_eq!(outcome(with_model), expected, "execute_with_model");
     }
 }
 

@@ -57,6 +57,8 @@ fn in_tests_or_benches(path: &str) -> bool {
 ///   decoders), the two every attribute value is encoded through (the
 ///   dictionary encoder, `ItemBatch`), and the two every served cache miss
 ///   trains through (`ModelCache`, FastMCD).
+/// - `trace-names-from-taxonomy` covers core and mb-serve, the crates that
+///   build query traces.
 /// - `unsafe-needs-safety-comment` applies everywhere, tests included.
 pub fn rules_for_path(path: &str) -> Vec<RuleId> {
     let mut rules = vec![RuleId::UnsafeNeedsSafetyComment];
@@ -96,6 +98,9 @@ pub fn rules_for_path(path: &str) -> Vec<RuleId> {
             | "crates/mb-stats/src/mcd.rs"
     ) {
         rules.push(RuleId::NoUnwrapInExecutors);
+    }
+    if path.starts_with("crates/core/") || path.starts_with("crates/mb-serve/") {
+        rules.push(RuleId::TraceNamesFromTaxonomy);
     }
     rules
 }
@@ -198,8 +203,19 @@ mod tests {
             !rules_for_path("crates/mb-ingest/src/datasets.rs").contains(&RuleId::NoUnwrapInExecutors)
         );
         assert!(
-            !rules_for_path("crates/core/src/oneshot.rs").contains(&RuleId::NoUnwrapInExecutors)
+            !rules_for_path("crates/core/src/query.rs").contains(&RuleId::NoUnwrapInExecutors)
         );
+    }
+
+    #[test]
+    fn trace_name_rule_covers_the_crates_that_build_traces() {
+        let covered = |path: &str| rules_for_path(path).contains(&RuleId::TraceNamesFromTaxonomy);
+        assert!(covered("crates/core/src/executor.rs"));
+        assert!(covered("crates/core/src/operator.rs"));
+        assert!(covered("crates/mb-serve/src/server.rs"));
+        assert!(!covered("crates/mb-obs/src/trace.rs"));
+        assert!(!covered("crates/mb-bench/src/bin/table3_simple_queries.rs"));
+        assert!(!covered("crates/mb-serve/tests/wire_protocol.rs"));
     }
 
     #[test]

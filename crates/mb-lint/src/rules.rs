@@ -1,11 +1,12 @@
-//! The six workspace-contract rules, each a token-sequence matcher.
+//! The seven workspace-contract rules, each a token-sequence matcher.
 //!
-//! Every rule here guards a piece of the determinism story: reports must be
+//! Most rules here guard a piece of the determinism story: reports must be
 //! bit-identical at any partition/thread count, so float orderings must be
 //! total, parallelism must flow through `mb-pool`'s deterministic merges,
 //! clocks stay behind `mb-obs` (volatile fields are diff-exempt there), hash
 //! iteration must never reach output order unsorted, and the executor/server
-//! hot paths must degrade into typed errors rather than panics.
+//! hot paths must degrade into typed errors rather than panics. One guards
+//! the telemetry: trace stage and executor names come from one taxonomy.
 
 use crate::lexer::{Token, TokenKind};
 use std::collections::HashSet;
@@ -26,19 +27,23 @@ pub enum RuleId {
     HashmapOrderHazard,
     /// `unwrap()`/`expect()` in executor/server hot-path files.
     NoUnwrapInExecutors,
+    /// A string literal as a trace's stage or executor name in core or
+    /// mb-serve.
+    TraceNamesFromTaxonomy,
     /// A malformed, unknown, or justification-free suppression pragma.
     InvalidPragma,
 }
 
 impl RuleId {
     /// Every rule a pragma may suppress (`invalid-pragma` itself cannot be).
-    pub const SUPPRESSIBLE: [RuleId; 6] = [
+    pub const SUPPRESSIBLE: [RuleId; 7] = [
         RuleId::FloatTotalOrder,
         RuleId::NoAdhocThreads,
         RuleId::NoAdhocClock,
         RuleId::UnsafeNeedsSafetyComment,
         RuleId::HashmapOrderHazard,
         RuleId::NoUnwrapInExecutors,
+        RuleId::TraceNamesFromTaxonomy,
     ];
 
     /// The kebab-case name used in diagnostics and pragmas.
@@ -50,6 +55,7 @@ impl RuleId {
             RuleId::UnsafeNeedsSafetyComment => "unsafe-needs-safety-comment",
             RuleId::HashmapOrderHazard => "hashmap-order-hazard",
             RuleId::NoUnwrapInExecutors => "no-unwrap-in-executors",
+            RuleId::TraceNamesFromTaxonomy => "trace-names-from-taxonomy",
             RuleId::InvalidPragma => "invalid-pragma",
         }
     }
@@ -234,6 +240,32 @@ pub fn lint_tokens(path: &str, toks: &[Token], rules: &[RuleId]) -> Vec<Diagnost
             );
         }
 
+        if rules.contains(&RuleId::TraceNamesFromTaxonomy) && !in_test(i) {
+            // `.finish_stage(timer, "…", …)` and `TraceBuilder::new(obs, "…")`.
+            let open = if ident(i) == Some("finish_stage") && i >= 1 && punct(i - 1, '.') {
+                Some(i + 1)
+            } else if ident(i) == Some("TraceBuilder")
+                && punct(i + 1, ':')
+                && punct(i + 2, ':')
+                && ident(i + 3) == Some("new")
+            {
+                Some(i + 4)
+            } else {
+                None
+            };
+            let name = open
+                .filter(|&open| punct(open, '('))
+                .and_then(|open| second_argument(&code, open));
+            if let Some(name) = name.filter(|&name| *code[name].kind == TokenKind::Str) {
+                push(
+                    code[name].line,
+                    RuleId::TraceNamesFromTaxonomy,
+                    "string literal as a trace stage or executor name; use an \
+                     mb_obs::stage constant or Executor::name()",
+                );
+            }
+        }
+
         if rules.contains(&RuleId::HashmapOrderHazard) && !in_test(i) {
             // `name.iter()` / `name.keys()` / … where `name` is hash-typed.
             if let Some(m) = ident(i) {
@@ -274,6 +306,26 @@ pub fn lint_tokens(path: &str, toks: &[Token], rules: &[RuleId]) -> Vec<Diagnost
     }
 
     diags
+}
+
+/// The index of the first token of the second argument of the call whose
+/// `(` is `code[open]`, if the call has a second argument.
+fn second_argument(code: &[CodeTok<'_>], open: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (k, t) in code.iter().enumerate().skip(open) {
+        match t.kind {
+            TokenKind::Punct('(' | '[' | '{') => depth += 1,
+            TokenKind::Punct(')' | ']' | '}') => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return None;
+                }
+            }
+            TokenKind::Punct(',') if depth == 1 => return (k + 1 < code.len()).then_some(k + 1),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// After `in` at `code[i]`, skip `&`/`mut`, then walk a dotted identifier

@@ -90,7 +90,26 @@ fn no_unwrap_in_executors_fires_once_on_the_seeded_line() {
 fn unwrap_rule_is_scoped_to_the_hot_path_files() {
     // The same fixture anywhere else is clean.
     assert_eq!(
-        lint_fixture("no_unwrap_in_executors.rs", "crates/core/src/oneshot.rs"),
+        lint_fixture("no_unwrap_in_executors.rs", "crates/core/src/query.rs"),
+        Vec::<String>::new()
+    );
+}
+
+#[test]
+fn trace_names_from_taxonomy_fires_on_both_seeded_lines() {
+    assert_eq!(
+        lint_fixture("trace_names_from_taxonomy.rs", "crates/core/src/demo.rs"),
+        vec![
+            "crates/core/src/demo.rs:6: trace-names-from-taxonomy",
+            "crates/core/src/demo.rs:7: trace-names-from-taxonomy",
+        ]
+    );
+}
+
+#[test]
+fn trace_name_rule_is_scoped_to_core_and_serve() {
+    assert_eq!(
+        lint_fixture("trace_names_from_taxonomy.rs", "crates/mb-obs/src/demo.rs"),
         Vec::<String>::new()
     );
 }

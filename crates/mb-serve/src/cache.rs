@@ -342,6 +342,15 @@ mod tests {
                 waiter_cache.get_or_train(fp, || panic!("the slot already has a trainer"));
             waiter_tx.send(outcome.map(|_| ())).unwrap();
         });
+        // Release the trainer only once the waiter holds the slot (the map,
+        // the trainer, this test and the waiter each hold one reference): a
+        // requester that arrives after the failed slot left the map trains
+        // afresh instead of waiting.
+        let slot = Arc::clone(lock(&cache.slots).get(&fp).expect("the training slot"));
+        while Arc::strong_count(&slot) < 4 {
+            std::thread::yield_now();
+        }
+        drop(slot);
         release_tx.send(()).unwrap();
         assert!(trainer.join().is_err(), "the trainer's panic propagates to it");
 

@@ -1,72 +1,12 @@
-//! Coordinated partitioned execution: the mergeable-state answer to the
-//! naïve shared-nothing scale-out of Appendix D.
-//!
-//! [`Executor::NaivePartitioned`](crate::query::Executor) trades accuracy
-//! for cores: every partition trains its own model, cuts its own threshold,
-//! prunes by its own local support, and the partitions' *rendered*
-//! explanations are unioned after the fact — so accuracy degrades as
-//! partitions shrink (the Figure 11 trade-off). In the spirit of
-//! coordination-avoiding execution,
-//! [`Executor::Coordinated`](crate::query::Executor) keeps the
-//! communication-free partition loop but reconciles through mergeable state
-//! instead of rendered strings:
-//!
-//! 1. **One model** — the robust estimator is fitted once on the global
-//!    batch (honoring the configured training-sample cap) and broadcast to
-//!    partitions by reference; partitions score in parallel against it.
-//!    The single fit is itself no longer serial: FastMCD scatters its
-//!    training restarts as pool tasks with a deterministic
-//!    best-of-restarts merge, so training scales with cores while the
-//!    broadcast model stays a pure function of the batch and seed.
-//! 2. **One threshold** — the percentile cutoff is computed over the merged
-//!    score vector, not per partition.
-//! 3. **Merged explanation state** — each partition builds a pre-render
-//!    [`ExplainState`](mb_explain::partition::ExplainState) (encoded itemset
-//!    counts + class totals); states merge on items
-//!    ([`Mergeable`](mb_explain::Mergeable)) and support/risk-ratio
-//!    thresholds apply to the *merged* counts.
-//!
-//! The result is the one-shot report — same explanation set, same counts up
-//! to floating-point summation order — for any partition count, while the
-//! scoring and counting passes (the bulk of the work) still scale with
-//! cores. The engine lives in [`crate::executor`]; this module keeps the
-//! deprecated free-function entry point.
+//! Behaviour checks of coordinated partitioned execution (Section 6.4):
+//! `Executor::Coordinated` scatters scoring and explanation over partitions
+//! of one shared model, so its answer must equal one-shot's at every
+//! partition count. The engine itself lives in [`crate::executor`].
 
-use crate::query::{AnalysisConfig, Executor, MdpQuery};
-use crate::types::{MdpReport, Point};
-use crate::Result;
-
-/// Execute `config` over `points` split into `num_partitions` partitions
-/// with a shared trained model, a global score threshold, and merged
-/// explanation state (superseded by
-/// [`MdpQuery::execute`](crate::query::MdpQuery::execute) with
-/// [`Executor::Coordinated`](crate::query::Executor)). Produces exactly the
-/// one-shot report for any partition count. Pass `0` for `num_partitions`
-/// to use one partition per pool worker
-/// ([`crate::parallel::default_num_partitions`]).
-#[deprecated(
-    since = "0.5.0",
-    note = "use MdpQuery::execute with Executor::Coordinated { partitions }"
-)]
-pub fn run_coordinated(
-    points: &[Point],
-    num_partitions: usize,
-    config: &AnalysisConfig,
-) -> Result<MdpReport> {
-    MdpQuery::new(config.clone()).execute(
-        &Executor::Coordinated {
-            partitions: num_partitions,
-        },
-        points,
-    )
-}
-
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
-    use super::*;
-    #[allow(deprecated)]
-    use crate::oneshot::MdpOneShot;
+    use crate::query::{AnalysisConfig, Executor, MdpQuery};
+    use crate::types::{MdpReport, Point};
     use mb_explain::ExplanationConfig;
 
     fn workload(n: usize) -> Vec<Point> {
@@ -92,6 +32,14 @@ mod tests {
         }
     }
 
+    fn run_coordinated(
+        points: &[Point],
+        partitions: usize,
+        config: &AnalysisConfig,
+    ) -> crate::Result<MdpReport> {
+        MdpQuery::new(config.clone()).execute(&Executor::Coordinated { partitions }, points)
+    }
+
     fn attribute_sets(report: &MdpReport) -> Vec<Vec<String>> {
         let mut sets: Vec<Vec<String>> = report
             .explanations
@@ -109,7 +57,9 @@ mod tests {
     #[test]
     fn coordinated_reproduces_one_shot_for_any_partition_count() {
         let points = workload(20_000);
-        let one_shot = MdpOneShot::new(config()).run(&points).unwrap();
+        let one_shot = MdpQuery::new(config())
+            .execute(&Executor::OneShot, &points)
+            .unwrap();
         for num_partitions in [1, 2, 3, 4, 8] {
             let coordinated = run_coordinated(&points, num_partitions, &config()).unwrap();
             assert_eq!(coordinated.num_outliers, one_shot.num_outliers);

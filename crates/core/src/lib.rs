@@ -66,6 +66,15 @@ pub mod streaming;
 pub mod types;
 pub mod wire;
 
+// Test-only: behaviour checks of the one-shot, full-dataflow and coordinated
+// backends through `MdpQuery`.
+#[cfg(test)]
+mod coordinated;
+#[cfg(test)]
+mod oneshot;
+#[cfg(test)]
+mod pipeline;
+
 pub use executor::{FittedModel, MdpClassifier, MdpExplainer};
 pub use mb_classify::{Classification, Label};
 pub use mb_obs::{ObsConfig, QueryTrace};

@@ -1,58 +1,11 @@
-//! One-shot MDP execution: classify a stored batch with robust estimators and
-//! explain the resulting outliers (Sections 4–5, "one-shot queries" of
-//! Section 3.2).
-//!
-//! Superseded by the unified query surface: build an [`MdpQuery`] and
-//! execute it with `Executor::OneShot`. The deprecated shims here
-//! delegate to exactly that engine, so reports are identical either way.
+//! Behaviour checks of one-shot execution (Sections 4–5, "one-shot queries"
+//! of Section 3.2): an [`MdpQuery`] run by `Executor::OneShot` over a stored
+//! batch. The engine itself lives in [`crate::executor`].
 
-pub use crate::query::EstimatorKind;
-
-use crate::query::{AnalysisConfig, Executor, MdpQuery};
-use crate::types::{MdpReport, Point};
-use crate::Result;
-
-/// Configuration of a one-shot MDP query (superseded by [`AnalysisConfig`],
-/// which carries exactly the same fields).
-#[deprecated(
-    since = "0.5.0",
-    note = "use AnalysisConfig with MdpQuery + Executor::OneShot"
-)]
-pub type MdpConfig = AnalysisConfig;
-
-/// The one-shot MDP pipeline (superseded by [`MdpQuery`] +
-/// `Executor::OneShot`).
-#[deprecated(
-    since = "0.5.0",
-    note = "use MdpQuery::execute with Executor::OneShot"
-)]
-#[derive(Debug, Clone)]
-pub struct MdpOneShot {
-    config: AnalysisConfig,
-}
-
-#[allow(deprecated)]
-impl MdpOneShot {
-    /// Create a pipeline with the given configuration.
-    pub fn new(config: MdpConfig) -> Self {
-        MdpOneShot { config }
-    }
-
-    /// Create a pipeline with default (paper) parameters.
-    pub fn with_defaults() -> Self {
-        Self::new(AnalysisConfig::default())
-    }
-
-    /// Execute the query over a batch of points.
-    pub fn run(&self, points: &[Point]) -> Result<MdpReport> {
-        MdpQuery::new(self.config.clone()).execute(&Executor::OneShot, points)
-    }
-}
-
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::query::{AnalysisConfig, EstimatorKind, Executor, MdpQuery};
+    use crate::types::Point;
     use crate::PipelineError;
     use mb_explain::ExplanationConfig;
     use mb_ingest::synthetic::{device_workload, DeviceWorkloadConfig};
@@ -72,21 +25,26 @@ mod tests {
         (points, workload.outlying_devices)
     }
 
+    fn run(config: AnalysisConfig, points: &[Point]) -> crate::Result<crate::MdpReport> {
+        MdpQuery::new(config).execute(&Executor::OneShot, points)
+    }
+
     #[test]
     fn empty_input_is_an_error() {
-        let mdp = MdpOneShot::with_defaults();
-        assert!(matches!(mdp.run(&[]), Err(PipelineError::EmptyInput)));
+        assert!(matches!(
+            run(AnalysisConfig::default(), &[]),
+            Err(PipelineError::EmptyInput)
+        ));
     }
 
     #[test]
     fn inconsistent_dimensions_rejected() {
-        let mdp = MdpOneShot::with_defaults();
         let points = vec![
             Point::new(vec![1.0], vec!["a".to_string()]),
             Point::new(vec![1.0, 2.0], vec!["a".to_string()]),
         ];
         assert!(matches!(
-            mdp.run(&points),
+            run(AnalysisConfig::default(), &points),
             Err(PipelineError::InconsistentDimensions { .. })
         ));
     }
@@ -97,12 +55,15 @@ mod tests {
         // workload without noise, MDP's explanations identify exactly the
         // outlying devices.
         let (points, truth) = workload_points(40_000, 200);
-        let mdp = MdpOneShot::new(MdpConfig {
-            explanation: ExplanationConfig::new(0.01, 3.0),
-            attribute_names: vec!["device_id".to_string()],
-            ..MdpConfig::default()
-        });
-        let report = mdp.run(&points).unwrap();
+        let report = run(
+            AnalysisConfig {
+                explanation: ExplanationConfig::new(0.01, 3.0),
+                attribute_names: vec!["device_id".to_string()],
+                ..AnalysisConfig::default()
+            },
+            &points,
+        )
+        .unwrap();
         assert!(report.num_outliers > 0);
         // Every ground-truth device appears among the explanations.
         let reported: Vec<String> = report
@@ -121,8 +82,7 @@ mod tests {
     #[test]
     fn outlier_fraction_tracks_percentile() {
         let (points, _) = workload_points(20_000, 100);
-        let mdp = MdpOneShot::with_defaults();
-        let report = mdp.run(&points).unwrap();
+        let report = run(AnalysisConfig::default(), &points).unwrap();
         // ~1% of devices are outlying so slightly more than 1% of points are
         // flagged; the fraction must be in a sane band around the percentile.
         assert!(report.outlier_fraction() > 0.005);
@@ -133,11 +93,14 @@ mod tests {
     #[test]
     fn skip_explanation_omits_explanations() {
         let (points, _) = workload_points(5_000, 50);
-        let mdp = MdpOneShot::new(MdpConfig {
-            skip_explanation: true,
-            ..MdpConfig::default()
-        });
-        let report = mdp.run(&points).unwrap();
+        let report = run(
+            AnalysisConfig {
+                skip_explanation: true,
+                ..AnalysisConfig::default()
+            },
+            &points,
+        )
+        .unwrap();
         assert!(report.explanations.is_empty());
         assert!(report.num_outliers > 0);
     }
@@ -145,11 +108,14 @@ mod tests {
     #[test]
     fn retain_scores_keeps_per_point_scores() {
         let (points, _) = workload_points(2_000, 20);
-        let mdp = MdpOneShot::new(MdpConfig {
-            retain_scores: true,
-            ..MdpConfig::default()
-        });
-        let report = mdp.run(&points).unwrap();
+        let report = run(
+            AnalysisConfig {
+                retain_scores: true,
+                ..AnalysisConfig::default()
+            },
+            &points,
+        )
+        .unwrap();
         assert_eq!(report.scores.len(), 2_000);
         assert!(report.scores.iter().all(|s| s.is_finite()));
     }
@@ -158,6 +124,7 @@ mod tests {
     fn multivariate_auto_uses_mcd() {
         // Two metrics: MDP should pick MCD automatically and still flag the
         // planted multivariate anomalies.
+        assert_eq!(EstimatorKind::Auto.resolve(2), EstimatorKind::Mcd);
         let mut points: Vec<Point> = (0..5_000)
             .map(|i| {
                 Point::new(
@@ -169,11 +136,14 @@ mod tests {
         for i in 0..50 {
             points[i * 100] = Point::new(vec![200.0, 300.0], vec!["device_bad".to_string()]);
         }
-        let mdp = MdpOneShot::new(MdpConfig {
-            explanation: ExplanationConfig::new(0.01, 3.0),
-            ..MdpConfig::default()
-        });
-        let report = mdp.run(&points).unwrap();
+        let report = run(
+            AnalysisConfig {
+                explanation: ExplanationConfig::new(0.01, 3.0),
+                ..AnalysisConfig::default()
+            },
+            &points,
+        )
+        .unwrap();
         assert!(report
             .explanations
             .iter()
@@ -183,32 +153,14 @@ mod tests {
     #[test]
     fn zscore_estimator_can_be_forced() {
         let (points, _) = workload_points(5_000, 50);
-        let mdp = MdpOneShot::new(MdpConfig {
-            estimator: EstimatorKind::ZScore,
-            ..MdpConfig::default()
-        });
-        let report = mdp.run(&points).unwrap();
+        let report = run(
+            AnalysisConfig {
+                estimator: EstimatorKind::ZScore,
+                ..AnalysisConfig::default()
+            },
+            &points,
+        )
+        .unwrap();
         assert!(report.num_outliers > 0);
-    }
-
-    #[test]
-    fn shim_report_equals_query_report() {
-        // The deprecated entry point must stay byte-equal to the query API it
-        // delegates to.
-        let (points, _) = workload_points(10_000, 80);
-        let config = MdpConfig {
-            explanation: ExplanationConfig::new(0.01, 3.0),
-            attribute_names: vec!["device_id".to_string()],
-            retain_scores: true,
-            ..MdpConfig::default()
-        };
-        let shim = MdpOneShot::new(config.clone()).run(&points).unwrap();
-        let query = MdpQuery::new(config)
-            .execute(&Executor::OneShot, &points)
-            .unwrap();
-        assert_eq!(shim.num_outliers, query.num_outliers);
-        assert_eq!(shim.score_cutoff, query.score_cutoff);
-        assert_eq!(shim.scores, query.scores);
-        assert_eq!(shim.explanations, query.explanations);
     }
 }

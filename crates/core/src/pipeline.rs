@@ -1,136 +1,17 @@
-//! Custom pipeline construction (Section 3.2's extensibility story and the
-//! Section 6.4 case studies).
+//! Behaviour checks of the full Table 1 dataflow built through
+//! [`MdpQueryBuilder`]: a transformer chain, the unsupervised classifier, an
+//! optional supervised rule ORed with it, and the explainer, run as one
+//! query by `Executor::OneShot`.
 //!
-//! Superseded by [`MdpQuery::builder`](crate::query::MdpQuery::builder),
-//! which carries the same transformer chain, hybrid supervision, and
-//! rule-only options but executes on *any*
-//! [`Executor`](crate::query::Executor) backend. The deprecated [`Pipeline`]
-//! here delegates to the same shared engine, which also fixes a historic
-//! inconsistency: `Pipeline::run` used to hard-code `score_cutoff: None,
-//! scores: []` in its report, so the same configuration answered differently
-//! through `Pipeline` than through `MdpOneShot`. Both now return the
-//! identical unified report.
+//! [`MdpQueryBuilder`]: crate::query::MdpQueryBuilder
 
-use crate::executor::execute_one_shot;
-use crate::operator::Transformer;
-use crate::query::{AnalysisConfig, MdpQuery};
-use crate::types::{LabeledPoint, MdpReport, Point};
-use crate::Result;
-use mb_classify::rule::RuleClassifier;
-
-/// Builder for [`Pipeline`] (superseded by
-/// [`MdpQueryBuilder`](crate::query::MdpQueryBuilder)).
-#[deprecated(since = "0.5.0", note = "use MdpQuery::builder")]
-#[derive(Default)]
-pub struct PipelineBuilder {
-    transformers: Vec<Box<dyn Transformer>>,
-    config: AnalysisConfig,
-    rule: Option<RuleClassifier>,
-    unsupervised_enabled: bool,
-}
-
-#[allow(deprecated)]
-impl PipelineBuilder {
-    /// Start building a pipeline with default MDP parameters and the
-    /// unsupervised classifier enabled.
-    pub fn new() -> Self {
-        PipelineBuilder {
-            transformers: Vec::new(),
-            config: AnalysisConfig::default(),
-            rule: None,
-            unsupervised_enabled: true,
-        }
-    }
-
-    /// Append a feature transformation stage (applied in insertion order).
-    pub fn transform(mut self, transformer: Box<dyn Transformer>) -> Self {
-        self.transformers.push(transformer);
-        self
-    }
-
-    /// Replace the MDP configuration (percentile, explanation thresholds,
-    /// estimator, attribute names).
-    pub fn mdp_config(mut self, config: AnalysisConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Add a supervised rule classifier whose outlier labels are OR-ed with
-    /// the unsupervised classifier's (the hybrid supervision pattern).
-    pub fn supervised_rule(mut self, rule: RuleClassifier) -> Self {
-        self.rule = Some(rule);
-        self
-    }
-
-    /// Disable the unsupervised classifier entirely (rule-only pipelines).
-    pub fn without_unsupervised(mut self) -> Self {
-        self.unsupervised_enabled = false;
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> Result<Pipeline> {
-        let mut builder = MdpQuery::builder().analysis(self.config);
-        for t in self.transformers {
-            builder = builder.transform(t);
-        }
-        if let Some(rule) = self.rule {
-            builder = builder.supervised_rule(rule);
-        }
-        if !self.unsupervised_enabled {
-            builder = builder.without_unsupervised();
-        }
-        Ok(Pipeline {
-            query: builder.build()?,
-        })
-    }
-}
-
-/// A configured pipeline ready to execute over batches of points
-/// (superseded by [`MdpQuery`]).
-#[deprecated(
-    since = "0.5.0",
-    note = "use MdpQuery::execute with Executor::OneShot"
-)]
-pub struct Pipeline {
-    query: MdpQuery,
-}
-
-#[allow(deprecated)]
-impl Pipeline {
-    /// Start building a pipeline.
-    pub fn builder() -> PipelineBuilder {
-        PipelineBuilder::new()
-    }
-
-    /// Execute the pipeline over a batch of points, returning the labeled
-    /// points and the ranked explanation report.
-    pub fn run(&mut self, points: Vec<Point>) -> Result<(Vec<LabeledPoint>, MdpReport)> {
-        let mut transformed = points;
-        for t in self.query.transformers.iter_mut() {
-            transformed = t.transform(transformed);
-        }
-        let (classifications, report) = execute_one_shot(self.query.parts(), &transformed)?;
-        let labeled = transformed
-            .into_iter()
-            .zip(classifications)
-            .map(|(point, c)| LabeledPoint {
-                point,
-                score: c.score,
-                label: c.label,
-            })
-            .collect();
-        Ok((labeled, report))
-    }
-}
-
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::operator::MapTransformer;
+    use crate::operator::{BatchTransformer, MapTransformer};
+    use crate::query::{Executor, MdpQuery};
+    use crate::types::Point;
     use crate::PipelineError;
-    use mb_classify::rule::Comparison;
+    use mb_classify::rule::{Comparison, RuleClassifier};
     use mb_explain::ExplanationConfig;
 
     fn background_points(n: usize) -> Vec<Point> {
@@ -146,7 +27,7 @@ mod tests {
 
     #[test]
     fn builder_rejects_classifierless_pipeline() {
-        let result = Pipeline::builder().without_unsupervised().build();
+        let result = MdpQuery::builder().without_unsupervised().build();
         assert!(matches!(result, Err(PipelineError::MissingClassifier)));
     }
 
@@ -156,16 +37,13 @@ mod tests {
         for i in 0..100 {
             points[i * 100] = Point::new(vec![500.0], vec!["device_bad".to_string()]);
         }
-        let mut pipeline = Pipeline::builder()
-            .mdp_config(AnalysisConfig {
-                explanation: ExplanationConfig::new(0.01, 3.0),
-                attribute_names: vec!["device_id".to_string()],
-                ..AnalysisConfig::default()
-            })
+        let mut query = MdpQuery::builder()
+            .explanation(ExplanationConfig::new(0.01, 3.0))
+            .attribute_names(vec!["device_id".to_string()])
             .build()
             .unwrap();
-        let (labeled, report) = pipeline.run(points).unwrap();
-        assert_eq!(labeled.len(), 10_000);
+        let report = query.execute(&Executor::OneShot, &points).unwrap();
+        assert_eq!(report.num_points, 10_000);
         assert!(report
             .explanations
             .iter()
@@ -181,18 +59,15 @@ mod tests {
         for i in 0..50 {
             points[i * 100] = Point::new(vec![30.0], vec!["device_hot".to_string()]);
         }
-        let mut pipeline = Pipeline::builder()
+        let mut query = MdpQuery::builder()
             .transform(Box::new(MapTransformer::new(|mut p: Point| {
                 p.metrics[0] = p.metrics[0] * p.metrics[0];
                 p
             })))
-            .mdp_config(AnalysisConfig {
-                explanation: ExplanationConfig::new(0.01, 3.0),
-                ..AnalysisConfig::default()
-            })
+            .explanation(ExplanationConfig::new(0.01, 3.0))
             .build()
             .unwrap();
-        let (_, report) = pipeline.run(points).unwrap();
+        let report = query.execute(&Executor::OneShot, &points).unwrap();
         assert!(report
             .explanations
             .iter()
@@ -202,26 +77,24 @@ mod tests {
     #[test]
     fn hybrid_supervision_ors_rule_with_unsupervised() {
         // The rule flags metric > 100 even though such points are too few for
-        // the percentile classifier to catch reliably; the hybrid pipeline
-        // must flag both the statistical extremes and the rule matches.
+        // the percentile classifier to catch reliably; the hybrid query must
+        // flag both the statistical extremes and the rule matches.
         let mut points = background_points(5_000);
         // 10 rule-only anomalies (value 150, device_rule).
         for i in 0..10 {
             points[i * 37] = Point::new(vec![150.0], vec!["device_rule".to_string()]);
         }
-        let mut pipeline = Pipeline::builder()
+        let mut query = MdpQuery::builder()
             .supervised_rule(RuleClassifier::single(0, Comparison::GreaterThan, 100.0))
-            .mdp_config(AnalysisConfig {
-                explanation: ExplanationConfig::new(0.0005, 3.0),
-                ..AnalysisConfig::default()
-            })
+            .explanation(ExplanationConfig::new(0.0005, 3.0))
+            .retain_outlier_rows()
             .build()
             .unwrap();
-        let (labeled, report) = pipeline.run(points).unwrap();
+        let report = query.execute(&Executor::OneShot, &points).unwrap();
         // Every rule match is an outlier regardless of the percentile cutoff.
-        for lp in &labeled {
-            if lp.point.metrics[0] > 100.0 {
-                assert!(lp.label.is_outlier());
+        for (row, point) in points.iter().enumerate() {
+            if point.metrics[0] > 100.0 {
+                assert!(report.outlier_rows.contains(&row), "rule match {row} not flagged");
             }
         }
         assert!(report
@@ -234,52 +107,28 @@ mod tests {
     fn rule_only_pipeline_works() {
         let mut points = background_points(1_000);
         points[0] = Point::new(vec![1_000.0], vec!["device_x".to_string()]);
-        let mut pipeline = Pipeline::builder()
+        let mut query = MdpQuery::builder()
             .without_unsupervised()
             .supervised_rule(RuleClassifier::single(0, Comparison::GreaterThan, 500.0))
+            .retain_outlier_rows()
             .build()
             .unwrap();
-        let (labeled, _) = pipeline.run(points).unwrap();
-        assert_eq!(labeled.iter().filter(|p| p.label.is_outlier()).count(), 1);
+        let report = query.execute(&Executor::OneShot, &points).unwrap();
+        assert_eq!(report.num_outliers, 1);
+        assert_eq!(report.outlier_rows, vec![0]);
     }
 
     #[test]
     fn empty_after_transform_is_an_error() {
-        let mut pipeline = Pipeline::builder()
-            .transform(Box::new(crate::operator::BatchTransformer::new(
-                |_points: Vec<Point>| Vec::new(),
-            )))
+        let mut query = MdpQuery::builder()
+            .transform(Box::new(BatchTransformer::new(|_points: Vec<Point>| {
+                Vec::new()
+            })))
             .build()
             .unwrap();
         assert!(matches!(
-            pipeline.run(background_points(10)),
+            query.execute(&Executor::OneShot, &background_points(10)),
             Err(PipelineError::EmptyInput)
         ));
-    }
-
-    #[test]
-    fn pipeline_report_is_identical_to_one_shot() {
-        // Regression: Pipeline::run used to hard-code score_cutoff: None and
-        // scores: [] — the same configuration must now answer identically
-        // through every batch entry point.
-        #[allow(deprecated)]
-        use crate::oneshot::MdpOneShot;
-        let mut points = background_points(10_000);
-        for i in 0..100 {
-            points[i * 100] = Point::new(vec![500.0], vec!["device_bad".to_string()]);
-        }
-        let config = AnalysisConfig {
-            explanation: ExplanationConfig::new(0.01, 3.0),
-            attribute_names: vec!["device_id".to_string()],
-            retain_scores: true,
-            ..AnalysisConfig::default()
-        };
-        let one_shot = MdpOneShot::new(config.clone()).run(&points).unwrap();
-        let mut pipeline = Pipeline::builder().mdp_config(config).build().unwrap();
-        let (_, pipeline_report) = pipeline.run(points).unwrap();
-        assert_eq!(pipeline_report.num_outliers, one_shot.num_outliers);
-        assert_eq!(pipeline_report.score_cutoff, one_shot.score_cutoff);
-        assert_eq!(pipeline_report.scores, one_shot.scores);
-        assert_eq!(pipeline_report.explanations, one_shot.explanations);
     }
 }

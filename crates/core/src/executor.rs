@@ -10,13 +10,12 @@
 //! one-shot report byte for byte.
 //!
 //! The partitioned backends are built from the same pieces. The coordinated
-//! engine takes the same columnar input and the same fit, label step and
-//! report assembly; it scatters the scoring pass over partitions against the
-//! one fitted model, cuts one threshold over the merged scores, and merges
-//! per-partition [`ExplainState`]s on items — the only point where partitions
-//! coordinate — so it reproduces the one-shot report at any partition count.
-//! The naïve engine runs the one-shot engine per partition and unions the
-//! rendered results.
+//! engine takes the same columnar input and the same fit; it scatters the
+//! scoring pass over partitions against the one fitted model, cuts one
+//! threshold over the merged scores — the only point where partitions
+//! coordinate — and hands the scores to the one-shot tail, so it reproduces
+//! the one-shot report at any partition count. The naïve engine runs the
+//! one-shot engine per partition and unions the rendered results.
 //!
 //! [`MdpClassifier`] and [`MdpExplainer`] expose the classify and explain
 //! halves as Table 1 [`Classifier`] / [`Explainer`] operators. They are
@@ -34,7 +33,7 @@ use mb_classify::{Classification, Label};
 use mb_explain::batch::BatchExplainer;
 use mb_explain::encoder::AttributeEncoder;
 use mb_explain::risk_ratio::rank_explanations;
-use mb_explain::{ExplainState, Explanation, ExplanationConfig, ItemBatch, Mergeable};
+use mb_explain::{Explanation, ExplanationConfig, ItemBatch};
 use mb_fpgrowth::Item;
 use mb_obs::{stage, MetricRegistry, StageTimer, TraceBuilder};
 use mb_stats::mad::MadEstimator;
@@ -499,7 +498,7 @@ pub(crate) fn train_and_execute(
     check_columns(&input.batch)?;
     let batch = &input.batch;
     let (model, scored) = train_model(parts, &batch.metrics, batch.dim, &mut input.trace)?;
-    Ok(finish_one_shot(parts, &model, input, scored))
+    Ok(finish_one_shot(parts, &model, input, scored, 1))
 }
 
 /// The with-model engine: score the input against a pre-trained model, then
@@ -524,15 +523,18 @@ pub(crate) fn execute_with_model(
         ));
     }
     let scored = score(model, &input.batch.metrics, dim, &input.trace)?;
-    Ok(finish_one_shot(parts, model, input, scored))
+    Ok(finish_one_shot(parts, model, input, scored, 1))
 }
 
-/// The shared tail of both one-shot engines: label, explain, report.
+/// The shared tail of the one-shot and coordinated engines: label, explain,
+/// report. `score_batches` is the number of tasks the scores came from, for
+/// the trace.
 fn finish_one_shot(
     parts: QueryParts<'_>,
     model: &FittedModel,
     input: &mut ColumnarInput,
     scored: Scored,
+    score_batches: usize,
 ) -> MdpReport {
     let mut trace = std::mem::replace(&mut input.trace, TraceBuilder::disabled());
     let ColumnarInput {
@@ -548,7 +550,7 @@ fn finish_one_shot(
         &batch.metrics,
         batch.dim,
         &mut trace,
-        1,
+        score_batches,
     );
     let explanations = if parts.analysis.skip_explanation {
         Vec::new()
@@ -573,12 +575,13 @@ fn finish_one_shot(
 /// The coordinated partitioned engine over the same columnar input as the
 /// one-shot engine: one model fitted on the global batch (honouring the
 /// training-sample cap) and shared by reference, partitions scoring against
-/// it communication-free, one percentile threshold over the merged scores,
-/// and per-partition pre-render [`ExplainState`]s merged on items before
-/// the support and risk-ratio thresholds apply. Produces exactly the
-/// one-shot report for any partition count, while the scoring and counting
-/// passes scale with cores (FastMCD's fit and distance pass also fan out on
-/// the pool, with results that do not depend on the thread count).
+/// it communication-free, and one percentile threshold over the merged
+/// scores. From there it is the one-shot tail: the label step and
+/// explanation run over the whole labelled batch the input already holds,
+/// so support and risk ratios are over global counts and the report is
+/// exactly the one-shot report at any partition count. FastMCD's fit and
+/// distance pass also fan out on the pool, with results that do not depend
+/// on the thread count.
 pub(crate) fn execute_coordinated(
     parts: QueryParts<'_>,
     input: &mut ColumnarInput,
@@ -586,28 +589,21 @@ pub(crate) fn execute_coordinated(
 ) -> Result<MdpReport> {
     check_columns(&input.batch)?;
     let num_partitions = resolve_num_partitions(num_partitions);
-    let mut trace = std::mem::replace(&mut input.trace, TraceBuilder::disabled());
+    let trace = &mut input.trace;
     trace.set_partitions(num_partitions);
-    let ColumnarInput {
-        batch,
-        encoder,
-        pool_before,
-        ..
-    } = input;
-    let (flat, dim, rows) = (batch.metrics.as_slice(), batch.dim, batch.len());
+    let (flat, dim, rows) = (input.batch.metrics.as_slice(), input.batch.dim, input.batch.len());
     let chunk_rows = rows.div_ceil(num_partitions).max(1);
     let tracing = trace.is_enabled();
 
     let timer = trace.start();
-    let model = fit(parts, flat, dim)?;
-    let (cutoff, scored, score_batches) = if model.is_unsupervised() {
+    let mut model = fit(parts, flat, dim)?;
+    let (scored, score_batches) = if model.is_unsupervised() {
         trace.finish_stage(timer, stage::TRAIN, rows, rows, 1);
         // Scatter: partitions score against the shared model, each over a
         // row-aligned slice of the metric buffer. Each row's score is a pure
         // function of the model and that row, so chunk boundaries cannot
         // perturb results. When tracing, each task carries its own registry
-        // shard, folded below with the `Mergeable` algebra the explanation
-        // states use.
+        // shard, folded below with the `Mergeable` algebra.
         let model = &model;
         let timer = trace.start();
         let score_chunks: Vec<(Result<Option<Vec<f64>>>, MetricRegistry)> =
@@ -626,68 +622,22 @@ pub(crate) fn execute_coordinated(
             scores.extend(chunk?.unwrap_or_default());
             trace.merge_registry(shard);
         }
-        // Gather: one percentile threshold over the merged score vector.
-        let threshold = StaticThreshold::from_scores(&scores, parts.analysis.target_percentile)?;
-        let scored = Scored {
-            scores: Some(scores),
-            timer,
-        };
-        (Some(threshold.cutoff()), scored, batches)
+        (
+            Scored {
+                scores: Some(scores),
+                timer,
+            },
+            batches,
+        )
     } else {
-        let scored = Scored {
-            scores: None,
-            timer: trace.start(),
-        };
-        (None, scored, 1)
+        (score(&model, flat, dim, trace)?, 1)
     };
-    let classifications = label_rows(parts, cutoff, scored, flat, dim, &mut trace, score_batches);
-
-    let explanations = if parts.analysis.skip_explanation {
-        Vec::new()
-    } else {
-        // Scatter: per-partition pre-render explanation state over
-        // contiguous row ranges of the shared dictionary's item batch (one
-        // dictionary, so item ids agree across partitions). Each task also
-        // owns a registry shard, merged alongside the states.
-        let ranges: Vec<(usize, usize)> = (0..rows)
-            .step_by(chunk_rows)
-            .map(|start| (start, (start + chunk_rows).min(rows)))
-            .collect();
-        let (items, labels) = (&batch.items, &classifications);
-        let timer = trace.start();
-        let states: Vec<(ExplainState, MetricRegistry)> = scatter(ranges, |(start, end)| {
-            let mut state = ExplainState::new();
-            for (r, c) in (start..end).zip(&labels[start..end]) {
-                state.observe(items.row(r), c.label.is_outlier());
-            }
-            let mut shard = MetricRegistry::new();
-            if tracing {
-                shard.add("explain_rows", (end - start) as u64);
-                shard.add("explain_tasks", 1);
-            }
-            (state, shard)
-        });
-        let explain_batches = states.len();
-
-        // Gather: merge on items, then threshold on the merged counts.
-        let mut merged = ExplainState::new();
-        for (state, shard) in states {
-            merged.merge(state);
-            trace.merge_registry(shard);
-        }
-        let explainer = BatchExplainer::new(parts.analysis.explanation);
-        let rendered = render_explanations(encoder, explainer.explain_state(&merged));
-        trace.finish_stage(timer, stage::EXPLAIN, rows, rendered.len(), explain_batches);
-        rendered
-    };
-    Ok(assemble_report(
-        parts.analysis,
-        &classifications,
-        cutoff,
-        explanations,
-        trace,
-        pool_before.take(),
-    ))
+    // Gather: one percentile threshold over the merged score vector.
+    if let Some(scores) = &scored.scores {
+        let threshold = StaticThreshold::from_scores(scores, parts.analysis.target_percentile)?;
+        model.cutoff = Some(threshold.cutoff());
+    }
+    Ok(finish_one_shot(parts, &model, input, scored, score_batches))
 }
 
 /// Union explanations across partition reports, deduplicating by the
@@ -1095,9 +1045,10 @@ mod tests {
 
     #[test]
     fn coordinated_trace_counters_are_partition_invariant() {
-        // The scatter shards' merged row counters must equal the input size
+        // The score shards' merged row counters must equal the input size
         // at every fan-out — the partition-count analogue of the pool's
-        // thread-count sum-equality test.
+        // thread-count sum-equality test. The explain stage is the one-shot
+        // tail's: one pass over every row.
         let points = workload(6_000);
         for partitions in [1, 2, 4] {
             let report = run(
@@ -1109,8 +1060,9 @@ mod tests {
             assert_eq!(trace.executor, "coordinated");
             assert_eq!(trace.partitions, partitions as u64);
             assert_eq!(trace.counter("score_rows"), 6_000);
-            assert_eq!(trace.counter("explain_rows"), 6_000);
             assert_eq!(trace.counter("score_tasks"), trace.stage("score").unwrap().batches);
+            let explain = trace.stage("explain").unwrap();
+            assert_eq!((explain.rows_in, explain.batches), (6_000, 1));
             assert!(trace.gauge("pool_workers").is_some());
             for name in ["train", "score", "encode", "explain"] {
                 assert!(trace.stage(name).is_some(), "missing stage {name}");

@@ -66,15 +66,6 @@ pub mod streaming;
 pub mod types;
 pub mod wire;
 
-// Test-only: behaviour checks of the one-shot, full-dataflow and coordinated
-// backends through `MdpQuery`.
-#[cfg(test)]
-mod coordinated;
-#[cfg(test)]
-mod oneshot;
-#[cfg(test)]
-mod pipeline;
-
 pub use executor::{FittedModel, MdpClassifier, MdpExplainer};
 pub use mb_classify::{Classification, Label};
 pub use mb_obs::{ObsConfig, QueryTrace};
@@ -148,3 +139,13 @@ impl From<mb_stats::StatsError> for PipelineError {
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, PipelineError>;
+
+// Test-only: behaviour checks of the one-shot, full-dataflow and coordinated
+// backends through `MdpQuery`. Kept below every public item, where
+// `scripts/public_api.sh` stops reading.
+#[cfg(test)]
+mod coordinated;
+#[cfg(test)]
+mod oneshot;
+#[cfg(test)]
+mod pipeline;

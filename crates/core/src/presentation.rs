@@ -1,8 +1,8 @@
 //! Presentation of MDP reports (Section 3.2, stage 5).
 //!
 //! MacroBase delivers ranked explanations to downstream consumers via a REST
-//! API or GUI; here the equivalent is a plain-text report renderer (for CLI
-//! examples and bench output) plus a compact machine-readable summary type.
+//! API or GUI; here the equivalent is a plain-text report renderer for CLI
+//! examples and bench output.
 
 use crate::types::MdpReport;
 
@@ -28,9 +28,11 @@ pub fn render_report(report: &MdpReport, top_k: usize) -> String {
         "attributes", "risk ratio", "support", "outliers"
     ));
     for e in report.explanations.iter().take(top_k) {
+        // Width in chars, not bytes: attribute values come from CSV and wire
+        // input and may be any UTF-8.
         let attrs = e.attributes.join(", ");
-        let attrs = if attrs.len() > 53 {
-            format!("{}…", &attrs[..52])
+        let attrs = if attrs.chars().count() > 53 {
+            format!("{}…", attrs.chars().take(52).collect::<String>())
         } else {
             attrs
         };
@@ -54,44 +56,6 @@ pub fn render_report(report: &MdpReport, top_k: usize) -> String {
         ));
     }
     out
-}
-
-/// A compact, serializable summary row (used by the experiment harness to
-/// emit one JSON object per query).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportSummary {
-    /// Number of points processed.
-    pub num_points: usize,
-    /// Number of outliers.
-    pub num_outliers: usize,
-    /// Number of explanations produced.
-    pub num_explanations: usize,
-    /// Highest risk ratio among explanations (0 if none; `f64::MAX` caps
-    /// infinite ratios so the value stays representable in JSON).
-    pub max_risk_ratio: f64,
-}
-
-impl ReportSummary {
-    /// Summarize a report.
-    pub fn from_report(report: &MdpReport) -> Self {
-        let max_risk_ratio = report
-            .explanations
-            .iter()
-            .map(|e| {
-                if e.stats.risk_ratio.is_finite() {
-                    e.stats.risk_ratio
-                } else {
-                    f64::MAX
-                }
-            })
-            .fold(0.0, f64::max);
-        ReportSummary {
-            num_points: report.num_points,
-            num_outliers: report.num_outliers,
-            num_explanations: report.explanations.len(),
-            max_risk_ratio,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -159,12 +123,19 @@ mod tests {
     }
 
     #[test]
-    fn summary_caps_infinite_ratios() {
-        let report = sample_report();
-        let summary = ReportSummary::from_report(&report);
-        assert_eq!(summary.num_explanations, 2);
-        assert_eq!(summary.num_outliers, 100);
-        assert!(summary.max_risk_ratio > 0.0);
-        assert!(summary.max_risk_ratio.is_finite());
+    fn render_truncates_long_attributes_on_char_boundaries() {
+        // "d" then 30 two-byte chars: byte 52 falls inside a char.
+        let attribute = format!("d{}", "é".repeat(30));
+        let mut report = sample_report();
+        report.explanations[0].attributes = vec![attribute.clone()];
+        let text = render_report(&report, 10);
+        let line = text.lines().find(|l| l.starts_with('d')).unwrap();
+        assert!(line.starts_with(&attribute), "short values are not cut");
+
+        report.explanations[0].attributes = vec![format!("d{}", "é".repeat(60))];
+        let text = render_report(&report, 10);
+        let line = text.lines().find(|l| l.starts_with('d')).unwrap();
+        let attrs = line.split(" ").next().unwrap();
+        assert_eq!(attrs, format!("d{}…", "é".repeat(51)));
     }
 }

@@ -209,10 +209,11 @@ pub enum Executor {
     /// Run on the calling thread over the whole stored batch: the semantics
     /// reference every other mode is measured against.
     OneShot,
-    /// Partitioned scale-out with coordination through mergeable state: one
-    /// model fitted on the global batch and broadcast, one global threshold
-    /// over the merged scores, per-partition explanation state merged on
-    /// items. Reproduces the one-shot report exactly at any partition count.
+    /// Partitioned scale-out that coordinates on one threshold: one model
+    /// fitted on the global batch and broadcast, partitions scoring against
+    /// it, one global threshold over the merged scores, then one-shot's
+    /// explanation over the whole labelled batch. Reproduces the one-shot
+    /// report exactly at any partition count.
     Coordinated {
         /// Number of partitions; `0` means one per pool worker
         /// ([`crate::parallel::default_num_partitions`]).

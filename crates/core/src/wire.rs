@@ -884,41 +884,8 @@ pub fn analysis_from_json(value: &Value, context: &str) -> Result<AnalysisConfig
     Ok(analysis)
 }
 
-/// Encode an [`Executor`] as a JSON object with a `mode` discriminator
+/// Decode an [`Executor`] from a JSON object with a `mode` discriminator
 /// (`one_shot`, `coordinated`, `naive`, `streaming`) and per-mode knobs.
-pub fn executor_to_json(executor: &Executor) -> Value {
-    let mut map = Map::new();
-    match executor {
-        Executor::OneShot => {
-            map.insert("mode".to_string(), Value::String("one_shot".to_string()));
-        }
-        Executor::Coordinated { partitions } => {
-            map.insert("mode".to_string(), Value::String("coordinated".to_string()));
-            map.insert("partitions".to_string(), Value::from(*partitions));
-        }
-        Executor::NaivePartitioned { partitions } => {
-            map.insert("mode".to_string(), Value::String("naive".to_string()));
-            map.insert("partitions".to_string(), Value::from(*partitions));
-        }
-        Executor::Streaming { options } => {
-            map.insert("mode".to_string(), Value::String("streaming".to_string()));
-            map.insert(
-                "reservoir_size".to_string(),
-                Value::from(options.reservoir_size),
-            );
-            map.insert("decay_rate".to_string(), f64_to_value(options.decay_rate));
-            map.insert("decay_period".to_string(), Value::from(options.decay_period));
-            map.insert(
-                "retrain_period".to_string(),
-                Value::from(options.retrain_period),
-            );
-            map.insert("seed".to_string(), Value::from(options.seed));
-        }
-    }
-    Value::Object(map)
-}
-
-/// Decode an [`Executor`] from the encoding of [`executor_to_json`].
 /// Knobs are optional (falling back to the mode's defaults), but a knob
 /// that does not belong to the declared mode — or any unknown key — is a
 /// typed error.
@@ -1772,6 +1739,40 @@ mod tests {
             partition_reports: None,
             trace: None,
         }
+    }
+
+    /// Encode an [`Executor`] as [`executor_from_json`] reads it: the
+    /// round-trip tests' encoder.
+    fn executor_to_json(executor: &Executor) -> Value {
+        let mut map = Map::new();
+        match executor {
+            Executor::OneShot => {
+                map.insert("mode".to_string(), Value::String("one_shot".to_string()));
+            }
+            Executor::Coordinated { partitions } => {
+                map.insert("mode".to_string(), Value::String("coordinated".to_string()));
+                map.insert("partitions".to_string(), Value::from(*partitions));
+            }
+            Executor::NaivePartitioned { partitions } => {
+                map.insert("mode".to_string(), Value::String("naive".to_string()));
+                map.insert("partitions".to_string(), Value::from(*partitions));
+            }
+            Executor::Streaming { options } => {
+                map.insert("mode".to_string(), Value::String("streaming".to_string()));
+                map.insert(
+                    "reservoir_size".to_string(),
+                    Value::from(options.reservoir_size),
+                );
+                map.insert("decay_rate".to_string(), f64_to_value(options.decay_rate));
+                map.insert("decay_period".to_string(), Value::from(options.decay_period));
+                map.insert(
+                    "retrain_period".to_string(),
+                    Value::from(options.retrain_period),
+                );
+                map.insert("seed".to_string(), Value::from(options.seed));
+            }
+        }
+        Value::Object(map)
     }
 
     #[test]

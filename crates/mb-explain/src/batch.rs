@@ -10,7 +10,6 @@
 //! ratios. The naïve baseline instead mines both classes in full.
 
 use crate::items::ItemBatch;
-use crate::partition::ExplainState;
 use crate::risk_ratio::{risk_ratio_from_totals, Explanation, ExplanationStats};
 use crate::ExplanationConfig;
 use mb_fpgrowth::fptree::FpTree;
@@ -74,21 +73,6 @@ impl BatchExplainer {
             inliers,
             outliers.len() as f64,
             (rows.len() - outliers.len()) as f64,
-        )
-    }
-
-    /// Produce explanations from pre-render state — typically the merge of
-    /// per-partition [`ExplainState`]s. Support and risk-ratio thresholds
-    /// are applied to the *merged* counts, so the result is identical to
-    /// explaining the concatenated partitions in one shot (no string-level
-    /// union, no per-partition pruning).
-    pub fn explain_state(&self, state: &ExplainState) -> Vec<Explanation> {
-        let (outliers, inliers) = (state.outlier_transactions(), state.inlier_transactions());
-        self.explain_weighted(
-            walk(outliers.iter().map(|(t, w)| (t.as_slice(), *w))),
-            walk(inliers.iter().map(|(t, w)| (t.as_slice(), *w))),
-            state.total_outliers(),
-            state.total_inliers(),
         )
     }
 
@@ -622,53 +606,6 @@ mod tests {
                 || (x.stats.risk_ratio.is_infinite() && y.stats.risk_ratio.is_infinite());
             assert!(same_ratio, "risk ratios differ: {x:?} vs {y:?}");
         }
-    }
-
-    #[test]
-    fn explain_state_is_exactly_explain() {
-        let (outliers, inliers) = planted_workload(1_000, 20_000, 0.8);
-        let explainer = BatchExplainer::new(ExplanationConfig::new(0.01, 3.0));
-        let mut state = ExplainState::new();
-        for t in &outliers {
-            state.observe(t, true);
-        }
-        for t in &inliers {
-            state.observe(t, false);
-        }
-        assert_same_explanations(
-            explainer.explain_state(&state),
-            explainer.explain(&outliers, &inliers),
-        );
-    }
-
-    #[test]
-    fn merged_partition_states_reproduce_one_shot_explanations() {
-        use mb_sketch::Mergeable;
-        let (outliers, inliers) = planted_workload(1_000, 20_000, 0.7);
-        let explainer = BatchExplainer::new(ExplanationConfig::new(0.01, 3.0));
-        // Scatter the classified stream over 4 partition states round-robin,
-        // so per-partition supports are well below the global threshold.
-        let mut states: Vec<ExplainState> = (0..4).map(|_| ExplainState::new()).collect();
-        for (i, t) in outliers.iter().enumerate() {
-            states[i % 4].observe(t, true);
-        }
-        for (i, t) in inliers.iter().enumerate() {
-            states[i % 4].observe(t, false);
-        }
-        let mut merged = states.remove(0);
-        for state in states {
-            merged.merge(state);
-        }
-        assert_same_explanations(
-            explainer.explain_state(&merged),
-            explainer.explain(&outliers, &inliers),
-        );
-    }
-
-    #[test]
-    fn explain_state_on_empty_state_is_empty() {
-        let explainer = BatchExplainer::new(ExplanationConfig::default());
-        assert!(explainer.explain_state(&ExplainState::new()).is_empty());
     }
 
     #[test]

@@ -17,10 +17,6 @@
 //!   against in Section 6.3.
 //! * [`streaming`] — the streaming explainer built from AMC sketches and
 //!   M-CPS-trees (Figure 2, right half).
-//! * [`partition`] — pre-render explanation state ([`ExplainState`]) that
-//!   merges across partitions ([`Mergeable`]), enabling coordinated
-//!   scale-out: per-partition counts merge on items and risk ratios are
-//!   computed from the merged counts.
 //! * [`baselines`] — data cubing, decision-tree, and Apriori explainers used
 //!   in the Table 5 runtime comparison.
 //!
@@ -50,14 +46,12 @@ pub mod baselines;
 pub mod batch;
 pub mod encoder;
 pub mod items;
-pub mod partition;
 pub mod risk_ratio;
 pub mod streaming;
 
 pub use encoder::AttributeEncoder;
 pub use items::ItemBatch;
 pub use mb_sketch::Mergeable;
-pub use partition::ExplainState;
 pub use risk_ratio::{risk_ratio, Explanation, ExplanationStats};
 
 /// Parameters shared by every explanation strategy.

@@ -64,9 +64,9 @@
 //! }));
 //!
 //! // ...any engine. Coordinated partitioned execution shares one trained
-//! // model and merges pre-render explanation state, so the report is exactly
-//! // the one-shot report at any partition count (unlike
-//! // `Executor::NaivePartitioned`, whose accuracy degrades with cores).
+//! // model and one score threshold, then explains the whole labelled batch,
+//! // so the report is exactly the one-shot report at any partition count
+//! // (unlike `Executor::NaivePartitioned`, whose accuracy degrades with cores).
 //! let mut query = MdpQuery::with_defaults();
 //! let scaled = query
 //!     .execute(&Executor::Coordinated { partitions: 8 }, &points)

@@ -591,7 +591,8 @@ pub(crate) fn execute_coordinated(
     let num_partitions = resolve_num_partitions(num_partitions);
     let trace = &mut input.trace;
     trace.set_partitions(num_partitions);
-    let (flat, dim, rows) = (input.batch.metrics.as_slice(), input.batch.dim, input.batch.len());
+    let batch = &input.batch;
+    let (flat, dim, rows) = (batch.metrics.as_slice(), batch.dim, batch.len());
     let chunk_rows = rows.div_ceil(num_partitions).max(1);
     let tracing = trace.is_enabled();
 

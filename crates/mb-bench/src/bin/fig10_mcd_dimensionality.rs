@@ -1,7 +1,12 @@
 //! Figure 10 (Appendix D): MCD train + score throughput versus metric
 //! dimensionality (Gaussian data).
+//!
+//! The fit is pinned too: `fit_fnv` hashes the bits of the fitted location,
+//! the inverse scatter and every row's score, so CI diffs the estimator bit
+//! for bit at every dimension while `seconds` and `points_per_second` are
+//! presence-only.
 
-use mb_bench::{arg_usize, emit_json, human_count, throughput, timed};
+use mb_bench::{arg_usize, emit_json, fnv_words, human_count, throughput, timed};
 use mb_stats::mcd::McdEstimator;
 use mb_stats::rand_ext::{normal, SplitMix64};
 use mb_stats::Estimator;
@@ -9,26 +14,34 @@ use mb_stats::Estimator;
 fn main() {
     let n = arg_usize("--points", 20_000);
     println!("Figure 10: MCD throughput vs metric dimension ({n} Gaussian points)");
-    println!("{:>10} {:>14} {:>14}", "dimension", "train+score/s", "seconds");
+    println!(
+        "{:>10} {:>14} {:>14} {:>18}",
+        "dimension", "train+score/s", "seconds", "fit_fnv"
+    );
     for &dim in &[2usize, 4, 8, 16, 32, 64, 128] {
         let mut rng = SplitMix64::new(dim as u64);
         let data: Vec<Vec<f64>> = (0..n)
             .map(|_| (0..dim).map(|_| normal(&mut rng, 0.0, 1.0)).collect())
             .collect();
-        let (_, seconds) = timed(|| {
+        let ((est, scores), seconds) = timed(|| {
             let mut est = McdEstimator::with_defaults();
             est.train(&data).expect("train failed");
-            let mut acc = 0.0;
-            for row in &data {
-                acc += est.score(row).unwrap_or(0.0);
-            }
-            acc
+            let scores: Vec<f64> = data.iter().map(|row| est.score(row).unwrap_or(0.0)).collect();
+            (est, scores)
         });
+        let location = est.location().expect("trained").iter();
+        let inverse = est.inverse_scatter().expect("trained").as_slice().iter();
+        let fit_fnv = fnv_words(location.chain(inverse).chain(&scores).map(|v| v.to_bits()));
         let tput = throughput(n, seconds);
-        println!("{dim:>10} {:>14} {seconds:>14.3}", human_count(tput));
+        println!("{dim:>10} {:>14} {seconds:>14.3} {fit_fnv:>18}", human_count(tput));
         emit_json(
             "fig10",
-            serde_json::json!({"dimension": dim, "points_per_second": tput, "seconds": seconds}),
+            serde_json::json!({
+                "dimension": dim,
+                "points_per_second": tput,
+                "seconds": seconds,
+                "fit_fnv": fit_fnv,
+            }),
         );
     }
     println!(

@@ -10,7 +10,7 @@
 //! presence-only.
 
 use macrobase_core::query::{Executor, MdpQuery};
-use mb_bench::{arg_usize, emit_json, records_to_points, timed};
+use mb_bench::{arg_usize, emit_json, fnv_words, records_to_points, timed};
 use mb_classify::Label;
 use mb_explain::baselines::{apriori_explain, cube_explain, decision_tree_explain};
 use mb_explain::batch::{naive_fpgrowth_explain, BatchExplainer};
@@ -57,8 +57,7 @@ fn classify_and_encode(
 /// FNV-1a (64-bit) over ranked explanations: each one's items, a separator,
 /// then the bits of every stats field. Equal hashes mean identical output.
 fn explanations_fnv(explanations: &[Explanation]) -> String {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for e in explanations {
+    fnv_words(explanations.iter().flat_map(|e| {
         let s = &e.stats;
         let stats = [
             s.outlier_count,
@@ -69,13 +68,8 @@ fn explanations_fnv(explanations: &[Explanation]) -> String {
             s.total_inliers,
         ];
         let words = e.items.iter().map(|&item| u64::from(item));
-        for word in words.chain([u64::MAX]).chain(stats.map(f64::to_bits)) {
-            for byte in word.to_le_bytes() {
-                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-            }
-        }
-    }
-    format!("{hash:016x}")
+        words.chain([u64::MAX]).chain(stats.map(f64::to_bits))
+    }))
 }
 
 fn main() {

@@ -82,6 +82,19 @@ pub fn configure_threads_from_args() -> usize {
     mb_pool::global().num_threads()
 }
 
+/// FNV-1a (64-bit) over the little-endian bytes of `words`, as 16 hex
+/// digits: the fingerprint harness binaries print so CI can diff a result
+/// bit for bit.
+pub fn fnv_words(words: impl IntoIterator<Item = u64>) -> String {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    format!("{hash:016x}")
+}
+
 /// Format a floating point count compactly (e.g. `1.39M`, `599K`).
 pub fn human_count(value: f64) -> String {
     if value >= 1e6 {

@@ -90,8 +90,14 @@ impl<E: Estimator> BatchClassifier<E> {
     ///
     /// [`fit`]: BatchClassifier::fit
     pub fn fit_flat(&mut self, flat: &[f64], dim: usize) -> Result<()> {
-        if flat.is_empty() || dim == 0 || flat.len() % dim != 0 {
+        if flat.is_empty() || dim == 0 {
             return Err(StatsError::EmptyInput);
+        }
+        if flat.len() % dim != 0 {
+            return Err(StatsError::DimensionMismatch {
+                expected: dim,
+                actual: flat.len() % dim,
+            });
         }
         if !(0.0..=1.0).contains(&self.config.target_percentile) {
             return Err(StatsError::InvalidParameter(format!(
@@ -429,6 +435,21 @@ mod tests {
             bad.fit(&[vec![1.0]]),
             Err(StatsError::InvalidParameter(_))
         ));
+    }
+
+    #[test]
+    fn fit_and_fit_flat_reject_a_ragged_batch_alike() {
+        // A two-wide batch whose last row has one value, as rows and flat.
+        let ragged = StatsError::DimensionMismatch {
+            expected: 2,
+            actual: 1,
+        };
+        let classifier = || {
+            BatchClassifier::new(McdEstimator::with_defaults(), BatchClassifierConfig::default())
+        };
+        assert_eq!(classifier().fit(&[vec![1.0, 2.0], vec![3.0]]), Err(ragged.clone()));
+        assert_eq!(classifier().fit_flat(&[1.0, 2.0, 3.0], 2), Err(ragged.clone()));
+        assert_eq!(McdEstimator::with_defaults().train_flat(&[1.0, 2.0, 3.0], 2), Err(ragged));
     }
 
     #[test]

@@ -605,8 +605,38 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 }
 
 /// Rows per partial sum of [`covariance_of_rows`]. Fixed, so the partial
-/// sums and the order they merge in are the same on any pool.
+/// sums and the order they merge in are the same on any pool. A multiple of
+/// [`LANES`], so only the last chunk has a padded block.
 const COVARIANCE_CHUNK: usize = 4096;
+
+/// Rows a lane-wise kernel (the covariance products here, the Mahalanobis
+/// distances in [`crate::mcd`]) reads per step, one per lane.
+pub(crate) const LANES: usize = 4;
+
+/// Center the rows `row_at(first..first + lanes)` on `mean` into `block`,
+/// lane-major (`block[j][lane] = row[j] - mean[j]`), where `lanes` is at
+/// most [`LANES`]: the lanes past it are zero. `block` is resized to the
+/// dimension and reused from call to call.
+pub(crate) fn center_block<'a>(
+    block: &mut Vec<[f64; LANES]>,
+    mean: &[f64],
+    row_at: impl Fn(usize) -> &'a [f64],
+    first: usize,
+    lanes: usize,
+) {
+    block.resize(mean.len(), [0.0; LANES]);
+    for lane in 0..LANES {
+        if lane < lanes {
+            let row = row_at(first + lane);
+            debug_assert_eq!(row.len(), mean.len());
+            for ((c, r), m) in block.iter_mut().zip(row).zip(mean) {
+                c[lane] = r - m;
+            }
+        } else {
+            block.iter_mut().for_each(|c| c[lane] = 0.0);
+        }
+    }
+}
 
 /// Sum `accumulate` over `0..count` into a `width`-long vector: one partial
 /// per [`COVARIANCE_CHUNK`] rows, scattered on `pool`, merged in chunk
@@ -664,16 +694,22 @@ where
         }
     });
     means.iter_mut().for_each(|m| *m /= count as f64);
+    // [`LANES`] rows per step: each upper-triangle sum adds the block's
+    // products in row order, so the sequence of additions — and the bits —
+    // are a row-at-a-time loop's. A padded lane adds `0.0 * 0.0`, which
+    // leaves every sum as it was (a sum from `+0.0` is never `-0.0`).
     let products = chunked_sum(pool, count, dim * dim, |upper, chunk| {
-        let mut centered = vec![0.0; dim];
-        for k in chunk {
-            for ((c, v), m) in centered.iter_mut().zip(row_at(k)).zip(&means) {
-                *c = v - m;
-            }
-            for (i, &ci) in centered.iter().enumerate() {
+        let mut centered = Vec::new();
+        for first in chunk.clone().step_by(LANES) {
+            center_block(&mut centered, &means, &row_at, first, (chunk.end - first).min(LANES));
+            for (i, ci) in centered.iter().enumerate() {
                 let row_i = &mut upper[i * dim + i..(i + 1) * dim];
-                for (sum, &cj) in row_i.iter_mut().zip(&centered[i..]) {
-                    *sum += ci * cj;
+                for (sum, cj) in row_i.iter_mut().zip(&centered[i..]) {
+                    let mut s = *sum;
+                    for lane in 0..LANES {
+                        s += ci[lane] * cj[lane];
+                    }
+                    *sum = s;
                 }
             }
         }

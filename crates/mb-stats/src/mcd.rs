@@ -42,7 +42,7 @@
 //! so a fit is a pure function of `(rows, config)`: bit-identical at any
 //! thread count and pool size.
 
-use crate::matrix::{covariance_of_rows, Matrix, SpdFactors};
+use crate::matrix::{center_block, covariance_of_rows, Matrix, SpdFactors, LANES};
 use crate::rand_ext::SplitMix64;
 use crate::{Estimator, Result, StatsError};
 use mb_pool::Pool;
@@ -79,39 +79,52 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// Squared Mahalanobis distance of `row` under `(mean, inv)`, shared by the
-/// serial scoring path and the parallel C-step distance pass. `centered` is
-/// caller-provided scratch of dimension length: the kernel is allocation-
-/// free, which matters because it runs once per row per C-step. The
-/// accumulation order matches the original `matvec`-based kernel
-/// bit-for-bit.
-#[inline]
-fn squared_distance(inv: &Matrix, mean: &[f64], row: &[f64], centered: &mut [f64]) -> f64 {
-    debug_assert_eq!(row.len(), mean.len());
-    debug_assert_eq!(centered.len(), mean.len());
-    for ((c, r), m) in centered.iter_mut().zip(row.iter()).zip(mean.iter()) {
-        *c = r - m;
+/// Squared Mahalanobis distances under `(mean, inv)` of the rows
+/// `row_at(first..first + out.len())`, into `out`: the one distance kernel,
+/// behind the C-step pass, [`Estimator::score_batch_flat`],
+/// [`McdEstimator::squared_mahalanobis_batch`] and
+/// [`McdEstimator::squared_mahalanobis`].
+///
+/// It scores [`LANES`] rows per step, each in a lane of its own that keeps
+/// the row-at-a-time order to the operation: `c[j] = r[j] - m[j]`; for each
+/// `i`, `t` folds `inv[i][j] * c[j]` in `j` order from `-0.0` (where
+/// `f64: Sum` starts); `total` folds `c[i] * t` from `0.0`. No lane reads
+/// another, so every distance has the bits of scoring its row alone. A last
+/// block short of `LANES` rows is padded with zero lanes whose results are
+/// dropped. `centered` is scratch the caller reuses across calls.
+fn squared_distances<'a>(
+    inv: &Matrix,
+    mean: &[f64],
+    row_at: impl Fn(usize) -> &'a [f64],
+    first: usize,
+    out: &mut [f64],
+    centered: &mut Vec<[f64; LANES]>,
+) {
+    for (block, slots) in out.chunks_mut(LANES).enumerate() {
+        center_block(centered, mean, &row_at, first + block * LANES, slots.len());
+        let mut total = [0.0; LANES];
+        for (i, ci) in centered.iter().enumerate() {
+            let mut t = [-0.0; LANES];
+            for (a, cj) in inv.row(i).iter().zip(centered.iter()) {
+                for lane in 0..LANES {
+                    t[lane] += a * cj[lane];
+                }
+            }
+            for lane in 0..LANES {
+                total[lane] += ci[lane] * t[lane];
+            }
+        }
+        for (slot, d2) in slots.iter_mut().zip(total) {
+            *slot = d2;
+        }
     }
-    let mut total = 0.0;
-    for (i, &ci) in centered.iter().enumerate() {
-        let row_i = inv.row(i);
-        let transformed: f64 = row_i
-            .iter()
-            .zip(centered.iter())
-            .map(|(a, b)| a * b)
-            .sum();
-        total += ci * transformed;
-    }
-    total
 }
 
 /// Fill `distances[i]` with the squared distance of `row_at(i)` under
 /// `(mean, inv)`, scattering chunks onto `pool` when there are enough rows
-/// to amortize submission — the C-step's pass over a flat sample, and
-/// [`McdEstimator::squared_mahalanobis_batch`]'s over row vectors. Scratch
-/// is per *chunk*, not per row, so the pass performs O(tasks) allocations
-/// instead of O(rows). The arithmetic per row is identical to the serial
-/// loop, so results are bit-identical regardless of thread count.
+/// to amortize submission. Scratch is per *chunk*, not per row, and every
+/// distance is bit-identical to scoring its row alone, so the results do
+/// not depend on the thread count.
 fn distance_pass<'a>(
     pool: &Pool,
     mean: &[f64],
@@ -120,31 +133,41 @@ fn distance_pass<'a>(
     distances: &mut [f64],
 ) {
     pool.parallel_for(distances, DISTANCE_GRAIN, |start, chunk| {
-        let mut centered = vec![0.0; mean.len()];
-        for (offset, slot) in chunk.iter_mut().enumerate() {
-            *slot = squared_distance(inv, mean, row_at(start + offset), &mut centered);
-        }
+        squared_distances(inv, mean, &row_at, start, chunk, &mut Vec::new());
     });
 }
 
-/// The `h` rows with the smallest `(d², row index)`, in ascending row
-/// order. The pair order is total, so ties at the cut go to the lowest rows
-/// — the set a stable sort by `d²` would put first — but only the cut is
-/// found (`select_nth_unstable_by`, O(n)); the subset then falls out of one
-/// walk over the rows, already in the order the covariance reads memory.
-/// `keyed` is reusable scratch.
-fn smallest_rows(distances: &[f64], h: usize, keyed: &mut Vec<(f64, usize)>) -> Vec<usize> {
+/// `d2` as a `u64` whose integer order is `f64::total_cmp`'s order: the
+/// bit transform `total_cmp` makes, with the sign bit flipped so negative
+/// values sort below positive ones unsigned. `-0.0` keys below `+0.0`.
+fn selection_key(d2: f64) -> u64 {
+    let bits = d2.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | (1 << 63))
+}
+
+/// The `h` rows with the smallest `(d², row index)` into `subset`, in
+/// ascending row order. `select_nth_unstable` over the integer keys of
+/// `distances` (a copy in `keys`) finds the cut in O(n); one walk in row
+/// order then takes every row keyed below the cut and the first rows keyed
+/// at it until `h` are taken — so ties at the cut go to the lowest rows,
+/// the set a stable sort by `d²` would put first, and the subset comes out
+/// in the order the covariance reads memory. `keys` and `subset` are
+/// reused: nothing is allocated once they have grown to the sample.
+fn select_smallest(distances: &[f64], h: usize, keys: &mut Vec<u64>, subset: &mut Vec<usize>) {
     debug_assert!((1..=distances.len()).contains(&h));
-    let order =
-        |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1));
-    keyed.clear();
-    keyed.extend(distances.iter().copied().zip(0..));
-    let cut = *keyed.select_nth_unstable_by(h - 1, order).1;
-    let subset: Vec<usize> = (0..distances.len())
-        .filter(|&row| order(&(distances[row], row), &cut).is_le())
-        .collect();
+    keys.clear();
+    keys.extend(distances.iter().map(|&d2| selection_key(d2)));
+    let (lower, &mut cut, _) = keys.select_nth_unstable(h - 1);
+    let mut ties = h - lower.iter().filter(|&&key| key < cut).count();
+    subset.clear();
+    for (row, &d2) in distances.iter().enumerate() {
+        let key = selection_key(d2);
+        if key < cut || (key == cut && ties > 0) {
+            ties -= usize::from(key == cut);
+            subset.push(row);
+        }
+    }
     debug_assert_eq!(subset.len(), h);
-    subset
 }
 
 /// Configuration for the FastMCD estimator.
@@ -203,11 +226,13 @@ struct Fit {
     factors: SpdFactors,
 }
 
-/// Scratch one C-step loop reuses across its steps.
+/// Scratch one C-step loop reuses across its steps: the distances, their
+/// selection keys, and the subset a step selects.
 #[derive(Default)]
 struct Scratch {
     distances: Vec<f64>,
-    keyed: Vec<(f64, usize)>,
+    keys: Vec<u64>,
+    selected: Vec<usize>,
 }
 
 /// `count` distinct indices below `n`, drawn by a partial Fisher–Yates
@@ -283,8 +308,9 @@ impl McdEstimator {
                 actual: x.len(),
             });
         }
-        let mut centered = vec![0.0; self.mean.len()];
-        Ok(squared_distance(inv, &self.mean, x, &mut centered).max(0.0))
+        let mut d2 = 0.0;
+        squared_distances(inv, &self.mean, |_| x, 0, std::slice::from_mut(&mut d2), &mut Vec::new());
+        Ok(d2.max(0.0))
     }
 
     /// Mahalanobis distance (square root of [`squared_mahalanobis`]).
@@ -325,10 +351,10 @@ impl McdEstimator {
     }
 
     /// One C-step: given a fit's inverse scatter, select the `h` rows with
-    /// the smallest Mahalanobis distances under it, in ascending row order.
-    /// The distance pass fans out across `pool` for large samples. A NaN
-    /// distance (a numerically destroyed fit) fails the step: NaNs have no
-    /// place in the selection order.
+    /// the smallest Mahalanobis distances under it into `scratch.selected`,
+    /// in ascending row order. The distance pass fans out across `pool` for
+    /// large samples. A NaN distance (a numerically destroyed fit) fails the
+    /// step: NaNs have no place in the selection order.
     fn c_step(
         pool: &Pool,
         rows: Rows<'_>,
@@ -336,14 +362,14 @@ impl McdEstimator {
         inv: &Matrix,
         h: usize,
         scratch: &mut Scratch,
-    ) -> Result<Vec<usize>> {
-        scratch.distances.clear();
+    ) -> Result<()> {
         scratch.distances.resize(rows.len(), 0.0);
         distance_pass(pool, mean, inv, |i| rows.row(i), &mut scratch.distances);
         if scratch.distances.iter().any(|d2| d2.is_nan()) {
             return Err(StatsError::NonFinite);
         }
-        Ok(smallest_rows(&scratch.distances, h, &mut scratch.keyed))
+        select_smallest(&scratch.distances, h, &mut scratch.keys, &mut scratch.selected);
+        Ok(())
     }
 
     /// Iterate C-steps over `rows` from `fit` until the log-determinant
@@ -361,12 +387,12 @@ impl McdEstimator {
         let mut previous_logdet = f64::INFINITY;
         for _ in 0..config.max_iterations {
             let inv = fit.factors.inverse();
-            let selected = Self::c_step(pool, rows, &fit.mean, &inv, h, &mut scratch)?;
-            if selected == subset {
+            Self::c_step(pool, rows, &fit.mean, &inv, h, &mut scratch)?;
+            if scratch.selected == subset {
                 break;
             }
-            fit = Self::fit_subset(pool, rows, &selected)?;
-            subset = selected;
+            fit = Self::fit_subset(pool, rows, &scratch.selected)?;
+            std::mem::swap(&mut subset, &mut scratch.selected);
             if (previous_logdet - fit.logdet).abs() < config.tolerance {
                 break;
             }
@@ -548,9 +574,9 @@ impl Estimator for McdEstimator {
     }
 
     fn score_batch_flat(&self, flat: &[f64], dim: usize) -> Result<Vec<f64>> {
-        // Same parallel distance pass over the contiguous row-major buffer;
-        // per-row arithmetic and clamp-and-sqrt are identical to `score`,
-        // so results are bit-identical regardless of layout or threads.
+        // The distance pass over the contiguous row-major buffer, then the
+        // same clamp-and-sqrt as `score`: bit-identical to scoring row by
+        // row, regardless of layout or threads.
         let inv = self
             .inverse_covariance
             .as_ref()
@@ -566,16 +592,9 @@ impl Estimator for McdEstimator {
             });
         }
         let mut scores = vec![0.0; flat.len() / dim];
-        let mean = &self.mean;
-        mb_pool::global().parallel_for(&mut scores, DISTANCE_GRAIN, |start, chunk| {
-            let mut centered = vec![0.0; dim];
-            for (offset, slot) in chunk.iter_mut().enumerate() {
-                let row = &flat[(start + offset) * dim..(start + offset + 1) * dim];
-                *slot = squared_distance(inv, mean, row, &mut centered)
-                    .max(0.0)
-                    .sqrt();
-            }
-        });
+        let row_at = |i: usize| &flat[i * dim..(i + 1) * dim];
+        distance_pass(mb_pool::global(), &self.mean, inv, row_at, &mut scores);
+        scores.iter_mut().for_each(|d| *d = d.max(0.0).sqrt());
         Ok(scores)
     }
 
@@ -602,6 +621,66 @@ mod tests {
 
     fn flatten(sample: &[Vec<f64>]) -> Vec<f64> {
         sample.iter().flatten().copied().collect()
+    }
+
+    /// The row-at-a-time distance the lane-wise kernel must reproduce bit
+    /// for bit: `inv · c` row by row through `f64: Sum`, then `c · (inv c)`.
+    fn squared_distance(inv: &Matrix, mean: &[f64], row: &[f64], centered: &mut [f64]) -> f64 {
+        for ((c, r), m) in centered.iter_mut().zip(row.iter()).zip(mean.iter()) {
+            *c = r - m;
+        }
+        let mut total = 0.0;
+        for (i, &ci) in centered.iter().enumerate() {
+            let row_i = inv.row(i);
+            let transformed: f64 = row_i
+                .iter()
+                .zip(centered.iter())
+                .map(|(a, b)| a * b)
+                .sum();
+            total += ci * transformed;
+        }
+        total
+    }
+
+    /// [`select_smallest`] as a value.
+    fn smallest_rows(distances: &[f64], h: usize, keys: &mut Vec<u64>) -> Vec<usize> {
+        let mut subset = Vec::new();
+        select_smallest(distances, h, keys, &mut subset);
+        subset
+    }
+
+    /// The selection the integer keys replaced: `select_nth_unstable_by`
+    /// over `(d², row)` pairs under `total_cmp`, then every row at or below
+    /// the cut pair.
+    fn smallest_rows_oracle(distances: &[f64], h: usize) -> Vec<usize> {
+        let order =
+            |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1));
+        let mut keyed: Vec<(f64, usize)> = distances.iter().copied().zip(0..).collect();
+        let cut = *keyed.select_nth_unstable_by(h - 1, order).1;
+        (0..distances.len())
+            .filter(|&row| order(&(distances[row], row), &cut).is_le())
+            .collect()
+    }
+
+    /// A value drawn mostly from the edges of `f64`: signed zeros,
+    /// subnormals, ±1e300 (whose products overflow), and ordinary values.
+    fn edgy_value(rng: &mut SplitMix64) -> f64 {
+        const EDGES: [f64; 8] = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0, -3.25];
+        match rng.next_below(4) {
+            0 => EDGES[rng.next_below(EDGES.len())],
+            _ => normal(rng, 0.0, 2.0),
+        }
+    }
+
+    /// An estimator holding an arbitrary `(mean, inv)`: the scoring entry
+    /// points read nothing else, so `inv` need not be positive definite.
+    fn fitted(mean: Vec<f64>, inv: Matrix) -> McdEstimator {
+        McdEstimator {
+            config: FastMcdConfig::default(),
+            covariance: Some(inv.clone()),
+            inverse_covariance: Some(inv),
+            mean,
+        }
     }
 
     #[test]
@@ -826,6 +905,133 @@ mod tests {
             McdEstimator::c_step(&pool, rows, &[0.0], &inv, 2, &mut scratch),
             Err(StatsError::NonFinite)
         );
+    }
+
+    #[test]
+    fn every_distance_entry_point_is_bit_identical_to_the_scalar_kernel() {
+        // Dimensions with and without a lane-sized remainder, 0-9 rows (a
+        // padded last block and none) plus a count past the parallel grain
+        // that is not a multiple of LANES, inputs and inverses full of
+        // signed zeros, subnormals and overflowing values, and two inverse
+        // shapes: a general one (negative forms included) and a sound one.
+        let pool = mb_pool::Pool::new(2);
+        let dims = (1..=12).chain([16, 32, 64, 128]);
+        for dim in dims {
+            let mut rng = SplitMix64::new(dim as u64);
+            for n in (0..10).chain([DISTANCE_GRAIN + 3]) {
+                for sound in [false, true] {
+                    let mut inv = Matrix::identity(dim);
+                    if !sound {
+                        inv = Matrix::from_vec(
+                            dim,
+                            dim,
+                            (0..dim * dim).map(|_| edgy_value(&mut rng)).collect(),
+                        );
+                    }
+                    let mean: Vec<f64> = (0..dim).map(|_| edgy_value(&mut rng)).collect();
+                    let flat: Vec<f64> = (0..n * dim).map(|_| edgy_value(&mut rng)).collect();
+                    let rows: Vec<Vec<f64>> = flat.chunks_exact(dim).map(<[f64]>::to_vec).collect();
+                    let mut centered = vec![0.0; dim];
+                    let oracle: Vec<u64> = rows
+                        .iter()
+                        .map(|row| squared_distance(&inv, &mean, row, &mut centered).to_bits())
+                        .collect();
+                    let clamped: Vec<u64> =
+                        oracle.iter().map(|&d2| f64::from_bits(d2).max(0.0).to_bits()).collect();
+                    let label = format!("dim {dim}, {n} rows, sound inverse {sound}");
+
+                    let mut pass = vec![0.0; n];
+                    let sample = Rows { flat: &flat, dim };
+                    distance_pass(&pool, &mean, &inv, |i| sample.row(i), &mut pass);
+                    let pass: Vec<u64> = pass.iter().map(|d2| d2.to_bits()).collect();
+                    assert_eq!(pass, oracle, "C-step pass, {label}");
+
+                    let est = fitted(mean.clone(), inv.clone());
+                    let batch = est.squared_mahalanobis_batch(&rows).unwrap();
+                    let batch: Vec<u64> = batch.iter().map(|d2| d2.to_bits()).collect();
+                    assert_eq!(batch, clamped, "squared_mahalanobis_batch, {label}");
+                    let single: Vec<u64> = rows
+                        .iter()
+                        .map(|row| est.squared_mahalanobis(row).unwrap().to_bits())
+                        .collect();
+                    assert_eq!(single, clamped, "squared_mahalanobis, {label}");
+                    let scores = est.score_batch_flat(&flat, dim).unwrap();
+                    let scores: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
+                    let roots: Vec<u64> =
+                        clamped.iter().map(|&d2| f64::from_bits(d2).sqrt().to_bits()).collect();
+                    assert_eq!(scores, roots, "score_batch_flat, {label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_row_fails_the_c_step() {
+        // One NaN metric in the last (padded) block of an otherwise sound
+        // sample: its distance is NaN and the step must fail, not select.
+        let pool = mb_pool::Pool::new(2);
+        for n in [7usize, 6_001] {
+            let mut flat: Vec<f64> = (0..n * 3).map(|i| (i % 17) as f64).collect();
+            flat[n * 3 - 2] = f64::NAN;
+            let rows = Rows { flat: &flat, dim: 3 };
+            let inv = Matrix::identity(3);
+            let mut scratch = Scratch::default();
+            assert_eq!(
+                McdEstimator::c_step(&pool, rows, &[1.0, 2.0, 3.0], &inv, n / 2, &mut scratch),
+                Err(StatsError::NonFinite)
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        // The integer-key selection against the pair selection it replaced,
+        // on distances drawn from a small palette (so ties at the cut are
+        // the rule), with both zeros and both infinities in it, at
+        // h = 1, n / 2 and n; the scratch is reused across the three.
+        #[test]
+        fn key_selection_equals_the_pair_selection(
+            seed in 0u64..1_000_000,
+            n in 1usize..300,
+            palette in 1usize..9,
+        ) {
+            const PALETTE: [f64; 8] =
+                [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, 2.0, 5e-324, 1e300];
+            let mut rng = SplitMix64::new(seed);
+            let distances: Vec<f64> = (0..n)
+                .map(|_| match rng.next_below(8) {
+                    0 => rng.next_f64() * 4.0,
+                    _ => PALETTE[rng.next_below(palette)],
+                })
+                .collect();
+            let (mut keys, mut subset) = (Vec::new(), Vec::new());
+            for h in [1, (n / 2).max(1), n] {
+                select_smallest(&distances, h, &mut keys, &mut subset);
+                proptest::prop_assert_eq!(&subset, &smallest_rows_oracle(&distances, h));
+            }
+        }
+    }
+
+    #[test]
+    fn selection_keys_order_as_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            1.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(selection_key(a).cmp(&selection_key(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]
@@ -1169,16 +1375,17 @@ mod tests {
         let rows = Rows { flat: &flat, dim };
         let h = support_size(rows.len(), dim, config.support_fraction);
         let pool = mb_pool::Pool::new(1);
-        let subset = McdEstimator::c_step(
+        let mut scratch = Scratch::default();
+        McdEstimator::c_step(
             &pool,
             rows,
             est.location().unwrap(),
             est.inverse_scatter().unwrap(),
             h,
-            &mut Scratch::default(),
+            &mut scratch,
         )
         .unwrap();
-        let again = McdEstimator::fit_subset(&pool, rows, &subset).unwrap().logdet;
+        let again = McdEstimator::fit_subset(&pool, rows, &scratch.selected).unwrap().logdet;
         assert!(
             (again - logdet).abs() < config.tolerance,
             "{label}: a further C-step moves logdet {logdet} to {again}"

@@ -26,14 +26,20 @@ fn main() {
         let ((est, scores), seconds) = timed(|| {
             let mut est = McdEstimator::with_defaults();
             est.train(&data).expect("train failed");
-            let scores: Vec<f64> = data.iter().map(|row| est.score(row).unwrap_or(0.0)).collect();
+            let scores: Vec<f64> = data
+                .iter()
+                .map(|row| est.score(row).unwrap_or(0.0))
+                .collect();
             (est, scores)
         });
         let location = est.location().expect("trained").iter();
         let inverse = est.inverse_scatter().expect("trained").as_slice().iter();
         let fit_fnv = fnv_words(location.chain(inverse).chain(&scores).map(|v| v.to_bits()));
         let tput = throughput(n, seconds);
-        println!("{dim:>10} {:>14} {seconds:>14.3} {fit_fnv:>18}", human_count(tput));
+        println!(
+            "{dim:>10} {:>14} {seconds:>14.3} {fit_fnv:>18}",
+            human_count(tput)
+        );
         emit_json(
             "fig10",
             serde_json::json!({

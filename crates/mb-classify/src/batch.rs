@@ -445,11 +445,23 @@ mod tests {
             actual: 1,
         };
         let classifier = || {
-            BatchClassifier::new(McdEstimator::with_defaults(), BatchClassifierConfig::default())
+            BatchClassifier::new(
+                McdEstimator::with_defaults(),
+                BatchClassifierConfig::default(),
+            )
         };
-        assert_eq!(classifier().fit(&[vec![1.0, 2.0], vec![3.0]]), Err(ragged.clone()));
-        assert_eq!(classifier().fit_flat(&[1.0, 2.0, 3.0], 2), Err(ragged.clone()));
-        assert_eq!(McdEstimator::with_defaults().train_flat(&[1.0, 2.0, 3.0], 2), Err(ragged));
+        assert_eq!(
+            classifier().fit(&[vec![1.0, 2.0], vec![3.0]]),
+            Err(ragged.clone())
+        );
+        assert_eq!(
+            classifier().fit_flat(&[1.0, 2.0, 3.0], 2),
+            Err(ragged.clone())
+        );
+        assert_eq!(
+            McdEstimator::with_defaults().train_flat(&[1.0, 2.0, 3.0], 2),
+            Err(ragged)
+        );
     }
 
     #[test]

@@ -701,7 +701,13 @@ where
     let products = chunked_sum(pool, count, dim * dim, |upper, chunk| {
         let mut centered = Vec::new();
         for first in chunk.clone().step_by(LANES) {
-            center_block(&mut centered, &means, &row_at, first, (chunk.end - first).min(LANES));
+            center_block(
+                &mut centered,
+                &means,
+                &row_at,
+                first,
+                (chunk.end - first).min(LANES),
+            );
             for (i, ci) in centered.iter().enumerate() {
                 let row_i = &mut upper[i * dim + i..(i + 1) * dim];
                 for (sum, cj) in row_i.iter_mut().zip(&centered[i..]) {

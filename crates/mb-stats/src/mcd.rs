@@ -24,16 +24,31 @@
 //!    through to the next-ranked one. A sample small enough to be its own
 //!    subsample skips this: its best start already converged on every row.
 //!
-//! A C-step is one Mahalanobis pass (chunks of rows on the pool), one
-//! selection of the `h` smallest `(d², row)` pairs — `select_nth_unstable`,
-//! not a sort, under a total order so ties at the cut are decided by row
-//! index — one walk in row order collecting the chosen rows, and one
-//! covariance fit (fixed-size chunks of the subset on the pool, partial sums
-//! merged in chunk order) with exactly one O(d³) factorization
-//! ([`SpdFactors`]), from which the next inverse and the log-determinant
-//! both derive. A C-step loop stops when the log-determinant moves by less
-//! than [`FastMcdConfig::tolerance`] or — FastMCD's exact criterion — when a
-//! step selects the subset the previous step selected, a fixed point.
+//! A C-step is one Mahalanobis pass, one selection of the `h` smallest
+//! `(d², row)` pairs, one walk in row order collecting the chosen rows, and
+//! one covariance fit with exactly one O(d³) factorization ([`SpdFactors`]),
+//! from which the next inverse and the log-determinant both derive:
+//!
+//! - **The distance pass** is the crate's one distance kernel (chunks of
+//!   rows on the pool). It scores four rows per step, one per lane, and each
+//!   lane keeps the row-at-a-time operation order, so a distance has the
+//!   same bits whichever rows share its step. Scoring
+//!   ([`Estimator::score_batch_flat`], [`McdEstimator::squared_mahalanobis`]
+//!   and its batch) runs the same kernel.
+//! - **The selection** maps each `d²` to a `u64` whose integer order is
+//!   `f64::total_cmp`'s and runs `select_nth_unstable` on those keys — O(n),
+//!   not a sort. The row-order walk takes every row keyed below the cut,
+//!   then the lowest rows keyed at it, so ties go to the lowest rows.
+//! - **The covariance fit** sums fixed-size chunks of the subset on the
+//!   pool, partial sums merged in chunk order, four rows per step into each
+//!   sum in row order.
+//!
+//! Once a C-step loop's scratch (distances, keys, the selected subset) has
+//! grown to the sample, a step allocates nothing of the sample's size: the
+//! subset buffers are swapped, not rebuilt. A C-step loop stops when the
+//! log-determinant moves by less than [`FastMcdConfig::tolerance`] or —
+//! FastMCD's exact criterion — when a step selects the subset the previous
+//! step selected, a fixed point.
 //!
 //! Everything reads the sample as one row-major `&[f64]`
 //! ([`Estimator::train_flat`] is the native entry; [`Estimator::train`]
@@ -309,7 +324,14 @@ impl McdEstimator {
             });
         }
         let mut d2 = 0.0;
-        squared_distances(inv, &self.mean, |_| x, 0, std::slice::from_mut(&mut d2), &mut Vec::new());
+        squared_distances(
+            inv,
+            &self.mean,
+            |_| x,
+            0,
+            std::slice::from_mut(&mut d2),
+            &mut Vec::new(),
+        );
         Ok(d2.max(0.0))
     }
 
@@ -368,7 +390,12 @@ impl McdEstimator {
         if scratch.distances.iter().any(|d2| d2.is_nan()) {
             return Err(StatsError::NonFinite);
         }
-        select_smallest(&scratch.distances, h, &mut scratch.keys, &mut scratch.selected);
+        select_smallest(
+            &scratch.distances,
+            h,
+            &mut scratch.keys,
+            &mut scratch.selected,
+        );
         Ok(())
     }
 
@@ -905,6 +932,23 @@ mod tests {
             McdEstimator::c_step(&pool, rows, &[0.0], &inv, 2, &mut scratch),
             Err(StatsError::NonFinite)
         );
+        // One NaN metric in the last, padded block of an otherwise sound
+        // sample, inline and past the parallel grain: its distance alone
+        // is NaN, and that still fails the step.
+        let pool = mb_pool::Pool::new(2);
+        for n in [7usize, DISTANCE_GRAIN + 3] {
+            let mut flat: Vec<f64> = (0..n * 3).map(|i| (i % 17) as f64).collect();
+            flat[n * 3 - 2] = f64::NAN;
+            let rows = Rows {
+                flat: &flat,
+                dim: 3,
+            };
+            let inv = Matrix::identity(3);
+            assert_eq!(
+                McdEstimator::c_step(&pool, rows, &[1.0, 2.0, 3.0], &inv, n / 2, &mut scratch),
+                Err(StatsError::NonFinite)
+            );
+        }
     }
 
     #[test]
@@ -936,8 +980,10 @@ mod tests {
                         .iter()
                         .map(|row| squared_distance(&inv, &mean, row, &mut centered).to_bits())
                         .collect();
-                    let clamped: Vec<u64> =
-                        oracle.iter().map(|&d2| f64::from_bits(d2).max(0.0).to_bits()).collect();
+                    let clamped: Vec<u64> = oracle
+                        .iter()
+                        .map(|&d2| f64::from_bits(d2).max(0.0).to_bits())
+                        .collect();
                     let label = format!("dim {dim}, {n} rows, sound inverse {sound}");
 
                     let mut pass = vec![0.0; n];
@@ -957,29 +1003,13 @@ mod tests {
                     assert_eq!(single, clamped, "squared_mahalanobis, {label}");
                     let scores = est.score_batch_flat(&flat, dim).unwrap();
                     let scores: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
-                    let roots: Vec<u64> =
-                        clamped.iter().map(|&d2| f64::from_bits(d2).sqrt().to_bits()).collect();
+                    let roots: Vec<u64> = clamped
+                        .iter()
+                        .map(|&d2| f64::from_bits(d2).sqrt().to_bits())
+                        .collect();
                     assert_eq!(scores, roots, "score_batch_flat, {label}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn a_nan_row_fails_the_c_step() {
-        // One NaN metric in the last (padded) block of an otherwise sound
-        // sample: its distance is NaN and the step must fail, not select.
-        let pool = mb_pool::Pool::new(2);
-        for n in [7usize, 6_001] {
-            let mut flat: Vec<f64> = (0..n * 3).map(|i| (i % 17) as f64).collect();
-            flat[n * 3 - 2] = f64::NAN;
-            let rows = Rows { flat: &flat, dim: 3 };
-            let inv = Matrix::identity(3);
-            let mut scratch = Scratch::default();
-            assert_eq!(
-                McdEstimator::c_step(&pool, rows, &[1.0, 2.0, 3.0], &inv, n / 2, &mut scratch),
-                Err(StatsError::NonFinite)
-            );
         }
     }
 
@@ -988,20 +1018,31 @@ mod tests {
 
         // The integer-key selection against the pair selection it replaced,
         // on distances drawn from a small palette (so ties at the cut are
-        // the rule), with both zeros and both infinities in it, at
-        // h = 1, n / 2 and n; the scratch is reused across the three.
+        // the rule) holding both zeros, both infinities, subnormals and
+        // the negative values a non-PD inverse gives, at h = 1, n / 2 and
+        // n; the scratch is reused across the three.
         #[test]
         fn key_selection_equals_the_pair_selection(
             seed in 0u64..1_000_000,
             n in 1usize..300,
-            palette in 1usize..9,
+            palette in 1usize..11,
         ) {
-            const PALETTE: [f64; 8] =
-                [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, 2.0, 5e-324, 1e300];
+            const PALETTE: [f64; 10] = [
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1.5,
+                -2.0,
+                5e-324,
+                -5e-324,
+                1e300,
+                -1e300,
+            ];
             let mut rng = SplitMix64::new(seed);
             let distances: Vec<f64> = (0..n)
                 .map(|_| match rng.next_below(8) {
-                    0 => rng.next_f64() * 4.0,
+                    0 => rng.next_f64() * 4.0 - 2.0,
                     _ => PALETTE[rng.next_below(palette)],
                 })
                 .collect();
@@ -1009,27 +1050,6 @@ mod tests {
             for h in [1, (n / 2).max(1), n] {
                 select_smallest(&distances, h, &mut keys, &mut subset);
                 proptest::prop_assert_eq!(&subset, &smallest_rows_oracle(&distances, h));
-            }
-        }
-    }
-
-    #[test]
-    fn selection_keys_order_as_total_cmp() {
-        let values = [
-            f64::NEG_INFINITY,
-            -1e300,
-            -1.0,
-            -5e-324,
-            -0.0,
-            0.0,
-            5e-324,
-            1.0,
-            1e300,
-            f64::INFINITY,
-        ];
-        for a in values {
-            for b in values {
-                assert_eq!(selection_key(a).cmp(&selection_key(b)), a.total_cmp(&b), "{a} vs {b}");
             }
         }
     }
@@ -1385,7 +1405,9 @@ mod tests {
             &mut scratch,
         )
         .unwrap();
-        let again = McdEstimator::fit_subset(&pool, rows, &scratch.selected).unwrap().logdet;
+        let again = McdEstimator::fit_subset(&pool, rows, &scratch.selected)
+            .unwrap()
+            .logdet;
         assert!(
             (again - logdet).abs() < config.tolerance,
             "{label}: a further C-step moves logdet {logdet} to {again}"

@@ -1088,6 +1088,58 @@ mod tests {
     }
 
     #[test]
+    fn covariance_products_are_the_row_at_a_time_sums_bit_for_bit() {
+        // The sums a row-at-a-time loop makes: per fixed chunk, each row's
+        // centered products added into the upper triangle, chunks merged
+        // in order. Counts with and without a padded last block, one and
+        // two chunks; values with signed zeros, subnormals and large
+        // magnitudes.
+        let oracle = |flat: &[f64], dim: usize, means: &[f64]| {
+            let mut total = vec![0.0; dim * dim];
+            for chunk in flat.chunks(COVARIANCE_CHUNK * dim) {
+                let mut upper = vec![0.0; dim * dim];
+                for row in chunk.chunks_exact(dim) {
+                    let centered: Vec<f64> = row.iter().zip(means).map(|(v, m)| v - m).collect();
+                    for (i, &ci) in centered.iter().enumerate() {
+                        for (j, &cj) in centered.iter().enumerate().skip(i) {
+                            upper[i * dim + j] += ci * cj;
+                        }
+                    }
+                }
+                for (t, u) in total.iter_mut().zip(upper) {
+                    *t += u;
+                }
+            }
+            total
+        };
+        const VALUES: [f64; 8] = [0.0, -0.0, 5e-324, -3.5, 1e150, -2.0e-200, 7.25, 1.0];
+        let pool = Pool::new(2);
+        let mut state = 11u64;
+        for dim in (1..=9).chain([16]) {
+            for count in (2..=9).chain([COVARIANCE_CHUNK + 3]) {
+                let flat: Vec<f64> = (0..count * dim)
+                    .map(|_| {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        VALUES[(state >> 61) as usize]
+                    })
+                    .collect();
+                let (means, cov) =
+                    covariance_of_rows(&pool, dim, count, |k| &flat[k * dim..(k + 1) * dim])
+                        .unwrap();
+                let sums = oracle(&flat, dim, &means);
+                let denom = (count - 1) as f64;
+                for i in 0..dim {
+                    for j in i..dim {
+                        let expected = (sums[i * dim + j] / denom).to_bits();
+                        assert_eq!(cov[(i, j)].to_bits(), expected, "dim {dim}, {count} rows");
+                        assert_eq!(cov[(j, i)].to_bits(), expected, "dim {dim}, {count} rows");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn add_diagonal_regularizes() {
         let mut m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
         assert_eq!(m.inverse(), Err(StatsError::SingularMatrix));

@@ -4,21 +4,23 @@
 //! analyses at fast data; this crate is the layer that admits them
 //! concurrently over shared infrastructure:
 //!
-//! * [`scheduler`] — bounded admission with per-query priority classes,
-//!   typed [`Saturated`] rejection, and cancellation, drained by a small
-//!   set of worker threads. Each job's *internal* parallelism still runs on
-//!   the process-wide [`mb_pool`], which the server configures once at
-//!   startup (the pool's one-shot contract makes a later misconfiguration a
-//!   typed error, not a silent no-op).
-//! * [`cache`] — the shared model cache: immutable, epoch-stamped
-//!   [`ModelSnapshot`]s keyed by a canonical [`Fingerprint`] of the
-//!   model-relevant config and training metrics. A model trains once and
-//!   scores for every subscriber; a background retrain publishes the next
-//!   epoch by swapping an `Arc` while in-flight readers keep the one they
-//!   hold — the multiversion snapshot discipline, applied to models.
+//! * Admission — bounded, with per-query [`Priority`] classes, typed
+//!   [`Saturated`] rejection, and cancellation, drained by a small set of
+//!   worker threads. Each job's *internal* parallelism still runs on the
+//!   process-wide [`mb_pool`], which the server configures once at startup
+//!   (the pool's one-shot contract makes a later misconfiguration a typed
+//!   error, not a silent no-op).
+//! * The shared model cache — immutable, epoch-stamped [`ModelSnapshot`]s
+//!   keyed by a canonical [`Fingerprint`] of the model-relevant config and
+//!   training metrics. A model trains once and scores for every subscriber;
+//!   a background retrain publishes the next epoch by swapping an `Arc`
+//!   while in-flight readers keep the one they hold — the multiversion
+//!   snapshot discipline, applied to models.
 //! * [`server`] — job and [`StreamingSession`](macrobase_core::streaming::StreamingSession)
 //!   lifecycle (submit / poll / feed / snapshot-report / close, with idle
 //!   expiry) plus one [`mb_obs::MetricRegistry`] counting all of it.
+//!   All of it is one state machine behind one lock; workers run the data
+//!   work outside it and hand their results back as commands.
 //! * [`wire`] — a JSON-lines protocol over stdin/stdout (`submit`, `poll`,
 //!   `feed`, `close`, `stats`, `retrain`) built on the `core::wire` codecs.
 //!
@@ -55,27 +57,17 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
+mod cache;
 pub mod fingerprint;
-pub mod scheduler;
+mod scheduler;
 pub mod server;
+mod state;
 pub mod wire;
 
-pub use cache::{CacheOutcome, ModelCache, ModelSnapshot};
+pub use cache::{CacheOutcome, ModelSnapshot};
 pub use fingerprint::Fingerprint;
-pub use scheduler::{Priority, Saturated, Scheduler};
+pub use scheduler::{Priority, Saturated};
 pub use server::{
     Closed, FeedSummary, JobResult, JobStatus, QuerySpec, ServeConfig, ServeError, Server,
 };
 pub use wire::{handle_line, serve_loop};
-
-/// Acquire a mutex, recovering from poisoning instead of panicking. A
-/// poisoned lock means some other thread panicked mid-update; the server's
-/// shared maps (jobs, sessions, registry) and the model cache's slots are
-/// valid after every individual insert/remove/assignment, so continuing with
-/// the inner guard is safe — and a resident server must never let one
-/// query's panic cascade into a process-wide one. Behaves identically to
-/// `.lock().expect(..)` when the lock is healthy.
-pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}

@@ -1,24 +1,27 @@
-//! The resident server: admission, shared-model execution, session
-//! lifecycle, and serve-level telemetry.
+//! The resident server: the shell around the state machine.
 //!
-//! A [`Server`] owns a [`Scheduler`] (admission + worker threads), a
-//! [`ModelCache`] (fingerprint-keyed epoch-versioned snapshots), a registry
-//! of open [`StreamingSession`]s, and one [`MetricRegistry`] counting all of
-//! it. Queries execute on worker threads but their reports are produced by
-//! the exact same engine code a standalone `MdpQuery::execute` runs —
-//! sharing a cached model cannot change a single byte of the report.
+//! A [`Server`] is one `Mutex` over the crate's `State` (jobs, admission
+//! queue, model table, sessions, metrics), one condvar its idle workers
+//! wait on and one its blocked callers wait on, and a fixed set of worker
+//! threads. Every public method and every worker step is one `apply` under
+//! that lock; the data work — fingerprinting, training, scoring, running a
+//! partitioned or streaming job, feeding a lent session — runs outside it.
+//! Reports are produced by the exact same engine code a standalone
+//! `MdpQuery::execute` runs, so sharing a cached model cannot change a
+//! single byte of the report.
 
-use crate::cache::{CacheOutcome, ModelCache, ModelSnapshot};
+use crate::cache::{CacheOutcome, ModelSnapshot};
 use crate::fingerprint::Fingerprint;
-use crate::lock;
-use crate::scheduler::{Priority, Saturated, Scheduler};
-use macrobase_core::operator::{ColumnarInput, EncodedBatch};
-use macrobase_core::query::{AnalysisConfig, Executor, MdpQuery, StreamingOptions};
+use crate::scheduler::{Priority, Saturated};
+use crate::state::{Command, Effect, JobInput, Reply, State, Task};
+use macrobase_core::operator::ColumnarInput;
+use macrobase_core::query::{AnalysisConfig, Executor, MdpQuery};
 use macrobase_core::streaming::StreamingSession;
 use macrobase_core::types::{MdpReport, Point};
 use mb_obs::MetricRegistry;
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Server construction knobs.
@@ -138,71 +141,71 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-struct JobEntry {
-    status: JobStatus,
-    cancel_requested: bool,
-    submitted: Instant,
-    /// Cache provenance for retrains: the fingerprint plus what is needed
-    /// to train its next epoch.
-    retrain_source: RetrainSource,
+struct Shared {
+    state: Mutex<State>,
+    /// Idle workers wait here for a task.
+    work: Condvar,
+    /// Callers wait here for a job to end or a lent session to come back.
+    changed: Condvar,
 }
 
-/// What a job runs over.
-pub(crate) enum JobInput {
-    /// A one-shot job's rows in columns, encoded against the query's
-    /// dictionary — or why they cannot be run, which fails the job with the
-    /// error the standalone query returns.
-    Columns(Result<Box<ColumnarInput>, String>),
-    /// Rows for the partitioned and streaming executors.
-    Points(Vec<Point>),
-}
-
-struct SessionEntry {
-    session: StreamingSession,
-    last_used: Instant,
-}
-
-struct Inner {
-    cache: ModelCache,
-    jobs: Mutex<HashMap<String, JobEntry>>,
-    jobs_cond: Condvar,
-    sessions: Mutex<HashMap<String, SessionEntry>>,
-    registry: Mutex<MetricRegistry>,
-    session_idle: Duration,
-    started: Instant,
-}
-
-impl Inner {
-    fn count(&self, name: &str) {
-        lock(&self.registry).add(name, 1);
+impl Shared {
+    /// Take the lock, recovering from poisoning: no data work runs under
+    /// it, and `apply` leaves the state whole between commands.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn record_ns(&self, name: &str, ns: u64) {
-        lock(&self.registry).record_ns(name, ns);
+    /// Wait on `condvar`, recovering from poisoning as [`Shared::lock`] does.
+    fn wait<'a>(condvar: &Condvar, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        condvar.wait(state).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Apply `command` now, wake whoever its effects name, and return its
+    /// answer.
+    fn call(&self, state: &mut State, command: Command) -> Result<Reply, ServeError> {
+        let mut reply = Ok(Reply::Accepted);
+        for effect in state.apply(command, Instant::now()) {
+            match effect {
+                Effect::Reply(answer) => reply = answer,
+                Effect::WakeWorker => self.work.notify_one(),
+                Effect::WakeCallers => self.changed.notify_all(),
+            }
+        }
+        reply
     }
 }
 
 /// A resident multi-query MacroBase server. See the crate docs for the
 /// overall shape; construct with [`Server::start`].
 pub struct Server {
-    inner: Arc<Inner>,
-    scheduler: Scheduler,
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
+    started: Instant,
 }
 
 impl Server {
     /// Start worker threads and return a ready server.
     pub fn start(config: ServeConfig) -> Server {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State::new(config.max_queue, config.session_idle)),
+            work: Condvar::new(),
+            changed: Condvar::new(),
+        });
+        let workers = (0..config.workers.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                // mb-lint: allow(no-adhoc-threads) -- resident server workers park on a condvar; mb-pool tasks must never block
+                std::thread::Builder::new()
+                    .name(format!("mb-serve-worker-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("failed to spawn server worker") // mb-lint: allow(no-unwrap-in-executors) -- at startup, before any request: a server with no workers cannot serve
+            })
+            .collect();
         Server {
-            inner: Arc::new(Inner {
-                cache: ModelCache::new(),
-                jobs: Mutex::new(HashMap::new()),
-                jobs_cond: Condvar::new(),
-                sessions: Mutex::new(HashMap::new()),
-                registry: Mutex::new(MetricRegistry::new()),
-                session_idle: config.session_idle,
-                started: Instant::now(),
-            }),
-            scheduler: Scheduler::start(config.workers, config.max_queue),
+            shared,
+            workers,
+            started: Instant::now(),
         }
     }
 
@@ -220,12 +223,11 @@ impl Server {
         priority: Priority,
     ) -> Result<(), ServeError> {
         let input = match spec.executor {
-            Executor::OneShot => JobInput::Columns(
-                ColumnarInput::from_points(&spec.analysis, &points)
-                    .map(Box::new)
-                    .map_err(|e| e.to_string()),
-            ),
-            _ => JobInput::Points(points),
+            Executor::OneShot => match ColumnarInput::from_points(&spec.analysis, &points) {
+                Ok(columns) => JobInput::Columns(Box::new(columns)),
+                Err(e) => JobInput::Rows(Err(e.to_string())),
+            },
+            _ => JobInput::Rows(Ok(points)),
         };
         self.submit_input(id, spec, input, priority)
     }
@@ -237,70 +239,34 @@ impl Server {
         input: JobInput,
         priority: Priority,
     ) -> Result<(), ServeError> {
-        {
-            let sessions = lock(&self.inner.sessions);
-            if sessions.contains_key(id) {
-                return Err(ServeError::DuplicateId(id.to_string()));
-            }
-        }
-        {
-            let mut jobs = lock(&self.inner.jobs);
-            if jobs.contains_key(id) {
-                return Err(ServeError::DuplicateId(id.to_string()));
-            }
-            jobs.insert(
-                id.to_string(),
-                JobEntry {
-                    status: JobStatus::Queued,
-                    cancel_requested: false,
-                    submitted: Instant::now(),
-                    retrain_source: None,
-                },
-            );
-        }
-        let inner = Arc::clone(&self.inner);
-        let job_id = id.to_string();
-        let work = Box::new(move || run_job(&inner, &job_id, spec, input));
-        if let Err(saturated) = self.scheduler.submit(id, priority, work) {
-            let mut jobs = lock(&self.inner.jobs);
-            jobs.remove(id);
-            self.inner.count("jobs_rejected");
-            return Err(ServeError::Saturated(saturated));
-        }
-        self.inner.count("jobs_submitted");
-        Ok(())
+        let id = id.to_string();
+        let submit = Command::Submit(id.to_string(), priority, spec, input);
+        self.call(submit).map(drop)
     }
 
     /// Current status of a job, optionally blocking until it reaches a
     /// terminal state (done / failed / cancelled) or `wait` elapses.
     pub fn poll(&self, id: &str, wait: Option<Duration>) -> Result<JobStatus, ServeError> {
         let deadline = wait.map(|w| Instant::now() + w);
-        let mut jobs = lock(&self.inner.jobs);
+        let mut state = self.shared.lock();
         loop {
-            let status = match jobs.get(id) {
-                Some(entry) => entry.status.clone(),
-                None => return Err(ServeError::UnknownId(id.to_string())),
-            };
+            let status = state.status(id)?;
             let terminal = matches!(
                 status,
                 JobStatus::Done(_) | JobStatus::Failed(_) | JobStatus::Cancelled
             );
-            if terminal {
-                return Ok(status);
-            }
-            let Some(deadline) = deadline else {
-                return Ok(status);
-            };
             let now = Instant::now();
-            if now >= deadline {
-                return Ok(status);
+            match deadline {
+                Some(deadline) if !terminal && now < deadline => {
+                    state = self
+                        .shared
+                        .changed
+                        .wait_timeout(state, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
+                }
+                _ => return Ok(status),
             }
-            let (guard, _) = self
-                .inner
-                .jobs_cond
-                .wait_timeout(jobs, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            jobs = guard;
         }
     }
 
@@ -311,40 +277,11 @@ impl Server {
     /// * finished job — forgotten;
     /// * session — closed and dropped.
     pub fn close(&self, id: &str) -> Result<Closed, ServeError> {
-        {
-            let mut sessions = lock(&self.inner.sessions);
-            if sessions.remove(id).is_some() {
-                drop(sessions);
-                self.inner.count("sessions_closed");
-                return Ok(Closed::Session);
-            }
+        let close = Command::Close(id.to_string());
+        match self.shared.call(&mut self.returned(id), close)? {
+            Reply::Closed(closed) => Ok(closed),
+            _ => Err(ServeError::UnknownId(id.to_string())),
         }
-        let mut jobs = lock(&self.inner.jobs);
-        let entry = jobs
-            .get_mut(id)
-            .ok_or_else(|| ServeError::UnknownId(id.to_string()))?;
-        match entry.status {
-            JobStatus::Queued => {
-                if self.scheduler.cancel(id) {
-                    entry.status = JobStatus::Cancelled;
-                } else {
-                    // The worker already claimed it; discard on completion.
-                    entry.cancel_requested = true;
-                }
-                drop(jobs);
-                self.inner.jobs_cond.notify_all();
-                self.inner.count("jobs_cancelled");
-            }
-            JobStatus::Running => {
-                entry.cancel_requested = true;
-                drop(jobs);
-                self.inner.count("jobs_cancelled");
-            }
-            JobStatus::Done(_) | JobStatus::Failed(_) | JobStatus::Cancelled => {
-                jobs.remove(id);
-            }
-        }
-        Ok(Closed::Job)
     }
 
     /// Enqueue (at [`Priority::Low`]) a background retrain of the model a
@@ -352,42 +289,13 @@ impl Server {
     /// training completes; in-flight and already-finished readers keep the
     /// snapshot they hold.
     pub fn retrain(&self, id: &str) -> Result<(), ServeError> {
-        let source = {
-            let jobs = lock(&self.inner.jobs);
-            let entry = jobs
-                .get(id)
-                .ok_or_else(|| ServeError::UnknownId(id.to_string()))?;
-            entry.retrain_source.clone().ok_or_else(|| {
-                ServeError::BadRequest(
-                    "job did not execute through the model cache; nothing to retrain".to_string(),
-                )
-            })?
-        };
-        let (fingerprint, analysis, batch) = source;
-        let inner = Arc::clone(&self.inner);
-        let work = Box::new(move || {
-            let query = MdpQuery::new(analysis);
-            let outcome = inner.cache.retrain(fingerprint, || {
-                query.train_columns(&batch).map_err(|e| e.to_string())
-            });
-            if outcome.is_ok() {
-                inner.count("model_trainings");
-                inner.count("epochs_published");
-            }
-        });
-        self.scheduler
-            .submit(&format!("{id}#retrain"), Priority::Low, work)
-            .map_err(ServeError::Saturated)
+        self.call(Command::Retrain(id.to_string())).map(drop)
     }
 
     /// The current published model snapshot behind a finished one-shot job,
     /// if any. Test/diagnostic surface for epoch semantics.
     pub fn model_snapshot(&self, id: &str) -> Option<Arc<ModelSnapshot>> {
-        let fingerprint = {
-            let jobs = lock(&self.inner.jobs);
-            jobs.get(id)?.retrain_source.as_ref()?.0
-        };
-        self.inner.cache.peek(fingerprint)
+        self.shared.lock().snapshot(id)
     }
 
     /// Open a streaming session under `id`. The spec's executor must be
@@ -398,239 +306,178 @@ impl Server {
                 "sessions require a streaming executor".to_string(),
             ));
         };
-        self.sweep_idle_sessions();
-        {
-            let jobs = lock(&self.inner.jobs);
-            if jobs.contains_key(id) {
-                return Err(ServeError::DuplicateId(id.to_string()));
-            }
-        }
-        let session = build_session(spec.analysis, &options)?;
-        let mut sessions = lock(&self.inner.sessions);
-        if sessions.contains_key(id) {
-            return Err(ServeError::DuplicateId(id.to_string()));
-        }
-        sessions.insert(
-            id.to_string(),
-            SessionEntry {
-                session,
-                last_used: Instant::now(),
-            },
-        );
-        drop(sessions);
-        self.inner.count("sessions_opened");
-        Ok(())
+        let session = MdpQuery::new(spec.analysis)
+            .into_streaming(&options)
+            .map_err(|e| ServeError::Query(e.to_string()));
+        self.call(Command::Open(id.to_string(), session)).map(drop)
     }
 
     /// Feed a batch of points into an open session. Typed errors leave the
     /// session usable (see [`StreamingSession::feed`]).
     pub fn feed(&self, id: &str, points: &[Point]) -> Result<FeedSummary, ServeError> {
-        let mut sessions = lock(&self.inner.sessions);
-        let entry = sessions
-            .get_mut(id)
-            .ok_or_else(|| ServeError::UnknownId(id.to_string()))?;
-        entry.last_used = Instant::now();
-        let before = entry.session.points_seen();
-        let result = entry.session.feed(points);
-        let accepted = entry.session.points_seen() - before;
-        let summary = FeedSummary {
-            points: accepted,
-            outliers: result.as_ref().copied().unwrap_or(0),
-            total_points: entry.session.points_seen(),
-            total_outliers: entry.session.outliers_seen(),
-        };
-        drop(sessions);
-        {
-            let mut registry = lock(&self.inner.registry);
-            registry.add("session_points", summary.points);
-        }
-        match result {
-            Ok(_) => Ok(summary),
-            Err(e) => Err(ServeError::Query(e.to_string())),
-        }
+        let (summary, result) = self.with_session(id, |session| {
+            let before = session.points_seen();
+            let result = session.feed(points);
+            let summary = FeedSummary {
+                points: session.points_seen() - before,
+                outliers: result.as_ref().copied().unwrap_or(0),
+                total_points: session.points_seen(),
+                total_outliers: session.outliers_seen(),
+            };
+            (Some(summary.points), (summary, result))
+        })?;
+        result.map_err(|e| ServeError::Query(e.to_string()))?;
+        Ok(summary)
     }
 
     /// Render the current report of an open session (a snapshot; the
     /// session keeps accumulating).
     pub fn session_report(&self, id: &str) -> Result<MdpReport, ServeError> {
-        let mut sessions = lock(&self.inner.sessions);
-        let entry = sessions
-            .get_mut(id)
-            .ok_or_else(|| ServeError::UnknownId(id.to_string()))?;
-        entry.last_used = Instant::now();
-        Ok(entry.session.report())
+        self.with_session(id, |session| (None, session.report()))
     }
 
     /// Expire sessions idle longer than the configured limit; returns how
     /// many were dropped. Runs implicitly when sessions are opened.
     pub fn sweep_idle_sessions(&self) -> usize {
-        let idle = self.inner.session_idle;
-        let mut sessions = lock(&self.inner.sessions);
-        let before = sessions.len();
-        sessions.retain(|_, entry| entry.last_used.elapsed() < idle);
-        let expired = before - sessions.len();
-        drop(sessions);
-        if expired > 0 {
-            let mut registry = lock(&self.inner.registry);
-            registry.add("sessions_expired", expired as u64);
+        match self.call(Command::Sweep) {
+            Ok(Reply::Expired(expired)) => expired,
+            _ => 0,
         }
-        expired
     }
 
     /// Snapshot of the serve-level metrics (counters for jobs, cache,
     /// trainings, sessions; gauges for queue depth and open sessions).
     pub fn stats(&self) -> MetricRegistry {
-        let mut registry = lock(&self.inner.registry).clone();
-        registry.set_gauge("queue_depth", self.scheduler.depth() as f64);
-        registry.set_gauge(
-            "sessions_open",
-            lock(&self.inner.sessions).len() as f64,
-        );
-        registry
+        self.shared.lock().stats()
     }
 
     /// Nanoseconds since the server started.
     pub fn uptime_ns(&self) -> u64 {
-        u64::try_from(self.inner.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
-}
 
-fn build_session(
-    analysis: AnalysisConfig,
-    options: &StreamingOptions,
-) -> Result<StreamingSession, ServeError> {
-    MdpQuery::new(analysis)
-        .into_streaming(options)
-        .map_err(|e| ServeError::Query(e.to_string()))
-}
+    fn call(&self, command: Command) -> Result<Reply, ServeError> {
+        self.shared.call(&mut self.shared.lock(), command)
+    }
 
-/// Execute one job on a worker thread and publish its terminal status.
-fn run_job(inner: &Inner, id: &str, spec: QuerySpec, input: JobInput) {
-    // Claim the job; a close() racing ahead of the worker wins.
-    {
-        let mut jobs = lock(&inner.jobs);
-        let Some(entry) = jobs.get_mut(id) else {
-            return;
-        };
-        if entry.cancel_requested {
-            entry.status = JobStatus::Cancelled;
-            drop(jobs);
-            inner.jobs_cond.notify_all();
-            return;
+    /// The lock, once the session `id` names (if any) is not lent out.
+    fn returned(&self, id: &str) -> MutexGuard<'_, State> {
+        let mut state = self.shared.lock();
+        while state.lent(id) {
+            state = Shared::wait(&self.shared.changed, state);
         }
-        let wait_ns = u64::try_from(entry.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        entry.status = JobStatus::Running;
-        drop(jobs);
-        inner.record_ns("queue_wait_ns", wait_ns);
-        inner.jobs_cond.notify_all();
+        state
     }
 
-    let mut publish = Publish {
-        inner,
-        id,
-        outcome: Err("job panicked".to_string()),
-        retrain_source: None,
-    };
-    let exec_start = Instant::now();
-    (publish.outcome, publish.retrain_source) = execute_job(inner, spec, input);
-    inner.record_ns(
-        "exec_ns",
-        u64::try_from(exec_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-    );
+    /// Borrow session `id` out of the state, run `use_session` on it with
+    /// no lock held, and hand it back with the points it accepted. A
+    /// session that unwinds is dropped, not returned half-updated.
+    fn with_session<R>(
+        &self,
+        id: &str,
+        use_session: impl FnOnce(&mut StreamingSession) -> (Option<u64>, R),
+    ) -> Result<R, ServeError> {
+        let lend = Command::Lend(id.to_string());
+        let Reply::Lent(mut session) = self.shared.call(&mut self.returned(id), lend)? else {
+            return Err(ServeError::UnknownId(id.to_string()));
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| use_session(&mut session)));
+        let (session, fed) = match &outcome {
+            Ok((fed, _)) => (Some(session), *fed),
+            Err(_) => (None, None),
+        };
+        self.call(Command::Return(id.to_string(), session, fed))?;
+        match outcome {
+            Ok((_, result)) => Ok(result),
+            Err(panic) => resume_unwind(panic),
+        }
+    }
 }
 
-/// A running job's obligation to its pollers: whatever `outcome` holds when
-/// this drops becomes the job's terminal status, and pollers are woken. It
-/// starts as `Failed("job panicked")`, so a job that unwinds still ends
-/// instead of staying `Running` until every poll times out.
-struct Publish<'a> {
-    inner: &'a Inner,
-    id: &'a str,
-    outcome: Result<JobResult, String>,
-    retrain_source: RetrainSource,
-}
-
-impl Drop for Publish<'_> {
+impl Drop for Server {
+    /// Stop the workers once every queued task has run.
     fn drop(&mut self) {
-        let mut jobs = lock(&self.inner.jobs);
-        let Some(entry) = jobs.get_mut(self.id) else {
-            return;
-        };
-        if entry.cancel_requested {
-            // Closed while running: the result is discarded, as promised.
-            entry.status = JobStatus::Cancelled;
-        } else {
-            entry.retrain_source = self.retrain_source.take();
-            entry.status = match std::mem::replace(&mut self.outcome, Err(String::new())) {
-                Ok(result) => {
-                    self.inner.count("jobs_completed");
-                    JobStatus::Done(Box::new(result))
-                }
-                Err(message) => {
-                    self.inner.count("jobs_failed");
-                    JobStatus::Failed(message)
-                }
-            };
+        let _ = self.call(Command::Shutdown);
+        self.shared.work.notify_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
-        drop(jobs);
-        self.inner.jobs_cond.notify_all();
     }
 }
 
-type RetrainSource = Option<(Fingerprint, AnalysisConfig, Arc<EncodedBatch>)>;
-
-fn execute_job(
-    inner: &Inner,
-    spec: QuerySpec,
-    input: JobInput,
-) -> (Result<JobResult, String>, RetrainSource) {
-    match input {
-        JobInput::Columns(Err(message)) => (Err(message), None),
-        JobInput::Columns(Ok(mut input)) => {
-            let fingerprint = Fingerprint::of_columns(&spec.analysis, &input.batch);
-            let query = MdpQuery::new(spec.analysis.clone());
-            let cached = inner.cache.get_or_train(fingerprint, || {
-                query.train_columns(&input.batch).map_err(|e| e.to_string())
-            });
-            let (snapshot, outcome) = match cached {
-                Ok(hit) => hit,
-                Err(message) => {
-                    inner.count("cache_misses");
-                    return (Err(message), None);
-                }
-            };
-            match outcome {
-                CacheOutcome::Miss => {
-                    inner.count("cache_misses");
-                    inner.count("model_trainings");
-                    inner.count("epochs_published");
-                }
-                CacheOutcome::Hit => inner.count("cache_hits"),
+/// A worker: hand back what the last task produced, take the next task,
+/// run it with no lock held. The worker set is fixed, so a task that
+/// unwinds does not take its worker with it: it becomes the failed
+/// completions [`Task::unwound`] names.
+fn worker_loop(shared: &Shared) {
+    let mut done = Vec::new();
+    loop {
+        let task = {
+            let mut state = shared.lock();
+            for result in done.drain(..) {
+                let _ = shared.call(&mut state, result);
             }
-            let result = query
-                .execute_columns_with_model(&snapshot.model, &mut input)
-                .map(|report| JobResult {
-                    report,
-                    model_epoch: Some(snapshot.epoch),
-                    cache: Some(outcome),
-                })
-                .map_err(|e| e.to_string());
-            (
-                result,
-                Some((fingerprint, spec.analysis, Arc::new(input.batch))),
-            )
+            loop {
+                match shared.call(&mut state, Command::Next) {
+                    Ok(Reply::Run(task)) => break task,
+                    Ok(Reply::Stop) => return,
+                    _ => state = Shared::wait(&shared.work, state),
+                }
+            }
+        };
+        let unwound = task.unwound();
+        done = match catch_unwind(AssertUnwindSafe(|| run(task))) {
+            Ok(result) => vec![result],
+            Err(_) => unwound,
+        };
+    }
+}
+
+/// A job's outcome from its report and the snapshot (epoch, hit or miss)
+/// that scored it, if any.
+fn outcome<E: std::fmt::Display>(
+    report: Result<MdpReport, E>,
+    read: Option<(u64, CacheOutcome)>,
+) -> Result<JobResult, String> {
+    report
+        .map(|report| JobResult {
+            report,
+            model_epoch: read.map(|(epoch, _)| epoch),
+            cache: read.map(|(_, cache)| cache),
+        })
+        .map_err(|e| e.to_string())
+}
+
+/// The data work of one task.
+fn run(task: Task) -> Command {
+    match task {
+        Task::Fingerprint(job) => {
+            let fingerprint = Fingerprint::of_columns(&job.analysis, &job.input.batch);
+            Command::Fingerprinted(job, fingerprint)
         }
-        JobInput::Points(points) => {
-            let mut query = MdpQuery::new(spec.analysis);
-            let result = query
-                .execute(&spec.executor, &points)
-                .map(|report| JobResult {
-                    report,
-                    model_epoch: None,
-                    cache: None,
-                })
-                .map_err(|e| e.to_string());
-            (result, None)
+        Task::Train(fingerprint, job) => {
+            let model = MdpQuery::new(job.analysis.clone()).train_columns(&job.input.batch);
+            Command::Trained(fingerprint, model.map_err(|e| e.to_string()), Some(job))
+        }
+        Task::Retrain(fingerprint, analysis, batch) => {
+            let model = MdpQuery::new(analysis).train_columns(&batch);
+            Command::Trained(fingerprint, model.map_err(|e| e.to_string()), None)
+        }
+        Task::Score(mut job, fingerprint, snapshot, cache) => {
+            let query = MdpQuery::new(job.analysis.clone());
+            let report = query.execute_columns_with_model(&snapshot.model, &mut job.input);
+            let outcome = outcome(report, Some((snapshot.epoch, cache)));
+            let source = Some((fingerprint, job.analysis, Arc::new(job.input.batch)));
+            Command::Finished(job.id, outcome, source)
+        }
+        Task::Run(id, spec, points) => {
+            let outcome = points.and_then(|points| {
+                outcome(
+                    MdpQuery::new(spec.analysis).execute(&spec.executor, &points),
+                    None,
+                )
+            });
+            Command::Finished(id, outcome, None)
         }
     }
 }
@@ -641,34 +488,35 @@ mod tests {
 
     #[test]
     fn a_job_that_unwinds_fails_and_wakes_its_poller() {
-        let server = Arc::new(Server::start(ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        }));
-        lock(&server.inner.jobs).insert(
-            "j".to_string(),
-            JobEntry {
-                status: JobStatus::Running,
-                cancel_requested: false,
-                submitted: Instant::now(),
-                retrain_source: None,
-            },
-        );
+        // The shell with no workers: this test is the worker.
+        let server = Arc::new(Server {
+            shared: Arc::new(Shared {
+                state: Mutex::new(State::new(16, Duration::from_secs(900))),
+                work: Condvar::new(),
+                changed: Condvar::new(),
+            }),
+            workers: Vec::new(),
+            started: Instant::now(),
+        });
+        let spec = QuerySpec {
+            analysis: AnalysisConfig::default(),
+            executor: Executor::streaming(),
+        };
+        server
+            .submit_input("j", spec, JobInput::Rows(Ok(Vec::new())), Priority::Normal)
+            .unwrap();
+        let Ok(Reply::Run(task)) = server.call(Command::Next) else {
+            panic!("the queued job is handed out");
+        };
         let poller = {
             let server = Arc::clone(&server);
             std::thread::spawn(move || server.poll("j", Some(Duration::from_secs(60))))
         };
-        let inner = Arc::clone(&server.inner);
-        let worker = std::thread::spawn(move || {
-            let _publish = Publish {
-                inner: &inner,
-                id: "j",
-                outcome: Err("job panicked".to_string()),
-                retrain_source: None,
-            };
-            panic!("estimator blew up");
-        });
-        assert!(worker.join().is_err());
+        let unwound = task.unwound();
+        assert!(catch_unwind(|| -> Command { panic!("estimator blew up") }).is_err());
+        for result in unwound {
+            assert!(server.call(result).is_ok());
+        }
         // Whether the poller parked before or after the unwind, it comes back
         // with the failure, not `Running` at its timeout.
         let status = poller.join().unwrap().unwrap();

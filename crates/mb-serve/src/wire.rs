@@ -21,8 +21,10 @@
 //! `malformed`, `protocol`, `unknown_op`, `saturated`, `duplicate_id`,
 //! `unknown_id`, `bad_request`, and `query`.
 
+use crate::cache::CacheOutcome;
 use crate::scheduler::Priority;
-use crate::server::{Closed, JobInput, JobStatus, QuerySpec, ServeError, Server};
+use crate::server::{Closed, JobStatus, QuerySpec, ServeError, Server};
+use crate::state::JobInput;
 use macrobase_core::query::Executor;
 use macrobase_core::wire::{
     analysis_from_json, executor_from_json, points_from_str, points_into_columns, report_to_json,
@@ -199,16 +201,17 @@ fn handle_submit(server: &Server, request: &Request<'_>) -> Result<Value, Value>
         Some(text) if spec.executor == Executor::OneShot => {
             let (columns, shape) =
                 points_into_columns(text, "points", &spec.analysis).map_err(protocol_error)?;
-            Some(JobInput::Columns(
-                shape.map(|()| Box::new(columns)).map_err(|e| e.to_string()),
-            ))
+            Some(match shape {
+                Ok(()) => JobInput::Columns(Box::new(columns)),
+                Err(e) => JobInput::Rows(Err(e.to_string())),
+            })
         }
-        Some(text) => Some(JobInput::Points(
-            points_from_str(text, "points").map_err(protocol_error)?,
-        )),
+        Some(text) => Some(JobInput::Rows(Ok(
+            points_from_str(text, "points").map_err(protocol_error)?
+        ))),
         None => None,
     };
-    match input {
+    let state = match input {
         None => {
             if !matches!(spec.executor, Executor::Streaming { .. }) {
                 return Err(error_response(
@@ -216,22 +219,16 @@ fn handle_submit(server: &Server, request: &Request<'_>) -> Result<Value, Value>
                     "missing field points (only streaming submissions may omit them)",
                 ));
             }
-            server
-                .open_session(&id, spec)
-                .map_err(serve_error_response)?;
-            let mut response = ok_response("submit", Some(&id));
-            response.insert("state".to_string(), Value::String("session".to_string()));
-            Ok(Value::Object(response))
+            server.open_session(&id, spec).map(|()| "session")
         }
-        Some(input) => {
-            server
-                .submit_input(&id, spec, input, priority)
-                .map_err(serve_error_response)?;
-            let mut response = ok_response("submit", Some(&id));
-            response.insert("state".to_string(), Value::String("queued".to_string()));
-            Ok(Value::Object(response))
-        }
-    }
+        Some(input) => server
+            .submit_input(&id, spec, input, priority)
+            .map(|()| "queued"),
+    };
+    let mut response = ok_response("submit", Some(&id));
+    let state = state.map_err(serve_error_response)?;
+    response.insert("state".to_string(), Value::from(state));
+    Ok(Value::Object(response))
 }
 
 fn handle_poll(server: &Server, request: &Request<'_>) -> Result<Value, Value> {
@@ -252,44 +249,31 @@ fn handle_poll(server: &Server, request: &Request<'_>) -> Result<Value, Value> {
     match server.poll(&id, wait) {
         Ok(status) => {
             let mut response = ok_response("poll", Some(&id));
+            let state = match &status {
+                JobStatus::Queued => "queued",
+                JobStatus::Running => "running",
+                JobStatus::Cancelled => "cancelled",
+                JobStatus::Failed(_) => "failed",
+                JobStatus::Done(_) => "done",
+            };
+            response.insert("state".to_string(), Value::from(state));
             match status {
-                JobStatus::Queued => {
-                    response.insert("state".to_string(), Value::String("queued".to_string()));
-                }
-                JobStatus::Running => {
-                    response.insert("state".to_string(), Value::String("running".to_string()));
-                }
-                JobStatus::Cancelled => {
-                    response
-                        .insert("state".to_string(), Value::String("cancelled".to_string()));
-                }
                 JobStatus::Failed(message) => {
-                    response.insert("state".to_string(), Value::String("failed".to_string()));
                     response.insert("message".to_string(), Value::String(message));
                 }
                 JobStatus::Done(result) => {
-                    response.insert("state".to_string(), Value::String("done".to_string()));
-                    response.insert(
-                        "model_epoch".to_string(),
-                        match result.model_epoch {
-                            Some(epoch) => Value::from(epoch),
-                            None => Value::Null,
-                        },
-                    );
-                    response.insert(
-                        "model_cache".to_string(),
-                        match result.cache {
-                            Some(crate::cache::CacheOutcome::Hit) => {
-                                Value::String("hit".to_string())
-                            }
-                            Some(crate::cache::CacheOutcome::Miss) => {
-                                Value::String("miss".to_string())
-                            }
-                            None => Value::Null,
-                        },
-                    );
+                    let epoch = result.model_epoch.map_or(Value::Null, Value::from);
+                    let cache = result.cache.map_or(Value::Null, |cache| {
+                        Value::from(match cache {
+                            CacheOutcome::Hit => "hit",
+                            CacheOutcome::Miss => "miss",
+                        })
+                    });
+                    response.insert("model_epoch".to_string(), epoch);
+                    response.insert("model_cache".to_string(), cache);
                     response.insert("report".to_string(), report_to_json(&result.report));
                 }
+                JobStatus::Queued | JobStatus::Running | JobStatus::Cancelled => {}
             }
             Ok(Value::Object(response))
         }
@@ -317,17 +301,16 @@ fn handle_feed(server: &Server, request: &Request<'_>) -> Result<Value, Value> {
         "points",
     )
     .map_err(protocol_error)?;
-    let summary = server
-        .feed(&id, &points)
-        .map_err(serve_error_response)?;
+    let summary = server.feed(&id, &points).map_err(serve_error_response)?;
     let mut response = ok_response("feed", Some(&id));
-    response.insert("points".to_string(), Value::from(summary.points));
-    response.insert("outliers".to_string(), Value::from(summary.outliers));
-    response.insert("total_points".to_string(), Value::from(summary.total_points));
-    response.insert(
-        "total_outliers".to_string(),
-        Value::from(summary.total_outliers),
-    );
+    for (key, count) in [
+        ("points", summary.points),
+        ("outliers", summary.outliers),
+        ("total_points", summary.total_points),
+        ("total_outliers", summary.total_outliers),
+    ] {
+        response.insert(key.to_string(), Value::from(count));
+    }
     Ok(Value::Object(response))
 }
 
@@ -336,16 +319,11 @@ fn handle_close(server: &Server, request: &Request<'_>) -> Result<Value, Value> 
     let id = required_id(request)?;
     let closed = server.close(&id).map_err(serve_error_response)?;
     let mut response = ok_response("close", Some(&id));
-    response.insert(
-        "closed".to_string(),
-        Value::String(
-            match closed {
-                Closed::Job => "job",
-                Closed::Session => "session",
-            }
-            .to_string(),
-        ),
-    );
+    let closed = match closed {
+        Closed::Job => "job",
+        Closed::Session => "session",
+    };
+    response.insert("closed".to_string(), Value::from(closed));
     Ok(Value::Object(response))
 }
 

@@ -192,3 +192,44 @@ fn duplicate_ids_and_unknown_ids_are_typed_errors() {
         Err(mb_serve::ServeError::UnknownId(_))
     ));
 }
+
+#[test]
+fn an_id_is_never_both_a_job_and_a_session() {
+    use std::sync::{Arc, Barrier};
+
+    let server = Arc::new(Server::start(ServeConfig {
+        max_queue: 100_000,
+        ..ServeConfig::default()
+    }));
+    let rounds = 2_000;
+    let barrier = Arc::new(Barrier::new(2));
+    // One thread opens a session under each fresh id while the other submits
+    // a job under it; an empty batch keeps the job cheap (it fails typed).
+    let opener = {
+        let (server, barrier) = (Arc::clone(&server), Arc::clone(&barrier));
+        std::thread::spawn(move || {
+            let spec = QuerySpec {
+                analysis: Default::default(),
+                executor: Executor::streaming(),
+            };
+            (0..rounds)
+                .map(|i| {
+                    barrier.wait();
+                    server.open_session(&format!("r{i}"), spec.clone()).is_ok()
+                })
+                .collect::<Vec<bool>>()
+        })
+    };
+    let submitted: Vec<bool> = (0..rounds)
+        .map(|i| {
+            barrier.wait();
+            server
+                .submit(&format!("r{i}"), spec(), Vec::new(), Priority::Normal)
+                .is_ok()
+        })
+        .collect();
+    let opened = opener.join().unwrap();
+    let both = (0..rounds).filter(|&i| opened[i] && submitted[i]).count();
+    let neither = (0..rounds).filter(|&i| !opened[i] && !submitted[i]).count();
+    assert_eq!((both, neither), (0, 0), "of {rounds} raced ids");
+}

@@ -48,15 +48,16 @@ fn in_tests_or_benches(path: &str) -> bool {
 ///   `benches/` trees — those never feed report bytes.
 /// - `no-adhoc-threads` exempts `mb-pool` (the sanctioned thread owner).
 /// - `no-adhoc-clock` exempts `mb-obs` (owns the clock), `mb-bench`
-///   (measures wall time by design), and `mb-serve` (scheduler timing).
+///   (measures wall time by design), and `mb-serve`'s shell, `server.rs`
+///   (it reads the clock for the state machine, which takes time as input).
 /// - `hashmap-order-hazard` covers only the output-bearing crates: core,
 ///   mb-explain, mb-fpgrowth, mb-sketch.
-/// - `no-unwrap-in-executors` pins the twelve hot-path files: the four
-///   executor/server ones (engines, server, scheduler), the four every
-///   ingested or served byte goes through (CSV, operators, both wire
-///   decoders), the two every attribute value is encoded through (the
-///   dictionary encoder, `ItemBatch`), and the two every served cache miss
-///   trains through (`ModelCache`, FastMCD).
+/// - `no-unwrap-in-executors` pins the eleven hot-path files: the four
+///   executor/server ones (engines, the server's shell and its state
+///   machine), the four every ingested or served byte goes through (CSV,
+///   operators, both wire decoders), the two every attribute value is
+///   encoded through (the dictionary encoder, `ItemBatch`), and FastMCD,
+///   which every served cache miss trains through.
 /// - `trace-names-from-taxonomy` covers core and mb-serve, the crates that
 ///   build query traces.
 /// - `unsafe-needs-safety-comment` applies everywhere, tests included.
@@ -71,7 +72,7 @@ pub fn rules_for_path(path: &str) -> Vec<RuleId> {
     }
     if !path.starts_with("crates/mb-obs/")
         && !path.starts_with("crates/mb-bench/")
-        && !path.starts_with("crates/mb-serve/")
+        && path != "crates/mb-serve/src/server.rs"
     {
         rules.push(RuleId::NoAdhocClock);
     }
@@ -91,9 +92,8 @@ pub fn rules_for_path(path: &str) -> Vec<RuleId> {
             | "crates/mb-explain/src/encoder.rs"
             | "crates/mb-explain/src/items.rs"
             | "crates/mb-ingest/src/csv.rs"
-            | "crates/mb-serve/src/cache.rs"
-            | "crates/mb-serve/src/scheduler.rs"
             | "crates/mb-serve/src/server.rs"
+            | "crates/mb-serve/src/state.rs"
             | "crates/mb-serve/src/wire.rs"
             | "crates/mb-stats/src/mcd.rs"
     ) {
@@ -152,6 +152,16 @@ mod tests {
         assert!(!rules_for_path("crates/mb-obs/src/trace.rs").contains(&RuleId::NoAdhocClock));
         assert!(!rules_for_path("crates/mb-bench/src/bin/fig11.rs").contains(&RuleId::NoAdhocClock));
         assert!(rules_for_path("examples/quickstart.rs").contains(&RuleId::NoAdhocClock));
+        // mb-serve's shell reads the clock; the state machine takes time as
+        // input, and the rest of the crate has no use for a clock.
+        assert!(!rules_for_path("crates/mb-serve/src/server.rs").contains(&RuleId::NoAdhocClock));
+        for path in [
+            "crates/mb-serve/src/state.rs",
+            "crates/mb-serve/src/wire.rs",
+            "crates/mb-serve/src/bin/mb_serve.rs",
+        ] {
+            assert!(rules_for_path(path).contains(&RuleId::NoAdhocClock), "{path}");
+        }
         assert!(rules_for_path("crates/mb-sketch/src/amc.rs").contains(&RuleId::HashmapOrderHazard));
         assert!(!rules_for_path("crates/mb-stats/src/matrix.rs")
             .contains(&RuleId::HashmapOrderHazard));
@@ -182,11 +192,9 @@ mod tests {
             .contains(&RuleId::NoUnwrapInExecutors));
         assert!(rules_for_path("crates/mb-ingest/src/csv.rs")
             .contains(&RuleId::NoUnwrapInExecutors));
-        assert!(rules_for_path("crates/mb-serve/src/cache.rs")
+        assert!(rules_for_path("crates/mb-serve/src/state.rs")
             .contains(&RuleId::NoUnwrapInExecutors));
         assert!(rules_for_path("crates/mb-stats/src/mcd.rs")
-            .contains(&RuleId::NoUnwrapInExecutors));
-        assert!(rules_for_path("crates/mb-serve/src/scheduler.rs")
             .contains(&RuleId::NoUnwrapInExecutors));
         assert!(rules_for_path("crates/core/src/wire.rs")
             .contains(&RuleId::NoUnwrapInExecutors));

@@ -19,7 +19,8 @@ pub enum RuleId {
     FloatTotalOrder,
     /// `std::thread::{spawn, scope, Builder}` outside `mb-pool`.
     NoAdhocThreads,
-    /// `Instant::now`/`SystemTime::now` outside mb-obs/mb-bench/mb-serve.
+    /// `Instant::now`/`SystemTime::now` outside mb-obs, mb-bench and
+    /// mb-serve's shell.
     NoAdhocClock,
     /// `unsafe` without an immediately preceding `// SAFETY:` comment.
     UnsafeNeedsSafetyComment,

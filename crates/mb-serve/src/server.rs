@@ -308,6 +308,7 @@ impl Server {
         };
         let session = MdpQuery::new(spec.analysis)
             .into_streaming(&options)
+            .map(Box::new)
             .map_err(|e| ServeError::Query(e.to_string()));
         self.call(Command::Open(id.to_string(), session)).map(drop)
     }

@@ -98,12 +98,12 @@ pub(crate) enum Command {
     /// Queue a retrain of the model a finished one-shot job used.
     Retrain(String),
     /// Open a streaming session, built (or refused) by the caller.
-    Open(String, Result<StreamingSession, ServeError>),
+    Open(String, Result<Box<StreamingSession>, ServeError>),
     /// Lend a session to the caller, who feeds or renders it.
     Lend(String),
     /// Give a lent session back (`None`: it unwound, so drop it), with the
     /// points a feed accepted.
-    Return(String, Option<StreamingSession>, Option<u64>),
+    Return(String, Option<Box<StreamingSession>>, Option<u64>),
     /// Expire sessions idle for at least the configured limit.
     Sweep,
     /// A worker asks for its next task.
@@ -125,7 +125,7 @@ pub(crate) enum Reply {
     /// Admitted, opened, queued, handed back or noted.
     Accepted,
     Closed(Closed),
-    Lent(StreamingSession),
+    Lent(Box<StreamingSession>),
     /// Sessions expired by a sweep.
     Expired(usize),
     /// The asking worker's next task.
@@ -162,7 +162,7 @@ enum Model {
 
 struct SessionEntry {
     /// `None` while lent out.
-    session: Option<StreamingSession>,
+    session: Option<Box<StreamingSession>>,
     last_used: Instant,
 }
 
@@ -340,7 +340,7 @@ impl State {
     fn open(
         &mut self,
         id: String,
-        session: Result<StreamingSession, ServeError>,
+        session: Result<Box<StreamingSession>, ServeError>,
         now: Instant,
     ) -> Result<Reply, ServeError> {
         self.sweep(now);
@@ -822,7 +822,7 @@ pub(crate) mod tests {
         let mut state = State::new(16, limit);
         let t0 = Instant::now();
         for (id, at) in [("old", t0), ("young", t0 + Duration::from_nanos(1))] {
-            let command = Command::Open(id.to_string(), Ok(session()));
+            let command = Command::Open(id.to_string(), Ok(Box::new(session())));
             assert!(matches!(
                 state.apply(command, at)[..],
                 [Effect::Reply(Ok(Reply::Accepted))]

@@ -78,8 +78,13 @@ mod tests {
             d.submit(id, None, priority).unwrap();
         }
         assert_eq!(d.state.stats().gauge("queue_depth"), Some(3.0));
+        // Queue wait is measured on the time each command carries.
+        d.now += std::time::Duration::from_millis(7);
         d.drain(0);
         assert_eq!(ran(&d), ["gate", "high", "normal", "low"]);
+        let waits = d.state.stats();
+        let waits = waits.histogram("queue_wait_ns").unwrap();
+        assert_eq!((waits.count(), waits.sum_ns()), (4, 3 * 7_000_000));
     }
 
     #[test]

@@ -239,7 +239,6 @@ impl Server {
         input: JobInput,
         priority: Priority,
     ) -> Result<(), ServeError> {
-        let id = id.to_string();
         let submit = Command::Submit(id.to_string(), priority, spec, input);
         self.call(submit).map(drop)
     }

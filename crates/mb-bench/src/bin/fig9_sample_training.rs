@@ -5,7 +5,7 @@
 //! (multivariate, MCD). Accuracy is agreement with the labels produced by a
 //! model trained on the full dataset.
 
-use mb_bench::{arg_usize, emit_json, timed};
+use mb_bench::{arg_usize, emit_json, fnv_words, timed};
 use mb_classify::batch::{BatchClassifier, BatchClassifierConfig};
 use mb_stats::mad::MadEstimator;
 use mb_stats::mcd::McdEstimator;
@@ -29,6 +29,12 @@ fn labels_for<E: Estimator + Clone>(
         result.iter().map(|c| c.label.is_outlier()).collect(),
         seconds,
     )
+}
+
+/// FNV-1a over the labels (one word per row, 1 for outlier): pins which
+/// rows a sample-trained model flags, not only how many agree.
+fn labels_fnv(labels: &[bool]) -> String {
+    fnv_words(labels.iter().map(|&outlier| u64::from(outlier)))
 }
 
 fn agreement(a: &[bool], b: &[bool]) -> f64 {
@@ -81,8 +87,10 @@ fn main() {
                 "sample_size": sample,
                 "ms_accuracy": mad_acc,
                 "ms_seconds": mad_time,
+                "ms_labels_fnv": labels_fnv(&mad_labels),
                 "mc_accuracy": mcd_acc,
                 "mc_seconds": mcd_time,
+                "mc_labels_fnv": labels_fnv(&mcd_labels),
             }),
         );
     }

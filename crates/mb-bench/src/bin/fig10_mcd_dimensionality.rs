@@ -20,14 +20,12 @@ fn main() {
     );
     for &dim in &[2usize, 4, 8, 16, 32, 64, 128] {
         let mut rng = SplitMix64::new(dim as u64);
-        let data: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..dim).map(|_| normal(&mut rng, 0.0, 1.0)).collect())
-            .collect();
+        let data: Vec<f64> = (0..n * dim).map(|_| normal(&mut rng, 0.0, 1.0)).collect();
         let ((est, scores), seconds) = timed(|| {
             let mut est = McdEstimator::with_defaults();
-            est.train(&data).expect("train failed");
+            est.train_flat(&data, dim).expect("train failed");
             let scores: Vec<f64> = data
-                .iter()
+                .chunks_exact(dim)
                 .map(|row| est.score(row).unwrap_or(0.0))
                 .collect();
             (est, scores)

@@ -19,17 +19,19 @@ fn mean_outlier_score<E: Estimator>(
     labels: &[bool],
     univariate: bool,
 ) -> f64 {
-    let sample: Vec<Vec<f64>> = if univariate {
-        points.iter().map(|p| vec![p[0]]).collect()
+    // The first metric alone for the univariate estimators, row-major.
+    let dim = if univariate {
+        1
     } else {
-        points.to_vec()
+        points.first().map_or(0, Vec::len)
     };
-    if estimator.train(&sample).is_err() {
+    let sample: Vec<f64> = points.iter().flat_map(|p| &p[..dim]).copied().collect();
+    if estimator.train_flat(&sample, dim).is_err() {
         return f64::NAN;
     }
     let mut total = 0.0;
     let mut count = 0usize;
-    for (p, &is_outlier) in sample.iter().zip(labels.iter()) {
+    for (p, &is_outlier) in sample.chunks_exact(dim).zip(labels.iter()) {
         if is_outlier {
             if let Ok(score) = estimator.score(p) {
                 total += score;

@@ -12,9 +12,13 @@ use mb_stats::mcd::McdEstimator;
 use mb_stats::rand_ext::{normal, SplitMix64};
 use mb_stats::Estimator;
 
+/// Labels for the row-major `metrics` (`dim` values per row) from a model
+/// trained on a sample of at most `sample_size` rows, and the wall time of
+/// training and scoring.
 fn labels_for<E: Estimator + Clone>(
     estimator: &E,
-    metrics: &[Vec<f64>],
+    metrics: &[f64],
+    dim: usize,
     sample_size: Option<usize>,
 ) -> (Vec<bool>, f64) {
     let mut classifier = BatchClassifier::new(
@@ -24,7 +28,11 @@ fn labels_for<E: Estimator + Clone>(
             training_sample_size: sample_size,
         },
     );
-    let (result, seconds) = timed(|| classifier.classify_batch(metrics).expect("classify failed"));
+    let (result, seconds) = timed(|| {
+        classifier
+            .classify_batch_flat(metrics, dim)
+            .expect("classify failed")
+    });
     (
         result.iter().map(|c| c.label.is_outlier()).collect(),
         seconds,
@@ -45,27 +53,19 @@ fn agreement(a: &[bool], b: &[bool]) -> f64 {
 fn main() {
     let n = arg_usize("--points", 200_000);
     let mut rng = SplitMix64::new(3);
-    let univariate: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            if i % 100 == 0 {
-                vec![normal(&mut rng, 70.0, 10.0)]
-            } else {
-                vec![normal(&mut rng, 10.0, 10.0)]
-            }
-        })
-        .collect();
-    let multivariate: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            if i % 100 == 0 {
-                (0..5).map(|_| normal(&mut rng, 70.0, 10.0)).collect()
-            } else {
-                (0..5).map(|_| normal(&mut rng, 10.0, 10.0)).collect()
-            }
+    // Every 100th row is drawn around 70 instead of 10.
+    let mean = |i: usize| if i % 100 == 0 { 70.0 } else { 10.0 };
+    let univariate: Vec<f64> = (0..n).map(|i| normal(&mut rng, mean(i), 10.0)).collect();
+    let multivariate: Vec<f64> = (0..n)
+        .flat_map(|i| {
+            (0..5)
+                .map(|_| normal(&mut rng, mean(i), 10.0))
+                .collect::<Vec<_>>()
         })
         .collect();
 
-    let (mad_full, _) = labels_for(&MadEstimator::new(), &univariate, None);
-    let (mcd_full, _) = labels_for(&McdEstimator::with_defaults(), &multivariate, None);
+    let (mad_full, _) = labels_for(&MadEstimator::new(), &univariate, 1, None);
+    let (mcd_full, _) = labels_for(&McdEstimator::with_defaults(), &multivariate, 5, None);
 
     println!("Figure 9: accuracy and training+scoring time vs sample size ({n} points)");
     println!(
@@ -73,9 +73,13 @@ fn main() {
         "sample", "MS acc", "MS time(s)", "MC acc", "MC time(s)"
     );
     for &sample in &[100usize, 1_000, 10_000, 100_000] {
-        let (mad_labels, mad_time) = labels_for(&MadEstimator::new(), &univariate, Some(sample));
-        let (mcd_labels, mcd_time) =
-            labels_for(&McdEstimator::with_defaults(), &multivariate, Some(sample));
+        let (mad_labels, mad_time) = labels_for(&MadEstimator::new(), &univariate, 1, Some(sample));
+        let (mcd_labels, mcd_time) = labels_for(
+            &McdEstimator::with_defaults(),
+            &multivariate,
+            5,
+            Some(sample),
+        );
         let mad_acc = agreement(&mad_labels, &mad_full);
         let mcd_acc = agreement(&mcd_labels, &mcd_full);
         println!(

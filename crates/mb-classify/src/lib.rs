@@ -25,13 +25,13 @@
 //! use mb_classify::batch::{BatchClassifier, BatchClassifierConfig};
 //! use mb_stats::mad::MadEstimator;
 //!
-//! let mut metrics: Vec<Vec<f64>> =
-//!     (0..100).map(|i| vec![10.0 + (i % 5) as f64]).collect();
-//! metrics.push(vec![500.0]); // one wild reading
+//! // One metric per point, so the row-major buffer is one value per row.
+//! let mut metrics: Vec<f64> = (0..100).map(|i| 10.0 + (i % 5) as f64).collect();
+//! metrics.push(500.0); // one wild reading
 //!
 //! let mut classifier =
 //!     BatchClassifier::new(MadEstimator::new(), BatchClassifierConfig::default());
-//! let labels = classifier.classify_batch(&metrics).unwrap();
+//! let labels = classifier.classify_batch_flat(&metrics, 1).unwrap();
 //! assert!(labels.last().unwrap().label.is_outlier());
 //! ```
 

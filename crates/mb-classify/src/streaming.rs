@@ -61,6 +61,9 @@ pub struct StreamingClassifier<E: Estimator> {
     estimator: E,
     config: StreamingClassifierConfig,
     input_reservoir: AdaptableDampedReservoir<Vec<f64>>,
+    /// The reservoir's sample as one row-major buffer, the layout
+    /// [`Estimator::train_flat`] reads; reused across retrains.
+    training_rows: Vec<f64>,
     threshold: StreamingPercentileThreshold,
     points_since_retrain: u64,
     total_points: u64,
@@ -87,6 +90,7 @@ impl<E: Estimator> StreamingClassifier<E> {
             estimator,
             config,
             input_reservoir,
+            training_rows: Vec::new(),
             threshold,
             points_since_retrain: 0,
             total_points: 0,
@@ -128,14 +132,21 @@ impl<E: Estimator> StreamingClassifier<E> {
         }
     }
 
-    /// Force a model retrain from the current input reservoir.
+    /// Force a model retrain from the current input reservoir. A sample the
+    /// estimator rejects (empty, non-finite, points of differing widths)
+    /// keeps the current model.
     pub fn retrain(&mut self) {
         self.points_since_retrain = 0;
         let sample = self.input_reservoir.sample();
-        if sample.is_empty() {
+        let Some(dim) = sample.first().map(Vec::len) else {
+            return;
+        };
+        if sample.iter().any(|row| row.len() != dim) {
             return;
         }
-        if self.estimator.train(sample).is_ok() {
+        self.training_rows.clear();
+        self.training_rows.extend(sample.iter().flatten());
+        if self.estimator.train_flat(&self.training_rows, dim).is_ok() {
             self.model_trained = true;
         }
     }
@@ -312,6 +323,23 @@ mod tests {
             c.observe(&[normal(&mut rng, 50.0, 1.0)]);
         }
         assert!(c.drift_detected(0.95));
+    }
+
+    #[test]
+    fn a_reservoir_of_mixed_widths_does_not_train() {
+        // Points of two widths have no row-major layout: a retrain over
+        // them must fail as the estimator rejects ragged rows, not train on
+        // the values re-cut at the first point's width.
+        let mut c = StreamingClassifier::new(McdEstimator::with_defaults(), test_config()).unwrap();
+        for i in 0..1_000 {
+            let x = (i % 13) as f64;
+            if i % 2 == 0 {
+                c.observe(&[x, x * 0.5]);
+            } else {
+                c.observe(&[x, x * 0.5, 1.0, 2.0]);
+            }
+        }
+        assert!(!c.is_trained());
     }
 
     #[test]

@@ -131,11 +131,11 @@ mod tests {
     fn agrees_with_mcd_score_and_identifies_anomalous_metric() {
         let mut rng = SplitMix64::new(99);
         // Two metrics: dimension 0 ~ N(0, 1), dimension 1 ~ N(50, 5).
-        let sample: Vec<Vec<f64>> = (0..1000)
-            .map(|_| vec![normal(&mut rng, 0.0, 1.0), normal(&mut rng, 50.0, 5.0)])
+        let sample: Vec<f64> = (0..1000)
+            .flat_map(|_| [normal(&mut rng, 0.0, 1.0), normal(&mut rng, 50.0, 5.0)])
             .collect();
         let mut est = McdEstimator::with_defaults();
-        est.train(&sample).unwrap();
+        est.train_flat(&sample, 2).unwrap();
 
         // A point anomalous only in dimension 1.
         let point = vec![0.1, 200.0];

@@ -109,76 +109,32 @@ pub type Result<T> = std::result::Result<T, StatsError>;
 /// [ADR](https://docs.rs/mb-sketch) reservoir) and then assigns each incoming
 /// point a non-negative *outlier score*; higher scores indicate points
 /// farther from the bulk of the distribution.
+///
+/// A sample or a batch is one row-major buffer: `dim` values per row, rows
+/// back to back. That is the only layout the estimators read, and the one
+/// the batch engines and the streaming classifier hold their metrics in.
 pub trait Estimator {
-    /// Fit the model to a sample of metric vectors.
+    /// Fit the model to a row-major sample of `dim`-length rows.
     ///
-    /// Every row of `sample` must have the same dimensionality. Returns an
-    /// error when the sample is empty, contains non-finite values, or is too
-    /// small/degenerate for the estimator.
-    fn train(&mut self, sample: &[Vec<f64>]) -> Result<()>;
+    /// Returns an error when the sample is empty, its length is not a
+    /// multiple of `dim`, it contains a non-finite value, or it is too
+    /// small or degenerate for the estimator. A failed fit leaves a
+    /// previously fitted model as it was.
+    fn train_flat(&mut self, flat: &[f64], dim: usize) -> Result<()>;
 
-    /// Fit the estimator on a contiguous row-major sample (`dim` values per
-    /// row) — the columnar counterpart of [`train`].
+    /// Score a single metric vector. Requires a prior successful
+    /// [`train_flat`].
     ///
-    /// The default materializes row vectors and delegates to [`train`];
-    /// every estimator in this crate overrides it to fit straight off the
-    /// flat buffer without per-row allocation. Must produce exactly the model
-    /// [`train`] would fit on the same rows.
-    ///
-    /// [`train`]: Estimator::train
-    fn train_flat(&mut self, flat: &[f64], dim: usize) -> Result<()> {
-        if dim == 0 {
-            return Err(StatsError::EmptyInput);
-        }
-        if flat.len() % dim != 0 {
-            return Err(StatsError::DimensionMismatch {
-                expected: dim,
-                actual: flat.len() % dim,
-            });
-        }
-        let rows: Vec<Vec<f64>> = flat.chunks_exact(dim).map(|row| row.to_vec()).collect();
-        self.train(&rows)
-    }
-
-    /// Score a single metric vector. Requires a prior successful [`train`].
-    ///
-    /// [`train`]: Estimator::train
+    /// [`train_flat`]: Estimator::train_flat
     fn score(&self, metrics: &[f64]) -> Result<f64>;
 
-    /// Score many metric vectors, returning one score per row in row order.
-    ///
-    /// The default loops over [`score`]; estimators with a cheaper or
-    /// parallel bulk path (e.g. MCD's pool-scattered Mahalanobis distance
-    /// pass) override it. Implementations must return exactly the scores
-    /// the row-by-row loop would, so callers can batch freely without
-    /// perturbing results.
+    /// Score a row-major batch of `dim`-length rows, returning one score per
+    /// row in row order: exactly what [`score`] returns for each row, so
+    /// callers can batch (and an estimator can scatter the pass on a pool)
+    /// without perturbing results.
     ///
     /// [`score`]: Estimator::score
-    fn score_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>> {
-        rows.iter().map(|row| self.score(row)).collect()
-    }
-
-    /// Score many metric vectors stored contiguously (row-major, `dim` values
-    /// per row), returning one score per row in row order.
-    ///
-    /// This is the columnar counterpart of [`score_batch`] used by the batch
-    /// pipeline, which keeps metrics in one flat buffer instead of a
-    /// `Vec<Vec<f64>>`. Must return exactly what scoring each `dim`-length
-    /// chunk individually would.
-    ///
-    /// [`score_batch`]: Estimator::score_batch
-    fn score_batch_flat(&self, flat: &[f64], dim: usize) -> Result<Vec<f64>> {
-        if dim == 0 {
-            return Err(StatsError::EmptyInput);
-        }
-        if flat.len() % dim != 0 {
-            return Err(StatsError::DimensionMismatch {
-                expected: dim,
-                actual: flat.len() % dim,
-            });
-        }
-        flat.chunks_exact(dim).map(|row| self.score(row)).collect()
-    }
+    fn score_batch_flat(&self, flat: &[f64], dim: usize) -> Result<Vec<f64>>;
 
     /// Dimensionality the model was trained on, if trained.
     fn dimension(&self) -> Option<usize>;
@@ -189,25 +145,23 @@ pub trait Estimator {
     }
 }
 
-/// Validate that a slice of metric rows is non-empty, rectangular, and finite.
-pub(crate) fn validate_sample(sample: &[Vec<f64>]) -> Result<usize> {
-    let first = sample.first().ok_or(StatsError::EmptyInput)?;
-    let dim = first.len();
-    if dim == 0 {
+/// Validate a row-major sample of `dim`-length rows: non-empty, a whole
+/// number of rows, and finite. Returns the row count. Every estimator's
+/// [`Estimator::train_flat`] starts here.
+pub(crate) fn validate_sample(flat: &[f64], dim: usize) -> Result<usize> {
+    if flat.is_empty() || dim == 0 {
         return Err(StatsError::EmptyInput);
     }
-    for row in sample {
-        if row.len() != dim {
-            return Err(StatsError::DimensionMismatch {
-                expected: dim,
-                actual: row.len(),
-            });
-        }
-        if row.iter().any(|v| !v.is_finite()) {
-            return Err(StatsError::NonFinite);
-        }
+    if flat.len() % dim != 0 {
+        return Err(StatsError::DimensionMismatch {
+            expected: dim,
+            actual: flat.len() % dim,
+        });
     }
-    Ok(dim)
+    if flat.iter().any(|v| !v.is_finite()) {
+        return Err(StatsError::NonFinite);
+    }
+    Ok(flat.len() / dim)
 }
 
 #[cfg(test)]
@@ -216,29 +170,31 @@ mod tests {
 
     #[test]
     fn validate_sample_rejects_empty() {
-        assert_eq!(validate_sample(&[]), Err(StatsError::EmptyInput));
-        assert_eq!(validate_sample(&[vec![]]), Err(StatsError::EmptyInput));
+        assert_eq!(validate_sample(&[], 2), Err(StatsError::EmptyInput));
+        assert_eq!(validate_sample(&[1.0], 0), Err(StatsError::EmptyInput));
     }
 
     #[test]
     fn validate_sample_rejects_ragged() {
-        let sample = vec![vec![1.0, 2.0], vec![3.0]];
-        assert!(matches!(
-            validate_sample(&sample),
-            Err(StatsError::DimensionMismatch { .. })
-        ));
+        // Five values are not a whole number of two-wide rows.
+        assert_eq!(
+            validate_sample(&[1.0, 2.0, 3.0, 4.0, 5.0], 2),
+            Err(StatsError::DimensionMismatch {
+                expected: 2,
+                actual: 1
+            })
+        );
     }
 
     #[test]
     fn validate_sample_rejects_nan() {
-        let sample = vec![vec![1.0, f64::NAN]];
-        assert_eq!(validate_sample(&sample), Err(StatsError::NonFinite));
+        assert_eq!(validate_sample(&[1.0, f64::NAN], 2), Err(StatsError::NonFinite));
+        assert_eq!(validate_sample(&[f64::INFINITY], 1), Err(StatsError::NonFinite));
     }
 
     #[test]
     fn validate_sample_accepts_rectangular() {
-        let sample = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        assert_eq!(validate_sample(&sample), Ok(2));
+        assert_eq!(validate_sample(&[1.0, 2.0, 3.0, 4.0], 2), Ok(2));
     }
 
     #[test]

@@ -32,7 +32,8 @@ impl MadEstimator {
         Self::default()
     }
 
-    /// Fit directly from a univariate slice (convenience over [`Estimator::train`]).
+    /// Fit directly from a univariate slice (what [`Estimator::train_flat`]
+    /// runs on a one-wide sample).
     pub fn train_univariate(&mut self, sample: &[f64]) -> Result<()> {
         if sample.is_empty() {
             return Err(StatsError::EmptyInput);
@@ -64,28 +65,10 @@ impl MadEstimator {
 }
 
 impl Estimator for MadEstimator {
-    fn train(&mut self, sample: &[Vec<f64>]) -> Result<()> {
-        let dim = crate::validate_sample(sample)?;
-        if dim != 1 {
-            return Err(StatsError::DimensionMismatch {
-                expected: 1,
-                actual: dim,
-            });
-        }
-        let values: Vec<f64> = sample.iter().map(|row| row[0]).collect();
-        self.train_univariate(&values)
-    }
-
-    // Univariate: a flat dim-1 buffer IS the value column — fit on it
-    // directly, skipping the default's per-row materialization. Error
-    // precedence matches the row path (finiteness before dimension).
+    // Univariate: a flat dim-1 buffer is the value column, so the fit reads
+    // it in place.
     fn train_flat(&mut self, flat: &[f64], dim: usize) -> Result<()> {
-        if flat.is_empty() || dim == 0 {
-            return Err(StatsError::EmptyInput);
-        }
-        if flat.iter().any(|v| !v.is_finite()) {
-            return Err(StatsError::NonFinite);
-        }
+        crate::validate_sample(flat, dim)?;
         if dim != 1 {
             return Err(StatsError::DimensionMismatch {
                 expected: 1,
@@ -188,9 +171,8 @@ mod tests {
     #[test]
     fn estimator_trait_enforces_univariate() {
         let mut est = MadEstimator::new();
-        let sample = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
         assert!(matches!(
-            est.train(&sample),
+            est.train_flat(&[1.0, 2.0, 3.0, 4.0], 2),
             Err(StatsError::DimensionMismatch { .. })
         ));
     }
@@ -198,8 +180,8 @@ mod tests {
     #[test]
     fn estimator_trait_round_trip() {
         let mut est = MadEstimator::new();
-        let sample: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64]).collect();
-        est.train(&sample).unwrap();
+        let sample: Vec<f64> = (0..100).map(|i| i as f64).collect();
+        est.train_flat(&sample, 1).unwrap();
         assert_eq!(est.dimension(), Some(1));
         assert!(est.score(&[50.0]).unwrap() < est.score(&[500.0]).unwrap());
         assert!(matches!(

@@ -47,30 +47,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Create a matrix from nested row slices.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
-        let nrows = rows.len();
-        if nrows == 0 {
-            return Err(StatsError::EmptyInput);
-        }
-        let ncols = rows[0].len();
-        let mut data = Vec::with_capacity(nrows * ncols);
-        for row in rows {
-            if row.len() != ncols {
-                return Err(StatsError::DimensionMismatch {
-                    expected: ncols,
-                    actual: row.len(),
-                });
-            }
-            data.extend_from_slice(row);
-        }
-        Ok(Matrix {
-            rows: nrows,
-            cols: ncols,
-            data,
-        })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -665,8 +641,8 @@ where
 /// products, each summed by [`chunked_sum`] — so a large subset (FastMCD
 /// re-fits half the sample on every full-sample C-step) uses the whole
 /// pool, and the bits do not depend on how many threads that is. The one
-/// covariance loop in the crate: row vectors, an index list into them and
-/// an index list into a flat row-major buffer all pass through here.
+/// covariance loop in the crate: FastMCD fits every subset through it, an
+/// index list into the row-major sample.
 ///
 /// Rows are *not* scanned for non-finite values; a NaN row yields a NaN
 /// covariance, which the factorization routines reject as
@@ -731,64 +707,6 @@ where
     Ok((means, cov))
 }
 
-/// Compute the column-wise mean of a set of equal-length rows.
-pub fn column_means(rows: &[Vec<f64>]) -> Result<Vec<f64>> {
-    let dim = crate::validate_sample(rows)?;
-    let mut means = vec![0.0; dim];
-    for row in rows {
-        for (m, v) in means.iter_mut().zip(row.iter()) {
-            *m += v;
-        }
-    }
-    let n = rows.len() as f64;
-    means.iter_mut().for_each(|m| *m /= n);
-    Ok(means)
-}
-
-/// Sample covariance matrix (dividing by `n - 1`) of a set of rows.
-///
-/// Returns `(mean, covariance)`.
-pub fn covariance_matrix(rows: &[Vec<f64>]) -> Result<(Vec<f64>, Matrix)> {
-    let dim = crate::validate_sample(rows)?;
-    covariance_of_rows(mb_pool::global(), dim, rows.len(), |k| rows[k].as_slice())
-}
-
-/// Sample mean and covariance of the rows of `sample` selected by
-/// `indices`, visited in `indices` order — the arithmetic (and therefore
-/// the bits) matches materializing the selected rows and calling
-/// [`covariance_matrix`], without cloning a single row.
-///
-/// Indices are bounds-checked and the selected rows length-checked
-/// (typed errors, no panics). Unlike [`covariance_matrix`], rows are *not*
-/// re-scanned for non-finite values; a NaN row yields a NaN covariance,
-/// which the factorization routines reject as [`StatsError::NonFinite`].
-pub fn covariance_of_indices(
-    sample: &[Vec<f64>],
-    indices: &[usize],
-) -> Result<(Vec<f64>, Matrix)> {
-    let dim = sample
-        .first()
-        .map(|row| row.len())
-        .ok_or(StatsError::EmptyInput)?;
-    for &idx in indices {
-        let row = sample.get(idx).ok_or_else(|| {
-            StatsError::InvalidParameter(format!(
-                "row index {idx} out of bounds for sample of {} rows",
-                sample.len()
-            ))
-        })?;
-        if row.len() != dim {
-            return Err(StatsError::DimensionMismatch {
-                expected: dim,
-                actual: row.len(),
-            });
-        }
-    }
-    covariance_of_rows(mb_pool::global(), dim, indices.len(), |k| {
-        sample[indices[k]].as_slice()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -796,6 +714,13 @@ mod tests {
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} vs {b} (tol {tol})");
+    }
+
+    /// Mean and covariance of a row-major sample of `dim`-length rows.
+    fn covariance(flat: &[f64], dim: usize) -> Result<(Vec<f64>, Matrix)> {
+        covariance_of_rows(mb_pool::global(), dim, flat.len() / dim, |k| {
+            &flat[k * dim..(k + 1) * dim]
+        })
     }
 
     #[test]
@@ -900,13 +825,8 @@ mod tests {
 
     #[test]
     fn covariance_of_known_sample() {
-        let rows = vec![
-            vec![2.0, 8.0],
-            vec![4.0, 10.0],
-            vec![6.0, 12.0],
-            vec![8.0, 14.0],
-        ];
-        let (means, cov) = covariance_matrix(&rows).unwrap();
+        let rows = [2.0, 8.0, 4.0, 10.0, 6.0, 12.0, 8.0, 14.0];
+        let (means, cov) = covariance(&rows, 2).unwrap();
         assert_close(means[0], 5.0, 1e-12);
         assert_close(means[1], 11.0, 1e-12);
         // Perfectly correlated with variance 20/3 each (sample variance).
@@ -919,7 +839,7 @@ mod tests {
     #[test]
     fn covariance_requires_two_rows() {
         assert!(matches!(
-            covariance_matrix(&[vec![1.0, 2.0]]),
+            covariance(&[1.0, 2.0], 2),
             Err(StatsError::InsufficientData { .. })
         ));
     }
@@ -1056,38 +976,6 @@ mod tests {
     }
 
     #[test]
-    fn covariance_of_indices_matches_materialized_covariance() {
-        let sample = vec![
-            vec![2.0, 8.0],
-            vec![4.0, 10.0],
-            vec![6.0, 12.0],
-            vec![8.0, 14.0],
-            vec![1.0, -3.0],
-        ];
-        let indices = [3usize, 0, 4, 2];
-        let rows: Vec<Vec<f64>> = indices.iter().map(|&i| sample[i].clone()).collect();
-        let (mean_ref, cov_ref) = covariance_matrix(&rows).unwrap();
-        let (mean, cov) = covariance_of_indices(&sample, &indices).unwrap();
-        assert_eq!(mean, mean_ref);
-        assert_eq!(cov, cov_ref);
-        assert!(matches!(
-            covariance_of_indices(&sample, &[0]),
-            Err(StatsError::InsufficientData { .. })
-        ));
-        // Out-of-range indices and ragged selected rows are typed errors,
-        // not panics.
-        assert!(matches!(
-            covariance_of_indices(&sample, &[0, 99]),
-            Err(StatsError::InvalidParameter(_))
-        ));
-        let ragged = vec![vec![1.0, 2.0], vec![3.0]];
-        assert!(matches!(
-            covariance_of_indices(&ragged, &[0, 1]),
-            Err(StatsError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn covariance_products_are_the_row_at_a_time_sums_bit_for_bit() {
         // The sums a row-at-a-time loop makes: per fixed chunk, each row's
         // centered products added into the upper triangle, chunks merged
@@ -1191,8 +1079,8 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 ((state >> 33) as f64 / (1u64 << 31) as f64) * 10.0
             };
-            let rows: Vec<Vec<f64>> = (0..nrows).map(|_| vec![next(), next(), next()]).collect();
-            let (_, cov) = covariance_matrix(&rows).unwrap();
+            let rows: Vec<f64> = (0..nrows * 3).map(|_| next()).collect();
+            let (_, cov) = covariance(&rows, 3).unwrap();
             for i in 0..3 {
                 prop_assert!(cov[(i, i)] >= -1e-9);
                 for j in 0..3 {

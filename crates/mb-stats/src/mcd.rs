@@ -33,8 +33,8 @@
 //!   rows on the pool). It scores four rows per step, one per lane, and each
 //!   lane keeps the row-at-a-time operation order, so a distance has the
 //!   same bits whichever rows share its step. Scoring
-//!   ([`Estimator::score_batch_flat`], [`McdEstimator::squared_mahalanobis`]
-//!   and its batch) runs the same kernel.
+//!   ([`Estimator::score_batch_flat`] and
+//!   [`McdEstimator::squared_mahalanobis`]) runs the same kernel.
 //! - **The selection** maps each `d²` to a `u64` whose integer order is
 //!   `f64::total_cmp`'s and runs `select_nth_unstable` on those keys — O(n),
 //!   not a sort. The row-order walk takes every row keyed below the cut,
@@ -50,9 +50,8 @@
 //! FastMCD's exact criterion — when a step selects the subset the previous
 //! step selected, a fixed point.
 //!
-//! Everything reads the sample as one row-major `&[f64]`
-//! ([`Estimator::train_flat`] is the native entry; [`Estimator::train`]
-//! flattens once). Per-row arithmetic, the subsample, the selection, the
+//! Everything reads the sample as one row-major `&[f64]`, the only layout
+//! [`Estimator::train_flat`] takes. Per-row arithmetic, the subsample, the selection, the
 //! covariance chunking and the ranking are all independent of the schedule,
 //! so a fit is a pure function of `(rows, config)`: bit-identical at any
 //! thread count and pool size.
@@ -96,8 +95,7 @@ impl<'a> Rows<'a> {
 
 /// Squared Mahalanobis distances under `(mean, inv)` of the rows
 /// `row_at(first..first + out.len())`, into `out`: the one distance kernel,
-/// behind the C-step pass, [`Estimator::score_batch_flat`],
-/// [`McdEstimator::squared_mahalanobis_batch`] and
+/// behind the C-step pass, [`Estimator::score_batch_flat`] and
 /// [`McdEstimator::squared_mahalanobis`].
 ///
 /// It scores [`LANES`] rows per step, each in a lane of its own that keeps
@@ -524,80 +522,31 @@ impl McdEstimator {
         Ok(())
     }
 
-    /// [`Estimator::train`] on an explicit pool instead of the process-wide
-    /// one. Starts scatter as pool tasks and the full-sample distance
-    /// passes fan out on the same pool; the merge is by lowest covariance
-    /// log-determinant with ties broken by start index, so the fit is a
-    /// pure function of `(sample, config)` — bit-identical at any thread
-    /// count, including `Pool::new(1)`.
+    /// [`Estimator::train_flat`] on an explicit pool instead of the
+    /// process-wide one. Starts scatter as pool tasks and the full-sample
+    /// distance passes fan out on the same pool; the merge is by lowest
+    /// covariance log-determinant with ties broken by start index, so the
+    /// fit is a pure function of `(sample, config)` — bit-identical at any
+    /// thread count, including `Pool::new(1)`.
     ///
     /// A failed start (degenerate beyond ridging, NaN distances) is
     /// skipped, and so is a finalist that fails on the full sample;
     /// training errors only when nothing survives.
-    pub fn train_on_pool(&mut self, pool: &Pool, sample: &[Vec<f64>]) -> Result<()> {
-        let dim = crate::validate_sample(sample)?;
-        let flat: Vec<f64> = sample.iter().flatten().copied().collect();
-        self.fit(pool, Rows { flat: &flat, dim })
-    }
-
-    /// Squared Mahalanobis distances of every row of `rows` from the fitted
-    /// distribution, computed in parallel on the shared pool — the same
-    /// pass a C-step performs during training, exposed for batch scoring
-    /// and the hot-path micro-benchmarks.
-    pub fn squared_mahalanobis_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>> {
-        let inv = self
-            .inverse_covariance
-            .as_ref()
-            .ok_or(StatsError::NotTrained)?;
-        if let Some(row) = rows.iter().find(|row| row.len() != self.mean.len()) {
-            return Err(StatsError::DimensionMismatch {
-                expected: self.mean.len(),
-                actual: row.len(),
-            });
-        }
-        let mut distances = vec![0.0; rows.len()];
-        let row_at = |i: usize| rows[i].as_slice();
-        distance_pass(mb_pool::global(), &self.mean, inv, row_at, &mut distances);
-        distances.iter_mut().for_each(|d2| *d2 = d2.max(0.0));
-        Ok(distances)
+    pub fn train_on_pool(&mut self, pool: &Pool, flat: &[f64], dim: usize) -> Result<()> {
+        crate::validate_sample(flat, dim)?;
+        self.fit(pool, Rows { flat, dim })
     }
 }
 
 impl Estimator for McdEstimator {
-    fn train(&mut self, sample: &[Vec<f64>]) -> Result<()> {
-        self.train_on_pool(mb_pool::global(), sample)
-    }
-
-    // The native fit: every pass of training indexes the row-major buffer
-    // in place, so the columnar pipeline trains without a `Vec` per row.
+    // Every pass of training indexes the row-major buffer in place: no
+    // `Vec` per row.
     fn train_flat(&mut self, flat: &[f64], dim: usize) -> Result<()> {
-        if dim == 0 || flat.is_empty() {
-            return Err(StatsError::EmptyInput);
-        }
-        if flat.len() % dim != 0 {
-            return Err(StatsError::DimensionMismatch {
-                expected: dim,
-                actual: flat.len() % dim,
-            });
-        }
-        if flat.iter().any(|v| !v.is_finite()) {
-            return Err(StatsError::NonFinite);
-        }
-        self.fit(mb_pool::global(), Rows { flat, dim })
+        self.train_on_pool(mb_pool::global(), flat, dim)
     }
 
     fn score(&self, metrics: &[f64]) -> Result<f64> {
         self.mahalanobis(metrics)
-    }
-
-    fn score_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>> {
-        // The parallel distance pass, then the same clamp-and-sqrt as
-        // `score` — bit-identical to scoring row by row.
-        Ok(self
-            .squared_mahalanobis_batch(rows)?
-            .into_iter()
-            .map(f64::sqrt)
-            .collect())
     }
 
     fn score_batch_flat(&self, flat: &[f64], dim: usize) -> Result<Vec<f64>> {
@@ -635,19 +584,11 @@ mod tests {
     use super::*;
     use crate::rand_ext::{normal, SplitMix64};
 
-    fn gaussian_cloud(
-        rng: &mut SplitMix64,
-        n: usize,
-        center: &[f64],
-        std_dev: f64,
-    ) -> Vec<Vec<f64>> {
+    /// `n` rows around `center`, row-major.
+    fn gaussian_cloud(rng: &mut SplitMix64, n: usize, center: &[f64], std_dev: f64) -> Vec<f64> {
         (0..n)
-            .map(|_| center.iter().map(|&c| normal(rng, c, std_dev)).collect())
+            .flat_map(|_| center.iter().map(|&c| normal(rng, c, std_dev)).collect::<Vec<_>>())
             .collect()
-    }
-
-    fn flatten(sample: &[Vec<f64>]) -> Vec<f64> {
-        sample.iter().flatten().copied().collect()
     }
 
     /// The row-at-a-time distance the lane-wise kernel must reproduce bit
@@ -721,7 +662,7 @@ mod tests {
     fn insufficient_data_is_rejected() {
         let mut est = McdEstimator::with_defaults();
         assert!(matches!(
-            est.train(&[vec![1.0, 2.0], vec![3.0, 4.0]]),
+            est.train_flat(&[1.0, 2.0, 3.0, 4.0], 2),
             Err(StatsError::InsufficientData { .. })
         ));
     }
@@ -736,7 +677,7 @@ mod tests {
         let mut rng = SplitMix64::new(1);
         let sample = gaussian_cloud(&mut rng, 100, &[0.0, 0.0], 1.0);
         assert!(matches!(
-            est.train(&sample),
+            est.train_flat(&sample, 2),
             Err(StatsError::InvalidParameter(_))
         ));
     }
@@ -746,7 +687,7 @@ mod tests {
         let mut rng = SplitMix64::new(11);
         let sample = gaussian_cloud(&mut rng, 2000, &[5.0, -3.0], 2.0);
         let mut est = McdEstimator::with_defaults();
-        est.train(&sample).unwrap();
+        est.train_flat(&sample, 2).unwrap();
         let loc = est.location().unwrap();
         assert!((loc[0] - 5.0).abs() < 0.5, "location[0] = {}", loc[0]);
         assert!((loc[1] + 3.0).abs() < 0.5, "location[1] = {}", loc[1]);
@@ -757,7 +698,7 @@ mod tests {
         let mut rng = SplitMix64::new(21);
         let sample = gaussian_cloud(&mut rng, 1000, &[0.0, 0.0, 0.0], 1.0);
         let mut est = McdEstimator::with_defaults();
-        est.train(&sample).unwrap();
+        est.train_flat(&sample, 3).unwrap();
         let inlier_score = est.score(&[0.5, -0.5, 0.2]).unwrap();
         let outlier_score = est.score(&[20.0, 20.0, 20.0]).unwrap();
         assert!(outlier_score > 10.0 * inlier_score);
@@ -773,7 +714,7 @@ mod tests {
             let mut sample = gaussian_cloud(&mut rng, n * 6 / 10, &[0.0, 0.0], 1.0);
             sample.extend(gaussian_cloud(&mut rng, n * 4 / 10, &[1000.0, 1000.0], 1.0));
             let mut est = McdEstimator::with_defaults();
-            est.train(&sample).unwrap();
+            est.train_flat(&sample, 2).unwrap();
             let loc = est.location().unwrap();
             assert!(loc[0].abs() < 5.0, "{n} rows: location dragged to {loc:?}");
             assert!(loc[1].abs() < 5.0, "{n} rows: location dragged to {loc:?}");
@@ -787,7 +728,7 @@ mod tests {
         let mut rng = SplitMix64::new(41);
         let sample = gaussian_cloud(&mut rng, 500, &[2.0, 2.0], 1.0);
         let mut est = McdEstimator::with_defaults();
-        est.train(&sample).unwrap();
+        est.train_flat(&sample, 2).unwrap();
         let loc: Vec<f64> = est.location().unwrap().to_vec();
         assert!(est.score(&loc).unwrap() < 1e-6);
     }
@@ -797,12 +738,10 @@ mod tests {
         let mut rng = SplitMix64::new(61);
         let sample = gaussian_cloud(&mut rng, 400, &[1.0, -2.0, 0.5], 1.5);
         let mut est = McdEstimator::with_defaults();
-        est.train(&sample).unwrap();
-        let queries = gaussian_cloud(&mut rng, 257, &[0.0, 0.0, 0.0], 3.0);
-        let flat: Vec<f64> = queries.iter().flatten().copied().collect();
+        est.train_flat(&sample, 3).unwrap();
+        let flat = gaussian_cloud(&mut rng, 257, &[0.0, 0.0, 0.0], 3.0);
         let flat_scores = est.score_batch_flat(&flat, 3).unwrap();
-        assert_eq!(est.score_batch(&queries).unwrap(), flat_scores);
-        let serial: Vec<f64> = queries.iter().map(|q| est.score(q).unwrap()).collect();
+        let serial: Vec<f64> = flat.chunks_exact(3).map(|q| est.score(q).unwrap()).collect();
         assert_eq!(serial, flat_scores);
         assert!(matches!(
             est.score_batch_flat(&flat, 4),
@@ -815,7 +754,7 @@ mod tests {
         let mut rng = SplitMix64::new(51);
         let sample = gaussian_cloud(&mut rng, 100, &[0.0, 0.0], 1.0);
         let mut est = McdEstimator::with_defaults();
-        est.train(&sample).unwrap();
+        est.train_flat(&sample, 2).unwrap();
         assert!(matches!(
             est.score(&[1.0, 2.0, 3.0]),
             Err(StatsError::DimensionMismatch { .. })
@@ -826,11 +765,11 @@ mod tests {
     fn handles_degenerate_dimension_via_regularization() {
         // Third dimension is constant -> covariance singular without ridging.
         let mut rng = SplitMix64::new(61);
-        let sample: Vec<Vec<f64>> = (0..500)
-            .map(|_| vec![normal(&mut rng, 0.0, 1.0), normal(&mut rng, 0.0, 1.0), 7.0])
+        let sample: Vec<f64> = (0..500)
+            .flat_map(|_| [normal(&mut rng, 0.0, 1.0), normal(&mut rng, 0.0, 1.0), 7.0])
             .collect();
         let mut est = McdEstimator::with_defaults();
-        est.train(&sample).unwrap();
+        est.train_flat(&sample, 3).unwrap();
         assert!(est.score(&[0.0, 0.0, 7.0]).unwrap().is_finite());
         assert!(est.score(&[10.0, 10.0, 7.0]).unwrap() > 1.0);
     }
@@ -841,8 +780,8 @@ mod tests {
         let sample = gaussian_cloud(&mut rng, 300, &[1.0, 2.0], 1.5);
         let mut a = McdEstimator::with_defaults();
         let mut b = McdEstimator::with_defaults();
-        a.train(&sample).unwrap();
-        b.train(&sample).unwrap();
+        a.train_flat(&sample, 2).unwrap();
+        b.train_flat(&sample, 2).unwrap();
         assert_eq!(a.location().unwrap(), b.location().unwrap());
         assert_eq!(
             a.score(&[3.0, 3.0]).unwrap(),
@@ -857,12 +796,12 @@ mod tests {
         let mut rng = SplitMix64::new(91);
         let sample = gaussian_cloud(&mut rng, 1_000, &[1.0, -1.0, 0.5], 1.0);
         let mut est = McdEstimator::with_defaults();
-        est.train(&sample).unwrap();
+        est.train_flat(&sample, 3).unwrap();
         let rows = gaussian_cloud(&mut rng, 10_000, &[1.0, -1.0, 0.5], 3.0);
-        let batch = est.squared_mahalanobis_batch(&rows).unwrap();
-        assert_eq!(batch.len(), rows.len());
-        for (row, &d2) in rows.iter().zip(batch.iter()) {
-            assert_eq!(d2, est.squared_mahalanobis(row).unwrap());
+        let batch = est.score_batch_flat(&rows, 3).unwrap();
+        assert_eq!(batch.len(), 10_000);
+        for (row, &score) in rows.chunks_exact(3).zip(batch.iter()) {
+            assert_eq!(score, est.squared_mahalanobis(row).unwrap().sqrt());
         }
     }
 
@@ -870,17 +809,27 @@ mod tests {
     fn batch_distances_validate_training_and_dimensions() {
         let untrained = McdEstimator::with_defaults();
         assert_eq!(
-            untrained.squared_mahalanobis_batch(&[vec![0.0]]),
+            untrained.score_batch_flat(&[0.0], 1),
             Err(StatsError::NotTrained)
         );
         let mut rng = SplitMix64::new(92);
         let sample = gaussian_cloud(&mut rng, 200, &[0.0, 0.0], 1.0);
         let mut est = McdEstimator::with_defaults();
-        est.train(&sample).unwrap();
-        assert!(matches!(
-            est.squared_mahalanobis_batch(&[vec![1.0, 2.0, 3.0]]),
-            Err(StatsError::DimensionMismatch { .. })
-        ));
+        est.train_flat(&sample, 2).unwrap();
+        assert_eq!(
+            est.score_batch_flat(&[1.0, 2.0, 3.0], 3),
+            Err(StatsError::DimensionMismatch {
+                expected: 2,
+                actual: 3
+            })
+        );
+        assert_eq!(
+            est.score_batch_flat(&[1.0, 2.0, 3.0], 2),
+            Err(StatsError::DimensionMismatch {
+                expected: 2,
+                actual: 1
+            })
+        );
     }
 
     #[test]
@@ -892,8 +841,8 @@ mod tests {
         let sample = gaussian_cloud(&mut rng, 6_000, &[3.0, -2.0], 1.5);
         let mut a = McdEstimator::with_defaults();
         let mut b = McdEstimator::with_defaults();
-        a.train(&sample).unwrap();
-        b.train(&sample).unwrap();
+        a.train_flat(&sample, 2).unwrap();
+        b.train_flat(&sample, 2).unwrap();
         assert_eq!(a.location().unwrap(), b.location().unwrap());
         assert_eq!(a.score(&[5.0, 5.0]).unwrap(), b.score(&[5.0, 5.0]).unwrap());
     }
@@ -906,11 +855,11 @@ mod tests {
         // flat. With the scale-relative threshold the fit is correct and a
         // 10-sigma point scores like one.
         let mut rng = SplitMix64::new(101);
-        let sample: Vec<Vec<f64>> = (0..500)
-            .map(|_| vec![normal(&mut rng, 0.0, 1e-7), normal(&mut rng, 0.0, 1e-7)])
+        let sample: Vec<f64> = (0..500)
+            .flat_map(|_| [normal(&mut rng, 0.0, 1e-7), normal(&mut rng, 0.0, 1e-7)])
             .collect();
         let mut est = McdEstimator::with_defaults();
-        est.train(&sample).unwrap();
+        est.train_flat(&sample, 2).unwrap();
         let center: Vec<f64> = est.location().unwrap().to_vec();
         assert!(est.score(&center).unwrap() < 1e-3);
         let ten_sigma = est.score(&[1e-6, -1e-6]).unwrap();
@@ -974,10 +923,9 @@ mod tests {
                     }
                     let mean: Vec<f64> = (0..dim).map(|_| edgy_value(&mut rng)).collect();
                     let flat: Vec<f64> = (0..n * dim).map(|_| edgy_value(&mut rng)).collect();
-                    let rows: Vec<Vec<f64>> = flat.chunks_exact(dim).map(<[f64]>::to_vec).collect();
                     let mut centered = vec![0.0; dim];
-                    let oracle: Vec<u64> = rows
-                        .iter()
+                    let oracle: Vec<u64> = flat
+                        .chunks_exact(dim)
                         .map(|row| squared_distance(&inv, &mean, row, &mut centered).to_bits())
                         .collect();
                     let clamped: Vec<u64> = oracle
@@ -993,11 +941,8 @@ mod tests {
                     assert_eq!(pass, oracle, "C-step pass, {label}");
 
                     let est = fitted(mean.clone(), inv.clone());
-                    let batch = est.squared_mahalanobis_batch(&rows).unwrap();
-                    let batch: Vec<u64> = batch.iter().map(|d2| d2.to_bits()).collect();
-                    assert_eq!(batch, clamped, "squared_mahalanobis_batch, {label}");
-                    let single: Vec<u64> = rows
-                        .iter()
+                    let single: Vec<u64> = flat
+                        .chunks_exact(dim)
                         .map(|row| est.squared_mahalanobis(row).unwrap().to_bits())
                         .collect();
                     assert_eq!(single, clamped, "squared_mahalanobis, {label}");
@@ -1095,7 +1040,7 @@ mod tests {
         let mut sample = gaussian_cloud(&mut rng, 120, &[0.0], 1.0);
         for i in 0..80 {
             let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
-            sample.push(vec![sign * 1e160]);
+            sample.push(sign * 1e160);
         }
         let config = FastMcdConfig {
             num_starts: 8,
@@ -1104,8 +1049,10 @@ mod tests {
         // Pin the mixed outcome this sample is built to produce: some
         // starts fail (their elemental subset hits an overflow point),
         // some succeed — exercising the skip-and-rank path for real.
-        let flat = flatten(&sample);
-        let rows = Rows { flat: &flat, dim: 1 };
+        let rows = Rows {
+            flat: &sample,
+            dim: 1,
+        };
         let pool = mb_pool::Pool::new(2);
         let outcomes: Vec<bool> = (0..config.num_starts)
             .map(|start| McdEstimator::run_start(&config, &pool, rows, start).is_ok())
@@ -1115,7 +1062,7 @@ mod tests {
             "sample should produce both failed and successful starts, got {outcomes:?}"
         );
         let mut est = McdEstimator::new(config);
-        est.train(&sample).unwrap();
+        est.train_flat(&sample, 1).unwrap();
         let loc = est.location().unwrap();
         assert!(loc[0].abs() < 2.0, "location dragged to {loc:?}");
     }
@@ -1126,7 +1073,7 @@ mod tests {
         // full-sample distance pass is all NaN and its polish fails; the
         // next-ranked one must be polished and returned instead.
         let mut rng = SplitMix64::new(79);
-        let flat = flatten(&gaussian_cloud(&mut rng, 400, &[3.0, -1.0], 1.0));
+        let flat = gaussian_cloud(&mut rng, 400, &[3.0, -1.0], 1.0);
         let rows = Rows { flat: &flat, dim: 2 };
         let config = FastMcdConfig::default();
         let pool = mb_pool::Pool::new(1);
@@ -1158,9 +1105,9 @@ mod tests {
         // Every pair of these points is ~1e160 apart, so every subset's
         // covariance overflows to infinity, every restart fails, and the
         // first restart error is surfaced.
-        let sample: Vec<Vec<f64>> = (0..40).map(|i| vec![(i + 1) as f64 * 1e160]).collect();
+        let sample: Vec<f64> = (0..40).map(|i| (i + 1) as f64 * 1e160).collect();
         let mut est = McdEstimator::with_defaults();
-        assert_eq!(est.train(&sample), Err(StatsError::SingularMatrix));
+        assert_eq!(est.train_flat(&sample, 1), Err(StatsError::SingularMatrix));
         assert!(!est.is_trained());
     }
 
@@ -1169,10 +1116,11 @@ mod tests {
         let mut rng = SplitMix64::new(83);
         let sample = gaussian_cloud(&mut rng, 800, &[0.0, 1.0], 1.0);
         let mut est = McdEstimator::with_defaults();
-        est.train(&sample).unwrap();
+        est.train_flat(&sample, 2).unwrap();
         let rows = gaussian_cloud(&mut rng, 3_000, &[0.0, 1.0], 2.0);
-        let batch = est.score_batch(&rows).unwrap();
-        for (row, &s) in rows.iter().zip(batch.iter()) {
+        let batch = est.score_batch_flat(&rows, 2).unwrap();
+        assert_eq!(batch.len(), 3_000);
+        for (row, &s) in rows.chunks_exact(2).zip(batch.iter()) {
             assert_eq!(s, est.score(row).unwrap());
         }
     }
@@ -1182,17 +1130,16 @@ mod tests {
         // 6_000 and 60_000 rows both take the nested path and put every
         // full-sample distance pass over the parallel grain; starts also
         // scatter. The fit must be a pure function of (sample, config): any
-        // pool size and the global pool agree to the bit, and so do the
-        // row-vector and flat entry points.
+        // pool size and the global pool agree to the bit.
         for (n, seed) in [(6_000usize, 97u64), (60_000, 98)] {
             let mut rng = SplitMix64::new(seed);
             let sample = gaussian_cloud(&mut rng, n, &[3.0, -2.0, 0.5], 1.5);
             let mut global = McdEstimator::with_defaults();
-            global.train_flat(&flatten(&sample), 3).unwrap();
+            global.train_flat(&sample, 3).unwrap();
             let probe = [5.0, 5.0, 5.0];
             for threads in [1usize, 2, 3, 8] {
                 let mut est = McdEstimator::with_defaults();
-                est.train_on_pool(&mb_pool::Pool::new(threads), &sample)
+                est.train_on_pool(&mb_pool::Pool::new(threads), &sample, 3)
                     .unwrap();
                 assert_eq!(est.location(), global.location(), "{n} rows, {threads} threads");
                 assert_eq!(est.scatter(), global.scatter(), "{n} rows, {threads} threads");
@@ -1202,18 +1149,7 @@ mod tests {
     }
 
     #[test]
-    fn train_and_train_flat_fit_the_same_bits_and_reject_the_same_input() {
-        let mut rng = SplitMix64::new(99);
-        for n in [300usize, 2_500] {
-            let sample = gaussian_cloud(&mut rng, n, &[1.0, 2.0], 1.0);
-            let mut by_rows = McdEstimator::with_defaults();
-            let mut by_flat = McdEstimator::with_defaults();
-            by_rows.train(&sample).unwrap();
-            by_flat.train_flat(&flatten(&sample), 2).unwrap();
-            assert_eq!(by_rows.location(), by_flat.location());
-            assert_eq!(by_rows.scatter(), by_flat.scatter());
-            assert_eq!(by_rows.inverse_scatter(), by_flat.inverse_scatter());
-        }
+    fn train_flat_rejects_malformed_input_and_stays_untrained() {
         let mut est = McdEstimator::with_defaults();
         assert_eq!(est.train_flat(&[], 2), Err(StatsError::EmptyInput));
         assert_eq!(est.train_flat(&[1.0], 0), Err(StatsError::EmptyInput));
@@ -1248,8 +1184,8 @@ mod tests {
             let sample = gaussian_cloud(&mut rng, 150, &center, 1.5);
             let mut serial = McdEstimator::with_defaults();
             let mut parallel = McdEstimator::with_defaults();
-            serial.train_on_pool(&mb_pool::Pool::new(1), &sample).unwrap();
-            parallel.train_on_pool(&mb_pool::Pool::new(3), &sample).unwrap();
+            serial.train_on_pool(&mb_pool::Pool::new(1), &sample, dim).unwrap();
+            parallel.train_on_pool(&mb_pool::Pool::new(3), &sample, dim).unwrap();
             proptest::prop_assert_eq!(serial.location().unwrap(), parallel.location().unwrap());
             proptest::prop_assert_eq!(serial.scatter().unwrap(), parallel.scatter().unwrap());
             let probe: Vec<f64> = vec![2.5; dim];
@@ -1266,13 +1202,13 @@ mod tests {
     /// subset fitted in distance order. Returns `(logdet, location)` of
     /// every start that survived, in start order; the old merge took the
     /// lowest log-determinant, ties to the lowest start.
-    fn oracle_starts(config: &FastMcdConfig, sample: &[Vec<f64>]) -> Vec<(f64, Vec<f64>)> {
-        use crate::matrix::covariance_of_indices;
-        let dim = crate::validate_sample(sample).unwrap();
-        let n = sample.len();
+    fn oracle_starts(config: &FastMcdConfig, sample: &[f64], dim: usize) -> Vec<(f64, Vec<f64>)> {
+        let n = crate::validate_sample(sample, dim).unwrap();
+        let row = |i: usize| &sample[i * dim..(i + 1) * dim];
         let h = support_size(n, dim, config.support_fraction);
         let fit_subset = |indices: &[usize]| -> Result<(Vec<f64>, SpdFactors)> {
-            let (mean, mut cov) = covariance_of_indices(sample, indices)?;
+            let (mean, mut cov) =
+                covariance_of_rows(mb_pool::global(), dim, indices.len(), |k| row(indices[k]))?;
             let mut ridge = 1e-9;
             loop {
                 match SpdFactors::factor(&cov) {
@@ -1299,7 +1235,7 @@ mod tests {
             for _ in 0..config.max_iterations {
                 let inv = factors.inverse();
                 let mut distances: Vec<(f64, usize)> = sample
-                    .iter()
+                    .chunks_exact(dim)
                     .enumerate()
                     .map(|(i, row)| (squared_distance(&inv, &mean, row, &mut centered), i))
                     .collect();
@@ -1337,14 +1273,14 @@ mod tests {
         contamination: f64,
         duplicate_every: usize,
         constant_column: bool,
-    ) -> Vec<Vec<f64>> {
+    ) -> Vec<f64> {
         let mut rng = SplitMix64::new(seed);
         let center: Vec<f64> = (0..dim).map(|_| normal(&mut rng, 0.0, 5.0)).collect();
         let far: Vec<f64> = center.iter().map(|c| c + 60.0).collect();
-        let mut sample: Vec<Vec<f64>> = Vec::with_capacity(n);
+        let mut sample: Vec<f64> = Vec::with_capacity(n * dim);
         for i in 0..n {
             if duplicate_every > 0 && i % duplicate_every == duplicate_every - 1 {
-                sample.push(sample[i - 1].clone());
+                sample.extend_from_within((i - 1) * dim..i * dim);
                 continue;
             }
             let mut row: Vec<f64> = if rng.next_f64() < contamination {
@@ -1355,7 +1291,7 @@ mod tests {
             if constant_column {
                 row[dim - 1] = 7.0;
             }
-            sample.push(row);
+            sample.extend(row);
         }
         sample
     }
@@ -1370,10 +1306,9 @@ mod tests {
     /// subset touches the cluster falls into. The oracle's starts and the
     /// subsample's are different draws, so either side may win that one;
     /// everything else is held to the oracle.
-    fn judge_against_the_oracle(sample: &[Vec<f64>], label: &str) -> f64 {
+    fn judge_against_the_oracle(sample: &[f64], dim: usize, label: &str) -> f64 {
         let config = FastMcdConfig::default();
-        let dim = sample[0].len();
-        let starts = oracle_starts(&config, sample);
+        let starts = oracle_starts(&config, sample, dim);
         let (best_logdet, best_location) = starts
             .iter()
             .fold(None::<&(f64, Vec<f64>)>, |best, fit| match best {
@@ -1384,15 +1319,14 @@ mod tests {
         let worst_logdet = starts.iter().map(|fit| fit.0).fold(f64::MIN, f64::max);
 
         let mut est = McdEstimator::new(config.clone());
-        est.train(sample).unwrap();
+        est.train_flat(sample, dim).unwrap();
         let logdet = SpdFactors::factor(est.scatter().unwrap())
             .unwrap()
             .log_abs_determinant();
 
         // Converged on the *full* sample: one more C-step over all rows
         // leaves the log-determinant where it is.
-        let flat = flatten(sample);
-        let rows = Rows { flat: &flat, dim };
+        let rows = Rows { flat: sample, dim };
         let h = support_size(rows.len(), dim, config.support_fraction);
         let pool = mb_pool::Pool::new(1);
         let mut scratch = Scratch::default();
@@ -1464,24 +1398,24 @@ mod tests {
                 "seed {seed}, {n}x{dim}, contamination {contamination:.2}, \
                  duplicates every {duplicate_every}, constant column {constant_column}"
             );
-            judge_against_the_oracle(&sample, &label);
+            judge_against_the_oracle(&sample, dim, &label);
         }
     }
 
     #[test]
     fn nested_schedule_agrees_with_the_oracle_at_twenty_thousand_rows_and_at_32_dimensions() {
         let sample = generated_sample(5, 20_000, 4, 0.25, 3, false);
-        judge_against_the_oracle(&sample, "20_000x4");
+        judge_against_the_oracle(&sample, 4, "20_000x4");
         let sample = generated_sample(6, 3_000, 32, 0.2, 0, false);
-        judge_against_the_oracle(&sample, "3_000x32");
+        judge_against_the_oracle(&sample, 32, "3_000x32");
     }
 
     #[test]
     fn univariate_mcd_works() {
         let mut rng = SplitMix64::new(81);
-        let sample: Vec<Vec<f64>> = (0..400).map(|_| vec![normal(&mut rng, 10.0, 2.0)]).collect();
+        let sample: Vec<f64> = (0..400).map(|_| normal(&mut rng, 10.0, 2.0)).collect();
         let mut est = McdEstimator::with_defaults();
-        est.train(&sample).unwrap();
+        est.train_flat(&sample, 1).unwrap();
         assert!(est.score(&[10.0]).unwrap() < est.score(&[40.0]).unwrap());
     }
 }

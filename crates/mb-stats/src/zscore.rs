@@ -60,27 +60,10 @@ impl ZScoreEstimator {
 }
 
 impl Estimator for ZScoreEstimator {
-    fn train(&mut self, sample: &[Vec<f64>]) -> Result<()> {
-        let dim = crate::validate_sample(sample)?;
-        if dim != 1 {
-            return Err(StatsError::DimensionMismatch {
-                expected: 1,
-                actual: dim,
-            });
-        }
-        let values: Vec<f64> = sample.iter().map(|row| row[0]).collect();
-        self.train_univariate(&values)
-    }
-
-    // Univariate: fit straight off the flat dim-1 buffer (see
-    // `MadEstimator::train_flat`).
+    // Univariate: a flat dim-1 buffer is the value column, so the fit reads
+    // it in place.
     fn train_flat(&mut self, flat: &[f64], dim: usize) -> Result<()> {
-        if flat.is_empty() || dim == 0 {
-            return Err(StatsError::EmptyInput);
-        }
-        if flat.iter().any(|v| !v.is_finite()) {
-            return Err(StatsError::NonFinite);
-        }
+        crate::validate_sample(flat, dim)?;
         if dim != 1 {
             return Err(StatsError::DimensionMismatch {
                 expected: 1,
@@ -193,10 +176,10 @@ mod tests {
     fn estimator_trait_dimension_checks() {
         let mut est = ZScoreEstimator::new();
         assert!(matches!(
-            est.train(&[vec![1.0, 2.0]]),
+            est.train_flat(&[1.0, 2.0], 2),
             Err(StatsError::DimensionMismatch { .. })
         ));
-        est.train(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
+        est.train_flat(&[1.0, 2.0, 3.0], 1).unwrap();
         assert!(matches!(
             est.score(&[]),
             Err(StatsError::DimensionMismatch { .. })

@@ -55,7 +55,7 @@ use crate::executor::{
     train_and_execute, train_model, FittedModel, QueryParts,
 };
 use crate::operator::{check_columns, ColumnarInput, EncodedBatch, Ingestor, Transformer};
-use crate::streaming::StreamingEngine;
+use crate::streaming::StreamingSession;
 use crate::types::{MdpReport, Point};
 use crate::{PipelineError, Result};
 use mb_classify::rule::RuleClassifier;
@@ -389,19 +389,17 @@ impl MdpQuery {
         self.check_backend(executor)?;
         match executor {
             Executor::Streaming { options } => {
-                let mut engine = StreamingEngine::new(
+                if points.is_empty() {
+                    return Err(PipelineError::EmptyInput);
+                }
+                let mut session = StreamingSession::new(
                     &self.analysis,
                     options,
                     self.rule.clone(),
                     self.unsupervised,
                 );
-                if points.is_empty() {
-                    return Err(PipelineError::EmptyInput);
-                }
-                for point in points {
-                    engine.observe(point)?;
-                }
-                Ok(engine.report())
+                session.feed(points)?;
+                Ok(session.report())
             }
             batch_executor => {
                 let input = self.transformed(points);
@@ -428,7 +426,7 @@ impl MdpQuery {
         self.check_backend(executor)?;
         match executor {
             Executor::Streaming { options } => {
-                let mut engine = StreamingEngine::new(
+                let mut session = StreamingSession::new(
                     &self.analysis,
                     options,
                     self.rule.clone(),
@@ -436,15 +434,13 @@ impl MdpQuery {
                 );
                 let mut saw_points = false;
                 while let Some(batch) = source.next_batch()? {
-                    for point in &batch {
-                        saw_points = true;
-                        engine.observe(point)?;
-                    }
+                    saw_points |= !batch.is_empty();
+                    session.feed(&batch)?;
                 }
                 if !saw_points {
                     return Err(PipelineError::EmptyInput);
                 }
-                Ok(engine.report())
+                Ok(session.report())
             }
             // Without a transformer chain the one-shot and coordinated
             // engines take the columnar fast path: ingest pre-encoded
@@ -564,27 +560,24 @@ impl MdpQuery {
     }
 
     /// Turn the query into an incremental streaming session
-    /// ([`crate::streaming::StreamingSession`]): observe points one at a
-    /// time and render reports mid-stream (adaptivity experiments, live
-    /// monitoring). Consumes the query.
+    /// ([`StreamingSession`]): observe points one at a time and render
+    /// reports mid-stream (adaptivity experiments, live monitoring).
+    /// Consumes the query.
     ///
     /// Subject to the same typed compatibility checks as
     /// [`Executor::Streaming`]: score retention, training-sample caps, and
     /// transformer chains (batch operators cannot run point-at-a-time) are
     /// rejected.
-    pub fn into_streaming(
-        self,
-        options: &StreamingOptions,
-    ) -> Result<crate::streaming::StreamingSession> {
+    pub fn into_streaming(self, options: &StreamingOptions) -> Result<StreamingSession> {
         self.check_backend(&Executor::Streaming {
             options: options.clone(),
         })?;
-        Ok(crate::streaming::StreamingSession::new(StreamingEngine::new(
+        Ok(StreamingSession::new(
             &self.analysis,
             options,
             self.rule,
             self.unsupervised,
-        )))
+        ))
     }
 }
 

@@ -2,13 +2,13 @@
 //! "streaming queries", assembled from the ADR-trained classifier of
 //! Section 4.2 and the AMC/M-CPS streaming explainer of Section 5.3).
 //!
-//! The engine behind [`Executor::Streaming`](crate::query::Executor) lives
-//! here; [`StreamingSession`] exposes it incrementally (observe points one
-//! at a time, render reports mid-stream) for adaptivity experiments and
-//! live monitoring. Build sessions with
+//! [`StreamingSession`] is the streaming engine: it observes points one at a
+//! time and renders reports mid-stream, for adaptivity experiments and live
+//! monitoring, and [`Executor::Streaming`](crate::query::Executor) runs a
+//! session to the end of its input. Build sessions with
 //! [`MdpQuery::into_streaming`](crate::query::MdpQuery::into_streaming).
 
-use crate::executor::render_explanations;
+use crate::executor::{render_explanations, QueryEstimator};
 use crate::query::{AnalysisConfig, EstimatorKind, StreamingOptions};
 use crate::types::{MdpReport, Point, RenderedExplanation};
 use crate::{PipelineError, Result};
@@ -18,40 +18,33 @@ use mb_classify::Label;
 use mb_explain::encoder::AttributeEncoder;
 use mb_explain::streaming::{StreamingExplainer, StreamingExplainerConfig};
 use mb_obs::{stage, MetricRegistry, QueryTrace, StageTimer, StageTrace};
-use mb_stats::mad::MadEstimator;
-use mb_stats::mcd::McdEstimator;
-use mb_stats::zscore::ZScoreEstimator;
+use mb_stats::StatsError;
 
-/// Dispatch between the concrete streaming classifiers, chosen from the
-/// configured estimator resolved against the first observed point's
-/// dimensionality.
-enum StreamingModel {
-    Mad(StreamingClassifier<MadEstimator>),
-    Mcd(StreamingClassifier<McdEstimator>),
-    ZScore(StreamingClassifier<ZScoreEstimator>),
-}
-
-/// The streaming (EWS) engine: ADR-trained classifier, AMC + M-CPS
-/// explainer, per-point decay bookkeeping. Shared by the streaming executor
-/// backend and [`StreamingSession`].
-pub(crate) struct StreamingEngine {
+/// An incremental streaming execution of an
+/// [`MdpQuery`](crate::query::MdpQuery): observe points one at a time,
+/// force decay boundaries, and render reports mid-stream (the continuously
+/// maintained view of Section 5.3). It is the streaming engine itself: an
+/// ADR-trained classifier, the AMC + M-CPS explainer and per-point decay
+/// bookkeeping. Obtain one with
+/// [`MdpQuery::into_streaming`](crate::query::MdpQuery::into_streaming);
+/// for run-to-completion streaming over an ingestor use
+/// [`Executor::Streaming`](crate::query::Executor) instead.
+pub struct StreamingSession {
     estimator: EstimatorKind,
-    target_percentile: f64,
-    reservoir_size: usize,
-    decay_rate: f64,
+    classifier_config: StreamingClassifierConfig,
     decay_period: u64,
-    retrain_period: u64,
-    seed: u64,
     skip_explanation: bool,
     retain_outlier_rows: bool,
     rule: Option<RuleClassifier>,
     unsupervised: bool,
     /// Metric dimensionality locked in by the first accepted point. Later
-    /// points are validated against it *before* any engine state mutates, so
-    /// a rejected point leaves counters, reservoirs, and explainer state
+    /// points are validated against it *before* any session state mutates,
+    /// so a rejected point leaves counters, reservoirs, and explainer state
     /// untouched and the session remains usable.
     dim: Option<usize>,
-    model: Option<StreamingModel>,
+    /// The classifier, built for the first accepted point's dimensionality;
+    /// `None` until then, and always for a rule-only query.
+    classifier: Option<StreamingClassifier<QueryEstimator>>,
     explainer: StreamingExplainer,
     encoder: AttributeEncoder,
     /// Reused per-point item buffer: the hot observe loop encodes into this
@@ -65,19 +58,19 @@ pub(crate) struct StreamingEngine {
     /// (the default) the observe loop takes no clock reads and the report
     /// carries `trace: None`.
     obs_enabled: bool,
-    /// Engine-owned metric shard: per-tick retrain and decay latency
+    /// Session-owned metric shard: per-tick retrain and decay latency
     /// histograms. Single-threaded here, but the same mergeable shape the
     /// batch engines fold across workers.
     metrics: MetricRegistry,
-    /// Accumulated wall time inside [`StreamingEngine::observe`].
+    /// Accumulated wall time inside [`StreamingSession::observe`].
     observe_wall_ns: u64,
     /// The `explain` span: wall time and count of the explanation renders
-    /// [`StreamingEngine::report`] has done, with the latest render's decayed
-    /// outlier count in and explanations out.
+    /// [`StreamingSession::report`] has done, with the latest render's
+    /// decayed outlier count in and explanations out.
     explain_span: StageTrace,
 }
 
-impl StreamingEngine {
+impl StreamingSession {
     pub(crate) fn new(
         analysis: &AnalysisConfig,
         options: &StreamingOptions,
@@ -91,20 +84,25 @@ impl StreamingEngine {
             amc_maintenance_period: options.reservoir_size as u64,
         });
         let encoder = crate::executor::encoder_for(analysis);
-        StreamingEngine {
+        StreamingSession {
             estimator: analysis.estimator,
-            target_percentile: analysis.target_percentile,
-            reservoir_size: options.reservoir_size,
-            decay_rate: options.decay_rate,
+            classifier_config: StreamingClassifierConfig {
+                input_reservoir_size: options.reservoir_size,
+                score_reservoir_size: options.reservoir_size,
+                decay_rate: options.decay_rate,
+                retrain_period: options.retrain_period,
+                target_percentile: analysis.target_percentile,
+                threshold_refresh_period: (options.retrain_period / 10).max(1),
+                warmup_points: 100,
+                seed: options.seed,
+            },
             decay_period: options.decay_period,
-            retrain_period: options.retrain_period,
-            seed: options.seed,
             skip_explanation: analysis.skip_explanation,
             retain_outlier_rows: analysis.retain_outlier_rows,
             rule,
             unsupervised,
             dim: None,
-            model: None,
+            classifier: None,
             explainer,
             encoder,
             encode_scratch: Vec::new(),
@@ -125,33 +123,26 @@ impl StreamingEngine {
         }
     }
 
-    fn classifier_config(&self) -> StreamingClassifierConfig {
-        StreamingClassifierConfig {
-            input_reservoir_size: self.reservoir_size,
-            score_reservoir_size: self.reservoir_size,
-            decay_rate: self.decay_rate,
-            retrain_period: self.retrain_period,
-            target_percentile: self.target_percentile,
-            threshold_refresh_period: (self.retrain_period / 10).max(1),
-            warmup_points: 100,
-            seed: self.seed,
-        }
-    }
-
     /// Points since the model last (re)trained — 0 right after a retrain,
     /// so a tick ending at 0 is the tick that retrained.
     fn model_staleness(&self) -> u64 {
-        match &self.model {
-            Some(StreamingModel::Mad(c)) => c.points_since_retrain(),
-            Some(StreamingModel::Mcd(c)) => c.points_since_retrain(),
-            Some(StreamingModel::ZScore(c)) => c.points_since_retrain(),
-            None => 0,
-        }
+        self.classifier
+            .as_ref()
+            .map_or(0, StreamingClassifier::points_since_retrain)
     }
 
-    pub(crate) fn observe(&mut self, point: &Point) -> Result<Label> {
+    /// Observe one point, returning its label.
+    ///
+    /// A point whose metric dimensionality disagrees with the first accepted
+    /// point is rejected with a typed error *before* any session state
+    /// mutates — counters, reservoirs, and explainer state are untouched and
+    /// the session remains usable. So is a point with a NaN or infinite
+    /// metric when the query has an unsupervised stage, with the error the
+    /// batch executors return for such a metric; rule-only queries accept
+    /// it, as the batch executors do.
+    pub fn observe(&mut self, point: &Point) -> Result<Label> {
         // Validate before any counter or reservoir mutates: a rejected point
-        // must leave the engine exactly as it was.
+        // must leave the session exactly as it was.
         let dim = point.dimension();
         match self.dim {
             Some(expected) if expected != dim => {
@@ -160,48 +151,32 @@ impl StreamingEngine {
                     actual: dim,
                 });
             }
-            None => {
-                if dim == 0 {
-                    return Err(PipelineError::InvalidConfiguration(
-                        "streaming points need at least one metric".to_string(),
-                    ));
-                }
-                self.dim = Some(dim);
+            None if dim == 0 => {
+                return Err(PipelineError::InvalidConfiguration(
+                    "streaming points need at least one metric".to_string(),
+                ));
             }
             _ => {}
         }
+        if self.unsupervised && !point.metrics.iter().all(|v| v.is_finite()) {
+            return Err(StatsError::NonFinite.into());
+        }
+        self.dim = Some(dim);
         let tick_start = StageTimer::start_if(self.obs_enabled);
         self.points_seen += 1;
         self.points_since_decay += 1;
 
         let mut label = Label::Inlier;
         if self.unsupervised {
-            if self.model.is_none() {
-                let config = self.classifier_config();
-                self.model = Some(match self.estimator.resolve(point.dimension()) {
-                    EstimatorKind::Mad => {
-                        StreamingModel::Mad(StreamingClassifier::new(MadEstimator::new(), config)?)
-                    }
-                    EstimatorKind::Mcd => StreamingModel::Mcd(StreamingClassifier::new(
-                        McdEstimator::with_defaults(),
-                        config,
-                    )?),
-                    EstimatorKind::ZScore => StreamingModel::ZScore(StreamingClassifier::new(
-                        ZScoreEstimator::new(),
-                        config,
-                    )?),
-                    EstimatorKind::Auto => unreachable!("resolve() eliminates Auto"),
-                });
+            if self.classifier.is_none() {
+                let estimator = QueryEstimator::new(self.estimator, dim);
+                self.classifier =
+                    Some(StreamingClassifier::new(estimator, self.classifier_config)?);
             }
-            // The branch above guarantees a model; the `if let` (rather than
-            // an `expect`) keeps this executor hot path panic-free.
-            if let Some(model) = self.model.as_mut() {
-                label = match model {
-                    StreamingModel::Mad(c) => c.observe(&point.metrics),
-                    StreamingModel::Mcd(c) => c.observe(&point.metrics),
-                    StreamingModel::ZScore(c) => c.observe(&point.metrics),
-                }
-                .label;
+            // The branch above guarantees a classifier; the `if let` (rather
+            // than an `expect`) keeps this executor hot path panic-free.
+            if let Some(classifier) = self.classifier.as_mut() {
+                label = classifier.observe(&point.metrics).label;
             }
         }
         if let Some(rule) = &self.rule {
@@ -238,14 +213,27 @@ impl StreamingEngine {
         Ok(label)
     }
 
-    pub(crate) fn on_period_boundary(&mut self) {
-        let decay_start = StageTimer::start_if(self.obs_enabled);
-        if let Some(model) = self.model.as_mut() {
-            match model {
-                StreamingModel::Mad(c) => c.on_period_boundary(),
-                StreamingModel::Mcd(c) => c.on_period_boundary(),
-                StreamingModel::ZScore(c) => c.on_period_boundary(),
+    /// Observe a batch of points, returning how many of them were labeled
+    /// outliers. An empty batch is a no-op and returns `Ok(0)`. On a typed
+    /// error the batch stops at the offending point: points observed before
+    /// it remain counted, the offending point leaves no state behind, and
+    /// the session can keep feeding.
+    pub fn feed(&mut self, points: &[Point]) -> Result<u64> {
+        let mut outliers = 0;
+        for point in points {
+            if self.observe(point)? == Label::Outlier {
+                outliers += 1;
             }
+        }
+        Ok(outliers)
+    }
+
+    /// Force a decay period boundary (also triggered automatically every
+    /// `decay_period` points).
+    pub fn on_period_boundary(&mut self) {
+        let decay_start = StageTimer::start_if(self.obs_enabled);
+        if let Some(classifier) = self.classifier.as_mut() {
+            classifier.on_period_boundary();
         }
         if !self.skip_explanation {
             self.explainer.on_window_boundary();
@@ -255,27 +243,24 @@ impl StreamingEngine {
         }
     }
 
-    pub(crate) fn points_seen(&self) -> u64 {
+    /// Total points observed so far.
+    pub fn points_seen(&self) -> u64 {
         self.points_seen
     }
 
-    pub(crate) fn outliers_seen(&self) -> u64 {
+    /// Total points labeled outlier so far.
+    pub fn outliers_seen(&self) -> u64 {
         self.outliers_seen
     }
 
-    pub(crate) fn is_trained(&self) -> bool {
-        if !self.unsupervised {
-            return true;
-        }
-        match &self.model {
-            Some(StreamingModel::Mad(c)) => c.is_trained(),
-            Some(StreamingModel::Mcd(c)) => c.is_trained(),
-            Some(StreamingModel::ZScore(c)) => c.is_trained(),
-            None => false,
-        }
+    /// Whether the underlying model has completed its warm-up training
+    /// (always true for rule-only queries).
+    pub fn is_trained(&self) -> bool {
+        !self.unsupervised || self.classifier.as_ref().is_some_and(|c| c.is_trained())
     }
 
-    pub(crate) fn report(&mut self) -> MdpReport {
+    /// Render the current explanations and counters as a report.
+    pub fn report(&mut self) -> MdpReport {
         let explain_start = StageTimer::start_if(self.obs_enabled && !self.skip_explanation);
         let explanations: Vec<RenderedExplanation> = if self.skip_explanation {
             Vec::new()
@@ -291,12 +276,7 @@ impl StreamingEngine {
             span.rows_out = explanations.len() as u64;
             span.batches += 1;
         }
-        let cutoff = match self.model.as_mut() {
-            Some(StreamingModel::Mad(c)) => c.current_cutoff(),
-            Some(StreamingModel::Mcd(c)) => c.current_cutoff(),
-            Some(StreamingModel::ZScore(c)) => c.current_cutoff(),
-            None => None,
-        };
+        let cutoff = self.classifier.as_mut().and_then(|c| c.current_cutoff());
         MdpReport {
             explanations,
             num_points: self.points_seen as usize,
@@ -309,9 +289,9 @@ impl StreamingEngine {
         }
     }
 
-    /// Render the engine's accumulated telemetry as a [`QueryTrace`] —
+    /// Render the session's accumulated telemetry as a [`QueryTrace`] —
     /// `None` when telemetry is off. Reports can be rendered mid-stream, so
-    /// this snapshots rather than consumes: the engine keeps accumulating.
+    /// this snapshots rather than consumes: the session keeps accumulating.
     fn trace(&self) -> Option<QueryTrace> {
         if !self.obs_enabled {
             return None;
@@ -320,7 +300,7 @@ impl StreamingEngine {
         registry.add("points", self.points_seen);
         registry.add("outliers", self.outliers_seen);
         registry.set_gauge("model_staleness", self.model_staleness() as f64);
-        // Two spans: the streaming engine scores point-at-a-time, so the
+        // Two spans: a streaming session scores point-at-a-time, so the
         // whole observe loop is its `score` stage; every report rendered so
         // far, this one included, is its `explain` stage.
         let mut stages = vec![StageTrace {
@@ -341,75 +321,6 @@ impl StreamingEngine {
             gauges: registry.gauge_entries(),
             histograms: registry.histogram_snapshots(),
         })
-    }
-}
-
-/// An incremental streaming execution of an
-/// [`MdpQuery`](crate::query::MdpQuery): observe points one at a time,
-/// force decay boundaries, and render reports mid-stream (the continuously
-/// maintained view of Section 5.3). Obtain one with
-/// [`MdpQuery::into_streaming`](crate::query::MdpQuery::into_streaming);
-/// for run-to-completion streaming over an ingestor use
-/// [`Executor::Streaming`](crate::query::Executor) instead.
-pub struct StreamingSession {
-    engine: StreamingEngine,
-}
-
-impl StreamingSession {
-    pub(crate) fn new(engine: StreamingEngine) -> Self {
-        StreamingSession { engine }
-    }
-
-    /// Observe one point, returning its label.
-    ///
-    /// A point whose metric dimensionality disagrees with the first accepted
-    /// point is rejected with a typed error *before* any session state
-    /// mutates — counters, reservoirs, and explainer state are untouched and
-    /// the session remains usable.
-    pub fn observe(&mut self, point: &Point) -> Result<Label> {
-        self.engine.observe(point)
-    }
-
-    /// Observe a batch of points, returning how many of them were labeled
-    /// outliers. An empty batch is a no-op and returns `Ok(0)`. On a typed
-    /// error the batch stops at the offending point: points observed before
-    /// it remain counted, the offending point leaves no state behind, and
-    /// the session can keep feeding.
-    pub fn feed(&mut self, points: &[Point]) -> Result<u64> {
-        let mut outliers = 0;
-        for point in points {
-            if self.engine.observe(point)? == Label::Outlier {
-                outliers += 1;
-            }
-        }
-        Ok(outliers)
-    }
-
-    /// Force a decay period boundary (also triggered automatically every
-    /// `decay_period` points).
-    pub fn on_period_boundary(&mut self) {
-        self.engine.on_period_boundary()
-    }
-
-    /// Total points observed so far.
-    pub fn points_seen(&self) -> u64 {
-        self.engine.points_seen()
-    }
-
-    /// Total points labeled outlier so far.
-    pub fn outliers_seen(&self) -> u64 {
-        self.engine.outliers_seen()
-    }
-
-    /// Whether the underlying model has completed its warm-up training
-    /// (always true for rule-only queries).
-    pub fn is_trained(&self) -> bool {
-        self.engine.is_trained()
-    }
-
-    /// Render the current explanations and counters as a report.
-    pub fn report(&mut self) -> MdpReport {
-        self.engine.report()
     }
 }
 
@@ -650,6 +561,56 @@ mod tests {
             }
         ));
         assert_eq!(session.points_seen(), before + 3);
+    }
+
+    #[test]
+    fn a_non_finite_metric_is_rejected_and_leaves_no_trace() {
+        let points: Vec<Point> = (0..12_000)
+            .map(|i| {
+                let value = if i % 150 == 0 { 400.0 } else { 10.0 + (i % 7) as f64 };
+                Point::simple(value, format!("d{}", if i % 150 == 0 { 99 } else { i % 20 }))
+            })
+            .collect();
+        let session = || test_query().build().unwrap().into_streaming(&test_options()).unwrap();
+        let mut clean = session();
+        clean.feed(&points).unwrap();
+
+        // Poison points before the first accepted point, during warm-up and
+        // mid-stream: each is the batch executors' error, and none is counted.
+        let mut poisoned = session();
+        let reject = |session: &mut StreamingSession, metrics: Vec<f64>| {
+            let before = session.points_seen();
+            let err = session
+                .observe(&Point::new(metrics, vec!["d0".to_string()]))
+                .unwrap_err();
+            assert!(matches!(err, PipelineError::Stats(StatsError::NonFinite)), "{err}");
+            assert_eq!(session.points_seen(), before);
+        };
+        // A two-wide poisoned first point does not lock in a dimensionality.
+        reject(&mut poisoned, vec![f64::NAN, 1.0]);
+        for (i, point) in points.iter().enumerate() {
+            if [5, 500, 7_000].contains(&i) {
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    reject(&mut poisoned, vec![bad]);
+                }
+            }
+            poisoned.observe(point).unwrap();
+        }
+        assert_eq!(poisoned.points_seen(), 12_000);
+        assert_eq!(poisoned.report(), clean.report());
+
+        // A rule-only query has no estimator to poison and accepts the
+        // point, as the batch executors do.
+        use mb_classify::rule::{Comparison, RuleClassifier};
+        let mut rule_only = test_query()
+            .supervised_rule(RuleClassifier::single(0, Comparison::GreaterThan, 100.0))
+            .without_unsupervised()
+            .build()
+            .unwrap()
+            .into_streaming(&test_options())
+            .unwrap();
+        assert_eq!(rule_only.observe(&Point::simple(f64::NAN, "d0")).unwrap(), Label::Inlier);
+        assert_eq!(rule_only.points_seen(), 1);
     }
 
     #[test]

@@ -308,7 +308,7 @@ fn every_batch_entry_point_gives_the_same_report_bytes() {
 /// uncapped fit raises: a capped fit never reads most rows and a
 /// pre-trained model none of the batch, yet neither may score such a row.
 #[test]
-fn non_finite_metrics_fail_every_batch_path_as_the_uncapped_fit_does() {
+fn non_finite_metrics_fail_every_batch_and_streaming_path_as_the_uncapped_fit_does() {
     let outcome = |result: Result<MdpReport, PipelineError>| match result {
         Ok(report) => format!(
             "Ok: {} outliers, cutoff {:?}",
@@ -339,6 +339,8 @@ fn non_finite_metrics_fail_every_batch_path_as_the_uncapped_fit_does() {
         }
         let with_model = MdpQuery::with_defaults().execute_with_model(&clean_model, &points);
         assert_eq!(outcome(with_model), expected, "execute_with_model");
+        let streaming = MdpQuery::with_defaults().execute(&Executor::streaming(), &points);
+        assert_eq!(outcome(streaming), expected, "streaming");
     }
 }
 

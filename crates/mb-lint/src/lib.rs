@@ -52,12 +52,13 @@ fn in_tests_or_benches(path: &str) -> bool {
 ///   (it reads the clock for the state machine, which takes time as input).
 /// - `hashmap-order-hazard` covers only the output-bearing crates: core,
 ///   mb-explain, mb-fpgrowth, mb-sketch.
-/// - `no-unwrap-in-executors` pins the eleven hot-path files: the four
+/// - `no-unwrap-in-executors` pins the fifteen hot-path files: the four
 ///   executor/server ones (engines, the server's shell and its state
 ///   machine), the four every ingested or served byte goes through (CSV,
 ///   operators, both wire decoders), the two every attribute value is
-///   encoded through (the dictionary encoder, `ItemBatch`), and FastMCD,
-///   which every served cache miss trains through.
+///   encoded through (the dictionary encoder, `ItemBatch`), the two
+///   classifiers every batch query or streamed point runs through (batch,
+///   streaming), and the three estimators they fit (MAD, FastMCD, Z-score).
 /// - `trace-names-from-taxonomy` covers core and mb-serve, the crates that
 ///   build query traces.
 /// - `unsafe-needs-safety-comment` applies everywhere, tests included.
@@ -95,7 +96,11 @@ pub fn rules_for_path(path: &str) -> Vec<RuleId> {
             | "crates/mb-serve/src/server.rs"
             | "crates/mb-serve/src/state.rs"
             | "crates/mb-serve/src/wire.rs"
+            | "crates/mb-classify/src/batch.rs"
+            | "crates/mb-classify/src/streaming.rs"
+            | "crates/mb-stats/src/mad.rs"
             | "crates/mb-stats/src/mcd.rs"
+            | "crates/mb-stats/src/zscore.rs"
     ) {
         rules.push(RuleId::NoUnwrapInExecutors);
     }
@@ -194,8 +199,14 @@ mod tests {
             .contains(&RuleId::NoUnwrapInExecutors));
         assert!(rules_for_path("crates/mb-serve/src/state.rs")
             .contains(&RuleId::NoUnwrapInExecutors));
-        assert!(rules_for_path("crates/mb-stats/src/mcd.rs")
-            .contains(&RuleId::NoUnwrapInExecutors));
+        for estimator in ["mad", "mcd", "zscore"] {
+            let path = format!("crates/mb-stats/src/{estimator}.rs");
+            assert!(rules_for_path(&path).contains(&RuleId::NoUnwrapInExecutors), "{path}");
+        }
+        for classifier in ["batch", "streaming"] {
+            let path = format!("crates/mb-classify/src/{classifier}.rs");
+            assert!(rules_for_path(&path).contains(&RuleId::NoUnwrapInExecutors), "{path}");
+        }
         assert!(rules_for_path("crates/core/src/wire.rs")
             .contains(&RuleId::NoUnwrapInExecutors));
         assert!(rules_for_path("crates/mb-serve/src/wire.rs")
@@ -212,6 +223,9 @@ mod tests {
         );
         assert!(
             !rules_for_path("crates/core/src/query.rs").contains(&RuleId::NoUnwrapInExecutors)
+        );
+        assert!(
+            !rules_for_path("crates/mb-stats/src/matrix.rs").contains(&RuleId::NoUnwrapInExecutors)
         );
     }
 

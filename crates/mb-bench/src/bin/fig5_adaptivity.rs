@@ -99,7 +99,7 @@ fn main() {
             emit_json(
                 "fig5",
                 serde_json::json!({
-                    "time_s": row.0,
+                    "interval_start": row.0,
                     "uniform_mean": row.1,
                     "per_tuple_mean": row.2,
                     "adr_mean": row.3,

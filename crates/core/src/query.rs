@@ -153,7 +153,7 @@ impl Default for AnalysisConfig {
 /// decay cadence (Sections 4.2 and 5.3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingOptions {
-    /// Reservoir / sketch sizes (paper default 10K).
+    /// Reservoir / sketch sizes (paper default 10K; at most 1,048,576).
     pub reservoir_size: usize,
     /// Decay rate applied at each period boundary (paper default 0.01).
     pub decay_rate: f64,
@@ -177,6 +177,11 @@ impl Default for StreamingOptions {
     }
 }
 
+/// The largest `reservoir_size` a streaming query accepts, 100× the paper's
+/// 10K default. The reservoirs and the M-CPS trees' sketches allocate for it
+/// up front, so an unbounded size off the wire would abort the process.
+const MAX_RESERVOIR_SIZE: usize = 1 << 20;
+
 impl StreamingOptions {
     /// Reject values the streaming engine's sketches and trees assert
     /// against (they arrive off the wire), naming the field.
@@ -186,8 +191,9 @@ impl StreamingOptions {
                 "streaming option {field} must be {rule}, got {got}"
             )))
         };
-        if self.reservoir_size < 1 {
-            return invalid("reservoir_size", "at least 1", &self.reservoir_size);
+        if !(1..=MAX_RESERVOIR_SIZE).contains(&self.reservoir_size) {
+            let rule = format!("in [1, {MAX_RESERVOIR_SIZE}]");
+            return invalid("reservoir_size", &rule, &self.reservoir_size);
         }
         if !(0.0..1.0).contains(&self.decay_rate) {
             return invalid("decay_rate", "in [0, 1)", &self.decay_rate);
@@ -792,6 +798,8 @@ mod tests {
         let base = StreamingOptions::default;
         let cases = [
             ("reservoir_size", StreamingOptions { reservoir_size: 0, ..base() }),
+            ("reservoir_size", StreamingOptions { reservoir_size: (1 << 20) + 1, ..base() }),
+            ("reservoir_size", StreamingOptions { reservoir_size: usize::MAX, ..base() }),
             ("decay_rate", StreamingOptions { decay_rate: 1.5, ..base() }),
             ("decay_rate", StreamingOptions { decay_rate: 1.0, ..base() }),
             ("decay_rate", StreamingOptions { decay_rate: -0.1, ..base() }),

@@ -52,13 +52,15 @@ fn in_tests_or_benches(path: &str) -> bool {
 ///   (it reads the clock for the state machine, which takes time as input).
 /// - `hashmap-order-hazard` covers only the output-bearing crates: core,
 ///   mb-explain, mb-fpgrowth, mb-sketch.
-/// - `no-unwrap-in-executors` pins the fifteen hot-path files: the four
+/// - `no-unwrap-in-executors` pins the nineteen hot-path files: the four
 ///   executor/server ones (engines, the server's shell and its state
 ///   machine), the four every ingested or served byte goes through (CSV,
 ///   operators, both wire decoders), the two every attribute value is
 ///   encoded through (the dictionary encoder, `ItemBatch`), the two
 ///   classifiers every batch query or streamed point runs through (batch,
-///   streaming), and the three estimators they fit (MAD, FastMCD, Z-score).
+///   streaming), the three estimators they fit (MAD, FastMCD, Z-score), and
+///   the four every streamed point is written into (the ADR, the AMC, the
+///   M-CPS tree, the streaming explainer).
 /// - `trace-names-from-taxonomy` covers core and mb-serve, the crates that
 ///   build query traces.
 /// - `unsafe-needs-safety-comment` applies everywhere, tests included.
@@ -101,6 +103,10 @@ pub fn rules_for_path(path: &str) -> Vec<RuleId> {
             | "crates/mb-stats/src/mad.rs"
             | "crates/mb-stats/src/mcd.rs"
             | "crates/mb-stats/src/zscore.rs"
+            | "crates/mb-sketch/src/adr.rs"
+            | "crates/mb-sketch/src/amc.rs"
+            | "crates/mb-fpgrowth/src/mcps.rs"
+            | "crates/mb-explain/src/streaming.rs"
     ) {
         rules.push(RuleId::NoUnwrapInExecutors);
     }
@@ -216,6 +222,19 @@ mod tests {
         assert!(
             rules_for_path("crates/mb-explain/src/items.rs").contains(&RuleId::NoUnwrapInExecutors)
         );
+        for streamed in [
+            "crates/mb-sketch/src/adr.rs",
+            "crates/mb-sketch/src/amc.rs",
+            "crates/mb-fpgrowth/src/mcps.rs",
+            "crates/mb-explain/src/streaming.rs",
+        ] {
+            assert!(
+                rules_for_path(streamed).contains(&RuleId::NoUnwrapInExecutors),
+                "{streamed}"
+            );
+        }
+        assert!(!rules_for_path("crates/mb-sketch/src/reservoir.rs")
+            .contains(&RuleId::NoUnwrapInExecutors));
         assert!(!rules_for_path("crates/mb-explain/src/batch.rs")
             .contains(&RuleId::NoUnwrapInExecutors));
         assert!(

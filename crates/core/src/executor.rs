@@ -35,7 +35,7 @@ use mb_explain::encoder::AttributeEncoder;
 use mb_explain::risk_ratio::rank_explanations;
 use mb_explain::{Explanation, ExplanationConfig, ItemBatch};
 use mb_fpgrowth::Item;
-use mb_obs::{stage, MetricRegistry, StageTimer, TraceBuilder};
+use mb_obs::{stage, StageTimer, TraceBuilder};
 use mb_stats::mad::MadEstimator;
 use mb_stats::mcd::McdEstimator;
 use mb_stats::zscore::ZScoreEstimator;
@@ -630,25 +630,23 @@ pub(crate) fn execute_coordinated(
         // Scatter: partitions score against the shared model, each over a
         // row-aligned slice of the metric buffer. Each row's score is a pure
         // function of the model and that row, so chunk boundaries cannot
-        // perturb results. When tracing, each task carries its own registry
-        // shard, folded below with the `Mergeable` algebra.
+        // perturb results. Each task hands back its row count, which the
+        // gather adds to the trace's counters.
         let model = &model;
         let timer = trace.start();
-        let score_chunks: Vec<(Result<Option<Vec<f64>>>, MetricRegistry)> =
+        let score_chunks: Vec<(Result<Option<Vec<f64>>>, usize)> =
             scatter(flat.chunks(chunk_rows * dim).collect(), |chunk| {
-                let scored = model.score_flat(chunk, dim);
-                let mut shard = MetricRegistry::new();
-                if tracing {
-                    shard.add("score_rows", (chunk.len() / dim) as u64);
-                    shard.add("score_tasks", 1);
-                }
-                (scored, shard)
+                (model.score_flat(chunk, dim), chunk.len() / dim)
             });
         let batches = score_chunks.len();
         let mut scores: Vec<f64> = Vec::with_capacity(rows);
-        for (chunk, shard) in score_chunks {
+        for (chunk, rows_in_chunk) in score_chunks {
             scores.extend(chunk?.unwrap_or_default());
-            trace.merge_registry(shard);
+            if tracing {
+                let registry = trace.registry();
+                registry.add("score_rows", rows_in_chunk as u64);
+                registry.add("score_tasks", 1);
+            }
         }
         (
             Scored {

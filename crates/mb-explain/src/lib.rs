@@ -51,7 +51,6 @@ pub mod streaming;
 
 pub use encoder::AttributeEncoder;
 pub use items::ItemBatch;
-pub use mb_sketch::Mergeable;
 pub use risk_ratio::{risk_ratio, Explanation, ExplanationStats};
 
 /// Parameters shared by every explanation strategy.

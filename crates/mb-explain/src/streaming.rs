@@ -29,7 +29,6 @@ use crate::risk_ratio::{Explanation, ExplanationStats};
 use crate::ExplanationConfig;
 use mb_fpgrowth::mcps::{McpsConfig, McpsTree};
 use mb_fpgrowth::Item;
-use mb_sketch::Mergeable;
 
 /// Configuration for the streaming explainer.
 #[derive(Debug, Clone)]
@@ -160,18 +159,6 @@ impl StreamingExplainer {
             |_| None,
         ));
         explanations
-    }
-}
-
-impl Mergeable for StreamingExplainer {
-    /// Merge another streaming explainer built over a disjoint sub-stream
-    /// with the same configuration: the pre-render state — per-class AMC
-    /// sketches, M-CPS-trees, and decayed class totals — merges on items,
-    /// so explanations computed from the merged operator reflect combined
-    /// counts rather than a union of separately thresholded result sets.
-    fn merge(&mut self, other: Self) {
-        self.outlier_tree.merge(other.outlier_tree);
-        self.inlier_tree.merge(other.inlier_tree);
     }
 }
 
@@ -324,8 +311,7 @@ mod tests {
             // Mining only the surviving outlier values and counting their
             // combinations in the inlier tree returns what mining both whole
             // trees and joining returned, less the combinations with a member
-            // whose own risk ratio fails — on whole streams and on the merge
-            // of two half streams.
+            // whose own risk ratio fails.
             #[test]
             fn explanations_equal_the_mined_ones_with_passing_members(
                 seed in 0u64..u64::MAX,
@@ -338,23 +324,12 @@ mod tests {
                 let decay = [0.0, 0.01, 0.5][decay_choice];
                 let outlier_rate = outlier_pct as f64 / 100.0;
                 let stream = generated_stream(seed, 2_000, attributes, shape == 0, outlier_rate);
-                let agrees = |explainer: &StreamingExplainer| {
-                    assert_same_explanations(
-                        explainer.explain(),
-                        with_passing_members(explainer.oracle_explain()),
-                    );
-                };
-                let mut whole = StreamingExplainer::new(config(0.02, 2.0, decay));
-                feed(&mut whole, &stream, boundaries);
-                agrees(&whole);
-
-                let (first, second) = stream.split_at(stream.len() / 2);
-                let mut left = StreamingExplainer::new(config(0.02, 2.0, decay));
-                let mut right = StreamingExplainer::new(config(0.02, 2.0, decay));
-                feed(&mut left, first, boundaries);
-                feed(&mut right, second, boundaries);
-                left.merge(right);
-                agrees(&left);
+                let mut explainer = StreamingExplainer::new(config(0.02, 2.0, decay));
+                feed(&mut explainer, &stream, boundaries);
+                assert_same_explanations(
+                    explainer.explain(),
+                    with_passing_members(explainer.oracle_explain()),
+                );
             }
         }
     }
@@ -362,7 +337,7 @@ mod tests {
     #[test]
     fn the_trees_sketches_hold_what_a_separate_pair_held() {
         // The explainer used to keep an AMC per class beside the one inside
-        // each class's tree. Rebuilt here, that pair — fed, decayed and merged
+        // each class's tree. Rebuilt here, that pair — fed and decayed
         // alongside — agrees with the trees' own sketches on every item.
         use mb_sketch::amc::{AmcSketch, MaintenancePolicy};
         use mb_sketch::HeavyHitterSketch;
@@ -392,12 +367,7 @@ mod tests {
             }
             (explainer, amcs)
         };
-        let (first, second) = stream.split_at(3_000);
-        let (mut explainer, [mut outlier_amc, mut inlier_amc]) = run(first);
-        let (other, [other_outlier_amc, other_inlier_amc]) = run(second);
-        explainer.merge(other);
-        outlier_amc.merge(other_outlier_amc);
-        inlier_amc.merge(other_inlier_amc);
+        let (explainer, [outlier_amc, inlier_amc]) = run(&stream);
 
         for (tree, amc) in [
             (&explainer.outlier_tree, &outlier_amc),
@@ -577,47 +547,6 @@ mod tests {
             support_of(&[2]) > support_of(&[1]),
             "new explanation should dominate: {explanations:?}"
         );
-    }
-
-    #[test]
-    fn merged_streaming_explainers_combine_partition_counts() {
-        // Each partition alone lacks the support to report the planted item
-        // at a high combined support; the merged operator recovers the full
-        // counts, unlike a union of separately produced explanations.
-        let mut left = StreamingExplainer::new(config(0.05, 3.0, 0.0));
-        let mut right = StreamingExplainer::new(config(0.05, 3.0, 0.0));
-        for i in 0..10_000 {
-            // Alternate blocks of 100 so each side sees half of the outliers
-            // (which land on multiples of 100, i.e. always on even indices).
-            let target = if (i / 100) % 2 == 0 {
-                &mut left
-            } else {
-                &mut right
-            };
-            if i % 100 == 0 {
-                target.observe(&[1, 2], true);
-            } else {
-                target.observe(&[10 + (i % 5) as Item, 20 + (i % 7) as Item], false);
-            }
-        }
-        let single_side_count = left
-            .explain()
-            .iter()
-            .find(|e| e.items == vec![1])
-            .map(|e| e.stats.outlier_count)
-            .unwrap_or(0.0);
-        left.merge(right);
-        assert!((left.outlier_count() - 100.0).abs() < 1e-9);
-        assert!((left.inlier_count() - 9_900.0).abs() < 1e-9);
-        let merged = left.explain();
-        let merged_count = merged
-            .iter()
-            .find(|e| e.items == vec![1])
-            .map(|e| e.stats.outlier_count)
-            .expect("planted item missing after merge");
-        assert!((merged_count - 100.0).abs() < 1e-9);
-        assert!(merged_count > single_side_count);
-        assert!(merged.iter().any(|e| e.items == vec![1, 2]));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use crate::fptree::FpTree;
 use crate::{FrequentItemset, Item};
-use mb_sketch::Mergeable;
 use std::collections::HashSet;
 
 /// "No node" in every link and "empty" in every table slot: the root is
@@ -108,12 +107,6 @@ impl EdgeTable {
     /// As an item table: whether `item` is in it.
     pub(crate) fn has_item(&self, item: Item) -> bool {
         self.item(item) != NONE
-    }
-
-    /// As an item table: the items in it, in slot order.
-    pub(crate) fn items(&self) -> impl Iterator<Item = Item> + '_ {
-        let filled = self.slots.iter().filter(|&&(_, value)| value != NONE);
-        filled.map(|&(item, _)| item)
     }
 
     /// As an item table: store the non-zero `value` for an `item` not in it.
@@ -349,7 +342,7 @@ impl StreamingPrefixTree {
     /// the root over a reused path buffer, where a node's own weight is its
     /// count minus its children's counts — the part of the count that stopped
     /// at that node. Nothing is allocated per node, and this is the only
-    /// traversal of the tree: export, rebuild, merge and the explainers'
+    /// traversal of the tree: export, rebuild and the explainers'
     /// counting passes all read the tree through it.
     pub fn for_each_path(&self, visit: impl FnMut(&[Item], f64)) {
         self.walk(|item| item, visit);
@@ -408,7 +401,9 @@ impl StreamingPrefixTree {
     }
 
     /// Re-insert every stored path, restricted to the items `keep` accepts,
-    /// along the current frequency order.
+    /// along the current frequency order. Each path is walked as the ranks
+    /// of its items, so sorting those ranks puts it in that order with no
+    /// count looked up.
     fn rebuild(&mut self, keep: impl Fn(Item) -> bool) {
         let (rank_of, by_rank) = self.frequency_ranks(keep);
         let mut rebuilt = StreamingPrefixTree::with_capacity(self.node_count(), by_rank.len());
@@ -416,7 +411,19 @@ impl StreamingPrefixTree {
         for &item in &by_rank {
             rebuilt.add_item_count(item, self.item_count(item));
         }
-        rebuilt.absorb_paths(self, &rank_of, &by_rank);
+        let mut ranks: Vec<u32> = Vec::new();
+        self.walk(
+            |item| rank_of[self.item_index.item(item) as usize - 1],
+            |path, weight| {
+                ranks.clear();
+                ranks.extend(path.iter().copied().filter(|&rank| rank != DROPPED));
+                ranks.sort_unstable();
+                let mut current = ROOT;
+                for &rank in &ranks {
+                    current = rebuilt.descend(current, by_rank[rank as usize], weight);
+                }
+            },
+        );
         *self = rebuilt;
     }
 
@@ -438,54 +445,11 @@ impl StreamingPrefixTree {
         (rank_of, order.iter().map(|&(_, item, _)| item).collect())
     }
 
-    /// Add every path of `source` to this tree's nodes — not to its item
-    /// counts or total weight. `rank_of[i]` is the rank of `source`'s item
-    /// `i` in this tree's [frequency order](Self::frequency_ranks), or
-    /// [`DROPPED`]; `by_rank` maps a rank back to the item. Sorting a path's
-    /// ranks puts it in that order with no count looked up.
-    fn absorb_paths(&mut self, source: &StreamingPrefixTree, rank_of: &[u32], by_rank: &[Item]) {
-        let mut ranks: Vec<u32> = Vec::new();
-        source.walk(
-            |item| rank_of[source.item_index.item(item) as usize - 1],
-            |path, weight| {
-                ranks.clear();
-                ranks.extend(path.iter().copied().filter(|&rank| rank != DROPPED));
-                ranks.sort_unstable();
-                let mut current = ROOT;
-                for &rank in &ranks {
-                    current = self.descend(current, by_rank[rank as usize], weight);
-                }
-            },
-        );
-    }
-
     /// Mine frequent itemsets from the current tree contents via FPGrowth.
     pub fn mine(&self, min_support: f64, max_size: usize) -> Vec<FrequentItemset> {
         let transactions = self.to_weighted_transactions();
         let tree = FpTree::from_weighted_transactions(&transactions, min_support);
         tree.mine(min_support, max_size)
-    }
-}
-
-impl Mergeable for StreamingPrefixTree {
-    /// Merge another prefix tree into this one: item frequencies add, and
-    /// the other tree's transactions are re-inserted ordered by the
-    /// *combined* frequencies (count addition along shared prefixes). The
-    /// merged tree stores exactly the union of both trees' weighted
-    /// transaction multisets, so mining it equals mining the concatenated
-    /// streams; total weight (including fully-pruned transactions) adds.
-    fn merge(&mut self, other: Self) {
-        for (&item, &count) in other.item_ids.iter().zip(&other.item_counts) {
-            self.add_item_count(item, count);
-        }
-        let (rank_here, by_rank) = self.frequency_ranks(|_| true);
-        let rank_of: Vec<u32> = other
-            .item_ids
-            .iter()
-            .map(|&item| rank_here[self.item_index.item(item) as usize - 1])
-            .collect();
-        self.absorb_paths(&other, &rank_of, &by_rank);
-        self.total_weight += other.total_weight;
     }
 }
 
@@ -668,70 +632,17 @@ mod tests {
         let mut tree = StreamingPrefixTree::new();
         tree.insert(&[1, 2], 5.0);
         tree.insert(&[1, 3], 1.0);
+        tree.insert(&[4], 2.0);
         let keep: HashSet<Item> = [1, 2].into_iter().collect();
         tree.retain_items(&keep);
         assert_eq!(tree.item_count(3), 0.0);
+        assert_eq!(tree.item_count(4), 0.0);
         assert!(tree.item_count(1) > 0.0);
         let mined = tree.mine(1.0, usize::MAX);
         assert!(mined.iter().all(|r| !r.items.contains(&3)));
-        // Total weight still reflects all observed transactions.
-        assert!((tree.total_weight() - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merged_prefix_trees_mine_like_one_stream() {
-        let transactions = vec![
-            vec![1, 2, 5],
-            vec![2, 4],
-            vec![2, 3],
-            vec![1, 2, 4],
-            vec![1, 3],
-            vec![2, 3],
-            vec![1, 3],
-            vec![1, 2, 3, 5],
-            vec![1, 2, 3],
-        ];
-        let mut whole = StreamingPrefixTree::new();
-        let mut left = StreamingPrefixTree::new();
-        let mut right = StreamingPrefixTree::new();
-        for (i, t) in transactions.iter().enumerate() {
-            whole.insert(t, 1.0);
-            if i % 2 == 0 {
-                left.insert(t, 1.0);
-            } else {
-                right.insert(t, 1.0);
-            }
-        }
-        left.merge(right);
-        assert!((left.total_weight() - whole.total_weight()).abs() < 1e-12);
-        assert_eq!(left.distinct_items(), whole.distinct_items());
-        for item in [1, 2, 3, 4, 5] {
-            assert!((left.item_count(item) - whole.item_count(item)).abs() < 1e-12);
-        }
-        let mut merged_mined = left.mine(2.0, usize::MAX);
-        let mut whole_mined = whole.mine(2.0, usize::MAX);
-        sort_canonical(&mut merged_mined);
-        sort_canonical(&mut whole_mined);
-        assert_eq!(merged_mined.len(), whole_mined.len());
-        for (m, w) in merged_mined.iter().zip(whole_mined.iter()) {
-            assert_eq!(m.items, w.items);
-            assert!((m.support - w.support).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn merge_accounts_pruned_transaction_weight() {
-        let mut a = StreamingPrefixTree::new();
-        a.insert(&[1, 2], 5.0);
-        let mut b = StreamingPrefixTree::new();
-        b.insert(&[3], 1.0);
-        b.insert(&[4], 2.0);
-        let keep: HashSet<Item> = [3].into_iter().collect();
-        b.retain_items(&keep); // drops item 4's path but keeps its weight
-        a.merge(b);
-        assert!((a.total_weight() - 8.0).abs() < 1e-9);
-        assert!((a.item_count(3) - 1.0).abs() < 1e-9);
-        assert_eq!(a.item_count(4), 0.0);
+        // Total weight still reflects all observed transactions, item 4's
+        // too, though every item of its path was pruned.
+        assert!((tree.total_weight() - 8.0).abs() < 1e-9);
     }
 
     mod walk_props {
@@ -804,12 +715,12 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            // Inserts, decay, item pruning, branch re-sorting and merges in any
-            // order: the walk always yields exactly the transaction multiset a
+            // Inserts, decay, item pruning and branch re-sorting in any order:
+            // the walk always yields exactly the transaction multiset a
             // plain map of the same operations holds.
             #[test]
             fn walk_yields_the_stored_multiset(
-                kinds in prop::collection::vec(0u8..10, 30..31),
+                kinds in prop::collection::vec(0u8..9, 30..31),
                 item_sets in prop::collection::vec(prop::collection::vec(0u32..8, 0..5), 30..31),
             ) {
                 let mut tree = StreamingPrefixTree::new();
@@ -837,19 +748,7 @@ mod tests {
                                 }
                             }
                         }
-                        8 => tree.restructure(),
-                        _ => {
-                            let mut other = StreamingPrefixTree::new();
-                            for shift in 0..3 {
-                                let shifted: Vec<Item> =
-                                    items.iter().map(|i| (i + shift) % 8).collect();
-                                if !shifted.is_empty() {
-                                    other.insert(&shifted, 2.0);
-                                    model.insert(&shifted, 2.0);
-                                }
-                            }
-                            tree.merge(other);
-                        }
+                        _ => tree.restructure(),
                     }
                     agree(&tree, &model)?;
                 }
@@ -865,7 +764,6 @@ mod tests {
     mod oracle {
         use crate::fptree::FpTree;
         use crate::{FrequentItemset, Item};
-        use mb_sketch::Mergeable;
         use std::collections::{HashMap, HashSet};
 
         /// An incrementally maintained, weighted, frequency-descending prefix tree.
@@ -992,7 +890,7 @@ mod tests {
             /// the root over a reused path buffer, where a node's own weight is its
             /// count minus its children's counts — the part of the count that stopped
             /// at that node. Nothing is allocated per node, and this is the only
-            /// traversal of the tree: export, rebuild, merge and the explainers'
+            /// traversal of the tree: export, rebuild and the explainers'
             /// counting passes all read the tree through it.
             pub fn for_each_path(&self, mut visit: impl FnMut(&[Item], f64)) {
                 let mut path: Vec<Item> = Vec::new();
@@ -1072,28 +970,6 @@ mod tests {
                 let transactions = self.to_weighted_transactions();
                 let tree = FpTree::from_weighted_transactions(&transactions, min_support);
                 tree.mine(min_support, max_size)
-            }
-        }
-
-        impl Mergeable for OraclePrefixTree {
-            /// Merge another prefix tree into this one: item frequencies add, and
-            /// the other tree's transactions are re-inserted ordered by the
-            /// *combined* frequencies (count addition along shared prefixes). The
-            /// merged tree stores exactly the union of both trees' weighted
-            /// transaction multisets, so mining it equals mining the concatenated
-            /// streams; total weight (including fully-pruned transactions) adds.
-            fn merge(&mut self, other: Self) {
-                let other_weight = other.total_weight;
-                for (item, count) in &other.item_counts {
-                    *self.item_counts.entry(*item).or_insert(0.0) += count;
-                }
-                let mut path_buf: Vec<Item> = Vec::new();
-                other.for_each_path(|path, weight| {
-                    path_buf.clear();
-                    path_buf.extend_from_slice(path);
-                    self.insert_path(&mut path_buf, weight);
-                });
-                self.total_weight += other_weight;
             }
         }
     }
@@ -1192,19 +1068,6 @@ mod tests {
                             .collect();
                         pair.arena.retain_items(&keep);
                         pair.oracle.retain_items(&keep);
-                    }
-                    7..=8 => {
-                        let mut other = Pair::default();
-                        for _ in 0..rng.next_below(40) {
-                            let items = row(&mut rng, zipf.as_ref(), alphabet);
-                            other.insert(&items, WEIGHTS[rng.next_below(WEIGHTS.len())]);
-                        }
-                        if rng.next_below(2) == 0 {
-                            other.arena.restructure();
-                            other.oracle.restructure();
-                        }
-                        pair.arena.merge(other.arena);
-                        pair.oracle.merge(other.oracle);
                     }
                     _ => {
                         let items = row(&mut rng, zipf.as_ref(), alphabet);

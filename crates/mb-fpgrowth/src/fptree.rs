@@ -8,7 +8,6 @@
 //! contents as weighted transactions).
 
 use crate::{FrequentItemset, Item};
-use mb_sketch::Mergeable;
 use std::collections::HashMap;
 
 /// One node of the FP-tree.
@@ -300,41 +299,6 @@ impl FpTree {
     }
 }
 
-impl Mergeable for FpTree {
-    /// Merge another FP-tree into this one: global item frequencies add and
-    /// the union of both trees' prefix paths is re-inserted along the
-    /// *combined* frequency-descending order, adding counts at shared
-    /// prefixes. FPGrowth's conditional-pattern-base walk assumes one
-    /// consistent item order per tree — two trees built from different
-    /// sub-streams generally disagree on item order, so paths cannot be
-    /// grafted verbatim (an itemset whose order flips between branches would
-    /// be mined twice with split supports). Re-ordering restores the
-    /// invariant; mining the merged tree is exactly mining the union of both
-    /// transaction multisets.
-    fn merge(&mut self, other: Self) {
-        let total = self.total_weight + other.total_weight;
-        let mut transactions = self.to_weighted_transactions();
-        transactions.extend(other.to_weighted_transactions());
-        let mut counts = std::mem::take(&mut self.item_counts);
-        // mb-lint: allow(hashmap-order-hazard) -- order-insensitive fold: each item's count accumulates independently
-        for (item, count) in &other.item_counts {
-            *counts.entry(*item).or_insert(0.0) += count;
-        }
-        let mut rebuilt = FpTree::new();
-        rebuilt.item_counts = counts;
-        for (items, weight) in &transactions {
-            // Paths are already deduplicated and support-filtered by their
-            // source trees; re-order them by the merged frequencies only.
-            let ordered = rebuilt.order_and_filter(items, f64::NEG_INFINITY);
-            rebuilt.insert_ordered(&ordered, *weight);
-        }
-        // Transactions whose items were all filtered at construction time are
-        // not exported as paths but still count toward the stream weight.
-        rebuilt.total_weight = total;
-        *self = rebuilt;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,9 +390,12 @@ mod tests {
     fn min_support_prunes_rare_items_from_tree() {
         let mut transactions = vec![vec![1, 2]; 100];
         transactions.push(vec![1, 99]); // item 99 appears once
+        transactions.push(vec![98]); // every item of this one is dropped
         let tree = FpTree::from_transactions(&transactions, 10.0);
         let result = tree.mine(10.0, usize::MAX);
         assert!(result.iter().all(|r| !r.items.contains(&99)));
+        // The total weight still counts every transaction, 98's too.
+        assert!((tree.total_weight() - 102.0).abs() < 1e-12);
     }
 
     #[test]
@@ -457,78 +424,6 @@ mod tests {
         let transactions = vec![vec![1, 2, 3]; 1000];
         let tree = FpTree::from_transactions(&transactions, 1.0);
         assert_eq!(tree.node_count(), 3);
-    }
-
-    #[test]
-    fn merged_halves_mine_identically_to_single_tree() {
-        let transactions = classic_transactions();
-        let (first, second) = transactions.split_at(4);
-        // Partition trees are built unfiltered (min_support 0) so no item is
-        // dropped by a half-local threshold before the merge.
-        let mut merged = FpTree::from_transactions(first, 0.0);
-        merged.merge(FpTree::from_transactions(second, 0.0));
-        let whole = FpTree::from_transactions(&transactions, 0.0);
-        assert!((merged.total_weight() - whole.total_weight()).abs() < 1e-12);
-        for min_support in [1.0, 2.0, 3.0] {
-            let mut a = merged.mine(min_support, usize::MAX);
-            let mut b = whole.mine(min_support, usize::MAX);
-            sort_canonical(&mut a);
-            sort_canonical(&mut b);
-            assert_eq!(a.len(), b.len(), "min_support = {min_support}");
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.items, y.items);
-                assert!((x.support - y.support).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn merge_into_empty_tree_is_identity() {
-        let transactions = classic_transactions();
-        let mut merged = FpTree::new();
-        merged.merge(FpTree::from_transactions(&transactions, 0.0));
-        let mut a = merged.mine(2.0, usize::MAX);
-        let mut b = FpTree::from_transactions(&transactions, 0.0).mine(2.0, usize::MAX);
-        sort_canonical(&mut a);
-        sort_canonical(&mut b);
-        assert_eq!(a.len(), b.len());
-    }
-
-    #[test]
-    fn merge_preserves_filtered_transaction_weight() {
-        // A tree built with a support floor drops rare items from its paths,
-        // but the merged total weight must still account for every inserted
-        // transaction.
-        let left = FpTree::from_transactions(&[vec![1], vec![2]], 2.0); // both filtered
-        let mut merged = FpTree::from_transactions(&[vec![3, 4]], 1.0);
-        merged.merge(left);
-        assert!((merged.total_weight() - 3.0).abs() < 1e-12);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-        #[test]
-        fn merged_partitions_match_single_stream_mining(
-            transactions in prop::collection::vec(
-                prop::collection::vec(0u32..8, 0..6), 1..30),
-            split in 0usize..30,
-            min_support in 1usize..4,
-        ) {
-            let cut = split.min(transactions.len());
-            let (first, second) = transactions.split_at(cut);
-            let mut merged = FpTree::from_transactions(first, 0.0);
-            merged.merge(FpTree::from_transactions(second, 0.0));
-            let mut mined = merged.mine(min_support as f64, usize::MAX);
-            let mut oracle =
-                brute_force_frequent_itemsets(&transactions, min_support as f64);
-            sort_canonical(&mut mined);
-            sort_canonical(&mut oracle);
-            prop_assert_eq!(mined.len(), oracle.len());
-            for (m, o) in mined.iter().zip(oracle.iter()) {
-                prop_assert_eq!(&m.items, &o.items);
-                prop_assert!((m.support - o.support).abs() < 1e-9);
-            }
-        }
     }
 
     #[test]

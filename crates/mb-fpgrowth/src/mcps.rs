@@ -22,7 +22,7 @@
 use crate::cps::{EdgeTable, StreamingPrefixTree};
 use crate::{FrequentItemset, Item};
 use mb_sketch::amc::{AmcSketch, MaintenancePolicy};
-use mb_sketch::{HeavyHitterSketch, Mergeable};
+use mb_sketch::HeavyHitterSketch;
 use std::collections::HashSet;
 
 /// Configuration for the M-CPS-tree.
@@ -197,32 +197,6 @@ impl McpsTree {
     }
 }
 
-impl Mergeable for McpsTree {
-    /// Merge another M-CPS-tree built over a disjoint sub-stream with the
-    /// same configuration: the backing AMC sketches merge (counts add within
-    /// combined error bounds), the prefix trees merge (union of prefix paths
-    /// with count addition), and the frequent sets union. A partition still
-    /// bootstrapping keeps the merged tree bootstrapping only if *both*
-    /// sides are — otherwise the stricter post-bootstrap admission filter
-    /// applies from the next insertion on.
-    fn merge(&mut self, other: Self) {
-        assert!(
-            (self.config.min_support_fraction - other.config.min_support_fraction).abs() < 1e-12
-                && (self.config.decay_rate - other.config.decay_rate).abs() < 1e-12,
-            "cannot merge M-CPS-trees with different support/decay configurations"
-        );
-        self.amc.merge(other.amc);
-        self.tree.merge(other.tree);
-        for item in other.admits.items() {
-            if self.frequent.insert(item) {
-                self.admits.add_item(item, 1);
-            }
-        }
-        self.transactions += other.transactions;
-        self.bootstrapping = self.bootstrapping && other.bootstrapping;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,72 +359,5 @@ mod tests {
     #[should_panic(expected = "support fraction must be in (0, 1)")]
     fn rejects_bad_support() {
         let _ = McpsTree::new(config(0.0, 0.1));
-    }
-
-    #[test]
-    fn merged_partition_trees_mine_the_combined_stream() {
-        // Two partitions each see half the occurrences of the planted pair;
-        // neither alone has the support the combined stream has.
-        let mut whole = McpsTree::new(config(0.01, 0.0));
-        let mut left = McpsTree::new(config(0.01, 0.0));
-        let mut right = McpsTree::new(config(0.01, 0.0));
-        for i in 0..1_000 {
-            // The pair lands on both even and odd indices, so each partition
-            // sees exactly half of its 500 occurrences.
-            let items: Vec<Item> = if i % 4 < 2 {
-                vec![1, 2]
-            } else {
-                vec![10 + (i % 7) as Item, 20 + (i % 5) as Item]
-            };
-            whole.insert(&items);
-            if i % 2 == 0 {
-                left.insert(&items);
-            } else {
-                right.insert(&items);
-            }
-        }
-        left.merge(right);
-        assert!((left.total_weight() - whole.total_weight()).abs() < 1e-9);
-        assert!((left.item_estimate(1) - whole.item_estimate(1)).abs() < 1e-9);
-        let merged_mined = left.mine_with_support(400.0, 2);
-        let whole_mined = whole.mine_with_support(400.0, 2);
-        let pair_support = |mined: &[FrequentItemset]| {
-            mined
-                .iter()
-                .find(|m| m.items == vec![1, 2])
-                .map(|m| m.support)
-        };
-        assert_eq!(pair_support(&merged_mined), Some(500.0));
-        assert_eq!(pair_support(&merged_mined), pair_support(&whole_mined));
-    }
-
-    #[test]
-    fn merge_unions_frequent_sets_and_exits_bootstrap() {
-        let mut left = McpsTree::new(config(0.05, 0.0));
-        let mut right = McpsTree::new(config(0.05, 0.0));
-        for _ in 0..100 {
-            left.insert(&[1]);
-            right.insert(&[2]);
-        }
-        left.on_window_boundary();
-        right.on_window_boundary();
-        left.merge(right);
-        assert!(left.frequent_items().contains(&1));
-        assert!(left.frequent_items().contains(&2));
-        // Post-bootstrap admission filtering applies to the merged tree.
-        for _ in 0..3 {
-            left.insert(&[1, 99]);
-        }
-        assert!(left.item_estimate(99) > 0.0);
-        let mined = left.mine_with_support(1.0, 2);
-        assert!(!mined.iter().any(|m| m.items.contains(&99)));
-    }
-
-    #[test]
-    #[should_panic(expected = "different support/decay configurations")]
-    fn merge_rejects_mismatched_configs() {
-        let mut a = McpsTree::new(config(0.01, 0.0));
-        let b = McpsTree::new(config(0.02, 0.0));
-        a.merge(b);
     }
 }

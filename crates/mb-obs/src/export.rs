@@ -1,11 +1,11 @@
 //! JSON-lines export of query traces over the vendored `serde_json`.
 //!
-//! Two shapes are provided: [`trace_to_json`] renders a whole
-//! [`QueryTrace`] as one nested object (the same layout `core::wire` embeds
-//! in reports), and [`trace_to_json_lines`] flattens it into one small
-//! object per line — the format the reproduction binaries print under
-//! `--trace` (prefixed `TRACE: `), easy to grep and to ship to a log
-//! collector.
+//! [`trace_to_json_lines`] flattens a [`QueryTrace`] into one small object
+//! per line — the format the reproduction binaries print under `--trace`
+//! (prefixed `TRACE: `), easy to grep and to ship to a log collector. A
+//! non-finite gauge prints as Rust's `to_string` of it (`"inf"`, `"NaN"`).
+//! This is not the layout `core::wire` embeds a trace in a report with:
+//! that one is a single object, with counters as `[name, value]` pairs.
 
 use crate::histogram::HistogramSnapshot;
 use crate::trace::{QueryTrace, StageTrace};
@@ -41,28 +41,6 @@ fn histogram_json(snapshot: &HistogramSnapshot) -> Value {
         "sum_ns": snapshot.sum_ns,
         "max_ns": snapshot.max_ns,
         "buckets": Value::Array(buckets),
-    })
-}
-
-/// Render a trace as one nested JSON object.
-pub fn trace_to_json(trace: &QueryTrace) -> Value {
-    let stages: Vec<Value> = trace.stages.iter().map(stage_json).collect();
-    let mut counters = Map::new();
-    for (name, value) in &trace.counters {
-        counters.insert(name.clone(), Value::from(*value));
-    }
-    let mut gauges = Map::new();
-    for (name, value) in &trace.gauges {
-        gauges.insert(name.clone(), finite(*value));
-    }
-    let histograms: Vec<Value> = trace.histograms.iter().map(histogram_json).collect();
-    json!({
-        "executor": trace.executor,
-        "partitions": trace.partitions,
-        "stages": Value::Array(stages),
-        "counters": Value::Object(counters),
-        "gauges": Value::Object(gauges),
-        "histograms": Value::Array(histograms),
     })
 }
 
@@ -124,19 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_json_carries_every_section() {
-        let value = trace_to_json(&sample_trace());
-        let obj = value.as_object().unwrap();
-        assert_eq!(obj.get("executor").unwrap().as_str(), Some("streaming"));
-        assert_eq!(obj.get("partitions").unwrap().as_f64(), Some(1.0));
-        let counters = obj.get("counters").unwrap().as_object().unwrap();
-        assert_eq!(counters.get("points").unwrap().as_f64(), Some(1000.0));
-        let rendered = value.to_string();
-        let reparsed = serde_json::from_str(&rendered).unwrap();
-        assert_eq!(reparsed, value);
-    }
-
-    #[test]
     fn json_lines_tag_each_row() {
         let lines = trace_to_json_lines(&sample_trace());
         let rows: Vec<Value> = lines
@@ -149,6 +114,9 @@ mod tests {
             .map(|r| r.as_object().unwrap().get("kind").unwrap().as_str().unwrap())
             .collect();
         assert_eq!(kinds, vec!["stage", "counter", "gauge", "histogram"]);
+        let value = |row: &Value| row.as_object().unwrap().get("value").unwrap().as_f64();
+        assert_eq!(value(&rows[1]), Some(1000.0));
+        assert_eq!(value(&rows[2]), Some(150.0));
         for row in &rows {
             assert_eq!(
                 row.as_object().unwrap().get("executor").unwrap().as_str(),

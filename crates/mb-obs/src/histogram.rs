@@ -1,6 +1,4 @@
-//! Log-bucketed latency histograms with additive merge.
-
-use mb_sketch::Mergeable;
+//! Log-bucketed latency histograms.
 
 /// Number of power-of-two latency buckets. Bucket `i` covers
 /// `[2^i, 2^(i+1))` nanoseconds (bucket 0 also absorbs 0 ns), so the top
@@ -9,9 +7,7 @@ pub const HISTOGRAM_BUCKETS: usize = 48;
 
 /// A fixed-size, log₂-bucketed latency histogram.
 ///
-/// Recording is two adds and a `leading_zeros`; merging is element-wise
-/// bucket addition, so per-worker histograms fold without coordination and
-/// the merged result is independent of merge order.
+/// Recording is two adds and a `leading_zeros`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     count: u64,
@@ -116,17 +112,6 @@ impl LatencyHistogram {
     }
 }
 
-impl Mergeable for LatencyHistogram {
-    fn merge(&mut self, other: Self) {
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-    }
-}
-
 /// A named, sparse histogram snapshot: `(log₂ lower-bound exponent, count)`
 /// pairs in ascending exponent order. This is the form that rides on
 /// [`QueryTrace`](crate::QueryTrace) and round-trips through `core::wire`.
@@ -169,41 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_elementwise_addition() {
-        let mut a = LatencyHistogram::new();
-        a.record_ns(10);
-        a.record_ns(1_000);
-        let mut b = LatencyHistogram::new();
-        b.record_ns(10);
-        b.record_ns(1_000_000);
-        a.merge(b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.sum_ns(), 1_001_020);
-        assert_eq!(a.max_ns(), 1_000_000);
-        let snap = a.snapshot("t");
-        assert_eq!(snap.buckets, vec![(3, 2), (9, 1), (19, 1)]);
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let samples = [5u64, 80, 80, 4_000, 123_456, 7];
-        let mut left = LatencyHistogram::new();
-        let mut right = LatencyHistogram::new();
-        for (i, &s) in samples.iter().enumerate() {
-            if i % 2 == 0 {
-                left.record_ns(s);
-            } else {
-                right.record_ns(s);
-            }
-        }
-        let mut ab = left.clone();
-        ab.merge(right.clone());
-        let mut ba = right;
-        ba.merge(left);
-        assert_eq!(ab, ba);
-    }
-
-    #[test]
     fn quantiles_report_bucket_upper_edges() {
         let mut h = LatencyHistogram::new();
         for _ in 0..99 {
@@ -223,5 +173,20 @@ mod tests {
         h.record_ns(300);
         assert_eq!(h.mean_ns(), 200);
         assert_eq!(h.snapshot("x").mean_ns(), 200);
+        // The snapshot keeps the count, sum, max and only non-empty buckets.
+        let mut h = LatencyHistogram::new();
+        for ns in [10, 1_000, 10, 1_000_000] {
+            h.record_ns(ns);
+        }
+        assert_eq!(
+            (h.count(), h.sum_ns(), h.max_ns()),
+            (4, 1_001_020, 1_000_000)
+        );
+        let snap = h.snapshot("t");
+        assert_eq!(
+            (snap.count, snap.sum_ns, snap.max_ns),
+            (4, 1_001_020, 1_000_000)
+        );
+        assert_eq!(snap.buckets, vec![(3, 2), (9, 1), (19, 1)]);
     }
 }

@@ -2,18 +2,15 @@
 //!
 //! The deployment story behind MacroBase (Section 6) is operators watching
 //! fast data streams, yet the pipeline itself is normally a black box. This
-//! crate makes it observable without giving up the coordination-avoidance
-//! discipline the engines are built on: every metric here is a *monoid* —
-//! counters add, histogram buckets add, gauges resolve by update count — so
-//! per-worker [`MetricRegistry`] shards are written with no locks and no
-//! shared cache lines, then folded together with the same
-//! [`mb_sketch::Mergeable`] algebra the sketches use.
+//! crate makes it observable without locks: every registry has one owner —
+//! a query, a streaming session, a server — that writes it with plain
+//! stores, and work scattered over the pool hands its counts back with its
+//! result instead of sharing a metric.
 //!
 //! The pieces:
 //!
 //! * [`MetricRegistry`] — a named bag of monotonic counters, last-writer
-//!   gauges, and log-bucketed [`LatencyHistogram`]s. One per worker/shard;
-//!   merge the shards when the scatter joins.
+//!   gauges, and log-bucketed [`LatencyHistogram`]s, written by its owner.
 //! * [`TraceBuilder`] / [`StageTimer`] — a span API the executors use to
 //!   time pipeline stages (`ingest → encode → train → score → explain →
 //!   merge`). Disabled builders compile down to a branch and no clock reads.
@@ -30,8 +27,8 @@
 //! # Overhead budget
 //!
 //! With telemetry enabled, the executors add two `Instant::now()` calls per
-//! stage (a handful of stages per query) plus one registry fold per scatter
-//! — the CI gate on `table3_simple_queries --trace` holds the end-to-end
+//! stage (a handful of stages per query) plus a few counter adds per
+//! scatter — the CI gate on `table3_simple_queries --trace` holds the end-to-end
 //! cost under 3% of query wall time. Disabled, the cost is a boolean test.
 
 pub mod export;
@@ -40,7 +37,7 @@ mod registry;
 mod trace;
 
 pub use histogram::{LatencyHistogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
-pub use registry::{merge_shards, GaugeValue, MetricRegistry};
+pub use registry::MetricRegistry;
 pub use trace::{QueryTrace, StageTimer, StageTrace, TraceBuilder};
 
 /// Telemetry switches carried by an analysis configuration.
@@ -88,7 +85,7 @@ pub mod stage {
     pub const SCORE: &str = "score";
     /// Risk-ratio explanation mining over the encoded outliers.
     pub const EXPLAIN: &str = "explain";
-    /// Cross-partition merge (scores, labels, or explanation state).
+    /// Cross-partition merge (the partitions' rendered explanations).
     pub const MERGE: &str = "merge";
     /// The canonical stage taxonomy, in pipeline order.
     pub const ALL: [&str; 6] = [INGEST, ENCODE, TRAIN, SCORE, EXPLAIN, MERGE];

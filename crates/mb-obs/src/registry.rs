@@ -1,45 +1,18 @@
-//! Mergeable metric registries: per-worker shards, no locks, monoid fold.
+//! Metric registries: one per query, session or server, written by its
+//! owner.
 
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
-use mb_sketch::Mergeable;
 use std::collections::BTreeMap;
-
-/// A gauge sample paired with its update count.
-///
-/// Gauges are not monotonic, so merging two shards needs a deterministic
-/// tie-break: the shard that updated the gauge more often wins (it saw the
-/// metric last in any serial interleaving of the same work), and equal
-/// update counts resolve to the larger value. This keeps merged registries
-/// independent of worker scheduling.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct GaugeValue {
-    /// Most recent value set on this shard.
-    pub value: f64,
-    /// Number of times the gauge was set on this shard.
-    pub updates: u64,
-}
-
-impl Mergeable for GaugeValue {
-    fn merge(&mut self, other: Self) {
-        let take_other = other.updates > self.updates
-            || (other.updates == self.updates && other.value > self.value);
-        if take_other {
-            self.value = other.value;
-        }
-        self.updates += other.updates;
-    }
-}
 
 /// A named bag of counters, gauges, and latency histograms.
 ///
-/// This is the *thread-local shard* of the telemetry design: each worker (or
-/// scatter task) owns one registry outright, records into it with plain
-/// non-atomic writes, and the owner folds the shards with
-/// [`Mergeable::merge`] after the scatter joins. There is no shared mutable
-/// state anywhere on the hot path — the same coordination-avoidance argument
-/// the engines use for scores and explanation state applies to metrics,
-/// because every metric here is a commutative monoid (counters and histogram
-/// buckets add; gauges resolve by update count).
+/// One registry belongs to one owner — a query's [`TraceBuilder`], a
+/// streaming session, a server — which records into it with plain
+/// non-atomic writes. Work that runs on pool workers hands its counts back
+/// with its result, and the owner adds them after the join, so no metric is
+/// shared between threads.
+///
+/// [`TraceBuilder`]: crate::TraceBuilder
 ///
 /// Names are kept in `BTreeMap`s so iteration — and therefore export and
 /// wire encoding — is always in sorted order, independent of insertion
@@ -47,7 +20,7 @@ impl Mergeable for GaugeValue {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricRegistry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, GaugeValue>,
+    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, LatencyHistogram>,
 }
 
@@ -68,9 +41,7 @@ impl MetricRegistry {
 
     /// Set the named gauge to `value`.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        let slot = self.gauges.entry(name.to_string()).or_default();
-        slot.value = value;
-        slot.updates += 1;
+        self.gauges.insert(name.to_string(), value);
     }
 
     /// Record a latency sample (nanoseconds) into the named histogram.
@@ -96,7 +67,7 @@ impl MetricRegistry {
 
     /// Current value of a gauge, if ever set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).map(|g| g.value)
+        self.gauges.get(name).copied()
     }
 
     /// The named histogram, if any sample was recorded.
@@ -111,10 +82,7 @@ impl MetricRegistry {
 
     /// All gauges in name order.
     pub fn gauge_entries(&self) -> Vec<(String, f64)> {
-        self.gauges
-            .iter()
-            .map(|(k, g)| (k.clone(), g.value))
-            .collect()
+        self.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect()
     }
 
     /// Snapshots of all histograms in name order.
@@ -128,91 +96,23 @@ impl MetricRegistry {
     }
 }
 
-impl Mergeable for MetricRegistry {
-    fn merge(&mut self, other: Self) {
-        for (name, v) in other.counters {
-            *self.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, g) in other.gauges {
-            self.gauges.entry(name).or_default().merge(g);
-        }
-        for (name, h) in other.histograms {
-            match self.histograms.get_mut(&name) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(name, h);
-                }
-            }
-        }
-    }
-}
-
-/// Fold per-worker registry shards into one, in iteration order.
-///
-/// The result is order-independent for counters and histograms (commutative
-/// addition) and deterministic for gauges (update-count tie-break), so any
-/// shard ordering yields the same merged registry.
-pub fn merge_shards<I: IntoIterator<Item = MetricRegistry>>(shards: I) -> MetricRegistry {
-    let mut merged = MetricRegistry::new();
-    for shard in shards {
-        merged.merge(shard);
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counters_add_across_shards() {
-        let mut a = MetricRegistry::new();
-        a.add("tasks", 3);
-        a.add("tasks", 2);
-        let mut b = MetricRegistry::new();
-        b.add("tasks", 7);
-        b.add("steals", 1);
-        let merged = merge_shards([a, b]);
-        assert_eq!(merged.counter("tasks"), 12);
-        assert_eq!(merged.counter("steals"), 1);
-        assert_eq!(merged.counter("absent"), 0);
-    }
-
-    #[test]
-    fn shard_merge_is_order_independent() {
-        let mut shards = Vec::new();
-        for w in 0..4u64 {
-            let mut r = MetricRegistry::new();
-            r.add("tasks", w + 1);
-            r.record_ns("lat", 100 * (w + 1));
-            r.set_gauge("staleness", w as f64);
-            if w == 2 {
-                r.set_gauge("staleness", 9.0); // worker 2 updates twice → wins
-            }
-            shards.push(r);
-        }
-        let forward = merge_shards(shards.clone());
-        shards.reverse();
-        let backward = merge_shards(shards);
-        assert_eq!(forward, backward);
-        assert_eq!(forward.counter("tasks"), 10);
-        assert_eq!(forward.histogram("lat").unwrap().count(), 4);
-        assert_eq!(forward.gauge("staleness"), Some(9.0));
-    }
-
-    #[test]
-    fn gauge_ties_resolve_to_larger_value() {
-        let mut a = GaugeValue {
-            value: 1.0,
-            updates: 1,
-        };
-        let b = GaugeValue {
-            value: 5.0,
-            updates: 1,
-        };
-        a.merge(b);
-        assert_eq!(a.value, 5.0);
-        assert_eq!(a.updates, 2);
+    fn counters_add_and_gauges_keep_the_last_value() {
+        let mut r = MetricRegistry::new();
+        r.add("tasks", 3);
+        r.add("tasks", 2);
+        r.add("steals", 1);
+        r.set_gauge("staleness", 9.0);
+        r.set_gauge("staleness", 2.0);
+        assert_eq!(r.counter("tasks"), 5);
+        assert_eq!(r.counter("steals"), 1);
+        assert_eq!(r.counter("absent"), 0);
+        assert_eq!(r.gauge("staleness"), Some(2.0));
+        assert_eq!(r.gauge("absent"), None);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::histogram::HistogramSnapshot;
 use crate::registry::MetricRegistry;
 use crate::ObsConfig;
-use mb_sketch::Mergeable;
 use std::time::Instant;
 
 /// One timed pipeline stage inside a query.
@@ -31,9 +30,9 @@ pub struct QueryTrace {
     pub partitions: u64,
     /// Timed stages in execution order.
     pub stages: Vec<StageTrace>,
-    /// Merged counters in name order (pool task/steal counts, row counts…).
+    /// Counters in name order (pool task/steal counts, row counts…).
     pub counters: Vec<(String, u64)>,
-    /// Merged gauges in name order (model staleness, worker count…).
+    /// Gauges in name order (model staleness, worker count…).
     pub gauges: Vec<(String, f64)>,
     /// Latency histogram snapshots in name order (streaming tick costs…).
     pub histograms: Vec<HistogramSnapshot>,
@@ -184,19 +183,12 @@ impl TraceBuilder {
         });
     }
 
-    /// The builder's own registry shard, for engine-level counters and
-    /// gauges. Callers on hot paths should guard with
+    /// The builder's registry, for engine-level counters, gauges and
+    /// histograms. Callers on hot paths should guard with
     /// [`TraceBuilder::is_enabled`]; writes to a disabled builder are kept
     /// but never surface.
     pub fn registry(&mut self) -> &mut MetricRegistry {
         &mut self.registry
-    }
-
-    /// Fold a per-worker registry shard into the trace.
-    pub fn merge_registry(&mut self, shard: MetricRegistry) {
-        if self.enabled {
-            self.registry.merge(shard);
-        }
     }
 
     /// Finish: `Some(QueryTrace)` when enabled, `None` otherwise.
@@ -241,6 +233,8 @@ mod tests {
         tb.finish_stage(t, "score", 100, 7, 1);
         tb.registry().add("pool_tasks", 4);
         tb.registry().set_gauge("workers", 4.0);
+        tb.registry().record_ns("chunk_ns", 50);
+        tb.registry().record_ns("chunk_ns", 250);
 
         let trace = tb.finish().expect("enabled builder yields a trace");
         assert_eq!(trace.executor, "one-shot");
@@ -255,22 +249,9 @@ mod tests {
         assert_eq!(trace.counter("missing"), 0);
         assert_eq!(trace.gauge("workers"), Some(4.0));
         assert!(trace.histogram("none").is_none());
-        assert!(trace.total_stage_ns() == trace.stages.iter().map(|s| s.wall_ns).sum::<u64>());
-    }
-
-    #[test]
-    fn worker_shards_fold_into_the_trace() {
-        let mut tb = TraceBuilder::new(ObsConfig::enabled(), "coordinated");
-        for w in 0..3u64 {
-            let mut shard = MetricRegistry::new();
-            shard.add("pool_tasks", w + 1);
-            shard.record_ns("chunk_ns", 50 * (w + 1));
-            tb.merge_registry(shard);
-        }
-        let trace = tb.finish().unwrap();
-        assert_eq!(trace.counter("pool_tasks"), 6);
         let h = trace.histogram("chunk_ns").unwrap();
-        assert_eq!(h.count, 3);
+        assert_eq!(h.count, 2);
         assert_eq!(h.sum_ns, 300);
+        assert!(trace.total_stage_ns() == trace.stages.iter().map(|s| s.wall_ns).sum::<u64>());
     }
 }

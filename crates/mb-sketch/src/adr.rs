@@ -10,7 +10,7 @@
 //! spikes (Figure 5): a burst of tuples does not flush the reservoir the way
 //! per-tuple damped samplers do.
 
-use crate::{weighted_subsample_union, Mergeable, StreamSampler};
+use crate::StreamSampler;
 use mb_stats::rand_ext::SplitMix64;
 
 /// When to trigger an automatic decay step.
@@ -78,54 +78,6 @@ impl<T> AdaptableDampedReservoir<T> {
         T: Clone,
     {
         self.items.clone()
-    }
-}
-
-impl<T> Mergeable for AdaptableDampedReservoir<T> {
-    /// Merge two ADRs over disjoint sub-streams by weighted subsample union:
-    /// the merged reservoir draws from each side proportionally to its
-    /// decayed running weight `cw`, so a partition that has seen (or still
-    /// retains, post-decay) more stream weight contributes proportionally
-    /// more of the merged sample. The merged running weight is the sum —
-    /// the `cw` a single ADR would carry after ingesting both sub-streams,
-    /// assuming the operands applied the same decay steps (both sides must
-    /// share capacity, decay rate, and decay policy). Under batch-based
-    /// decay the operands' since-last-decay counters add, and an overdue
-    /// decay step fires immediately, as it would have on the combined
-    /// stream.
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "cannot merge reservoirs of different capacities"
-        );
-        assert!(
-            (self.decay_rate - other.decay_rate).abs() < 1e-12,
-            "cannot merge ADRs with different decay rates"
-        );
-        assert_eq!(
-            self.policy, other.policy,
-            "cannot merge ADRs with different decay policies"
-        );
-        let items = std::mem::take(&mut self.items);
-        self.items = weighted_subsample_union(
-            items,
-            self.current_weight,
-            other.items,
-            other.current_weight,
-            self.capacity,
-            &mut self.rng,
-        );
-        self.current_weight += other.current_weight;
-        self.total_observed += other.total_observed;
-        if let DecayPolicy::EveryNItems(n) = self.policy {
-            self.items_since_decay += other.items_since_decay;
-            // Fire every decay the combined stream would have fired, keeping
-            // the remainder so the next period ends where it would have.
-            while self.items_since_decay >= n {
-                self.items_since_decay -= n;
-                self.decay();
-            }
-        }
     }
 }
 
@@ -305,123 +257,6 @@ mod tests {
         adr.observe_weighted("a", 5.0);
         adr.observe_weighted("b", 2.5);
         assert!((adr.current_weight() - 7.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_sums_weights_and_respects_capacity() {
-        let mut a = AdaptableDampedReservoir::new(50, 0.1, DecayPolicy::Manual, 1);
-        let mut b = AdaptableDampedReservoir::new(50, 0.1, DecayPolicy::Manual, 2);
-        for i in 0..1_000 {
-            a.observe(i as f64);
-            b.observe(10_000.0 + i as f64);
-        }
-        let (wa, wb) = (a.current_weight(), b.current_weight());
-        a.merge(b);
-        assert_eq!(a.len(), 50);
-        assert_eq!(a.observed(), 2_000);
-        assert!((a.current_weight() - (wa + wb)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_draws_proportionally_to_decayed_weight() {
-        // Side B decays heavily before the merge, so its (large) sample
-        // represents far less current stream weight and the merged sample is
-        // dominated by side A.
-        let mut from_a = 0usize;
-        let mut total = 0usize;
-        for seed in 0..100 {
-            let mut a = AdaptableDampedReservoir::new(40, 0.5, DecayPolicy::Manual, seed);
-            let mut b = AdaptableDampedReservoir::new(40, 0.5, DecayPolicy::Manual, seed + 500);
-            for _ in 0..10_000 {
-                a.observe(1.0f64);
-                b.observe(2.0f64);
-            }
-            for _ in 0..5 {
-                b.decay(); // b's weight drops to ~3% of a's
-            }
-            a.merge(b);
-            from_a += a.sample().iter().filter(|&&x| x == 1.0).count();
-            total += a.len();
-        }
-        let fraction = from_a as f64 / total as f64;
-        assert!(
-            fraction > 0.9,
-            "undecayed side should dominate, got {fraction}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "different decay rates")]
-    fn merge_rejects_mismatched_decay_rates() {
-        let mut a = AdaptableDampedReservoir::<f64>::new(10, 0.1, DecayPolicy::Manual, 1);
-        let b = AdaptableDampedReservoir::<f64>::new(10, 0.2, DecayPolicy::Manual, 1);
-        a.merge(b);
-    }
-
-    #[test]
-    #[should_panic(expected = "different decay policies")]
-    fn merge_rejects_mismatched_decay_policies() {
-        let mut a = AdaptableDampedReservoir::<f64>::new(10, 0.1, DecayPolicy::Manual, 1);
-        let b = AdaptableDampedReservoir::<f64>::new(10, 0.1, DecayPolicy::EveryNItems(10), 1);
-        a.merge(b);
-    }
-
-    #[test]
-    fn merge_fires_overdue_batch_decay_and_keeps_the_remainder() {
-        // Each side is 60 items into a 100-item decay period; the combined
-        // stream would have decayed at item 100 and carried 20 items toward
-        // the next period, so the merge fires the overdue step and the next
-        // decay lands 80 items later — not 100.
-        let mut a = AdaptableDampedReservoir::new(10, 0.5, DecayPolicy::EveryNItems(100), 1);
-        let mut b = AdaptableDampedReservoir::new(10, 0.5, DecayPolicy::EveryNItems(100), 2);
-        for i in 0..60 {
-            a.observe(i as f64);
-            b.observe(i as f64);
-        }
-        a.merge(b);
-        // 120 combined weight, decayed once: 60.
-        assert!((a.current_weight() - 60.0).abs() < 1e-9);
-        // 79 more items: still inside the carried-over period (20 + 79 = 99).
-        for i in 0..79 {
-            a.observe(i as f64);
-        }
-        assert!((a.current_weight() - 139.0).abs() < 1e-9);
-        // The 80th item completes the period and decays: (139 + 1) * 0.5.
-        a.observe(0.0);
-        assert!((a.current_weight() - 70.0).abs() < 1e-9);
-    }
-
-    proptest! {
-        #[test]
-        fn merged_adr_keeps_invariants(
-            capacity in 1usize..32,
-            n_a in 0usize..500,
-            n_b in 0usize..500,
-            decay_rate in 0.0f64..0.9,
-            seed in 0u64..50,
-        ) {
-            let mut a = AdaptableDampedReservoir::new(
-                capacity, decay_rate, DecayPolicy::Manual, seed);
-            let mut b = AdaptableDampedReservoir::new(
-                capacity, decay_rate, DecayPolicy::Manual, seed + 13);
-            for i in 0..n_a {
-                a.observe(i as f64);
-            }
-            for i in 0..n_b {
-                b.observe(1_000_000.0 + i as f64);
-            }
-            let expected_weight = a.current_weight() + b.current_weight();
-            a.merge(b);
-            prop_assert_eq!(a.len(), (n_a + n_b).min(capacity));
-            prop_assert!((a.current_weight() - expected_weight).abs() < 1e-9);
-            prop_assert_eq!(a.observed(), (n_a + n_b) as u64);
-            for &x in a.sample() {
-                prop_assert!(
-                    (x >= 0.0 && x < n_a as f64)
-                        || (x >= 1_000_000.0 && x < 1_000_000.0 + n_b as f64)
-                );
-            }
-        }
     }
 
     proptest! {

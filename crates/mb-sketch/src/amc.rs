@@ -21,7 +21,7 @@
 //! temporarily grow between maintenance calls (bounded by the maintenance
 //! period).
 
-use crate::{HeavyHitterSketch, Mergeable};
+use crate::HeavyHitterSketch;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -82,11 +82,6 @@ impl<T: Eq + Hash + Clone> AmcSketch<T> {
         }
     }
 
-    /// The configured stable (post-maintenance) size.
-    pub fn stable_size(&self) -> usize {
-        self.stable_size
-    }
-
     /// The weight credited to newly observed items (`w_i` in Algorithm 3).
     pub fn discarded_weight(&self) -> f64 {
         self.discarded_weight
@@ -129,31 +124,6 @@ impl<T: Eq + Hash + Clone> AmcSketch<T> {
             }
             MaintenancePolicy::Manual => {}
         }
-    }
-}
-
-impl<T: Eq + Hash + Clone> Mergeable for AmcSketch<T> {
-    /// Merge two AMC sketches built over disjoint sub-streams.
-    ///
-    /// Tracked counts add; the merged sketch is then pruned back to its
-    /// stable size. The discarded weight is at least the sum of both
-    /// operands' discarded weights, so the AMC invariant composes: an item's
-    /// estimate under-counts its true (combined) count by at most
-    /// `w_self + w_other`, and new items keep being credited enough to never
-    /// fall below what they could have accumulated unseen on either stream.
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.stable_size, other.stable_size,
-            "cannot merge AMC sketches of different stable sizes"
-        );
-        let combined_discarded = self.discarded_weight + other.discarded_weight;
-        self.total_weight += other.total_weight;
-        // mb-lint: allow(hashmap-order-hazard) -- order-insensitive fold: each item's count accumulates independently
-        for (item, count) in other.counts {
-            *self.counts.entry(item).or_insert(0.0) += count;
-        }
-        self.maintain();
-        self.discarded_weight = self.discarded_weight.max(combined_discarded);
     }
 }
 
@@ -355,112 +325,6 @@ mod tests {
         let mut amc = AmcSketch::<u32>::new(10, 10);
         amc.observe(1);
         amc.decay(1.5);
-    }
-
-    #[test]
-    fn merge_of_exact_sketches_is_exact() {
-        // Both operands are under their stable size: merging must simply add
-        // counts, with no pruning and no error.
-        let mut a = AmcSketch::new(100, 1_000_000);
-        let mut b = AmcSketch::new(100, 1_000_000);
-        for i in 0..30u32 {
-            for _ in 0..=i {
-                a.observe(i);
-            }
-            b.observe_count(i, 2.0);
-        }
-        a.merge(b);
-        for i in 0..30u32 {
-            assert_eq!(a.estimate(&i), (i + 1) as f64 + 2.0);
-        }
-        assert!((a.total_weight() - (465.0 + 60.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_equals_single_stream_within_combined_error_bounds() {
-        // Split a skewed stream across two sketches, merge, and compare
-        // against exact counts: every tracked item's estimate must be within
-        // the combined discarded weight of its true count, and heavy hitters
-        // must survive the merge.
-        let mut rng = SplitMix64::new(21);
-        let zipf = Zipf::new(5_000, 1.1);
-        let stream: Vec<usize> = (0..200_000).map(|_| zipf.sample(&mut rng)).collect();
-        let mut left = AmcSketch::new(100, 1_000);
-        let mut right = AmcSketch::new(100, 1_000);
-        let mut exact: HashMap<usize, f64> = HashMap::new();
-        for (i, &item) in stream.iter().enumerate() {
-            if i % 2 == 0 {
-                left.observe(item);
-            } else {
-                right.observe(item);
-            }
-            *exact.entry(item).or_insert(0.0) += 1.0;
-        }
-        left.merge(right);
-        assert!(left.tracked_items() <= left.stable_size());
-        assert!((left.total_weight() - stream.len() as f64).abs() < 1e-6);
-        let bound = left.discarded_weight() + 1e-9;
-        for (item, est) in left.entries() {
-            let true_count = exact[&item];
-            assert!(
-                est + bound >= true_count,
-                "item {item}: estimate {est} under-counts {true_count} by more than {bound}"
-            );
-            assert!(
-                est <= true_count + bound,
-                "item {item}: estimate {est} over-counts {true_count} by more than {bound}"
-            );
-        }
-        // The top Zipf item is tracked and counted to within 5%.
-        let top = left.estimate(&0);
-        assert!((top - exact[&0]).abs() / exact[&0] < 0.05);
-    }
-
-    #[test]
-    #[should_panic(expected = "different stable sizes")]
-    fn merge_rejects_mismatched_stable_sizes() {
-        let mut a = AmcSketch::<u32>::new(10, 100);
-        let b = AmcSketch::<u32>::new(20, 100);
-        a.merge(b);
-    }
-
-    proptest! {
-        #[test]
-        fn merged_halves_match_single_stream_bounds(
-            items in prop::collection::vec(0u32..40, 1..2000),
-            stable in 4usize..24,
-            period in 10u64..500,
-        ) {
-            let mut whole = AmcSketch::new(stable, period);
-            let mut left = AmcSketch::new(stable, period);
-            let mut right = AmcSketch::new(stable, period);
-            let mut max_discarded: f64 = 0.0;
-            for (i, &item) in items.iter().enumerate() {
-                whole.observe(item);
-                if i < items.len() / 2 {
-                    left.observe(item);
-                } else {
-                    right.observe(item);
-                }
-                max_discarded = max_discarded.max(whole.discarded_weight());
-            }
-            left.merge(right);
-            prop_assert!((left.total_weight() - whole.total_weight()).abs() < 1e-6);
-            prop_assert!(left.tracked_items() <= stable);
-            // Any item tracked by BOTH views agrees within the two views'
-            // combined error budgets.
-            let bound = left.discarded_weight() + max_discarded + 1e-9;
-            for (item, est) in left.entries() {
-                let single = whole.estimate(&item);
-                if single > 0.0 {
-                    prop_assert!(
-                        (est - single).abs() <= bound,
-                        "item {}: merged {} vs single {} exceeds bound {}",
-                        item, est, single, bound
-                    );
-                }
-            }
-        }
     }
 
     proptest! {

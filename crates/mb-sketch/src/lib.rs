@@ -49,28 +49,7 @@ pub mod quantile;
 pub mod reservoir;
 pub mod spacesaving;
 
-use mb_stats::rand_ext::SplitMix64;
 use std::hash::Hash;
-
-/// State that can absorb another instance of itself, in the spirit of
-/// coordination-avoiding execution: partitions process their share of a
-/// stream communication-free and reconcile by merging summaries, instead of
-/// each computing a divergent answer.
-///
-/// Implementations guarantee that merging preserves each structure's error
-/// model: merging two sketches built from two halves of a stream yields a
-/// sketch whose estimates are within the *sum* of the two halves' error
-/// bounds of a single-stream sketch (the classic mergeable-summaries
-/// composition), and merging two reservoirs yields a sample whose
-/// composition is weighted by the reservoirs' observed stream weights.
-///
-/// Merging consumes `other`; both operands must share structural
-/// configuration (capacity, stable size, decay parameters) — implementations
-/// assert this.
-pub trait Mergeable {
-    /// Absorb `other`'s state into `self`.
-    fn merge(&mut self, other: Self);
-}
 
 /// Sort `(item, count)` entries by descending count under a deterministic
 /// total order: counts compare via [`f64::total_cmp`], a NaN count (of either
@@ -87,56 +66,6 @@ pub fn sort_entries_desc<T>(entries: &mut [(T, f64)]) {
         (false, true) => std::cmp::Ordering::Less,
         (false, false) => b.1.total_cmp(&a.1),
     });
-}
-
-/// Draw a `capacity`-bounded sample from the union of two reservoir samples,
-/// where each source's representation is proportional to the stream weight
-/// its reservoir summarizes. Each draw picks a side with probability
-/// `weight / (weight_a + weight_b)` and removes a random item from it
-/// (without replacement within the samples); a reservoir's sample stands in
-/// for a far larger stream, so the side probabilities stay fixed until a
-/// side runs out of items — the binomial limit of hypergeometric sampling
-/// over the underlying streams.
-pub(crate) fn weighted_subsample_union<T>(
-    mut a: Vec<T>,
-    weight_a: f64,
-    mut b: Vec<T>,
-    weight_b: f64,
-    capacity: usize,
-    rng: &mut SplitMix64,
-) -> Vec<T> {
-    // Shuffle both sides so popping from the back is a uniform draw.
-    shuffle(&mut a, rng);
-    shuffle(&mut b, rng);
-    let (weight_a, weight_b) = (weight_a.max(0.0), weight_b.max(0.0));
-    let total = weight_a + weight_b;
-    let mut out = Vec::with_capacity(capacity);
-    while out.len() < capacity && (!a.is_empty() || !b.is_empty()) {
-        let take_a = if b.is_empty() {
-            true
-        } else if a.is_empty() {
-            false
-        } else if total <= 0.0 {
-            // Degenerate (fully decayed) weights: alternate fairly.
-            rng.next_f64() < 0.5
-        } else {
-            rng.next_f64() * total < weight_a
-        };
-        if take_a {
-            out.push(a.pop().expect("side a non-empty"));
-        } else {
-            out.push(b.pop().expect("side b non-empty"));
-        }
-    }
-    out
-}
-
-/// Fisher–Yates shuffle with the crate's deterministic RNG.
-pub(crate) fn shuffle<T>(items: &mut [T], rng: &mut SplitMix64) {
-    for i in (1..items.len()).rev() {
-        let j = rng.next_below(i + 1);
-        items.swap(i, j);
-    }
 }
 
 /// A streaming sampler over items of type `T`.

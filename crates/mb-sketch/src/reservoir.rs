@@ -4,7 +4,7 @@
 //! it converges to a uniform sample over the *entire* history of the stream,
 //! so it cannot track distribution shifts.
 
-use crate::{weighted_subsample_union, Mergeable, StreamSampler};
+use crate::StreamSampler;
 use mb_stats::rand_ext::SplitMix64;
 
 /// Uniform reservoir sampler of fixed capacity.
@@ -38,29 +38,6 @@ impl<T> UniformReservoir<T> {
     pub fn drain(&mut self) -> Vec<T> {
         self.seen = 0;
         std::mem::take(&mut self.items)
-    }
-}
-
-impl<T> Mergeable for UniformReservoir<T> {
-    /// Merge two uniform reservoirs over disjoint streams: subsample the
-    /// union of both samples, drawing from each side proportionally to how
-    /// many stream items it observed, so the result remains (approximately)
-    /// a uniform sample over the concatenated stream.
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "cannot merge reservoirs of different capacities"
-        );
-        let items = std::mem::take(&mut self.items);
-        self.items = weighted_subsample_union(
-            items,
-            self.seen as f64,
-            other.items,
-            other.seen as f64,
-            self.capacity,
-            &mut self.rng,
-        );
-        self.seen += other.seen;
     }
 }
 
@@ -169,87 +146,6 @@ mod tests {
         let before = r.sample().to_vec();
         r.decay();
         assert_eq!(r.sample(), &before[..]);
-    }
-
-    #[test]
-    fn merge_is_weighted_by_observed_counts() {
-        // Side A saw 10k items of value 0, side B saw 30k of value 100: the
-        // merged sample should be ~25% zeros / ~75% hundreds across many
-        // independent merges.
-        let mut from_b = 0usize;
-        let mut total = 0usize;
-        for seed in 0..100 {
-            let mut a = UniformReservoir::new(40, seed);
-            let mut b = UniformReservoir::new(40, seed + 1000);
-            for _ in 0..10_000 {
-                a.observe(0.0f64);
-            }
-            for _ in 0..30_000 {
-                b.observe(100.0f64);
-            }
-            a.merge(b);
-            assert_eq!(a.len(), 40);
-            assert_eq!(a.observed(), 40_000);
-            from_b += a.sample().iter().filter(|&&x| x == 100.0).count();
-            total += a.len();
-        }
-        let fraction = from_b as f64 / total as f64;
-        assert!(
-            (0.70..0.80).contains(&fraction),
-            "fraction from the heavier side was {fraction}"
-        );
-    }
-
-    #[test]
-    fn merge_with_underfull_sides_keeps_everything() {
-        let mut a = UniformReservoir::new(20, 1);
-        let mut b = UniformReservoir::new(20, 2);
-        for i in 0..5 {
-            a.observe(i);
-        }
-        for i in 5..12 {
-            b.observe(i);
-        }
-        a.merge(b);
-        let mut sample = a.sample().to_vec();
-        sample.sort_unstable();
-        assert_eq!(sample, (0..12).collect::<Vec<_>>());
-        assert_eq!(a.observed(), 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "different capacities")]
-    fn merge_rejects_mismatched_capacities() {
-        let mut a = UniformReservoir::<u32>::new(5, 1);
-        let b = UniformReservoir::<u32>::new(6, 1);
-        a.merge(b);
-    }
-
-    proptest! {
-        #[test]
-        fn merged_sample_is_bounded_union_subset(
-            capacity in 1usize..32,
-            n_a in 0usize..500,
-            n_b in 0usize..500,
-            seed in 0u64..50,
-        ) {
-            let mut a = UniformReservoir::new(capacity, seed);
-            let mut b = UniformReservoir::new(capacity, seed + 7);
-            for i in 0..n_a {
-                a.observe(i as i64);
-            }
-            for i in 0..n_b {
-                b.observe(-(i as i64) - 1);
-            }
-            a.merge(b);
-            prop_assert_eq!(a.observed(), (n_a + n_b) as u64);
-            prop_assert_eq!(a.len(), (n_a + n_b).min(capacity));
-            for &x in a.sample() {
-                let from_a = x >= 0 && (x as usize) < n_a;
-                let from_b = x < 0 && ((-x - 1) as usize) < n_b;
-                prop_assert!(from_a || from_b, "item {} not from either stream", x);
-            }
-        }
     }
 
     proptest! {

@@ -15,41 +15,9 @@
 //! which may grow between maintenance calls) and guarantee estimates within
 //! `εN` of true counts.
 
-use crate::{HeavyHitterSketch, Mergeable};
+use crate::HeavyHitterSketch;
 use std::collections::HashMap;
 use std::hash::Hash;
-
-/// Combine two sketches' entry lists by summing estimates over the union of
-/// tracked items, then keep the `capacity` largest (ties by insertion order).
-/// This is the classic mergeable-summaries composition for counter-based
-/// sketches: the merged error bound is the sum of the operands' `εN` bounds.
-fn merge_entries<T: Eq + Hash + Clone>(
-    a: Vec<(T, f64)>,
-    b: Vec<(T, f64)>,
-    capacity: usize,
-) -> Vec<(T, f64)> {
-    let mut combined: HashMap<T, f64> = HashMap::with_capacity(a.len() + b.len());
-    let mut order: Vec<T> = Vec::with_capacity(a.len() + b.len());
-    for (item, count) in a.into_iter().chain(b) {
-        match combined.get_mut(&item) {
-            Some(existing) => *existing += count,
-            None => {
-                combined.insert(item.clone(), count);
-                order.push(item);
-            }
-        }
-    }
-    let mut entries: Vec<(T, f64)> = order
-        .into_iter()
-        .map(|item| {
-            let count = combined[&item];
-            (item, count)
-        })
-        .collect();
-    crate::sort_entries_desc(&mut entries);
-    entries.truncate(capacity);
-    entries
-}
 
 /// Ordered-list SpaceSaving ("SSL" in Figure 6).
 #[derive(Debug, Clone)]
@@ -86,30 +54,6 @@ impl<T: Eq + Hash + Clone> SpaceSavingList<T> {
             self.index.insert(b, pos - 1);
             pos -= 1;
         }
-    }
-}
-
-impl<T: Eq + Hash + Clone> Mergeable for SpaceSavingList<T> {
-    /// Merge two SpaceSaving lists built over disjoint sub-streams: sum
-    /// estimates over the union of tracked items and keep the `capacity`
-    /// largest. Estimates stay within `ε₁N₁ + ε₂N₂` of true combined counts.
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "cannot merge SpaceSaving sketches of different capacities"
-        );
-        self.total_weight += other.total_weight;
-        let merged = merge_entries(
-            std::mem::take(&mut self.entries),
-            other.entries,
-            self.capacity,
-        );
-        self.index = merged
-            .iter()
-            .enumerate()
-            .map(|(pos, (item, _))| (item.clone(), pos))
-            .collect();
-        self.entries = merged;
     }
 }
 
@@ -195,21 +139,6 @@ impl<T: Eq + Hash + Clone> SpaceSavingHash<T> {
             counts: HashMap::with_capacity(capacity),
             total_weight: 0.0,
         }
-    }
-}
-
-impl<T: Eq + Hash + Clone> Mergeable for SpaceSavingHash<T> {
-    /// Merge two SpaceSaving hash sketches; see [`SpaceSavingList::merge`]
-    /// (same union-sum-truncate composition, same combined error bound).
-    fn merge(&mut self, other: Self) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "cannot merge SpaceSaving sketches of different capacities"
-        );
-        self.total_weight += other.total_weight;
-        let a: Vec<(T, f64)> = self.counts.drain().collect(); // mb-lint: allow(hashmap-order-hazard) -- merge_entries re-sorts; which equal-count entry survives truncation is within the εN bound
-        let b: Vec<(T, f64)> = other.counts.into_iter().collect(); // mb-lint: allow(hashmap-order-hazard) -- merge_entries re-sorts; which equal-count entry survives truncation is within the εN bound
-        self.counts = merge_entries(a, b, self.capacity).into_iter().collect();
     }
 }
 
@@ -397,112 +326,6 @@ mod tests {
         assert_eq!(ss.estimate(&"c"), 6.0);
         assert_eq!(ss.estimate(&"b"), 0.0);
         assert_eq!(ss.estimate(&"a"), 10.0);
-    }
-
-    #[test]
-    fn merge_equals_single_stream_within_combined_error_bounds() {
-        let stream = zipf_stream(100_000, 3_000, 17);
-        let capacity = 200;
-        let mut list_l = SpaceSavingList::new(capacity);
-        let mut list_r = SpaceSavingList::new(capacity);
-        let mut hash_l = SpaceSavingHash::new(capacity);
-        let mut hash_r = SpaceSavingHash::new(capacity);
-        let mut exact: HashMap<usize, f64> = HashMap::new();
-        for (i, &item) in stream.iter().enumerate() {
-            if i < stream.len() / 2 {
-                list_l.observe(item);
-                hash_l.observe(item);
-            } else {
-                list_r.observe(item);
-                hash_r.observe(item);
-            }
-            *exact.entry(item).or_insert(0.0) += 1.0;
-        }
-        list_l.merge(list_r);
-        hash_l.merge(hash_r);
-        // Combined bound: ε₁N₁ + ε₂N₂ = N / capacity for an even split.
-        let bound = stream.len() as f64 / capacity as f64 + 1e-9;
-        for sketch_entries in [list_l.entries(), hash_l.entries()] {
-            for (item, est) in sketch_entries {
-                let true_count = exact.get(&item).copied().unwrap_or(0.0);
-                assert!(
-                    (est - true_count).abs() <= bound,
-                    "item {item}: merged estimate {est} vs true {true_count} exceeds {bound}"
-                );
-            }
-        }
-        assert!((list_l.total_weight() - stream.len() as f64).abs() < 1e-6);
-        assert!((hash_l.total_weight() - stream.len() as f64).abs() < 1e-6);
-        assert!(list_l.tracked_items() <= capacity);
-        assert!(hash_l.tracked_items() <= capacity);
-        // Top-10 exact heavy hitters survive the merge in both variants.
-        let mut by_count: Vec<(usize, f64)> = exact.iter().map(|(k, v)| (*k, *v)).collect();
-        by_count.sort_by(|a, b| b.1.total_cmp(&a.1));
-        for &(item, _) in by_count.iter().take(10) {
-            assert!(list_l.estimate(&item) > 0.0);
-            assert!(hash_l.estimate(&item) > 0.0);
-        }
-    }
-
-    #[test]
-    fn merged_list_preserves_descending_order_invariant() {
-        let mut a = SpaceSavingList::new(8);
-        let mut b = SpaceSavingList::new(8);
-        for &item in &zipf_stream(5_000, 200, 23) {
-            a.observe(item);
-        }
-        for &item in &zipf_stream(5_000, 200, 29) {
-            b.observe(item + 100);
-        }
-        a.merge(b);
-        let entries = a.entries();
-        assert_eq!(entries.len(), 8);
-        for w in entries.windows(2) {
-            assert!(w[0].1 >= w[1].1, "merged list out of order");
-        }
-        // Bubbling after further observations still works on the rebuilt index.
-        for _ in 0..100 {
-            a.observe(entries[7].0);
-        }
-        for w in a.entries().windows(2) {
-            assert!(w[0].1 >= w[1].1, "list out of order after post-merge updates");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different capacities")]
-    fn merge_rejects_mismatched_capacities() {
-        let mut a = SpaceSavingHash::<u32>::new(8);
-        let b = SpaceSavingHash::<u32>::new(16);
-        a.merge(b);
-    }
-
-    proptest! {
-        #[test]
-        fn merged_halves_stay_within_combined_bounds(
-            items in prop::collection::vec(0u32..30, 2..1000),
-            capacity in 2usize..20,
-        ) {
-            let mut left = SpaceSavingList::new(capacity);
-            let mut right = SpaceSavingList::new(capacity);
-            let mut exact: HashMap<u32, f64> = HashMap::new();
-            for (i, &item) in items.iter().enumerate() {
-                if i % 2 == 0 {
-                    left.observe(item);
-                } else {
-                    right.observe(item);
-                }
-                *exact.entry(item).or_insert(0.0) += 1.0;
-            }
-            left.merge(right);
-            prop_assert!(left.tracked_items() <= capacity);
-            prop_assert!((left.total_weight() - items.len() as f64).abs() < 1e-6);
-            let bound = items.len() as f64 / capacity as f64 + 1e-9;
-            for (item, est) in left.entries() {
-                let true_count = exact.get(&item).copied().unwrap_or(0.0);
-                prop_assert!((est - true_count).abs() <= bound);
-            }
-        }
     }
 
     proptest! {

@@ -244,27 +244,6 @@ impl RunningStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merge another accumulator into this one (parallel combine).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -375,25 +354,6 @@ mod tests {
         assert_close(rs.variance(), population_variance(&data).unwrap(), 1e-12);
         assert_close(rs.min(), 1.0, 1e-12);
         assert_close(rs.max(), 9.0, 1e-12);
-    }
-
-    #[test]
-    fn running_stats_merge_matches_single_pass() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [10.0, 20.0, 30.0, 40.0];
-        let mut ra = RunningStats::new();
-        let mut rb = RunningStats::new();
-        for &x in &a {
-            ra.observe(x);
-        }
-        for &x in &b {
-            rb.observe(x);
-        }
-        ra.merge(&rb);
-        let all: Vec<f64> = a.iter().chain(b.iter()).copied().collect();
-        assert_close(ra.mean(), mean(&all).unwrap(), 1e-9);
-        assert_close(ra.variance(), population_variance(&all).unwrap(), 1e-9);
-        assert_eq!(ra.count(), 7);
     }
 
     proptest! {

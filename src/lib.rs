@@ -30,11 +30,11 @@
 //! * [`pool`] — the work-stealing execution substrate behind the
 //!   partitioned modes, FastMCD's C-steps, and parallel attribute encoding
 //!   (vendored rayon stand-in; scoped `join`/`parallel_for`/`map_reduce`).
-//! * [`obs`] — the mergeable telemetry layer: lock-free metric registries
-//!   (counters, gauges, log-bucketed latency histograms) folded with the
-//!   same `Mergeable` algebra the engines use, per-stage query traces
-//!   attached to reports when `ObsConfig` is enabled (off by default), and
-//!   a JSON-lines exporter behind the reproduction binaries' `--trace`.
+//! * [`obs`] — the telemetry layer: metric registries (counters, gauges,
+//!   log-bucketed latency histograms), each written by the query, session
+//!   or server that owns it, per-stage query traces attached to reports
+//!   when `ObsConfig` is enabled (off by default), and a JSON-lines
+//!   exporter behind the reproduction binaries' `--trace`.
 //! * [`serve`] — the resident multi-query server: bounded priority
 //!   admission over the shared pool, an epoch-versioned shared model cache
 //!   (train once, score for every subscriber; retrains publish new epochs

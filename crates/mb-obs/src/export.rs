@@ -4,8 +4,9 @@
 //! per line — the format the reproduction binaries print under `--trace`
 //! (prefixed `TRACE: `), easy to grep and to ship to a log collector. A
 //! non-finite gauge prints as Rust's `to_string` of it (`"inf"`, `"NaN"`).
-//! This is not the layout `core::wire` embeds a trace in a report with:
-//! that one is a single object, with counters as `[name, value]` pairs.
+//! `core::wire` embeds a trace in a report in a layout of its own: one
+//! object, counters as `[name, value]` pairs, a non-finite gauge as
+//! `"Infinity"`.
 
 use crate::histogram::HistogramSnapshot;
 use crate::trace::{QueryTrace, StageTrace};

@@ -28,8 +28,9 @@
 //!
 //! With telemetry enabled, the executors add two `Instant::now()` calls per
 //! stage (a handful of stages per query) plus a few counter adds per
-//! scatter — the CI gate on `table3_simple_queries --trace` holds the end-to-end
-//! cost under 3% of query wall time. Disabled, the cost is a boolean test.
+//! scatter — the CI gate on `table3_simple_queries --trace` holds the
+//! end-to-end cost under 3% of query wall time. Disabled, the cost is a
+//! boolean test.
 
 pub mod export;
 mod histogram;

@@ -76,13 +76,7 @@ pub(crate) struct QueryParts<'a> {
 /// Validate that all points share one non-zero metric dimensionality;
 /// returns it.
 pub(crate) fn check_dimensions(points: &[Point]) -> Result<usize> {
-    let first = points.first().ok_or(PipelineError::EmptyInput)?;
-    let dim = first.dimension();
-    if dim == 0 {
-        return Err(PipelineError::InvalidConfiguration(
-            "points must have at least one metric".to_string(),
-        ));
-    }
+    let dim = leading_dimension(points)?;
     for p in points {
         if p.dimension() != dim {
             return Err(PipelineError::InconsistentDimensions {
@@ -92,6 +86,18 @@ pub(crate) fn check_dimensions(points: &[Point]) -> Result<usize> {
         }
     }
     Ok(dim)
+}
+
+/// The first point's metric dimensionality, which every other point must
+/// share: an error for no points or a first point without metrics.
+pub(crate) fn leading_dimension(points: &[Point]) -> Result<usize> {
+    let first = points.first().ok_or(PipelineError::EmptyInput)?;
+    match first.dimension() {
+        0 => Err(PipelineError::InvalidConfiguration(
+            "points must have at least one metric".to_string(),
+        )),
+        dim => Ok(dim),
+    }
 }
 
 /// Copy every point's metrics into one contiguous row-major buffer — the
@@ -242,7 +248,7 @@ fn explain_encoded(
     config: ExplanationConfig,
     encoder: &AttributeEncoder,
     batch: &ItemBatch,
-    outlier: impl Fn(usize) -> bool,
+    outlier: impl Fn(usize) -> bool + Sync,
 ) -> Vec<RenderedExplanation> {
     render_explanations(encoder, BatchExplainer::new(config).explain_labeled(batch, outlier))
 }
@@ -1144,9 +1150,12 @@ mod tests {
         let report = run(traced_query(), &Executor::OneShot, &points);
         let trace = report.trace.expect("trace populated");
         assert_eq!(trace.executor, "one-shot");
-        for name in ["flatten", "train", "score", "encode", "explain"] {
+        for name in ["train", "score", "encode", "explain"] {
             assert!(trace.stage(name).is_some(), "missing stage {name}");
         }
+        // The metric copy rides the encode walk: one span over every row.
+        assert!(trace.stage("flatten").is_none());
+        assert_eq!(trace.stage("encode").unwrap().rows_in, 4_000);
         let score = trace.stage("score").unwrap();
         assert_eq!(score.rows_in, 4_000);
         assert_eq!(score.rows_out as usize, report.num_outliers);

@@ -45,7 +45,17 @@ mod tests {
         ];
         assert!(matches!(
             run(AnalysisConfig::default(), &points),
-            Err(PipelineError::InconsistentDimensions { .. })
+            Err(PipelineError::InconsistentDimensions { expected: 1, actual: 2 })
+        ));
+        // A ragged last row of a batch large enough to shard.
+        let (mut points, _) = workload_points(5_000, 50);
+        let dim = points[0].dimension();
+        points.last_mut().unwrap().metrics.push(0.5);
+        let error = run(AnalysisConfig::default(), &points).unwrap_err();
+        assert!(matches!(
+            error,
+            PipelineError::InconsistentDimensions { expected, actual }
+                if (expected, actual) == (dim, dim + 1)
         ));
     }
 

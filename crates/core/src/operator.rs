@@ -15,12 +15,12 @@
 //! adaptors over the batch core the [`crate::query::Executor`] backends run
 //! on columns ([`ColumnarInput`]).
 
-use crate::executor::{check_dimensions, encoder_for, flatten_metrics, pool_snapshot};
+use crate::executor::{encoder_for, leading_dimension, pool_snapshot};
 use crate::parallel::resolve_num_partitions;
 use crate::query::{AnalysisConfig, Executor};
 use crate::types::Point;
 use mb_classify::{Classification, Label};
-use mb_explain::encoder::{encode_batch_parallel, ShardDictionary, ShardEncoder};
+use mb_explain::encoder::{encode_rows_parallel, ShardDictionary, ShardEncoder};
 use mb_explain::{AttributeEncoder, ItemBatch};
 use mb_ingest::csv::{CsvError, CsvQuery, CsvReader, RowSink, BLOCK_BYTES};
 use std::fs::File;
@@ -54,9 +54,14 @@ impl EncodedBatch {
     }
 
     /// Append all of `other`'s rows after this batch's rows; an empty batch
-    /// adopts `other`'s buffers instead of copying them. Errors if the
-    /// metric dimensionalities disagree (a malformed source).
+    /// adopts `other`'s buffers instead of copying them, and an empty
+    /// `other` changes nothing. Errors if the metric dimensionalities of two
+    /// non-empty batches disagree (a malformed source).
     pub fn append(&mut self, other: EncodedBatch) -> crate::Result<()> {
+        // An empty batch's `dim` is whatever its source defaulted to.
+        if other.is_empty() {
+            return Ok(());
+        }
         if self.is_empty() {
             *self = other;
         } else if other.dim != self.dim {
@@ -73,8 +78,9 @@ impl EncodedBatch {
 }
 
 /// Reject a columnar batch the one-shot engine cannot run: the row-form
-/// [`check_dimensions`] errors for no rows and for rows without metrics,
-/// and a metric buffer that does not hold `dim` values per row.
+/// [`check_dimensions`](crate::executor::check_dimensions) errors for no
+/// rows and for rows without metrics, and a metric buffer that does not hold
+/// `dim` values per row.
 pub(crate) fn check_columns(batch: &EncodedBatch) -> crate::Result<()> {
     if batch.is_empty() {
         return Err(crate::PipelineError::EmptyInput);
@@ -128,11 +134,11 @@ impl ColumnarInput {
         }
     }
 
-    /// Flatten and dictionary-encode stored points (the encode pass sharded
-    /// over the pool, with the ids a serial pass assigns). A query that
-    /// skips explanation never reads the items, so its rows are only
-    /// counted. Fails as the one-shot engine does on an empty, zero-metric,
-    /// or ragged batch.
+    /// Flatten and dictionary-encode stored points in one walk sharded over
+    /// the pool, with the ids a serial pass assigns. A query that skips
+    /// explanation never reads the items, so its rows are only counted.
+    /// Fails as the one-shot engine does on an empty, zero-metric, or ragged
+    /// batch.
     pub fn from_points(analysis: &AnalysisConfig, points: &[Point]) -> crate::Result<Self> {
         let mut input = ColumnarInput::new(analysis);
         input.fill(analysis, points)?;
@@ -140,25 +146,42 @@ impl ColumnarInput {
     }
 
     /// Flatten and encode `points` into this empty input, as
-    /// [`ColumnarInput::from_points`] does.
-    pub(crate) fn fill(&mut self, analysis: &AnalysisConfig, points: &[Point]) -> crate::Result<()> {
-        let dim = check_dimensions(points)?;
-        let timer = self.trace.start();
-        self.batch.metrics = flatten_metrics(points, dim);
-        self.batch.dim = dim;
-        self.trace
-            .finish_stage(timer, mb_obs::stage::FLATTEN, points.len(), points.len(), 1);
-        if analysis.skip_explanation {
-            self.batch.items = ItemBatch::with_capacity(points.len(), 0);
-            points.iter().for_each(|_| self.batch.items.finish_row());
-            return Ok(());
-        }
-        let attribute_rows: Vec<&[String]> =
-            points.iter().map(|p| p.attributes.as_slice()).collect();
+    /// [`ColumnarInput::from_points`] does: each encode shard copies its
+    /// rows' metrics into its own run of the flat buffer in the walk that
+    /// encodes their attributes. A ragged row fails with the error
+    /// [`check_dimensions`](crate::executor::check_dimensions) gives, the
+    /// first in row order.
+    pub(crate) fn fill(
+        &mut self,
+        analysis: &AnalysisConfig,
+        points: &[Point],
+    ) -> crate::Result<()> {
+        let dim = leading_dimension(points)?;
+        let attributes: fn(&Point) -> &[String] = if analysis.skip_explanation {
+            |_| &[]
+        } else {
+            |p| &p.attributes
+        };
         let shards = resolve_num_partitions(0);
+        let mut metrics = vec![0.0; points.len() * dim];
+        let mut rest = metrics.as_mut_slice();
         let timer = self.trace.start();
-        self.batch.items =
-            encode_batch_parallel(&mut self.encoder, mb_pool::global(), &attribute_rows, shards);
+        let (items, runs) = encode_rows_parallel(
+            &mut self.encoder,
+            mb_pool::global(),
+            points,
+            shards,
+            attributes,
+            |range| {
+                let (run, tail) = std::mem::take(&mut rest).split_at_mut(range.len() * dim);
+                rest = tail;
+                (run.chunks_exact_mut(dim), None)
+            },
+            |(rows, ragged), p| match rows.next() {
+                Some(row) if p.dimension() == dim => row.copy_from_slice(&p.metrics),
+                _ => *ragged = ragged.or(Some(p.dimension())),
+            },
+        );
         self.trace.finish_stage(
             timer,
             mb_obs::stage::ENCODE,
@@ -166,6 +189,17 @@ impl ColumnarInput {
             points.len(),
             shards,
         );
+        if let Some(actual) = runs.into_iter().find_map(|(_, ragged)| ragged) {
+            return Err(crate::PipelineError::InconsistentDimensions {
+                expected: dim,
+                actual,
+            });
+        }
+        self.batch = EncodedBatch {
+            metrics,
+            dim,
+            items,
+        };
         Ok(())
     }
 }
@@ -534,6 +568,111 @@ impl<R: BufRead> Ingestor for CsvIngestor<R> {
 mod tests {
     use super::*;
     use mb_classify::rule::{Comparison, RuleClassifier};
+
+    /// `n` rows of `dim` metrics over three attribute columns whose values
+    /// recur, arrive late and repeat across columns.
+    fn stored_rows(n: usize, dim: usize) -> Vec<Point> {
+        (0..n)
+            .map(|i| {
+                let metrics = (0..dim).map(|d| (i * 7 + d) as f64 * 0.5).collect();
+                let attributes = vec![
+                    format!("device_{}", i % 37),
+                    format!("fw_{}", i / 90),
+                    format!("device_{}", i % 5),
+                ];
+                Point::new(metrics, attributes)
+            })
+            .collect()
+    }
+
+    /// What `from_points` did before the metric copy rode the encode walk:
+    /// a serial flatten, then a serial `encode_point` loop (or, skipping
+    /// explanation, only the row count).
+    fn flatten_then_encode(
+        analysis: &AnalysisConfig,
+        points: &[Point],
+    ) -> (EncodedBatch, AttributeEncoder) {
+        let dim = crate::executor::check_dimensions(points).unwrap();
+        let mut encoder = encoder_for(analysis);
+        let items = points
+            .iter()
+            .map(|p| match analysis.skip_explanation {
+                true => Vec::new(),
+                false => encoder.encode_point(&p.attributes),
+            })
+            .collect();
+        let metrics = crate::executor::flatten_metrics(points, dim);
+        (EncodedBatch { metrics, dim, items }, encoder)
+    }
+
+    #[test]
+    fn from_points_equals_a_serial_flatten_and_encode_loop() {
+        let named = AnalysisConfig {
+            attribute_names: vec!["device".to_string(), "fw".to_string()],
+            ..AnalysisConfig::default()
+        };
+        let skipping = AnalysisConfig {
+            skip_explanation: true,
+            ..AnalysisConfig::default()
+        };
+        for analysis in [AnalysisConfig::default(), named, skipping] {
+            for (n, dim) in [(1, 1), (2, 3), (7, 2), (1_000, 1), (5_003, 4)] {
+                let points = stored_rows(n, dim);
+                let input = ColumnarInput::from_points(&analysis, &points).unwrap();
+                let (batch, encoder) = flatten_then_encode(&analysis, &points);
+                assert_eq!(input.batch.metrics, batch.metrics, "{n} rows of {dim}");
+                assert_eq!(input.batch.dim, dim);
+                assert_eq!(input.batch.items, batch.items, "{n} rows of {dim}");
+                assert_eq!(input.encoder.cardinality(), encoder.cardinality());
+                assert_eq!(input.encoder.column_names(), encoder.column_names());
+                for item in 0..encoder.cardinality() as mb_fpgrowth::Item {
+                    assert_eq!(input.encoder.decode(item), encoder.decode(item));
+                }
+                if analysis.skip_explanation {
+                    assert_eq!((input.batch.len(), input.batch.items.num_items()), (n, 0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_points_fails_as_the_row_checks_do() {
+        let analysis = AnalysisConfig::default();
+        let error = |points: &[Point]| {
+            let fused = ColumnarInput::from_points(&analysis, points).unwrap_err();
+            let checked = crate::executor::check_dimensions(points).unwrap_err();
+            assert_eq!(format!("{fused:?}"), format!("{checked:?}"));
+            fused
+        };
+        assert!(matches!(error(&[]), crate::PipelineError::EmptyInput));
+        let mut points = stored_rows(4_000, 2);
+        points[0].metrics.clear();
+        assert!(matches!(
+            error(&points),
+            crate::PipelineError::InvalidConfiguration(_)
+        ));
+
+        // The last row is in the last shard at any pool width, and with two
+        // or more pool threads rows 1 and 3,999 are in different shards: the
+        // first ragged row in row order is reported, whichever shard holds
+        // it.
+        let mut points = stored_rows(4_000, 2);
+        points[3_999].metrics.push(1.0);
+        assert!(matches!(
+            error(&points),
+            crate::PipelineError::InconsistentDimensions { expected: 2, actual: 3 }
+        ));
+        points[1].metrics.clear();
+        assert!(matches!(
+            error(&points),
+            crate::PipelineError::InconsistentDimensions { expected: 2, actual: 0 }
+        ));
+        points[0].metrics.push(1.0);
+        assert!(matches!(
+            error(&points),
+            crate::PipelineError::InconsistentDimensions { expected: 3, actual: 0 }
+        ));
+    }
 
     #[test]
     fn vec_ingestor_batches_everything_once() {

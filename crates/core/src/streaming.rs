@@ -58,9 +58,8 @@ pub struct StreamingSession {
     /// (the default) the observe loop takes no clock reads and the report
     /// carries `trace: None`.
     obs_enabled: bool,
-    /// Session-owned metric shard: per-tick retrain and decay latency
-    /// histograms. Single-threaded here, but the same mergeable shape the
-    /// batch engines fold across workers.
+    /// Session-owned metric registry: per-tick retrain and decay latency
+    /// histograms.
     metrics: MetricRegistry,
     /// Accumulated wall time inside [`StreamingSession::observe`].
     observe_wall_ns: u64,

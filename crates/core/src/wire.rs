@@ -1,12 +1,11 @@
 //! Wire (de)serialization of [`MdpReport`] over the vendored `serde_json`.
 //!
-//! ROADMAP item 4 (process-boundary scale-out) needs query results and
-//! mergeable state to cross process boundaries; this module is the report
-//! half of that protocol: [`report_to_json`] / [`report_from_json`] convert a
-//! full [`MdpReport`] — explanations with items and statistics, counters,
-//! retained scores and outlier rows, and recursive partition detail — to and
-//! from a [`serde_json::Value`], and [`report_to_string`] /
-//! [`report_from_str`] do the same against JSON text.
+//! A report crosses a process boundary — an `mb-serve` response — as JSON;
+//! this module is the report half of that protocol: [`report_to_json`] /
+//! [`report_from_json`] convert a full [`MdpReport`] — explanations with
+//! items and statistics, counters, retained scores and outlier rows, and
+//! recursive partition detail — to and from a [`serde_json::Value`], and
+//! [`report_to_string`] / [`report_from_str`] do the same against JSON text.
 //!
 //! The encoding is loss-free for every representable report: non-finite
 //! statistics (an infinite risk ratio is routine when a combination never

@@ -38,7 +38,7 @@ impl BatchExplainer {
     pub fn explain(&self, outliers: &[Vec<Item>], inliers: &[Vec<Item>]) -> Vec<Explanation> {
         self.explain_weighted(
             walk(outliers.iter().map(|t| (t.as_slice(), 1.0))),
-            walk(inliers.iter().map(|t| (t.as_slice(), 1.0))),
+            &walk(inliers.iter().map(|t| (t.as_slice(), 1.0))),
             outliers.len() as f64,
             inliers.len() as f64,
         )
@@ -48,10 +48,29 @@ impl BatchExplainer {
     /// `outlier(r)` says whether row `r` was labeled an outlier. Every row
     /// counts toward its class total (attribute-less rows included), exactly
     /// as [`explain`](BatchExplainer::explain) over split transaction lists.
+    ///
+    /// The two counting passes over the inliers run in contiguous row shards
+    /// on the global pool, one per pool thread but none under 16,384 rows,
+    /// and add their counts once; the counts are whole numbers, so the
+    /// explanations are the same bits at any shard count.
     pub fn explain_labeled(
         &self,
         rows: &ItemBatch,
-        outlier: impl Fn(usize) -> bool,
+        outlier: impl Fn(usize) -> bool + Sync,
+    ) -> Vec<Explanation> {
+        let pool = mb_pool::global();
+        let shards = (rows.len() / ROWS_PER_SHARD).clamp(1, pool.num_threads());
+        self.explain_in_shards(rows, &outlier, pool, shards)
+    }
+
+    /// [`explain_labeled`](BatchExplainer::explain_labeled) with the inlier
+    /// counting passes split into `shards` row ranges on `pool`.
+    fn explain_in_shards(
+        &self,
+        rows: &ItemBatch,
+        outlier: &(impl Fn(usize) -> bool + Sync),
+        pool: &mb_pool::Pool,
+        shards: usize,
     ) -> Vec<Explanation> {
         // The outliers (~1% of rows, walked twice) are gathered once; the
         // inliers are walked in place, by label.
@@ -61,12 +80,11 @@ impl BatchExplainer {
             .filter(|&(r, _)| outlier(r))
             .map(|(_, row)| row)
             .collect();
-        let inliers = |visit: Visit| {
-            for (r, row) in rows.iter().enumerate() {
-                if !outlier(r) {
-                    visit(row, 1.0);
-                }
-            }
+        let inliers = InlierRows {
+            rows,
+            outlier,
+            pool,
+            shards,
         };
         self.explain_weighted(
             walk(outliers.iter().map(|&t| (t, 1.0))),
@@ -77,13 +95,14 @@ impl BatchExplainer {
     }
 
     /// The outlier-aware strategy over weighted, possibly pre-aggregated
-    /// transactions, each class given as a walk. `total_outliers` /
-    /// `total_inliers` are passed explicitly because attribute-less points
-    /// count toward class totals without appearing as transactions.
+    /// transactions: the outliers given as a walk, the inliers as a
+    /// [`Class`]. `total_outliers` / `total_inliers` are passed explicitly
+    /// because attribute-less points count toward class totals without
+    /// appearing as transactions.
     fn explain_weighted(
         &self,
         outliers: impl Fn(Visit),
-        inliers: impl Fn(Visit),
+        inliers: impl Class + Copy,
         total_outliers: f64,
         total_inliers: f64,
     ) -> Vec<Explanation> {
@@ -102,7 +121,7 @@ impl BatchExplainer {
     fn explain_weighted_impl(
         &self,
         outliers: impl Fn(Visit),
-        inliers: impl Fn(Visit),
+        inliers: impl Class + Copy,
         total_outliers: f64,
         total_inliers: f64,
         prune: bool,
@@ -136,8 +155,8 @@ impl BatchExplainer {
 
         // Stage 1b: one pass over the inliers counting ONLY the supported
         // candidates (this is the cardinality-aware pruning).
-        let mut candidate_slots = SlotTable::of(candidates.iter().map(|&(item, _)| item));
-        let candidate_inlier_counts = candidate_slots.count(&inliers);
+        let candidate_slots = SlotTable::of(candidates.iter().map(|&(item, _)| item));
+        let candidate_inlier_counts = candidate_slots.count(inliers);
 
         // Stage 1c: filter candidates by single-item risk ratio.
         let surviving: Vec<Item> = candidates
@@ -158,7 +177,7 @@ impl BatchExplainer {
             (total_outliers, total_inliers),
             prune,
             &outliers,
-            &inliers,
+            inliers,
             |item| Some(candidate_inlier_counts[candidate_slots.slot(item)?]),
         )
     }
@@ -178,22 +197,98 @@ fn walk<'a>(class: impl Iterator<Item = (&'a [Item], f64)> + Clone) -> impl Fn(V
     }
 }
 
+/// Rows per inlier counting shard, at least: a labeled batch is counted in
+/// one shard per pool thread, but never in shards smaller than this, so a
+/// served request of a few thousand rows counts inline on its own thread.
+const ROWS_PER_SHARD: usize = 16_384;
+
+/// A transaction class as Algorithm 2's counting passes read it.
+pub(crate) trait Class {
+    /// Feed every transaction of the class to tallies `new_tally` makes and
+    /// return their counts, one per slot, added element-wise over the
+    /// tallies in order.
+    fn count<T: Tally>(self, new_tally: impl Fn() -> T + Sync) -> Vec<f64>;
+}
+
+/// A walk is counted in one tally, in walk order: the streaming
+/// explainer's decayed weights, whose sums depend on the order they are
+/// added in, are counted this way.
+impl<W: FnOnce(Visit)> Class for W {
+    fn count<T: Tally>(self, new_tally: impl Fn() -> T + Sync) -> Vec<f64> {
+        let mut tally = new_tally();
+        self(&mut |transaction, weight| tally.add(transaction, weight));
+        tally.into_counts()
+    }
+}
+
+/// The inlier rows of a labeled batch, each of weight 1, counted in
+/// `shards` contiguous row ranges on `pool`, a tally per range.
+///
+/// Every count is a whole number of rows, far below 2^53, so each partial
+/// sum and their element-wise total are exact in `f64`: the counts are the
+/// bits one walk over the rows gives, at any shard count.
+struct InlierRows<'a, F> {
+    rows: &'a ItemBatch,
+    outlier: &'a F,
+    pool: &'a mb_pool::Pool,
+    shards: usize,
+}
+
+// By hand: a derive would ask `F: Clone` of the closure behind the reference.
+impl<F> Clone for InlierRows<'_, F> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<F> Copy for InlierRows<'_, F> {}
+
+impl<F: Fn(usize) -> bool + Sync> Class for InlierRows<'_, F> {
+    fn count<T: Tally>(self, new_tally: impl Fn() -> T + Sync) -> Vec<f64> {
+        let rows = self.rows.len();
+        let per_shard = rows.div_ceil(self.shards.max(1)).max(1);
+        let ranges: Vec<_> = (0..rows)
+            .step_by(per_shard)
+            .map(|start| start..(start + per_shard).min(rows))
+            .collect();
+        let tallies = self.pool.map_vec(ranges, |range| {
+            let mut tally = new_tally();
+            for r in range.filter(|&r| !(self.outlier)(r)) {
+                tally.add(self.rows.row(r), 1.0);
+            }
+            tally.into_counts()
+        });
+        let mut tallies = tallies.into_iter();
+        let mut counts = tallies
+            .next()
+            .unwrap_or_else(|| new_tally().into_counts());
+        for shard in tallies {
+            counts.iter_mut().zip(shard).for_each(|(sum, count)| *sum += count);
+        }
+        counts
+    }
+}
+
+/// One walk's running counts in a counting pass.
+pub(crate) trait Tally {
+    /// Count one transaction of the given weight.
+    fn add(&mut self, transaction: &[Item], weight: f64);
+    /// The counts, one per slot of the pass's table.
+    fn into_counts(self) -> Vec<f64>;
+}
+
 /// Marks an id the table does not hold.
 const ABSENT: u32 = u32::MAX;
 
 /// A dense item-id → slot table for Algorithm 2's counting passes. A lookup
-/// is one array index where a sorted list took a binary search, and a
-/// per-slot stamp of the last transaction that counted the slot stands in
-/// for sorting and deduplicating every transaction. It costs 4 B per id up
-/// to the largest id it holds.
+/// is one array index where a sorted list took a binary search. It costs
+/// 4 B per id up to the largest id it holds.
 #[derive(Default)]
 struct SlotTable {
     /// Item id → slot, or [`ABSENT`].
     slot_of: Vec<u32>,
     /// Slot → item id, in insertion order.
     items: Vec<Item>,
-    /// Slot → the last transaction that met it (transactions count from 1).
-    stamps: Vec<usize>,
 }
 
 impl SlotTable {
@@ -215,7 +310,6 @@ impl SlotTable {
         }
         self.slot_of[id] = self.items.len() as u32;
         self.items.push(item);
-        self.stamps.push(0);
     }
 
     fn slot(&self, item: Item) -> Option<usize> {
@@ -225,31 +319,67 @@ impl SlotTable {
         }
     }
 
-    /// The slot of `item` if the table holds it and transaction `t` has not
-    /// met it yet; marks it met.
-    fn first_in(&mut self, item: Item, t: usize) -> Option<usize> {
-        let slot = self.slot(item)?;
-        if self.stamps[slot] == t {
-            return None;
+    /// Per slot, the total weight of the transactions of `class` that
+    /// contain its item. Each transaction adds its weight once.
+    fn count(&self, class: impl Class) -> Vec<f64> {
+        class.count(|| SlotTally {
+            table: self,
+            seen: Stamps::new(self.items.len()),
+            counts: vec![0.0; self.items.len()],
+        })
+    }
+}
+
+/// Per slot, the last transaction that met it (transactions count from 1):
+/// stands in for sorting and deduplicating every transaction.
+struct Stamps {
+    last: Vec<usize>,
+    current: usize,
+}
+
+impl Stamps {
+    fn new(slots: usize) -> Self {
+        Stamps {
+            last: vec![0; slots],
+            current: 0,
         }
-        self.stamps[slot] = t;
-        Some(slot)
     }
 
-    /// Per slot, the total weight of the transactions that contain its
-    /// item. Each transaction adds its weight once, in walk order.
-    fn count(&mut self, transactions: impl FnOnce(Visit)) -> Vec<f64> {
-        let mut counts = vec![0.0; self.items.len()];
-        let mut t = 0;
-        transactions(&mut |transaction, weight| {
-            t += 1;
-            for &item in transaction {
-                if let Some(slot) = self.first_in(item, t) {
-                    counts[slot] += weight;
+    /// Start the next transaction.
+    fn next(&mut self) {
+        self.current += 1;
+    }
+
+    /// Whether the current transaction meets `slot` for the first time;
+    /// marks it met.
+    fn first(&mut self, slot: usize) -> bool {
+        let first = self.last[slot] != self.current;
+        self.last[slot] = self.current;
+        first
+    }
+}
+
+/// A [`SlotTable::count`] walk's counts.
+struct SlotTally<'a> {
+    table: &'a SlotTable,
+    seen: Stamps,
+    counts: Vec<f64>,
+}
+
+impl Tally for SlotTally<'_> {
+    fn add(&mut self, transaction: &[Item], weight: f64) {
+        self.seen.next();
+        for &item in transaction {
+            if let Some(slot) = self.table.slot(item) {
+                if self.seen.first(slot) {
+                    self.counts[slot] += weight;
                 }
             }
-        });
-        counts
+        }
+    }
+
+    fn into_counts(self) -> Vec<f64> {
+        self.counts
     }
 }
 
@@ -259,21 +389,21 @@ impl SlotTable {
 /// combinations among the inlier transactions, and keep what clears the
 /// risk-ratio threshold.
 ///
-/// Both classes arrive as a walk — a function that feeds every weighted
+/// The outliers arrive as a walk — a function that feeds every weighted
 /// transaction to the visitor it is given — so a caller holding a prefix tree
-/// need not export it. The inliers are walked once, and only if the outliers
-/// produced a combination. A mined single is scored against
-/// `single_inlier_count`; `None` leaves it out, for a caller that reports
-/// single values from a source of its own. `prune` turns the risk-ratio
-/// ceiling inside FP-growth on (off only in tests, which pin it
-/// output-identical).
+/// need not export it; the inliers as a [`Class`], which a walk is too. The
+/// inliers are counted once, and only if the outliers produced a
+/// combination. A mined single is scored against `single_inlier_count`;
+/// `None` leaves it out, for a caller that reports single values from a
+/// source of its own. `prune` turns the risk-ratio ceiling inside FP-growth
+/// on (off only in tests, which pin it output-identical).
 pub(crate) fn explain_combinations(
     config: &ExplanationConfig,
     surviving: &[Item],
     (total_outliers, total_inliers): (f64, f64),
     prune: bool,
     outliers: impl FnOnce(Visit),
-    inliers: impl FnOnce(Visit),
+    inliers: impl Class,
     single_inlier_count: impl Fn(Item) -> Option<f64>,
 ) -> Vec<Explanation> {
     let min_outlier_count = config.min_outlier_count(total_outliers);
@@ -335,9 +465,9 @@ pub(crate) fn explain_combinations(
 }
 
 /// For each of `combos` (distinct, each sorted ascending), the total weight
-/// of the transactions that contain it — the restricted inlier pass of
-/// Algorithm 2. `transactions` is called once, with the visitor to feed, and
-/// not at all when there is nothing to count.
+/// of the transactions of `class` that contain it — the restricted inlier
+/// pass of Algorithm 2. `class` is not counted at all when there is nothing
+/// to count.
 ///
 /// The combinations are laid out as a lexicographically sorted table, which
 /// is a trie read by range: a transaction, cut down to the distinct items any
@@ -346,10 +476,9 @@ pub(crate) fn explain_combinations(
 /// actually shares with the table — never `transactions × combinations`, and
 /// never a sub-combination nobody asked about. Each count still accumulates
 /// in transaction order.
-fn count_combinations(combos: &[&[Item]], transactions: impl FnOnce(Visit)) -> Vec<f64> {
-    let mut counts = vec![0.0; combos.len()];
+fn count_combinations(combos: &[&[Item]], class: impl Class) -> Vec<f64> {
     if combos.is_empty() {
-        return counts;
+        return Vec::new();
     }
     let mut table: Vec<(&[Item], usize)> = combos
         .iter()
@@ -357,27 +486,61 @@ fn count_combinations(combos: &[&[Item]], transactions: impl FnOnce(Visit)) -> V
         .map(|(pos, &combo)| (combo, pos))
         .collect();
     table.sort_unstable();
-    let mut used = SlotTable::of(combos.iter().flat_map(|c| c.iter().copied()));
-    let shortest = combos.iter().map(|c| c.len()).min().unwrap_or(0);
+    let table = CombinationTable {
+        used: SlotTable::of(combos.iter().flat_map(|c| c.iter().copied())),
+        shortest: combos.iter().map(|c| c.len()).min().unwrap_or(0),
+        table,
+    };
+    class.count(|| CombinationTally {
+        seen: Stamps::new(table.used.items.len()),
+        present: Vec::new(),
+        counts: vec![0.0; combos.len()],
+        table: &table,
+    })
+}
 
-    let mut present: Vec<Item> = Vec::new();
-    let mut t = 0;
-    transactions(&mut |transaction, weight| {
-        t += 1;
+/// [`count_combinations`]' read-only part: the sorted table, the items any
+/// combination uses, and the shortest combination's length.
+struct CombinationTable<'a> {
+    table: Vec<(&'a [Item], usize)>,
+    used: SlotTable,
+    shortest: usize,
+}
+
+/// A [`count_combinations`] walk's counts, with its scratch.
+struct CombinationTally<'t, 'a> {
+    table: &'t CombinationTable<'a>,
+    seen: Stamps,
+    present: Vec<Item>,
+    counts: Vec<f64>,
+}
+
+impl Tally for CombinationTally<'_, '_> {
+    fn add(&mut self, transaction: &[Item], weight: f64) {
+        let CombinationTally {
+            table,
+            seen,
+            present,
+            counts,
+        } = self;
+        seen.next();
         present.clear();
         present.extend(
             transaction
                 .iter()
                 .copied()
-                .filter(|&item| used.first_in(item, t).is_some()),
+                .filter(|&item| table.used.slot(item).is_some_and(|slot| seen.first(slot))),
         );
-        if present.len() < shortest {
+        if present.len() < table.shortest {
             return;
         }
         present.sort_unstable();
-        add_contained(&table, 0, &present, weight, &mut counts);
-    });
-    counts
+        add_contained(&table.table, 0, present, weight, counts);
+    }
+
+    fn into_counts(self) -> Vec<f64> {
+        self.counts
+    }
 }
 
 /// Add `weight` to every combination of `table` contained in a transaction.
@@ -657,7 +820,7 @@ mod tests {
         let explain = |prune| {
             explainer.explain_weighted_impl(
                 walk(wo.iter().copied()),
-                walk(wi.iter().copied()),
+                &walk(wi.iter().copied()),
                 to,
                 ti,
                 prune,
@@ -957,7 +1120,7 @@ mod tests {
                 let expected = oracle::explain_weighted(&config, &wo, &wi, totals, prune);
                 let actual = explainer.explain_weighted_impl(
                     walk(wo.iter().copied()),
-                    walk(wi.iter().copied()),
+                    &walk(wi.iter().copied()),
                     totals.0,
                     totals.1,
                     prune,
@@ -995,8 +1158,9 @@ mod tests {
             let asked: Vec<&[Item]> = combos.iter().map(Vec::as_slice).collect();
             let wi: Vec<(&[Item], f64)> = inliers.iter().map(|(t, w)| (t.as_slice(), *w)).collect();
             let expected = oracle::count_combinations(&asked, &wi);
-            let actual =
-                count_combinations(&asked, |visit| wi.iter().for_each(|&(t, w)| visit(t, w)));
+            let actual = count_combinations(&asked, |visit: Visit| {
+                wi.iter().for_each(|&(t, w)| visit(t, w))
+            });
             let bits = |counts: &[f64]| counts.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&actual), bits(&expected), "case {case}");
         }
@@ -1039,7 +1203,7 @@ mod tests {
                 // Ask in an order that is not the table's.
                 combos.reverse();
                 let asked: Vec<&[Item]> = combos.iter().map(Vec::as_slice).collect();
-                let counted = count_combinations(&asked, |visit| {
+                let counted = count_combinations(&asked, |visit: Visit| {
                     for (i, t) in inliers.iter().enumerate() {
                         visit(t, 1.0 + i as f64);
                     }
@@ -1076,7 +1240,7 @@ mod tests {
                 let explain = |prune| {
                     explainer.explain_weighted_impl(
                         walk(wo.iter().copied()),
-                        walk(wi.iter().copied()),
+                        &walk(wi.iter().copied()),
                         to,
                         ti,
                         prune,
@@ -1085,6 +1249,80 @@ mod tests {
                 assert_same_explanations(explain(true), explain(false));
             }
         }
+    }
+
+    /// One generated case for the sharded-count test: a labeled batch of
+    /// ragged rows (empty ones and repeated items included) over ids dense
+    /// from 0, and a configuration mining combinations of 2 and more. The
+    /// case number picks the shape: every fourth batch holds a handful of
+    /// rows (fewer than the shard counts tried), and some cases label no row
+    /// or every row an outlier.
+    fn generated_batch(case: u64) -> (ItemBatch, Vec<bool>, ExplanationConfig) {
+        let mut rng = SplitMix64::new(0x5A4D ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let rows = if case % 4 == 1 {
+            rng.next_below(8)
+        } else {
+            40 + rng.next_below(600)
+        };
+        let outlier_share = match case % 9 {
+            0 => 0.0,
+            4 => 1.0,
+            _ => 0.05 + 0.3 * rng.next_f64(),
+        };
+        // Outliers lean on a few planted ids, so combinations clear support.
+        let (planted, common) = (6, 30);
+        let mut batch = ItemBatch::new();
+        let mut labels = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            let is_outlier = rng.next_f64() < outlier_share;
+            for _ in 0..rng.next_below(7) {
+                let item = if is_outlier && rng.next_below(3) > 0 {
+                    rng.next_below(planted)
+                } else {
+                    planted + rng.next_below(common)
+                };
+                batch.push_item(item as Item);
+            }
+            batch.finish_row();
+            labels.push(is_outlier);
+        }
+        let config =
+            ExplanationConfig::new(0.01 + 0.2 * rng.next_f64(), 1.0 + 4.0 * rng.next_f64())
+                .with_max_combination_size(2 + rng.next_below(3));
+        (batch, labels, config)
+    }
+
+    // Counting the inliers in row shards and adding the shards' counts
+    // gives the one-walk counts bit for bit, at any shard count — more
+    // shards than rows included — and both equal `explain` over the
+    // classes split into transaction lists.
+    #[test]
+    fn sharded_counts_equal_serial_counts() {
+        let pool = mb_pool::Pool::new(4);
+        let mut combinations = 0;
+        for case in 0..160 {
+            let (batch, labels, config) = generated_batch(case);
+            let explainer = BatchExplainer::new(config);
+            let outlier = |r: usize| labels[r];
+            let one = explainer.explain_in_shards(&batch, &outlier, &pool, 1);
+            let (outliers, inliers): (Vec<_>, Vec<_>) =
+                batch.to_rows().into_iter().zip(&labels).partition(|(_, &o)| o);
+            let split = |class: Vec<(Vec<Item>, &bool)>| -> Vec<Vec<Item>> {
+                class.into_iter().map(|(row, _)| row).collect()
+            };
+            let serial = explainer.explain(&split(outliers), &split(inliers));
+            assert_bit_identical(&one, &serial, case);
+            for shards in 2..=16 {
+                let sharded = explainer.explain_in_shards(&batch, &outlier, &pool, shards);
+                assert_bit_identical(&sharded, &one, case);
+            }
+            combinations += one.iter().filter(|e| e.items.len() >= 2).count();
+        }
+        // The generator must reach Stage 3's combination counts.
+        assert!(
+            combinations > 100,
+            "only {combinations} combinations across all cases"
+        );
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! across the work-stealing pool: a serial pass lays out the row offsets,
 //! each shard writes its ids straight into its own run of the batch's one
 //! items array and interns misses into a private local dictionary
-//! ([`ShardEncoder`]), and the locals merge into the shared
-//! [`AttributeEncoder`] the same way the sketches merge — except the merge
-//! is ordered by each value's first occurrence in the input, so the assigned
-//! item ids (and therefore every downstream count, tree, and explanation)
-//! are *identical* to what a serial [`AttributeEncoder::encode_point`] loop
-//! would have produced. CSV ingestion stitches its parsed chunks through
+//! ([`ShardEncoder`]), and the locals are interned into the shared
+//! [`AttributeEncoder`] in input order, so each value is met at its first
+//! occurrence in the input and the assigned item ids (and therefore every
+//! downstream count, tree, and explanation) are *identical* to what a serial
+//! [`AttributeEncoder::encode_point`] loop would have produced.
+//! [`encode_rows_parallel`] is the same driver over any row type, with a
+//! second per-row job riding the walk (the in-memory query copies each
+//! row's metrics there). CSV ingestion stitches its parsed chunks through
 //! the same three types.
 //!
 //! Every path in — in-memory batches, CSV chunks, served points, streaming
@@ -399,16 +401,10 @@ impl ShardRemap {
 }
 
 /// Encode `rows` into one columnar [`ItemBatch`] in parallel shards on
-/// `pool`, interning any new attribute values into `encoder`.
-///
-/// A serial pass first lays out the row offsets, so the batch's one items
-/// array is allocated here and each shard writes its ids straight into its
-/// own run of it through a [`ShardEncoder`]. The shard dictionaries are then
-/// interned in shard (= row) order, which makes the id assignment — and
-/// hence the returned batch — byte-identical to a serial
-/// [`AttributeEncoder::encode_point`] loop over `rows`, for any shard count
-/// and any thread interleaving. Finally each shard's provisional ids are
-/// rewritten to their merged ids in place, again in parallel.
+/// `pool`, interning any new attribute values into `encoder`: the batch and
+/// the dictionary a serial [`AttributeEncoder::encode_point`] loop over
+/// `rows` gives, for any shard count and any thread interleaving. See
+/// [`encode_rows_parallel`] for how.
 pub fn encode_batch_parallel<R>(
     encoder: &mut AttributeEncoder,
     pool: &mb_pool::Pool,
@@ -418,6 +414,38 @@ pub fn encode_batch_parallel<R>(
 where
     R: AsRef<[String]> + Sync,
 {
+    let (batch, _) =
+        encode_rows_parallel(encoder, pool, rows, num_shards, R::as_ref, |_| (), |_, _| ());
+    batch
+}
+
+/// [`encode_batch_parallel`] over rows of any type, whose attribute values
+/// `attributes` reads, with a second job done in the same walk: each shard
+/// gets a state from `split`, called in shard order with the shard's row
+/// range, and `each` is called on that state with every row of the shard,
+/// in row order, as the row is encoded. Returns the batch and the states in
+/// shard order.
+///
+/// A serial pass first lays out the row offsets, so the batch's one items
+/// array is allocated here and each shard writes its ids straight into its
+/// own run of it through a [`ShardEncoder`]. The shard dictionaries are then
+/// interned in shard (= row) order, which makes the id assignment — and
+/// hence the returned batch — byte-identical to a serial encode loop, and
+/// finally each shard's provisional ids are rewritten to their merged ids in
+/// place, again in parallel.
+pub fn encode_rows_parallel<R, S>(
+    encoder: &mut AttributeEncoder,
+    pool: &mb_pool::Pool,
+    rows: &[R],
+    num_shards: usize,
+    attributes: impl Fn(&R) -> &[String] + Sync,
+    mut split: impl FnMut(std::ops::Range<usize>) -> S,
+    each: impl Fn(&mut S, &R) + Sync,
+) -> (ItemBatch, Vec<S>)
+where
+    R: Sync,
+    S: Send,
+{
     let num_shards = num_shards.clamp(1, rows.len().max(1));
     let shard_size = rows.len().div_ceil(num_shards).max(1);
 
@@ -425,7 +453,7 @@ where
     offsets.push(0);
     let mut end = 0;
     offsets.extend(rows.iter().map(|row| {
-        end += row.as_ref().len();
+        end += attributes(row).len();
         end_offset(end)
     }));
     // The pool threads write only what is allocated here: the items and the
@@ -439,28 +467,34 @@ where
         let len = offsets[first + shard_rows.len()] - offsets[first];
         let (out, tail) = std::mem::take(&mut rest).split_at_mut(len as usize);
         rest = tail;
-        work.push((shard_rows, out, ShardDictionary::with_capacity(64, 1024)));
+        let state = split(first..first + shard_rows.len());
+        work.push((shard_rows, out, ShardDictionary::with_capacity(64, 1024), state));
     }
 
     let frozen = &*encoder;
-    let written = pool.map_vec(work, |(shard_rows, out, mut minted)| {
+    let written = pool.map_vec(work, |(shard_rows, out, mut minted, mut state)| {
         let mut shard = ShardEncoder::new(frozen);
         let mut slots = out.iter_mut();
         for row in shard_rows {
-            for ((column, value), slot) in row.as_ref().iter().enumerate().zip(&mut slots) {
+            for ((column, value), slot) in attributes(row).iter().enumerate().zip(&mut slots) {
                 *slot = shard.encode(column, value);
             }
+            each(&mut state, row);
         }
         shard.finish(&mut minted);
-        (out, minted)
+        (out, minted, state)
     });
 
+    let mut states = Vec::with_capacity(written.len());
     let remaps: Vec<(&mut [Item], ShardRemap)> = written
         .into_iter()
-        .map(|(out, minted)| (out, minted.intern(encoder)))
+        .map(|(out, minted, state)| {
+            states.push(state);
+            (out, minted.intern(encoder))
+        })
         .collect();
     pool.map_vec(remaps, |(out, remap)| remap.apply(out));
-    ItemBatch::from_parts(items, offsets)
+    (ItemBatch::from_parts(items, offsets), states)
 }
 
 #[cfg(test)]
@@ -729,8 +763,24 @@ mod tests {
             }
             let mut sharded = serial.clone();
             let expected: ItemBatch = rows.iter().map(|row| serial.encode_point(row)).collect();
-            let batch = encode_batch_parallel(&mut sharded, &pool, &rows, shards);
+            // The side walk meets every row once, in row order, in the shard
+            // whose range holds it.
+            let (batch, walked) = encode_rows_parallel(
+                &mut sharded,
+                &pool,
+                &rows,
+                shards,
+                Vec::as_slice,
+                |range| (range, Vec::new()),
+                |(_, met), row| met.push(row.clone()),
+            );
             assert_eq!(batch, expected, "case {case}: {shards} shards");
+            let mut next = 0;
+            for (range, met) in &walked {
+                assert_eq!((range.start, met.as_slice()), (next, &rows[range.clone()]));
+                next = range.end;
+            }
+            assert_eq!(next, rows.len(), "case {case}");
             assert_eq!(sharded.cardinality(), serial.cardinality(), "case {case}");
             for item in 0..serial.cardinality() as Item {
                 let (got, want) = (sharded.decode(item), serial.decode(item));

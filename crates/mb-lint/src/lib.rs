@@ -52,15 +52,16 @@ fn in_tests_or_benches(path: &str) -> bool {
 ///   (it reads the clock for the state machine, which takes time as input).
 /// - `hashmap-order-hazard` covers only the output-bearing crates: core,
 ///   mb-explain, mb-fpgrowth, mb-sketch.
-/// - `no-unwrap-in-executors` pins the nineteen hot-path files: the four
+/// - `no-unwrap-in-executors` pins the twenty-two hot-path files: the four
 ///   executor/server ones (engines, the server's shell and its state
 ///   machine), the four every ingested or served byte goes through (CSV,
 ///   operators, both wire decoders), the two every attribute value is
 ///   encoded through (the dictionary encoder, `ItemBatch`), the two
 ///   classifiers every batch query or streamed point runs through (batch,
-///   streaming), the three estimators they fit (MAD, FastMCD, Z-score), and
-///   the four every streamed point is written into (the ADR, the AMC, the
-///   M-CPS tree, the streaming explainer).
+///   streaming), the three estimators they fit (MAD, FastMCD, Z-score), the
+///   three every batch query is explained through (the batch explainer, the
+///   risk ratio, the FP-tree), and the four every streamed point is written
+///   into (the ADR, the AMC, the M-CPS tree, the streaming explainer).
 /// - `trace-names-from-taxonomy` covers core and mb-serve, the crates that
 ///   build query traces.
 /// - `unsafe-needs-safety-comment` applies everywhere, tests included.
@@ -94,6 +95,9 @@ pub fn rules_for_path(path: &str) -> Vec<RuleId> {
             | "crates/core/src/wire.rs"
             | "crates/mb-explain/src/encoder.rs"
             | "crates/mb-explain/src/items.rs"
+            | "crates/mb-explain/src/batch.rs"
+            | "crates/mb-explain/src/risk_ratio.rs"
+            | "crates/mb-fpgrowth/src/fptree.rs"
             | "crates/mb-ingest/src/csv.rs"
             | "crates/mb-serve/src/server.rs"
             | "crates/mb-serve/src/state.rs"
@@ -222,6 +226,16 @@ mod tests {
         assert!(
             rules_for_path("crates/mb-explain/src/items.rs").contains(&RuleId::NoUnwrapInExecutors)
         );
+        for explained in [
+            "crates/mb-explain/src/batch.rs",
+            "crates/mb-explain/src/risk_ratio.rs",
+            "crates/mb-fpgrowth/src/fptree.rs",
+        ] {
+            assert!(
+                rules_for_path(explained).contains(&RuleId::NoUnwrapInExecutors),
+                "{explained}"
+            );
+        }
         for streamed in [
             "crates/mb-sketch/src/adr.rs",
             "crates/mb-sketch/src/amc.rs",
@@ -234,8 +248,6 @@ mod tests {
             );
         }
         assert!(!rules_for_path("crates/mb-sketch/src/reservoir.rs")
-            .contains(&RuleId::NoUnwrapInExecutors));
-        assert!(!rules_for_path("crates/mb-explain/src/batch.rs")
             .contains(&RuleId::NoUnwrapInExecutors));
         assert!(
             !rules_for_path("crates/mb-ingest/src/datasets.rs").contains(&RuleId::NoUnwrapInExecutors)

@@ -5,6 +5,6 @@ fn trap() -> &'static str {
 fn bad(trace: &mut TraceBuilder, obs: ObsConfig, rows: usize) {
     trace.finish_stage(trace.start(), "flatten", rows, rows, 1);
     let _ = TraceBuilder::new(obs, "one-shot");
-    trace.finish_stage(trace.start(), stage::FLATTEN, rows, rows, 1);
+    trace.finish_stage(trace.start(), stage::ENCODE, rows, rows, 1);
     let _ = TraceBuilder::new(obs, Executor::OneShot.name());
 }

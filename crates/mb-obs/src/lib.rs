@@ -72,9 +72,9 @@ impl ObsConfig {
 /// Canonical pipeline stage names used in [`StageTrace::stage`].
 ///
 /// [`ALL`](stage::ALL) is the stable six-stage taxonomy shared with the
-/// self-telemetry scenario. The executors also emit two auxiliary spans
-/// named here, [`FLATTEN`](stage::FLATTEN) and
-/// [`EXECUTE`](stage::EXECUTE), which stay outside it.
+/// self-telemetry scenario. The naïve partitioned engine also emits one
+/// auxiliary span named here, [`EXECUTE`](stage::EXECUTE), which stays
+/// outside it.
 pub mod stage {
     /// Draining rows out of an `Ingestor` source.
     pub const INGEST: &str = "ingest";
@@ -90,8 +90,6 @@ pub mod stage {
     pub const MERGE: &str = "merge";
     /// The canonical stage taxonomy, in pipeline order.
     pub const ALL: [&str; 6] = [INGEST, ENCODE, TRAIN, SCORE, EXPLAIN, MERGE];
-    /// Auxiliary: copying stored rows' metrics into one row-major buffer.
-    pub const FLATTEN: &str = "flatten";
     /// Auxiliary: the naïve partitioned engine's per-partition queries, as
     /// one span over all of them.
     pub const EXECUTE: &str = "execute";

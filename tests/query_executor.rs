@@ -188,6 +188,39 @@ fn every_backend_consumes_the_same_ingestor_fed_query() {
     }
 }
 
+/// A source that yields 500 rows, an empty batch, then 500 more.
+struct GappedIngestor {
+    batches: std::vec::IntoIter<Vec<Point>>,
+}
+
+impl Ingestor for GappedIngestor {
+    fn next_batch(&mut self) -> Result<Option<Vec<Point>>, PipelineError> {
+        Ok(self.batches.next())
+    }
+}
+
+#[test]
+fn an_empty_batch_mid_stream_changes_no_columnar_report() {
+    let points = workload(1_000);
+    let build = || {
+        MdpQuery::builder()
+            .explanation(ExplanationConfig::new(0.01, 3.0))
+            .attribute_names(vec!["device_id".to_string(), "firmware".to_string()])
+            .retain_scores()
+            .build()
+            .unwrap()
+    };
+    let bytes = |report: MdpReport| macrobase::core::wire::report_to_string(&report);
+    let expected = bytes(build().execute(&Executor::OneShot, &points).unwrap());
+    for executor in [Executor::OneShot, Executor::Coordinated { partitions: 3 }] {
+        let mut source = GappedIngestor {
+            batches: vec![points[..500].to_vec(), Vec::new(), points[500..].to_vec()].into_iter(),
+        };
+        let report = build().execute_ingest(&executor, &mut source).unwrap();
+        assert_eq!(bytes(report), expected, "{}", executor.name());
+    }
+}
+
 /// `n` points of `dim` metrics over two attribute columns, with every 100th
 /// point a planted extreme on `device_bad` and every 250th a modest bump on
 /// `device_rule` that only a rule above 13 catches.

@@ -14,9 +14,9 @@
 //! occurrence in the input and the assigned item ids (and therefore every
 //! downstream count, tree, and explanation) are *identical* to what a serial
 //! [`AttributeEncoder::encode_point`] loop would have produced.
-//! [`encode_rows_parallel`] is the same driver over any row type, with a
-//! second per-row job riding the walk (the in-memory query copies each
-//! row's metrics there). CSV ingestion stitches its parsed chunks through
+//! [`encode_rows_parallel`] is the same sharded encode over any row type,
+//! with a second per-row job riding the walk (the in-memory query copies
+//! each row's metrics there). CSV ingestion stitches its parsed chunks through
 //! the same three types.
 //!
 //! Every path in — in-memory batches, CSV chunks, served points, streaming

@@ -218,6 +218,11 @@ impl StreamingSession {
     /// it remain counted, the offending point leaves no state behind, and
     /// the session can keep feeding.
     pub fn feed(&mut self, points: &[Point]) -> Result<u64> {
+        self.feed_on(mb_pool::global(), points)
+    }
+
+    /// [`feed`](Self::feed) on a given pool.
+    fn feed_on(&mut self, _pool: &mb_pool::Pool, points: &[Point]) -> Result<u64> {
         let mut outliers = 0;
         for point in points {
             if self.observe(point)? == Label::Outlier {
@@ -667,6 +672,169 @@ mod tests {
         let second = session.report();
         assert_eq!(first, second);
         assert!(first.num_outliers > 0);
+    }
+
+    impl StreamingSession {
+        /// The point-at-a-time loop that [`feed`](StreamingSession::feed)
+        /// must reproduce: each point labeled, encoded and written into the
+        /// explainer before the next one is looked at.
+        fn feed_point_at_a_time(&mut self, points: &[Point]) -> Result<u64> {
+            let mut outliers = 0;
+            for point in points {
+                if self.observe(point)? == Label::Outlier {
+                    outliers += 1;
+                }
+            }
+            Ok(outliers)
+        }
+    }
+
+    mod two_stages {
+        use super::*;
+        use crate::wire::report_to_string;
+        use mb_classify::rule::Comparison;
+        use mb_pool::Pool;
+        use mb_stats::rand_ext::SplitMix64;
+
+        /// One metric and three attribute columns; about 3% of the rows are
+        /// outliers that mostly carry `host_bad` and `version_0`.
+        fn stream(seed: u64, rows: usize) -> Vec<Point> {
+            let mut rng = SplitMix64::new(seed);
+            (0..rows)
+                .map(|_| {
+                    let planted = rng.next_f64() < 0.03;
+                    let value = if planted { 200.0 } else { 10.0 } + rng.next_f64() * 5.0;
+                    let host = if planted && rng.next_f64() < 0.8 {
+                        "host_bad".to_string()
+                    } else {
+                        format!("host_{}", rng.next_below(40))
+                    };
+                    let version = if planted { 0 } else { rng.next_below(6) };
+                    let attributes =
+                        vec![host, format!("version_{version}"), format!("region_{}", rng.next_below(4))];
+                    Point::new(vec![value], attributes)
+                })
+                .collect()
+        }
+
+        /// `points` with rows that are typed errors spliced in. Fed whole,
+        /// they fall first in the stream, first in a feed's second block,
+        /// and in the middle and last of a feed's first block.
+        fn with_errors(points: &[Point]) -> Vec<Point> {
+            let bad = |metrics: Vec<f64>| Point::new(metrics, vec!["host_0".to_string(); 3]);
+            let mut out = vec![bad(Vec::new())];
+            let mut rest = points;
+            for (clean, offender) in [
+                (BLOCK, bad(vec![1.0, 2.0])),
+                (BLOCK / 2, bad(vec![f64::NAN])),
+                (BLOCK - 1, bad(vec![3.0, 4.0])),
+            ] {
+                out.extend_from_slice(&rest[..clean]);
+                out.push(offender);
+                rest = &rest[clean..];
+            }
+            out.extend_from_slice(rest);
+            out
+        }
+
+        /// Rows per block of the two-stage feed.
+        const BLOCK: usize = 1_024;
+
+        /// Feed `points` in calls of `feed_size` to a session through
+        /// `feed_on(pool, ..)` and to one through the point-at-a-time loop;
+        /// after every call both give the same outcome, counters and report
+        /// bytes. A call that stops at a typed error is followed by one that
+        /// starts after the offending row. Returns how many calls stopped so.
+        fn assert_same(
+            pool: &Pool,
+            query: &dyn Fn() -> MdpQuery,
+            options: &StreamingOptions,
+            points: &[Point],
+            feed_size: usize,
+        ) -> usize {
+            let open = || query().into_streaming(options).unwrap();
+            let (mut staged, mut oracle) = (open(), open());
+            let mut rest = points;
+            let mut errors = 0;
+            while !rest.is_empty() {
+                let batch = &rest[..feed_size.min(rest.len())];
+                let before = staged.points_seen();
+                let got = staged.feed_on(pool, batch);
+                let want = oracle.feed_point_at_a_time(batch);
+                let at = points.len() - rest.len();
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "row {at}, feed {feed_size}");
+                assert_eq!(staged.points_seen(), oracle.points_seen(), "row {at}");
+                assert_eq!(staged.outliers_seen(), oracle.outliers_seen(), "row {at}");
+                assert_eq!(
+                    report_to_string(&staged.report()),
+                    report_to_string(&oracle.report()),
+                    "row {at}, feed {feed_size}"
+                );
+                let taken = match got {
+                    Ok(_) => batch.len(),
+                    Err(_) => {
+                        errors += 1;
+                        (staged.points_seen() - before) as usize + 1
+                    }
+                };
+                rest = &rest[taken..];
+            }
+            assert!(staged.points_seen() > 0);
+            errors
+        }
+
+        fn queries() -> Vec<(&'static str, Box<dyn Fn() -> MdpQuery>)> {
+            let base = || MdpQuery::builder().explanation(ExplanationConfig::new(0.01, 3.0));
+            let rule = || RuleClassifier::single(0, Comparison::GreaterThan, 100.0);
+            vec![
+                ("unsupervised", Box::new(move || base().build().unwrap())),
+                ("skip_explanation", Box::new(move || base().skip_explanation().build().unwrap())),
+                (
+                    "rule-only",
+                    Box::new(move || {
+                        base().supervised_rule(rule()).without_unsupervised().build().unwrap()
+                    }),
+                ),
+                (
+                    "rule and unsupervised, outlier rows kept",
+                    Box::new(move || base().supervised_rule(rule()).retain_outlier_rows().build().unwrap()),
+                ),
+            ]
+        }
+
+        fn options(decay_period: u64) -> StreamingOptions {
+            StreamingOptions {
+                reservoir_size: 400,
+                decay_rate: 0.2,
+                decay_period,
+                retrain_period: 700,
+                ..StreamingOptions::default()
+            }
+        }
+
+        #[test]
+        fn the_two_stage_feed_matches_the_point_at_a_time_loop() {
+            let clean = stream(32, 4 * BLOCK + 300);
+            let points = with_errors(&clean);
+            // A period below one block puts several boundaries in a block,
+            // one of them on the block's last row (256 divides 1,024).
+            for decay_period in [256, 2_500] {
+                for width in [1, 2] {
+                    let pool = Pool::new(width);
+                    for (name, query) in queries() {
+                        for feed_size in [BLOCK - 1, BLOCK, BLOCK + 1, usize::MAX] {
+                            let errors =
+                                assert_same(&pool, &query, &options(decay_period), &points, feed_size);
+                            // Rule-only queries accept the NaN row.
+                            assert!(errors >= 3, "{name}: {errors} typed errors");
+                        }
+                        // One row a call: a short prefix keeps the per-call
+                        // reports cheap.
+                        assert_same(&pool, &query, &options(decay_period), &points[..BLOCK + 40], 1);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -319,6 +319,14 @@ impl MdpQuery {
                     "streaming min_support must be in (0, 1), got {min_support}"
                 )));
             }
+            // The session builds its classifier at the first point; a bad
+            // percentile must be refused here, not at every point after.
+            let percentile = self.analysis.target_percentile;
+            if !(0.0..=1.0).contains(&percentile) {
+                return Err(PipelineError::InvalidConfiguration(format!(
+                    "streaming target_percentile must be in [0, 1], got {percentile}"
+                )));
+            }
             if self.analysis.retain_scores {
                 return Err(PipelineError::UnsupportedByBackend {
                     feature: "retain_scores",
@@ -836,6 +844,39 @@ mod tests {
                 query.into_streaming(&base()),
                 Err(PipelineError::InvalidConfiguration(message)) if message.contains("min_support")
             ));
+        }
+    }
+
+    #[test]
+    fn a_streaming_target_percentile_outside_the_unit_interval_is_refused_up_front() {
+        let points = planted_points(500);
+        for percentile in [1.5, -0.1, f64::NAN] {
+            let query = || {
+                MdpQuery::new(AnalysisConfig {
+                    target_percentile: percentile,
+                    ..AnalysisConfig::default()
+                })
+            };
+            let names_field = |result: Result<()>| {
+                matches!(result, Err(PipelineError::InvalidConfiguration(message))
+                    if message.contains("target_percentile"))
+            };
+            let session = query().into_streaming(&StreamingOptions::default());
+            assert!(names_field(session.map(|_| ())), "into_streaming, {percentile}");
+            let report = query().execute(&Executor::streaming(), &points);
+            assert!(names_field(report.map(|_| ())), "execute, {percentile}");
+        }
+        // The edges are accepted, and a session at one takes points.
+        for percentile in [0.0, 1.0] {
+            let analysis = AnalysisConfig {
+                target_percentile: percentile,
+                ..AnalysisConfig::default()
+            };
+            let mut session = MdpQuery::new(analysis)
+                .into_streaming(&StreamingOptions::default())
+                .unwrap();
+            session.feed(&points).unwrap();
+            assert_eq!(session.points_seen(), 500);
         }
     }
 

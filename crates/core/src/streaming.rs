@@ -2,11 +2,19 @@
 //! "streaming queries", assembled from the ADR-trained classifier of
 //! Section 4.2 and the AMC/M-CPS streaming explainer of Section 5.3).
 //!
-//! [`StreamingSession`] is the streaming engine: it observes points one at a
-//! time and renders reports mid-stream, for adaptivity experiments and live
-//! monitoring, and [`Executor::Streaming`](crate::query::Executor) runs a
-//! session to the end of its input. Build sessions with
+//! [`StreamingSession`] is the streaming engine: it takes points in feeds
+//! of any size and renders reports mid-stream, for adaptivity experiments
+//! and live monitoring, and [`Executor::Streaming`](crate::query::Executor)
+//! runs a session to the end of its input. Build sessions with
 //! [`MdpQuery::into_streaming`](crate::query::MdpQuery::into_streaming).
+//!
+//! A feed runs in two stages, a block of 1,024 rows at a time.
+//! Stage one validates, labels and encodes the rows and marks the row each
+//! decay boundary follows; stage two writes them into the explainer in row
+//! order, closing its window right after each marked row. Stage one of a
+//! block runs on the pool beside stage two of the block before it. Each
+//! stage writes only its own state and sees its writes in input order, so
+//! the result is the point-at-a-time loop's at any pool width.
 
 use crate::executor::{render_explanations, QueryEstimator};
 use crate::query::{AnalysisConfig, EstimatorKind, StreamingOptions};
@@ -17,19 +25,43 @@ use mb_classify::streaming::{StreamingClassifier, StreamingClassifierConfig};
 use mb_classify::Label;
 use mb_explain::encoder::AttributeEncoder;
 use mb_explain::streaming::{StreamingExplainer, StreamingExplainerConfig};
+use mb_fpgrowth::Item;
 use mb_obs::{stage, MetricRegistry, QueryTrace, StageTimer, StageTrace};
+use mb_pool::Pool;
 use mb_stats::StatsError;
 
+/// Rows a stage takes at a time. A feed of one block or less runs both
+/// stages inline, with no join.
+const BLOCK_ROWS: usize = 1_024;
+
 /// An incremental streaming execution of an
-/// [`MdpQuery`](crate::query::MdpQuery): observe points one at a time,
-/// force decay boundaries, and render reports mid-stream (the continuously
-/// maintained view of Section 5.3). It is the streaming engine itself: an
-/// ADR-trained classifier, the AMC + M-CPS explainer and per-point decay
-/// bookkeeping. Obtain one with
+/// [`MdpQuery`](crate::query::MdpQuery): feed points, force decay
+/// boundaries, and render reports mid-stream (the continuously maintained
+/// view of Section 5.3). It is the streaming engine itself: an ADR-trained
+/// classifier, the AMC + M-CPS explainer and the decay bookkeeping. Obtain
+/// one with
 /// [`MdpQuery::into_streaming`](crate::query::MdpQuery::into_streaming);
 /// for run-to-completion streaming over an ingestor use
 /// [`Executor::Streaming`](crate::query::Executor) instead.
 pub struct StreamingSession {
+    /// Stage one's state.
+    labeler: Labeler,
+    /// Stage two's state.
+    explainer: StreamingExplainer,
+    /// The block stage two writes and the block stage one fills, reused.
+    blocks: [StagedBlock; 2],
+    /// Accumulated wall time inside [`StreamingSession::feed`] and
+    /// [`StreamingSession::observe`].
+    observe_wall_ns: u64,
+    /// The `explain` span: wall time and count of the explanation renders
+    /// [`StreamingSession::report`] has done, with the latest render's
+    /// decayed outlier count in and explanations out.
+    explain_span: StageTrace,
+}
+
+/// Everything that validates, labels, encodes and counts a row: the
+/// session less its explainer.
+struct Labeler {
     estimator: EstimatorKind,
     classifier_config: StreamingClassifierConfig,
     decay_period: u64,
@@ -45,28 +77,30 @@ pub struct StreamingSession {
     /// The classifier, built for the first accepted point's dimensionality;
     /// `None` until then, and always for a rule-only query.
     classifier: Option<StreamingClassifier<QueryEstimator>>,
-    explainer: StreamingExplainer,
     encoder: AttributeEncoder,
-    /// Reused per-point item buffer: the hot observe loop encodes into this
-    /// instead of allocating a fresh `Vec<Item>` per point.
-    encode_scratch: Vec<mb_fpgrowth::Item>,
     points_seen: u64,
     outliers_seen: u64,
     outlier_rows: Vec<usize>,
     points_since_decay: u64,
     /// Telemetry switch mirrored from [`AnalysisConfig::obs`]. When off
-    /// (the default) the observe loop takes no clock reads and the report
-    /// carries `trace: None`.
+    /// (the default) a feed takes no clock reads and the report carries
+    /// `trace: None`.
     obs_enabled: bool,
     /// Session-owned metric registry: per-tick retrain and decay latency
     /// histograms.
     metrics: MetricRegistry,
-    /// Accumulated wall time inside [`StreamingSession::observe`].
-    observe_wall_ns: u64,
-    /// The `explain` span: wall time and count of the explanation renders
-    /// [`StreamingSession::report`] has done, with the latest render's
-    /// decayed outlier count in and explanations out.
-    explain_span: StageTrace,
+}
+
+/// One block as stage one leaves it for stage two.
+#[derive(Default)]
+struct StagedBlock {
+    /// The rows' items end to end: row `i` ends at `ends[i]`.
+    items: Vec<Item>,
+    ends: Vec<usize>,
+    outliers: Vec<bool>,
+    /// Each row a decay boundary follows, with the nanoseconds its two
+    /// halves took (0 when untimed).
+    boundaries: Vec<(usize, u64)>,
 }
 
 impl StreamingSession {
@@ -82,8 +116,7 @@ impl StreamingSession {
             amc_stable_size: options.reservoir_size,
             amc_maintenance_period: options.reservoir_size as u64,
         });
-        let encoder = crate::executor::encoder_for(analysis);
-        StreamingSession {
+        let labeler = Labeler {
             estimator: analysis.estimator,
             classifier_config: StreamingClassifierConfig {
                 input_reservoir_size: options.reservoir_size,
@@ -102,15 +135,18 @@ impl StreamingSession {
             unsupervised,
             dim: None,
             classifier: None,
-            explainer,
-            encoder,
-            encode_scratch: Vec::new(),
+            encoder: crate::executor::encoder_for(analysis),
             points_seen: 0,
             outliers_seen: 0,
             outlier_rows: Vec::new(),
             points_since_decay: 0,
             obs_enabled: analysis.obs.is_enabled(),
             metrics: MetricRegistry::new(),
+        };
+        StreamingSession {
+            labeler,
+            explainer,
+            blocks: Default::default(),
             observe_wall_ns: 0,
             explain_span: StageTrace {
                 stage: stage::EXPLAIN.to_string(),
@@ -122,15 +158,7 @@ impl StreamingSession {
         }
     }
 
-    /// Points since the model last (re)trained — 0 right after a retrain,
-    /// so a tick ending at 0 is the tick that retrained.
-    fn model_staleness(&self) -> u64 {
-        self.classifier
-            .as_ref()
-            .map_or(0, StreamingClassifier::points_since_retrain)
-    }
-
-    /// Observe one point, returning its label.
+    /// Observe one point, returning its label: a feed of one point.
     ///
     /// A point whose metric dimensionality disagrees with the first accepted
     /// point is rejected with a typed error *before* any session state
@@ -140,8 +168,201 @@ impl StreamingSession {
     /// batch executors return for such a metric; rule-only queries accept
     /// it, as the batch executors do.
     pub fn observe(&mut self, point: &Point) -> Result<Label> {
-        // Validate before any counter or reservoir mutates: a rejected point
-        // must leave the session exactly as it was.
+        let outliers = self.feed_on(mb_pool::global(), std::slice::from_ref(point))?;
+        Ok(if outliers == 1 { Label::Outlier } else { Label::Inlier })
+    }
+
+    /// Observe a batch of points, returning how many of them were labeled
+    /// outliers. An empty batch is a no-op and returns `Ok(0)`. On a typed
+    /// error the batch stops at the offending point: points observed before
+    /// it remain counted, the offending point leaves no state behind, and
+    /// the session can keep feeding.
+    ///
+    /// A batch of more than 1,024 rows borrows one thread of the
+    /// global pool while it runs; the result is the same at any pool width.
+    pub fn feed(&mut self, points: &[Point]) -> Result<u64> {
+        self.feed_on(mb_pool::global(), points)
+    }
+
+    /// [`feed`](Self::feed) on a given pool.
+    fn feed_on(&mut self, pool: &Pool, points: &[Point]) -> Result<u64> {
+        let feed_start = StageTimer::start_if(self.labeler.obs_enabled);
+        let outcome = self.run_stages(pool, points);
+        if feed_start.is_running() {
+            self.observe_wall_ns = self.observe_wall_ns.saturating_add(feed_start.elapsed_ns());
+        }
+        outcome
+    }
+
+    /// Stage one of block k + 1 beside stage two of block k, joined once a
+    /// block; the first block's stage one and the last block's stage two
+    /// run alone. A typed error ends stage one at its row, and stage two
+    /// still writes every row staged before it.
+    fn run_stages(&mut self, pool: &Pool, points: &[Point]) -> Result<u64> {
+        let StreamingSession {
+            labeler,
+            explainer,
+            blocks: [current, next],
+            ..
+        } = self;
+        let write = !labeler.skip_explanation;
+        let timed = labeler.obs_enabled;
+        let mut rows = points.chunks(BLOCK_ROWS);
+        let mut staged = labeler.stage(rows.next().unwrap_or_default(), current);
+        let mut outliers = 0;
+        loop {
+            outliers += current.outliers.iter().filter(|&&outlier| outlier).count() as u64;
+            let block = match (&staged, rows.next()) {
+                (Ok(()), Some(block)) => block,
+                _ => break,
+            };
+            staged = if write {
+                let write_current = || apply(explainer, current, timed);
+                pool.join(write_current, || labeler.stage(block, next)).1
+            } else {
+                labeler.stage(block, next)
+            };
+            labeler.record_decay(current);
+            std::mem::swap(current, next);
+        }
+        if write {
+            apply(explainer, current, timed);
+        }
+        labeler.record_decay(current);
+        staged.map(|()| outliers)
+    }
+
+    /// Force a decay period boundary (also triggered automatically every
+    /// `decay_period` points).
+    pub fn on_period_boundary(&mut self) {
+        let decay_start = StageTimer::start_if(self.labeler.obs_enabled);
+        if let Some(classifier) = self.labeler.classifier.as_mut() {
+            classifier.on_period_boundary();
+        }
+        if !self.labeler.skip_explanation {
+            self.explainer.on_window_boundary();
+        }
+        if decay_start.is_running() {
+            self.labeler.metrics.record_ns("decay_ns", decay_start.elapsed_ns());
+        }
+    }
+
+    /// Total points observed so far.
+    pub fn points_seen(&self) -> u64 {
+        self.labeler.points_seen
+    }
+
+    /// Total points labeled outlier so far.
+    pub fn outliers_seen(&self) -> u64 {
+        self.labeler.outliers_seen
+    }
+
+    /// Whether the underlying model has completed its warm-up training
+    /// (always true for rule-only queries).
+    pub fn is_trained(&self) -> bool {
+        let labeler = &self.labeler;
+        !labeler.unsupervised || labeler.classifier.as_ref().is_some_and(|c| c.is_trained())
+    }
+
+    /// Render the current explanations and counters as a report.
+    pub fn report(&mut self) -> MdpReport {
+        let labeler = &mut self.labeler;
+        let explain_start = StageTimer::start_if(labeler.obs_enabled && !labeler.skip_explanation);
+        let explanations: Vec<RenderedExplanation> = if labeler.skip_explanation {
+            Vec::new()
+        } else {
+            render_explanations(&labeler.encoder, self.explainer.explain())
+        };
+        if explain_start.is_running() {
+            let explain_ns = explain_start.elapsed_ns();
+            labeler.metrics.record_ns("explain_ns", explain_ns);
+            let span = &mut self.explain_span;
+            span.wall_ns = span.wall_ns.saturating_add(explain_ns);
+            span.rows_in = self.explainer.outlier_count().round() as u64;
+            span.rows_out = explanations.len() as u64;
+            span.batches += 1;
+        }
+        let cutoff = labeler.classifier.as_mut().and_then(|c| c.current_cutoff());
+        MdpReport {
+            explanations,
+            num_points: labeler.points_seen as usize,
+            num_outliers: labeler.outliers_seen as usize,
+            score_cutoff: cutoff,
+            scores: Vec::new(),
+            outlier_rows: labeler.outlier_rows.clone(),
+            partition_reports: None,
+            trace: self.trace(),
+        }
+    }
+
+    /// Render the session's accumulated telemetry as a [`QueryTrace`] —
+    /// `None` when telemetry is off. Reports can be rendered mid-stream, so
+    /// this snapshots rather than consumes: the session keeps accumulating.
+    fn trace(&self) -> Option<QueryTrace> {
+        let labeler = &self.labeler;
+        if !labeler.obs_enabled {
+            return None;
+        }
+        let mut registry = labeler.metrics.clone();
+        registry.add("points", labeler.points_seen);
+        registry.add("outliers", labeler.outliers_seen);
+        registry.set_gauge("model_staleness", labeler.model_staleness() as f64);
+        // Two spans: the time inside every feed, whose rows a session
+        // labels as they arrive, is its `score` stage; every report
+        // rendered so far, this one included, is its `explain` stage.
+        let mut stages = vec![StageTrace {
+            stage: stage::SCORE.to_string(),
+            wall_ns: self.observe_wall_ns,
+            rows_in: labeler.points_seen,
+            rows_out: labeler.outliers_seen,
+            batches: 1,
+        }];
+        if self.explain_span.batches > 0 {
+            stages.push(self.explain_span.clone());
+        }
+        Some(QueryTrace {
+            executor: "streaming".to_string(),
+            partitions: 1,
+            stages,
+            counters: registry.counter_entries(),
+            gauges: registry.gauge_entries(),
+            histograms: registry.histogram_snapshots(),
+        })
+    }
+}
+
+impl Labeler {
+    /// Points since the model last (re)trained — 0 right after a retrain,
+    /// so a tick ending at 0 is the tick that retrained.
+    fn model_staleness(&self) -> u64 {
+        self.classifier
+            .as_ref()
+            .map_or(0, StreamingClassifier::points_since_retrain)
+    }
+
+    /// Stage one: label `points` into `block` (emptied first), closing the
+    /// classifier's window after each row that ends a decay period and
+    /// marking that row for stage two. Stops at the first row that is a
+    /// typed error, with every row before it staged.
+    fn stage(&mut self, points: &[Point], block: &mut StagedBlock) -> Result<()> {
+        block.items.clear();
+        block.ends.clear();
+        block.outliers.clear();
+        block.boundaries.clear();
+        for (row, point) in points.iter().enumerate() {
+            let label = self.label(point, &mut block.items)?;
+            block.ends.push(block.items.len());
+            block.outliers.push(label == Label::Outlier);
+            if let Some(decay_ns) = self.end_of_period() {
+                block.boundaries.push((row, decay_ns));
+            }
+        }
+        Ok(())
+    }
+
+    /// Validate, classify and count one row and append its items to
+    /// `items`. A row that is a typed error moves nothing.
+    fn label(&mut self, point: &Point, items: &mut Vec<Item>) -> Result<Label> {
         let dim = point.dimension();
         match self.dim {
             Some(expected) if expected != dim => {
@@ -160,22 +381,25 @@ impl StreamingSession {
         if self.unsupervised && !point.metrics.iter().all(|v| v.is_finite()) {
             return Err(StatsError::NonFinite.into());
         }
+        if self.unsupervised && self.classifier.is_none() {
+            let estimator = QueryEstimator::new(self.estimator, dim);
+            self.classifier = Some(StreamingClassifier::new(estimator, self.classifier_config)?);
+        }
         self.dim = Some(dim);
-        let tick_start = StageTimer::start_if(self.obs_enabled);
         self.points_seen += 1;
         self.points_since_decay += 1;
 
         let mut label = Label::Inlier;
-        if self.unsupervised {
-            if self.classifier.is_none() {
-                let estimator = QueryEstimator::new(self.estimator, dim);
-                self.classifier =
-                    Some(StreamingClassifier::new(estimator, self.classifier_config)?);
-            }
-            // The branch above guarantees a classifier; the `if let` (rather
-            // than an `expect`) keeps this executor hot path panic-free.
-            if let Some(classifier) = self.classifier.as_mut() {
-                label = classifier.observe(&point.metrics).label;
+        // Set above for every unsupervised query; the `if let` (rather than
+        // an `expect`) keeps this executor hot path panic-free.
+        if let Some(classifier) = self.classifier.as_mut() {
+            let tick_start = StageTimer::start_if(self.obs_enabled);
+            label = classifier.observe(&point.metrics).label;
+            // The classifier resets its staleness counter inside a retrain,
+            // so an observe that ends at staleness 0 is the one that paid
+            // for one.
+            if tick_start.is_running() && classifier.points_since_retrain() == 0 {
+                self.metrics.record_ns("retrain_ns", tick_start.elapsed_ns());
             }
         }
         if let Some(rule) = &self.rule {
@@ -187,144 +411,54 @@ impl StreamingSession {
                 self.outlier_rows.push((self.points_seen - 1) as usize);
             }
         }
-
         if !self.skip_explanation {
-            self.encoder
-                .encode_point_into(&point.attributes, &mut self.encode_scratch);
-            self.explainer
-                .observe(&self.encode_scratch, label == Label::Outlier);
-        }
-
-        if self.points_since_decay >= self.decay_period {
-            self.points_since_decay = 0;
-            self.on_period_boundary();
-        }
-        if tick_start.is_running() {
-            let tick_ns = tick_start.elapsed_ns();
-            self.observe_wall_ns = self.observe_wall_ns.saturating_add(tick_ns);
-            // The classifier resets its staleness counter inside a retrain,
-            // so a tick that ends at staleness 0 is the tick that paid for
-            // one — attribute its full latency to the retrain histogram.
-            if self.unsupervised && self.model_staleness() == 0 {
-                self.metrics.record_ns("retrain_ns", tick_ns);
-            }
+            let encoder = &mut self.encoder;
+            let row = point.attributes.iter().enumerate();
+            items.extend(row.map(|(column, value)| encoder.encode(column, value)));
         }
         Ok(label)
     }
 
-    /// Observe a batch of points, returning how many of them were labeled
-    /// outliers. An empty batch is a no-op and returns `Ok(0)`. On a typed
-    /// error the batch stops at the offending point: points observed before
-    /// it remain counted, the offending point leaves no state behind, and
-    /// the session can keep feeding.
-    pub fn feed(&mut self, points: &[Point]) -> Result<u64> {
-        self.feed_on(mb_pool::global(), points)
-    }
-
-    /// [`feed`](Self::feed) on a given pool.
-    fn feed_on(&mut self, _pool: &mb_pool::Pool, points: &[Point]) -> Result<u64> {
-        let mut outliers = 0;
-        for point in points {
-            if self.observe(point)? == Label::Outlier {
-                outliers += 1;
-            }
+    /// After a row: if it ends a decay period, close the classifier's
+    /// window and return how long that took (0 when untimed).
+    fn end_of_period(&mut self) -> Option<u64> {
+        if self.points_since_decay < self.decay_period {
+            return None;
         }
-        Ok(outliers)
-    }
-
-    /// Force a decay period boundary (also triggered automatically every
-    /// `decay_period` points).
-    pub fn on_period_boundary(&mut self) {
+        self.points_since_decay = 0;
         let decay_start = StageTimer::start_if(self.obs_enabled);
         if let Some(classifier) = self.classifier.as_mut() {
             classifier.on_period_boundary();
         }
-        if !self.skip_explanation {
-            self.explainer.on_window_boundary();
-        }
-        if decay_start.is_running() {
-            self.metrics.record_ns("decay_ns", decay_start.elapsed_ns());
-        }
+        Some(if decay_start.is_running() { decay_start.elapsed_ns() } else { 0 })
     }
 
-    /// Total points observed so far.
-    pub fn points_seen(&self) -> u64 {
-        self.points_seen
-    }
-
-    /// Total points labeled outlier so far.
-    pub fn outliers_seen(&self) -> u64 {
-        self.outliers_seen
-    }
-
-    /// Whether the underlying model has completed its warm-up training
-    /// (always true for rule-only queries).
-    pub fn is_trained(&self) -> bool {
-        !self.unsupervised || self.classifier.as_ref().is_some_and(|c| c.is_trained())
-    }
-
-    /// Render the current explanations and counters as a report.
-    pub fn report(&mut self) -> MdpReport {
-        let explain_start = StageTimer::start_if(self.obs_enabled && !self.skip_explanation);
-        let explanations: Vec<RenderedExplanation> = if self.skip_explanation {
-            Vec::new()
-        } else {
-            render_explanations(&self.encoder, self.explainer.explain())
-        };
-        if explain_start.is_running() {
-            let explain_ns = explain_start.elapsed_ns();
-            self.metrics.record_ns("explain_ns", explain_ns);
-            let span = &mut self.explain_span;
-            span.wall_ns = span.wall_ns.saturating_add(explain_ns);
-            span.rows_in = self.explainer.outlier_count().round() as u64;
-            span.rows_out = explanations.len() as u64;
-            span.batches += 1;
-        }
-        let cutoff = self.classifier.as_mut().and_then(|c| c.current_cutoff());
-        MdpReport {
-            explanations,
-            num_points: self.points_seen as usize,
-            num_outliers: self.outliers_seen as usize,
-            score_cutoff: cutoff,
-            scores: Vec::new(),
-            outlier_rows: self.outlier_rows.clone(),
-            partition_reports: None,
-            trace: self.trace(),
+    /// One `decay_ns` sample for each boundary of a block stage two wrote.
+    fn record_decay(&mut self, block: &StagedBlock) {
+        if self.obs_enabled {
+            for &(_, decay_ns) in &block.boundaries {
+                self.metrics.record_ns("decay_ns", decay_ns);
+            }
         }
     }
+}
 
-    /// Render the session's accumulated telemetry as a [`QueryTrace`] —
-    /// `None` when telemetry is off. Reports can be rendered mid-stream, so
-    /// this snapshots rather than consumes: the session keeps accumulating.
-    fn trace(&self) -> Option<QueryTrace> {
-        if !self.obs_enabled {
-            return None;
+/// Stage two: write a staged block into the explainer in row order,
+/// closing its window right after each row stage one marked, and add the
+/// time that took to the boundary's.
+fn apply(explainer: &mut StreamingExplainer, block: &mut StagedBlock, timed: bool) {
+    let mut boundaries = block.boundaries.iter_mut().peekable();
+    let mut start = 0;
+    for (row, (&end, &outlier)) in block.ends.iter().zip(&block.outliers).enumerate() {
+        explainer.observe(&block.items[start..end], outlier);
+        start = end;
+        if let Some((_, decay_ns)) = boundaries.next_if(|(at, _)| *at == row) {
+            let decay_start = StageTimer::start_if(timed);
+            explainer.on_window_boundary();
+            if decay_start.is_running() {
+                *decay_ns += decay_start.elapsed_ns();
+            }
         }
-        let mut registry = self.metrics.clone();
-        registry.add("points", self.points_seen);
-        registry.add("outliers", self.outliers_seen);
-        registry.set_gauge("model_staleness", self.model_staleness() as f64);
-        // Two spans: a streaming session scores point-at-a-time, so the
-        // whole observe loop is its `score` stage; every report rendered so
-        // far, this one included, is its `explain` stage.
-        let mut stages = vec![StageTrace {
-            stage: stage::SCORE.to_string(),
-            wall_ns: self.observe_wall_ns,
-            rows_in: self.points_seen,
-            rows_out: self.outliers_seen,
-            batches: 1,
-        }];
-        if self.explain_span.batches > 0 {
-            stages.push(self.explain_span.clone());
-        }
-        Some(QueryTrace {
-            executor: "streaming".to_string(),
-            partitions: 1,
-            stages,
-            counters: registry.counter_entries(),
-            gauges: registry.gauge_entries(),
-            histograms: registry.histogram_snapshots(),
-        })
     }
 }
 
@@ -680,10 +814,17 @@ mod tests {
         /// explainer before the next one is looked at.
         fn feed_point_at_a_time(&mut self, points: &[Point]) -> Result<u64> {
             let mut outliers = 0;
+            let mut items = Vec::new();
             for point in points {
-                if self.observe(point)? == Label::Outlier {
-                    outliers += 1;
+                items.clear();
+                let label = self.labeler.label(point, &mut items)?;
+                if !self.labeler.skip_explanation {
+                    self.explainer.observe(&items, label == Label::Outlier);
                 }
+                if self.labeler.end_of_period().is_some() && !self.labeler.skip_explanation {
+                    self.explainer.on_window_boundary();
+                }
+                outliers += u64::from(label == Label::Outlier);
             }
             Ok(outliers)
         }
@@ -710,9 +851,8 @@ mod tests {
                         format!("host_{}", rng.next_below(40))
                     };
                     let version = if planted { 0 } else { rng.next_below(6) };
-                    let attributes =
-                        vec![host, format!("version_{version}"), format!("region_{}", rng.next_below(4))];
-                    Point::new(vec![value], attributes)
+                    let region = format!("region_{}", rng.next_below(4));
+                    Point::new(vec![value], vec![host, format!("version_{version}"), region])
                 })
                 .collect()
         }
@@ -725,9 +865,9 @@ mod tests {
             let mut out = vec![bad(Vec::new())];
             let mut rest = points;
             for (clean, offender) in [
-                (BLOCK, bad(vec![1.0, 2.0])),
-                (BLOCK / 2, bad(vec![f64::NAN])),
-                (BLOCK - 1, bad(vec![3.0, 4.0])),
+                (BLOCK_ROWS, bad(vec![1.0, 2.0])),
+                (BLOCK_ROWS / 2, bad(vec![f64::NAN])),
+                (BLOCK_ROWS - 1, bad(vec![3.0, 4.0])),
             ] {
                 out.extend_from_slice(&rest[..clean]);
                 out.push(offender);
@@ -737,8 +877,8 @@ mod tests {
             out
         }
 
-        /// Rows per block of the two-stage feed.
-        const BLOCK: usize = 1_024;
+        /// A query of a shape the two stages must agree on.
+        type Query = fn() -> MdpQuery;
 
         /// Feed `points` in calls of `feed_size` to a session through
         /// `feed_on(pool, ..)` and to one through the point-at-a-time loop;
@@ -747,7 +887,7 @@ mod tests {
         /// starts after the offending row. Returns how many calls stopped so.
         fn assert_same(
             pool: &Pool,
-            query: &dyn Fn() -> MdpQuery,
+            query: Query,
             options: &StreamingOptions,
             points: &[Point],
             feed_size: usize,
@@ -783,22 +923,22 @@ mod tests {
             errors
         }
 
-        fn queries() -> Vec<(&'static str, Box<dyn Fn() -> MdpQuery>)> {
-            let base = || MdpQuery::builder().explanation(ExplanationConfig::new(0.01, 3.0));
-            let rule = || RuleClassifier::single(0, Comparison::GreaterThan, 100.0);
-            vec![
-                ("unsupervised", Box::new(move || base().build().unwrap())),
-                ("skip_explanation", Box::new(move || base().skip_explanation().build().unwrap())),
-                (
-                    "rule-only",
-                    Box::new(move || {
-                        base().supervised_rule(rule()).without_unsupervised().build().unwrap()
-                    }),
-                ),
-                (
-                    "rule and unsupervised, outlier rows kept",
-                    Box::new(move || base().supervised_rule(rule()).retain_outlier_rows().build().unwrap()),
-                ),
+        fn queries() -> [(&'static str, Query); 4] {
+            fn base() -> MdpQueryBuilder {
+                MdpQuery::builder().explanation(ExplanationConfig::new(0.01, 3.0))
+            }
+            fn rule() -> RuleClassifier {
+                RuleClassifier::single(0, Comparison::GreaterThan, 100.0)
+            }
+            [
+                ("unsupervised", || base().build().unwrap()),
+                ("skip_explanation", || base().skip_explanation().build().unwrap()),
+                ("rule-only", || {
+                    base().supervised_rule(rule()).without_unsupervised().build().unwrap()
+                }),
+                ("rule and unsupervised, outlier rows kept", || {
+                    base().supervised_rule(rule()).retain_outlier_rows().build().unwrap()
+                }),
             ]
         }
 
@@ -814,7 +954,7 @@ mod tests {
 
         #[test]
         fn the_two_stage_feed_matches_the_point_at_a_time_loop() {
-            let clean = stream(32, 4 * BLOCK + 300);
+            let clean = stream(32, 4 * BLOCK_ROWS + 300);
             let points = with_errors(&clean);
             // A period below one block puts several boundaries in a block,
             // one of them on the block's last row (256 divides 1,024).
@@ -822,15 +962,17 @@ mod tests {
                 for width in [1, 2] {
                     let pool = Pool::new(width);
                     for (name, query) in queries() {
-                        for feed_size in [BLOCK - 1, BLOCK, BLOCK + 1, usize::MAX] {
-                            let errors =
-                                assert_same(&pool, &query, &options(decay_period), &points, feed_size);
+                        let sizes = [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, usize::MAX];
+                        for feed_size in sizes {
+                            let options = options(decay_period);
+                            let errors = assert_same(&pool, query, &options, &points, feed_size);
                             // Rule-only queries accept the NaN row.
                             assert!(errors >= 3, "{name}: {errors} typed errors");
                         }
                         // One row a call: a short prefix keeps the per-call
                         // reports cheap.
-                        assert_same(&pool, &query, &options(decay_period), &points[..BLOCK + 40], 1);
+                        let prefix = &points[..BLOCK_ROWS + 40];
+                        assert_same(&pool, query, &options(decay_period), prefix, 1);
                     }
                 }
             }

@@ -54,8 +54,8 @@ fn run_query(points: &[Point], explanation: ExplanationConfig) -> QueryResult {
             .expect("one-shot failed")
     });
 
-    // Streaming (EWS), without and with explanation, observed incrementally
-    // through a streaming session of the same query.
+    // Streaming (EWS), without and with explanation: the stream fed in one
+    // call to a streaming session of the same query.
     let streaming_options = StreamingOptions {
         reservoir_size: 10_000,
         decay_rate: 0.01,
@@ -68,20 +68,14 @@ fn run_query(points: &[Point], explanation: ExplanationConfig) -> QueryResult {
         .expect("query construction failed")
         .into_streaming(&streaming_options)
         .expect("streaming session failed");
-    let (_, ews_no_explain_s) = timed(|| {
-        for p in points {
-            ews_skip.observe(p).expect("observe failed");
-        }
-    });
+    let (_, ews_no_explain_s) = timed(|| ews_skip.feed(points).expect("feed failed"));
     let mut ews = query(false)
         .build()
         .expect("query construction failed")
         .into_streaming(&streaming_options)
         .expect("streaming session failed");
     let (ews_report, ews_with_explain_s) = timed(|| {
-        for p in points {
-            ews.observe(p).expect("observe failed");
-        }
+        ews.feed(points).expect("feed failed");
         ews.report()
     });
 

@@ -28,6 +28,7 @@ const WALK_BEFORE_PROBING: usize = 8;
 
 /// `index` as the `u32` the arena's links and tables store.
 fn arena_index(index: usize) -> u32 {
+    // mb-lint: allow(no-unwrap-in-executors) -- node and item ids are 32-bit by design; 2^32 nodes is out of memory first
     u32::try_from(index).expect("a prefix tree numbers its nodes and items in 32 bits")
 }
 
@@ -404,6 +405,12 @@ impl StreamingPrefixTree {
     /// along the current frequency order. Each path is walked as the ranks
     /// of its items, so sorting those ranks puts it in that order with no
     /// count looked up.
+    ///
+    /// Paths arrive in walk order, so neighbours share long prefixes. The
+    /// last re-inserted path is kept as `(rank, node)` pairs, and a path
+    /// adds its weight to the nodes of the prefix it shares with that one
+    /// — what [`descend`](Self::descend) would add to them, in the same
+    /// order — and descends only below it.
     fn rebuild(&mut self, keep: impl Fn(Item) -> bool) {
         let (rank_of, by_rank) = self.frequency_ranks(keep);
         let mut rebuilt = StreamingPrefixTree::with_capacity(self.node_count(), by_rank.len());
@@ -412,15 +419,22 @@ impl StreamingPrefixTree {
             rebuilt.add_item_count(item, self.item_count(item));
         }
         let mut ranks: Vec<u32> = Vec::new();
+        let mut last: Vec<(u32, u32)> = Vec::new();
         self.walk(
             |item| rank_of[self.item_index.item(item) as usize - 1],
             |path, weight| {
                 ranks.clear();
                 ranks.extend(path.iter().copied().filter(|&rank| rank != DROPPED));
                 ranks.sort_unstable();
-                let mut current = ROOT;
-                for &rank in &ranks {
+                let shared = last.iter().zip(&ranks).take_while(|(&(a, _), &b)| a == b).count();
+                last.truncate(shared);
+                for &(_, node) in &last {
+                    rebuilt.counts[node as usize] += weight;
+                }
+                let mut current = last.last().map_or(ROOT, |&(_, node)| node);
+                for &rank in &ranks[shared..] {
                     current = rebuilt.descend(current, by_rank[rank as usize], weight);
+                    last.push((rank, current));
                 }
             },
         );

@@ -52,7 +52,7 @@ fn in_tests_or_benches(path: &str) -> bool {
 ///   (it reads the clock for the state machine, which takes time as input).
 /// - `hashmap-order-hazard` covers only the output-bearing crates: core,
 ///   mb-explain, mb-fpgrowth, mb-sketch.
-/// - `no-unwrap-in-executors` pins the twenty-two hot-path files: the four
+/// - `no-unwrap-in-executors` pins the twenty-three hot-path files: the four
 ///   executor/server ones (engines, the server's shell and its state
 ///   machine), the four every ingested or served byte goes through (CSV,
 ///   operators, both wire decoders), the two every attribute value is
@@ -60,8 +60,9 @@ fn in_tests_or_benches(path: &str) -> bool {
 ///   classifiers every batch query or streamed point runs through (batch,
 ///   streaming), the three estimators they fit (MAD, FastMCD, Z-score), the
 ///   three every batch query is explained through (the batch explainer, the
-///   risk ratio, the FP-tree), and the four every streamed point is written
-///   into (the ADR, the AMC, the M-CPS tree, the streaming explainer).
+///   risk ratio, the FP-tree), and the five every streamed point is written
+///   into (the ADR, the AMC, the M-CPS tree, the prefix tree beneath it, the
+///   streaming explainer).
 /// - `trace-names-from-taxonomy` covers core and mb-serve, the crates that
 ///   build query traces.
 /// - `unsafe-needs-safety-comment` applies everywhere, tests included.
@@ -110,6 +111,7 @@ pub fn rules_for_path(path: &str) -> Vec<RuleId> {
             | "crates/mb-sketch/src/adr.rs"
             | "crates/mb-sketch/src/amc.rs"
             | "crates/mb-fpgrowth/src/mcps.rs"
+            | "crates/mb-fpgrowth/src/cps.rs"
             | "crates/mb-explain/src/streaming.rs"
     ) {
         rules.push(RuleId::NoUnwrapInExecutors);
@@ -240,6 +242,7 @@ mod tests {
             "crates/mb-sketch/src/adr.rs",
             "crates/mb-sketch/src/amc.rs",
             "crates/mb-fpgrowth/src/mcps.rs",
+            "crates/mb-fpgrowth/src/cps.rs",
             "crates/mb-explain/src/streaming.rs",
         ] {
             assert!(

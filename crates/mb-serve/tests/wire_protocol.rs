@@ -274,6 +274,25 @@ fn invalid_streaming_options_are_typed_errors_and_the_server_lives() {
 }
 
 #[test]
+fn an_open_line_with_a_bad_target_percentile_is_refused_and_the_next_line_answered() {
+    let server = Server::start(ServeConfig::default());
+    let open = r#"{"op":"submit","id":"p","analysis":{"target_percentile":1.5},"executor":{"mode":"streaming"}}"#;
+    let response = request(&server, open);
+    assert_eq!(error_kind(&response), "query");
+    let message = get_str(get(&response, "error").unwrap(), "message").unwrap();
+    assert!(message.contains("target_percentile"), "{response}");
+
+    // No session was opened under the id, and the server answers on.
+    let response = request(&server, r#"{"op":"poll","id":"p"}"#);
+    assert_eq!(error_kind(&response), "unknown_id");
+    let response = request(
+        &server,
+        r#"{"op":"submit","id":"p","analysis":{"target_percentile":0.9},"executor":{"mode":"streaming"}}"#,
+    );
+    assert_eq!(get_str(assert_ok(&response), "state"), Some("session"));
+}
+
+#[test]
 fn serve_loop_answers_line_by_line_until_eof() {
     let server = Server::start(ServeConfig::default());
     let input = b"{\"op\":\"stats\"}\n\n{\"op\":\"poll\",\"id\":\"nope\"}\n".to_vec();

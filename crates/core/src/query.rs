@@ -235,8 +235,10 @@ pub enum Executor {
         partitions: usize,
     },
     /// Exponentially weighted streaming (EWS) execution: ADR-trained
-    /// classifier, AMC + M-CPS explainer, per-point processing with decay
-    /// period boundaries.
+    /// classifier, AMC + M-CPS explainer, decay period boundaries. Rows are
+    /// labeled and written into the explainer in input order, in blocks:
+    /// the labels of one block are computed while the explainer takes the
+    /// block before it.
     Streaming {
         /// Reservoir sizing and decay cadence.
         options: StreamingOptions,
@@ -574,7 +576,7 @@ impl MdpQuery {
     }
 
     /// Turn the query into an incremental streaming session
-    /// ([`StreamingSession`]): observe points one at a time and render
+    /// ([`StreamingSession`]): feed it points as they arrive and render
     /// reports mid-stream (adaptivity experiments, live monitoring).
     /// Consumes the query.
     ///

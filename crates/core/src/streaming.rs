@@ -11,8 +11,8 @@
 //! A feed runs in two stages, a block of 1,024 rows at a time.
 //! Stage one validates, labels and encodes the rows and marks the row each
 //! decay boundary follows; stage two writes them into the explainer in row
-//! order, closing its window right after each marked row. Stage one of a
-//! block runs on the pool beside stage two of the block before it. Each
+//! order, closing its window right after each marked row. Stage one runs
+//! a block ahead on a pool thread while the caller runs stage two. Each
 //! stage writes only its own state and sees its writes in input order, so
 //! the result is the point-at-a-time loop's at any pool width.
 
@@ -29,9 +29,11 @@ use mb_fpgrowth::Item;
 use mb_obs::{stage, MetricRegistry, QueryTrace, StageTimer, StageTrace};
 use mb_pool::Pool;
 use mb_stats::StatsError;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// Rows a stage takes at a time. A feed of one block or less runs both
-/// stages inline, with no join.
+/// stages inline, on the caller.
 const BLOCK_ROWS: usize = 1_024;
 
 /// An incremental streaming execution of an
@@ -48,7 +50,7 @@ pub struct StreamingSession {
     labeler: Labeler,
     /// Stage two's state.
     explainer: StreamingExplainer,
-    /// The block stage two writes and the block stage one fills, reused.
+    /// The two buffers a feed stages its blocks into, reused.
     blocks: [StagedBlock; 2],
     /// Accumulated wall time inside [`StreamingSession::feed`] and
     /// [`StreamingSession::observe`].
@@ -194,42 +196,47 @@ impl StreamingSession {
         outcome
     }
 
-    /// Stage one of block k + 1 beside stage two of block k, joined once a
-    /// block; the first block's stage one and the last block's stage two
-    /// run alone. A typed error ends stage one at its row, and stage two
-    /// still writes every row staged before it.
+    /// Both stages over `points`, a block at a time. A feed of one block,
+    /// or one with nothing for stage two to write, runs them inline;
+    /// otherwise stage one runs ahead on a pool thread (see [`Handoff`]).
+    /// A typed error ends stage one at its row, and stage two still writes
+    /// every row staged before it.
     fn run_stages(&mut self, pool: &Pool, points: &[Point]) -> Result<u64> {
         let StreamingSession {
             labeler,
             explainer,
-            blocks: [current, next],
+            blocks: [first, second],
             ..
         } = self;
-        let write = !labeler.skip_explanation;
-        let timed = labeler.obs_enabled;
-        let mut rows = points.chunks(BLOCK_ROWS);
-        let mut staged = labeler.stage(rows.next().unwrap_or_default(), current);
+        let (timed, skip) = (labeler.obs_enabled, labeler.skip_explanation);
+        let mut decay_ns = Vec::new();
         let mut outliers = 0;
-        loop {
-            outliers += current.outliers.iter().filter(|&&outlier| outlier).count() as u64;
-            let block = match (&staged, rows.next()) {
-                (Ok(()), Some(block)) => block,
-                _ => break,
-            };
-            staged = if write {
-                let write_current = || apply(explainer, current, timed);
-                pool.join(write_current, || labeler.stage(block, next)).1
-            } else {
-                labeler.stage(block, next)
-            };
-            labeler.record_decay(current);
-            std::mem::swap(current, next);
+        let mut write = |block: &mut StagedBlock| {
+            if !skip {
+                apply(explainer, block, timed);
+            }
+            if timed {
+                decay_ns.extend(block.boundaries.iter().map(|&(_, ns)| ns));
+            }
+            outliers += block.outliers.iter().filter(|&&outlier| outlier).count() as u64;
+        };
+        let outcome = if points.len() <= BLOCK_ROWS || skip {
+            points.chunks(BLOCK_ROWS).try_for_each(|rows| {
+                let staged = labeler.stage(rows, first);
+                write(first);
+                staged
+            })
+        } else {
+            let handoff = Handoff::new(labeler, [first, second], points);
+            pool.scope(|scope| {
+                scope.spawn(|| handoff.stage_ahead());
+                handoff.write_in_order(&mut write)
+            })
+        };
+        for ns in decay_ns {
+            labeler.metrics.record_ns("decay_ns", ns);
         }
-        if write {
-            apply(explainer, current, timed);
-        }
-        labeler.record_decay(current);
-        staged.map(|()| outliers)
+        outcome.map(|()| outliers)
     }
 
     /// Force a decay period boundary (also triggered automatically every
@@ -432,15 +439,145 @@ impl Labeler {
         }
         Some(if decay_start.is_running() { decay_start.elapsed_ns() } else { 0 })
     }
+}
 
-    /// One `decay_ns` sample for each boundary of a block stage two wrote.
-    fn record_decay(&mut self, block: &StagedBlock) {
-        if self.obs_enabled {
-            for &(_, decay_ns) in &block.boundaries {
-                self.metrics.record_ns("decay_ns", decay_ns);
+/// A feed of more than one block, shared by its two stages. Stage one runs
+/// on a pool thread ([`stage_ahead`](Self::stage_ahead)) one block ahead of
+/// stage two, which the caller runs ([`write_in_order`](Self::write_in_order))
+/// over two reused buffers: block k is staged into buffer k % 2 once block
+/// k − 2 has been written out of it.
+///
+/// The pool thread waits for a free buffer by yielding, not by parking:
+/// it stays runnable for the whole feed, so the scheduler moves it to an
+/// idle core instead of waking it beside the caller for every block. The
+/// caller stages a block itself whenever it is waiting for one and the
+/// labeler is free, so a feed never waits for a pool thread to start.
+struct Handoff<'a> {
+    points: &'a [Point],
+    blocks: usize,
+    stage_one: Mutex<StageOne<'a>>,
+    buffers: [Mutex<&'a mut StagedBlock>; 2],
+    /// Blocks staged, a block that stopped at a typed error included.
+    staged: AtomicUsize,
+    /// Blocks written into the explainer.
+    written: AtomicUsize,
+    /// Set once the caller stops writing, however it stops.
+    done: AtomicBool,
+}
+
+/// Stage one's state inside a [`Handoff`].
+struct StageOne<'a> {
+    labeler: &'a mut Labeler,
+    next: usize,
+    failed: Option<PipelineError>,
+}
+
+/// What one attempt to stage the next block came to.
+enum Staging {
+    Staged,
+    /// Both buffers hold blocks stage two has not written yet.
+    Full,
+    /// Every block is staged, or stage one stopped at a typed error.
+    Finished,
+}
+
+impl<'a> Handoff<'a> {
+    fn new(
+        labeler: &'a mut Labeler,
+        buffers: [&'a mut StagedBlock; 2],
+        points: &'a [Point],
+    ) -> Self {
+        Handoff {
+            points,
+            blocks: points.len().div_ceil(BLOCK_ROWS),
+            stage_one: Mutex::new(StageOne {
+                labeler,
+                next: 0,
+                failed: None,
+            }),
+            buffers: buffers.map(Mutex::new),
+            staged: AtomicUsize::new(0),
+            written: AtomicUsize::new(0),
+            done: AtomicBool::new(false),
+        }
+    }
+
+    /// Stage the next block if its buffer is free.
+    fn stage_next(&self, stage_one: &mut StageOne<'a>) -> Staging {
+        let block = stage_one.next;
+        let rows = match self.points.chunks(BLOCK_ROWS).nth(block) {
+            Some(rows) if stage_one.failed.is_none() => rows,
+            _ => return Staging::Finished,
+        };
+        if self.written.load(Ordering::Acquire) + 2 <= block {
+            return Staging::Full;
+        }
+        let mut buffer = lock(&self.buffers[block % 2]);
+        if let Err(error) = stage_one.labeler.stage(rows, &mut buffer) {
+            stage_one.failed = Some(error);
+        }
+        stage_one.next = block + 1;
+        self.staged.store(block + 1, Ordering::Release);
+        Staging::Staged
+    }
+
+    /// The pool thread's side: stage blocks in order until there are no
+    /// more or the caller stops.
+    fn stage_ahead(&self) {
+        while !self.done.load(Ordering::Acquire) {
+            let staging = match self.stage_one.lock() {
+                Ok(mut stage_one) => self.stage_next(&mut stage_one),
+                Err(_) => Staging::Finished,
+            };
+            match staging {
+                Staging::Staged => {}
+                Staging::Full => std::thread::yield_now(),
+                Staging::Finished => return,
             }
         }
     }
+
+    /// The caller's side: hand every staged block to `write` in order,
+    /// then report how stage one ended.
+    fn write_in_order(&self, write: &mut impl FnMut(&mut StagedBlock)) -> Result<()> {
+        /// Stops the pool thread however the caller leaves, unwinding too.
+        struct Done<'b>(&'b AtomicBool);
+        impl Drop for Done<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        let _done = Done(&self.done);
+        for block in 0..self.blocks {
+            while self.staged.load(Ordering::Acquire) <= block {
+                let staging = match self.stage_one.try_lock() {
+                    Ok(mut stage_one) => self.stage_next(&mut stage_one),
+                    Err(TryLockError::WouldBlock) => Staging::Full,
+                    Err(TryLockError::Poisoned(_)) => Staging::Finished,
+                };
+                match staging {
+                    Staging::Staged => {}
+                    Staging::Full => std::thread::yield_now(),
+                    Staging::Finished => break,
+                }
+            }
+            if self.staged.load(Ordering::Acquire) <= block {
+                break;
+            }
+            write(&mut lock(&self.buffers[block % 2]));
+            self.written.store(block + 1, Ordering::Release);
+        }
+        match lock(&self.stage_one).failed.take() {
+            Some(error) => Err(error),
+            None => Ok(()),
+        }
+    }
+}
+
+/// `mutex`'s guard, poisoned or not: a panic in either stage unwinds the
+/// feed anyway, through [`Pool::scope`].
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Stage two: write a staged block into the explainer in row order,

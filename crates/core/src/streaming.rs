@@ -458,10 +458,14 @@ struct Handoff<'a> {
     stage_one: Mutex<StageOne<'a>>,
     buffers: [Mutex<&'a mut StagedBlock>; 2],
     /// Blocks staged, a block that stopped at a typed error included.
+    /// Stored (Release) once a block's buffer is filled; the caller loads it
+    /// (Acquire) before it takes that buffer.
     staged: AtomicUsize,
-    /// Blocks written into the explainer.
+    /// Blocks written into the explainer. Stored (Release) once the caller
+    /// is done with a buffer; stage one loads it (Acquire) before refilling.
     written: AtomicUsize,
-    /// Set once the caller stops writing, however it stops.
+    /// Set (Release) once the caller stops writing, however it stops; stage
+    /// one loads it (Acquire) between blocks.
     done: AtomicBool,
 }
 
@@ -574,8 +578,10 @@ impl<'a> Handoff<'a> {
     }
 }
 
-/// `mutex`'s guard, poisoned or not: a panic in either stage unwinds the
-/// feed anyway, through [`Pool::scope`].
+/// `mutex`'s guard, poisoned or not. A lock is poisoned only by a panic in
+/// one of the stages, which [`Pool::scope`] re-raises once both stop; until
+/// then the other stage reads nothing the panicking one left half-written,
+/// since a block counts as staged only after its buffer is filled.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -1087,6 +1093,30 @@ mod tests {
                 retrain_period: 700,
                 ..StreamingOptions::default()
             }
+        }
+
+        #[test]
+        fn stage_one_never_refills_a_buffer_stage_two_has_not_written() {
+            let mut session = MdpQuery::with_defaults().into_streaming(&options(256)).unwrap();
+            let points = stream(7, 3 * BLOCK_ROWS);
+            let StreamingSession {
+                labeler,
+                blocks: [first, second],
+                ..
+            } = &mut session;
+            let handoff = Handoff::new(labeler, [first, second], &points);
+            let stage = || {
+                let mut stage_one = handoff.stage_one.lock().unwrap();
+                match handoff.stage_next(&mut stage_one) {
+                    Staging::Staged => "staged",
+                    Staging::Full => "full",
+                    Staging::Finished => "finished",
+                }
+            };
+            assert_eq!((stage(), stage(), stage()), ("staged", "staged", "full"));
+            handoff.written.store(1, Ordering::Release);
+            assert_eq!((stage(), stage()), ("staged", "finished"));
+            assert_eq!(handoff.staged.load(Ordering::Acquire), 3);
         }
 
         #[test]

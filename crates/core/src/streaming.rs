@@ -230,8 +230,9 @@ impl StreamingSession {
             let handoff = Handoff::new(labeler, [first, second], points);
             pool.scope(|scope| {
                 scope.spawn(|| handoff.stage_ahead());
-                handoff.write_in_order(&mut write)
-            })
+                handoff.write_in_order(&mut write);
+            });
+            handoff.outcome()
         };
         for ns in decay_ns {
             labeler.metrics.record_ns("decay_ns", ns);
@@ -454,7 +455,6 @@ impl Labeler {
 /// labeler is free, so a feed never waits for a pool thread to start.
 struct Handoff<'a> {
     points: &'a [Point],
-    blocks: usize,
     stage_one: Mutex<StageOne<'a>>,
     buffers: [Mutex<&'a mut StagedBlock>; 2],
     /// Blocks staged, a block that stopped at a typed error included.
@@ -493,7 +493,6 @@ impl<'a> Handoff<'a> {
     ) -> Self {
         Handoff {
             points,
-            blocks: points.len().div_ceil(BLOCK_ROWS),
             stage_one: Mutex::new(StageOne {
                 labeler,
                 next: 0,
@@ -541,9 +540,8 @@ impl<'a> Handoff<'a> {
         }
     }
 
-    /// The caller's side: hand every staged block to `write` in order,
-    /// then report how stage one ended.
-    fn write_in_order(&self, write: &mut impl FnMut(&mut StagedBlock)) -> Result<()> {
+    /// The caller's side: hand every staged block to `write` in order.
+    fn write_in_order(&self, write: &mut impl FnMut(&mut StagedBlock)) {
         /// Stops the pool thread however the caller leaves, unwinding too.
         struct Done<'b>(&'b AtomicBool);
         impl Drop for Done<'_> {
@@ -552,17 +550,17 @@ impl<'a> Handoff<'a> {
             }
         }
         let _done = Done(&self.done);
-        for block in 0..self.blocks {
+        for block in 0..self.points.len().div_ceil(BLOCK_ROWS) {
             while self.staged.load(Ordering::Acquire) <= block {
-                let staging = match self.stage_one.try_lock() {
-                    Ok(mut stage_one) => self.stage_next(&mut stage_one),
-                    Err(TryLockError::WouldBlock) => Staging::Full,
-                    Err(TryLockError::Poisoned(_)) => Staging::Finished,
-                };
-                match staging {
-                    Staging::Staged => {}
-                    Staging::Full => std::thread::yield_now(),
-                    Staging::Finished => break,
+                match self.stage_one.try_lock() {
+                    // The pool thread is staging this block: let it run.
+                    Err(TryLockError::WouldBlock) => std::thread::yield_now(),
+                    Err(TryLockError::Poisoned(_)) => break,
+                    Ok(mut stage_one) => {
+                        if let Staging::Finished = self.stage_next(&mut stage_one) {
+                            break;
+                        }
+                    }
                 }
             }
             if self.staged.load(Ordering::Acquire) <= block {
@@ -571,10 +569,14 @@ impl<'a> Handoff<'a> {
             write(&mut lock(&self.buffers[block % 2]));
             self.written.store(block + 1, Ordering::Release);
         }
-        match lock(&self.stage_one).failed.take() {
-            Some(error) => Err(error),
-            None => Ok(()),
-        }
+    }
+
+    /// How stage one ended, once both stages have stopped: the error stays
+    /// in place until then, because stage one stages nothing more while it
+    /// is there.
+    fn outcome(self) -> Result<()> {
+        let stage_one = self.stage_one.into_inner().unwrap_or_else(PoisonError::into_inner);
+        stage_one.failed.map_or(Ok(()), Err)
     }
 }
 

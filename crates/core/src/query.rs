@@ -864,7 +864,10 @@ mod tests {
                     if message.contains("target_percentile"))
             };
             let session = query().into_streaming(&StreamingOptions::default());
-            assert!(names_field(session.map(|_| ())), "into_streaming, {percentile}");
+            assert!(
+                names_field(session.map(|_| ())),
+                "into_streaming, {percentile}"
+            );
             let report = query().execute(&Executor::streaming(), &points);
             assert!(names_field(report.map(|_| ())), "execute, {percentile}");
         }

@@ -171,7 +171,11 @@ impl StreamingSession {
     /// it, as the batch executors do.
     pub fn observe(&mut self, point: &Point) -> Result<Label> {
         let outliers = self.feed_on(mb_pool::global(), std::slice::from_ref(point))?;
-        Ok(if outliers == 1 { Label::Outlier } else { Label::Inlier })
+        Ok(if outliers == 1 {
+            Label::Outlier
+        } else {
+            Label::Inlier
+        })
     }
 
     /// Observe a batch of points, returning how many of them were labeled
@@ -251,7 +255,9 @@ impl StreamingSession {
             self.explainer.on_window_boundary();
         }
         if decay_start.is_running() {
-            self.labeler.metrics.record_ns("decay_ns", decay_start.elapsed_ns());
+            self.labeler
+                .metrics
+                .record_ns("decay_ns", decay_start.elapsed_ns());
         }
     }
 
@@ -407,7 +413,8 @@ impl Labeler {
             // so an observe that ends at staleness 0 is the one that paid
             // for one.
             if tick_start.is_running() && classifier.points_since_retrain() == 0 {
-                self.metrics.record_ns("retrain_ns", tick_start.elapsed_ns());
+                self.metrics
+                    .record_ns("retrain_ns", tick_start.elapsed_ns());
             }
         }
         if let Some(rule) = &self.rule {
@@ -438,7 +445,11 @@ impl Labeler {
         if let Some(classifier) = self.classifier.as_mut() {
             classifier.on_period_boundary();
         }
-        Some(if decay_start.is_running() { decay_start.elapsed_ns() } else { 0 })
+        Some(if decay_start.is_running() {
+            decay_start.elapsed_ns()
+        } else {
+            0
+        })
     }
 }
 
@@ -575,7 +586,10 @@ impl<'a> Handoff<'a> {
     /// in place until then, because stage one stages nothing more while it
     /// is there.
     fn outcome(self) -> Result<()> {
-        let stage_one = self.stage_one.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let stage_one = self
+            .stage_one
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         stage_one.failed.map_or(Ok(()), Err)
     }
 }
@@ -997,7 +1011,10 @@ mod tests {
                     };
                     let version = if planted { 0 } else { rng.next_below(6) };
                     let region = format!("region_{}", rng.next_below(4));
-                    Point::new(vec![value], vec![host, format!("version_{version}"), region])
+                    Point::new(
+                        vec![value],
+                        vec![host, format!("version_{version}"), region],
+                    )
                 })
                 .collect()
         }
@@ -1047,7 +1064,11 @@ mod tests {
                 let got = staged.feed_on(pool, batch);
                 let want = oracle.feed_point_at_a_time(batch);
                 let at = points.len() - rest.len();
-                assert_eq!(format!("{got:?}"), format!("{want:?}"), "row {at}, feed {feed_size}");
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "row {at}, feed {feed_size}"
+                );
                 assert_eq!(staged.points_seen(), oracle.points_seen(), "row {at}");
                 assert_eq!(staged.outliers_seen(), oracle.outliers_seen(), "row {at}");
                 assert_eq!(
@@ -1077,12 +1098,22 @@ mod tests {
             }
             [
                 ("unsupervised", || base().build().unwrap()),
-                ("skip_explanation", || base().skip_explanation().build().unwrap()),
+                ("skip_explanation", || {
+                    base().skip_explanation().build().unwrap()
+                }),
                 ("rule-only", || {
-                    base().supervised_rule(rule()).without_unsupervised().build().unwrap()
+                    base()
+                        .supervised_rule(rule())
+                        .without_unsupervised()
+                        .build()
+                        .unwrap()
                 }),
                 ("rule and unsupervised, outlier rows kept", || {
-                    base().supervised_rule(rule()).retain_outlier_rows().build().unwrap()
+                    base()
+                        .supervised_rule(rule())
+                        .retain_outlier_rows()
+                        .build()
+                        .unwrap()
                 }),
             ]
         }
@@ -1099,7 +1130,9 @@ mod tests {
 
         #[test]
         fn stage_one_never_refills_a_buffer_stage_two_has_not_written() {
-            let mut session = MdpQuery::with_defaults().into_streaming(&options(256)).unwrap();
+            let mut session = MdpQuery::with_defaults()
+                .into_streaming(&options(256))
+                .unwrap();
             let points = stream(7, 3 * BLOCK_ROWS);
             let StreamingSession {
                 labeler,

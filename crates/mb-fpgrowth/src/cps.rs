@@ -426,7 +426,11 @@ impl StreamingPrefixTree {
                 ranks.clear();
                 ranks.extend(path.iter().copied().filter(|&rank| rank != DROPPED));
                 ranks.sort_unstable();
-                let shared = last.iter().zip(&ranks).take_while(|(&(a, _), &b)| a == b).count();
+                let shared = last
+                    .iter()
+                    .zip(&ranks)
+                    .take_while(|(&(a, _), &b)| a == b)
+                    .count();
                 last.truncate(shared);
                 for &(_, node) in &last {
                     rebuilt.counts[node as usize] += weight;

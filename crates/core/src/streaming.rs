@@ -31,6 +31,7 @@ use mb_pool::Pool;
 use mb_stats::StatsError;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
+use std::thread::ThreadId;
 
 /// Rows a stage takes at a time. A feed of one block or less runs both
 /// stages inline, on the caller.
@@ -466,6 +467,11 @@ impl Labeler {
 /// labeler is free, so a feed never waits for a pool thread to start.
 struct Handoff<'a> {
     points: &'a [Point],
+    /// The thread that runs stage two. A retrain inside stage one may wait
+    /// on the pool, and a thread waiting on the pool runs queued tasks: on
+    /// this thread, which may hold the labeler further up its stack, the
+    /// stage-one task must do nothing.
+    caller: ThreadId,
     stage_one: Mutex<StageOne<'a>>,
     buffers: [Mutex<&'a mut StagedBlock>; 2],
     /// Blocks staged, a block that stopped at a typed error included.
@@ -504,6 +510,7 @@ impl<'a> Handoff<'a> {
     ) -> Self {
         Handoff {
             points,
+            caller: std::thread::current().id(),
             stage_one: Mutex::new(StageOne {
                 labeler,
                 next: 0,
@@ -538,6 +545,9 @@ impl<'a> Handoff<'a> {
     /// The pool thread's side: stage blocks in order until there are no
     /// more or the caller stops.
     fn stage_ahead(&self) {
+        if std::thread::current().id() == self.caller {
+            return;
+        }
         while !self.done.load(Ordering::Acquire) {
             let staging = match self.stage_one.lock() {
                 Ok(mut stage_one) => self.stage_next(&mut stage_one),
@@ -1152,6 +1162,43 @@ mod tests {
             handoff.written.store(1, Ordering::Release);
             assert_eq!((stage(), stage()), ("staged", "finished"));
             assert_eq!(handoff.staged.load(Ordering::Acquire), 3);
+        }
+
+        #[test]
+        fn a_retrain_on_the_pool_inside_stage_one_does_not_block_the_feed() {
+            use std::sync::atomic::{AtomicBool, AtomicUsize};
+            // Two metrics: the classifier fits FastMCD, which waits on the
+            // global pool while the caller holds the labeler (block 0's
+            // warm-up retrain). Every pool thread is kept busy, so the
+            // feed's stage-one task is still queued when that wait looks for
+            // work to run, and the wait runs it on the caller's thread.
+            let points: Vec<Point> = stream(11, 3 * BLOCK_ROWS)
+                .into_iter()
+                .map(|p| Point::new(vec![p.metrics[0], p.metrics[0] * 0.5], p.attributes))
+                .collect();
+            let query: Query = || MdpQuery::builder().build().unwrap();
+            let pool = mb_pool::global();
+            let (started, release) = (AtomicUsize::new(0), AtomicBool::new(false));
+            std::thread::scope(|threads| {
+                threads.spawn(|| {
+                    pool.scope(|tasks| {
+                        // One more than the workers: this thread runs one.
+                        for _ in 0..=pool.num_threads() {
+                            tasks.spawn(|| {
+                                started.fetch_add(1, Ordering::SeqCst);
+                                while !release.load(Ordering::SeqCst) {
+                                    std::thread::yield_now();
+                                }
+                            });
+                        }
+                    })
+                });
+                while started.load(Ordering::SeqCst) <= pool.num_threads() {
+                    std::thread::yield_now();
+                }
+                assert_same(pool, query, &options(2_500), &points, usize::MAX);
+                release.store(true, Ordering::SeqCst);
+            });
         }
 
         #[test]

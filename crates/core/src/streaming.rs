@@ -29,9 +29,9 @@ use mb_fpgrowth::Item;
 use mb_obs::{stage, MetricRegistry, QueryTrace, StageTimer, StageTrace};
 use mb_pool::Pool;
 use mb_stats::StatsError;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
-use std::thread::ThreadId;
 
 /// Rows a stage takes at a time. A feed of one block or less runs both
 /// stages inline, on the caller.
@@ -360,6 +360,7 @@ impl Labeler {
     /// marking that row for stage two. Stops at the first row that is a
     /// typed error, with every row before it staged.
     fn stage(&mut self, points: &[Point], block: &mut StagedBlock) -> Result<()> {
+        let _inside = InStageOne::enter();
         block.items.clear();
         block.ends.clear();
         block.outliers.clear();
@@ -467,11 +468,6 @@ impl Labeler {
 /// labeler is free, so a feed never waits for a pool thread to start.
 struct Handoff<'a> {
     points: &'a [Point],
-    /// The thread that runs stage two. A retrain inside stage one may wait
-    /// on the pool, and a thread waiting on the pool runs queued tasks: on
-    /// this thread, which may hold the labeler further up its stack, the
-    /// stage-one task must do nothing.
-    caller: ThreadId,
     stage_one: Mutex<StageOne<'a>>,
     buffers: [Mutex<&'a mut StagedBlock>; 2],
     /// Blocks staged, a block that stopped at a typed error included.
@@ -510,7 +506,6 @@ impl<'a> Handoff<'a> {
     ) -> Self {
         Handoff {
             points,
-            caller: std::thread::current().id(),
             stage_one: Mutex::new(StageOne {
                 labeler,
                 next: 0,
@@ -544,8 +539,15 @@ impl<'a> Handoff<'a> {
 
     /// The pool thread's side: stage blocks in order until there are no
     /// more or the caller stops.
+    ///
+    /// A retrain inside stage one may wait on the pool, and a waiting
+    /// thread runs queued tasks. On a thread that is inside a stage one,
+    /// holding a labeler further up its stack (this feed's caller, or the
+    /// stage-one thread of another feed), the task returns at once: taking
+    /// a second labeler there could wait on a thread that waits on this
+    /// one. The feed's caller stages its blocks instead.
     fn stage_ahead(&self) {
-        if std::thread::current().id() == self.caller {
+        if IN_STAGE_ONE.with(Cell::get) {
             return;
         }
         while !self.done.load(Ordering::Acquire) {
@@ -601,6 +603,26 @@ impl<'a> Handoff<'a> {
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
         stage_one.failed.map_or(Ok(()), Err)
+    }
+}
+
+thread_local! {
+    /// Whether this thread is running a stage one ([`Labeler::stage`]).
+    static IN_STAGE_ONE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks this thread as inside a stage one until dropped, unwinding too.
+struct InStageOne(bool);
+
+impl InStageOne {
+    fn enter() -> Self {
+        InStageOne(IN_STAGE_ONE.with(|inside| inside.replace(true)))
+    }
+}
+
+impl Drop for InStageOne {
+    fn drop(&mut self) {
+        IN_STAGE_ONE.with(|inside| inside.set(self.0));
     }
 }
 

@@ -29,7 +29,6 @@ use mb_fpgrowth::Item;
 use mb_obs::{stage, MetricRegistry, QueryTrace, StageTimer, StageTrace};
 use mb_pool::Pool;
 use mb_stats::StatsError;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
@@ -360,7 +359,6 @@ impl Labeler {
     /// marking that row for stage two. Stops at the first row that is a
     /// typed error, with every row before it staged.
     fn stage(&mut self, points: &[Point], block: &mut StagedBlock) -> Result<()> {
-        let _inside = InStageOne::enter();
         block.items.clear();
         block.ends.clear();
         block.outliers.clear();
@@ -540,14 +538,15 @@ impl<'a> Handoff<'a> {
     /// The pool thread's side: stage blocks in order until there are no
     /// more or the caller stops.
     ///
-    /// A retrain inside stage one may wait on the pool, and a waiting
-    /// thread runs queued tasks. On a thread that is inside a stage one,
-    /// holding a labeler further up its stack (this feed's caller, or the
-    /// stage-one thread of another feed), the task returns at once: taking
-    /// a second labeler there could wait on a thread that waits on this
-    /// one. The feed's caller stages its blocks instead.
+    /// It runs only from a pool thread's idle loop. A thread waiting for a
+    /// scope runs queued tasks, and there this one returns at once and the
+    /// feed's caller stages its blocks instead: the task keeps its thread
+    /// for the whole feed, so it would hold up that wait (another query's
+    /// scope, say) until the feed ends. That covers a retrain inside stage
+    /// one, which may wait on the pool while its thread holds the labeler
+    /// further up the stack; taking the labeler there would deadlock.
     fn stage_ahead(&self) {
-        if IN_STAGE_ONE.with(Cell::get) {
+        if mb_pool::inside_scope_wait() {
             return;
         }
         while !self.done.load(Ordering::Acquire) {
@@ -603,26 +602,6 @@ impl<'a> Handoff<'a> {
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
         stage_one.failed.map_or(Ok(()), Err)
-    }
-}
-
-thread_local! {
-    /// Whether this thread is running a stage one ([`Labeler::stage`]).
-    static IN_STAGE_ONE: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Marks this thread as inside a stage one until dropped, unwinding too.
-struct InStageOne(bool);
-
-impl InStageOne {
-    fn enter() -> Self {
-        InStageOne(IN_STAGE_ONE.with(|inside| inside.replace(true)))
-    }
-}
-
-impl Drop for InStageOne {
-    fn drop(&mut self) {
-        IN_STAGE_ONE.with(|inside| inside.set(self.0));
     }
 }
 
@@ -1186,22 +1165,21 @@ mod tests {
             assert_eq!(handoff.staged.load(Ordering::Acquire), 3);
         }
 
-        #[test]
-        fn a_retrain_on_the_pool_inside_stage_one_does_not_block_the_feed() {
-            use std::sync::atomic::{AtomicBool, AtomicUsize};
-            // Two metrics: the classifier fits FastMCD, which waits on the
-            // global pool while the caller holds the labeler (block 0's
-            // warm-up retrain). Every pool thread is kept busy, so the
-            // feed's stage-one task is still queued when that wait looks for
-            // work to run, and the wait runs it on the caller's thread.
-            let points: Vec<Point> = stream(11, 3 * BLOCK_ROWS)
-                .into_iter()
-                .map(|p| Point::new(vec![p.metrics[0], p.metrics[0] * 0.5], p.attributes))
-                .collect();
-            let query: Query = || MdpQuery::builder().build().unwrap();
-            let pool = mb_pool::global();
+        /// Sets a flag when dropped, unwinding too.
+        struct SetOnDrop<'a>(&'a AtomicBool);
+
+        impl Drop for SetOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+
+        /// Runs `body` while every thread of `pool`, and one thread more,
+        /// spins in a task that ends once `body` returns or unwinds.
+        fn with_the_pool_held<R>(pool: &Pool, body: impl FnOnce() -> R) -> R {
             let (started, release) = (AtomicUsize::new(0), AtomicBool::new(false));
             std::thread::scope(|threads| {
+                let _release = SetOnDrop(&release);
                 threads.spawn(|| {
                     pool.scope(|tasks| {
                         // One more than the workers: this thread runs one.
@@ -1218,9 +1196,59 @@ mod tests {
                 while started.load(Ordering::SeqCst) <= pool.num_threads() {
                     std::thread::yield_now();
                 }
+                body()
+            })
+        }
+
+        #[test]
+        fn a_retrain_on_the_pool_inside_stage_one_does_not_block_the_feed() {
+            // Two metrics: the classifier fits FastMCD, which waits on the
+            // global pool while the caller holds the labeler (block 0's
+            // warm-up retrain). Every pool thread is held, so the feed's
+            // stage-one task is still queued when that wait looks for work
+            // to run, and the wait runs it on the caller's thread.
+            let points: Vec<Point> = stream(11, 3 * BLOCK_ROWS)
+                .into_iter()
+                .map(|p| Point::new(vec![p.metrics[0], p.metrics[0] * 0.5], p.attributes))
+                .collect();
+            let query: Query = || MdpQuery::builder().build().unwrap();
+            let pool = mb_pool::global();
+            with_the_pool_held(pool, || {
                 assert_same(pool, query, &options(2_500), &points, usize::MAX);
-                release.store(true, Ordering::SeqCst);
             });
+        }
+
+        #[test]
+        fn a_stage_one_task_taken_up_by_another_scope_wait_returns_at_once() {
+            let pool = Pool::new(1);
+            let mut session = MdpQuery::with_defaults()
+                .into_streaming(&options(2_500))
+                .unwrap();
+            let points = stream(5, 3 * BLOCK_ROWS);
+            let StreamingSession {
+                labeler,
+                blocks: [first, second],
+                ..
+            } = &mut session;
+            let handoff = Handoff::new(labeler, [first, second], &points);
+            let finished = AtomicBool::new(false);
+            std::thread::scope(|threads| {
+                // Were the task to stage, it would wait for buffers no one
+                // writes: stop it after a while so the test fails, not hangs.
+                threads.spawn(|| {
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                    while !finished.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    handoff.done.store(true, Ordering::Release);
+                });
+                let _finished = SetOnDrop(&finished);
+                with_the_pool_held(&pool, || {
+                    // The pool's thread is held: only this wait can run it.
+                    pool.scope(|tasks| tasks.spawn(|| handoff.stage_ahead()));
+                });
+            });
+            assert_eq!(handoff.staged.load(Ordering::Acquire), 0);
         }
 
         #[test]

@@ -694,6 +694,15 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Whether the calling thread is running a task it took up while waiting
+/// for a scope to finish (help-first waiting, see [`Pool::scope`]), at any
+/// depth of its stack. A task that keeps its thread for a long time can
+/// return early when this holds, so that the wait it interrupted is not
+/// held up behind it.
+pub fn inside_scope_wait() -> bool {
+    HELP_DEPTH.with(|depth| depth.get() > 0)
+}
+
 /// Request that the [`global`] pool be built with `threads` workers.
 ///
 /// **One-shot contract:** the process-wide pool is configured at most once,
@@ -890,6 +899,43 @@ mod tests {
         for (i, &value) in counters.iter().enumerate() {
             assert_eq!(value, i as u64 * 2);
         }
+    }
+
+    #[test]
+    fn inside_scope_wait_holds_only_for_tasks_a_waiter_runs() {
+        let pool = Pool::new(1);
+        assert!(!inside_scope_wait());
+        // The scope's owner spins until the task has run, so it is not
+        // waiting yet: the worker takes the task from its idle loop.
+        let idle_loop = Mutex::new(None);
+        pool.scope(|s| {
+            s.spawn(|| *idle_loop.lock().unwrap() = Some(inside_scope_wait()));
+            while idle_loop.lock().unwrap().is_none() {
+                std::thread::yield_now();
+            }
+        });
+        assert_eq!(idle_loop.into_inner().unwrap(), Some(false));
+        // The worker is held by the first task until the second has run,
+        // so only the owner's wait can run the second.
+        let (held, released) = (AtomicBool::new(false), AtomicBool::new(false));
+        let in_wait = Mutex::new(None);
+        pool.scope(|s| {
+            s.spawn(|| {
+                held.store(true, Ordering::SeqCst);
+                while !released.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            });
+            while !held.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            s.spawn(|| {
+                *in_wait.lock().unwrap() = Some(inside_scope_wait());
+                released.store(true, Ordering::SeqCst);
+            });
+        });
+        assert_eq!(in_wait.into_inner().unwrap(), Some(true));
+        assert!(!inside_scope_wait());
     }
 
     #[test]

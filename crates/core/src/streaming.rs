@@ -36,6 +36,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 /// stages inline, on the caller.
 const BLOCK_ROWS: usize = 1_024;
 
+/// Feeds running in this process, on any session.
+static FEEDS_IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
+
 /// An incremental streaming execution of an
 /// [`MdpQuery`](crate::query::MdpQuery): feed points, force decay
 /// boundaries, and render reports mid-stream (the continuously maintained
@@ -184,8 +187,9 @@ impl StreamingSession {
     /// it remain counted, the offending point leaves no state behind, and
     /// the session can keep feeding.
     ///
-    /// A batch of more than 1,024 rows borrows one thread of the
-    /// global pool while it runs; the result is the same at any pool width.
+    /// A batch of more than 1,024 rows borrows one thread of the global
+    /// pool while it runs, if the pool has two threads for every feed then
+    /// running in the process; the result is the same at any pool width.
     pub fn feed(&mut self, points: &[Point]) -> Result<u64> {
         self.feed_on(mb_pool::global(), points)
     }
@@ -193,19 +197,25 @@ impl StreamingSession {
     /// [`feed`](Self::feed) on a given pool.
     fn feed_on(&mut self, pool: &Pool, points: &[Point]) -> Result<u64> {
         let feed_start = StageTimer::start_if(self.labeler.obs_enabled);
-        let outcome = self.run_stages(pool, points);
+        // Stages that run apart keep two threads busy, the caller and a
+        // pool thread. The pool has a thread per core, so that pays only
+        // while it has two threads for every feed in flight; past that the
+        // second thread takes a core from another feed.
+        let in_flight = InFlight::enter();
+        let ahead = (2 * in_flight.feeds <= pool.num_threads()).then_some(pool);
+        let outcome = self.run_stages(ahead, points);
         if feed_start.is_running() {
             self.observe_wall_ns = self.observe_wall_ns.saturating_add(feed_start.elapsed_ns());
         }
         outcome
     }
 
-    /// Both stages over `points`, a block at a time. A feed of one block,
-    /// or one with nothing for stage two to write, runs them inline;
-    /// otherwise stage one runs ahead on a pool thread (see [`Handoff`]).
-    /// A typed error ends stage one at its row, and stage two still writes
-    /// every row staged before it.
-    fn run_stages(&mut self, pool: &Pool, points: &[Point]) -> Result<u64> {
+    /// Both stages over `points`, a block at a time. With a pool, a feed
+    /// of more than one block that has something for stage two to write
+    /// runs stage one ahead on a pool thread (see [`Handoff`]); any other
+    /// feed runs both inline. A typed error ends stage one at its row, and
+    /// stage two still writes every row staged before it.
+    fn run_stages(&mut self, pool: Option<&Pool>, points: &[Point]) -> Result<u64> {
         let StreamingSession {
             labeler,
             explainer,
@@ -224,19 +234,20 @@ impl StreamingSession {
             }
             outliers += block.outliers.iter().filter(|&&outlier| outlier).count() as u64;
         };
-        let outcome = if points.len() <= BLOCK_ROWS || skip {
-            points.chunks(BLOCK_ROWS).try_for_each(|rows| {
+        let outcome = match pool {
+            Some(pool) if points.len() > BLOCK_ROWS && !skip => {
+                let handoff = Handoff::new(labeler, [first, second], points);
+                pool.scope(|scope| {
+                    scope.spawn(|| handoff.stage_ahead());
+                    handoff.write_in_order(&mut write);
+                });
+                handoff.outcome()
+            }
+            _ => points.chunks(BLOCK_ROWS).try_for_each(|rows| {
                 let staged = labeler.stage(rows, first);
                 write(first);
                 staged
-            })
-        } else {
-            let handoff = Handoff::new(labeler, [first, second], points);
-            pool.scope(|scope| {
-                scope.spawn(|| handoff.stage_ahead());
-                handoff.write_in_order(&mut write);
-            });
-            handoff.outcome()
+            }),
         };
         for ns in decay_ns {
             labeler.metrics.record_ns("decay_ns", ns);
@@ -602,6 +613,26 @@ impl<'a> Handoff<'a> {
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
         stage_one.failed.map_or(Ok(()), Err)
+    }
+}
+
+/// Counts a feed in [`FEEDS_IN_FLIGHT`] until dropped, unwinding too.
+struct InFlight {
+    /// Feeds in flight when this one entered, itself included.
+    feeds: usize,
+}
+
+impl InFlight {
+    fn enter() -> Self {
+        InFlight {
+            feeds: FEEDS_IN_FLIGHT.fetch_add(1, Ordering::SeqCst) + 1,
+        }
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        FEEDS_IN_FLIGHT.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -1054,12 +1085,12 @@ mod tests {
         type Query = fn() -> MdpQuery;
 
         /// Feed `points` in calls of `feed_size` to a session through
-        /// `feed_on(pool, ..)` and to one through the point-at-a-time loop;
+        /// `run_stages(pool, ..)` and to one through the point-at-a-time loop;
         /// after every call both give the same outcome, counters and report
         /// bytes. A call that stops at a typed error is followed by one that
         /// starts after the offending row. Returns how many calls stopped so.
         fn assert_same(
-            pool: &Pool,
+            pool: Option<&Pool>,
             query: Query,
             options: &StreamingOptions,
             points: &[Point],
@@ -1072,7 +1103,7 @@ mod tests {
             while !rest.is_empty() {
                 let batch = &rest[..feed_size.min(rest.len())];
                 let before = staged.points_seen();
-                let got = staged.feed_on(pool, batch);
+                let got = staged.run_stages(pool, batch);
                 let want = oracle.feed_point_at_a_time(batch);
                 let at = points.len() - rest.len();
                 assert_eq!(
@@ -1214,7 +1245,7 @@ mod tests {
             let query: Query = || MdpQuery::builder().build().unwrap();
             let pool = mb_pool::global();
             with_the_pool_held(pool, || {
-                assert_same(pool, query, &options(2_500), &points, usize::MAX);
+                assert_same(Some(pool), query, &options(2_500), &points, usize::MAX);
             });
         }
 
@@ -1252,26 +1283,39 @@ mod tests {
         }
 
         #[test]
+        fn a_feed_runs_its_stages_inline_without_two_pool_threads_for_each_feed() {
+            let pool = Pool::new(2);
+            let mut session = MdpQuery::with_defaults()
+                .into_streaming(&options(2_500))
+                .unwrap();
+            // With another feed in flight, two feeds would want four threads.
+            let _other = InFlight::enter();
+            session.feed_on(&pool, &stream(3, 3 * BLOCK_ROWS)).unwrap();
+            assert_eq!(pool.total_stats().tasks_executed, 0);
+        }
+
+        #[test]
         fn the_two_stage_feed_matches_the_point_at_a_time_loop() {
             let clean = stream(32, 4 * BLOCK_ROWS + 300);
             let points = with_errors(&clean);
             // A period below one block puts several boundaries in a block,
             // one of them on the block's last row (256 divides 1,024).
+            let pools = [Pool::new(1), Pool::new(2)];
             for decay_period in [256, 2_500] {
-                for width in [1, 2] {
-                    let pool = Pool::new(width);
+                // No pool: every feed runs its stages inline.
+                for pool in [None, Some(&pools[0]), Some(&pools[1])] {
                     for (name, query) in queries() {
                         let sizes = [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, usize::MAX];
                         for feed_size in sizes {
                             let options = options(decay_period);
-                            let errors = assert_same(&pool, query, &options, &points, feed_size);
+                            let errors = assert_same(pool, query, &options, &points, feed_size);
                             // Rule-only queries accept the NaN row.
                             assert!(errors >= 3, "{name}: {errors} typed errors");
                         }
                         // One row a call: a short prefix keeps the per-call
                         // reports cheap.
                         let prefix = &points[..BLOCK_ROWS + 40];
-                        assert_same(&pool, query, &options(decay_period), prefix, 1);
+                        assert_same(pool, query, &options(decay_period), prefix, 1);
                     }
                 }
             }

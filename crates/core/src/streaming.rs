@@ -12,9 +12,11 @@
 //! Stage one validates, labels and encodes the rows and marks the row each
 //! decay boundary follows; stage two writes them into the explainer in row
 //! order, closing its window right after each marked row. Stage one runs
-//! a block ahead on a pool thread while the caller runs stage two. Each
-//! stage writes only its own state and sees its writes in input order, so
-//! the result is the point-at-a-time loop's at any pool width.
+//! a block ahead on a pool thread while the caller runs stage two, when
+//! the pool has two threads for every feed in flight; otherwise the caller
+//! runs both. Each stage writes only its own state and sees its writes in
+//! input order, so the result is the point-at-a-time loop's at any pool
+//! width.
 
 use crate::executor::{render_explanations, QueryEstimator};
 use crate::query::{AnalysisConfig, EstimatorKind, StreamingOptions};

@@ -1011,6 +1011,42 @@ mod tests {
         assert!(first.num_outliers > 0);
     }
 
+    #[test]
+    fn two_sessions_over_one_stream_render_the_same_report_once_the_amc_prunes() {
+        // ~3K devices against AMC sketches of 200: every maintenance prunes,
+        // and which of the entries tied at the cut survives decides the
+        // explanations. It used to follow each sketch's random hash order.
+        let workload = device_workload(&DeviceWorkloadConfig {
+            num_points: 20_000,
+            num_devices: 3_000,
+            outlying_device_fraction: 0.05,
+            ..DeviceWorkloadConfig::default()
+        });
+        let options = StreamingOptions {
+            reservoir_size: 200,
+            decay_period: 5_000,
+            ..test_options()
+        };
+        let rendered = || {
+            let mut session = test_query()
+                .explanation(ExplanationConfig::new(0.001, 3.0))
+                .build()
+                .unwrap()
+                .into_streaming(&options)
+                .unwrap();
+            let points: Vec<Point> = workload
+                .records
+                .iter()
+                .map(|r| Point::new(r.record.metrics.clone(), r.record.attributes.clone()))
+                .collect();
+            session.feed(&points).unwrap();
+            crate::wire::report_to_string(&session.report())
+        };
+        let first = rendered();
+        assert!(first.contains("device_id"), "{first}");
+        assert_eq!(first, rendered());
+    }
+
     impl StreamingSession {
         /// The point-at-a-time loop that [`feed`](StreamingSession::feed)
         /// must reproduce: each point labeled, encoded and written into the

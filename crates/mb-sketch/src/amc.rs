@@ -21,7 +21,7 @@
 //! temporarily grow between maintenance calls (bounded by the maintenance
 //! period).
 
-use crate::HeavyHitterSketch;
+use crate::{FixedState, HeavyHitterSketch};
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -42,7 +42,7 @@ pub enum MaintenancePolicy {
 pub struct AmcSketch<T: Eq + Hash + Clone> {
     stable_size: usize,
     policy: MaintenancePolicy,
-    counts: HashMap<T, f64>,
+    counts: HashMap<T, f64, FixedState>,
     /// Largest count discarded at the previous maintenance (the `w_i` of
     /// Algorithm 3); new items are credited this much on first observation.
     discarded_weight: f64,
@@ -75,7 +75,7 @@ impl<T: Eq + Hash + Clone> AmcSketch<T> {
         AmcSketch {
             stable_size,
             policy,
-            counts: HashMap::with_capacity(stable_size * 2),
+            counts: HashMap::with_capacity_and_hasher(stable_size * 2, FixedState),
             discarded_weight: 0.0,
             observations_since_maintenance: 0,
             total_weight: 0.0,
@@ -96,7 +96,7 @@ impl<T: Eq + Hash + Clone> AmcSketch<T> {
             return;
         }
         // Select the stable_size largest counts; everything else is dropped.
-        let mut entries: Vec<(T, f64)> = self.counts.drain().collect(); // mb-lint: allow(hashmap-order-hazard) -- re-sorted below; which equal-count entry survives the prune is within the AMC's εN error model
+        let mut entries: Vec<(T, f64)> = self.counts.drain().collect(); // mb-lint: allow(hashmap-order-hazard) -- re-sorted below, stably, so which equal-count entry survives the prune is drain order; the εN bound covers accuracy, not determinism, so the map hashes with fixed keys (FixedState) and that order is the same in every session and process
         crate::sort_entries_desc(&mut entries);
         let mut max_discarded: f64 = 0.0;
         for (idx, (key, count)) in entries.into_iter().enumerate() {

@@ -49,7 +49,73 @@ pub mod quantile;
 pub mod reservoir;
 pub mod spacesaving;
 
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash, Hasher};
+
+/// The hasher behind the count maps of [`amc::AmcSketch`] and
+/// [`spacesaving::SpaceSavingHash`]: fixed keys, so a map's iteration order — which [`amc::AmcSketch::maintain`] drains, and which
+/// decides the survivor among equal counts — depends only on what was
+/// inserted, the same in every session and every process.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FixedState;
+
+impl BuildHasher for FixedState {
+    type Hasher = FixedHasher;
+
+    fn build_hasher(&self) -> FixedHasher {
+        FixedHasher(0)
+    }
+}
+
+/// [`FixedState`]'s hasher: each word is mixed in with a rotate, an xor and
+/// a multiply, and the result folded once more so its low bits (a map's
+/// bucket) depend on every input bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FixedHasher(u64);
+
+/// The golden-ratio multiplier.
+const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl FixedHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(MIX);
+    }
+}
+
+impl Hasher for FixedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for chunk in &mut words {
+            let mut word = [0; 8];
+            word.copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+        let mut tail = [0; 8];
+        let rest = words.remainder();
+        tail[..rest.len()].copy_from_slice(rest);
+        self.add(u64::from_le_bytes(tail) ^ ((rest.len() as u64) << 56));
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let wide = u128::from(self.0) * u128::from(MIX);
+        (wide as u64) ^ ((wide >> 64) as u64)
+    }
+}
 
 /// Sort `(item, count)` entries by descending count under a deterministic
 /// total order: counts compare via [`f64::total_cmp`], a NaN count (of either

@@ -15,7 +15,7 @@
 //! which may grow between maintenance calls) and guarantee estimates within
 //! `εN` of true counts.
 
-use crate::HeavyHitterSketch;
+use crate::{FixedState, HeavyHitterSketch};
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -126,7 +126,7 @@ impl<T: Eq + Hash + Clone> HeavyHitterSketch<T> for SpaceSavingList<T> {
 #[derive(Debug, Clone)]
 pub struct SpaceSavingHash<T: Eq + Hash + Clone> {
     capacity: usize,
-    counts: HashMap<T, f64>,
+    counts: HashMap<T, f64, FixedState>,
     total_weight: f64,
 }
 
@@ -136,7 +136,7 @@ impl<T: Eq + Hash + Clone> SpaceSavingHash<T> {
         assert!(capacity > 0, "capacity must be positive");
         SpaceSavingHash {
             capacity,
-            counts: HashMap::with_capacity(capacity),
+            counts: HashMap::with_capacity_and_hasher(capacity, FixedState),
             total_weight: 0.0,
         }
     }

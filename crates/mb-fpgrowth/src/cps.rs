@@ -9,9 +9,17 @@
 //! every item ever observed, which is exactly the scalability problem the
 //! M-CPS-tree (see [`crate::mcps`]) fixes by only admitting currently
 //! frequent items.
+//!
+//! Both trees *record* their first window rather than descend it: until the
+//! first decay every node count is a whole number of rows, so the rows are
+//! kept as they arrive (each already in its frequency order) and the tree is
+//! built once, sorted, at the boundary — pruned, when the boundary prunes —
+//! with every count and every read bit for bit what descending each row
+//! would have given. A read in the middle of the window sorts the record.
 
 use crate::fptree::FpTree;
 use crate::{FrequentItemset, Item};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 /// "No node" in every link and "empty" in every table slot: the root is
@@ -25,6 +33,13 @@ const DROPPED: u32 = u32::MAX;
 /// Sibling-list steps [`StreamingPrefixTree::link_child`] takes from the
 /// head before it also asks the edge table for the predecessor.
 const WALK_BEFORE_PROBING: usize = 8;
+
+/// Rows a [`Record`] holds before it is built into the arena: one default
+/// 100K-row window whole, and a bound on what any window keeps unbuilt.
+const RECORD_ROWS: usize = 1 << 17;
+
+/// Low bits of a [`Record::sorted`] key that hold the row's index.
+const ROW_BITS: u32 = RECORD_ROWS.trailing_zeros();
 
 /// `index` as the `u32` the arena's links and tables store.
 fn arena_index(index: usize) -> u32 {
@@ -129,6 +144,199 @@ struct Links {
     next_sibling: u32,
 }
 
+/// A tree's first window before it has nodes: the rows
+/// [`StreamingPrefixTree::record`] ordered, end to end, each in the order
+/// [`insert`](StreamingPrefixTree::insert) would have descended it.
+///
+/// Every row weighs 1, so a node's count is the number of rows through it —
+/// an integer, exact whatever order it is added in — until the first
+/// `decay`, whose factors are kept here and applied to that integer as the
+/// arena applies them to its counts. So the tree a record stands for can be
+/// read, or built, bit for bit from the rows sorted by item sequence.
+#[derive(Debug, Clone, Default)]
+struct Record {
+    items: Vec<Item>,
+    /// Where each row ends in `items`.
+    ends: Vec<u32>,
+    /// The factors of every `decay` since the first row, in order.
+    decays: Vec<f64>,
+}
+
+/// How [`Record::sorted`] packs a row into a `u128` key: its first `slots`
+/// items, each as `item + 1` in `width` bits, the bits the largest item
+/// needs (0 past the row's end); a flag set when the row has more items;
+/// and the row's index in the low [`ROW_BITS`]. Keys alone order every row
+/// that fits, and a row whose flag is set carries its other items in the
+/// record.
+#[derive(Debug, Clone, Copy)]
+struct RowKeys {
+    width: u32,
+    slots: usize,
+}
+
+impl RowKeys {
+    fn key(self, row: &[Item], index: usize) -> u128 {
+        let mut key = 0u128;
+        for &item in &row[..row.len().min(self.slots)] {
+            key = (key << self.width) | (u128::from(item) + 1);
+        }
+        key <<= self.width as usize * self.slots.saturating_sub(row.len());
+        let overflow = row.len() > self.slots;
+        (((key << 1) | u128::from(overflow)) << ROW_BITS) | index as u128
+    }
+
+    fn index(key: u128) -> usize {
+        (key & ((1 << ROW_BITS) - 1)) as usize
+    }
+
+    /// The row `key` stands for, into `row`: unpacked from the key when it
+    /// fits, read from `record` when it does not.
+    fn items(self, key: u128, record: &Record, row: &mut Vec<Item>) {
+        row.clear();
+        if (key >> ROW_BITS) & 1 == 1 {
+            row.extend_from_slice(record.row(Self::index(key)));
+            return;
+        }
+        let mask = (1u128 << self.width) - 1;
+        let top = ROW_BITS + 1 + self.width * self.slots as u32;
+        for slot in 1..=self.slots as u32 {
+            match (key >> (top - slot * self.width)) & mask {
+                0 => break,
+                // An item plus one, in at most 33 bits.
+                item => row.push((item - 1) as Item),
+            }
+        }
+    }
+}
+
+/// One node of a [`Record`]'s tree, as [`Record::preorder`] lists it.
+#[derive(Debug, Clone, Copy)]
+struct RecordedNode {
+    item: Item,
+    /// Items on the path above it.
+    depth: u32,
+    /// Its decayed count, or its own weight (the count less its children's).
+    weight: f64,
+}
+
+impl Record {
+    fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    fn row(&self, row: usize) -> &[Item] {
+        let start = row.checked_sub(1).map_or(0, |before| self.ends[before] as usize);
+        &self.items[start..self.ends[row] as usize]
+    }
+
+    /// What a node that `rows` rows passed through counts now.
+    fn count(&self, rows: usize) -> f64 {
+        let mut count = rows as f64;
+        for &factor in &self.decays {
+            count *= factor;
+        }
+        count
+    }
+
+    /// Every row as a [`RowKeys`] key, sorted by the row's item sequence,
+    /// a row before the rows it is a prefix of.
+    fn sorted(&self) -> (RowKeys, Vec<u128>) {
+        let largest = self.items.iter().copied().max().unwrap_or(0);
+        let width = u64::BITS - (u64::from(largest) + 1).leading_zeros();
+        let layout = RowKeys {
+            width,
+            slots: ((u128::BITS - 1 - ROW_BITS) / width) as usize,
+        };
+        let mut overflows = false;
+        let mut keys: Vec<u128> = (0..self.ends.len())
+            .map(|index| {
+                let row = self.row(index);
+                overflows |= row.len() > layout.slots;
+                layout.key(row, index)
+            })
+            .collect();
+        if overflows {
+            let rest = |key: &u128| &self.row(RowKeys::index(*key))[layout.slots..];
+            keys.sort_unstable_by(|a, b| {
+                let (fitted, other) = (a >> ROW_BITS, b >> ROW_BITS);
+                fitted.cmp(&other).then_with(|| match fitted & 1 {
+                    1 => rest(a).cmp(rest(b)),
+                    _ => Ordering::Equal,
+                })
+            });
+        } else {
+            keys.sort_unstable();
+        }
+        (layout, keys)
+    }
+
+    /// The nodes of the tree the rows stand for, in the order
+    /// [`StreamingPrefixTree::for_each_path`] enters them: a node at its
+    /// first row in sorted order, siblings in ascending item id. Each
+    /// carries its decayed count, or with `own` its own weight — its count
+    /// less its children's counts summed in ascending id, as the arena's
+    /// walk takes it.
+    fn preorder(&self, own: bool) -> Vec<RecordedNode> {
+        let (layout, sorted) = self.sorted();
+        // At most one node an item; the pages past the last node are never
+        // touched.
+        let mut nodes: Vec<RecordedNode> = Vec::with_capacity(self.items.len());
+        // The current row's path: each node's index in `nodes`, the
+        // position of its first row, and its closed children's counts.
+        let mut open: Vec<(usize, usize, f64)> = Vec::new();
+        // Children close before their parent, siblings in ascending id.
+        let close = |nodes: &mut Vec<RecordedNode>,
+                     open: &mut Vec<(usize, usize, f64)>,
+                     depth: usize,
+                     position: usize| {
+            while open.len() > depth {
+                let Some((index, first, below)) = open.pop() else {
+                    break;
+                };
+                let count = self.count(position - first);
+                nodes[index].weight = if own { count - below } else { count };
+                if let Some((_, _, parent_below)) = open.last_mut() {
+                    *parent_below += count;
+                }
+            }
+        };
+        let (mut row, mut previous) = (Vec::new(), Vec::new());
+        for (position, &key) in sorted.iter().enumerate() {
+            std::mem::swap(&mut row, &mut previous);
+            layout.items(key, self, &mut row);
+            let shared = previous.iter().zip(&row).take_while(|(a, b)| a == b).count();
+            close(&mut nodes, &mut open, shared, position);
+            for (depth, &item) in row.iter().enumerate().skip(shared) {
+                open.push((nodes.len(), position, 0.0));
+                nodes.push(RecordedNode {
+                    item,
+                    depth: arena_index(depth),
+                    weight: 0.0,
+                });
+            }
+        }
+        close(&mut nodes, &mut open, 0, sorted.len());
+        nodes
+    }
+}
+
+/// [`StreamingPrefixTree::walk`] over a [`Record::preorder`] list of own
+/// weights.
+fn walk_recorded<T>(
+    nodes: &[RecordedNode],
+    mut label: impl FnMut(Item) -> T,
+    mut visit: impl FnMut(&[T], f64),
+) {
+    let mut path: Vec<T> = Vec::new();
+    for node in nodes {
+        path.truncate(node.depth as usize);
+        path.push(label(node.item));
+        if node.weight > 1e-12 {
+            visit(&path, node.weight);
+        }
+    }
+}
+
 /// An incrementally maintained, weighted, frequency-descending prefix tree.
 ///
 /// This is the structural core shared by the CPS-tree and M-CPS-tree; it
@@ -143,6 +351,12 @@ struct Links {
 /// [`for_each_path`](Self::for_each_path) visits them in ascending id without
 /// sorting — the order every float sum downstream of it depends on. Item
 /// frequencies sit in dense vectors behind an item table of the same kind.
+///
+/// The CPS- and M-CPS-trees record their first window instead: its rows are
+/// kept in order, read by sorting them, and built into the arena once —
+/// pruned, by [`retain_items`](Self::retain_items) or
+/// [`restructure`](Self::restructure), or whole, by the next
+/// [`insert`](Self::insert) or when the record reaches 2^17 rows.
 #[derive(Debug, Clone)]
 pub struct StreamingPrefixTree {
     counts: Vec<f64>,
@@ -156,6 +370,9 @@ pub struct StreamingPrefixTree {
     /// Scratch of [`insert`](Self::insert): the transaction as
     /// `(descending_key(item count), item)` sort keys.
     keys: Vec<(i64, Item)>,
+    /// The window recorded so far; while it is not empty the arena has no
+    /// nodes.
+    record: Record,
 }
 
 impl Default for StreamingPrefixTree {
@@ -190,12 +407,18 @@ impl StreamingPrefixTree {
             item_counts: Vec::with_capacity(items),
             total_weight: 0.0,
             keys: Vec::new(),
+            record: Record::default(),
         }
     }
 
-    /// Number of nodes excluding the root.
+    /// Number of nodes excluding the root. A recorded window is sorted to
+    /// count them.
     pub fn node_count(&self) -> usize {
-        self.counts.len() - 1
+        if self.record.is_empty() {
+            self.counts.len() - 1
+        } else {
+            self.record.preorder(false).len()
+        }
     }
 
     /// Number of distinct items currently present in the tree.
@@ -237,6 +460,46 @@ impl StreamingPrefixTree {
     /// scratch buffer, its items' counts and the nodes along the path.
     pub fn insert(&mut self, items: &[Item], weight: f64) {
         assert!(weight > 0.0, "transaction weight must be positive");
+        self.build_record();
+        let keys = self.count_and_order(items, weight);
+        let mut current = ROOT;
+        for &(_, item) in &keys {
+            current = self.descend(current, item, weight);
+        }
+        self.keys = keys;
+    }
+
+    /// [`insert`](Self::insert) with weight 1 into a tree that has no nodes
+    /// yet: the row's items are counted and ordered as `insert` does, then
+    /// appended to the record instead of descended. A tree with nodes, or
+    /// whose record has been decayed, inserts.
+    pub(crate) fn record(&mut self, items: &[Item]) {
+        if self.counts.len() > 1 || !self.record.decays.is_empty() {
+            self.insert(items, 1.0);
+            return;
+        }
+        let keys = self.count_and_order(items, 1.0);
+        if !keys.is_empty() {
+            let record = &mut self.record;
+            if record.is_empty() {
+                // Room for a window of 8-item rows up front, so recording
+                // one allocates only past that.
+                record.ends.reserve(RECORD_ROWS);
+                record.items.reserve(RECORD_ROWS * 8);
+            }
+            record.items.extend(keys.iter().map(|&(_, item)| item));
+            record.ends.push(arena_index(record.items.len()));
+            if record.ends.len() == RECORD_ROWS {
+                self.build_record();
+            }
+        }
+        self.keys = keys;
+    }
+
+    /// Add `weight` to the total and to each distinct item's count, and
+    /// return the distinct items (in the scratch buffer) in the order the
+    /// transaction descends: frequency descending, ties by item id.
+    fn count_and_order(&mut self, items: &[Item], weight: f64) -> Vec<(i64, Item)> {
         let mut keys = std::mem::take(&mut self.keys);
         keys.clear();
         keys.extend(items.iter().map(|&item| (0, item)));
@@ -251,12 +514,28 @@ impl StreamingPrefixTree {
             self.total_weight += weight;
             // Frequency descending, ties by item id: a deterministic order.
             keys.sort_unstable();
-            let mut current = ROOT;
-            for &(_, item) in &keys {
-                current = self.descend(current, item, weight);
-            }
         }
-        self.keys = keys;
+        keys
+    }
+
+    /// Build the recorded window, if any, into the arena: the nodes
+    /// `insert` would have made, with the same counts.
+    fn build_record(&mut self) {
+        if self.record.is_empty() {
+            return;
+        }
+        let nodes = std::mem::take(&mut self.record).preorder(false);
+        self.counts.reserve(nodes.len());
+        self.links.reserve(nodes.len());
+        self.edges = EdgeTable::with_capacity(nodes.len());
+        // The path to the current node; each new node is its parent's
+        // largest child so far, so linking it is one step.
+        let mut path: Vec<u32> = Vec::new();
+        for node in nodes {
+            path.truncate(node.depth as usize);
+            let parent = path.last().copied().unwrap_or(ROOT);
+            path.push(self.descend(parent, node.item, node.weight));
+        }
     }
 
     /// Walk from `parent` to its `item` child (adding `weight`), creating
@@ -333,6 +612,9 @@ impl StreamingPrefixTree {
             (0.0..=1.0).contains(&factor),
             "decay factor must be in [0, 1]"
         );
+        if !self.record.is_empty() {
+            self.record.decays.push(factor);
+        }
         for count in self.counts[1..].iter_mut().chain(&mut self.item_counts) {
             *count *= factor;
         }
@@ -350,8 +632,18 @@ impl StreamingPrefixTree {
     }
 
     /// [`for_each_path`](Self::for_each_path) with every item on the path
-    /// replaced by `label(item)`, taken once as the walk enters the node.
-    fn walk<T>(&self, mut label: impl FnMut(Item) -> T, mut visit: impl FnMut(&[T], f64)) {
+    /// replaced by `label(item)`, taken once as the walk enters the node. A
+    /// recorded window is sorted into its nodes first.
+    fn walk<T>(&self, label: impl FnMut(Item) -> T, visit: impl FnMut(&[T], f64)) {
+        if self.record.is_empty() {
+            self.walk_arena(label, visit);
+        } else {
+            walk_recorded(&self.record.preorder(true), label, visit);
+        }
+    }
+
+    /// [`walk`](Self::walk) over the arena.
+    fn walk_arena<T>(&self, mut label: impl FnMut(Item) -> T, mut visit: impl FnMut(&[T], f64)) {
         let mut path: Vec<T> = Vec::new();
         // Nodes to enter, each with the length of the path above it. Pushing
         // a sibling chain (descending ids) makes it pop in ascending ids.
@@ -411,37 +703,46 @@ impl StreamingPrefixTree {
     /// adds its weight to the nodes of the prefix it shares with that one
     /// — what [`descend`](Self::descend) would add to them, in the same
     /// order — and descends only below it.
+    ///
+    /// A recorded window is sorted into its nodes once and dropped, and the
+    /// new tree is built straight from them: the unpruned tree is never
+    /// built.
     fn rebuild(&mut self, keep: impl Fn(Item) -> bool) {
         let (rank_of, by_rank) = self.frequency_ranks(keep);
-        let mut rebuilt = StreamingPrefixTree::with_capacity(self.node_count(), by_rank.len());
+        let recorded =
+            (!self.record.is_empty()).then(|| std::mem::take(&mut self.record).preorder(true));
+        let nodes = recorded.as_ref().map_or(self.node_count(), Vec::len);
+        let mut rebuilt = StreamingPrefixTree::with_capacity(nodes, by_rank.len());
         rebuilt.total_weight = self.total_weight;
         for &item in &by_rank {
             rebuilt.add_item_count(item, self.item_count(item));
         }
         let mut ranks: Vec<u32> = Vec::new();
         let mut last: Vec<(u32, u32)> = Vec::new();
-        self.walk(
-            |item| rank_of[self.item_index.item(item) as usize - 1],
-            |path, weight| {
-                ranks.clear();
-                ranks.extend(path.iter().copied().filter(|&rank| rank != DROPPED));
-                ranks.sort_unstable();
-                let shared = last
-                    .iter()
-                    .zip(&ranks)
-                    .take_while(|(&(a, _), &b)| a == b)
-                    .count();
-                last.truncate(shared);
-                for &(_, node) in &last {
-                    rebuilt.counts[node as usize] += weight;
-                }
-                let mut current = last.last().map_or(ROOT, |&(_, node)| node);
-                for &rank in &ranks[shared..] {
-                    current = rebuilt.descend(current, by_rank[rank as usize], weight);
-                    last.push((rank, current));
-                }
-            },
-        );
+        let label = |item| rank_of[self.item_index.item(item) as usize - 1];
+        let reinsert = |path: &[u32], weight| {
+            ranks.clear();
+            ranks.extend(path.iter().copied().filter(|&rank| rank != DROPPED));
+            ranks.sort_unstable();
+            let shared = last
+                .iter()
+                .zip(&ranks)
+                .take_while(|(&(a, _), &b)| a == b)
+                .count();
+            last.truncate(shared);
+            for &(_, node) in &last {
+                rebuilt.counts[node as usize] += weight;
+            }
+            let mut current = last.last().map_or(ROOT, |&(_, node)| node);
+            for &rank in &ranks[shared..] {
+                current = rebuilt.descend(current, by_rank[rank as usize], weight);
+                last.push((rank, current));
+            }
+        };
+        match &recorded {
+            Some(nodes) => walk_recorded(nodes, label, reinsert),
+            None => self.walk_arena(label, reinsert),
+        }
         *self = rebuilt;
     }
 
@@ -494,10 +795,9 @@ impl CpsTree {
     }
 
     /// Insert one transaction (a point's attribute items) with unit weight.
+    /// The first window is recorded, as the M-CPS-tree's is.
     pub fn insert(&mut self, items: &[Item]) {
-        if !items.is_empty() {
-            self.tree.insert(items, 1.0);
-        }
+        self.tree.record(items);
     }
 
     /// Close the current window: decay all counts and restructure branches
@@ -1154,6 +1454,165 @@ mod tests {
                 assert!(children.windows(2).all(|ids| ids[0] < ids[1]));
                 pair.assert_same(0);
             }
+        }
+    }
+
+    /// A recorded window against the same rows descended: the same
+    /// operations on both, and every read bit for bit the same.
+    mod recorded_against_descended {
+        use super::*;
+        use mb_stats::rand_ext::{SplitMix64, Zipf};
+
+        /// The tree that records and the tree that descends, kept in step,
+        /// and every item either has seen.
+        #[derive(Default)]
+        struct Pair {
+            recorded: StreamingPrefixTree,
+            descended: StreamingPrefixTree,
+            seen: HashSet<Item>,
+        }
+
+        impl Pair {
+            fn add(&mut self, items: &[Item]) {
+                self.recorded.record(items);
+                self.descended.insert(items, 1.0);
+                self.seen.extend(items);
+            }
+
+            fn both(&mut self, op: impl Fn(&mut StreamingPrefixTree)) {
+                op(&mut self.recorded);
+                op(&mut self.descended);
+            }
+
+            fn assert_same(&self) {
+                let (recorded, descended) = (&self.recorded, &self.descended);
+                let bits = |tree: &StreamingPrefixTree| -> Vec<(Vec<Item>, u64)> {
+                    tree.to_weighted_transactions()
+                        .into_iter()
+                        .map(|(path, weight)| (path, weight.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(recorded), bits(descended));
+                assert_eq!(recorded.node_count(), descended.node_count());
+                assert_eq!(recorded.distinct_items(), descended.distinct_items());
+                assert_eq!(
+                    recorded.total_weight().to_bits(),
+                    descended.total_weight().to_bits()
+                );
+                for &item in &self.seen {
+                    assert_eq!(
+                        recorded.item_count(item).to_bits(),
+                        descended.item_count(item).to_bits(),
+                        "count of item {item}"
+                    );
+                }
+            }
+        }
+
+        /// 1–8 items over `alphabet` ids from `first` on, Zipf or uniform,
+        /// with a repeated item in about one row of four.
+        fn row(rng: &mut SplitMix64, zipf: Option<&Zipf>, alphabet: usize, first: Item) -> Vec<Item> {
+            let mut items: Vec<Item> = (0..1 + rng.next_below(8))
+                .map(|_| match zipf {
+                    Some(zipf) => zipf.sample(rng),
+                    None => rng.next_below(alphabet),
+                })
+                .map(|id| first + id as Item)
+                .collect();
+            if rng.next_below(4) == 0 {
+                items.push(items[rng.next_below(items.len())]);
+            }
+            items
+        }
+
+        /// One window of `rows` rows read every `read_every` rows, perhaps
+        /// decayed partway, then a few windows of boundaries and rows.
+        fn run(seed: u64, skewed: bool, alphabet: usize, first: Item, rows: usize) {
+            let mut rng = SplitMix64::new(seed);
+            let zipf = skewed.then(|| Zipf::new(alphabet, 1.1));
+            let mut pair = Pair::default();
+            let decay_at = (rng.next_below(3) == 0).then(|| rng.next_below(rows));
+            for at in 0..rows {
+                if decay_at == Some(at) {
+                    pair.both(|tree| tree.decay(0.5));
+                }
+                pair.add(&row(&mut rng, zipf.as_ref(), alphabet, first));
+                if at % 97 == 0 {
+                    pair.assert_same();
+                }
+            }
+            assert!(decay_at.is_some() || !pair.recorded.record.is_empty());
+            pair.assert_same();
+            for window in 0..3 {
+                pair.both(|tree| tree.decay(0.99));
+                pair.assert_same();
+                if window % 2 == 0 {
+                    let keep: HashSet<Item> =
+                        pair.seen.iter().copied().filter(|_| rng.next_below(10) < 7).collect();
+                    pair.both(|tree| tree.retain_items(&keep));
+                } else {
+                    pair.both(StreamingPrefixTree::restructure);
+                }
+                assert!(pair.recorded.record.is_empty());
+                pair.assert_same();
+                for _ in 0..rows / 4 {
+                    pair.add(&row(&mut rng, zipf.as_ref(), alphabet, first));
+                }
+                pair.assert_same();
+            }
+        }
+
+        #[test]
+        fn generated_windows_agree_bit_for_bit() {
+            for seed in 0..6 {
+                run(seed, true, 40, 0, 800);
+                run(100 + seed, false, 12, 0, 800);
+                run(200 + seed, true, 600, 0, 1_500);
+                // Ids past 2^21, and near the top of the id space, where a
+                // sort key holds fewer items than a row.
+                run(300 + seed, true, 600, (1 << 21) - 100, 1_500);
+                run(400 + seed, false, 3_000, Item::MAX - 3_000, 1_500);
+            }
+        }
+
+        #[test]
+        fn a_record_that_reaches_the_cap_is_built_and_the_window_descends_on() {
+            let mut rng = SplitMix64::new(9);
+            let zipf = Zipf::new(2_000, 1.05);
+            let mut pair = Pair::default();
+            for _ in 0..RECORD_ROWS - 1 {
+                let items = row(&mut rng, Some(&zipf), 2_000, 0);
+                pair.add(&items[..items.len().min(2)]);
+            }
+            assert_eq!(pair.recorded.record.ends.len(), RECORD_ROWS - 1);
+            assert_eq!(pair.recorded.counts.len(), 1);
+            pair.assert_same();
+            pair.add(&[7, 3]);
+            assert!(pair.recorded.record.is_empty());
+            assert_eq!(pair.recorded.counts.len(), pair.descended.counts.len());
+            pair.assert_same();
+            for _ in 0..1_000 {
+                pair.add(&row(&mut rng, Some(&zipf), 2_000, 0));
+            }
+            pair.assert_same();
+            pair.both(|tree| tree.decay(0.99));
+            pair.both(StreamingPrefixTree::restructure);
+            pair.assert_same();
+        }
+
+        #[test]
+        fn a_decayed_record_is_built_before_the_next_row() {
+            let mut pair = Pair::default();
+            for items in [[1, 2], [1, 3], [2, 3], [1, 2]] {
+                pair.add(&items);
+            }
+            pair.both(|tree| tree.decay(0.75));
+            pair.both(|tree| tree.decay(1.0 / 3.0));
+            assert_eq!(pair.recorded.record.decays, [0.75, 1.0 / 3.0]);
+            pair.assert_same();
+            pair.add(&[3, 1]);
+            assert!(pair.recorded.record.is_empty());
+            pair.assert_same();
         }
     }
 

@@ -7,6 +7,10 @@
 //!
 //! * On insertion, a point's attributes are first recorded in the AMC; only
 //!   the attributes in the current frequent set are inserted into the tree.
+//!   Until the first boundary there is no frequent set yet and every item is
+//!   admitted; that window is recorded, not descended, and the first
+//!   boundary builds the pruned tree from it directly (see [`crate::cps`]),
+//!   so the unpruned bootstrap tree is never built.
 //! * At each window boundary, the AMC and tree counts are decayed, the
 //!   frequent set is recomputed from the AMC — an item is frequent when its
 //!   estimate reaches the support fraction of the decayed number of
@@ -70,7 +74,8 @@ pub struct McpsTree {
     transactions: f64,
     /// Whether at least one window boundary has elapsed; before that the
     /// frequent set is still being bootstrapped and every item is admitted
-    /// (it will be pruned at the first boundary if insufficiently supported).
+    /// (it will be pruned at the first boundary if insufficiently supported),
+    /// into a tree that records the window.
     bootstrapping: bool,
 }
 
@@ -113,7 +118,7 @@ impl McpsTree {
             self.amc.observe(item);
         }
         if self.bootstrapping {
-            self.tree.insert(items, 1.0);
+            self.tree.record(items);
         } else {
             let admits = &self.admits;
             self.admitted.clear();

@@ -413,6 +413,50 @@ impl Gen {
     }
 }
 
+/// `clean` with one to three characters replaced, inserted or removed.
+fn mangle(g: &mut Gen, clean: &str) -> String {
+    let pool: Vec<char> = "{}[]\",:\\ -.0eutn1é".chars().collect();
+    let mut chars: Vec<char> = clean.chars().collect();
+    for _ in 0..1 + g.below(3) {
+        let at = g.below(chars.len() + 1);
+        let c = pool[g.below(pool.len())];
+        match g.below(3) {
+            0 if at < chars.len() => chars[at] = c,
+            1 => chars.insert(at, c),
+            _ if at < chars.len() => {
+                chars.remove(at);
+            }
+            _ => {}
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// What the `Value` decoders make of `line`'s `points`: the parser's error,
+/// the schema error, or the points (the last value of a repeated key).
+fn oracle_points(line: &str) -> Result<Vec<Point>, (String, String)> {
+    match serde_json::from_str(line) {
+        Err(e) => Err(("malformed".to_string(), format!("malformed JSON: {e}"))),
+        Ok(value) => {
+            macrobase_core::wire::points_from_json(get(&value, "points").unwrap(), "points")
+                .map_err(|e| ("protocol".to_string(), e.to_string()))
+        }
+    }
+}
+
+/// A response as `(state or error kind, error message)`.
+fn answer(response: &Value) -> (String, String) {
+    match get_str(response, "state") {
+        Some(state) => (state.to_string(), String::new()),
+        None => (
+            error_kind(response),
+            get_str(get(response, "error").unwrap(), "message")
+                .unwrap()
+                .to_string(),
+        ),
+    }
+}
+
 #[test]
 fn mangled_points_get_the_value_decoders_answer_and_the_server_lives() {
     let server = Server::start(ServeConfig {
@@ -420,56 +464,46 @@ fn mangled_points_get_the_value_decoders_answer_and_the_server_lives() {
         ..ServeConfig::default()
     });
     let clean = r#"[{"metrics":[1.5,-0,"NaN"],"attributes":["a\"b","é"]},{"attributes":["c","d"],"metrics":[2,1e3,"-Infinity"]}]"#;
-    let pool: Vec<char> = "{}[]\",:\\ -.0eutn1é".chars().collect();
     let mut g = Gen(0x5EED_0004);
     for n in 0..3_000 {
-        let mut chars: Vec<char> = clean.chars().collect();
-        for _ in 0..1 + g.below(3) {
-            let at = g.below(chars.len() + 1);
-            let c = pool[g.below(pool.len())];
-            match g.below(3) {
-                0 if at < chars.len() => chars[at] = c,
-                1 => chars.insert(at, c),
-                _ if at < chars.len() => {
-                    chars.remove(at);
-                }
-                _ => {}
-            }
-        }
-        let points: String = chars.into_iter().collect();
+        let points = mangle(&mut g, clean);
         for executor in ["one_shot", "naive"] {
-            // Either key order: the points are decoded from their text once
-            // the rest of the line is known.
-            let line = if n % 2 == 0 {
-                format!(
-                    r#"{{"op":"submit","id":"m{n}{executor}","executor":{{"mode":"{executor}"}},"points":{points}}}"#
-                )
-            } else {
-                format!(
-                    r#"{{"points":{points},"executor":{{"mode":"{executor}"}},"id":"m{n}{executor}","op":"submit"}}"#
-                )
-            };
-            let expected = match serde_json::from_str(&line) {
-                Err(e) => ("malformed".to_string(), format!("malformed JSON: {e}")),
-                Ok(value) => match macrobase_core::wire::points_from_json(
-                    get(&value, "points").unwrap(),
-                    "points",
-                ) {
-                    Err(e) => ("protocol".to_string(), e.to_string()),
-                    Ok(_) => ("queued".to_string(), String::new()),
-                },
-            };
-            let response = request(&server, &line);
-            let got = match get_str(&response, "state") {
-                Some(state) => (state.to_string(), String::new()),
-                None => (
-                    error_kind(&response),
-                    get_str(get(&response, "error").unwrap(), "message")
-                        .unwrap()
-                        .to_string(),
+            let id = format!("m{n}{executor}");
+            // Every key order: the points are decoded from their text
+            // whatever comes before or after them.
+            let line = match n % 3 {
+                0 => format!(
+                    r#"{{"op":"submit","id":"{id}","executor":{{"mode":"{executor}"}},"points":{points}}}"#
                 ),
+                1 => format!(
+                    r#"{{"points":{points},"executor":{{"mode":"{executor}"}},"id":"{id}","op":"submit"}}"#
+                ),
+                _ => {
+                    let analysis = if n % 2 == 0 {
+                        r#"{"skip_explanation":true}"#
+                    } else {
+                        r#"{"attribute_names":["x","y"]}"#
+                    };
+                    format!(
+                        r#"{{"points":{points},"analysis":{analysis},"id":"{id}","executor":{{"mode":"{executor}"}},"op":"submit"}}"#
+                    )
+                }
             };
-            assert_eq!(got, expected, "{line}");
+            let expected =
+                oracle_points(&line).map_or_else(|e| e, |_| ("queued".to_string(), String::new()));
+            assert_eq!(answer(&request(&server, &line)), expected, "{line}");
+        }
+        // A repeated `points` key: the last value is the one decoded, and a
+        // fault in the first is never reported.
+        for (k, (first, last)) in [(points.as_str(), clean), (clean, points.as_str())]
+            .into_iter()
+            .enumerate()
+        {
+            let line =
+                format!(r#"{{"op":"submit","points":{first},"id":"d{n}_{k}","points":{last}}}"#);
+            let expected =
+                oracle_points(&line).map_or_else(|e| e, |_| ("queued".to_string(), String::new()));
+            assert_eq!(answer(&request(&server, &line)), expected, "{line}");
         }
     }
     // Nesting deep enough to overflow a recursive parser is refused, typed.
@@ -486,4 +520,66 @@ fn mangled_points_get_the_value_decoders_answer_and_the_server_lives() {
         assert_eq!(error_kind(&request(&server, &deep)), "malformed");
     }
     assert_ok(&request(&server, r#"{"op":"stats"}"#));
+}
+
+/// A feed response as `(kind, detail)`: its counts, or its error.
+fn feed_answer(response: &Value) -> (String, String) {
+    if get(response, "ok") == Some(&Value::Bool(true)) {
+        let counts: Vec<String> = ["points", "outliers", "total_points", "total_outliers"]
+            .iter()
+            .map(|key| get_f64(response, key).unwrap().to_string())
+            .collect();
+        return ("fed".to_string(), counts.join(" "));
+    }
+    answer(response)
+}
+
+#[test]
+fn mangled_feeds_get_the_value_decoders_answer_and_the_session_lives() {
+    // The served session and a reference session fed the oracle's points
+    // through `Server::feed` stay in step: every feed must get the same
+    // answer from both.
+    let served = Server::start(ServeConfig::default());
+    let reference = Server::start(ServeConfig::default());
+    let open = r#"{"op":"submit","id":"s","executor":{"mode":"streaming"}}"#;
+    for server in [&served, &reference] {
+        assert_eq!(
+            get_str(assert_ok(&request(server, open)), "state"),
+            Some("session")
+        );
+    }
+    let clean = r#"[{"metrics":[1.5,-0],"attributes":["a\"b","é"]},{"attributes":["c","d"],"metrics":[2,1e3]}]"#;
+    let mut g = Gen(0x5EED_0005);
+    let mut fed = 0;
+    for n in 0..1_500 {
+        let points = if n % 5 == 0 {
+            clean.to_string()
+        } else {
+            mangle(&mut g, clean)
+        };
+        let line = if n % 2 == 0 {
+            format!(r#"{{"op":"feed","id":"s","points":{points}}}"#)
+        } else {
+            format!(r#"{{"points":{points},"id":"s","op":"feed"}}"#)
+        };
+        let expected = match oracle_points(&line) {
+            Err(e) => e,
+            Ok(points) => match reference.feed("s", &points) {
+                Ok(fed) => (
+                    "fed".to_string(),
+                    format!(
+                        "{} {} {} {}",
+                        fed.points, fed.outliers, fed.total_points, fed.total_outliers
+                    ),
+                ),
+                Err(e @ mb_serve::ServeError::Query(_)) => ("query".to_string(), e.to_string()),
+                Err(e) => panic!("{line}: {e}"),
+            },
+        };
+        assert_eq!(feed_answer(&request(&served, &line)), expected, "{line}");
+        fed += usize::from(expected.0 == "fed");
+    }
+    assert!(fed >= 300, "only {fed} feeds went through");
+    let response = request(&served, r#"{"op":"poll","id":"s"}"#);
+    assert_eq!(get_str(assert_ok(&response), "state"), Some("session"));
 }

@@ -30,13 +30,12 @@
 //! assert_eq!(decoded, report);
 //! ```
 
-use crate::operator::{check_columns, ColumnarInput, EncodedBatch};
+use crate::operator::{check_columns, ColumnarInput};
 use crate::query::{AnalysisConfig, EstimatorKind, Executor, StreamingOptions};
 use crate::types::{MdpReport, Point, RenderedExplanation};
 use mb_explain::risk_ratio::ExplanationStats;
-use mb_explain::AttributeEncoder;
 use mb_fpgrowth::Item;
-use mb_obs::{HistogramSnapshot, QueryTrace, StageTrace};
+use mb_obs::{HistogramSnapshot, QueryTrace, StageTimer, StageTrace};
 use serde_json::{Map, ParseError, Value};
 use std::borrow::Cow;
 
@@ -703,18 +702,13 @@ fn point_value(value: &Value) -> Result<Point, PointFault> {
     Ok(Point::new(metrics, attributes))
 }
 
-/// Decode a [`Point`] from the encoding of [`point_to_json`]. Unknown keys
-/// are a typed error.
-pub fn point_from_json(value: &Value, context: &str) -> Result<Point, WireError> {
-    point_value(value).map_err(|fault| fault.at(context))
-}
-
 /// Encode a batch of points as a JSON array.
 pub fn points_to_json(points: &[Point]) -> Value {
     Value::Array(points.iter().map(point_to_json).collect())
 }
 
-/// Decode a batch of points from a JSON array of point objects.
+/// Decode a batch of points from a JSON array of point objects, each as
+/// [`point_to_json`] encodes it. Unknown keys are a typed error.
 pub fn points_from_json(value: &Value, context: &str) -> Result<Vec<Point>, WireError> {
     let Value::Array(items) = value else {
         return Err(PointsFault::NotArray.at(context));
@@ -955,8 +949,10 @@ pub fn executor_from_json(value: &Value, context: &str) -> Result<Executor, Wire
 // `Point` per row, cost more than scoring the rows. The scanner reads the
 // text once and accepts exactly what `serde_json::from_str` followed by the
 // `Value` codecs above accepts — the same grammar, number conversions,
-// `ParseError` offsets and messages, and `WireError` fields — writing each
-// row straight to where it is going.
+// `ParseError` offsets and messages, and `WireError` fields. A request's
+// `points` member is decoded in the pass that splits the line, into a form
+// that waits for the line's other members before it becomes columns or
+// points.
 // ---------------------------------------------------------------------------
 
 /// Nesting deeper than this is refused as malformed, with serde_json's own
@@ -964,92 +960,146 @@ pub fn executor_from_json(value: &Value, context: &str) -> Result<Executor, Wire
 /// hostile input nested a few hundred thousand deep it overflows its stack.
 const MAX_DEPTH: usize = 128;
 
-/// Where decoded points go. A point's metrics and attributes arrive in the
-/// order its fields do, then `end_point`; a decode that fails discards the
-/// sink.
-trait PointSink {
-    fn metric(&mut self, value: f64);
-    fn attribute(&mut self, column: usize, value: &str);
-    fn end_point(&mut self);
-}
+/// The member name a decode's schema fault is reported at.
+const POINTS: &str = "points";
 
-/// Rows as [`Point`]s: feeds, and the partitioned and streaming executors.
-#[derive(Default)]
-struct PointRows {
-    points: Vec<Point>,
+/// A `points` array decoded as a request line is split
+/// ([`ObjectReader::points`]), in a form that depends on no other member of
+/// the line: every row's metrics end to end, every row's attribute values
+/// end to end (borrowed from the line unless the value holds an escape),
+/// where each row ends, and the first schema fault. The caller finishes it
+/// once the rest of the line is known — into the columns a one-shot query
+/// runs over ([`DecodedPoints::into_columns`]) or into [`Point`]s
+/// (`Vec::<Point>::try_from`). A schema fault is a [`WireError`] at
+/// `points` from either.
+#[derive(Debug)]
+pub struct DecodedPoints<'a> {
     metrics: Vec<f64>,
-    attributes: Vec<String>,
+    attributes: Vec<Cow<'a, str>>,
+    /// Per row: where its metrics, and its attribute values, end.
+    ends: Vec<(usize, usize)>,
+    fault: Option<PointsFault>,
+    /// Started when the decode began: a traced query's ingest span runs
+    /// from here.
+    timer: StageTimer,
 }
 
-impl PointSink for PointRows {
+impl<'a> DecodedPoints<'a> {
+    /// An empty decode, its clock started now. The clock is read whether
+    /// or not the query turns out to be traced, because the member that
+    /// says so may come after `points`.
+    fn started() -> Self {
+        DecodedPoints {
+            metrics: Vec::new(),
+            attributes: Vec::new(),
+            ends: Vec::new(),
+            fault: None,
+            timer: StageTimer::start_if(true),
+        }
+    }
+
     fn metric(&mut self, value: f64) {
         self.metrics.push(value);
     }
 
-    fn attribute(&mut self, _column: usize, value: &str) {
-        self.attributes.push(value.to_string());
+    fn attribute(&mut self, value: Cow<'a, str>) {
+        self.attributes.push(value);
     }
 
     fn end_point(&mut self) {
-        let (dim, width) = (self.metrics.len(), self.attributes.len());
-        let metrics = std::mem::replace(&mut self.metrics, Vec::with_capacity(dim));
-        let attributes = std::mem::replace(&mut self.attributes, Vec::with_capacity(width));
-        self.points.push(Point::new(metrics, attributes));
-    }
-}
-
-/// Rows straight into columns: metrics appended to the flat buffer,
-/// attributes interned as they are read — row by row, column by column, so
-/// the ids are those a serial `encode_point` pass assigns — unless `intern`
-/// is off, when rows keep no items. The shape the row-form engine checks is
-/// tracked on the way: the first row's metric count, and the count of the
-/// first row that differs from it.
-struct ColumnRows<'a> {
-    batch: &'a mut EncodedBatch,
-    encoder: &'a mut AttributeEncoder,
-    intern: bool,
-    row_start: usize,
-    first_dim: Option<usize>,
-    ragged: Option<usize>,
-}
-
-impl PointSink for ColumnRows<'_> {
-    fn metric(&mut self, value: f64) {
-        self.batch.metrics.push(value);
+        self.ends.push((self.metrics.len(), self.attributes.len()));
     }
 
-    fn attribute(&mut self, column: usize, value: &str) {
-        if self.intern {
-            let item = self.encoder.encode(column, value);
-            self.batch.items.push_item(item);
+    fn checked(self) -> Result<Self, WireError> {
+        match self.fault {
+            Some(fault) => Err(fault.at(POINTS)),
+            None => Ok(self),
         }
     }
 
-    fn end_point(&mut self) {
-        let dim = self.batch.metrics.len() - self.row_start;
-        self.row_start = self.batch.metrics.len();
-        match self.first_dim {
-            None => self.first_dim = Some(dim),
-            Some(first) if first != dim => {
-                self.ragged.get_or_insert(dim);
+    /// The rows in columns for `analysis`: metrics into the flat buffer as
+    /// they are, attributes interned into the query's dictionary row by
+    /// row, column by column — the ids a serial `encode_point` pass assigns
+    /// — or, for a query that skips explanation, only counted. The trace's
+    /// ingest span runs from the start of the decode to the end of the
+    /// interning. The inner error is the one the one-shot engine gives
+    /// these rows, in its order: no rows, no metrics, then ragged; ragged
+    /// rows are not interned.
+    pub fn into_columns(
+        self,
+        analysis: &AnalysisConfig,
+    ) -> Result<crate::Result<ColumnarInput>, WireError> {
+        let DecodedPoints {
+            metrics,
+            attributes,
+            ends,
+            timer,
+            ..
+        } = self.checked()?;
+        let mut dims = ends.iter().scan(0, |start, &(end, _)| {
+            let dim = end - *start;
+            *start = end;
+            Some(dim)
+        });
+        let first_dim = dims.next().unwrap_or(0);
+        if let Some(actual) = dims.find(|&dim| dim != first_dim) {
+            if first_dim > 0 {
+                return Ok(Err(crate::PipelineError::InconsistentDimensions {
+                    expected: first_dim,
+                    actual,
+                }));
             }
-            Some(_) => {}
         }
-        self.batch.items.finish_row();
+        let mut input = ColumnarInput::new(analysis);
+        let batch = &mut input.batch;
+        batch.metrics = metrics;
+        batch.dim = first_dim;
+        let mut start = 0;
+        for &(_, end) in &ends {
+            if !analysis.skip_explanation {
+                for (column, value) in attributes[start..end].iter().enumerate() {
+                    batch.items.push_item(input.encoder.encode(column, value));
+                }
+            }
+            batch.items.finish_row();
+            start = end;
+        }
+        if let Err(e) = check_columns(batch) {
+            return Ok(Err(e));
+        }
+        let rows = batch.len();
+        input
+            .trace
+            .finish_stage(timer, mb_obs::stage::INGEST, rows, rows, 1);
+        Ok(Ok(input))
     }
 }
 
-impl ColumnRows<'_> {
-    /// Set the batch's dimensionality; the error the one-shot engine gives
-    /// these rows, in its order: none, no metrics, then ragged.
-    fn finish(self) -> crate::Result<()> {
-        self.batch.dim = self.first_dim.unwrap_or(0);
-        match (self.first_dim, self.ragged) {
-            (Some(expected), Some(actual)) if expected > 0 => {
-                Err(crate::PipelineError::InconsistentDimensions { expected, actual })
-            }
-            _ => check_columns(self.batch),
-        }
+/// The rows as [`Point`]s, for feeds and the partitioned and streaming
+/// executors: one allocation per row's metrics and per attribute value
+/// borrowed from the line.
+impl TryFrom<DecodedPoints<'_>> for Vec<Point> {
+    type Error = WireError;
+
+    fn try_from(decoded: DecodedPoints<'_>) -> Result<Self, WireError> {
+        let decoded = decoded.checked()?;
+        let mut attributes = decoded.attributes.into_iter();
+        let mut starts = (0, 0);
+        Ok(decoded
+            .ends
+            .iter()
+            .map(|&(metrics_end, attributes_end)| {
+                let (metrics_start, attributes_start) = std::mem::replace(&mut starts, (metrics_end, attributes_end));
+                Point::new(
+                    decoded.metrics[metrics_start..metrics_end].to_vec(),
+                    attributes
+                        .by_ref()
+                        .take(attributes_end - attributes_start)
+                        .map(Cow::into_owned)
+                        .collect(),
+                )
+            })
+            .collect())
     }
 }
 
@@ -1077,8 +1127,9 @@ impl PointFields {
             && self.attributes.fault.is_none()
     }
 
-    /// The fault [`point_from_json`] reports, whatever order the fields
-    /// came in: the first unknown key, then `metrics`, then `attributes`.
+    /// The fault [`points_from_json`] reports for the point, whatever
+    /// order the fields came in: the first unknown key, then `metrics`,
+    /// then `attributes`.
     fn fault(self) -> Option<PointFault> {
         if let Some(key) = self.unknown {
             return Some(PointFault::Unknown(key));
@@ -1465,10 +1516,10 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// A `points` value into `sink`. Returns the first schema fault only
+    /// A `points` value into `rows`. Returns the first schema fault only
     /// once the whole value has been checked, because a syntax error
     /// anywhere wins when `from_str` runs first.
-    fn points<S: PointSink>(&mut self, sink: &mut S) -> Result<Option<PointsFault>, ParseError> {
+    fn points(&mut self, rows: &mut DecodedPoints<'a>) -> Result<Option<PointsFault>, ParseError> {
         if self.peek() != Some(b'[') {
             self.skip_value(0)?;
             return Ok(Some(PointsFault::NotArray));
@@ -1479,7 +1530,7 @@ impl<'a> Scanner<'a> {
         while more {
             self.skip_whitespace();
             if fault.is_none() && self.peek() == Some(b'{') {
-                fault = self.point(sink)?.map(|f| PointsFault::Point(index, f));
+                fault = self.point(rows)?.map(|f| PointsFault::Point(index, f));
             } else {
                 self.skip_value(1)?;
                 fault.get_or_insert(PointsFault::Point(index, PointFault::NotObject));
@@ -1491,8 +1542,8 @@ impl<'a> Scanner<'a> {
     }
 
     /// One point object, fields in either order; `None` if it went into
-    /// `sink` whole.
-    fn point<S: PointSink>(&mut self, sink: &mut S) -> Result<Option<PointFault>, ParseError> {
+    /// `rows` whole.
+    fn point(&mut self, rows: &mut DecodedPoints<'a>) -> Result<Option<PointFault>, ParseError> {
         let mut fields = PointFields::default();
         let mut more = self.open(b'}');
         while more {
@@ -1504,10 +1555,10 @@ impl<'a> Scanner<'a> {
             let live = fields.clean();
             match key.as_ref() {
                 METRICS if !fields.metrics.seen => {
-                    fields.metrics = self.elements(METRICS, live, sink)?;
+                    fields.metrics = self.elements(METRICS, live, rows)?;
                 }
                 ATTRIBUTES if !fields.attributes.seen => {
-                    fields.attributes = self.elements(ATTRIBUTES, live, sink)?;
+                    fields.attributes = self.elements(ATTRIBUTES, live, rows)?;
                 }
                 METRICS | ATTRIBUTES => {
                     fields.duplicate.get_or_insert(if key == METRICS {
@@ -1528,18 +1579,18 @@ impl<'a> Scanner<'a> {
         }
         let fault = fields.fault();
         if fault.is_none() {
-            sink.end_point();
+            rows.end_point();
         }
         Ok(fault)
     }
 
     /// The `metrics` or `attributes` array of a point, its elements written
-    /// to `sink` while `live` and the array is sound.
-    fn elements<S: PointSink>(
+    /// to `rows` while `live` and the array is sound.
+    fn elements(
         &mut self,
         key: &'static str,
         live: bool,
-        sink: &mut S,
+        rows: &mut DecodedPoints<'a>,
     ) -> Result<Field, ParseError> {
         let mut field = Field {
             seen: true,
@@ -1559,14 +1610,14 @@ impl<'a> Scanner<'a> {
                 (METRICS, Some(b'-' | b'0'..=b'9')) => {
                     let value = self.number()?;
                     if write {
-                        sink.metric(value);
+                        rows.metric(value);
                     }
                     true
                 }
                 (METRICS, Some(b'"')) => match non_finite(&self.string()?) {
                     Some(value) => {
                         if write {
-                            sink.metric(value);
+                            rows.metric(value);
                         }
                         true
                     }
@@ -1575,7 +1626,7 @@ impl<'a> Scanner<'a> {
                 (_, Some(b'"')) => {
                     let value = self.string()?;
                     if write {
-                        sink.attribute(index, &value);
+                        rows.attribute(value);
                     }
                     true
                 }
@@ -1594,68 +1645,12 @@ impl<'a> Scanner<'a> {
     }
 }
 
-/// A whole `points` document into `sink`.
-fn scan_points<S: PointSink>(text: &str, context: &str, sink: &mut S) -> Result<(), WireError> {
-    let mut scanner = Scanner::new(text);
-    scanner.skip_whitespace();
-    let scanned = scanner
-        .points(sink)
-        .and_then(|fault| scanner.finish().map(|()| fault));
-    match scanned {
-        Ok(None) => Ok(()),
-        Ok(Some(fault)) => Err(fault.at(context)),
-        Err(e) => Err(WireError::new(context, format!("malformed JSON: {e}"))),
-    }
-}
-
-/// Decode a `points` array from JSON text: what `serde_json::from_str` then
-/// [`points_from_json`] return, without the `Value` tree — the same points,
-/// and the same [`WireError`] for a schema fault. A syntax error is a
-/// `WireError` at `context` reading `malformed JSON: ` and the parser's
-/// error. One intended difference: a point naming `metrics` or
-/// `attributes` twice is refused (`duplicate field`) where the `Value` map
-/// kept the last.
-pub fn points_from_str(text: &str, context: &str) -> Result<Vec<Point>, WireError> {
-    let mut rows = PointRows::default();
-    scan_points(text, context, &mut rows)?;
-    Ok(rows.points)
-}
-
-/// [`points_from_str`] straight into a fresh [`ColumnarInput`] for
-/// `analysis` — metrics into its flat buffer, attributes interned into its
-/// dictionary (only counted, for a query that skips explanation) — with
-/// the scan recorded on its trace as the ingest stage. The error is a
-/// malformed array. The returned result is a well-formed array the
-/// one-shot engine cannot run (no rows, no metrics, ragged rows): the
-/// error a standalone one-shot query returns for it.
-pub fn points_into_columns(
-    text: &str,
-    context: &str,
-    analysis: &AnalysisConfig,
-) -> Result<(ColumnarInput, crate::Result<()>), WireError> {
-    let mut input = ColumnarInput::new(analysis);
-    let timer = input.trace.start();
-    let mut rows = ColumnRows {
-        batch: &mut input.batch,
-        encoder: &mut input.encoder,
-        intern: !analysis.skip_explanation,
-        row_start: 0,
-        first_dim: None,
-        ragged: None,
-    };
-    scan_points(text, context, &mut rows)?;
-    let shape = rows.finish();
-    let rows = input.batch.len();
-    input
-        .trace
-        .finish_stage(timer, mb_obs::stage::INGEST, rows, rows, 1);
-    Ok((input, shape))
-}
-
 /// Reads a JSON object member by member, checking the whole text exactly as
-/// `serde_json::from_str` checks it (the same [`ParseError`]) and yielding
-/// each value's raw text. A request line is split with this, so no `Value`
-/// is built for its `points` array.
+/// `serde_json::from_str` checks it (the same [`ParseError`]), and yielding
+/// each value as its raw text ([`ObjectReader::value`]) or, for a `points`
+/// array, decoded in the same pass ([`ObjectReader::points`]). A request
+/// line is split with this: its `points` bytes are scanned once, whatever
+/// order the members come in, and no `Value` is built for them.
 pub struct ObjectReader<'a> {
     scanner: Scanner<'a>,
     /// Whether a member's value was read since the last key.
@@ -1710,11 +1705,25 @@ impl<'a> ObjectReader<'a> {
         self.after_value = true;
         self.scanner.slice(start)
     }
+
+    /// Decode the current member's value as a `points` array, checking it
+    /// as [`ObjectReader::value`] does — at the line's own offsets and
+    /// depth, so a syntax error is the same [`ParseError`] — and keeping
+    /// the rows in place of the text. A value that is not a sound array of
+    /// points is not an error here: its fault waits in the decode, for the
+    /// caller to report after the line's other members.
+    pub fn points(&mut self) -> Result<DecodedPoints<'a>, ParseError> {
+        let mut rows = DecodedPoints::started();
+        rows.fault = self.scanner.points(&mut rows)?;
+        self.after_value = true;
+        Ok(rows)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mb_explain::AttributeEncoder;
 
     fn sample_report() -> MdpReport {
         MdpReport {
@@ -1904,7 +1913,7 @@ mod tests {
 
         let mut map = Map::new();
         map.insert("metric".to_string(), Value::Array(vec![]));
-        let err = point_from_json(&Value::Object(map), "points[0]").unwrap_err();
+        let err = points_from_json(&Value::Array(vec![Value::Object(map)]), "points").unwrap_err();
         assert_eq!(err.field, "points[0].metric");
         assert_eq!(err.message, "unknown field");
     }
@@ -2148,10 +2157,57 @@ mod tests {
         chars.into_iter().collect()
     }
 
+    /// A standalone `points` text as the one member of a request line.
+    fn line_of(text: &str) -> String {
+        format!("{{\"points\":{text}}}")
+    }
+
+    fn malformed(e: ParseError) -> WireError {
+        WireError::new("points", format!("malformed JSON: {e}"))
+    }
+
+    /// What `serde_json::from_str` then [`points_from_json`] make of
+    /// `text` as the `points` member of a line.
     fn oracle(text: &str) -> Result<Vec<Point>, WireError> {
-        let value = serde_json::from_str(text)
-            .map_err(|e| WireError::new("points", format!("malformed JSON: {e}")))?;
-        points_from_json(&value, "points")
+        let value: Value = serde_json::from_str(&line_of(text)).map_err(malformed)?;
+        points_from_json(value.as_object().unwrap().get("points").unwrap(), "points")
+    }
+
+    /// `line`'s (last) `points` member decoded as a server decodes it: in
+    /// the pass that splits the line; `None` without one.
+    fn decoded_points(line: &str) -> Result<Option<DecodedPoints<'_>>, ParseError> {
+        let Some(mut reader) = ObjectReader::new(line)? else {
+            return Ok(None);
+        };
+        let mut points = None;
+        while let Some(key) = reader.next_key()? {
+            if key == "points" {
+                points = Some(reader.points()?);
+            } else {
+                reader.value()?;
+            }
+        }
+        Ok(points)
+    }
+
+    /// `text` decoded as the `points` member of a line, then finished.
+    fn decode<T>(
+        text: &str,
+        finish: impl FnOnce(DecodedPoints<'_>) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let line = line_of(text);
+        finish(decoded_points(&line).map_err(malformed)?.unwrap())
+    }
+
+    fn rows(text: &str) -> Result<Vec<Point>, WireError> {
+        decode(text, |points| Vec::try_from(points))
+    }
+
+    fn columns(
+        text: &str,
+        analysis: &AnalysisConfig,
+    ) -> Result<crate::Result<ColumnarInput>, WireError> {
+        decode(text, |points| points.into_columns(analysis))
     }
 
     /// Points compared by metric bits, so `NaN` equals itself.
@@ -2178,14 +2234,14 @@ mod tests {
             .collect()
     }
 
-    /// Both decoders over `text`: the row-form one must equal the oracle,
-    /// and the columnar one must hold the oracle's metric bits, the item
-    /// ids of a serial `encode_point` pass, and the row-form engine's shape
-    /// error.
+    /// Both finishes of the decode of `text`: the points must equal the
+    /// oracle's, and the columns must hold the oracle's metric bits and the
+    /// item ids of a serial `encode_point` pass, or fail with the row-form
+    /// engine's shape error.
     fn check_against_oracle(text: &str, duplicate: bool) {
         let expected = oracle(text);
-        let rows = points_from_str(text, "points");
-        let columns = points_into_columns(text, "points", &AnalysisConfig::default());
+        let rows = rows(text);
+        let columns = columns(text, &AnalysisConfig::default());
         if duplicate && rows.as_ref().is_err_and(|e| e.message == "duplicate field") {
             assert!(columns.is_err(), "{text}");
             return;
@@ -2195,13 +2251,16 @@ mod tests {
             assert_eq!(columns.err(), rows.err(), "{text}");
             return;
         };
-        let (input, shape) = columns.unwrap_or_else(|e| panic!("{text}: {e}"));
+        let shape = columns.unwrap_or_else(|e| panic!("{text}: {e}"));
         let standalone = crate::executor::check_dimensions(&points);
         assert_eq!(
-            shape.map_err(|e| e.to_string()),
+            shape.as_ref().map(|_| ()).map_err(|e| e.to_string()),
             standalone.as_ref().map(|_| ()).map_err(|e| e.to_string()),
             "{text}"
         );
+        let (Ok(input), Ok(dim)) = (shape, standalone) else {
+            return;
+        };
         let batch_bits: Vec<u64> = input.batch.metrics.iter().map(|m| m.to_bits()).collect();
         assert_eq!(batch_bits, metric_bits(&points), "{text}");
         let mut encoder = AttributeEncoder::new();
@@ -2211,9 +2270,7 @@ mod tests {
             .collect();
         assert_eq!(input.batch.items.to_rows(), items, "{text}");
         assert_eq!(input.encoder.cardinality(), encoder.cardinality());
-        if let Ok(dim) = standalone {
-            assert_eq!(input.batch.dim, dim);
-        }
+        assert_eq!(input.batch.dim, dim);
     }
 
     #[test]
@@ -2235,11 +2292,10 @@ mod tests {
             skip_explanation: true,
             ..AnalysisConfig::default()
         };
-        let (full, _) = points_into_columns(text, "points", &AnalysisConfig::default()).unwrap();
-        let (scanned, shape) = points_into_columns(text, "points", &skip).unwrap();
-        let points = points_from_str(text, "points").unwrap();
+        let full = columns(text, &AnalysisConfig::default()).unwrap().unwrap();
+        let scanned = columns(text, &skip).unwrap().unwrap();
+        let points = rows(text).unwrap();
         let adapted = ColumnarInput::from_points(&skip, &points).unwrap();
-        assert!(shape.is_ok());
         for input in [&scanned, &adapted] {
             assert_eq!(input.batch.metrics, full.batch.metrics);
             assert_eq!(input.batch.dim, 2);
@@ -2263,7 +2319,7 @@ mod tests {
     fn negative_zero_integers_and_huge_numbers_convert_as_the_value_path() {
         let text = "[{\"metrics\":[-0,-0.0,9007199254740993,18446744073709551616,\
                     -9223372036854775809,1e400],\"attributes\":[]}]";
-        let points = points_from_str(text, "points").unwrap();
+        let points = rows(text).unwrap();
         let m = &points[0].metrics;
         assert_eq!(
             m[0].to_bits(),
@@ -2280,18 +2336,10 @@ mod tests {
 
     #[test]
     fn duplicate_fields_are_refused_by_name() {
-        let err = points_from_str(
-            "[{\"metrics\":[1],\"attributes\":[],\"metrics\":[2]}]",
-            "points",
-        )
-        .unwrap_err();
+        let err = rows("[{\"metrics\":[1],\"attributes\":[],\"metrics\":[2]}]").unwrap_err();
         assert_eq!(err, WireError::new("points[0].metrics", "duplicate field"));
         // An unknown key still wins, as it does on the `Value` path.
-        let err = points_from_str(
-            "[{\"metrics\":[1],\"x\":0,\"metrics\":[2],\"attributes\":[]}]",
-            "points",
-        )
-        .unwrap_err();
+        let err = rows("[{\"metrics\":[1],\"x\":0,\"metrics\":[2],\"attributes\":[]}]").unwrap_err();
         assert_eq!(err, WireError::new("points[0].x", "unknown field"));
     }
 
@@ -2343,28 +2391,36 @@ mod tests {
     #[test]
     fn the_object_reader_splits_exactly_what_from_str_parses() {
         let mut g = Gen(0x5EED_0002);
-        let mut lines = vec![
-            "{\"a\":1,\"b\":[2,{\"c\":null}],\"a\":\"x\"}".to_string(),
-            " {} ".to_string(),
-            "[1,2]".to_string(),
-            "{\"op\":\"submit\"} x".to_string(),
-        ];
+        let mut lines: Vec<(String, bool)> = [
+            "{\"a\":1,\"b\":[2,{\"c\":null}],\"a\":\"x\"}",
+            " {} ",
+            "[1,2]",
+            "{\"op\":\"submit\"} x",
+            "{\"points\":[1],\"op\":\"submit\",\"points\":[]}",
+        ]
+        .map(|line| (line.to_string(), false))
+        .into();
         for _ in 0..2_000 {
-            let (points, _) = points_text(&mut g);
+            let (points, duplicate) = points_text(&mut g);
             let line = format!(
                 "{{{}\"op\"{}:\"submit\",{}\"analysis\":{{\"traced\":true}},\"p\\u006fints\":{points},\"id\":\"q\"}}",
                 g.ws(),
                 g.ws(),
                 g.ws()
             );
-            lines.push(mutate(&mut g, &line));
-            lines.push(line);
+            lines.push((mutate(&mut g, &line), duplicate));
+            lines.push((line, duplicate));
         }
-        for line in &lines {
+        for (line, duplicate) in &lines {
             let expected = serde_json::from_str(line);
             let split = object_members(line);
+            // The split that decodes `points` in the same pass.
+            let decoded = decoded_points(line).map(|points| points.map(Vec::<Point>::try_from));
             match (expected, split) {
-                (Err(e), got) => assert_eq!(got, Err(e), "{line}"),
+                (Err(e), got) => {
+                    assert_eq!(got, Err(e.clone()), "{line}");
+                    assert_eq!(decoded.err(), Some(e), "{line}");
+                }
                 (Ok(Value::Object(map)), Ok(Some(members))) => {
                     let keys: Vec<&String> = map.iter().map(|(k, _)| k).collect();
                     assert_eq!(keys, members.iter().map(|(k, _)| k).collect::<Vec<_>>());
@@ -2374,9 +2430,26 @@ mod tests {
                             Ok(map.get(&key).unwrap())
                         );
                     }
+                    let decoded = decoded.unwrap_or_else(|e| panic!("{line}: {e}"));
+                    let points = map.get("points").map(|p| points_from_json(p, "points"));
+                    if *duplicate
+                        && decoded
+                            .as_ref()
+                            .is_some_and(|d| d.as_ref().is_err_and(|e| e.message == "duplicate field"))
+                    {
+                        continue;
+                    }
+                    assert_eq!(
+                        decoded.as_ref().map(exactly),
+                        points.as_ref().map(exactly),
+                        "{line}"
+                    );
                 }
                 (Ok(Value::Object(_)), got) => panic!("{line}: {got:?}"),
-                (Ok(_), got) => assert_eq!(got, Ok(None), "{line}"),
+                (Ok(_), got) => {
+                    assert_eq!(got, Ok(None), "{line}");
+                    assert!(matches!(decoded, Ok(None)), "{line}");
+                }
             }
         }
     }
@@ -2399,7 +2472,7 @@ mod tests {
         let deep_member = format!("{{\"points\":{deep}}}");
         let err = object_members(&deep_member).unwrap_err();
         assert_eq!(err.message, "recursion limit exceeded");
-        let err = points_from_str(&deep, "points").unwrap_err();
+        let err = rows(&deep).unwrap_err();
         assert!(err.message.contains("recursion limit exceeded"), "{err}");
         // Within the limit, nesting is an ordinary schema error.
         let nested = format!(

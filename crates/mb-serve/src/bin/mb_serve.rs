@@ -8,29 +8,55 @@
 //! `--threads` sizes the process-wide work-stealing pool every query shares
 //! (one-shot: set before anything touches the pool); `--workers` is the
 //! number of concurrently executing queries; `--queue` bounds admission;
-//! `--session-idle-ms` expires idle streaming sessions. Exits 0 on EOF.
+//! `--session-idle-ms` expires idle streaming sessions. `--help` prints the
+//! usage; any other argument, or a flag without an unsigned integer after
+//! it, prints the usage to stderr and exits 2 before reading a line. Exits
+//! 0 on EOF.
 
 use mb_serve::{serve_loop, ServeConfig, Server};
 use std::time::Duration;
 
-fn arg_usize(name: &str, default: usize) -> usize {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == name {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("error: {name} needs an unsigned integer argument");
-                    std::process::exit(2);
-                });
-        }
+const USAGE: &str =
+    "usage: mb_serve [--threads N] [--workers N] [--queue N] [--session-idle-ms N]";
+
+/// The pool width (0: the pool's default) and the server's configuration
+/// named by `args`; `None` for `--help`; an error for anything else.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<Option<(usize, ServeConfig)>, String> {
+    let mut threads = 0;
+    let mut config = ServeConfig::default();
+    let mut idle_ms = config.session_idle.as_millis() as usize;
+    while let Some(flag) = args.next() {
+        let value = match flag.as_str() {
+            "--help" => return Ok(None),
+            "--threads" => &mut threads,
+            "--workers" => &mut config.workers,
+            "--queue" => &mut config.max_queue,
+            "--session-idle-ms" => &mut idle_ms,
+            _ => return Err(format!("unknown argument {flag:?}")),
+        };
+        *value = args
+            .next()
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("{flag} needs an unsigned integer argument"))?;
     }
-    default
+    config.session_idle = Duration::from_millis(idle_ms as u64);
+    Ok(Some((threads, config)))
 }
 
 fn main() {
-    let threads = arg_usize("--threads", 0);
+    let (threads, config) = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(message) => {
+            eprintln!("error: {message}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     if threads > 0 {
         // The server owns the pool for the process lifetime; surfacing the
         // one-shot violation beats silently running at the wrong width.
@@ -38,15 +64,6 @@ fn main() {
             eprintln!("warning: --threads {threads} ignored: {e}");
         }
     }
-    let defaults = ServeConfig::default();
-    let config = ServeConfig {
-        workers: arg_usize("--workers", defaults.workers),
-        max_queue: arg_usize("--queue", defaults.max_queue),
-        session_idle: Duration::from_millis(arg_usize(
-            "--session-idle-ms",
-            defaults.session_idle.as_millis() as usize,
-        ) as u64),
-    };
     let server = Server::start(config);
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();

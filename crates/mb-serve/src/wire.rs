@@ -11,10 +11,13 @@
 //! A line is split member by member by the `core::wire` byte scanner, which
 //! checks the whole line as the JSON parser would. The small members (`op`,
 //! `id`, `priority`, `analysis`, `executor`, `wait_ms`) are parsed into
-//! `Value`s; the `points` array never is. Once `analysis` and `executor` are
-//! known, a one-shot submission's array is decoded from its text straight
-//! into the columns its job runs over, interned into the query's
-//! dictionary, whatever order the members came in.
+//! `Value`s; the `points` array never is. It is decoded in the same pass
+//! that splits the line, whatever order the members come in, into a form
+//! that depends on no other member. Once `analysis` and `executor` are
+//! known, a one-shot submission's rows are interned from it into the
+//! columns its job runs over; a feed or another executor gets `Point`s.
+//! A line that names `points` twice is decoded twice, and the last value
+//! is used, as the JSON parser keeps it.
 //!
 //! Responses always carry `"ok"`. Failures look like
 //! `{"ok":false,"error":{"kind":...,"message":...}}`; the kinds are
@@ -26,9 +29,9 @@ use crate::scheduler::Priority;
 use crate::server::{Closed, JobStatus, QuerySpec, ServeError, Server};
 use crate::state::JobInput;
 use macrobase_core::query::Executor;
+use macrobase_core::types::Point;
 use macrobase_core::wire::{
-    analysis_from_json, executor_from_json, points_from_str, points_into_columns, report_to_json,
-    ObjectReader,
+    analysis_from_json, executor_from_json, report_to_json, DecodedPoints, ObjectReader,
 };
 use serde_json::{Map, Value};
 use std::io::{BufRead, Write};
@@ -64,11 +67,13 @@ fn ok_response(op: &str, id: Option<&str>) -> Map {
     map
 }
 
-/// A request line split into its members, each kept as raw text until a
-/// handler asks for it. A repeated key keeps its first position and its
-/// last value, as the `Value` map does.
+/// A request line split into its members: each kept as raw text until a
+/// handler asks for it, and `points` decoded. A repeated key keeps its
+/// first position and its last value, as the `Value` map does.
 struct Request<'a> {
+    /// Every member's key in order, with its text (empty for `points`).
     members: Vec<(String, &'a str)>,
+    points: Option<DecodedPoints<'a>>,
 }
 
 impl<'a> Request<'a> {
@@ -78,14 +83,20 @@ impl<'a> Request<'a> {
             return Ok(None);
         };
         let mut members: Vec<(String, &'a str)> = Vec::new();
+        let mut points = None;
         while let Some(key) = reader.next_key()? {
-            let text = reader.value()?;
+            let text = if key == "points" {
+                points = Some(reader.points()?);
+                ""
+            } else {
+                reader.value()?
+            };
             match members.iter_mut().find(|(k, _)| k.as_str() == key.as_ref()) {
                 Some(member) => member.1 = text,
                 None => members.push((key.into_owned(), text)),
             }
         }
-        Ok(Some(Request { members }))
+        Ok(Some(Request { members, points }))
     }
 
     fn raw(&self, key: &str) -> Option<&'a str> {
@@ -139,7 +150,7 @@ pub fn handle_line(server: &Server, line: &str) -> String {
 }
 
 fn handle_value(server: &Server, line: &str) -> Value {
-    let request = match Request::read(line) {
+    let mut request = match Request::read(line) {
         Ok(Some(request)) => request,
         Ok(None) => return error_response("malformed", "request must be a JSON object"),
         Err(e) => return error_response("malformed", format!("malformed JSON: {e}")),
@@ -151,9 +162,9 @@ fn handle_value(server: &Server, line: &str) -> Value {
         Err(response) => return response,
     };
     let result = match op.as_str() {
-        "submit" => handle_submit(server, &request),
+        "submit" => handle_submit(server, &mut request),
         "poll" => handle_poll(server, &request),
-        "feed" => handle_feed(server, &request),
+        "feed" => handle_feed(server, &mut request),
         "close" => handle_close(server, &request),
         "retrain" => handle_retrain(server, &request),
         "stats" => handle_stats(server, &request),
@@ -167,7 +178,7 @@ fn handle_value(server: &Server, line: &str) -> Value {
     }
 }
 
-fn handle_submit(server: &Server, request: &Request<'_>) -> Result<Value, Value> {
+fn handle_submit(server: &Server, request: &mut Request<'_>) -> Result<Value, Value> {
     check_keys(
         request,
         &["op", "id", "priority", "analysis", "executor", "points"],
@@ -197,17 +208,15 @@ fn handle_submit(server: &Server, request: &Request<'_>) -> Result<Value, Value>
     // A streaming executor with no inline points opens a session to feed;
     // everything else is a batch job over the supplied points — in columns
     // for one-shot, as rows for the other executors.
-    let input = match request.raw("points") {
-        Some(text) if spec.executor == Executor::OneShot => {
-            let (columns, shape) =
-                points_into_columns(text, "points", &spec.analysis).map_err(protocol_error)?;
-            Some(match shape {
-                Ok(()) => JobInput::Columns(Box::new(columns)),
+    let input = match request.points.take() {
+        Some(points) if spec.executor == Executor::OneShot => {
+            Some(match points.into_columns(&spec.analysis).map_err(protocol_error)? {
+                Ok(columns) => JobInput::Columns(Box::new(columns)),
                 Err(e) => JobInput::Rows(Err(e.to_string())),
             })
         }
-        Some(text) => Some(JobInput::Rows(Ok(
-            points_from_str(text, "points").map_err(protocol_error)?
+        Some(points) => Some(JobInput::Rows(Ok(
+            Vec::try_from(points).map_err(protocol_error)?
         ))),
         None => None,
     };
@@ -291,16 +300,14 @@ fn handle_poll(server: &Server, request: &Request<'_>) -> Result<Value, Value> {
     }
 }
 
-fn handle_feed(server: &Server, request: &Request<'_>) -> Result<Value, Value> {
+fn handle_feed(server: &Server, request: &mut Request<'_>) -> Result<Value, Value> {
     check_keys(request, &["op", "id", "points"])?;
     let id = required_id(request)?;
-    let points = points_from_str(
-        request
-            .raw("points")
-            .ok_or_else(|| error_response("protocol", "missing field points"))?,
-        "points",
-    )
-    .map_err(protocol_error)?;
+    let points = request
+        .points
+        .take()
+        .ok_or_else(|| error_response("protocol", "missing field points"))?;
+    let points = Vec::<Point>::try_from(points).map_err(protocol_error)?;
     let summary = server.feed(&id, &points).map_err(serve_error_response)?;
     let mut response = ok_response("feed", Some(&id));
     for (key, count) in [
@@ -352,22 +359,33 @@ fn handle_stats(server: &Server, request: &Request<'_>) -> Result<Value, Value> 
     Ok(Value::Object(response))
 }
 
-/// The listener loop: serve requests line-by-line until EOF. Empty lines
-/// are ignored; every non-empty line gets exactly one response line,
-/// flushed immediately so a piped client can interleave requests and
-/// responses.
+/// The listener loop: serve requests line-by-line until EOF. A line ends
+/// at `\n` or `\r\n`, as `BufRead::lines` reads it. Empty lines are
+/// ignored; every non-empty line gets exactly one response line, flushed
+/// immediately so a piped client can interleave requests and responses. A
+/// line that is not UTF-8 gets a `malformed` error like any other bad line.
 pub fn serve_loop<R: BufRead, W: Write>(
     server: &Server,
-    reader: R,
+    mut reader: R,
     mut writer: W,
 ) -> std::io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut buffer = Vec::new();
+    loop {
+        buffer.clear();
+        if reader.read_until(b'\n', &mut buffer)? == 0 {
+            return Ok(());
         }
-        writeln!(writer, "{}", handle_line(server, &line))?;
+        let line = match buffer.strip_suffix(b"\n") {
+            Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+            None => &buffer,
+        };
+        let response = match std::str::from_utf8(line) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => handle_line(server, line),
+            Err(e) => error_response("malformed", format!("request line is not UTF-8: {e}"))
+                .to_string(),
+        };
+        writeln!(writer, "{response}")?;
         writer.flush()?;
     }
-    Ok(())
 }

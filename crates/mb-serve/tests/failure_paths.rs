@@ -182,3 +182,66 @@ fn failed_trainings_reach_every_waiter_and_the_server_keeps_serving() {
     assert!(status.success(), "mb_serve exited with {status}");
 }
 
+
+/// Run `mb_serve` with `args` over all of `input`; its exit status, stdout
+/// and stderr.
+fn run(args: &[&str], input: &[u8]) -> (std::process::ExitStatus, String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mb_serve"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn mb_serve");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    // A server that refuses its arguments exits without reading, so the
+    // write may find the pipe closed.
+    let _ = stdin.write_all(input);
+    drop(stdin);
+    let output = child.wait_with_output().expect("wait for mb_serve");
+    (
+        output.status,
+        String::from_utf8(output.stdout).expect("stdout is UTF-8"),
+        String::from_utf8(output.stderr).expect("stderr is UTF-8"),
+    )
+}
+
+#[test]
+fn a_line_that_is_not_utf8_gets_a_typed_error_and_the_server_answers_on() {
+    let (status, stdout, _) = run(&["--workers", "2"], b"\xff\xfe\n{\"op\":\"stats\"}\r\n");
+    assert!(status.success(), "mb_serve exited with {status}");
+    let responses: Vec<Value> = stdout
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("responses are JSON"))
+        .collect();
+    assert_eq!(responses.len(), 2, "{stdout}");
+    let error = field(&responses[0], "error").expect("an error response");
+    assert_eq!(text(error, "kind"), Some("malformed"), "{stdout}");
+    assert_eq!(field(&responses[1], "ok"), Some(&Value::Bool(true)), "{stdout}");
+    assert_eq!(text(&responses[1], "op"), Some("stats"), "{stdout}");
+}
+
+#[test]
+fn arguments_it_does_not_know_stop_the_server_before_it_reads() {
+    let stats = b"{\"op\":\"stats\"}\n";
+    for (args, offending) in [
+        (&["--wrkers", "2", "--help"][..], "--wrkers"),
+        (&["--workers", "2", "extra"], "extra"),
+        (&["--workers"], "--workers"),
+        (&["--queue", "many"], "--queue"),
+        (&["--threads", "-1"], "--threads"),
+    ] {
+        let (status, stdout, stderr) = run(args, stats);
+        assert_eq!(status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} answered: {stdout}");
+        assert!(stderr.contains("usage: mb_serve"), "{args:?}: {stderr}");
+        assert!(stderr.contains(offending), "{args:?}: {stderr}");
+    }
+    let (status, stdout, _) = run(&["--help"], stats);
+    assert!(status.success(), "--help exited with {status}");
+    assert!(stdout.starts_with("usage: mb_serve"), "{stdout}");
+    // The flags the benchmark passes still run the server.
+    let (status, stdout, stderr) = run(&["--threads", "2", "--workers", "2"], stats);
+    assert!(status.success(), "{stderr}");
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
+}

@@ -295,17 +295,20 @@ fn an_open_line_with_a_bad_target_percentile_is_refused_and_the_next_line_answer
 #[test]
 fn serve_loop_answers_line_by_line_until_eof() {
     let server = Server::start(ServeConfig::default());
-    let input = b"{\"op\":\"stats\"}\n\n{\"op\":\"poll\",\"id\":\"nope\"}\n".to_vec();
+    let input = b"{\"op\":\"stats\"}\n\n\xff\xfe\r\n{\"op\":\"poll\",\"id\":\"nope\"}\r\n".to_vec();
     let mut output = Vec::new();
     serve_loop(&server, &input[..], &mut output).unwrap();
     let lines: Vec<&str> = std::str::from_utf8(&output)
         .unwrap()
         .lines()
         .collect();
-    assert_eq!(lines.len(), 2, "one response per non-empty request line");
+    assert_eq!(lines.len(), 3, "one response per non-empty request line");
     let stats: Value = serde_json::from_str(lines[0]).unwrap();
     assert_eq!(get(&stats, "ok"), Some(&Value::Bool(true)));
+    // A line that is not UTF-8 is answered, and the next line too.
     let err: Value = serde_json::from_str(lines[1]).unwrap();
+    assert_eq!(error_kind(&err), "malformed");
+    let err: Value = serde_json::from_str(lines[2]).unwrap();
     assert_eq!(error_kind(&err), "unknown_id");
 }
 
@@ -382,23 +385,40 @@ fn unusable_batches_fail_the_job_with_the_standalone_error() {
 #[test]
 fn a_traced_served_report_accounts_for_its_decode() {
     let server = Server::start(ServeConfig::default());
-    let submit = format!(
-        r#"{{"op":"submit","id":"t","points":{},"analysis":{{"traced":true}}}}"#,
-        points_to_json(&corpus())
-    );
-    assert_ok(&request(&server, &submit));
-    let response = request(&server, r#"{"op":"poll","id":"t","wait_ms":120000}"#);
-    let report = macrobase_core::wire::report_from_json(get(&response, "report").unwrap()).unwrap();
-    let trace = report.trace.expect("a traced query carries its trace");
-    let stages: Vec<&str> = trace.stages.iter().map(|s| s.stage.as_str()).collect();
-    for stage in &stages {
-        assert!(
-            mb_obs::stage::ALL.contains(stage),
-            "{stage} is not a pipeline stage: {stages:?}"
+    let points = points_to_json(&corpus());
+    let analysis = r#""analysis":{"traced":true}"#;
+    // `traced` before the points and after them: the decode is timed
+    // either way.
+    for (id, line) in [
+        (
+            "first",
+            format!(r#"{{"op":"submit",{analysis},"id":"first","points":{points}}}"#),
+        ),
+        (
+            "last",
+            format!(r#"{{"op":"submit","id":"last","points":{points},{analysis}}}"#),
+        ),
+    ] {
+        assert_ok(&request(&server, &line));
+        let response = request(
+            &server,
+            &format!(r#"{{"op":"poll","id":"{id}","wait_ms":120000}}"#),
         );
+        let report =
+            macrobase_core::wire::report_from_json(get(&response, "report").unwrap()).unwrap();
+        let trace = report.trace.expect("a traced query carries its trace");
+        let stages: Vec<&str> = trace.stages.iter().map(|s| s.stage.as_str()).collect();
+        for stage in &stages {
+            assert!(
+                mb_obs::stage::ALL.contains(stage),
+                "{stage} is not a pipeline stage: {stages:?}"
+            );
+        }
+        let ingest = &trace.stages[0];
+        assert_eq!(ingest.stage, mb_obs::stage::INGEST, "{id}: {stages:?}");
+        assert_eq!(ingest.rows_in, 3_000, "{id}");
+        assert!(ingest.wall_ns > 0, "{id}");
     }
-    assert_eq!(stages.first(), Some(&mb_obs::stage::INGEST), "{stages:?}");
-    assert_eq!(trace.stage(mb_obs::stage::INGEST).unwrap().rows_in, 3_000);
 }
 
 /// A tiny deterministic generator (xorshift64*).

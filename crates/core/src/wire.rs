@@ -2472,6 +2472,8 @@ mod tests {
         let deep_member = format!("{{\"points\":{deep}}}");
         let err = object_members(&deep_member).unwrap_err();
         assert_eq!(err.message, "recursion limit exceeded");
+        // Decoded in the split, the member is refused at the same byte.
+        assert_eq!(decoded_points(&deep_member).err(), Some(err));
         let err = rows(&deep).unwrap_err();
         assert!(err.message.contains("recursion limit exceeded"), "{err}");
         // Within the limit, nesting is an ordinary schema error.

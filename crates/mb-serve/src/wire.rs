@@ -359,6 +359,10 @@ fn handle_stats(server: &Server, request: &Request<'_>) -> Result<Value, Value> 
     Ok(Value::Object(response))
 }
 
+/// The most line buffer `serve_loop` keeps between lines: twice a
+/// 5,000-point request.
+const KEPT_LINE_BYTES: usize = 1 << 20;
+
 /// The listener loop: serve requests line-by-line until EOF. A line ends
 /// at `\n` or `\r\n`, as `BufRead::lines` reads it. Empty lines are
 /// ignored; every non-empty line gets exactly one response line, flushed
@@ -372,6 +376,8 @@ pub fn serve_loop<R: BufRead, W: Write>(
     let mut buffer = Vec::new();
     loop {
         buffer.clear();
+        // One huge line does not keep its buffer for the server's lifetime.
+        buffer.shrink_to(KEPT_LINE_BYTES);
         if reader.read_until(b'\n', &mut buffer)? == 0 {
             return Ok(());
         }

@@ -1084,20 +1084,21 @@ impl TryFrom<DecodedPoints<'_>> for Vec<Point> {
     fn try_from(decoded: DecodedPoints<'_>) -> Result<Self, WireError> {
         let decoded = decoded.checked()?;
         let mut attributes = decoded.attributes.into_iter();
-        let mut starts = (0, 0);
+        let (mut metrics_start, mut attributes_start) = (0, 0);
         Ok(decoded
             .ends
             .iter()
             .map(|&(metrics_end, attributes_end)| {
-                let (metrics_start, attributes_start) = std::mem::replace(&mut starts, (metrics_end, attributes_end));
-                Point::new(
+                let point = Point::new(
                     decoded.metrics[metrics_start..metrics_end].to_vec(),
                     attributes
                         .by_ref()
                         .take(attributes_end - attributes_start)
                         .map(Cow::into_owned)
                         .collect(),
-                )
+                );
+                (metrics_start, attributes_start) = (metrics_end, attributes_end);
+                point
             })
             .collect())
     }
@@ -2339,7 +2340,8 @@ mod tests {
         let err = rows("[{\"metrics\":[1],\"attributes\":[],\"metrics\":[2]}]").unwrap_err();
         assert_eq!(err, WireError::new("points[0].metrics", "duplicate field"));
         // An unknown key still wins, as it does on the `Value` path.
-        let err = rows("[{\"metrics\":[1],\"x\":0,\"metrics\":[2],\"attributes\":[]}]").unwrap_err();
+        let err =
+            rows("[{\"metrics\":[1],\"x\":0,\"metrics\":[2],\"attributes\":[]}]").unwrap_err();
         assert_eq!(err, WireError::new("points[0].x", "unknown field"));
     }
 
@@ -2433,9 +2435,9 @@ mod tests {
                     let decoded = decoded.unwrap_or_else(|e| panic!("{line}: {e}"));
                     let points = map.get("points").map(|p| points_from_json(p, "points"));
                     if *duplicate
-                        && decoded
-                            .as_ref()
-                            .is_some_and(|d| d.as_ref().is_err_and(|e| e.message == "duplicate field"))
+                        && decoded.as_ref().is_some_and(|d| {
+                            d.as_ref().is_err_and(|e| e.message == "duplicate field")
+                        })
                     {
                         continue;
                     }

@@ -16,8 +16,7 @@
 use mb_serve::{serve_loop, ServeConfig, Server};
 use std::time::Duration;
 
-const USAGE: &str =
-    "usage: mb_serve [--threads N] [--workers N] [--queue N] [--session-idle-ms N]";
+const USAGE: &str = "usage: mb_serve [--threads N] [--workers N] [--queue N] [--session-idle-ms N]";
 
 /// The pool width (0: the pool's default) and the server's configuration
 /// named by `args`; `None` for `--help`; an error for anything else.

@@ -210,7 +210,10 @@ fn handle_submit(server: &Server, request: &mut Request<'_>) -> Result<Value, Va
     // for one-shot, as rows for the other executors.
     let input = match request.points.take() {
         Some(points) if spec.executor == Executor::OneShot => {
-            Some(match points.into_columns(&spec.analysis).map_err(protocol_error)? {
+            let columns = points
+                .into_columns(&spec.analysis)
+                .map_err(protocol_error)?;
+            Some(match columns {
                 Ok(columns) => JobInput::Columns(Box::new(columns)),
                 Err(e) => JobInput::Rows(Err(e.to_string())),
             })
@@ -388,8 +391,9 @@ pub fn serve_loop<R: BufRead, W: Write>(
         let response = match std::str::from_utf8(line) {
             Ok(line) if line.trim().is_empty() => continue,
             Ok(line) => handle_line(server, line),
-            Err(e) => error_response("malformed", format!("request line is not UTF-8: {e}"))
-                .to_string(),
+            Err(e) => {
+                error_response("malformed", format!("request line is not UTF-8: {e}")).to_string()
+            }
         };
         writeln!(writer, "{response}")?;
         writer.flush()?;

@@ -217,7 +217,11 @@ fn a_line_that_is_not_utf8_gets_a_typed_error_and_the_server_answers_on() {
     assert_eq!(responses.len(), 2, "{stdout}");
     let error = field(&responses[0], "error").expect("an error response");
     assert_eq!(text(error, "kind"), Some("malformed"), "{stdout}");
-    assert_eq!(field(&responses[1], "ok"), Some(&Value::Bool(true)), "{stdout}");
+    assert_eq!(
+        field(&responses[1], "ok"),
+        Some(&Value::Bool(true)),
+        "{stdout}"
+    );
     assert_eq!(text(&responses[1], "op"), Some("stats"), "{stdout}");
 }
 

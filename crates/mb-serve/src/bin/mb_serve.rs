@@ -9,14 +9,18 @@
 //! (one-shot: set before anything touches the pool); `--workers` is the
 //! number of concurrently executing queries; `--queue` bounds admission;
 //! `--session-idle-ms` expires idle streaming sessions. `--help` prints the
-//! usage; any other argument, or a flag without an unsigned integer after
-//! it, prints the usage to stderr and exits 2 before reading a line. Exits
-//! 0 on EOF.
+//! usage; any other argument, a flag without an unsigned integer after it,
+//! or `--threads`/`--workers` above 1,024, prints the usage to stderr and
+//! exits 2 before starting a thread or reading a line. Exits 0 on EOF.
 
 use mb_serve::{serve_loop, ServeConfig, Server};
 use std::time::Duration;
 
 const USAGE: &str = "usage: mb_serve [--threads N] [--workers N] [--queue N] [--session-idle-ms N]";
+
+/// The most threads `--threads` or `--workers` may start: each one reserves
+/// its own stack (16 MB for a pool worker) before it runs anything.
+const MAX_THREADS: usize = 1_024;
 
 /// The pool width (0: the pool's default) and the server's configuration
 /// named by `args`; `None` for `--help`; an error for anything else.
@@ -39,6 +43,9 @@ fn parse_args(
             .next()
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| format!("{flag} needs an unsigned integer argument"))?;
+        if matches!(flag.as_str(), "--threads" | "--workers") && *value > MAX_THREADS {
+            return Err(format!("{flag} takes at most {MAX_THREADS}"));
+        }
     }
     config.session_idle = Duration::from_millis(idle_ms as u64);
     Ok(Some((threads, config)))
@@ -69,5 +76,31 @@ fn main() {
     if let Err(e) = serve_loop(&server, stdin.lock(), stdout.lock()) {
         eprintln!("error: serve loop failed: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<(usize, ServeConfig)>, String> {
+        parse_args(args.iter().map(|arg| arg.to_string()))
+    }
+
+    #[test]
+    fn thread_counts_above_the_ceiling_are_refused_before_any_thread_starts() {
+        let (threads, _) = parse(&["--threads", "1024"]).unwrap().unwrap();
+        assert_eq!(threads, 1_024);
+        let (_, config) = parse(&["--workers", "1024"]).unwrap().unwrap();
+        assert_eq!(config.workers, 1_024);
+        for flag in ["--threads", "--workers"] {
+            for value in ["1025", "1048576"] {
+                let refused = parse(&[flag, value]).unwrap_err();
+                assert!(refused.contains(flag), "{refused}");
+            }
+        }
+        // The queue is a bound on waiting jobs, not on threads.
+        let (_, config) = parse(&["--queue", "1048576"]).unwrap().unwrap();
+        assert_eq!(config.max_queue, 1 << 20);
     }
 }

@@ -32,7 +32,8 @@ pub struct ServeConfig {
     /// Maximum number of jobs waiting for a worker before submissions are
     /// rejected with a typed saturation error.
     pub max_queue: usize,
-    /// Streaming sessions idle longer than this are expired by the sweeper.
+    /// A streaming session idle for this long is expired by the next
+    /// submit, open, feed, report or close, whichever id it names.
     pub session_idle: Duration,
 }
 
@@ -334,15 +335,6 @@ impl Server {
     /// session keeps accumulating).
     pub fn session_report(&self, id: &str) -> Result<MdpReport, ServeError> {
         self.with_session(id, |session| (None, session.report()))
-    }
-
-    /// Expire sessions idle longer than the configured limit; returns how
-    /// many were dropped. Runs implicitly when sessions are opened.
-    pub fn sweep_idle_sessions(&self) -> usize {
-        match self.call(Command::Sweep) {
-            Ok(Reply::Expired(expired)) => expired,
-            _ => 0,
-        }
     }
 
     /// Snapshot of the serve-level metrics (counters for jobs, cache,

@@ -104,8 +104,6 @@ pub(crate) enum Command {
     /// Give a lent session back (`None`: it unwound, so drop it), with the
     /// points a feed accepted.
     Return(String, Option<Box<StreamingSession>>, Option<u64>),
-    /// Expire sessions idle for at least the configured limit.
-    Sweep,
     /// A worker asks for its next task.
     Next,
     /// Stop the workers once no task is left.
@@ -126,8 +124,6 @@ pub(crate) enum Reply {
     Accepted,
     Closed(Closed),
     Lent(Box<StreamingSession>),
-    /// Sessions expired by a sweep.
-    Expired(usize),
     /// The asking worker's next task.
     Run(Task),
     /// No task for the asking worker: it waits for one.
@@ -198,7 +194,14 @@ impl State {
     }
 
     /// Apply one command at `now`; the effects are for the shell to carry out.
+    /// A command that reads the session table first expires the sessions
+    /// idle at `now`, so expiry never waits for unrelated traffic.
     pub(crate) fn apply(&mut self, command: Command, now: Instant) -> Vec<Effect> {
+        if let Command::Submit(..) | Command::Open(..) | Command::Lend(_) | Command::Close(_) =
+            command
+        {
+            self.sweep(now);
+        }
         let reply = match command {
             Command::Submit(id, priority, spec, input) => {
                 self.submit(id, priority, spec, input, now)
@@ -225,7 +228,6 @@ impl State {
                 self.out.push(Effect::WakeCallers);
                 Ok(Reply::Accepted)
             }
-            Command::Sweep => Ok(Reply::Expired(self.sweep(now))),
             Command::Next => Ok(match self.next_task(now) {
                 Some(task) => Reply::Run(task),
                 None if self.shutdown => Reply::Stop,
@@ -343,7 +345,6 @@ impl State {
         session: Result<Box<StreamingSession>, ServeError>,
         now: Instant,
     ) -> Result<Reply, ServeError> {
-        self.sweep(now);
         if self.jobs.contains_key(&id) {
             return Err(ServeError::DuplicateId(id));
         }
@@ -358,8 +359,9 @@ impl State {
         Ok(Reply::Accepted)
     }
 
-    /// A lent session is in use, so never idle.
-    fn sweep(&mut self, now: Instant) -> usize {
+    /// Expire sessions idle for at least the configured limit. A lent
+    /// session is in use, so never idle.
+    fn sweep(&mut self, now: Instant) {
         let (idle, before) = (self.session_idle, self.sessions.len());
         self.sessions.retain(|_, entry| {
             entry.session.is_none() || now.saturating_duration_since(entry.last_used) < idle
@@ -368,7 +370,6 @@ impl State {
         if expired > 0 {
             self.registry.add("sessions_expired", expired as u64);
         }
-        expired
     }
 
     fn next_task(&mut self, now: Instant) -> Option<Task> {
@@ -816,33 +817,51 @@ pub(crate) mod tests {
         assert_eq!(read(&d.status("parked")), Some((1, CacheOutcome::Hit)));
     }
 
+    /// A driver whose sessions expire after `limit`.
+    fn sessions_idle_after(limit: Duration) -> Driver {
+        let mut d = Driver::new(1, 16);
+        d.state = State::new(16, limit);
+        d
+    }
+
+    fn open(d: &mut Driver, id: &str) {
+        let opened = d.call(Command::Open(id.to_string(), Ok(Box::new(session()))));
+        assert!(matches!(opened, Ok(Reply::Accepted)));
+    }
+
     #[test]
     fn idle_expiry_takes_a_session_idle_for_exactly_the_limit() {
         let limit = Duration::from_secs(10);
-        let mut state = State::new(16, limit);
-        let t0 = Instant::now();
-        for (id, at) in [("old", t0), ("young", t0 + Duration::from_nanos(1))] {
-            let command = Command::Open(id.to_string(), Ok(Box::new(session())));
-            assert!(matches!(
-                state.apply(command, at)[..],
-                [Effect::Reply(Ok(Reply::Accepted))]
-            ));
-        }
-        let expired = |state: &mut State, now| match &state.apply(Command::Sweep, now)[..] {
-            [Effect::Reply(Ok(Reply::Expired(n)))] => *n,
-            _ => panic!("a sweep answers with a count"),
-        };
-        assert_eq!(expired(&mut state, t0 + limit - Duration::from_nanos(1)), 0);
+        let mut d = sessions_idle_after(limit);
+        let t0 = d.now;
+        open(&mut d, "old");
+        d.now = t0 + Duration::from_nanos(1);
+        open(&mut d, "young");
         // "old" has been idle for exactly the limit, "young" for 1 ns less.
-        assert_eq!(expired(&mut state, t0 + limit), 1);
-        assert!(!state.lent("old") && state.sessions.contains_key("young"));
-        assert!(!state.sessions.contains_key("old"));
-        assert_eq!(state.stats().counter("sessions_expired"), 1);
+        d.now = t0 + limit;
+        let lend = |d: &mut Driver, id: &str| d.call(Command::Lend(id.to_string()));
+        assert!(matches!(lend(&mut d, "young"), Ok(Reply::Lent(_))));
+        assert!(matches!(lend(&mut d, "old"), Err(ServeError::UnknownId(_))));
+        assert_eq!(d.state.stats().counter("sessions_expired"), 1);
         // A session in use is never idle.
-        let lent = state.apply(Command::Lend("young".to_string()), t0 + limit);
-        assert!(matches!(lent[..], [Effect::Reply(Ok(Reply::Lent(_)))]));
-        assert_eq!(expired(&mut state, t0 + limit * 3), 0);
-        assert!(state.lent("young"));
+        d.now = t0 + limit * 3;
+        assert!(matches!(lend(&mut d, "young"), Err(ServeError::BadRequest(_))));
+        assert!(d.state.lent("young"));
+    }
+
+    #[test]
+    fn an_idle_session_expires_without_traffic_from_another_session() {
+        let limit = Duration::from_secs(10);
+        let mut d = sessions_idle_after(limit);
+        open(&mut d, "s");
+        open(&mut d, "t");
+        d.now += limit;
+        // Nothing else opened a session, yet both have expired: a submit
+        // may take the id of one, and the other is no longer lent out.
+        assert_eq!(d.submit("t", None, Priority::Normal), Ok(()));
+        let lent = d.call(Command::Lend("s".to_string()));
+        assert!(matches!(lent, Err(ServeError::UnknownId(_))));
+        assert_eq!(d.state.stats().counter("sessions_expired"), 2);
     }
 
     /// One configuration of the exhaustive history checker.

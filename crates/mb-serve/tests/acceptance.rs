@@ -158,10 +158,13 @@ fn session_lifecycle_create_feed_report_close_and_idle_expiry() {
     assert_eq!(server.close("s1"), Ok(mb_serve::Closed::Session));
     assert!(server.feed("s1", &batch).is_err());
 
-    // Idle expiry: an untouched session is swept after the idle window.
+    // Idle expiry: an untouched session is gone after the idle window.
     server.open_session("s2", streaming_spec).unwrap();
     std::thread::sleep(Duration::from_millis(60));
-    assert_eq!(server.sweep_idle_sessions(), 1);
+    assert!(matches!(
+        server.feed("s2", &batch),
+        Err(mb_serve::ServeError::UnknownId(_))
+    ));
     let stats = server.stats();
     assert_eq!(stats.counter("sessions_opened"), 2);
     assert_eq!(stats.counter("sessions_closed"), 1);

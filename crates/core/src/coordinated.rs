@@ -1,7 +1,7 @@
 //! Behaviour checks of coordinated partitioned execution (Section 6.4):
-//! `Executor::Coordinated` scatters scoring and explanation over partitions
-//! of one shared model, so its answer must equal one-shot's at every
-//! partition count. The engine itself lives in [`crate::executor`].
+//! `Executor::Coordinated` keeps one shared model, one global threshold and
+//! global support counts, so its answer must equal one-shot's at every
+//! partition count. It runs the one-shot engine in [`crate::executor`].
 
 #[cfg(test)]
 mod tests {

@@ -9,20 +9,20 @@
 //! alone, so a batch scored against a model trained on itself reproduces the
 //! one-shot report byte for byte.
 //!
-//! The partitioned backends are built from the same pieces. The coordinated
-//! engine takes the same columnar input and the same fit; it scatters the
-//! scoring pass over partitions against the one fitted model, cuts one
-//! threshold over the merged scores — the only point where partitions
-//! coordinate — and hands the scores to the one-shot tail, so it reproduces
-//! the one-shot report at any partition count. The naïve engine runs the
-//! one-shot engine per partition and unions the rendered results.
+//! `Executor::Coordinated` runs this one-shot engine too: its invariants (one
+//! shared model, one global threshold, global support counts) are what the
+//! one-shot query already keeps, and the engine's own kernels (the sharded
+//! encode, FastMCD's starts and distance pass, `explain_labeled`'s shards)
+//! are where batch parallelism lives, so its partition count changes neither
+//! the result nor the work. The naïve engine runs the one-shot engine per
+//! partition and unions the rendered results.
 //!
 //! [`MdpClassifier`] and [`MdpExplainer`] expose the classify and explain
 //! halves as Table 1 [`Classifier`] / [`Explainer`] operators. They are
 //! adaptors over this core, not what the engines drive.
 
 use crate::operator::{check_columns, Classifier, ColumnarInput, Explainer};
-use crate::parallel::{partition_chunks, resolve_num_partitions, scatter};
+use crate::parallel::{partition_chunks, resolve_num_partitions};
 use crate::query::{AnalysisConfig, EstimatorKind, Executor};
 use crate::types::{MdpReport, Point, RenderedExplanation};
 use crate::{PipelineError, Result};
@@ -176,7 +176,14 @@ impl Classifier for MdpClassifier {
         let mut trace = TraceBuilder::disabled();
         let (model, scored) = train_model(parts, &flat, dim, &mut trace)?;
         self.cutoff = model.cutoff;
-        Ok(label_rows(parts, model.cutoff, scored, &flat, dim, &mut trace, 1))
+        Ok(label_rows(
+            parts,
+            model.cutoff,
+            scored,
+            &flat,
+            dim,
+            &mut trace,
+        ))
     }
 }
 
@@ -370,31 +377,6 @@ impl FittedModel {
     }
 }
 
-/// Fit the query's estimator over a row-major metric buffer, honouring the
-/// training-sample cap, without scoring anything; a rule-only query fits
-/// nothing. The cutoff is left for the caller to cut over its scores.
-fn fit(parts: QueryParts<'_>, flat: &[f64], dim: usize) -> Result<FittedModel> {
-    let analysis = parts.analysis;
-    let classifier = if parts.unsupervised {
-        let mut classifier = BatchClassifier::new(
-            QueryEstimator::new(analysis.estimator, dim),
-            BatchClassifierConfig {
-                target_percentile: analysis.target_percentile,
-                training_sample_size: analysis.training_sample_size,
-            },
-        );
-        classifier.fit_flat(flat, dim)?;
-        Some(classifier)
-    } else {
-        None
-    };
-    Ok(FittedModel {
-        classifier,
-        cutoff: None,
-        dim,
-    })
-}
-
 /// A batch's scores against a model (`None` under a rule-only model), with
 /// the `score` span still open: [`label_rows`] closes it once every row
 /// carries its label.
@@ -413,23 +395,39 @@ fn score(model: &FittedModel, flat: &[f64], dim: usize, trace: &TraceBuilder) ->
 }
 
 /// Train a query's model over a row-major metric buffer (`dim` values per
-/// row, both already validated): the one fit → score → threshold sequence.
-/// The training batch's scores come back beside the model, so one-shot
-/// execution labels them instead of scoring each row a second time. `train`
-/// times the fit alone; the `score` span opened here stays open for the
-/// label step.
+/// row, both already validated): the one fit → score → threshold sequence,
+/// honouring the training-sample cap; a rule-only query fits nothing and
+/// has no cutoff. The training batch's scores come back beside the model,
+/// so one-shot execution labels them instead of scoring each row a second
+/// time. `train` times the fit alone; the `score` span opened here stays
+/// open for the label step.
 pub(crate) fn train_model(
     parts: QueryParts<'_>,
     flat: &[f64],
     dim: usize,
     trace: &mut TraceBuilder,
 ) -> Result<(FittedModel, Scored)> {
-    let rows = flat.len() / dim;
+    let (analysis, rows) = (parts.analysis, flat.len() / dim);
     let timer = trace.start();
-    let mut model = fit(parts, flat, dim)?;
-    if model.is_unsupervised() {
+    let classifier = if parts.unsupervised {
+        let mut classifier = BatchClassifier::new(
+            QueryEstimator::new(analysis.estimator, dim),
+            BatchClassifierConfig {
+                target_percentile: analysis.target_percentile,
+                training_sample_size: analysis.training_sample_size,
+            },
+        );
+        classifier.fit_flat(flat, dim)?;
         trace.finish_stage(timer, stage::TRAIN, rows, rows, 1);
-    }
+        Some(classifier)
+    } else {
+        None
+    };
+    let mut model = FittedModel {
+        classifier,
+        cutoff: None,
+        dim,
+    };
     let scored = score(&model, flat, dim, trace)?;
     if let Some(scores) = &scored.scores {
         let threshold = StaticThreshold::from_scores(scores, parts.analysis.target_percentile)?;
@@ -455,7 +453,6 @@ fn label_rows(
     flat: &[f64],
     dim: usize,
     trace: &mut TraceBuilder,
-    batches: usize,
 ) -> Vec<Classification> {
     let rows = flat.len() / dim;
     let mut classifications: Vec<Classification> = match (scored.scores, cutoff) {
@@ -481,7 +478,7 @@ fn label_rows(
     }
     if trace.is_enabled() {
         let outliers = count_outliers(&classifications);
-        trace.finish_stage(scored.timer, stage::SCORE, rows, outliers, batches);
+        trace.finish_stage(scored.timer, stage::SCORE, rows, outliers, 1);
     }
     classifications
 }
@@ -531,7 +528,7 @@ pub(crate) fn train_and_execute(
     check_columns(&input.batch)?;
     let batch = &input.batch;
     let (model, scored) = train_model(parts, &batch.metrics, batch.dim, &mut input.trace)?;
-    Ok(finish_one_shot(parts, &model, input, scored, 1))
+    Ok(finish_one_shot(parts, &model, input, scored))
 }
 
 /// The with-model engine: score the input against a pre-trained model, then
@@ -556,18 +553,16 @@ pub(crate) fn execute_with_model(
         ));
     }
     let scored = score(model, &input.batch.metrics, dim, &input.trace)?;
-    Ok(finish_one_shot(parts, model, input, scored, 1))
+    Ok(finish_one_shot(parts, model, input, scored))
 }
 
-/// The shared tail of the one-shot and coordinated engines: label, explain,
-/// report. `score_batches` is the number of tasks the scores came from, for
-/// the trace.
+/// The shared tail of the one-shot and with-model engines: label, explain,
+/// report.
 fn finish_one_shot(
     parts: QueryParts<'_>,
     model: &FittedModel,
     input: &mut ColumnarInput,
     scored: Scored,
-    score_batches: usize,
 ) -> MdpReport {
     let mut trace = std::mem::replace(&mut input.trace, TraceBuilder::disabled());
     let ColumnarInput {
@@ -583,7 +578,6 @@ fn finish_one_shot(
         &batch.metrics,
         batch.dim,
         &mut trace,
-        score_batches,
     );
     let explanations = if parts.analysis.skip_explanation {
         Vec::new()
@@ -603,73 +597,6 @@ fn finish_one_shot(
         trace,
         pool_before.take(),
     )
-}
-
-/// The coordinated partitioned engine over the same columnar input as the
-/// one-shot engine: one model fitted on the global batch (honouring the
-/// training-sample cap) and shared by reference, partitions scoring against
-/// it communication-free, and one percentile threshold over the merged
-/// scores. From there it is the one-shot tail: the label step and
-/// explanation run over the whole labelled batch the input already holds,
-/// so support and risk ratios are over global counts and the report is
-/// exactly the one-shot report at any partition count. FastMCD's fit and
-/// distance pass also fan out on the pool, with results that do not depend
-/// on the thread count.
-pub(crate) fn execute_coordinated(
-    parts: QueryParts<'_>,
-    input: &mut ColumnarInput,
-    num_partitions: usize,
-) -> Result<MdpReport> {
-    check_columns(&input.batch)?;
-    let num_partitions = resolve_num_partitions(num_partitions);
-    let trace = &mut input.trace;
-    trace.set_partitions(num_partitions);
-    let batch = &input.batch;
-    let (flat, dim, rows) = (batch.metrics.as_slice(), batch.dim, batch.len());
-    let chunk_rows = rows.div_ceil(num_partitions).max(1);
-    let tracing = trace.is_enabled();
-
-    let timer = trace.start();
-    let mut model = fit(parts, flat, dim)?;
-    let (scored, score_batches) = if model.is_unsupervised() {
-        trace.finish_stage(timer, stage::TRAIN, rows, rows, 1);
-        // Scatter: partitions score against the shared model, each over a
-        // row-aligned slice of the metric buffer. Each row's score is a pure
-        // function of the model and that row, so chunk boundaries cannot
-        // perturb results. Each task hands back its row count, which the
-        // gather adds to the trace's counters.
-        let model = &model;
-        let timer = trace.start();
-        let score_chunks: Vec<(Result<Option<Vec<f64>>>, usize)> =
-            scatter(flat.chunks(chunk_rows * dim).collect(), |chunk| {
-                (model.score_flat(chunk, dim), chunk.len() / dim)
-            });
-        let batches = score_chunks.len();
-        let mut scores: Vec<f64> = Vec::with_capacity(rows);
-        for (chunk, rows_in_chunk) in score_chunks {
-            scores.extend(chunk?.unwrap_or_default());
-            if tracing {
-                let registry = trace.registry();
-                registry.add("score_rows", rows_in_chunk as u64);
-                registry.add("score_tasks", 1);
-            }
-        }
-        (
-            Scored {
-                scores: Some(scores),
-                timer,
-            },
-            batches,
-        )
-    } else {
-        (score(&model, flat, dim, trace)?, 1)
-    };
-    // Gather: one percentile threshold over the merged score vector.
-    if let Some(scores) = &scored.scores {
-        let threshold = StaticThreshold::from_scores(scores, parts.analysis.target_percentile)?;
-        model.cutoff = Some(threshold.cutoff());
-    }
-    Ok(finish_one_shot(parts, &model, input, scored, score_batches))
 }
 
 /// Union explanations across partition reports, deduplicating by the
@@ -730,7 +657,7 @@ pub(crate) fn execute_naive(
     // the pool delta: theirs would overlap, so only this top-level trace
     // snapshots the pool and task counts are not double-counted.
     let timer = trace.start();
-    let results: Vec<Result<MdpReport>> = scatter(chunks, |chunk| {
+    let results: Vec<Result<MdpReport>> = mb_pool::global().map_vec(chunks, |chunk| {
         let mut input = ColumnarInput::from_points(parts.analysis, chunk)?;
         input.pool_before = None;
         train_and_execute(parts, &mut input)
@@ -1119,10 +1046,9 @@ mod tests {
 
     #[test]
     fn coordinated_trace_counters_are_partition_invariant() {
-        // The score shards' merged row counters must equal the input size
-        // at every fan-out — the partition-count analogue of the pool's
-        // thread-count sum-equality test. The explain stage is the one-shot
-        // tail's: one pass over every row.
+        // Coordinated runs the one-shot engine under its own name: at every
+        // partition count the score and explain stages are one pass over
+        // every row.
         let points = workload(6_000);
         for partitions in [1, 2, 4] {
             let report = run(
@@ -1132,9 +1058,8 @@ mod tests {
             );
             let trace = report.trace.expect("trace populated");
             assert_eq!(trace.executor, "coordinated");
-            assert_eq!(trace.partitions, partitions as u64);
-            assert_eq!(trace.counter("score_rows"), 6_000);
-            assert_eq!(trace.counter("score_tasks"), trace.stage("score").unwrap().batches);
+            let score = trace.stage("score").unwrap();
+            assert_eq!((score.rows_in, score.batches), (6_000, 1));
             let explain = trace.stage("explain").unwrap();
             assert_eq!((explain.rows_in, explain.batches), (6_000, 1));
             assert!(trace.gauge("pool_workers").is_some());

@@ -17,14 +17,14 @@
 //!   partitioned, or streaming — over a slice or any ingestor, returning
 //!   one unified [`MdpReport`].
 //! * [`executor`] — the batch core behind those backends: one-shot is
-//!   training followed by the with-model engine over a columnar input, the
-//!   coordinated engine scatters the same pieces, the naïve engine runs
-//!   one-shot per partition; [`MdpClassifier`] and [`MdpExplainer`] are
-//!   Table 1 operator adaptors over it.
+//!   training followed by the with-model engine over a columnar input,
+//!   coordinated runs the one-shot engine, the naïve engine runs one-shot
+//!   per partition; [`MdpClassifier`] and [`MdpExplainer`] are Table 1
+//!   operator adaptors over it.
 //! * [`streaming`] — the exponentially weighted streaming (EWS) engine and
 //!   the incremental [`StreamingSession`].
-//! * [`parallel`] — the partitioning utilities the partitioned backends
-//!   share.
+//! * [`parallel`] — the partitioning utilities of the naïve partitioned
+//!   backend.
 //! * [`presentation`] — ranking and text rendering of explanation reports.
 //!
 //! ## Example

@@ -1,14 +1,13 @@
-//! The partitioning scaffold shared by both partitioned backends
-//! (`Executor::Coordinated` and `Executor::NaivePartitioned`, whose engines
-//! live in [`crate::executor`]): partition counts, contiguous chunks, and
-//! the scatter onto the shared pool.
+//! The partitioning scaffold of the naïve partitioned backend
+//! (`Executor::NaivePartitioned`, whose engine lives in
+//! [`crate::executor`]): partition counts and contiguous chunks.
 
 /// The partition count used when a caller passes `0`: one partition per
 /// worker in the shared execution pool. This respects
 /// [`mb_pool::configure_global_threads`] (and the harness `--threads`
-/// flag) rather than blindly using the machine's core count — for the
-/// naïve mode especially, over-partitioning beyond the pool costs accuracy
-/// for no throughput.
+/// flag) rather than blindly using the machine's core count:
+/// over-partitioning beyond the pool costs the naïve mode accuracy for no
+/// throughput.
 pub fn default_num_partitions() -> usize {
     mb_pool::global().num_threads()
 }
@@ -24,27 +23,11 @@ pub(crate) fn resolve_num_partitions(num_partitions: usize) -> usize {
 }
 
 /// Split a slice into `num_partitions` contiguous chunks (the last may be
-/// short). Shared by the naïve and coordinated partitioned executors.
+/// short).
 pub(crate) fn partition_chunks<T>(items: &[T], num_partitions: usize) -> Vec<&[T]> {
     assert!(num_partitions > 0, "need at least one partition");
     let chunk_size = items.len().div_ceil(num_partitions);
     items.chunks(chunk_size.max(1)).collect()
-}
-
-/// Run `work` over each chunk on the shared work-stealing pool and collect
-/// the results in chunk order — the scatter half of the partitioned
-/// executors. Tasks share nothing except what `work` captures by reference.
-/// Submitting to the resident [`mb_pool::global`] pool replaces the
-/// per-call `std::thread::scope` spawn this used to pay, which dominated
-/// scatter cost for small batches (see `fig11_scaleout`'s scatter-overhead
-/// section). A panic inside `work` propagates to the caller.
-pub(crate) fn scatter<I, O, F>(chunks: Vec<I>, work: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    mb_pool::global().map_vec(chunks, work)
 }
 
 #[cfg(test)]

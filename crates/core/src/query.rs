@@ -51,8 +51,8 @@
 //! ```
 
 use crate::executor::{
-    check_dimensions, execute_coordinated, execute_naive, execute_with_model, flatten_metrics,
-    train_and_execute, train_model, FittedModel, QueryParts,
+    check_dimensions, execute_naive, execute_with_model, flatten_metrics, train_and_execute,
+    train_model, FittedModel, QueryParts,
 };
 use crate::operator::{check_columns, ColumnarInput, EncodedBatch, Ingestor, Transformer};
 use crate::streaming::StreamingSession;
@@ -215,14 +215,14 @@ pub enum Executor {
     /// Run on the calling thread over the whole stored batch: the semantics
     /// reference every other mode is measured against.
     OneShot,
-    /// Partitioned scale-out that coordinates on one threshold: one model
-    /// fitted on the global batch and broadcast, partitions scoring against
-    /// it, one global threshold over the merged scores, then one-shot's
-    /// explanation over the whole labelled batch. Reproduces the one-shot
-    /// report exactly at any partition count.
+    /// Scale-out that coordinates on what the answer needs: one shared
+    /// model, one global threshold and global support counts. On one box
+    /// the one-shot engine already keeps all three and runs its kernels on
+    /// the shared pool, so this variant runs the one-shot engine, and its
+    /// report is the one-shot report at any partition count.
     Coordinated {
-        /// Number of partitions; `0` means one per pool worker
-        /// ([`crate::parallel::default_num_partitions`]).
+        /// Number of partitions, kept for the wire protocol and the
+        /// scale-out harnesses; it changes neither the result nor the work.
         partitions: usize,
     },
     /// The paper's preliminary shared-nothing scale-out (Appendix D /
@@ -374,24 +374,15 @@ impl MdpQuery {
     }
 
     /// Dispatch an already-transformed batch to a batch backend: the
-    /// naïve engine splits the rows, the others run on them in columns.
+    /// naïve engine splits the rows, the others run the one-shot engine on
+    /// them in columns.
     fn dispatch_batch(&self, executor: &Executor, input: &[Point]) -> Result<MdpReport> {
         if let Executor::NaivePartitioned { partitions } = executor {
             return execute_naive(self.parts(), input, *partitions);
         }
         let mut columns = ColumnarInput::for_executor(&self.analysis, executor);
         columns.fill(&self.analysis, input)?;
-        self.dispatch_columns(executor, &mut columns)
-    }
-
-    /// Run a columnar input on the one-shot or the coordinated engine.
-    fn dispatch_columns(&self, executor: &Executor, input: &mut ColumnarInput) -> Result<MdpReport> {
-        match executor {
-            Executor::Coordinated { partitions } => {
-                execute_coordinated(self.parts(), input, *partitions)
-            }
-            _ => train_and_execute(self.parts(), input),
-        }
+        train_and_execute(self.parts(), &mut columns)
     }
 
     /// Execute the query over a stored batch of points.
@@ -458,13 +449,13 @@ impl MdpQuery {
                 }
                 Ok(session.report())
             }
-            // Without a transformer chain the one-shot and coordinated
-            // engines take the columnar fast path: ingest pre-encoded
-            // batches (metrics flat, attributes interned straight into the
-            // query's dictionary) and never materialize a `Point`. Encoding
-            // order equals ingestion order, so the report — ids, scores,
-            // threshold, explanations — is exactly what the materializing
-            // path below produces.
+            // Without a transformer chain the one-shot engine (which
+            // coordinated runs too) takes the columnar fast path: ingest
+            // pre-encoded batches (metrics flat, attributes interned straight
+            // into the query's dictionary) and never materialize a `Point`.
+            // Encoding order equals ingestion order, so the report — ids,
+            // scores, threshold, explanations — is exactly what the
+            // materializing path below produces.
             Executor::OneShot | Executor::Coordinated { .. } if self.transformers.is_empty() => {
                 let mut input = ColumnarInput::for_executor(&self.analysis, executor);
                 let timer = input.trace.start();
@@ -482,7 +473,7 @@ impl MdpQuery {
                 input
                     .trace
                     .finish_stage(timer, mb_obs::stage::INGEST, rows, rows, batches);
-                self.dispatch_columns(executor, &mut input)
+                train_and_execute(self.parts(), &mut input)
             }
             batch_executor => {
                 let mut all = Vec::new();

@@ -6,10 +6,10 @@
 //! and the Jaccard similarity of the explanation set against the one-shot
 //! reference. The paper's naïve mode scales linearly but its accuracy
 //! degrades with partitions (per-partition models and thresholds, rendered
-//! string union); the coordinated mode shares one trained model, scatters
-//! only the scoring pass, cuts one threshold over the merged scores and
-//! explains the whole labelled batch as one-shot does, reproducing the
-//! one-shot explanation set (Jaccard 1.0) at every partition count.
+//! string union); the coordinated mode keeps one trained model, one global
+//! threshold and global support counts, which on one box is the one-shot
+//! engine, so it reproduces the one-shot explanation set (Jaccard 1.0) at
+//! every partition count.
 //!
 //! Note: the paper's testbed had 48 cores; this harness runs wherever it is
 //! invoked, so on a small machine wall-clock "speedup" flattens while the

@@ -1,11 +1,13 @@
 //! A minimal work-stealing thread pool: the execution substrate for
-//! MacroBase-RS's partitioned executors, parallel attribute encoding, and
-//! the FastMCD distance pass.
+//! MacroBase-RS's batch kernels — the sharded attribute encode, FastMCD's
+//! starts and distance pass, and the batch explainer's shards — and for the
+//! naïve partitioned executor's partition tasks.
 //!
 //! The build environment has no crates.io access, so this crate is a
 //! deliberately small stand-in for `rayon` (swap back via two lines in
-//! `[workspace.dependencies]` when network access exists). It keeps the
-//! properties the tree relies on:
+//! `[workspace.dependencies]` when network access exists). It keeps only
+//! the calls the tree makes — [`Pool::scope`], [`Pool::parallel_for`] and
+//! [`Pool::map_vec`] — and the properties the tree relies on:
 //!
 //! * **Reusable workers** — a [`Pool`] spawns its threads once; submitting
 //!   work is a queue push, not a `std::thread::scope` spawn per call, which
@@ -15,12 +17,11 @@
 //!   and external submissions land on a shared injector queue.
 //! * **Nested parallelism** — a thread that waits for a scope to finish
 //!   *helps*: it executes queued tasks instead of blocking, so pool workers
-//!   can themselves call [`Pool::join`]/[`Pool::parallel_for`] without
-//!   deadlocking. FastMCD training is the canonical nesting: each restart
-//!   is a pool task ([`Pool::map_vec`]) whose C-step distance passes fan
-//!   out further on the same pool ([`Pool::parallel_for`]) — and a
-//!   partitioned executor may be running the whole fit inside one of its
-//!   own partition tasks. Helping is stack-safe: past a fixed nesting depth a
+//!   can themselves open scopes without deadlocking. FastMCD training is the
+//!   canonical nesting: each start is a pool task ([`Pool::map_vec`]) whose
+//!   C-step distance passes fan out further on the same pool
+//!   ([`Pool::parallel_for`]) — and a naïve partition task may be running
+//!   the whole fit. Helping is stack-safe: past a fixed nesting depth a
 //!   waiter only executes tasks of the scope it is waiting for, bounding
 //!   stack growth by the application's real nesting depth instead of the
 //!   number of in-flight tasks.
@@ -36,14 +37,16 @@
 //!
 //! ```
 //! let pool = mb_pool::Pool::new(4);
-//! let (evens, odds) = pool.join(
-//!     || (0..1000).filter(|i| i % 2 == 0).count(),
-//!     || (0..1000).filter(|i| i % 2 == 1).count(),
-//! );
-//! assert_eq!(evens + odds, 1000);
+//! let mut counts = [0usize; 2];
+//! pool.scope(|s| {
+//!     for (parity, count) in counts.iter_mut().enumerate() {
+//!         s.spawn(move || *count = (0..1000).filter(|i| i % 2 == parity).count());
+//!     }
+//! });
+//! assert_eq!(counts, [500, 500]);
 //!
-//! let total = pool.map_reduce(&[1u64, 2, 3, 4, 5], 1, |&x| x * x, 0, |a, b| a + b);
-//! assert_eq!(total, 55);
+//! let squares = pool.map_vec(vec![1u64, 2, 3, 4, 5], |x| x * x);
+//! assert_eq!(squares.iter().sum::<u64>(), 55);
 //! ```
 
 #![warn(missing_docs)]
@@ -100,7 +103,7 @@ thread_local! {
 /// Per-worker activity counters, always on. Increments are relaxed atomic
 /// adds on lines the worker already owns — one or two per *job*, which is
 /// noise next to the queue lock the job was popped under — so there is no
-/// "metrics enabled" mode to toggle. Snapshots ([`Pool::worker_stats`])
+/// "metrics enabled" mode to toggle. Snapshots (`Pool::worker_stats`)
 /// merge by field-wise addition: the counters are monotonic monoids, the
 /// same shape `mb-obs` folds into query traces.
 #[derive(Default)]
@@ -128,9 +131,8 @@ impl WorkerCounters {
 
 /// A snapshot of one worker's (or the whole pool's) activity counters.
 ///
-/// Monotonic: every field only grows over a pool's lifetime. Combine
-/// snapshots with [`WorkerStats::combined`]; form a per-interval delta with
-/// [`WorkerStats::since`].
+/// Monotonic: every field only grows over a pool's lifetime. Form a
+/// per-interval delta with [`WorkerStats::since`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerStats {
     /// Jobs popped and run (own deque, injector, or stolen).
@@ -145,7 +147,7 @@ pub struct WorkerStats {
 
 impl WorkerStats {
     /// Field-wise sum of two snapshots.
-    pub fn combined(mut self, other: WorkerStats) -> WorkerStats {
+    fn combined(mut self, other: WorkerStats) -> WorkerStats {
         self.tasks_executed += other.tasks_executed;
         self.tasks_stolen += other.tasks_stolen;
         self.injector_pops += other.injector_pops;
@@ -454,13 +456,13 @@ impl Pool {
     /// Per-worker activity snapshots, index-aligned with the pool's worker
     /// threads. Counters are cumulative over the pool's lifetime; take two
     /// snapshots and use [`WorkerStats::since`] for an interval view.
-    pub fn worker_stats(&self) -> Vec<WorkerStats> {
+    fn worker_stats(&self) -> Vec<WorkerStats> {
         self.shared.counters.iter().map(|c| c.snapshot()).collect()
     }
 
     /// Activity of non-worker threads that executed jobs while waiting on a
     /// scope (help-first waiting).
-    pub fn helper_stats(&self) -> WorkerStats {
+    fn helper_stats(&self) -> WorkerStats {
         self.shared.helper_counters.snapshot()
     }
 
@@ -537,27 +539,6 @@ impl Pool {
         }
     }
 
-    /// Run `a` and `b`, potentially in parallel, and return both results.
-    /// `a` runs on the calling thread; `b` is spawned and may be stolen.
-    /// Either side panicking re-raises the panic here, after both finish.
-    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        let mut rb = None;
-        let ra = self.scope(|s| {
-            {
-                let rb = &mut rb;
-                s.spawn(move || *rb = Some(b()));
-            }
-            a()
-        });
-        (ra, rb.expect("join: spawned closure did not run"))
-    }
-
     /// Apply `f` to disjoint chunks of `items` in parallel, in place.
     /// `f` receives each chunk's starting offset in `items` and the chunk
     /// itself. Chunks hold at least `grain` elements (except the last), so
@@ -593,10 +574,8 @@ impl Pool {
 
     /// Map `f` over owned `items` in parallel, preserving order. One task
     /// per item — meant for coarse work units (partition chunks), not
-    /// element-wise math (use [`parallel_for`]/[`map_reduce`] for that).
-    ///
-    /// [`parallel_for`]: Pool::parallel_for
-    /// [`map_reduce`]: Pool::map_reduce
+    /// element-wise math (use [`parallel_for`](Pool::parallel_for) for
+    /// that).
     pub fn map_vec<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
         T: Send,
@@ -616,54 +595,6 @@ impl Pool {
         out.into_iter()
             .map(|slot| slot.expect("map_vec task did not run"))
             .collect()
-    }
-
-    /// Parallel map-reduce over a slice: `map` each element, combine with
-    /// `reduce` starting from `identity`. Equals the sequential
-    /// `items.iter().map(map).fold(identity, reduce)` whenever `reduce` is
-    /// associative with `identity` as its identity element (chunks fold
-    /// locally and chunk results combine in slice order, so commutativity is
-    /// *not* required).
-    pub fn map_reduce<T, A, M, R>(
-        &self,
-        items: &[T],
-        grain: usize,
-        map: M,
-        identity: A,
-        reduce: R,
-    ) -> A
-    where
-        T: Sync,
-        A: Send + Clone,
-        M: Fn(&T) -> A + Sync,
-        R: Fn(A, A) -> A + Sync,
-    {
-        let grain = grain.max(1);
-        let sequential = |chunk: &[T], acc: A| {
-            chunk.iter().fold(acc, |acc, item| reduce(acc, map(item)))
-        };
-        if items.len() <= grain || self.num_threads() == 1 {
-            return sequential(items, identity);
-        }
-        let chunk_size = items
-            .len()
-            .div_ceil(self.num_threads() * 4)
-            .max(grain);
-        let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-        let mut partials: Vec<Option<A>> = chunks.iter().map(|_| None).collect();
-        {
-            let sequential = &sequential;
-            self.scope(|s| {
-                for (slot, chunk) in partials.iter_mut().zip(chunks) {
-                    let seed = identity.clone();
-                    s.spawn(move || *slot = Some(sequential(chunk, seed)));
-                }
-            });
-        }
-        partials
-            .into_iter()
-            .map(|slot| slot.expect("map_reduce task did not run"))
-            .fold(identity, &reduce)
     }
 }
 
@@ -688,7 +619,7 @@ static CONFIGURED: AtomicBool = AtomicBool::new(false);
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
 /// Number of threads the platform reports as available (≥ 1).
-pub fn available_threads() -> usize {
+fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -791,45 +722,6 @@ pub fn global() -> &'static Pool {
     })
 }
 
-/// [`Pool::join`] on the [`global`] pool.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    global().join(a, b)
-}
-
-/// [`Pool::scope`] on the [`global`] pool.
-pub fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R,
-{
-    global().scope(op)
-}
-
-/// [`Pool::parallel_for`] on the [`global`] pool.
-pub fn parallel_for<T, F>(items: &mut [T], grain: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    global().parallel_for(items, grain, f)
-}
-
-/// [`Pool::map_reduce`] on the [`global`] pool.
-pub fn map_reduce<T, A, M, R>(items: &[T], grain: usize, map: M, identity: A, reduce: R) -> A
-where
-    T: Sync,
-    A: Send + Clone,
-    M: Fn(&T) -> A + Sync,
-    R: Fn(A, A) -> A + Sync,
-{
-    global().map_reduce(items, grain, map, identity, reduce)
-}
-
 /// [`Pool::map_vec`] on the [`global`] pool.
 pub fn map_vec<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
@@ -845,10 +737,26 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `a` on the caller and `b` spawned, in one scope: the fork-join shape
+    /// the nesting tests drive.
+    fn both<RA, RB: Send>(
+        pool: &Pool,
+        a: impl FnOnce() -> RA,
+        b: impl FnOnce() -> RB + Send,
+    ) -> (RA, RB) {
+        let mut rb = None;
+        let ra = pool.scope(|s| {
+            let slot = &mut rb;
+            s.spawn(move || *slot = Some(b()));
+            a()
+        });
+        (ra, rb.expect("the scope ran its task"))
+    }
+
     #[test]
     fn join_returns_both_results() {
         let pool = Pool::new(2);
-        let (a, b) = pool.join(|| 1 + 1, || "two".to_string());
+        let (a, b) = both(&pool, || 1 + 1, || "two".to_string());
         assert_eq!(a, 2);
         assert_eq!(b, "two");
     }
@@ -856,13 +764,13 @@ mod tests {
     #[test]
     fn nested_join_computes_fibonacci() {
         // Recursion forces workers to call back into the pool: every level
-        // below the first runs `join` *on a worker thread*, which must help
+        // below the first opens a scope *on a worker thread*, which must help
         // execute queued tasks rather than deadlock waiting for itself.
         fn fib(pool: &Pool, n: u64) -> u64 {
             if n < 2 {
                 return n;
             }
-            let (a, b) = pool.join(|| fib(pool, n - 1), || fib(pool, n - 2));
+            let (a, b) = both(pool, || fib(pool, n - 1), || fib(pool, n - 2));
             a + b
         }
         let pool = Pool::new(3);
@@ -880,7 +788,7 @@ mod tests {
             if n < 2 {
                 return n;
             }
-            let (a, b) = pool.join(|| fib(pool, n - 1), || fib(pool, n - 2));
+            let (a, b) = both(pool, || fib(pool, n - 1), || fib(pool, n - 2));
             a + b
         }
         let pool = Pool::new(4);
@@ -973,23 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_concatenation_preserves_slice_order() {
-        // String concatenation is associative but NOT commutative: any
-        // out-of-order combination of chunk results changes the answer.
-        let pool = Pool::new(4);
-        let items: Vec<u32> = (0..500).collect();
-        let expected: String = items.iter().map(|i| format!("{i},")).collect();
-        let got = pool.map_reduce(
-            &items,
-            8,
-            |i| format!("{i},"),
-            String::new(),
-            |a, b| a + &b,
-        );
-        assert_eq!(got, expected);
-    }
-
-    #[test]
     fn panic_in_task_propagates_and_pool_survives() {
         let pool = Pool::new(2);
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -1005,7 +896,7 @@ mod tests {
             .unwrap_or("<non-str payload>");
         assert!(message.contains("task exploded"), "payload: {message}");
         // The worker that caught the panic keeps serving work.
-        let (a, b) = pool.join(|| 40, || 2);
+        let (a, b) = both(&pool, || 40, || 2);
         assert_eq!(a + b, 42);
     }
 
@@ -1014,7 +905,8 @@ mod tests {
         let pool = Pool::new(2);
         let done = AtomicBool::new(false);
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.join(
+            both(
+                &pool,
                 || panic!("inline half"),
                 || {
                     std::thread::sleep(Duration::from_millis(20));
@@ -1031,10 +923,13 @@ mod tests {
     #[test]
     fn single_thread_pool_still_completes_everything() {
         let pool = Pool::new(1);
-        let items: Vec<u64> = (1..=100).collect();
-        let sum = pool.map_reduce(&items, 10, |&x| x, 0u64, |a, b| a + b);
-        assert_eq!(sum, 5050);
-        let (a, b) = pool.join(|| 1, || 2);
+        let mut items: Vec<u64> = (1..=100).collect();
+        pool.parallel_for(&mut items, 10, |_, chunk| {
+            chunk.iter_mut().for_each(|x| *x *= 2)
+        });
+        assert_eq!(items.iter().sum::<u64>(), 10_100);
+        assert_eq!(pool.map_vec(items, |x| x / 2).iter().sum::<u64>(), 5050);
+        let (a, b) = both(&pool, || 1, || 2);
         assert_eq!((a, b), (1, 2));
     }
 
@@ -1084,7 +979,10 @@ mod tests {
                     *value = value.wrapping_mul(1); // touch every element
                 }
             });
-            pool.map_reduce(&partition, 256, |&x| x, 0u64, |a, b| a + b)
+            let chunks: Vec<&[u64]> = partition.chunks(256).collect();
+            pool.map_vec(chunks, |chunk| chunk.iter().sum::<u64>())
+                .into_iter()
+                .sum::<u64>()
         });
         assert_eq!(sums, expected);
     }
@@ -1151,14 +1049,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn map_reduce_sum_matches_sequential(values in proptest::collection::vec(-1000i64..1000, 0..400)) {
-            let pool = Pool::new(3);
-            let sequential: i64 = values.iter().map(|v| v * v).sum();
-            let parallel = pool.map_reduce(&values, 7, |&v| v * v, 0i64, |a, b| a + b);
-            prop_assert_eq!(parallel, sequential);
-        }
 
         #[test]
         fn map_vec_matches_sequential_map(values in proptest::collection::vec(0u32..10_000, 0..200)) {

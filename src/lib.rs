@@ -27,9 +27,10 @@
 //! * [`scenario`] — labeled fault-injection scenarios with ground truth,
 //!   plus the shared precision/recall/Jaccard metrics
 //!   ([`scenario::eval`]) behind the accuracy harness.
-//! * [`pool`] — the work-stealing execution substrate behind the
-//!   partitioned modes, FastMCD's C-steps, and parallel attribute encoding
-//!   (vendored rayon stand-in; scoped `join`/`parallel_for`/`map_reduce`).
+//! * [`pool`] — the work-stealing execution substrate behind the batch
+//!   kernels (the sharded attribute encode, FastMCD's starts and C-steps,
+//!   the batch explainer's shards) and the naïve partitioned mode (vendored
+//!   rayon stand-in; `scope`/`parallel_for`/`map_vec`).
 //! * [`obs`] — the telemetry layer: metric registries (counters, gauges,
 //!   log-bucketed latency histograms), each written by the query, session
 //!   or server that owns it, per-stage query traces attached to reports
@@ -63,10 +64,11 @@
 //!     e.attributes.iter().any(|a| a.contains("device_13"))
 //! }));
 //!
-//! // ...any engine. Coordinated partitioned execution shares one trained
-//! // model and one score threshold, then explains the whole labelled batch,
-//! // so the report is exactly the one-shot report at any partition count
-//! // (unlike `Executor::NaivePartitioned`, whose accuracy degrades with cores).
+//! // ...any engine. Coordinated execution shares one trained model, one
+//! // score threshold and global support counts — on one box, the one-shot
+//! // engine — so the report is exactly the one-shot report at any partition
+//! // count (unlike `Executor::NaivePartitioned`, whose accuracy degrades
+//! // with cores).
 //! let mut query = MdpQuery::with_defaults();
 //! let scaled = query
 //!     .execute(&Executor::Coordinated { partitions: 8 }, &points)

@@ -126,13 +126,10 @@ impl StreamingSession {
         let labeler = Labeler {
             estimator: analysis.estimator,
             classifier_config: StreamingClassifierConfig {
-                input_reservoir_size: options.reservoir_size,
-                score_reservoir_size: options.reservoir_size,
+                reservoir_size: options.reservoir_size,
                 decay_rate: options.decay_rate,
                 retrain_period: options.retrain_period,
                 target_percentile: analysis.target_percentile,
-                threshold_refresh_period: (options.retrain_period / 10).max(1),
-                warmup_points: 100,
                 seed: options.seed,
             },
             decay_period: options.decay_period,

@@ -18,24 +18,23 @@ use mb_sketch::adr::{AdaptableDampedReservoir, DecayPolicy};
 use mb_sketch::StreamSampler;
 use mb_stats::{Estimator, Result};
 
+/// Minimum number of buffered points before the first model training.
+const WARMUP_POINTS: usize = 100;
+
 /// Configuration for the streaming classifier.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamingClassifierConfig {
-    /// Size of the input (training) reservoir. Paper default: 10K.
-    pub input_reservoir_size: usize,
-    /// Size of the score reservoir. Paper default: 10K–20K.
-    pub score_reservoir_size: usize,
+    /// Size of both the input (training) and the score reservoir. Paper
+    /// default: 10K.
+    pub reservoir_size: usize,
     /// Decay rate applied to both reservoirs at each period boundary.
     /// Paper default: 0.01 every 100K points.
     pub decay_rate: f64,
-    /// Retrain the model every this many observed points.
+    /// Retrain the model every this many observed points. The threshold is
+    /// refreshed ten times as often.
     pub retrain_period: u64,
     /// Target score percentile above which points are outliers (default 0.99).
     pub target_percentile: f64,
-    /// Number of points between threshold refreshes.
-    pub threshold_refresh_period: u64,
-    /// Minimum number of buffered points before the first model training.
-    pub warmup_points: usize,
     /// RNG seed for the reservoirs.
     pub seed: u64,
 }
@@ -43,13 +42,10 @@ pub struct StreamingClassifierConfig {
 impl Default for StreamingClassifierConfig {
     fn default() -> Self {
         StreamingClassifierConfig {
-            input_reservoir_size: 10_000,
-            score_reservoir_size: 10_000,
+            reservoir_size: 10_000,
             decay_rate: 0.01,
             retrain_period: 10_000,
             target_percentile: 0.99,
-            threshold_refresh_period: 1_000,
-            warmup_points: 100,
             seed: 0xACB7,
         }
     }
@@ -74,16 +70,16 @@ impl<E: Estimator> StreamingClassifier<E> {
     /// Create a streaming classifier around an (untrained) estimator.
     pub fn new(estimator: E, config: StreamingClassifierConfig) -> Result<Self> {
         let input_reservoir = AdaptableDampedReservoir::new(
-            config.input_reservoir_size,
+            config.reservoir_size,
             config.decay_rate,
             DecayPolicy::Manual,
             config.seed,
         );
         let threshold = StreamingPercentileThreshold::new(
             config.target_percentile,
-            config.score_reservoir_size,
+            config.reservoir_size,
             config.decay_rate,
-            config.threshold_refresh_period,
+            (config.retrain_period / 10).max(1),
             config.seed.wrapping_add(1),
         )?;
         Ok(StreamingClassifier {
@@ -111,7 +107,7 @@ impl<E: Estimator> StreamingClassifier<E> {
         let due_for_training = if self.model_trained {
             self.points_since_retrain >= self.config.retrain_period
         } else {
-            self.input_reservoir.len() >= self.config.warmup_points
+            self.input_reservoir.len() >= WARMUP_POINTS
         };
         if due_for_training {
             self.retrain();
@@ -203,13 +199,10 @@ mod tests {
 
     fn test_config() -> StreamingClassifierConfig {
         StreamingClassifierConfig {
-            input_reservoir_size: 2_000,
-            score_reservoir_size: 2_000,
+            reservoir_size: 2_000,
             decay_rate: 0.05,
             retrain_period: 2_000,
             target_percentile: 0.99,
-            threshold_refresh_period: 500,
-            warmup_points: 200,
             seed: 7,
         }
     }
@@ -291,7 +284,7 @@ mod tests {
     fn multivariate_streaming_with_mcd() {
         let mut rng = SplitMix64::new(4);
         let mut cfg = test_config();
-        cfg.input_reservoir_size = 500;
+        cfg.reservoir_size = 500;
         cfg.retrain_period = 5_000;
         let mut c =
             StreamingClassifier::new(McdEstimator::with_defaults(), cfg).unwrap();

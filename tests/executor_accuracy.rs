@@ -4,7 +4,7 @@
 //! side: coordinated partitioning must not change the answer at any
 //! partition count, naive partitioning may degrade but must keep finding
 //! the planted fault, and streaming trades bounded memory for a documented
-//! sliver of recall (its first `warmup_points` rows are never labeled).
+//! sliver of recall (its first rows, the classifier's warm-up, are never labeled).
 //! These tests pin those relationships against the level-shift scenario's
 //! ground truth, so a regression in any engine shows up as a concrete
 //! precision/recall delta rather than a baseline diff.

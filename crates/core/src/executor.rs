@@ -16,12 +16,8 @@
 //! are where batch parallelism lives, so its partition count changes neither
 //! the result nor the work. The naïve engine runs the one-shot engine per
 //! partition and unions the rendered results.
-//!
-//! [`MdpClassifier`] and [`MdpExplainer`] expose the classify and explain
-//! halves as Table 1 [`Classifier`] / [`Explainer`] operators. They are
-//! adaptors over this core, not what the engines drive.
 
-use crate::operator::{check_columns, Classifier, ColumnarInput, Explainer};
+use crate::operator::{check_columns, ColumnarInput};
 use crate::parallel::{partition_chunks, resolve_num_partitions};
 use crate::query::{AnalysisConfig, EstimatorKind, Executor};
 use crate::types::{MdpReport, Point, RenderedExplanation};
@@ -34,7 +30,6 @@ use mb_explain::batch::BatchExplainer;
 use mb_explain::encoder::AttributeEncoder;
 use mb_explain::risk_ratio::rank_explanations;
 use mb_explain::{Explanation, ExplanationConfig, ItemBatch};
-use mb_fpgrowth::Item;
 use mb_obs::{stage, StageTimer, TraceBuilder};
 use mb_stats::mad::MadEstimator;
 use mb_stats::mcd::McdEstimator;
@@ -119,116 +114,6 @@ pub(crate) fn encoder_for(analysis: &AnalysisConfig) -> AttributeEncoder {
         AttributeEncoder::new()
     } else {
         AttributeEncoder::with_column_names(analysis.attribute_names.clone())
-    }
-}
-
-/// The MDP classification stage as a reusable [`Classifier`] operator:
-/// unsupervised robust-estimator scoring cut at a percentile, a supervised
-/// rule, or both OR-ed (hybrid supervision).
-#[derive(Debug, Clone)]
-pub struct MdpClassifier {
-    analysis: AnalysisConfig,
-    rule: Option<RuleClassifier>,
-    unsupervised: bool,
-    cutoff: Option<f64>,
-}
-
-impl MdpClassifier {
-    /// An unsupervised classifier from an analysis configuration.
-    pub fn from_analysis(analysis: &AnalysisConfig) -> Self {
-        Self::with_rule(analysis, None, true)
-    }
-
-    /// A classifier with explicit stages; at least one of `rule` /
-    /// `unsupervised` must be active (the query builder guarantees this).
-    pub fn with_rule(
-        analysis: &AnalysisConfig,
-        rule: Option<RuleClassifier>,
-        unsupervised: bool,
-    ) -> Self {
-        MdpClassifier {
-            analysis: analysis.clone(),
-            rule,
-            unsupervised,
-            cutoff: None,
-        }
-    }
-
-    /// The percentile score cutoff fitted by the last
-    /// [`classify`](Classifier::classify) call (`None` for rule-only
-    /// classification, which has no score distribution).
-    pub fn cutoff(&self) -> Option<f64> {
-        self.cutoff
-    }
-}
-
-impl Classifier for MdpClassifier {
-    /// Fit, score and threshold as the one-shot engine does, then its label
-    /// step: the same classifications a one-shot query assigns these rows.
-    fn classify(&mut self, points: &[Point]) -> Result<Vec<Classification>> {
-        let dim = check_dimensions(points)?;
-        let flat = flatten_metrics(points, dim);
-        let parts = QueryParts {
-            analysis: &self.analysis,
-            rule: self.rule.as_ref(),
-            unsupervised: self.unsupervised,
-        };
-        let mut trace = TraceBuilder::disabled();
-        let (model, scored) = train_model(parts, &flat, dim, &mut trace)?;
-        self.cutoff = model.cutoff;
-        Ok(label_rows(
-            parts,
-            model.cutoff,
-            scored,
-            &flat,
-            dim,
-            &mut trace,
-        ))
-    }
-}
-
-/// The MDP explanation stage as a reusable [`Explainer`] operator:
-/// dictionary-encode attributes, split transactions by label, and run the
-/// cardinality-aware risk-ratio strategy, ranked and rendered.
-pub struct MdpExplainer {
-    encoder: AttributeEncoder,
-    config: ExplanationConfig,
-    batch: ItemBatch,
-    labels: Vec<bool>,
-    scratch: Vec<Item>,
-}
-
-impl MdpExplainer {
-    /// An explainer from an analysis configuration (thresholds + attribute
-    /// column names).
-    pub fn from_analysis(analysis: &AnalysisConfig) -> Self {
-        MdpExplainer {
-            encoder: encoder_for(analysis),
-            config: analysis.explanation,
-            batch: ItemBatch::new(),
-            labels: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-}
-
-impl Explainer for MdpExplainer {
-    fn consume(&mut self, points: &[Point], classifications: &[Classification]) {
-        // Accumulate into the columnar batch: one flat item array + offsets
-        // plus a label per row, instead of one Vec per point. The encode
-        // order (hence id assignment) is identical to the old per-point
-        // push, so rendered explanations cannot drift.
-        for (point, classification) in points.iter().zip(classifications) {
-            self.encoder
-                .encode_point_into(&point.attributes, &mut self.scratch);
-            self.batch.push_row(&self.scratch);
-            self.labels.push(classification.label.is_outlier());
-        }
-    }
-
-    fn explanations(&mut self) -> Vec<RenderedExplanation> {
-        let labels = &self.labels;
-        explain_encoded(self.config, &self.encoder, &self.batch, |r| labels[r])
     }
 }
 
@@ -791,31 +676,6 @@ mod tests {
         // `Auto` resolves by dimensionality, as the engines resolve it.
         check(MadEstimator::new(), EstimatorKind::Auto, &univariate, 1);
         check(McdEstimator::with_defaults(), EstimatorKind::Auto, &multivariate, 3);
-    }
-
-    #[test]
-    fn classifier_operator_reports_cutoff_and_labels() {
-        let points = workload(5_000);
-        let mut classifier = MdpClassifier::from_analysis(query().analysis());
-        let classifications = classifier.classify(&points).unwrap();
-        assert_eq!(classifications.len(), 5_000);
-        let cutoff = classifier.cutoff().unwrap();
-        for c in &classifications {
-            assert_eq!(c.label.is_outlier(), c.score >= cutoff);
-        }
-    }
-
-    #[test]
-    fn explainer_operator_renders_the_planted_device() {
-        let points = workload(5_000);
-        let mut classifier = MdpClassifier::from_analysis(query().analysis());
-        let classifications = classifier.classify(&points).unwrap();
-        let mut explainer = MdpExplainer::from_analysis(query().analysis());
-        explainer.consume(&points, &classifications);
-        let explanations = explainer.explanations();
-        assert!(explanations
-            .iter()
-            .any(|e| e.attributes.iter().any(|a| a.contains("device_bad"))));
     }
 
     #[test]

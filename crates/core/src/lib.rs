@@ -8,9 +8,9 @@
 //! Attention in Fast Data*:
 //!
 //! * [`types`] — [`Point`], labels, and rendered explanation reports.
-//! * [`operator`] — the typed operator interfaces of Table 1 (Ingestor,
-//!   Transformer, Classifier, Explainer), adapters for closures, and the
-//!   batching [`CsvIngestor`](operator::CsvIngestor).
+//! * [`operator`] — the Table 1 stages a query takes from its user
+//!   (Ingestor, Transformer), adapters for closures, and the batching
+//!   [`CsvIngestor`](operator::CsvIngestor).
 //! * [`query`] — the unified surface: an [`MdpQuery`] (shared
 //!   [`AnalysisConfig`] + transformer chain + classifier stages) executed by
 //!   any [`Executor`] backend — one-shot, coordinated partitioned, naïve
@@ -19,8 +19,8 @@
 //! * [`executor`] — the batch core behind those backends: one-shot is
 //!   training followed by the with-model engine over a columnar input,
 //!   coordinated runs the one-shot engine, the naïve engine runs one-shot
-//!   per partition; [`MdpClassifier`] and [`MdpExplainer`] are Table 1
-//!   operator adaptors over it.
+//!   per partition. Classification and explanation are the query's
+//!   configuration, run by these engines, not operators a user plugs in.
 //! * [`streaming`] — the exponentially weighted streaming (EWS) engine and
 //!   the incremental [`StreamingSession`].
 //! * [`parallel`] — the partitioning utilities of the naïve partitioned
@@ -66,7 +66,7 @@ pub mod streaming;
 pub mod types;
 pub mod wire;
 
-pub use executor::{FittedModel, MdpClassifier, MdpExplainer};
+pub use executor::FittedModel;
 pub use mb_classify::{Classification, Label};
 pub use mb_obs::{ObsConfig, QueryTrace};
 pub use parallel::default_num_partitions;

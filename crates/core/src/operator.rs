@@ -1,25 +1,21 @@
-//! The typed operator interfaces of Table 1.
+//! The typed operator interfaces of Table 1 that a query takes from its
+//! user, and the columnar input the engines run on.
 //!
-//! MacroBase enforces pipeline structure through the type system: every
-//! pipeline is `Ingestor → Transformer* → Classifier → Explainer`. In Rust
-//! the stages are traits over batches of [`Point`]s; the compiler rejects a
-//! pipeline that, say, feeds unlabeled points into an explainer, exactly as
-//! the paper's Java prototype does with its generics. The
-//! `stream<(label, Point)>` between classifier and explainer is represented
-//! as parallel slices (`&[Point]` + `&[Classification]`) so no stage has to
-//! clone or re-own the batch. Closure adapters are provided so quick
+//! The paper types every pipeline as `Ingestor → Transformer* → Classifier
+//! → Explainer`. A user plugs in the first two stages: an [`Ingestor`]
+//! produces batches of [`Point`]s (or, through
+//! [`Ingestor::next_encoded_batch`], columns), and a chain of
+//! [`Transformer`]s rewrites them. Classification and explanation are query
+//! configuration (estimator, rule, percentile and explanation thresholds on
+//! [`crate::query::MdpQuery`]), not user types: every
+//! [`crate::query::Executor`] backend runs them itself over a
+//! [`ColumnarInput`]. Closure adapters are provided so quick
 //! domain-specific transforms don't require a new type.
-//!
-//! The MDP's own stages implement them as
-//! [`crate::executor::MdpClassifier`] and [`crate::executor::MdpExplainer`],
-//! adaptors over the batch core the [`crate::query::Executor`] backends run
-//! on columns ([`ColumnarInput`]).
 
 use crate::executor::{encoder_for, leading_dimension, pool_snapshot};
 use crate::parallel::resolve_num_partitions;
 use crate::query::{AnalysisConfig, Executor};
 use crate::types::Point;
-use mb_classify::{Classification, Label};
 use mb_explain::encoder::{encode_rows_parallel, ShardDictionary, ShardEncoder};
 use mb_explain::{AttributeEncoder, ItemBatch};
 use mb_ingest::csv::{CsvError, CsvQuery, CsvReader, RowSink, BLOCK_BYTES};
@@ -218,7 +214,7 @@ pub trait Ingestor {
     ///
     /// The default adapts [`next_batch`](Ingestor::next_batch), so every
     /// ingestor gets the columnar surface; sources that can encode straight
-    /// from their wire format (CSV, scenario corpora) override it to skip
+    /// from their wire format ([`CsvIngestor`]) override it to skip
     /// materializing `Point`s entirely. Encoding order must equal point
     /// order so dictionary ids match a serial `encode_point` pass.
     fn next_encoded_batch(
@@ -258,23 +254,6 @@ pub trait Ingestor {
 pub trait Transformer {
     /// Transform a batch of points.
     fn transform(&mut self, points: Vec<Point>) -> Vec<Point>;
-}
-
-/// A classifier labels points (`stream<Point> → stream<(label, Point)>`).
-pub trait Classifier {
-    /// Classify a batch of points, returning one scored label per point in
-    /// input order.
-    fn classify(&mut self, points: &[Point]) -> crate::Result<Vec<Classification>>;
-}
-
-/// An explainer aggregates labeled points into explanations
-/// (`stream<(label, Point)> → stream<Explanation>`).
-pub trait Explainer {
-    /// Consume a batch of classified points (parallel slices, one
-    /// classification per point).
-    fn consume(&mut self, points: &[Point], classifications: &[Classification]);
-    /// Produce the current explanations on demand.
-    fn explanations(&mut self) -> Vec<crate::types::RenderedExplanation>;
 }
 
 /// An ingestor over an in-memory vector of points (batch execution is
@@ -344,33 +323,6 @@ impl<F: FnMut(Vec<Point>) -> Vec<Point>> BatchTransformer<F> {
 impl<F: FnMut(Vec<Point>) -> Vec<Point>> Transformer for BatchTransformer<F> {
     fn transform(&mut self, points: Vec<Point>) -> Vec<Point> {
         (self.f)(points)
-    }
-}
-
-/// A rule-based [`Classifier`] built from `mb_classify`'s supervised rules.
-pub struct RuleBasedClassifier {
-    rule: mb_classify::rule::RuleClassifier,
-}
-
-impl RuleBasedClassifier {
-    /// Wrap a rule.
-    pub fn new(rule: mb_classify::rule::RuleClassifier) -> Self {
-        RuleBasedClassifier { rule }
-    }
-}
-
-impl Classifier for RuleBasedClassifier {
-    fn classify(&mut self, points: &[Point]) -> crate::Result<Vec<Classification>> {
-        Ok(points
-            .iter()
-            .map(|point| {
-                let label = self.rule.classify(&point.metrics);
-                Classification {
-                    score: if label == Label::Outlier { 1.0 } else { 0.0 },
-                    label,
-                }
-            })
-            .collect())
     }
 }
 
@@ -567,7 +519,6 @@ impl<R: BufRead> Ingestor for CsvIngestor<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mb_classify::rule::{Comparison, RuleClassifier};
 
     /// `n` rows of `dim` metrics over three attribute columns whose values
     /// recur, arrive late and repeat across columns.
@@ -717,20 +668,6 @@ mod tests {
         let out = t.transform(input);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].metrics[0], 0.5);
-    }
-
-    #[test]
-    fn rule_classifier_labels_by_predicate() {
-        let mut c = RuleBasedClassifier::new(RuleClassifier::single(
-            0,
-            Comparison::GreaterThan,
-            100.0,
-        ));
-        let out = c
-            .classify(&[Point::simple(150.0, "a"), Point::simple(50.0, "b")])
-            .unwrap();
-        assert_eq!(out[0].label, Label::Outlier);
-        assert_eq!(out[1].label, Label::Inlier);
     }
 
     #[test]

@@ -59,6 +59,7 @@ use crate::streaming::StreamingSession;
 use crate::types::{MdpReport, Point};
 use crate::{PipelineError, Result};
 use mb_classify::rule::RuleClassifier;
+use mb_classify::streaming::WARMUP_POINTS;
 use mb_explain::ExplanationConfig;
 use mb_obs::TraceBuilder;
 use std::borrow::Cow;
@@ -153,7 +154,10 @@ impl Default for AnalysisConfig {
 /// decay cadence (Sections 4.2 and 5.3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingOptions {
-    /// Reservoir / sketch sizes (paper default 10K; at most 1,048,576).
+    /// Reservoir / sketch sizes (paper default 10K; at most 1,048,576). A
+    /// query with an unsupervised stage needs at least
+    /// [`WARMUP_POINTS`] (100), the classifier's warm-up; a rule-only query
+    /// takes any size from 1.
     pub reservoir_size: usize,
     /// Decay rate applied at each period boundary (paper default 0.01).
     pub decay_rate: f64,
@@ -327,6 +331,16 @@ impl MdpQuery {
             if !(0.0..=1.0).contains(&percentile) {
                 return Err(PipelineError::InvalidConfiguration(format!(
                     "streaming target_percentile must be in [0, 1], got {percentile}"
+                )));
+            }
+            // The classifier trains once its reservoir holds the warm-up,
+            // so a smaller reservoir would never label an outlier. A
+            // rule-only query builds no classifier.
+            if self.unsupervised && options.reservoir_size < WARMUP_POINTS {
+                return Err(PipelineError::InvalidConfiguration(format!(
+                    "streaming option reservoir_size must be at least {WARMUP_POINTS} \
+                     for an unsupervised query, got {}",
+                    options.reservoir_size
                 )));
             }
             if self.analysis.retain_scores {
@@ -799,6 +813,7 @@ mod tests {
         let base = StreamingOptions::default;
         let cases = [
             ("reservoir_size", StreamingOptions { reservoir_size: 0, ..base() }),
+            ("reservoir_size", StreamingOptions { reservoir_size: 99, ..base() }),
             ("reservoir_size", StreamingOptions { reservoir_size: (1 << 20) + 1, ..base() }),
             ("reservoir_size", StreamingOptions { reservoir_size: usize::MAX, ..base() }),
             ("decay_rate", StreamingOptions { decay_rate: 1.5, ..base() }),
@@ -822,13 +837,27 @@ mod tests {
         }
         // The edges of the valid ranges are accepted.
         let edge = StreamingOptions {
-            reservoir_size: 1,
+            reservoir_size: 100,
             decay_rate: 0.0,
             decay_period: 1,
             retrain_period: 1,
             ..base()
         };
         assert!(MdpQuery::with_defaults().into_streaming(&edge).is_ok());
+        // A rule-only query builds no classifier, so it needs no warm-up:
+        // a one-point reservoir still opens and labels by its rule.
+        let tiny = StreamingOptions {
+            reservoir_size: 1,
+            ..base()
+        };
+        let rule_only = MdpQuery::builder()
+            .without_unsupervised()
+            .supervised_rule(RuleClassifier::single(0, Comparison::GreaterThan, 100.0))
+            .build()
+            .unwrap();
+        let mut session = rule_only.into_streaming(&tiny).unwrap();
+        let label = session.observe(&Point::simple(150.0, "a")).unwrap();
+        assert_eq!(label, crate::Label::Outlier);
 
         for min_support in [0.0, 1.0, f64::NAN] {
             let thresholds = ExplanationConfig::new(min_support, 3.0);

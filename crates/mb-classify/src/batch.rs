@@ -6,7 +6,7 @@
 //! point, and cuts at the target percentile of the observed scores.
 
 use crate::threshold::StaticThreshold;
-use crate::{Classification, Label};
+use crate::Classification;
 use mb_stats::{Estimator, Result, StatsError};
 
 /// Configuration for the batch classifier.
@@ -35,17 +35,12 @@ impl Default for BatchClassifierConfig {
 pub struct BatchClassifier<E: Estimator> {
     estimator: E,
     config: BatchClassifierConfig,
-    threshold: Option<StaticThreshold>,
 }
 
 impl<E: Estimator> BatchClassifier<E> {
     /// Wrap an (untrained) estimator.
     pub fn new(estimator: E, config: BatchClassifierConfig) -> Self {
-        BatchClassifier {
-            estimator,
-            config,
-            threshold: None,
-        }
+        BatchClassifier { estimator, config }
     }
 
     /// Train the estimator on a row-major metric buffer (`dim` values per
@@ -54,15 +49,14 @@ impl<E: Estimator> BatchClassifier<E> {
     /// (`stride = rows.div_ceil(k)`).
     ///
     /// This is the model half of [`classify_batch_flat`], split out so a
-    /// single globally fitted model can be broadcast to partitions: fit
-    /// once, share the classifier by reference across threads (the trained
-    /// estimators are plain data, hence `Sync`), and score with
-    /// [`score_batch_flat`]. The threshold can then be derived from the
-    /// *merged* partition scores and installed with [`set_threshold`].
+    /// fitted model can be kept and scored later: a query's model is this
+    /// fit, then [`score_batch_flat`] over the batch and a
+    /// [`StaticThreshold`] cut from those scores, and a pre-trained model
+    /// scores further batches without refitting. The trained estimators are
+    /// plain data, hence `Sync`, so one fit can be shared by reference.
     ///
     /// [`classify_batch_flat`]: BatchClassifier::classify_batch_flat
     /// [`score_batch_flat`]: BatchClassifier::score_batch_flat
-    /// [`set_threshold`]: BatchClassifier::set_threshold
     pub fn fit_flat(&mut self, flat: &[f64], dim: usize) -> Result<()> {
         if flat.is_empty() || dim == 0 {
             return Err(StatsError::EmptyInput);
@@ -95,79 +89,34 @@ impl<E: Estimator> BatchClassifier<E> {
         }
     }
 
-    /// Score a single point with the fitted model, without classifying it
-    /// (no threshold required, unlike [`classify_point`]).
-    ///
-    /// [`classify_point`]: BatchClassifier::classify_point
-    pub fn score_point(&self, metrics: &[f64]) -> Result<f64> {
-        self.estimator.score(metrics)
-    }
-
     /// Score a row-major metric buffer (`dim` values per row) with the
     /// fitted model through [`Estimator::score_batch_flat`], so estimators
     /// with a parallel bulk path (MCD's pool-scattered distance pass) use
-    /// it. The scores are exactly what row-by-row [`score_point`] returns,
-    /// so partitioned callers can batch without perturbing results.
-    ///
-    /// [`score_point`]: BatchClassifier::score_point
+    /// it. The scores are exactly what row-by-row [`Estimator::score`] on
+    /// [`estimator`](BatchClassifier::estimator) returns, so a caller that
+    /// scores one row at a time agrees with one that scores the batch.
     pub fn score_batch_flat(&self, flat: &[f64], dim: usize) -> Result<Vec<f64>> {
         self.estimator.score_batch_flat(flat, dim)
     }
 
-    /// Train the estimator and threshold on a row-major metric buffer
-    /// (`dim` values per row), then score and label every row.
+    /// Train the estimator on a row-major metric buffer (`dim` values per
+    /// row), score every row, and label it against the target percentile
+    /// of those scores.
     ///
     /// Returns one [`Classification`] per row, in row order.
     pub fn classify_batch_flat(&mut self, flat: &[f64], dim: usize) -> Result<Vec<Classification>> {
         self.fit_flat(flat, dim)?;
         let scores: Vec<f64> = self.estimator.score_batch_flat(flat, dim)?;
         let threshold = StaticThreshold::from_scores(&scores, self.config.target_percentile)?;
-        self.threshold = Some(threshold);
         Ok(scores
             .into_iter()
             .map(|score| threshold.classify(score))
             .collect())
     }
 
-    /// Install an externally computed threshold — e.g. the global percentile
-    /// cutoff of scores merged across partitions.
-    pub fn set_threshold(&mut self, threshold: StaticThreshold) {
-        self.threshold = Some(threshold);
-    }
-
-    /// Score and label a single point using the model and threshold fitted by
-    /// the last [`classify_batch_flat`] call (or installed with
-    /// [`set_threshold`]).
-    ///
-    /// [`classify_batch_flat`]: BatchClassifier::classify_batch_flat
-    /// [`set_threshold`]: BatchClassifier::set_threshold
-    pub fn classify_point(&self, metrics: &[f64]) -> Result<Classification> {
-        let threshold = self.threshold.ok_or(StatsError::NotTrained)?;
-        let score = self.estimator.score(metrics)?;
-        Ok(threshold.classify(score))
-    }
-
-    /// The trained threshold, if any.
-    pub fn threshold(&self) -> Option<StaticThreshold> {
-        self.threshold
-    }
-
     /// Access the wrapped estimator.
     pub fn estimator(&self) -> &E {
         &self.estimator
-    }
-
-    /// Convenience: split classifications into (outlier indices, inlier indices).
-    pub fn partition_indices(classifications: &[Classification]) -> (Vec<usize>, Vec<usize>) {
-        let mut outliers = Vec::new();
-        let mut inliers = Vec::new();
-        for (idx, c) in classifications.iter().enumerate() {
-            match c.label {
-                Label::Outlier => outliers.push(idx),
-                Label::Inlier => inliers.push(idx),
-            }
-        }
-        (outliers, inliers)
     }
 }
 
@@ -219,7 +168,9 @@ mod tests {
             },
         );
         let result = c.classify_batch_flat(&metrics, 1).unwrap();
-        let (outlier_idx, _) = BatchClassifier::<MadEstimator>::partition_indices(&result);
+        let outlier_idx: Vec<usize> = (0..result.len())
+            .filter(|&i| result[i].label.is_outlier())
+            .collect();
         // All injected indices must be flagged.
         for i in 0..50 {
             assert!(
@@ -276,8 +227,9 @@ mod tests {
 
     #[test]
     fn fit_then_broadcast_matches_classify_batch() {
-        // The fit/score/set_threshold decomposition must reproduce
-        // classify_batch_flat exactly: same model, same scores, same labels.
+        // A query's model is fit_flat, then score_batch_flat, then a
+        // StaticThreshold cut from those scores: that sequence must label
+        // every row exactly as classify_batch_flat does.
         let mut rng = SplitMix64::new(6);
         let mut metrics = univariate(&mut rng, 10_000, 10.0, 1.0);
         for i in 0..100 {
@@ -287,32 +239,21 @@ mod tests {
         let mut reference = BatchClassifier::new(MadEstimator::new(), config);
         let expected = reference.classify_batch_flat(&metrics, 1).unwrap();
 
-        let mut shared = BatchClassifier::new(MadEstimator::new(), config);
-        shared.fit_flat(&metrics, 1).unwrap();
-        // "Partitions" score against the shared model by reference.
-        let shared_ref = &shared;
-        let scores: Vec<f64> = metrics
-            .chunks_exact(1)
-            .map(|row| shared_ref.score_point(row).unwrap())
-            .collect();
+        let mut model = BatchClassifier::new(MadEstimator::new(), config);
+        model.fit_flat(&metrics, 1).unwrap();
+        let scores = model.score_batch_flat(&metrics, 1).unwrap();
         let threshold =
             StaticThreshold::from_scores(&scores, config.target_percentile).unwrap();
-        shared.set_threshold(threshold);
-        assert_eq!(
-            shared.threshold().unwrap().cutoff(),
-            reference.threshold().unwrap().cutoff()
-        );
-        for (row, expected) in metrics.chunks_exact(1).zip(expected.iter()) {
-            let got = shared.classify_point(row).unwrap();
-            assert_eq!(got.label, expected.label);
-            assert_eq!(got.score, expected.score);
+        assert_eq!(scores.len(), expected.len());
+        for (&score, expected) in scores.iter().zip(&expected) {
+            assert_eq!(threshold.classify(score), *expected);
         }
     }
 
     #[test]
     fn score_batch_matches_score_point_for_mcd() {
-        // The bulk path runs MCD's parallel distance pass; partitioned
-        // executors rely on it returning exactly the per-point scores.
+        // The bulk path runs MCD's parallel distance pass; the streaming
+        // path scores one row at a time and relies on the two agreeing.
         let mut rng = SplitMix64::new(7);
         let metrics: Vec<f64> = (0..4_000)
             .flat_map(|_| [normal(&mut rng, 0.0, 1.0), normal(&mut rng, 2.0, 1.0)])
@@ -325,7 +266,7 @@ mod tests {
         let batch = c.score_batch_flat(&metrics, 2).unwrap();
         assert_eq!(batch.len(), 4_000);
         for (row, &s) in metrics.chunks_exact(2).zip(batch.iter()) {
-            assert_eq!(s, c.score_point(row).unwrap());
+            assert_eq!(s, c.estimator().score(row).unwrap());
         }
     }
 
@@ -362,22 +303,6 @@ mod tests {
             McdEstimator::with_defaults().train_flat(&[1.0, 2.0, 3.0], 2),
             Err(ragged)
         );
-    }
-
-    #[test]
-    fn classify_point_requires_prior_batch() {
-        let c = BatchClassifier::new(MadEstimator::new(), BatchClassifierConfig::default());
-        assert_eq!(c.classify_point(&[1.0]), Err(StatsError::NotTrained));
-    }
-
-    #[test]
-    fn classify_point_after_batch() {
-        let mut rng = SplitMix64::new(5);
-        let metrics = univariate(&mut rng, 5_000, 0.0, 1.0);
-        let mut c = BatchClassifier::new(MadEstimator::new(), BatchClassifierConfig::default());
-        c.classify_batch_flat(&metrics, 1).unwrap();
-        assert_eq!(c.classify_point(&[0.0]).unwrap().label, Label::Inlier);
-        assert_eq!(c.classify_point(&[100.0]).unwrap().label, Label::Outlier);
     }
 
     #[test]

@@ -16,16 +16,19 @@ use crate::threshold::StreamingPercentileThreshold;
 use crate::{Classification, Label};
 use mb_sketch::adr::{AdaptableDampedReservoir, DecayPolicy};
 use mb_sketch::StreamSampler;
-use mb_stats::{Estimator, Result};
+use mb_stats::{Estimator, Result, StatsError};
 
-/// Minimum number of buffered points before the first model training.
-const WARMUP_POINTS: usize = 100;
+/// Points the input reservoir must hold before the first model training,
+/// and scores the streaming threshold must hold before it labels an outlier
+/// (one warm-up for both). A reservoir smaller than this never fills to it,
+/// so [`StreamingClassifier::new`] refuses one.
+pub const WARMUP_POINTS: usize = 100;
 
 /// Configuration for the streaming classifier.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamingClassifierConfig {
-    /// Size of both the input (training) and the score reservoir. Paper
-    /// default: 10K.
+    /// Size of both the input (training) and the score reservoir, at least
+    /// [`WARMUP_POINTS`]. Paper default: 10K.
     pub reservoir_size: usize,
     /// Decay rate applied to both reservoirs at each period boundary.
     /// Paper default: 0.01 every 100K points.
@@ -67,8 +70,16 @@ pub struct StreamingClassifier<E: Estimator> {
 }
 
 impl<E: Estimator> StreamingClassifier<E> {
-    /// Create a streaming classifier around an (untrained) estimator.
+    /// Create a streaming classifier around an (untrained) estimator. A
+    /// reservoir smaller than [`WARMUP_POINTS`] is refused: it could never
+    /// hold enough points to train.
     pub fn new(estimator: E, config: StreamingClassifierConfig) -> Result<Self> {
+        if config.reservoir_size < WARMUP_POINTS {
+            return Err(StatsError::InvalidParameter(format!(
+                "reservoir size must be at least {WARMUP_POINTS}, got {}",
+                config.reservoir_size
+            )));
+        }
         let input_reservoir = AdaptableDampedReservoir::new(
             config.reservoir_size,
             config.decay_rate,
@@ -205,6 +216,34 @@ mod tests {
             target_percentile: 0.99,
             seed: 7,
         }
+    }
+
+    #[test]
+    fn a_reservoir_below_the_warm_up_is_refused() {
+        // It would never hold WARMUP_POINTS points, so the model would never
+        // train and no point would ever be labeled an outlier.
+        for reservoir_size in [0, 1, WARMUP_POINTS - 1] {
+            let cfg = StreamingClassifierConfig {
+                reservoir_size,
+                ..test_config()
+            };
+            let refused = StreamingClassifier::new(MadEstimator::new(), cfg);
+            assert!(
+                matches!(refused, Err(StatsError::InvalidParameter(_))),
+                "{reservoir_size}"
+            );
+        }
+        let cfg = StreamingClassifierConfig {
+            reservoir_size: WARMUP_POINTS,
+            ..test_config()
+        };
+        let mut rng = SplitMix64::new(8);
+        let mut c = StreamingClassifier::new(MadEstimator::new(), cfg).unwrap();
+        for _ in 0..2_000 {
+            c.observe(&[normal(&mut rng, 0.0, 1.0)]);
+        }
+        assert!(c.is_trained());
+        assert!(c.observe(&[1_000.0]).label.is_outlier());
     }
 
     #[test]

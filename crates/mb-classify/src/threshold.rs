@@ -7,16 +7,12 @@
 //! sample of recent scores, with a binomial drift check (Section 4.2,
 //! footnote 4) that tells the caller when the threshold should be recomputed.
 
+use crate::streaming::WARMUP_POINTS;
 use crate::{Classification, Label};
 use mb_sketch::quantile::AdrQuantileEstimator;
 use mb_stats::confidence::binomial_proportion_interval;
 use mb_stats::univariate::quantile;
 use mb_stats::Result;
-
-/// Number of scores the streaming threshold must accumulate before it starts
-/// labeling points as outliers; with fewer samples the percentile estimate is
-/// too noisy to act on, so everything is conservatively labeled an inlier.
-const MIN_WARMUP_SCORES: usize = 100;
 
 /// A fixed threshold: scores at or above it are outliers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,19 +88,19 @@ impl StreamingPercentileThreshold {
 
     /// Observe a score and classify it against the current threshold.
     ///
-    /// Until `MIN_WARMUP_SCORES` scores have been observed the percentile
+    /// Until [`WARMUP_POINTS`] scores have been observed the percentile
     /// estimate is too noisy to act on, so every point is conservatively
     /// labeled an inlier; the threshold is (re)computed once warm-up ends.
     pub fn observe_and_classify(&mut self, score: f64) -> Classification {
         self.estimator.observe(score);
-        if self.estimator.sample_size() < MIN_WARMUP_SCORES {
+        if self.estimator.sample_size() < WARMUP_POINTS {
             self.recent_total += 1;
             return Classification {
                 score,
                 label: Label::Inlier,
             };
         }
-        if self.estimator.sample_size() == MIN_WARMUP_SCORES {
+        if self.estimator.sample_size() == WARMUP_POINTS {
             // First usable sample: compute the initial cutoff now rather than
             // waiting out the refresh period.
             self.estimator.refresh();

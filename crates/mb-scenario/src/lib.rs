@@ -29,6 +29,11 @@
 //! every accuracy metric computed over it — is byte-stable across runs and
 //! thread counts.
 //!
+//! A [`GeneratedScenario`] is plain rows: run them through any executor as
+//! a slice, or wrap them in a
+//! [`VecIngestor`](macrobase_core::operator::VecIngestor) to drive
+//! [`MdpQuery::execute_ingest`](macrobase_core::query::MdpQuery::execute_ingest).
+//!
 //! ```
 //! use macrobase_core::query::Executor;
 //! use mb_scenario::{eval, LevelShiftScenario, Scenario};
@@ -57,7 +62,6 @@ pub use level_shift::LevelShiftScenario;
 pub use seasonal::SeasonalDriftScenario;
 pub use self_telemetry::SelfTelemetryScenario;
 
-use macrobase_core::operator::{EncodedBatch, Ingestor};
 use macrobase_core::query::{AnalysisConfig, MdpQuery};
 use macrobase_core::types::Point;
 
@@ -83,15 +87,6 @@ pub struct GeneratedScenario {
     pub truth: GroundTruth,
 }
 
-impl GeneratedScenario {
-    /// Split into a batching [`Ingestor`] over the rows and the ground
-    /// truth, for driving
-    /// [`MdpQuery::execute_ingest`](macrobase_core::query::MdpQuery::execute_ingest).
-    pub fn into_source(self, batch_size: usize) -> (ScenarioSource, GroundTruth) {
-        (ScenarioSource::new(self.points, batch_size), self.truth)
-    }
-}
-
 /// A seeded, parameterized fault-injection workload with known ground truth.
 ///
 /// Implementations are plain config structs: construct, adjust fields,
@@ -115,81 +110,6 @@ pub trait Scenario {
     /// in an [`MdpQuery`], ready for any executor.
     fn query(&self) -> macrobase_core::Result<MdpQuery> {
         Ok(MdpQuery::new(self.analysis()))
-    }
-}
-
-/// A batching [`Ingestor`] over a generated scenario's rows.
-#[derive(Debug)]
-pub struct ScenarioSource {
-    points: Vec<Point>,
-    cursor: usize,
-    batch_size: usize,
-}
-
-impl ScenarioSource {
-    /// Wrap `points`, yielding them in batches of `batch_size` (min 1).
-    pub fn new(points: Vec<Point>, batch_size: usize) -> Self {
-        ScenarioSource {
-            points,
-            cursor: 0,
-            batch_size: batch_size.max(1),
-        }
-    }
-
-    /// Total number of rows (delivered plus pending).
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the source holds no rows at all.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-}
-
-impl Ingestor for ScenarioSource {
-    fn next_batch(&mut self) -> macrobase_core::Result<Option<Vec<Point>>> {
-        if self.cursor >= self.points.len() {
-            return Ok(None);
-        }
-        let end = (self.cursor + self.batch_size).min(self.points.len());
-        let batch = self.points[self.cursor..end].to_vec();
-        self.cursor = end;
-        Ok(Some(batch))
-    }
-
-    // Encode straight off the stored points instead of cloning a `Vec<Point>`
-    // per batch (the default adapter would pay that clone only to discard the
-    // attribute strings right after encoding them).
-    fn next_encoded_batch(
-        &mut self,
-        encoder: &mut mb_explain::AttributeEncoder,
-    ) -> macrobase_core::Result<Option<EncodedBatch>> {
-        if self.cursor >= self.points.len() {
-            return Ok(None);
-        }
-        let end = (self.cursor + self.batch_size).min(self.points.len());
-        let points = &self.points[self.cursor..end];
-        self.cursor = end;
-        let dim = points[0].dimension();
-        let mut batch = EncodedBatch {
-            metrics: Vec::with_capacity(points.len() * dim),
-            dim,
-            items: mb_explain::ItemBatch::with_capacity(points.len(), 2),
-        };
-        let mut scratch = Vec::new();
-        for p in points {
-            if p.dimension() != dim {
-                return Err(macrobase_core::PipelineError::InconsistentDimensions {
-                    expected: dim,
-                    actual: p.dimension(),
-                });
-            }
-            batch.metrics.extend_from_slice(&p.metrics);
-            encoder.encode_point_into(&p.attributes, &mut scratch);
-            batch.items.push_row(&scratch);
-        }
-        Ok(Some(batch))
     }
 }
 
@@ -221,56 +141,6 @@ pub fn standard_corpus(scale: usize) -> Vec<Box<dyn Scenario>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn source_batches_cover_all_rows() {
-        let scenario = LevelShiftScenario {
-            num_points: 250,
-            ..LevelShiftScenario::default()
-        };
-        let generated = scenario.generate();
-        let expected = generated.points.clone();
-        let (mut source, _truth) = generated.into_source(64);
-        assert_eq!(source.len(), 250);
-        let mut seen = Vec::new();
-        while let Some(batch) = source.next_batch().unwrap() {
-            assert!(batch.len() <= 64);
-            seen.extend(batch);
-        }
-        assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn encoded_batches_match_point_batches() {
-        let scenario = LevelShiftScenario {
-            num_points: 250,
-            ..LevelShiftScenario::default()
-        };
-        let generated = scenario.generate();
-        let (mut points_src, _) = generated.clone().into_source(64);
-        let (mut encoded_src, _) = generated.into_source(64);
-        let mut expected_encoder = mb_explain::AttributeEncoder::new();
-        let mut encoder = mb_explain::AttributeEncoder::new();
-        loop {
-            let points = points_src.next_batch().unwrap();
-            let encoded = encoded_src.next_encoded_batch(&mut encoder).unwrap();
-            let Some(points) = points else {
-                assert!(encoded.is_none());
-                break;
-            };
-            let encoded = encoded.unwrap();
-            assert_eq!(encoded.len(), points.len());
-            assert_eq!(encoded.dim, points[0].dimension());
-            for (r, p) in points.iter().enumerate() {
-                let start = r * encoded.dim;
-                assert_eq!(&encoded.metrics[start..start + encoded.dim], &p.metrics[..]);
-                assert_eq!(
-                    encoded.items.row(r),
-                    expected_encoder.encode_point(&p.attributes)
-                );
-            }
-        }
-    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -213,9 +213,13 @@ impl Server {
     /// Submit a batch query under a fresh id. One-shot executions go
     /// through the shared model cache (train once, score for every
     /// subscriber); partitioned and run-to-completion streaming executions
-    /// run the standalone engines unchanged. A one-shot batch is flattened
-    /// and encoded here, on the caller's thread, into the columns the job
-    /// runs over — the form the wire front end decodes requests into.
+    /// run the standalone engines unchanged. A coordinated job is one of
+    /// these: it runs the one-shot engine as `MdpQuery::execute` does, but
+    /// outside the model cache, so it trains its own model and its result
+    /// carries no model epoch (`model_epoch: null` on the wire). A one-shot
+    /// batch is flattened and encoded here, on the caller's thread, into the
+    /// columns the job runs over — the form the wire front end decodes
+    /// requests into.
     pub fn submit(
         &self,
         id: &str,

@@ -237,6 +237,7 @@ fn invalid_streaming_options_are_typed_errors_and_the_server_lives() {
     for (field, knob) in [
         ("decay_rate", r#""decay_rate":1.5"#),
         ("reservoir_size", r#""reservoir_size":0"#),
+        ("reservoir_size", r#""reservoir_size":99"#),
         ("reservoir_size", r#""reservoir_size":1e12"#),
         ("decay_period", r#""decay_period":0"#),
         ("retrain_period", r#""retrain_period":0"#),

@@ -91,10 +91,7 @@ pub use mb_transform as transform;
 
 /// Commonly used types, re-exported for `use macrobase::prelude::*`.
 pub mod prelude {
-    pub use crate::core::executor::{MdpClassifier, MdpExplainer};
-    pub use crate::core::operator::{
-        Classifier, CsvIngestor, Explainer, Ingestor, Transformer, VecIngestor,
-    };
+    pub use crate::core::operator::{CsvIngestor, Ingestor, Transformer, VecIngestor};
     pub use crate::core::parallel::default_num_partitions;
     pub use crate::core::presentation::render_report;
     pub use crate::core::query::{

@@ -330,6 +330,11 @@ fn every_batch_entry_point_gives_the_same_report_bytes() {
         if case == "retain_scores + retain_outlier_rows" {
             assert_eq!(report.scores.len(), 3_000);
             assert_eq!(report.outlier_rows.len(), report.num_outliers);
+            // A row is an outlier exactly when its score reaches the cutoff.
+            let cutoff = report.score_cutoff.unwrap();
+            let at_or_above: Vec<usize> =
+                (0..report.scores.len()).filter(|&r| report.scores[r] >= cutoff).collect();
+            assert_eq!(report.outlier_rows, at_or_above, "{case}");
         }
         for (name, bytes) in &reports[1..] {
             assert_eq!(bytes, reference, "{case}: {name} differs from {reference_name}");

@@ -16,12 +16,13 @@ use crate::threshold::StreamingPercentileThreshold;
 use crate::{Classification, Label};
 use mb_sketch::adr::{AdaptableDampedReservoir, DecayPolicy};
 use mb_sketch::StreamSampler;
-use mb_stats::{Estimator, Result, StatsError};
+use mb_stats::{Estimator, Result};
 
 /// Points the input reservoir must hold before the first model training,
 /// and scores the streaming threshold must hold before it labels an outlier
 /// (one warm-up for both). A reservoir smaller than this never fills to it,
-/// so [`StreamingClassifier::new`] refuses one.
+/// so [`StreamingClassifier::new`] and [`StreamingPercentileThreshold::new`]
+/// refuse one.
 pub const WARMUP_POINTS: usize = 100;
 
 /// Configuration for the streaming classifier.
@@ -74,18 +75,8 @@ impl<E: Estimator> StreamingClassifier<E> {
     /// reservoir smaller than [`WARMUP_POINTS`] is refused: it could never
     /// hold enough points to train.
     pub fn new(estimator: E, config: StreamingClassifierConfig) -> Result<Self> {
-        if config.reservoir_size < WARMUP_POINTS {
-            return Err(StatsError::InvalidParameter(format!(
-                "reservoir size must be at least {WARMUP_POINTS}, got {}",
-                config.reservoir_size
-            )));
-        }
-        let input_reservoir = AdaptableDampedReservoir::new(
-            config.reservoir_size,
-            config.decay_rate,
-            DecayPolicy::Manual,
-            config.seed,
-        );
+        // Built first: the threshold refuses a reservoir below the warm-up,
+        // which the input reservoir would take (or, at 0, panic on).
         let threshold = StreamingPercentileThreshold::new(
             config.target_percentile,
             config.reservoir_size,
@@ -93,6 +84,12 @@ impl<E: Estimator> StreamingClassifier<E> {
             (config.retrain_period / 10).max(1),
             config.seed.wrapping_add(1),
         )?;
+        let input_reservoir = AdaptableDampedReservoir::new(
+            config.reservoir_size,
+            config.decay_rate,
+            DecayPolicy::Manual,
+            config.seed,
+        );
         Ok(StreamingClassifier {
             estimator,
             config,
@@ -222,7 +219,14 @@ mod tests {
     fn a_reservoir_below_the_warm_up_is_refused() {
         // It would never hold WARMUP_POINTS points, so the model would never
         // train and no point would ever be labeled an outlier.
+        use mb_stats::StatsError;
         for reservoir_size in [0, 1, WARMUP_POINTS - 1] {
+            let threshold =
+                StreamingPercentileThreshold::new(0.99, reservoir_size, 0.0, 10, 1);
+            assert!(
+                matches!(threshold, Err(StatsError::InvalidParameter(_))),
+                "{reservoir_size}"
+            );
             let cfg = StreamingClassifierConfig {
                 reservoir_size,
                 ..test_config()

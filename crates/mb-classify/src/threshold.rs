@@ -12,7 +12,7 @@ use crate::{Classification, Label};
 use mb_sketch::quantile::AdrQuantileEstimator;
 use mb_stats::confidence::binomial_proportion_interval;
 use mb_stats::univariate::quantile;
-use mb_stats::Result;
+use mb_stats::{Result, StatsError};
 
 /// A fixed threshold: scores at or above it are outliers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,7 +64,9 @@ impl StreamingPercentileThreshold {
     /// Create a streaming threshold at the given `percentile ∈ [0, 1]`.
     ///
     /// `capacity`, `decay_rate`, `refresh_period`, and `seed` configure the
-    /// underlying score reservoir (see [`AdrQuantileEstimator`]).
+    /// underlying score reservoir (see [`AdrQuantileEstimator`]). A
+    /// `capacity` below [`WARMUP_POINTS`] is refused: the reservoir would
+    /// never hold the warm-up, so no score would ever be labeled an outlier.
     pub fn new(
         percentile: f64,
         capacity: usize,
@@ -72,6 +74,11 @@ impl StreamingPercentileThreshold {
         refresh_period: u64,
         seed: u64,
     ) -> Result<Self> {
+        if capacity < WARMUP_POINTS {
+            return Err(StatsError::InvalidParameter(format!(
+                "score reservoir capacity must be at least {WARMUP_POINTS}, got {capacity}"
+            )));
+        }
         Ok(StreamingPercentileThreshold {
             estimator: AdrQuantileEstimator::new(
                 percentile,

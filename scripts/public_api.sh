@@ -1,19 +1,11 @@
 #!/usr/bin/env bash
-# Public-API inventory check for the redesigned query surface.
+# Public-API inventory check.
 #
-# Dumps every `pub` item declared in the facade (src/lib.rs), in
-# macrobase-core (crates/core/src/*.rs), in mb-classify
-# (crates/mb-classify/src/*.rs), in mb-scenario
-# (crates/mb-scenario/src/*.rs), in mb-obs (crates/mb-obs/src/*.rs), in
-# mb-serve (crates/mb-serve/src/*.rs), in mb-lint
-# (crates/mb-lint/src/*.rs), and in mb-pool (crates/mb-pool/src/*.rs) —
-# the crates whose API the MdpQuery/Executor redesign, the classifiers the
-# engines drive (which keep only the calls the tree makes), the accuracy
-# harness, the telemetry layer, the serving layer, the static-analysis
-# gate, and the thread-pool stand-in (which keeps only the calls the tree
-# makes) own — and diffs the inventory against the blessed snapshot in
-# scripts/public_api.txt. CI runs this so a PR cannot
-# silently add, remove, or rename public surface: an intentional change is
+# Dumps every `pub` item declared in the facade (src/lib.rs) and in every
+# library crate of the workspace (crates/*/src/*.rs, one glob, so a new
+# crate cannot be left out) and diffs the inventory against the blessed
+# snapshot in scripts/public_api.txt. CI runs this so a PR cannot silently
+# add, remove, or rename public surface: an intentional change is
 # re-blessed with `scripts/public_api.sh --bless` and shows up in review as
 # a snapshot diff.
 #
@@ -28,7 +20,7 @@ cd "$(dirname "$0")/.."
 SNAPSHOT=scripts/public_api.txt
 
 dump() {
-  for f in src/lib.rs crates/core/src/*.rs crates/mb-classify/src/*.rs crates/mb-lint/src/*.rs crates/mb-obs/src/*.rs crates/mb-pool/src/*.rs crates/mb-scenario/src/*.rs crates/mb-serve/src/*.rs; do
+  for f in src/lib.rs crates/*/src/*.rs; do
     awk -v file="$f" '
       function emit(line) {
         sub(/^[ \t]+/, "", line)

@@ -533,9 +533,10 @@ pub(crate) fn execute_naive(
         partitions: num_partitions,
     };
     let mut trace = TraceBuilder::new(parts.analysis.obs, executor.name());
-    trace.set_partitions(num_partitions);
     let pool_before = pool_snapshot(&trace);
     let chunks = partition_chunks(points, num_partitions);
+    // Chunk sizes round up, so fewer chunks than asked for may run.
+    trace.set_partitions(chunks.len());
 
     // Each partition is a one-shot query of its own, run as a pool task
     // that sees only its chunk. Partitions record their own traces but not
@@ -759,6 +760,17 @@ mod tests {
             auto.partition_reports.unwrap().len(),
             crate::parallel::default_num_partitions()
         );
+        // Chunk sizes round up, so 30 partitions over 100 rows run 25: the
+        // trace records the partitions that ran.
+        let few = workload(100);
+        let traced = run(
+            traced_query(),
+            &Executor::NaivePartitioned { partitions: 30 },
+            &few,
+        );
+        let ran = traced.partition_reports.as_ref().unwrap().len();
+        assert_eq!(ran, 25);
+        assert_eq!(traced.trace.unwrap().partitions, ran as u64);
     }
 
     #[test]

@@ -109,7 +109,8 @@ pub struct AnalysisConfig {
     pub target_percentile: f64,
     /// Explanation thresholds (support / risk ratio).
     pub explanation: ExplanationConfig,
-    /// Optional cap on training sample size (Figure 9). Batch backends only.
+    /// Optional cap on training sample size (Figure 9). Batch backends only;
+    /// a cap of zero fails the fit.
     pub training_sample_size: Option<usize>,
     /// Optional human-readable attribute column names for rendered output.
     pub attribute_names: Vec<String>,

@@ -17,7 +17,10 @@ pub struct BatchClassifierConfig {
     pub target_percentile: f64,
     /// Optional cap on the number of points used for training. `None` trains
     /// on the full batch; `Some(k)` trains on an evenly strided sample of at
-    /// most `k` points (Figure 9's "operating on samples").
+    /// most `k` points (Figure 9's "operating on samples"); [`fit_flat`]
+    /// refuses `Some(0)`.
+    ///
+    /// [`fit_flat`]: BatchClassifier::fit_flat
     pub training_sample_size: Option<usize>,
 }
 
@@ -73,11 +76,16 @@ impl<E: Estimator> BatchClassifier<E> {
                 self.config.target_percentile
             )));
         }
+        if self.config.training_sample_size == Some(0) {
+            return Err(StatsError::InvalidParameter(
+                "training sample size must be positive".to_string(),
+            ));
+        }
         let rows = flat.len() / dim;
         // A strided sample is copied into one contiguous buffer; the
         // full-batch case trains on the input directly.
         match self.config.training_sample_size {
-            Some(k) if k > 0 && k < rows => {
+            Some(k) if k < rows => {
                 let stride = rows.div_ceil(k);
                 let mut sample: Vec<f64> = Vec::with_capacity(rows.div_ceil(stride) * dim);
                 for row in flat.chunks_exact(dim).step_by(stride) {
@@ -283,6 +291,18 @@ mod tests {
         );
         assert!(matches!(
             bad.fit_flat(&[1.0], 1),
+            Err(StatsError::InvalidParameter(_))
+        ));
+        // A cap of zero points is refused, not read as "no cap".
+        let mut zero = BatchClassifier::new(
+            MadEstimator::new(),
+            BatchClassifierConfig {
+                target_percentile: 0.99,
+                training_sample_size: Some(0),
+            },
+        );
+        assert!(matches!(
+            zero.fit_flat(&[1.0, 2.0, 3.0], 1),
             Err(StatsError::InvalidParameter(_))
         ));
     }

@@ -222,6 +222,23 @@ fn protocol_typos_and_misuse_are_typed_errors() {
     // Feeding a batch job id that does not exist.
     let response = request(&server, r#"{"op":"feed","id":"ghost","points":[]}"#);
     assert_eq!(error_kind(&response), "unknown_id");
+
+    // A training sample of zero points fails the job with a typed message,
+    // and the next line is answered.
+    let points: Vec<Point> = corpus().into_iter().take(300).collect();
+    let submit = format!(
+        r#"{{"op":"submit","id":"zero","analysis":{{"training_sample_size":0}},"points":{}}}"#,
+        points_to_json(&points)
+    );
+    assert_ok(&request(&server, &submit));
+    let response = request(&server, r#"{"op":"poll","id":"zero","wait_ms":120000}"#);
+    assert_ok(&response);
+    assert_eq!(get_str(&response, "state"), Some("failed"));
+    assert!(get_str(&response, "message")
+        .unwrap()
+        .contains("training sample size must be positive"));
+    let response = request(&server, r#"{"op":"poll","id":"ghost"}"#);
+    assert_eq!(error_kind(&response), "unknown_id");
 }
 
 #[test]

@@ -38,16 +38,6 @@ pub struct AttributeValue {
     pub value: String,
 }
 
-impl AttributeValue {
-    /// Create an attribute value.
-    pub fn new(column: usize, value: impl Into<String>) -> Self {
-        AttributeValue {
-            column,
-            value: value.into(),
-        }
-    }
-}
-
 impl std::fmt::Display for AttributeValue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "attr{}={}", self.column, self.value)
@@ -233,11 +223,6 @@ impl AttributeEncoder {
                 .enumerate()
                 .map(|(column, value)| self.encode(column, value)),
         );
-    }
-
-    /// Look up an item id without interning; `None` if never seen.
-    pub fn lookup(&self, column: usize, value: &str) -> Option<Item> {
-        self.find(key_hash(column, value), column, value)
     }
 
     fn find(&self, hash: u64, column: usize, value: &str) -> Option<Item> {
@@ -560,7 +545,7 @@ mod tests {
     #[test]
     fn lookup_does_not_intern() {
         let enc = AttributeEncoder::new();
-        assert_eq!(enc.lookup(0, "nope"), None);
+        assert_eq!(enc.find(key_hash(0, "nope"), 0, "nope"), None);
         assert_eq!(enc.cardinality(), 0);
     }
 
@@ -619,7 +604,10 @@ mod tests {
         let parallel_txns = encode_batch_parallel(&mut parallel_enc, &pool, &rows, 5).to_rows();
         assert_eq!(parallel_txns, serial_txns);
         assert_eq!(parallel_enc.cardinality(), serial_enc.cardinality());
-        assert_eq!(parallel_enc.lookup(0, "device_3"), Some(0));
+        assert_eq!(
+            parallel_enc.find(key_hash(0, "device_3"), 0, "device_3"),
+            Some(0)
+        );
     }
 
     #[test]
@@ -644,7 +632,10 @@ mod tests {
             minted.intern(&mut encoder).apply(items);
         }
         assert_eq!(items, [vec![0, 1, 2], vec![1, 3, 0]]);
-        assert_eq!(encoder.decode(3), Some(&AttributeValue::new(0, "second")));
+        assert_eq!(encoder.decode(3), Some(&AttributeValue {
+                column: 0,
+                value: "second".to_string()
+            }));
         assert_eq!(encoder.cardinality(), 4);
 
         // A reused dictionary holds only its latest shard.
@@ -788,7 +779,10 @@ mod tests {
             }
             for (r, row) in rows.iter().enumerate() {
                 for (column, (value, &item)) in row.iter().zip(batch.row(r)).enumerate() {
-                    let want = AttributeValue::new(column, value.as_str());
+                    let want = AttributeValue {
+                        column,
+                        value: value.clone(),
+                    };
                     assert_eq!(sharded.decode(item), Some(&want), "case {case}: row {r}");
                 }
             }

@@ -30,7 +30,7 @@ pub struct ItemBatch {
 
 impl ItemBatch {
     /// Create an empty batch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ItemBatch {
             items: Vec::new(),
             offsets: vec![0],

@@ -8,7 +8,7 @@
 //!
 //! * [`encoder`] — dictionary encoding of (attribute column, value) pairs
 //!   into dense item ids used by the itemset miners.
-//! * [`items`] — the columnar [`ItemBatch`] transaction layout (flat item
+//! * `items` — the columnar [`ItemBatch`] transaction layout (flat item
 //!   array + row offsets) the encode pass produces and the batch pipeline
 //!   consumes, so strings stop flowing past ingestion.
 //! * [`mod@risk_ratio`] — the risk-ratio statistic and explanation types.
@@ -45,7 +45,7 @@
 pub mod baselines;
 pub mod batch;
 pub mod encoder;
-pub mod items;
+pub(crate) mod items;
 pub mod risk_ratio;
 pub mod streaming;
 

@@ -13,7 +13,6 @@
 //! whose support among outliers and risk ratio both exceed user thresholds.
 
 use mb_fpgrowth::Item;
-use mb_stats::confidence::{risk_ratio_confidence_interval, ConfidenceInterval};
 
 /// Compute the relative risk ratio from the four contingency counts.
 ///
@@ -43,7 +42,7 @@ pub fn risk_ratio(ao: f64, ai: f64, bo: f64, bi: f64) -> f64 {
 /// Compute the risk ratio from total class sizes instead of complements:
 /// `outlier_count`/`inlier_count` are the occurrences of the combination, and
 /// `total_outliers`/`total_inliers` the class sizes.
-pub fn risk_ratio_from_totals(
+pub(crate) fn risk_ratio_from_totals(
     outlier_count: f64,
     inlier_count: f64,
     total_outliers: f64,
@@ -97,24 +96,6 @@ impl ExplanationStats {
             total_outliers,
             total_inliers,
         }
-    }
-
-    /// Confidence interval on the risk ratio (Appendix B); `level` e.g. 0.95.
-    pub fn confidence_interval(&self, level: f64) -> Option<ConfidenceInterval> {
-        let bo = (self.total_outliers - self.outlier_count).max(0.0);
-        let bi = (self.total_inliers - self.inlier_count).max(0.0);
-        if !self.risk_ratio.is_finite() {
-            return None;
-        }
-        risk_ratio_confidence_interval(
-            self.risk_ratio,
-            self.outlier_count,
-            self.inlier_count,
-            bo,
-            bi,
-            level,
-        )
-        .ok()
     }
 }
 
@@ -211,18 +192,6 @@ mod tests {
         let direct = risk_ratio(30.0, 70.0, 70.0, 930.0);
         let from_totals = risk_ratio_from_totals(30.0, 70.0, 100.0, 1000.0);
         assert!((direct - from_totals).abs() < 1e-12);
-    }
-
-    #[test]
-    fn confidence_interval_present_for_finite_ratio() {
-        let stats = ExplanationStats::from_counts(500.0, 500.0, 1_000.0, 100_000.0);
-        let ci = stats.confidence_interval(0.95).unwrap();
-        assert!(ci.lower < stats.risk_ratio);
-        assert!(ci.upper > stats.risk_ratio);
-        // Infinite ratios have no CI.
-        let perfect = ExplanationStats::from_counts(10.0, 0.0, 10.0, 100.0);
-        assert!(perfect.risk_ratio.is_infinite());
-        assert!(perfect.confidence_interval(0.95).is_none());
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl StreamingExplainer {
     }
 
     /// Current decayed number of inlier points observed.
-    pub fn inlier_count(&self) -> f64 {
+    pub(crate) fn inlier_count(&self) -> f64 {
         self.inlier_tree.total_weight()
     }
 

@@ -348,14 +348,13 @@ fn walk_recorded<T>(
 /// in another, and one open-addressed table from `(parent, item)` to the
 /// child, so a step down the tree is one probe whatever the fan-out and no
 /// node owns heap memory. Siblings are chained by item id, so that
-/// [`for_each_path`](Self::for_each_path) visits them in ascending id without
-/// sorting — the order every float sum downstream of it depends on. Item
+/// `for_each_path` visits them in ascending id without sorting — the order
+/// every float sum downstream of it depends on. Item
 /// frequencies sit in dense vectors behind an item table of the same kind.
 ///
 /// The CPS- and M-CPS-trees record their first window instead: its rows are
 /// kept in order, read by sorting them, and built into the arena once —
-/// pruned, by [`retain_items`](Self::retain_items) or
-/// [`restructure`](Self::restructure), or whole, by the next
+/// pruned, by `retain_items` or `restructure`, or whole, by the next
 /// [`insert`](Self::insert) or when the record reaches 2^17 rows.
 #[derive(Debug, Clone)]
 pub struct StreamingPrefixTree {
@@ -422,17 +421,19 @@ impl StreamingPrefixTree {
     }
 
     /// Number of distinct items currently present in the tree.
-    pub fn distinct_items(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn distinct_items(&self) -> usize {
         self.item_ids.len()
     }
 
     /// Total decayed weight of inserted transactions.
-    pub fn total_weight(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_weight(&self) -> f64 {
         self.total_weight
     }
 
     /// Current per-item decayed frequency.
-    pub fn item_count(&self, item: Item) -> f64 {
+    pub(crate) fn item_count(&self, item: Item) -> f64 {
         match self.item_index.item(item) {
             NONE => 0.0,
             index => self.item_counts[index as usize - 1],
@@ -607,7 +608,7 @@ impl StreamingPrefixTree {
 
     /// Multiply every node count, item count, and the total weight by
     /// `factor` (exponential damping at a window boundary).
-    pub fn decay(&mut self, factor: f64) {
+    pub(crate) fn decay(&mut self, factor: f64) {
         assert!(
             (0.0..=1.0).contains(&factor),
             "decay factor must be in [0, 1]"
@@ -627,7 +628,7 @@ impl StreamingPrefixTree {
     /// at that node. Nothing is allocated per node, and this is the only
     /// traversal of the tree: export, rebuild and the explainers'
     /// counting passes all read the tree through it.
-    pub fn for_each_path(&self, visit: impl FnMut(&[Item], f64)) {
+    pub(crate) fn for_each_path(&self, visit: impl FnMut(&[Item], f64)) {
         self.walk(|item| item, visit);
     }
 
@@ -674,7 +675,7 @@ impl StreamingPrefixTree {
     }
 
     /// Export the tree's contents as weighted transactions.
-    pub fn to_weighted_transactions(&self) -> Vec<(Vec<Item>, f64)> {
+    pub(crate) fn to_weighted_transactions(&self) -> Vec<(Vec<Item>, f64)> {
         let mut out = Vec::new();
         self.for_each_path(|path, weight| out.push((path.to_vec(), weight)));
         out
@@ -682,14 +683,14 @@ impl StreamingPrefixTree {
 
     /// Rebuild the tree so every branch is sorted by current (decayed)
     /// frequency — the CPS-tree's branch-sorting step at a window boundary.
-    pub fn restructure(&mut self) {
+    pub(crate) fn restructure(&mut self) {
         self.rebuild(|_| true);
     }
 
     /// Remove every item not contained in `keep`, then restructure. The
     /// total weight is untouched (transactions whose items were all pruned
     /// still count), so support fractions stay meaningful.
-    pub fn retain_items(&mut self, keep: &HashSet<Item>) {
+    pub(crate) fn retain_items(&mut self, keep: &HashSet<Item>) {
         self.rebuild(|item| keep.contains(&item));
     }
 
@@ -765,7 +766,7 @@ impl StreamingPrefixTree {
     }
 
     /// Mine frequent itemsets from the current tree contents via FPGrowth.
-    pub fn mine(&self, min_support: f64, max_size: usize) -> Vec<FrequentItemset> {
+    pub(crate) fn mine(&self, min_support: f64, max_size: usize) -> Vec<FrequentItemset> {
         let transactions = self.to_weighted_transactions();
         let tree = FpTree::from_weighted_transactions(&transactions, min_support);
         tree.mine(min_support, max_size)
@@ -805,11 +806,6 @@ impl CpsTree {
     pub fn on_window_boundary(&mut self) {
         self.tree.decay(1.0 - self.decay_rate);
         self.tree.restructure();
-    }
-
-    /// Mine itemsets with at least `min_support` (decayed count).
-    pub fn mine(&self, min_support: f64, max_size: usize) -> Vec<FrequentItemset> {
-        self.tree.mine(min_support, max_size)
     }
 
     /// Access the underlying prefix tree (for size comparisons in benches).
@@ -1626,7 +1622,7 @@ mod tests {
         for _ in 0..10 {
             cps.insert(&[3, 4]);
         }
-        let mined = cps.mine(5.0, 2);
+        let mined = cps.tree().mine(5.0, 2);
         // Old pattern decayed to 50 (still above), new pattern at 10.
         assert!(mined.iter().any(|r| r.items == vec![1, 2]));
         assert!(mined.iter().any(|r| r.items == vec![3, 4]));

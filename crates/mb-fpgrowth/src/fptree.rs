@@ -48,7 +48,7 @@ impl Default for FpTree {
 
 impl FpTree {
     /// Create an empty tree.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FpTree {
             nodes: vec![Node {
                 item: Item::MAX,
@@ -98,7 +98,8 @@ impl FpTree {
     }
 
     /// Total weight of inserted transactions.
-    pub fn total_weight(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_weight(&self) -> f64 {
         self.total_weight
     }
 
@@ -268,35 +269,6 @@ impl FpTree {
             suffix.pop();
         }
     }
-
-    /// Export the tree's contents as weighted transactions (the inverse of
-    /// construction). Each node whose count exceeds the sum of its children's
-    /// counts contributes one transaction equal to its root path, weighted by
-    /// the difference. Used by the streaming trees to mine via FPGrowth and
-    /// by tests to check structural invariants.
-    pub fn to_weighted_transactions(&self) -> Vec<(Vec<Item>, f64)> {
-        let mut out = Vec::new();
-        for (idx, node) in self.nodes.iter().enumerate().skip(1) {
-            let child_sum: f64 = node
-                .children
-                .iter()
-                .map(|&(_, c)| self.nodes[c].count)
-                .sum();
-            let own = node.count - child_sum;
-            if own > 1e-12 {
-                let mut path = vec![node.item];
-                let mut up = node.parent;
-                while up != ROOT && up != usize::MAX {
-                    path.push(self.nodes[up].item);
-                    up = self.nodes[up].parent;
-                }
-                path.reverse();
-                out.push((path, own));
-                let _ = idx;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -396,26 +368,6 @@ mod tests {
         assert!(result.iter().all(|r| !r.items.contains(&99)));
         // The total weight still counts every transaction, 98's too.
         assert!((tree.total_weight() - 102.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn to_weighted_transactions_round_trips_counts() {
-        let transactions = classic_transactions();
-        let tree = FpTree::from_transactions(&transactions, 1.0);
-        let exported = tree.to_weighted_transactions();
-        let total: f64 = exported.iter().map(|(_, w)| w).sum();
-        assert!((total - transactions.len() as f64).abs() < 1e-9);
-        // Re-building from the export and mining gives identical results.
-        let rebuilt = FpTree::from_weighted_transactions(&exported, 1.0);
-        let mut a = tree.mine(2.0, usize::MAX);
-        let mut b = rebuilt.mine(2.0, usize::MAX);
-        sort_canonical(&mut a);
-        sort_canonical(&mut b);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.items, y.items);
-            assert!((x.support - y.support).abs() < 1e-9);
-        }
     }
 
     #[test]

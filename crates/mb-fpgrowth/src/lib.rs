@@ -67,7 +67,8 @@ impl FrequentItemset {
 
 /// Sort itemset results canonically (by descending support, then items) so
 /// different miners can be compared in tests.
-pub fn sort_canonical(itemsets: &mut [FrequentItemset]) {
+#[cfg(test)]
+pub(crate) fn sort_canonical(itemsets: &mut [FrequentItemset]) {
     itemsets.sort_by(|a, b| {
         b.support
             .total_cmp(&a.support)
@@ -77,7 +78,8 @@ pub fn sort_canonical(itemsets: &mut [FrequentItemset]) {
 
 /// Brute-force frequent itemset miner used as a test oracle: enumerates every
 /// subset of observed items (only feasible for tiny alphabets).
-pub fn brute_force_frequent_itemsets(
+#[cfg(test)]
+pub(crate) fn brute_force_frequent_itemsets(
     transactions: &[Vec<Item>],
     min_support: f64,
 ) -> Vec<FrequentItemset> {

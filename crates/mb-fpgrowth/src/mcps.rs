@@ -165,12 +165,14 @@ impl McpsTree {
     }
 
     /// The current frequent item set (empty until the first window boundary).
-    pub fn frequent_items(&self) -> &HashSet<Item> {
+    #[cfg(test)]
+    pub(crate) fn frequent_items(&self) -> &HashSet<Item> {
         &self.frequent
     }
 
     /// Number of distinct items currently stored in the tree.
-    pub fn distinct_items(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn distinct_items(&self) -> usize {
         self.tree.distinct_items()
     }
 
@@ -180,7 +182,7 @@ impl McpsTree {
     }
 
     /// Visit every transaction stored in the tree as `(root path, weight)`
-    /// without exporting it (see [`StreamingPrefixTree::for_each_path`]).
+    /// without exporting it (see `StreamingPrefixTree::for_each_path`).
     pub fn for_each_path(&self, visit: impl FnMut(&[Item], f64)) {
         self.tree.for_each_path(visit)
     }

@@ -106,16 +106,6 @@ impl CsvQuery {
     }
 }
 
-/// Result of ingesting a CSV source.
-#[derive(Debug)]
-pub struct CsvIngestResult {
-    /// Successfully parsed records.
-    pub records: Vec<Record>,
-    /// Number of data rows skipped because a metric failed to parse or a
-    /// column was missing.
-    pub skipped_rows: usize,
-}
-
 /// Most bytes [`CsvReader::scan_block`] hands out at once. Blocks are
 /// borrowed from the `BufRead`'s own buffer, so a reader that wants blocks
 /// this large must buffer this much (`CsvIngestor::from_path` does); what a
@@ -561,8 +551,8 @@ impl Span {
 
 /// A streaming CSV reader: parses the header eagerly (so unknown columns
 /// fail at construction), then yields [`Record`]s one at a time without
-/// materializing the file. [`ingest_csv`] is a thin collect over it; batch
-/// ingestion into a running query goes through
+/// materializing the file. Batch ingestion into a running query goes
+/// through
 /// `macrobase_core::operator::CsvIngestor`, which reads by
 /// [block](CsvReader::scan_block) instead.
 ///
@@ -694,12 +684,6 @@ impl<R: BufRead> CsvReader<R> {
         self.skipped_rows
     }
 
-    /// 1-based line number of the most recently read line (the header is
-    /// line 1, the first data row line 2).
-    pub fn line_number(&self) -> usize {
-        self.line_number
-    }
-
     /// The error for a failure on the line `line_number` now names.
     fn failed(&self, failure: Failure) -> CsvError {
         match failure {
@@ -785,28 +769,33 @@ impl<R: BufRead> CsvReader<R> {
     }
 }
 
-/// Ingest CSV data from any buffered reader according to `query`,
-/// materializing every record.
-pub fn ingest_csv<R: BufRead>(reader: R, query: &CsvQuery) -> Result<CsvIngestResult, CsvError> {
-    let mut reader = CsvReader::new(reader, query)?;
-    let mut records = Vec::new();
-    while let Some(record) = reader.next_record()? {
-        records.push(record);
-    }
-    Ok(CsvIngestResult {
-        records,
-        skipped_rows: reader.skipped_rows(),
-    })
-}
-
-/// Ingest a CSV string (convenience for tests and examples).
-pub fn ingest_csv_str(data: &str, query: &CsvQuery) -> Result<CsvIngestResult, CsvError> {
-    ingest_csv(std::io::Cursor::new(data), query)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every record of a CSV source, and how many rows were skipped.
+    #[derive(Debug)]
+    struct CsvIngestResult {
+        records: Vec<Record>,
+        skipped_rows: usize,
+    }
+
+    /// Read `reader` to the end through [`CsvReader::next_record`].
+    fn ingest_csv<R: BufRead>(reader: R, query: &CsvQuery) -> Result<CsvIngestResult, CsvError> {
+        let mut reader = CsvReader::new(reader, query)?;
+        let mut records = Vec::new();
+        while let Some(record) = reader.next_record()? {
+            records.push(record);
+        }
+        Ok(CsvIngestResult {
+            records,
+            skipped_rows: reader.skipped_rows(),
+        })
+    }
+
+    fn ingest_csv_str(data: &str, query: &CsvQuery) -> Result<CsvIngestResult, CsvError> {
+        ingest_csv(std::io::Cursor::new(data), query)
+    }
 
     const SAMPLE: &str = "\
 device_id,app_version,power_drain,trip_time
@@ -1020,7 +1009,8 @@ name,amount
     /// differential tests compare against: `read_line` (which validates the
     /// whole line), then a char-by-char split into owned fields.
     mod oracle {
-        use super::super::{CsvError, CsvIngestResult, CsvQuery};
+        use super::super::{CsvError, CsvQuery};
+        use super::CsvIngestResult;
         use crate::Record;
         use std::io::BufRead;
 
@@ -1283,7 +1273,7 @@ name,amount
                     calls += 1;
                     prop_assert!(calls <= lines, "next_record does not advance");
                 }
-                prop_assert!(reader.line_number() <= lines);
+                prop_assert!(reader.line_number <= lines);
                 // And one per block: an error spends its block.
                 let mut reader =
                     CsvReader::new(std::io::BufReader::with_capacity(32, &data[..]), &query).unwrap();
@@ -1299,7 +1289,7 @@ name,amount
                     calls += 1;
                     prop_assert!(calls <= data.len(), "scan_block does not advance");
                 }
-                prop_assert!(reader.line_number() <= lines);
+                prop_assert!(reader.line_number <= lines);
             }
         }
     }

@@ -103,7 +103,7 @@ pub struct DatasetSpec {
 /// Shape of each dataset, following Table 2's metric/attribute counts and
 /// Appendix D's description of attribute cardinalities (e.g. Accidents has
 /// only 9 weather conditions; Disburse has ~138K distinct recipients).
-pub fn dataset_spec(id: DatasetId) -> DatasetSpec {
+pub(crate) fn dataset_spec(id: DatasetId) -> DatasetSpec {
     match id {
         DatasetId::Liquor => DatasetSpec {
             id,

@@ -73,7 +73,7 @@ impl AnomalyType {
     /// QE queries; the "poorly written query" anomaly (A9) deliberately
     /// perturbs counters outside the common QS set, mirroring the paper's
     /// observation that its correlated metrics are "substantially different".
-    pub fn affected_counters(&self) -> Vec<(usize, f64)> {
+    pub(crate) fn affected_counters(&self) -> Vec<(usize, f64)> {
         match self {
             AnomalyType::WorkloadSpike => vec![(0, 6.0), (1, 5.0), (2, 4.0), (10, 3.0)],
             AnomalyType::IoStress => vec![(3, 6.0), (4, 6.0), (11, 3.0)],

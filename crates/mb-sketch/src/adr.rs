@@ -62,18 +62,8 @@ impl<T> AdaptableDampedReservoir<T> {
         }
     }
 
-    /// Current running weight `cw` (sum of inserted weights after decay).
-    pub fn current_weight(&self) -> f64 {
-        self.current_weight
-    }
-
-    /// Total number of observations (ignoring decay).
-    pub fn observed(&self) -> u64 {
-        self.total_observed
-    }
-
     /// Clone the current sample out of the reservoir.
-    pub fn snapshot(&self) -> Vec<T>
+    pub(crate) fn snapshot(&self) -> Vec<T>
     where
         T: Clone,
     {
@@ -136,7 +126,7 @@ mod tests {
             adr.observe(i);
         }
         assert_eq!(adr.len(), 50);
-        assert_eq!(adr.observed(), 1000);
+        assert_eq!(adr.total_observed, 1000);
     }
 
     #[test]
@@ -145,9 +135,9 @@ mod tests {
         for i in 0..100 {
             adr.observe(i);
         }
-        let before = adr.current_weight();
+        let before = adr.current_weight;
         adr.decay();
-        assert!((adr.current_weight() - before * 0.5).abs() < 1e-9);
+        assert!((adr.current_weight - before * 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -159,7 +149,7 @@ mod tests {
             auto.observe(i);
         }
         // The automatic policy has decayed 10 times; the manual one never.
-        assert!(auto.current_weight() < manual.current_weight());
+        assert!(auto.current_weight < manual.current_weight);
     }
 
     #[test]
@@ -230,12 +220,12 @@ mod tests {
         for _ in 0..10 {
             adr.decay();
         }
-        assert!(adr.current_weight() < 1.0);
+        assert!(adr.current_weight < 1.0);
         for i in 100..200 {
             adr.observe(i);
         }
         assert_eq!(adr.len(), 10);
-        assert!(adr.current_weight() > 0.0);
+        assert!(adr.current_weight > 0.0);
     }
 
     #[test]
@@ -256,7 +246,7 @@ mod tests {
         let mut adr = AdaptableDampedReservoir::new(10, 0.1, DecayPolicy::Manual, 1);
         adr.observe_weighted("a", 5.0);
         adr.observe_weighted("b", 2.5);
-        assert!((adr.current_weight() - 7.5).abs() < 1e-12);
+        assert!((adr.current_weight - 7.5).abs() < 1e-12);
     }
 
     proptest! {
@@ -275,7 +265,7 @@ mod tests {
             }
             prop_assert!(adr.len() <= capacity);
             prop_assert_eq!(adr.len(), n.min(capacity));
-            prop_assert!(adr.current_weight() >= 0.0);
+            prop_assert!(adr.current_weight >= 0.0);
             // Every retained item came from the stream.
             for &x in adr.sample() {
                 prop_assert!(x >= 0.0 && x < n as f64);

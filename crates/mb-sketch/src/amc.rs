@@ -32,7 +32,7 @@ pub enum MaintenancePolicy {
     EveryNObservations(u64),
     /// Run maintenance automatically when the sketch grows to `max` items.
     SizeBound(usize),
-    /// The caller invokes [`AmcSketch::maintain`] explicitly (e.g. on a
+    /// The caller invokes `AmcSketch::maintain` explicitly (e.g. on a
     /// real-time timer), mirroring the ADR's manual decay policy.
     Manual,
 }
@@ -82,15 +82,10 @@ impl<T: Eq + Hash + Clone> AmcSketch<T> {
         }
     }
 
-    /// The weight credited to newly observed items (`w_i` in Algorithm 3).
-    pub fn discarded_weight(&self) -> f64 {
-        self.discarded_weight
-    }
-
     /// Prune the sketch down to its stable size, recording the largest
     /// discarded count. O(I log(1/ε)) via partial selection, amortized across
     /// the maintenance period.
-    pub fn maintain(&mut self) {
+    pub(crate) fn maintain(&mut self) {
         self.observations_since_maintenance = 0;
         if self.counts.len() <= self.stable_size {
             return;
@@ -217,7 +212,7 @@ mod tests {
             assert_eq!(amc.estimate(&i), 0.0);
         }
         // The discarded weight is the largest pruned count (item 89 -> 90).
-        assert_eq!(amc.discarded_weight(), 90.0);
+        assert_eq!(amc.discarded_weight, 90.0);
     }
 
     #[test]
@@ -227,7 +222,7 @@ mod tests {
         amc.observe_count("b", 50.0);
         amc.observe_count("c", 30.0);
         amc.maintain();
-        assert_eq!(amc.discarded_weight(), 30.0);
+        assert_eq!(amc.discarded_weight, 30.0);
         // A new item is credited w_i + c, overestimating rather than
         // underestimating its true count.
         amc.observe_count("d", 1.0);
@@ -247,7 +242,7 @@ mod tests {
             let item = zipf.sample(&mut rng);
             amc.observe(item);
             *exact.entry(item).or_insert(0.0) += 1.0;
-            max_discarded = max_discarded.max(amc.discarded_weight());
+            max_discarded = max_discarded.max(amc.discarded_weight);
         }
         for (item, true_count) in &exact {
             let est = amc.estimate(item);

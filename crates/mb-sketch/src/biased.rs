@@ -41,11 +41,6 @@ impl<T> PerTupleBiasedReservoir<T> {
             total_observed: 0,
         }
     }
-
-    /// Total number of observations so far.
-    pub fn observed(&self) -> u64 {
-        self.total_observed
-    }
 }
 
 impl<T> StreamSampler<T> for PerTupleBiasedReservoir<T> {
@@ -95,7 +90,7 @@ mod tests {
             r.observe(i);
         }
         assert_eq!(r.len(), 10);
-        assert_eq!(r.observed(), 1000);
+        assert_eq!(r.total_observed, 1000);
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl Hasher for FixedHasher {
 /// for free). This replaces the NaN-unsound
 /// `partial_cmp(..).unwrap_or(Equal)` comparators, whose inconsistency could
 /// scramble (or panic) the sort the moment a NaN slipped in.
-pub fn sort_entries_desc<T>(entries: &mut [(T, f64)]) {
+pub(crate) fn sort_entries_desc<T>(entries: &mut [(T, f64)]) {
     entries.sort_by(|a, b| match (a.1.is_nan(), b.1.is_nan()) {
         (true, true) => std::cmp::Ordering::Equal,
         (true, false) => std::cmp::Ordering::Greater,

@@ -100,16 +100,6 @@ impl AdrQuantileEstimator {
         self.cached_threshold.ok_or(StatsError::EmptyInput)
     }
 
-    /// The threshold computed at the last refresh, if any (non-mutating).
-    pub fn cached_threshold(&self) -> Option<f64> {
-        self.cached_threshold
-    }
-
-    /// The configured quantile.
-    pub fn quantile(&self) -> f64 {
-        self.quantile
-    }
-
     /// Number of scores currently retained in the reservoir.
     pub fn sample_size(&self) -> usize {
         self.reservoir.len()
@@ -205,8 +195,8 @@ mod tests {
         for i in 1_000..2_000 {
             est.observe(i as f64);
         }
-        assert_eq!(est.cached_threshold(), Some(t1));
+        assert_eq!(est.cached_threshold, Some(t1));
         est.refresh();
-        assert!(est.cached_threshold().unwrap() > t1);
+        assert!(est.cached_threshold.unwrap() > t1);
     }
 }

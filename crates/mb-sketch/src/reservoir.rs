@@ -28,17 +28,6 @@ impl<T> UniformReservoir<T> {
             rng: SplitMix64::new(seed),
         }
     }
-
-    /// Total number of items observed so far.
-    pub fn observed(&self) -> u64 {
-        self.seen
-    }
-
-    /// Drain the reservoir, returning its contents and resetting state.
-    pub fn drain(&mut self) -> Vec<T> {
-        self.seen = 0;
-        std::mem::take(&mut self.items)
-    }
 }
 
 impl<T> StreamSampler<T> for UniformReservoir<T> {
@@ -86,7 +75,7 @@ mod tests {
             r.observe(i);
         }
         assert_eq!(r.len(), 10);
-        assert_eq!(r.observed(), 1000);
+        assert_eq!(r.seen, 1000);
     }
 
     #[test]
@@ -117,18 +106,6 @@ mod tests {
         }
         let mean = total / count as f64;
         assert!((mean - 499.5).abs() < 30.0, "mean was {mean}");
-    }
-
-    #[test]
-    fn drain_resets_state() {
-        let mut r = UniformReservoir::new(5, 3);
-        for i in 0..100 {
-            r.observe(i);
-        }
-        let drained = r.drain();
-        assert_eq!(drained.len(), 5);
-        assert!(r.is_empty());
-        assert_eq!(r.observed(), 0);
     }
 
     #[test]

@@ -1,18 +1,15 @@
-//! Confidence intervals and multiple-testing corrections (Appendix B).
+//! Confidence intervals.
 //!
-//! MDP's explanations are repeated statistical tests over attribute
-//! combinations, so MacroBase reports a confidence interval on each risk
-//! ratio (the epidemiology formula of Morris & Gardner) and optionally
-//! applies a Bonferroni correction for the number of combinations tested.
-//! A binomial proportion interval is also provided for quantile-drift
-//! detection in the percentile classifier (Section 4.2, footnote 4).
+//! The percentile classifier detects quantile drift (Section 4.2, footnote
+//! 4) with a Wilson interval on the binomial proportion of points it labels
+//! outliers, built on the normal quantile function here.
 
 use crate::{Result, StatsError};
 
 /// Inverse of the standard normal CDF (quantile function) via the
 /// Acklam/Beasley-Springer-Moro rational approximation; max absolute error
 /// ~1.15e-9, far below what confidence reporting needs.
-pub fn normal_quantile(p: f64) -> Result<f64> {
+pub(crate) fn normal_quantile(p: f64) -> Result<f64> {
     if !(0.0..1.0).contains(&p) || p == 0.0 {
         return Err(StatsError::InvalidParameter(format!(
             "quantile probability must be in (0, 1), got {p}"
@@ -67,25 +64,6 @@ pub fn normal_quantile(p: f64) -> Result<f64> {
     Ok(x)
 }
 
-/// Standard normal cumulative distribution function.
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-/// Error function via the Abramowitz & Stegun 7.1.26 approximation
-/// (max error 1.5e-7).
-fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.3275911 * x);
-    let y = 1.0
-        - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
-            + 0.254829592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
-
 /// A two-sided confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
@@ -102,68 +80,6 @@ impl ConfidenceInterval {
     pub fn contains(&self, value: f64) -> bool {
         value >= self.lower && value <= self.upper
     }
-
-    /// Whether the entire interval lies at or above `threshold` — the test
-    /// MacroBase uses to report an explanation "with confidence".
-    pub fn entirely_above(&self, threshold: f64) -> bool {
-        self.lower >= threshold
-    }
-}
-
-/// Confidence interval on a relative risk ratio (Appendix B / Morris &
-/// Gardner): given an attribute combination appearing `ao` times among
-/// outliers and `ai` times among inliers, with `bo` other outliers and `bi`
-/// other inliers, and the point estimate `risk_ratio`, the `1 − p` interval is
-///
-/// ```text
-/// rr × exp(± z_p √(1/ao − 1/(ao+ai) + 1/bo − 1/(bo+bi)))
-/// ```
-pub fn risk_ratio_confidence_interval(
-    risk_ratio: f64,
-    ao: f64,
-    ai: f64,
-    bo: f64,
-    bi: f64,
-    level: f64,
-) -> Result<ConfidenceInterval> {
-    if !(0.0..1.0).contains(&level) || level == 0.0 {
-        return Err(StatsError::InvalidParameter(format!(
-            "confidence level must be in (0, 1), got {level}"
-        )));
-    }
-    if ao <= 0.0 || bo <= 0.0 {
-        // No outlier occurrences (or no other outliers): the interval is
-        // undefined; report a degenerate interval at the point estimate.
-        return Ok(ConfidenceInterval {
-            lower: risk_ratio,
-            upper: risk_ratio,
-            level,
-        });
-    }
-    let z = normal_quantile(1.0 - (1.0 - level) / 2.0)?;
-    let se = (1.0 / ao - 1.0 / (ao + ai) + 1.0 / bo - 1.0 / (bo + bi)).max(0.0).sqrt();
-    Ok(ConfidenceInterval {
-        lower: risk_ratio * (-z * se).exp(),
-        upper: risk_ratio * (z * se).exp(),
-        level,
-    })
-}
-
-/// Bonferroni-corrected confidence level: to keep family-wise confidence
-/// `level` across `num_tests` tests, each individual interval is computed at
-/// `1 − (1 − level) / num_tests`.
-pub fn bonferroni_level(level: f64, num_tests: usize) -> Result<f64> {
-    if !(0.0..1.0).contains(&level) || level == 0.0 {
-        return Err(StatsError::InvalidParameter(format!(
-            "confidence level must be in (0, 1), got {level}"
-        )));
-    }
-    if num_tests == 0 {
-        return Err(StatsError::InvalidParameter(
-            "num_tests must be positive".to_string(),
-        ));
-    }
-    Ok(1.0 - (1.0 - level) / num_tests as f64)
 }
 
 /// Wilson score interval for a binomial proportion (`successes` out of
@@ -201,6 +117,26 @@ pub fn binomial_proportion_interval(
 mod tests {
     use super::*;
 
+    /// Standard normal cumulative distribution function, the oracle the
+    /// quantile function is checked against.
+    fn normal_cdf(x: f64) -> f64 {
+        0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
+    }
+
+    /// Error function via the Abramowitz & Stegun 7.1.26 approximation
+    /// (max error 1.5e-7).
+    fn erf(x: f64) -> f64 {
+        let sign = if x < 0.0 { -1.0 } else { 1.0 };
+        let x = x.abs();
+        let t = 1.0 / (1.0 + 0.3275911 * x);
+        let y = 1.0
+            - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
+                + 0.254829592)
+                * t
+                * (-x * x).exp();
+        sign * y
+    }
+
     #[test]
     fn normal_quantile_known_values() {
         assert!((normal_quantile(0.5).unwrap() - 0.0).abs() < 1e-8);
@@ -222,78 +158,6 @@ mod tests {
             let x = normal_quantile(p).unwrap();
             assert!((normal_cdf(x) - p).abs() < 1e-5, "p = {p}");
         }
-    }
-
-    #[test]
-    fn paper_example_risk_ratio_interval() {
-        // Appendix B: "an attribute combination with risk ratio of 5 that
-        // appears in 1% of 10M points has a 95th percentile confidence
-        // interval of (3.93, 6.07)".  1% of 10M = 100K outliers; the example
-        // treats ao = ai = 50K-ish with bo/bi as the rest — we reproduce the
-        // order of magnitude and tightness rather than the exact split: with
-        // ao = 100_000 occurrences among 100_000 outliers-of-interest out of
-        // 10M total, the interval is tight around 5.
-        let n = 10_000_000.0;
-        let outliers = 0.01 * n;
-        let ao = outliers * 0.5;
-        let ai = outliers * 0.5; // occurrences among inliers
-        let bo = outliers - ao;
-        let bi = n - outliers - ai;
-        let ci = risk_ratio_confidence_interval(5.0, ao, ai, bo, bi, 0.95).unwrap();
-        assert!(ci.lower > 3.5 && ci.lower < 5.0, "lower = {}", ci.lower);
-        assert!(ci.upper < 6.5 && ci.upper > 5.0, "upper = {}", ci.upper);
-        assert!(ci.entirely_above(3.0));
-    }
-
-    #[test]
-    fn small_sample_interval_is_wide() {
-        // Appendix B: the same ratio on a dataset of only 1000 points gives an
-        // effectively meaningless (enormous) interval.
-        let ci_small = risk_ratio_confidence_interval(5.0, 5.0, 5.0, 5.0, 985.0, 0.95).unwrap();
-        let ci_large = risk_ratio_confidence_interval(
-            5.0,
-            50_000.0,
-            50_000.0,
-            50_000.0,
-            9_850_000.0,
-            0.95,
-        )
-        .unwrap();
-        assert!(ci_small.upper - ci_small.lower > 10.0 * (ci_large.upper - ci_large.lower));
-    }
-
-    #[test]
-    fn degenerate_interval_when_no_outlier_occurrences() {
-        let ci = risk_ratio_confidence_interval(2.0, 0.0, 10.0, 5.0, 100.0, 0.95).unwrap();
-        assert_eq!(ci.lower, 2.0);
-        assert_eq!(ci.upper, 2.0);
-    }
-
-    #[test]
-    fn bonferroni_tightens_level() {
-        let corrected = bonferroni_level(0.95, 100).unwrap();
-        assert!((corrected - 0.9995).abs() < 1e-12);
-        assert!(bonferroni_level(0.95, 0).is_err());
-        // Correcting for one test is a no-op.
-        assert!((bonferroni_level(0.95, 1).unwrap() - 0.95).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bonferroni_widens_interval_but_big_data_keeps_it_usable() {
-        // Appendix B claim: even with k = 10M tests, a 10M-point stream keeps
-        // the interval above a risk ratio threshold of 3.
-        let level = bonferroni_level(0.95, 10_000_000).unwrap();
-        let ci = risk_ratio_confidence_interval(
-            5.0,
-            50_000.0,
-            50_000.0,
-            50_000.0,
-            9_850_000.0,
-            level,
-        )
-        .unwrap();
-        assert!(ci.lower > 3.0, "lower = {}", ci.lower);
-        assert!(ci.upper < 7.0, "upper = {}", ci.upper);
     }
 
     #[test]

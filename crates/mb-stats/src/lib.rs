@@ -5,10 +5,10 @@
 //!
 //! * [`univariate`] — means, variances, medians, quantiles, and the Median
 //!   Absolute Deviation (MAD).
-//! * [`matrix`] — a small, dependency-free dense matrix type with the
-//!   reusable factorizations FastMCD's C-step needs
-//!   ([`matrix::LuFactors`], [`matrix::CholeskyFactors`]): factor once,
-//!   derive solve/inverse/log-determinant from the shared factors.
+//! * [`matrix`] — a small, dependency-free dense matrix type and the one
+//!   factorization FastMCD's C-step needs (Cholesky, with LU as the
+//!   fallback): factor once, derive the inverse and the log-determinant
+//!   from the shared factors.
 //! * [`mad`] — the robust univariate outlier scorer based on median/MAD.
 //! * [`mcd`] — the Minimum Covariance Determinant estimator (FastMCD) and
 //!   Mahalanobis-distance scoring for multivariate metrics; starts
@@ -16,12 +16,10 @@
 //!   full sample, with starts, distance passes and subset covariances
 //!   scattered on the shared `mb_pool`.
 //! * [`zscore`] — the non-robust Z-score baseline used in Figure 3.
-//! * [`rand_ext`] — in-repo Gaussian/exponential samplers (Box–Muller) so the
-//!   workspace does not need `rand_distr`.
-//! * [`confidence`] — risk-ratio confidence intervals, binomial proportion
-//!   intervals, and Bonferroni correction (Appendix B).
-//! * [`corrmax`] — the corr-max transformation used to attribute an MCD
-//!   outlier score to individual metric dimensions (Appendix A).
+//! * [`rand_ext`] — in-repo Gaussian (Box–Muller) and Zipfian samplers so
+//!   the workspace does not need `rand_distr`.
+//! * [`confidence`] — risk-ratio confidence intervals and binomial
+//!   proportion intervals (Appendix B).
 //!
 //! All estimators implement the common [`Estimator`] trait so the
 //! classification layer can treat them uniformly.
@@ -42,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod confidence;
-pub mod corrmax;
 pub mod mad;
 pub mod matrix;
 pub mod mcd;

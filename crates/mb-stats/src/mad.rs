@@ -10,7 +10,7 @@ use crate::{Estimator, Result, StatsError};
 
 /// Consistency constant making the MAD comparable to a standard deviation
 /// under a normal distribution (1 / Φ⁻¹(3/4)).
-pub const MAD_TO_SIGMA: f64 = 1.4826;
+pub(crate) const MAD_TO_SIGMA: f64 = 1.4826;
 
 /// Floor applied to a zero MAD so constant-valued samples still produce
 /// finite scores. Mirrors the "trimmed" fallback used by the reference
@@ -51,16 +51,6 @@ impl MadEstimator {
             return Err(StatsError::NotTrained);
         }
         Ok((x - self.median).abs() / self.scaled_mad)
-    }
-
-    /// The fitted median (location), if trained.
-    pub fn median(&self) -> Option<f64> {
-        self.trained.then_some(self.median)
-    }
-
-    /// The fitted scaled MAD (scatter), if trained.
-    pub fn scaled_mad(&self) -> Option<f64> {
-        self.trained.then_some(self.scaled_mad)
     }
 }
 
@@ -196,7 +186,7 @@ mod tests {
         let sample: Vec<f64> = (0..100_000).map(|_| normal(&mut rng, 0.0, 10.0)).collect();
         let mut est = MadEstimator::new();
         est.train_univariate(&sample).unwrap();
-        let sigma_hat = est.scaled_mad().unwrap();
+        let sigma_hat = est.scaled_mad;
         assert!((sigma_hat - 10.0).abs() < 0.3, "scaled MAD was {sigma_hat}");
     }
 
@@ -205,7 +195,7 @@ mod tests {
         fn scores_are_nonnegative_and_zero_at_median(data in prop::collection::vec(-1e4f64..1e4, 3..200)) {
             let mut est = MadEstimator::new();
             est.train_univariate(&data).unwrap();
-            let med = est.median().unwrap();
+            let med = est.median;
             prop_assert!(est.score_value(med).unwrap().abs() < 1e-9);
             for &x in &data {
                 prop_assert!(est.score_value(x).unwrap() >= 0.0);
@@ -216,7 +206,7 @@ mod tests {
         fn score_is_monotone_in_distance_from_median(data in prop::collection::vec(-1e4f64..1e4, 3..100), d1 in 0.0f64..100.0, d2 in 0.0f64..100.0) {
             let mut est = MadEstimator::new();
             est.train_univariate(&data).unwrap();
-            let med = est.median().unwrap();
+            let med = est.median;
             let (near, far) = if d1 < d2 { (d1, d2) } else { (d2, d1) };
             prop_assert!(est.score_value(med + near).unwrap() <= est.score_value(med + far).unwrap() + 1e-12);
         }

@@ -12,11 +12,11 @@
 //! the same schedule:
 //!
 //! 1. **Starts converge on a nested subsample.** When the sample is larger
-//!    than about 1,500 rows, every one of the [`FastMcdConfig::num_starts`]
+//!    than about 1,500 rows, every one of the `FastMcdConfig::num_starts`
 //!    elemental starts iterates on every `stride`-th row only (a
 //!    deterministic strided pick — no RNG). Starts share nothing, so they
 //!    scatter as tasks on [`mb_pool`], each with an RNG split from the seed
-//!    by start index ([`SplitMix64::split`]).
+//!    by start index (`SplitMix64::split`).
 //! 2. **One finalist is polished on the full sample.** Starts are ranked by
 //!    covariance log-determinant on the subsample (ties to the lowest start
 //!    index) and the best is carried to all `n` rows and iterated to
@@ -26,7 +26,7 @@
 //!
 //! A C-step is one Mahalanobis pass, one selection of the `h` smallest
 //! `(d², row)` pairs, one walk in row order collecting the chosen rows, and
-//! one covariance fit with exactly one O(d³) factorization ([`SpdFactors`]),
+//! one covariance fit with exactly one O(d³) factorization (`SpdFactors`),
 //! from which the next inverse and the log-determinant both derive:
 //!
 //! - **The distance pass** is the crate's one distance kernel (chunks of
@@ -34,7 +34,7 @@
 //!   lane keeps the row-at-a-time operation order, so a distance has the
 //!   same bits whichever rows share its step. Scoring
 //!   ([`Estimator::score_batch_flat`] and
-//!   [`McdEstimator::squared_mahalanobis`]) runs the same kernel.
+//!   `McdEstimator::squared_mahalanobis`) runs the same kernel.
 //! - **The selection** maps each `d²` to a `u64` whose integer order is
 //!   `f64::total_cmp`'s and runs `select_nth_unstable` on those keys — O(n),
 //!   not a sort. The row-order walk takes every row keyed below the cut,
@@ -46,7 +46,7 @@
 //! Once a C-step loop's scratch (distances, keys, the selected subset) has
 //! grown to the sample, a step allocates nothing of the sample's size: the
 //! subset buffers are swapped, not rebuilt. A C-step loop stops when the
-//! log-determinant moves by less than [`FastMcdConfig::tolerance`] or —
+//! log-determinant moves by less than `FastMcdConfig::tolerance` or —
 //! FastMCD's exact criterion — when a step selects the subset the previous
 //! step selected, a fixed point.
 //!
@@ -185,7 +185,7 @@ fn select_smallest(distances: &[f64], h: usize, keys: &mut Vec<u64>, subset: &mu
 
 /// Configuration for the FastMCD estimator.
 #[derive(Debug, Clone)]
-pub struct FastMcdConfig {
+pub(crate) struct FastMcdConfig {
     /// Fraction of the sample used for the robust subset `h` (`0.5..=1.0`).
     /// The paper (and the reference implementation) default to `0.5`, the
     /// maximum-breakdown choice.
@@ -280,7 +280,7 @@ fn support_size(n: usize, dim: usize, support_fraction: f64) -> usize {
 
 impl McdEstimator {
     /// Create an untrained estimator with the given configuration.
-    pub fn new(config: FastMcdConfig) -> Self {
+    pub(crate) fn new(config: FastMcdConfig) -> Self {
         McdEstimator {
             config,
             mean: Vec::new(),
@@ -299,18 +299,13 @@ impl McdEstimator {
         self.covariance.as_ref().map(|_| self.mean.as_slice())
     }
 
-    /// The robust scatter (covariance) estimate, if trained.
-    pub fn scatter(&self) -> Option<&Matrix> {
-        self.covariance.as_ref()
-    }
-
-    /// The inverse scatter matrix, if trained (used by scoring and corr-max).
+    /// The inverse scatter matrix, if trained (used by scoring).
     pub fn inverse_scatter(&self) -> Option<&Matrix> {
         self.inverse_covariance.as_ref()
     }
 
     /// Squared Mahalanobis distance of `x` from the fitted distribution.
-    pub fn squared_mahalanobis(&self, x: &[f64]) -> Result<f64> {
+    pub(crate) fn squared_mahalanobis(&self, x: &[f64]) -> Result<f64> {
         let inv = self
             .inverse_covariance
             .as_ref()
@@ -336,7 +331,7 @@ impl McdEstimator {
     /// Mahalanobis distance (square root of [`squared_mahalanobis`]).
     ///
     /// [`squared_mahalanobis`]: McdEstimator::squared_mahalanobis
-    pub fn mahalanobis(&self, x: &[f64]) -> Result<f64> {
+    pub(crate) fn mahalanobis(&self, x: &[f64]) -> Result<f64> {
         Ok(self.squared_mahalanobis(x)?.sqrt())
     }
 
@@ -532,7 +527,7 @@ impl McdEstimator {
     /// A failed start (degenerate beyond ridging, NaN distances) is
     /// skipped, and so is a finalist that fails on the full sample;
     /// training errors only when nothing survives.
-    pub fn train_on_pool(&mut self, pool: &Pool, flat: &[f64], dim: usize) -> Result<()> {
+    pub(crate) fn train_on_pool(&mut self, pool: &Pool, flat: &[f64], dim: usize) -> Result<()> {
         crate::validate_sample(flat, dim)?;
         self.fit(pool, Rows { flat, dim })
     }
@@ -1142,7 +1137,7 @@ mod tests {
                 est.train_on_pool(&mb_pool::Pool::new(threads), &sample, 3)
                     .unwrap();
                 assert_eq!(est.location(), global.location(), "{n} rows, {threads} threads");
-                assert_eq!(est.scatter(), global.scatter(), "{n} rows, {threads} threads");
+                assert_eq!(est.covariance, global.covariance, "{n} rows, {threads} threads");
                 assert_eq!(est.score(&probe), global.score(&probe));
             }
         }
@@ -1187,7 +1182,7 @@ mod tests {
             serial.train_on_pool(&mb_pool::Pool::new(1), &sample, dim).unwrap();
             parallel.train_on_pool(&mb_pool::Pool::new(3), &sample, dim).unwrap();
             proptest::prop_assert_eq!(serial.location().unwrap(), parallel.location().unwrap());
-            proptest::prop_assert_eq!(serial.scatter().unwrap(), parallel.scatter().unwrap());
+            proptest::prop_assert_eq!(&serial.covariance, &parallel.covariance);
             let probe: Vec<f64> = vec![2.5; dim];
             proptest::prop_assert_eq!(
                 serial.score(&probe).unwrap(),
@@ -1320,7 +1315,7 @@ mod tests {
 
         let mut est = McdEstimator::new(config.clone());
         est.train_flat(sample, dim).unwrap();
-        let logdet = SpdFactors::factor(est.scatter().unwrap())
+        let logdet = SpdFactors::factor(est.covariance.as_ref().unwrap())
             .unwrap()
             .log_abs_determinant();
 

@@ -4,7 +4,7 @@
 //! The workspace builds fully offline with zero external dependencies, so
 //! instead of `rand`/`rand_distr` this module carries a minimal [`Rng`]
 //! trait, the deterministic [`SplitMix64`] generator, and the Gaussian
-//! (Box–Muller), exponential, and Zipfian samplers the evaluation needs.
+//! (Box–Muller) and Zipfian samplers the evaluation needs.
 
 /// Minimal uniform-variate source, standing in for `rand::Rng`.
 ///
@@ -31,13 +31,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// Draw a normal variate with the given mean and standard deviation.
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
     mean + std_dev * standard_normal(rng)
-}
-
-/// Draw an exponential variate with the given rate `lambda`.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> f64 {
-    assert!(lambda > 0.0, "rate must be positive");
-    let u: f64 = 1.0 - rng.gen_f64();
-    -u.ln() / lambda
 }
 
 /// A Zipfian sampler over `{0, 1, ..., n-1}` with exponent `s`.
@@ -68,11 +61,6 @@ impl Zipf {
             *last = 1.0;
         }
         Zipf { cdf: weights }
-    }
-
-    /// Number of distinct items.
-    pub fn support(&self) -> usize {
-        self.cdf.len()
     }
 
     /// Draw one item index in `[0, n)`.
@@ -134,7 +122,7 @@ impl SplitMix64 {
     /// `i+1` share no state trajectory, unlike seeding with `seed + i` —
     /// and (b) a pure function of `(parent seed, index)`, independent of
     /// scheduling, which keeps parallel runs bit-identical to serial ones.
-    pub fn split(&self, index: u64) -> SplitMix64 {
+    pub(crate) fn split(&self, index: u64) -> SplitMix64 {
         let mut seeder = SplitMix64 {
             state: self.state ^ index.wrapping_mul(0xA076_1D64_78BD_642F),
         };
@@ -173,23 +161,6 @@ mod tests {
         let s = population_std(&sample).unwrap();
         assert!((m - 70.0).abs() < 0.3, "mean was {m}");
         assert!((s - 10.0).abs() < 0.3, "std was {s}");
-    }
-
-    #[test]
-    fn exponential_mean_matches_rate() {
-        let mut rng = SplitMix64::new(11);
-        let lambda = 2.0;
-        let sample: Vec<f64> = (0..50_000).map(|_| exponential(&mut rng, lambda)).collect();
-        let m = mean(&sample).unwrap();
-        assert!((m - 0.5).abs() < 0.02, "mean was {m}");
-        assert!(sample.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn exponential_rejects_nonpositive_rate() {
-        let mut rng = SplitMix64::new(1);
-        exponential(&mut rng, 0.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::{Result, StatsError};
 
 /// Arithmetic mean of a sample. Returns an error on empty input.
-pub fn mean(data: &[f64]) -> Result<f64> {
+pub(crate) fn mean(data: &[f64]) -> Result<f64> {
     if data.is_empty() {
         return Err(StatsError::EmptyInput);
     }
@@ -17,38 +17,21 @@ pub fn mean(data: &[f64]) -> Result<f64> {
 }
 
 /// Population variance (dividing by `n`). Returns an error on empty input.
-pub fn population_variance(data: &[f64]) -> Result<f64> {
+pub(crate) fn population_variance(data: &[f64]) -> Result<f64> {
     let m = mean(data)?;
     Ok(data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64)
 }
 
-/// Sample variance (dividing by `n - 1`). Requires at least two points.
-pub fn sample_variance(data: &[f64]) -> Result<f64> {
-    if data.len() < 2 {
-        return Err(StatsError::InsufficientData {
-            required: 2,
-            provided: data.len(),
-        });
-    }
-    let m = mean(data)?;
-    Ok(data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (data.len() - 1) as f64)
-}
-
 /// Population standard deviation.
-pub fn population_std(data: &[f64]) -> Result<f64> {
+pub(crate) fn population_std(data: &[f64]) -> Result<f64> {
     Ok(population_variance(data)?.sqrt())
-}
-
-/// Sample standard deviation.
-pub fn sample_std(data: &[f64]) -> Result<f64> {
-    Ok(sample_variance(data)?.sqrt())
 }
 
 /// In-place quickselect: partially sorts `data` so that `data[k]` is the
 /// element that would be at index `k` in fully sorted order.
 ///
 /// Average `O(n)`; used by [`median_in_place`] and [`quantile_in_place`].
-pub fn select_in_place(data: &mut [f64], k: usize) -> f64 {
+pub(crate) fn select_in_place(data: &mut [f64], k: usize) -> f64 {
     assert!(k < data.len(), "selection index out of range");
     let (mut lo, mut hi) = (0usize, data.len() - 1);
     // Deterministic median-of-three pivot selection keeps worst cases rare
@@ -95,7 +78,7 @@ pub fn select_in_place(data: &mut [f64], k: usize) -> f64 {
 ///
 /// For even-length samples this returns the average of the two central order
 /// statistics, matching the textbook definition used by the paper.
-pub fn median_in_place(data: &mut [f64]) -> Result<f64> {
+pub(crate) fn median_in_place(data: &mut [f64]) -> Result<f64> {
     if data.is_empty() {
         return Err(StatsError::EmptyInput);
     }
@@ -111,12 +94,6 @@ pub fn median_in_place(data: &mut [f64]) -> Result<f64> {
             .fold(f64::NEG_INFINITY, f64::max);
         Ok((lo + hi) / 2.0)
     }
-}
-
-/// Median of a sample, leaving the input untouched (allocates a copy).
-pub fn median(data: &[f64]) -> Result<f64> {
-    let mut scratch = data.to_vec();
-    median_in_place(&mut scratch)
 }
 
 /// Quantile (`q` in `[0, 1]`) using linear interpolation between order
@@ -160,7 +137,7 @@ pub fn quantile(data: &[f64], q: f64) -> Result<f64> {
 /// Returns `(median, mad)`. The caller typically multiplies the MAD by the
 /// consistency constant `1.4826` to make it comparable to a standard
 /// deviation under normality; [`crate::mad::MadEstimator`] does this.
-pub fn median_absolute_deviation(data: &[f64]) -> Result<(f64, f64)> {
+pub(crate) fn median_absolute_deviation(data: &[f64]) -> Result<(f64, f64)> {
     if data.is_empty() {
         return Err(StatsError::EmptyInput);
     }
@@ -176,76 +153,6 @@ pub fn median_absolute_deviation(data: &[f64]) -> Result<(f64, f64)> {
     Ok((med, mad))
 }
 
-/// Running (Welford) mean/variance accumulator for single-pass statistics.
-///
-/// Used by feature transforms (normalization) and the synthetic workload
-/// verification tests; numerically stable for large streams.
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Create an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Observe one value.
-    pub fn observe(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observed values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of observed values (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance of observed values (0 if fewer than 2 values).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observed value (`+inf` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum observed value (`-inf` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,6 +160,11 @@ mod tests {
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} vs {b} (tol {tol})");
+    }
+
+    /// Median of a sample through [`median_in_place`] on a copy.
+    fn median(data: &[f64]) -> Result<f64> {
+        median_in_place(&mut data.to_vec())
     }
 
     #[test]
@@ -270,15 +182,6 @@ mod tests {
         // Var([2, 4, 4, 4, 5, 5, 7, 9]) = 4 (population)
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_close(population_variance(&data).unwrap(), 4.0, 1e-12);
-        assert_close(sample_variance(&data).unwrap(), 32.0 / 7.0, 1e-12);
-    }
-
-    #[test]
-    fn sample_variance_needs_two_points() {
-        assert!(matches!(
-            sample_variance(&[1.0]),
-            Err(StatsError::InsufficientData { .. })
-        ));
     }
 
     #[test]
@@ -343,19 +246,6 @@ mod tests {
         assert!(std_dirty > 100.0 * std_clean);
     }
 
-    #[test]
-    fn running_stats_matches_batch() {
-        let data = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut rs = RunningStats::new();
-        for &x in &data {
-            rs.observe(x);
-        }
-        assert_close(rs.mean(), mean(&data).unwrap(), 1e-12);
-        assert_close(rs.variance(), population_variance(&data).unwrap(), 1e-12);
-        assert_close(rs.min(), 1.0, 1e-12);
-        assert_close(rs.max(), 9.0, 1e-12);
-    }
-
     proptest! {
         #[test]
         fn select_matches_sort(mut data in prop::collection::vec(-1e6f64..1e6, 1..200), k_seed in 0usize..1000) {
@@ -398,15 +288,6 @@ mod tests {
             let q75 = quantile(&data, 0.75).unwrap();
             prop_assert!(q25 <= q50 + 1e-9);
             prop_assert!(q50 <= q75 + 1e-9);
-        }
-
-        #[test]
-        fn running_stats_variance_nonnegative(data in prop::collection::vec(-1e6f64..1e6, 0..200)) {
-            let mut rs = RunningStats::new();
-            for &x in &data {
-                rs.observe(x);
-            }
-            prop_assert!(rs.variance() >= 0.0);
         }
     }
 }

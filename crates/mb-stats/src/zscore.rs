@@ -27,7 +27,7 @@ impl ZScoreEstimator {
     }
 
     /// Fit directly from a univariate slice.
-    pub fn train_univariate(&mut self, sample: &[f64]) -> Result<()> {
+    pub(crate) fn train_univariate(&mut self, sample: &[f64]) -> Result<()> {
         if sample.is_empty() {
             return Err(StatsError::EmptyInput);
         }
@@ -41,21 +41,11 @@ impl ZScoreEstimator {
     }
 
     /// Absolute Z-score of a single value.
-    pub fn score_value(&self, x: f64) -> Result<f64> {
+    pub(crate) fn score_value(&self, x: f64) -> Result<f64> {
         if !self.trained {
             return Err(StatsError::NotTrained);
         }
         Ok((x - self.mean).abs() / self.std)
-    }
-
-    /// The fitted mean, if trained.
-    pub fn mean(&self) -> Option<f64> {
-        self.trained.then_some(self.mean)
-    }
-
-    /// The fitted standard deviation, if trained.
-    pub fn std(&self) -> Option<f64> {
-        self.trained.then_some(self.std)
     }
 }
 

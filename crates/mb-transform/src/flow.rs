@@ -22,7 +22,7 @@ pub struct Frame {
 
 impl Frame {
     /// Create a frame from row-major pixel data.
-    pub fn new(width: usize, height: usize, pixels: Vec<f64>) -> Result<Self> {
+    pub(crate) fn new(width: usize, height: usize, pixels: Vec<f64>) -> Result<Self> {
         if width == 0 || height == 0 {
             return Err(TransformError::EmptyInput);
         }
@@ -44,18 +44,8 @@ impl Frame {
         Frame::new(width, height, vec![0.0; width * height])
     }
 
-    /// Frame width in pixels.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Frame height in pixels.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// Pixel intensity at `(x, y)`; out-of-bounds reads return 0.
-    pub fn get(&self, x: isize, y: isize) -> f64 {
+    pub(crate) fn get(&self, x: isize, y: isize) -> f64 {
         if x < 0 || y < 0 || x as usize >= self.width || y as usize >= self.height {
             0.0
         } else {
@@ -64,7 +54,7 @@ impl Frame {
     }
 
     /// Set pixel intensity at `(x, y)` (ignored when out of bounds).
-    pub fn set(&mut self, x: usize, y: usize, value: f64) {
+    pub(crate) fn set(&mut self, x: usize, y: usize, value: f64) {
         if x < self.width && y < self.height {
             self.pixels[y * self.width + x] = value;
         }
@@ -104,7 +94,11 @@ impl Default for FlowConfig {
 /// Static blocks (those whose content does not change) contribute zero, so an
 /// empty scene yields ~0 while motion yields a magnitude proportional to how
 /// far the moving content travelled.
-pub fn mean_flow_magnitude(previous: &Frame, current: &Frame, config: &FlowConfig) -> Result<f64> {
+pub(crate) fn mean_flow_magnitude(
+    previous: &Frame,
+    current: &Frame,
+    config: &FlowConfig,
+) -> Result<f64> {
     if previous.width != current.width || previous.height != current.height {
         return Err(TransformError::DimensionMismatch {
             expected: previous.width * previous.height,

@@ -41,7 +41,9 @@ pub fn dft_magnitudes(signal: &[f64], num_coefficients: usize) -> Result<Vec<f64
     Ok(out)
 }
 
-/// Configuration for the Short-Time Fourier Transform feature extractor.
+/// Settings of a Short-Time Fourier Transform: windows of `window_size`
+/// samples, `hop` apart, each reduced to its first `num_coefficients`
+/// [`dft_magnitudes`].
 #[derive(Debug, Clone, Copy)]
 pub struct StftConfig {
     /// Number of samples per window.
@@ -61,46 +63,6 @@ impl Default for StftConfig {
             num_coefficients: 20,
         }
     }
-}
-
-/// One STFT output window: the index of its first sample plus the kept
-/// coefficient magnitudes (a ready-made metric vector).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StftWindow {
-    /// Index of the first sample of this window within the input signal.
-    pub start: usize,
-    /// Magnitudes of the first `num_coefficients` DFT coefficients.
-    pub coefficients: Vec<f64>,
-}
-
-/// Apply a Short-Time Fourier Transform: slide a window of `window_size`
-/// samples with hop `hop`, computing truncated DFT magnitudes per window.
-/// Trailing samples that do not fill a whole window are dropped.
-pub fn stft(signal: &[f64], config: &StftConfig) -> Result<Vec<StftWindow>> {
-    if config.window_size == 0 || config.hop == 0 {
-        return Err(TransformError::InvalidParameter(
-            "window size and hop must be positive".to_string(),
-        ));
-    }
-    if config.hop > config.window_size {
-        return Err(TransformError::InvalidParameter(
-            "hop must not exceed window size".to_string(),
-        ));
-    }
-    if signal.len() < config.window_size {
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start + config.window_size <= signal.len() {
-        let window = &signal[start..start + config.window_size];
-        out.push(StftWindow {
-            start,
-            coefficients: dft_magnitudes(window, config.num_coefficients)?,
-        });
-        start += config.hop;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -153,33 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn stft_produces_expected_window_count() {
-        let signal: Vec<f64> = (0..600).map(|i| i as f64).collect();
-        let config = StftConfig {
-            window_size: 60,
-            hop: 60,
-            num_coefficients: 10,
-        };
-        let windows = stft(&signal, &config).unwrap();
-        assert_eq!(windows.len(), 10);
-        assert_eq!(windows[0].start, 0);
-        assert_eq!(windows[9].start, 540);
-        assert!(windows.iter().all(|w| w.coefficients.len() == 10));
-    }
-
-    #[test]
-    fn stft_overlapping_hops() {
-        let signal: Vec<f64> = (0..100).map(|i| (i as f64).sin()).collect();
-        let config = StftConfig {
-            window_size: 50,
-            hop: 25,
-            num_coefficients: 5,
-        };
-        let windows = stft(&signal, &config).unwrap();
-        assert_eq!(windows.len(), 3); // starts 0, 25, 50
-    }
-
-    #[test]
     fn stft_detects_anomalous_window() {
         // 9 quiet windows + 1 window with a strong oscillation: the anomalous
         // window's non-DC energy must dominate.
@@ -187,15 +122,12 @@ mod tests {
         for t in 0..64 {
             signal[320 + t] = 1.0 + 10.0 * (2.0 * std::f64::consts::PI * 8.0 * t as f64 / 64.0).sin();
         }
-        let config = StftConfig {
-            window_size: 64,
-            hop: 64,
-            num_coefficients: 16,
-        };
-        let windows = stft(&signal, &config).unwrap();
-        let energy: Vec<f64> = windows
-            .iter()
-            .map(|w| w.coefficients[1..].iter().map(|c| c * c).sum::<f64>())
+        let energy: Vec<f64> = signal
+            .chunks_exact(64)
+            .map(|w| {
+                let coefficients = dft_magnitudes(w, 16).unwrap();
+                coefficients[1..].iter().map(|c| c * c).sum::<f64>()
+            })
             .collect();
         let anomalous = 320 / 64;
         for (i, &e) in energy.iter().enumerate() {
@@ -203,34 +135,5 @@ mod tests {
                 assert!(energy[anomalous] > 100.0 * e.max(1e-9));
             }
         }
-    }
-
-    #[test]
-    fn stft_rejects_bad_config() {
-        let signal = vec![0.0; 10];
-        assert!(stft(
-            &signal,
-            &StftConfig {
-                window_size: 0,
-                hop: 1,
-                num_coefficients: 1
-            }
-        )
-        .is_err());
-        assert!(stft(
-            &signal,
-            &StftConfig {
-                window_size: 4,
-                hop: 8,
-                num_coefficients: 1
-            }
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn stft_short_signal_returns_empty() {
-        let windows = stft(&[1.0, 2.0], &StftConfig::default()).unwrap();
-        assert!(windows.is_empty());
     }
 }

@@ -6,37 +6,39 @@
 //! the pipeline having to know anything about the domain. This crate provides
 //! the transforms the paper's case studies use:
 //!
-//! * [`fourier`] — discrete Fourier transform and the windowed Short-Time
-//!   Fourier Transform (STFT) used by the electricity-metering pipeline.
-//! * [`autocorrelation`] — autocorrelation features for periodic signals.
+//! * [`fourier`] — the discrete Fourier transform magnitudes that the
+//!   electricity-metering pipeline's Short-Time Fourier Transform (STFT)
+//!   keeps per window.
 //! * [`window`] — tumbling windows that aggregate a stream of samples into
 //!   per-window feature vectors tagged with time attributes.
-//! * [`normalize`] — z-normalization and min-max scaling of metric columns.
 //! * [`truncate`] — dimensionality truncation (keep the first `k` metrics).
 //! * [`flow`] — a pure-Rust optical-flow-magnitude transform over frame
 //!   pairs, standing in for the OpenCV transform of the video case study.
 //!
 //! ## Example
 //!
-//! Z-normalize metric columns so downstream estimators see comparable
-//! scales:
+//! Window a device's readings into hours and turn each window into a
+//! fixed-length metric vector of its lowest Fourier coefficients:
 //!
 //! ```
-//! use mb_transform::normalize::ZNormalizer;
+//! use mb_transform::fourier::dft_magnitudes;
+//! use mb_transform::window::TumblingWindower;
 //!
-//! let rows = vec![vec![0.0, 100.0], vec![10.0, 200.0], vec![20.0, 300.0]];
-//! let normalizer = ZNormalizer::fit(&rows).unwrap();
-//! let out = normalizer.transform_batch(&rows).unwrap();
-//! // The middle row sits exactly at the per-column mean.
-//! assert!(out[1][0].abs() < 1e-9 && out[1][1].abs() < 1e-9);
+//! let mut windower = TumblingWindower::new(3600);
+//! for minute in 0..120u64 {
+//!     windower.observe("fridge", minute * 60, 100.0 + (minute % 2) as f64);
+//! }
+//! let windows = windower.drain();
+//! assert_eq!(windows.len(), 2);
+//! let metrics = dft_magnitudes(&windows[0].values, 4).unwrap();
+//! // The DC coefficient is the window's sum: 60 readings averaging 100.5.
+//! assert!((metrics[0] - 60.0 * 100.5).abs() < 1e-9);
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod autocorrelation;
 pub mod flow;
 pub mod fourier;
-pub mod normalize;
 pub mod truncate;
 pub mod window;
 
@@ -71,4 +73,4 @@ impl std::fmt::Display for TransformError {
 impl std::error::Error for TransformError {}
 
 /// Convenience result alias for this crate.
-pub type Result<T> = std::result::Result<T, TransformError>;
+pub(crate) type Result<T> = std::result::Result<T, TransformError>;

@@ -25,48 +25,6 @@ pub fn truncate_dimensions(rows: &[Vec<f64>], k: usize) -> Result<Vec<Vec<f64>>>
         .collect())
 }
 
-/// Keep the `k` columns with the highest variance across the batch (a cheap
-/// unsupervised feature selection used when metrics are heterogeneous, e.g.
-/// the 200-counter DBSherlock workload of Table 4).
-pub fn keep_highest_variance(rows: &[Vec<f64>], k: usize) -> Result<(Vec<Vec<f64>>, Vec<usize>)> {
-    let first = rows.first().ok_or(TransformError::EmptyInput)?;
-    let dim = first.len();
-    if k == 0 || k > dim {
-        return Err(TransformError::InvalidParameter(format!(
-            "k must be in 1..={dim}, got {k}"
-        )));
-    }
-    let n = rows.len() as f64;
-    let mut means = vec![0.0; dim];
-    for row in rows {
-        if row.len() != dim {
-            return Err(TransformError::DimensionMismatch {
-                expected: dim,
-                actual: row.len(),
-            });
-        }
-        for (m, &x) in means.iter_mut().zip(row.iter()) {
-            *m += x;
-        }
-    }
-    means.iter_mut().for_each(|m| *m /= n);
-    let mut variances = vec![0.0; dim];
-    for row in rows {
-        for ((v, &x), m) in variances.iter_mut().zip(row.iter()).zip(&means) {
-            *v += (x - m) * (x - m);
-        }
-    }
-    let mut order: Vec<usize> = (0..dim).collect();
-    order.sort_by(|&a, &b| variances[b].total_cmp(&variances[a]));
-    let mut selected: Vec<usize> = order.into_iter().take(k).collect();
-    selected.sort_unstable();
-    let projected = rows
-        .iter()
-        .map(|row| selected.iter().map(|&c| row[c]).collect())
-        .collect();
-    Ok((projected, selected))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,24 +40,5 @@ mod tests {
     #[test]
     fn truncate_rejects_zero() {
         assert!(truncate_dimensions(&[vec![1.0]], 0).is_err());
-    }
-
-    #[test]
-    fn highest_variance_selects_informative_columns() {
-        // Column 1 is constant, column 0 and 2 vary; keep 2.
-        let rows: Vec<Vec<f64>> = (0..100)
-            .map(|i| vec![i as f64, 5.0, (i * i) as f64])
-            .collect();
-        let (projected, selected) = keep_highest_variance(&rows, 2).unwrap();
-        assert_eq!(selected, vec![0, 2]);
-        assert_eq!(projected[10], vec![10.0, 100.0]);
-    }
-
-    #[test]
-    fn highest_variance_rejects_bad_k() {
-        let rows = vec![vec![1.0, 2.0]];
-        assert!(keep_highest_variance(&rows, 0).is_err());
-        assert!(keep_highest_variance(&rows, 3).is_err());
-        assert!(keep_highest_variance(&[], 1).is_err());
     }
 }

@@ -25,17 +25,6 @@ pub struct KeyedWindow {
     pub values: Vec<f64>,
 }
 
-impl KeyedWindow {
-    /// Mean of the window's samples (0 for an empty window).
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
-    }
-}
-
 /// A group-by + tumbling-window operator over `(key, timestamp_seconds, value)`
 /// samples.
 #[derive(Debug, Clone)]
@@ -63,11 +52,6 @@ impl TumblingWindower {
             .entry((key.to_string(), window_index))
             .or_default()
             .push(value);
-    }
-
-    /// Number of (key, window) buffers currently held.
-    pub fn pending_windows(&self) -> usize {
-        self.buffers.len()
     }
 
     /// Drain every completed buffer into [`KeyedWindow`]s, ordered by key and
@@ -111,7 +95,6 @@ mod tests {
             .find(|win| win.key == "fridge" && win.window_index == 0)
             .unwrap();
         assert_eq!(fridge_first.values, vec![100.0, 110.0]);
-        assert!((fridge_first.mean() - 105.0).abs() < 1e-9);
         let fridge_second = windows
             .iter()
             .find(|win| win.key == "fridge" && win.window_index == 1)
@@ -134,10 +117,10 @@ mod tests {
     fn drain_empties_state() {
         let mut w = TumblingWindower::new(60);
         w.observe("a", 0, 1.0);
-        assert_eq!(w.pending_windows(), 1);
+        assert_eq!(w.buffers.len(), 1);
         let drained = w.drain();
         assert_eq!(drained.len(), 1);
-        assert_eq!(w.pending_windows(), 0);
+        assert_eq!(w.buffers.len(), 0);
         assert!(w.drain().is_empty());
     }
 
@@ -159,17 +142,5 @@ mod tests {
     #[should_panic(expected = "window length must be positive")]
     fn zero_window_panics() {
         let _ = TumblingWindower::new(0);
-    }
-
-    #[test]
-    fn empty_window_mean_is_zero() {
-        let w = KeyedWindow {
-            key: "x".to_string(),
-            window_index: 0,
-            hour_of_day: 0,
-            day_of_week: 0,
-            values: vec![],
-        };
-        assert_eq!(w.mean(), 0.0);
     }
 }

@@ -13,15 +13,15 @@
 //!   one `MdpQuery` executed by any `Executor` backend (one-shot,
 //!   coordinated partitioned, naïve partitioned, streaming).
 //! * [`stats`] — robust statistics: MAD, FastMCD, Mahalanobis distances,
-//!   confidence intervals.
+//!   the binomial interval behind the percentile drift check.
 //! * [`sketch`] — the Adaptable Damped Reservoir (ADR), the Amortized
 //!   Maintenance Counter (AMC), SpaceSaving baselines, streaming quantiles.
 //! * [`fpgrowth`] — FP-tree/FPGrowth, CPS-tree and M-CPS-tree itemset mining.
 //! * [`classify`] — MAD/MCD/Z-score/rule classifiers and percentile
 //!   thresholds.
 //! * [`explain`] — risk-ratio explanation (batch, streaming, and baselines).
-//! * [`transform`] — STFT, autocorrelation, windowing, normalization,
-//!   optical-flow features.
+//! * [`transform`] — DFT magnitudes per STFT window, tumbling windows,
+//!   truncation, optical-flow features.
 //! * [`ingest`] — CSV ingestion and the synthetic workloads used by the
 //!   paper's evaluation.
 //! * [`scenario`] — labeled fault-injection scenarios with ground truth,

@@ -3,9 +3,9 @@
 //! Section 3.2 and the hybrid-supervision case study (Section 6.4) show users
 //! complementing the unsupervised MDP classifier with explicit rules — "flag
 //! every reading with power drain greater than 100 W", or "flag trips whose
-//! externally computed quality score is below 0.3". A rule classifier is a
-//! conjunction/disjunction of metric predicates; it produces labels without
-//! training and can be OR-ed or AND-ed with other classifiers.
+//! externally computed quality score is below 0.3". A rule classifier
+//! compares one metric against a constant; it produces labels without
+//! training and is OR-ed with the unsupervised classifier's labels.
 
 use crate::Label;
 
@@ -25,96 +25,42 @@ pub enum Comparison {
     Equal,
 }
 
-/// A single predicate over one metric dimension.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricPredicate {
-    /// Index of the metric this predicate inspects.
-    pub metric_index: usize,
-    /// The comparison to apply.
-    pub comparison: Comparison,
-    /// The constant to compare against.
-    pub value: f64,
+/// A rule-based classifier: one comparison of one metric against a
+/// constant, whose match produces an [`Label::Outlier`] label.
+#[derive(Debug, Clone)]
+pub struct RuleClassifier {
+    metric_index: usize,
+    comparison: Comparison,
+    value: f64,
 }
 
-impl MetricPredicate {
-    /// Create a predicate.
-    pub fn new(metric_index: usize, comparison: Comparison, value: f64) -> Self {
-        MetricPredicate {
+impl RuleClassifier {
+    /// The rule "metric `metric_index` `comparison` `value`", e.g. metric 0
+    /// greater than 100.
+    pub fn single(metric_index: usize, comparison: Comparison, value: f64) -> Self {
+        RuleClassifier {
             metric_index,
             comparison,
             value,
         }
     }
 
-    /// Evaluate the predicate against a metric vector. Out-of-range indices
-    /// and non-finite values evaluate to `false` (never flag on garbage).
-    pub fn matches(&self, metrics: &[f64]) -> bool {
+    /// Classify one metric vector. An out-of-range index or a non-finite
+    /// value never flags (never flag on garbage).
+    pub fn classify(&self, metrics: &[f64]) -> Label {
         let Some(&x) = metrics.get(self.metric_index) else {
-            return false;
+            return Label::Inlier;
         };
         if !x.is_finite() {
-            return false;
+            return Label::Inlier;
         }
-        match self.comparison {
+        Label::from_outlier_flag(match self.comparison {
             Comparison::GreaterThan => x > self.value,
             Comparison::GreaterOrEqual => x >= self.value,
             Comparison::LessThan => x < self.value,
             Comparison::LessOrEqual => x <= self.value,
             Comparison::Equal => x == self.value,
-        }
-    }
-}
-
-/// How a rule combines its predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuleCombinator {
-    /// Flag when *any* predicate matches.
-    Any,
-    /// Flag when *all* predicates match.
-    All,
-}
-
-/// A rule-based classifier: a set of predicates combined with AND/OR whose
-/// match produces an [`Label::Outlier`] label.
-#[derive(Debug, Clone)]
-pub struct RuleClassifier {
-    predicates: Vec<MetricPredicate>,
-    combinator: RuleCombinator,
-}
-
-impl RuleClassifier {
-    /// Create a rule classifier.
-    pub fn new(predicates: Vec<MetricPredicate>, combinator: RuleCombinator) -> Self {
-        RuleClassifier {
-            predicates,
-            combinator,
-        }
-    }
-
-    /// Convenience constructor for the common single-predicate rule
-    /// ("metric i greater than c").
-    pub fn single(metric_index: usize, comparison: Comparison, value: f64) -> Self {
-        RuleClassifier {
-            predicates: vec![MetricPredicate::new(metric_index, comparison, value)],
-            combinator: RuleCombinator::All,
-        }
-    }
-
-    /// Classify one metric vector. An empty rule never flags.
-    pub fn classify(&self, metrics: &[f64]) -> Label {
-        if self.predicates.is_empty() {
-            return Label::Inlier;
-        }
-        let flagged = match self.combinator {
-            RuleCombinator::Any => self.predicates.iter().any(|p| p.matches(metrics)),
-            RuleCombinator::All => self.predicates.iter().all(|p| p.matches(metrics)),
-        };
-        Label::from_outlier_flag(flagged)
-    }
-
-    /// The rule's predicates.
-    pub fn predicates(&self) -> &[MetricPredicate] {
-        &self.predicates
+        })
     }
 }
 
@@ -124,30 +70,31 @@ pub fn label_or(a: Label, b: Label) -> Label {
     Label::from_outlier_flag(a.is_outlier() || b.is_outlier())
 }
 
-/// Combine two labels with a logical AND (both must be outliers).
-pub fn label_and(a: Label, b: Label) -> Label {
-    Label::from_outlier_flag(a.is_outlier() && b.is_outlier())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn flags(metric_index: usize, comparison: Comparison, value: f64, metrics: &[f64]) -> bool {
+        RuleClassifier::single(metric_index, comparison, value)
+            .classify(metrics)
+            .is_outlier()
+    }
+
     #[test]
     fn predicate_comparisons() {
         let metrics = [5.0, 10.0];
-        assert!(MetricPredicate::new(0, Comparison::GreaterThan, 4.0).matches(&metrics));
-        assert!(!MetricPredicate::new(0, Comparison::GreaterThan, 5.0).matches(&metrics));
-        assert!(MetricPredicate::new(0, Comparison::GreaterOrEqual, 5.0).matches(&metrics));
-        assert!(MetricPredicate::new(1, Comparison::LessThan, 20.0).matches(&metrics));
-        assert!(!MetricPredicate::new(1, Comparison::LessOrEqual, 9.0).matches(&metrics));
-        assert!(MetricPredicate::new(1, Comparison::Equal, 10.0).matches(&metrics));
+        assert!(flags(0, Comparison::GreaterThan, 4.0, &metrics));
+        assert!(!flags(0, Comparison::GreaterThan, 5.0, &metrics));
+        assert!(flags(0, Comparison::GreaterOrEqual, 5.0, &metrics));
+        assert!(flags(1, Comparison::LessThan, 20.0, &metrics));
+        assert!(!flags(1, Comparison::LessOrEqual, 9.0, &metrics));
+        assert!(flags(1, Comparison::Equal, 10.0, &metrics));
     }
 
     #[test]
     fn predicate_handles_bad_input() {
-        assert!(!MetricPredicate::new(5, Comparison::GreaterThan, 0.0).matches(&[1.0]));
-        assert!(!MetricPredicate::new(0, Comparison::GreaterThan, 0.0).matches(&[f64::NAN]));
+        assert!(!flags(5, Comparison::GreaterThan, 0.0, &[1.0]));
+        assert!(!flags(0, Comparison::GreaterThan, 0.0, &[f64::NAN]));
     }
 
     #[test]
@@ -159,30 +106,9 @@ mod tests {
     }
 
     #[test]
-    fn any_vs_all_combinators() {
-        let predicates = vec![
-            MetricPredicate::new(0, Comparison::GreaterThan, 10.0),
-            MetricPredicate::new(1, Comparison::LessThan, 0.0),
-        ];
-        let any = RuleClassifier::new(predicates.clone(), RuleCombinator::Any);
-        let all = RuleClassifier::new(predicates, RuleCombinator::All);
-        assert_eq!(any.classify(&[20.0, 5.0]), Label::Outlier);
-        assert_eq!(all.classify(&[20.0, 5.0]), Label::Inlier);
-        assert_eq!(all.classify(&[20.0, -1.0]), Label::Outlier);
-        assert_eq!(any.classify(&[5.0, 5.0]), Label::Inlier);
-    }
-
-    #[test]
-    fn empty_rule_never_flags() {
-        let rule = RuleClassifier::new(vec![], RuleCombinator::Any);
-        assert_eq!(rule.classify(&[1e9]), Label::Inlier);
-    }
-
-    #[test]
     fn label_combinators() {
         assert_eq!(label_or(Label::Inlier, Label::Outlier), Label::Outlier);
         assert_eq!(label_or(Label::Inlier, Label::Inlier), Label::Inlier);
-        assert_eq!(label_and(Label::Outlier, Label::Outlier), Label::Outlier);
-        assert_eq!(label_and(Label::Outlier, Label::Inlier), Label::Inlier);
+        assert_eq!(label_or(Label::Outlier, Label::Outlier), Label::Outlier);
     }
 }

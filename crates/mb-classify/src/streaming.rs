@@ -12,17 +12,16 @@
 //! time-based), which is what lets the classifier adapt to distribution
 //! shifts while staying resilient to arrival-rate spikes (Figure 5).
 
-use crate::threshold::StreamingPercentileThreshold;
 use crate::{Classification, Label};
 use mb_sketch::adr::{AdaptableDampedReservoir, DecayPolicy};
+use mb_sketch::quantile::AdrQuantileEstimator;
 use mb_sketch::StreamSampler;
-use mb_stats::{Estimator, Result};
+use mb_stats::{Estimator, Result, StatsError};
 
 /// Points the input reservoir must hold before the first model training,
-/// and scores the streaming threshold must hold before it labels an outlier
-/// (one warm-up for both). A reservoir smaller than this never fills to it,
-/// so [`StreamingClassifier::new`] and [`StreamingPercentileThreshold::new`]
-/// refuse one.
+/// and scores the score reservoir must hold before a point is labeled an
+/// outlier (one warm-up for both). A reservoir smaller than this never
+/// fills to it, so [`StreamingClassifier::new`] refuses one.
 pub const WARMUP_POINTS: usize = 100;
 
 /// Configuration for the streaming classifier.
@@ -64,9 +63,10 @@ pub struct StreamingClassifier<E: Estimator> {
     /// The reservoir's sample as one row-major buffer, the layout
     /// [`Estimator::train_flat`] reads; reused across retrains.
     training_rows: Vec<f64>,
-    threshold: StreamingPercentileThreshold,
+    /// The score ADR: the percentile cutoff is recomputed from it every
+    /// `retrain_period / 10` scores and at each period boundary.
+    scores: AdrQuantileEstimator,
     points_since_retrain: u64,
-    total_points: u64,
     model_trained: bool,
 }
 
@@ -75,9 +75,15 @@ impl<E: Estimator> StreamingClassifier<E> {
     /// reservoir smaller than [`WARMUP_POINTS`] is refused: it could never
     /// hold enough points to train.
     pub fn new(estimator: E, config: StreamingClassifierConfig) -> Result<Self> {
-        // Built first: the threshold refuses a reservoir below the warm-up,
-        // which the input reservoir would take (or, at 0, panic on).
-        let threshold = StreamingPercentileThreshold::new(
+        // Refused before either reservoir is built: the input reservoir
+        // would take it (or, at 0, panic on it).
+        if config.reservoir_size < WARMUP_POINTS {
+            return Err(StatsError::InvalidParameter(format!(
+                "score reservoir capacity must be at least {WARMUP_POINTS}, got {}",
+                config.reservoir_size
+            )));
+        }
+        let scores = AdrQuantileEstimator::new(
             config.target_percentile,
             config.reservoir_size,
             config.decay_rate,
@@ -95,9 +101,8 @@ impl<E: Estimator> StreamingClassifier<E> {
             config,
             input_reservoir,
             training_rows: Vec::new(),
-            threshold,
+            scores,
             points_since_retrain: 0,
-            total_points: 0,
             model_trained: false,
         })
     }
@@ -106,7 +111,6 @@ impl<E: Estimator> StreamingClassifier<E> {
     /// return its classification. Before the model is first trained (during
     /// warm-up) every point is labeled an inlier with score 0.
     pub fn observe(&mut self, metrics: &[f64]) -> Classification {
-        self.total_points += 1;
         self.points_since_retrain += 1;
         self.input_reservoir.observe(metrics.to_vec());
 
@@ -128,12 +132,36 @@ impl<E: Estimator> StreamingClassifier<E> {
             };
         }
         match self.estimator.score(metrics) {
-            Ok(score) => self.threshold.observe_and_classify(score),
+            Ok(score) => self.classify_score(score),
             Err(_) => Classification {
                 score: 0.0,
                 label: Label::Inlier,
             },
         }
+    }
+
+    /// Add a score to the score ADR and classify it against the current
+    /// cutoff. Until [`WARMUP_POINTS`] scores are held the percentile
+    /// estimate is too noisy to act on, so every point is labeled an
+    /// inlier; the cutoff is computed as soon as the warm-up ends.
+    fn classify_score(&mut self, score: f64) -> Classification {
+        self.scores.observe(score);
+        if self.scores.sample_size() < WARMUP_POINTS {
+            return Classification {
+                score,
+                label: Label::Inlier,
+            };
+        }
+        if self.scores.sample_size() == WARMUP_POINTS {
+            // First usable sample: compute the initial cutoff now rather than
+            // waiting out the refresh period.
+            self.scores.refresh();
+        }
+        let label = match self.scores.threshold() {
+            Ok(cutoff) => Label::from_outlier_flag(score >= cutoff),
+            Err(_) => Label::Inlier,
+        };
+        Classification { score, label }
     }
 
     /// Force a model retrain from the current input reservoir. A sample the
@@ -156,22 +184,16 @@ impl<E: Estimator> StreamingClassifier<E> {
     }
 
     /// Signal a decay period boundary: both reservoirs are decayed, and the
-    /// threshold drift counters are reset.
+    /// cutoff is recomputed from the decayed score reservoir.
     pub fn on_period_boundary(&mut self) {
         self.input_reservoir.decay();
-        self.threshold.decay();
-        self.threshold.refresh();
-        self.threshold.reset_drift_window();
+        self.scores.decay();
+        self.scores.refresh();
     }
 
     /// Whether the model has been trained at least once.
     pub fn is_trained(&self) -> bool {
         self.model_trained
-    }
-
-    /// Total number of points observed.
-    pub fn observed(&self) -> u64 {
-        self.total_points
     }
 
     /// Points observed since the model was last (re)trained — the model
@@ -183,13 +205,7 @@ impl<E: Estimator> StreamingClassifier<E> {
 
     /// The current score cutoff, if available.
     pub fn current_cutoff(&mut self) -> Option<f64> {
-        self.threshold.cutoff().ok()
-    }
-
-    /// Whether the observed outlier rate has drifted from the target
-    /// percentile (see [`StreamingPercentileThreshold::drift_detected`]).
-    pub fn drift_detected(&self, confidence: f64) -> bool {
-        self.threshold.drift_detected(confidence).unwrap_or(false)
+        self.scores.threshold().ok()
     }
 
     /// Access the wrapped estimator (e.g. to read MCD location/scatter).
@@ -219,14 +235,7 @@ mod tests {
     fn a_reservoir_below_the_warm_up_is_refused() {
         // It would never hold WARMUP_POINTS points, so the model would never
         // train and no point would ever be labeled an outlier.
-        use mb_stats::StatsError;
         for reservoir_size in [0, 1, WARMUP_POINTS - 1] {
-            let threshold =
-                StreamingPercentileThreshold::new(0.99, reservoir_size, 0.0, 10, 1);
-            assert!(
-                matches!(threshold, Err(StatsError::InvalidParameter(_))),
-                "{reservoir_size}"
-            );
             let cfg = StreamingClassifierConfig {
                 reservoir_size,
                 ..test_config()
@@ -340,28 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn drift_detection_after_shift_without_retrain() {
-        let mut rng = SplitMix64::new(5);
-        let mut cfg = test_config();
-        // Disable retraining so the model (and hence the score scale) stays
-        // fit to the first regime; the drift detector must notice that the
-        // outlier rate then explodes under the second regime.
-        cfg.retrain_period = u64::MAX;
-        let mut c = StreamingClassifier::new(MadEstimator::new(), cfg).unwrap();
-        for _ in 0..2_000 {
-            c.observe(&[normal(&mut rng, 0.0, 1.0)]);
-        }
-        // Period boundary: threshold refreshed on first-regime scores, drift
-        // counters reset.
-        c.on_period_boundary();
-        assert!(!c.drift_detected(0.95));
-        for _ in 0..2_000 {
-            c.observe(&[normal(&mut rng, 50.0, 1.0)]);
-        }
-        assert!(c.drift_detected(0.95));
-    }
-
-    #[test]
     fn a_reservoir_of_mixed_widths_does_not_train() {
         // Points of two widths have no row-major layout: a retrain over
         // them must fail as the estimator rejects ragged rows, not train on
@@ -388,5 +375,34 @@ mod tests {
         }
         let cutoff = c.current_cutoff().unwrap();
         assert!(cutoff > 1.0 && cutoff < 10.0, "cutoff = {cutoff}");
+    }
+
+    #[test]
+    fn streaming_threshold_starts_conservative() {
+        // The model trains at the warm-up; the score reservoir then needs a
+        // warm-up of its own before any point is labeled an outlier.
+        let mut rng = SplitMix64::new(9);
+        let mut c = StreamingClassifier::new(MadEstimator::new(), test_config()).unwrap();
+        for _ in 0..WARMUP_POINTS {
+            c.observe(&[normal(&mut rng, 0.0, 1.0)]);
+        }
+        assert!(c.is_trained());
+        let first = c.observe(&[1_000_000.0]);
+        assert!(first.score > 100.0);
+        assert_eq!(first.label, Label::Inlier);
+        assert!(c.current_cutoff().is_some());
+        for _ in 0..WARMUP_POINTS {
+            c.observe(&[normal(&mut rng, 0.0, 1.0)]);
+        }
+        assert!(c.observe(&[1_000_000.0]).label.is_outlier());
+    }
+
+    #[test]
+    fn invalid_percentile_rejected() {
+        let cfg = StreamingClassifierConfig {
+            target_percentile: 1.5,
+            ..test_config()
+        };
+        assert!(StreamingClassifier::new(MadEstimator::new(), cfg).is_err());
     }
 }

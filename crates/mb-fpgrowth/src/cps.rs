@@ -365,7 +365,6 @@ pub struct StreamingPrefixTree {
     item_index: EdgeTable,
     item_ids: Vec<Item>,
     item_counts: Vec<f64>,
-    total_weight: f64,
     /// Scratch of [`insert`](Self::insert): the transaction as
     /// `(descending_key(item count), item)` sort keys.
     keys: Vec<(i64, Item)>,
@@ -404,7 +403,6 @@ impl StreamingPrefixTree {
             item_index: EdgeTable::with_capacity(items),
             item_ids: Vec::with_capacity(items),
             item_counts: Vec::with_capacity(items),
-            total_weight: 0.0,
             keys: Vec::new(),
             record: Record::default(),
         }
@@ -424,12 +422,6 @@ impl StreamingPrefixTree {
     #[cfg(test)]
     pub(crate) fn distinct_items(&self) -> usize {
         self.item_ids.len()
-    }
-
-    /// Total decayed weight of inserted transactions.
-    #[cfg(test)]
-    pub(crate) fn total_weight(&self) -> f64 {
-        self.total_weight
     }
 
     /// Current per-item decayed frequency.
@@ -497,7 +489,7 @@ impl StreamingPrefixTree {
         self.keys = keys;
     }
 
-    /// Add `weight` to the total and to each distinct item's count, and
+    /// Add `weight` to each distinct item's count, and
     /// return the distinct items (in the scratch buffer) in the order the
     /// transaction descends: frequency descending, ties by item id.
     fn count_and_order(&mut self, items: &[Item], weight: f64) -> Vec<(i64, Item)> {
@@ -506,16 +498,13 @@ impl StreamingPrefixTree {
         keys.extend(items.iter().map(|&item| (0, item)));
         keys.sort_unstable_by_key(|&(_, item)| item);
         keys.dedup_by_key(|&mut (_, item)| item);
-        if !keys.is_empty() {
-            // Each count is read here, once, as it is incremented; the sort
-            // compares integers.
-            for (key, item) in keys.iter_mut() {
-                *key = descending_key(self.add_item_count(*item, weight));
-            }
-            self.total_weight += weight;
-            // Frequency descending, ties by item id: a deterministic order.
-            keys.sort_unstable();
+        // Each count is read here, once, as it is incremented; the sort
+        // compares integers.
+        for (key, item) in keys.iter_mut() {
+            *key = descending_key(self.add_item_count(*item, weight));
         }
+        // Frequency descending, ties by item id: a deterministic order.
+        keys.sort_unstable();
         keys
     }
 
@@ -606,7 +595,7 @@ impl StreamingPrefixTree {
         }
     }
 
-    /// Multiply every node count, item count, and the total weight by
+    /// Multiply every node count and item count by
     /// `factor` (exponential damping at a window boundary).
     pub(crate) fn decay(&mut self, factor: f64) {
         assert!(
@@ -619,7 +608,6 @@ impl StreamingPrefixTree {
         for count in self.counts[1..].iter_mut().chain(&mut self.item_counts) {
             *count *= factor;
         }
-        self.total_weight *= factor;
     }
 
     /// Visit every stored transaction as `(root path, weight)`: one DFS from
@@ -687,9 +675,7 @@ impl StreamingPrefixTree {
         self.rebuild(|_| true);
     }
 
-    /// Remove every item not contained in `keep`, then restructure. The
-    /// total weight is untouched (transactions whose items were all pruned
-    /// still count), so support fractions stay meaningful.
+    /// Remove every item not contained in `keep`, then restructure.
     pub(crate) fn retain_items(&mut self, keep: &HashSet<Item>) {
         self.rebuild(|item| keep.contains(&item));
     }
@@ -714,7 +700,6 @@ impl StreamingPrefixTree {
             (!self.record.is_empty()).then(|| std::mem::take(&mut self.record).preorder(true));
         let nodes = recorded.as_ref().map_or(self.node_count(), Vec::len);
         let mut rebuilt = StreamingPrefixTree::with_capacity(nodes, by_rank.len());
-        rebuilt.total_weight = self.total_weight;
         for &item in &by_rank {
             rebuilt.add_item_count(item, self.item_count(item));
         }
@@ -856,7 +841,6 @@ mod tests {
         assert_eq!(tree.distinct_items(), 3);
         assert!((tree.item_count(1) - 3.0).abs() < 1e-12);
         assert!((tree.item_count(2) - 2.0).abs() < 1e-12);
-        assert!((tree.total_weight() - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -864,7 +848,6 @@ mod tests {
         let mut tree = StreamingPrefixTree::new();
         tree.insert(&[], 1.0);
         assert_eq!(tree.node_count(), 0);
-        assert_eq!(tree.total_weight(), 0.0);
     }
 
     #[test]
@@ -873,7 +856,6 @@ mod tests {
         tree.insert(&[1, 2], 4.0);
         tree.decay(0.25);
         assert!((tree.item_count(1) - 1.0).abs() < 1e-12);
-        assert!((tree.total_weight() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -954,9 +936,6 @@ mod tests {
         assert!(tree.item_count(1) > 0.0);
         let mined = tree.mine(1.0, usize::MAX);
         assert!(mined.iter().all(|r| !r.items.contains(&3)));
-        // Total weight still reflects all observed transactions, item 4's
-        // too, though every item of its path was pruned.
-        assert!((tree.total_weight() - 8.0).abs() < 1e-9);
     }
 
     mod walk_props {
@@ -969,7 +948,6 @@ mod tests {
         #[derive(Default)]
         struct Model {
             transactions: BTreeMap<Vec<Item>, f64>,
-            total: f64,
         }
 
         impl Model {
@@ -979,7 +957,6 @@ mod tests {
                 set.dedup();
                 if !set.is_empty() {
                     *self.transactions.entry(set).or_insert(0.0) += weight;
-                    self.total += weight;
                 }
             }
 
@@ -1019,7 +996,6 @@ mod tests {
                 tree.for_each_path(|_, _| n += 1);
                 n
             });
-            prop_assert!((tree.total_weight() - model.total).abs() < 1e-9);
             for item in 0..8 {
                 prop_assert!((tree.item_count(item) - model.item_count(item)).abs() < 1e-9);
             }
@@ -1048,7 +1024,6 @@ mod tests {
                         6 => {
                             tree.decay(0.75);
                             model.transactions.values_mut().for_each(|w| *w *= 0.75);
-                            model.total *= 0.75;
                         }
                         7 => {
                             let keep: HashSet<Item> = items.iter().copied().collect();
@@ -1323,10 +1298,6 @@ mod tests {
                 );
                 assert_eq!(arena.node_count(), oracle.node_count());
                 assert_eq!(arena.distinct_items(), oracle.distinct_items());
-                assert_eq!(
-                    arena.total_weight().to_bits(),
-                    oracle.total_weight().to_bits()
-                );
                 for item in 0..alphabet as Item {
                     assert_eq!(
                         arena.item_count(item).to_bits(),
@@ -1334,7 +1305,7 @@ mod tests {
                         "count of item {item}"
                     );
                 }
-                let support = arena.total_weight() * 0.05;
+                let support = oracle.total_weight() * 0.05;
                 let (mined, expected) = (arena.mine(support, 3), oracle.mine(support, 3));
                 assert_eq!(mined.len(), expected.len());
                 for (m, e) in mined.iter().zip(&expected) {
@@ -1491,10 +1462,6 @@ mod tests {
                 assert_eq!(bits(recorded), bits(descended));
                 assert_eq!(recorded.node_count(), descended.node_count());
                 assert_eq!(recorded.distinct_items(), descended.distinct_items());
-                assert_eq!(
-                    recorded.total_weight().to_bits(),
-                    descended.total_weight().to_bits()
-                );
                 for &item in &self.seen {
                     assert_eq!(
                         recorded.item_count(item).to_bits(),

@@ -35,7 +35,6 @@ pub struct FpTree {
     header: HashMap<Item, usize>,
     /// Total item frequencies (used to order transactions).
     item_counts: HashMap<Item, f64>,
-    total_weight: f64,
 }
 
 const ROOT: usize = 0;
@@ -59,7 +58,6 @@ impl FpTree {
             }],
             header: HashMap::new(),
             item_counts: HashMap::new(),
-            total_weight: 0.0,
         }
     }
 
@@ -97,12 +95,6 @@ impl FpTree {
         self.nodes.len() - 1
     }
 
-    /// Total weight of inserted transactions.
-    #[cfg(test)]
-    pub(crate) fn total_weight(&self) -> f64 {
-        self.total_weight
-    }
-
     /// Order a transaction's items by global frequency (descending, ties by
     /// item id for determinism), dropping items below `min_support` and
     /// duplicates.
@@ -129,7 +121,6 @@ impl FpTree {
 
     /// Insert an already ordered, deduplicated transaction with a weight.
     fn insert_ordered(&mut self, items: &[Item], weight: f64) {
-        self.total_weight += weight;
         let mut current = ROOT;
         for &item in items {
             current = match self.nodes[current]
@@ -355,7 +346,6 @@ mod tests {
         let pair = result.iter().find(|r| r.items == vec![1, 2]).unwrap();
         assert!((one.support - 4.0).abs() < 1e-12);
         assert!((pair.support - 2.0).abs() < 1e-12);
-        assert!((tree.total_weight() - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -366,8 +356,6 @@ mod tests {
         let tree = FpTree::from_transactions(&transactions, 10.0);
         let result = tree.mine(10.0, usize::MAX);
         assert!(result.iter().all(|r| !r.items.contains(&99)));
-        // The total weight still counts every transaction, 98's too.
-        assert!((tree.total_weight() - 102.0).abs() < 1e-12);
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub struct AdaptableDampedReservoir<T> {
     current_weight: f64,
     items: Vec<T>,
     items_since_decay: u64,
-    total_observed: u64,
     rng: SplitMix64,
 }
 
@@ -57,7 +56,6 @@ impl<T> AdaptableDampedReservoir<T> {
             current_weight: 0.0,
             items: Vec::with_capacity(capacity),
             items_since_decay: 0,
-            total_observed: 0,
             rng: SplitMix64::new(seed),
         }
     }
@@ -74,7 +72,6 @@ impl<T> AdaptableDampedReservoir<T> {
 impl<T> StreamSampler<T> for AdaptableDampedReservoir<T> {
     fn observe_weighted(&mut self, item: T, weight: f64) {
         assert!(weight > 0.0, "observation weight must be positive");
-        self.total_observed += 1;
         self.current_weight += weight;
         if self.items.len() < self.capacity {
             self.items.push(item);
@@ -126,7 +123,6 @@ mod tests {
             adr.observe(i);
         }
         assert_eq!(adr.len(), 50);
-        assert_eq!(adr.total_observed, 1000);
     }
 
     #[test]

@@ -21,7 +21,6 @@ pub struct PerTupleBiasedReservoir<T> {
     lambda: f64,
     items: Vec<T>,
     rng: SplitMix64,
-    total_observed: u64,
 }
 
 impl<T> PerTupleBiasedReservoir<T> {
@@ -38,14 +37,12 @@ impl<T> PerTupleBiasedReservoir<T> {
             lambda,
             items: Vec::with_capacity(capacity),
             rng: SplitMix64::new(seed),
-            total_observed: 0,
         }
     }
 }
 
 impl<T> StreamSampler<T> for PerTupleBiasedReservoir<T> {
     fn observe_weighted(&mut self, item: T, _weight: f64) {
-        self.total_observed += 1;
         // Aggarwal's scheme with p_in = capacity * lambda capped at 1: when
         // the reservoir represents a window of ~1/lambda tuples, each new
         // tuple replaces a uniformly random resident with this probability,
@@ -90,7 +87,6 @@ mod tests {
             r.observe(i);
         }
         assert_eq!(r.len(), 10);
-        assert_eq!(r.total_observed, 1000);
     }
 
     #[test]

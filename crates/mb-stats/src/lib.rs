@@ -18,8 +18,6 @@
 //! * [`zscore`] — the non-robust Z-score baseline used in Figure 3.
 //! * [`rand_ext`] — in-repo Gaussian (Box–Muller) and Zipfian samplers so
 //!   the workspace does not need `rand_distr`.
-//! * [`confidence`] — risk-ratio confidence intervals and binomial
-//!   proportion intervals (Appendix B).
 //!
 //! All estimators implement the common [`Estimator`] trait so the
 //! classification layer can treat them uniformly.
@@ -39,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-pub mod confidence;
 pub mod mad;
 pub mod matrix;
 pub mod mcd;

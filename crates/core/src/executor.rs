@@ -221,26 +221,18 @@ pub struct FittedModel {
     /// stage, so labels come from the rule alone and there is no score
     /// distribution.
     classifier: Option<BatchClassifier<QueryEstimator>>,
+    /// The percentile score cutoff fitted over the training batch (`None`
+    /// for rule-only models, which have no score distribution).
     cutoff: Option<f64>,
+    /// Metric dimensionality the model was trained on; scoring a batch of
+    /// any other dimensionality is a typed error.
     dim: usize,
 }
 
 impl FittedModel {
-    /// The percentile score cutoff fitted over the training batch (`None`
-    /// for rule-only models, which have no score distribution).
-    pub fn cutoff(&self) -> Option<f64> {
-        self.cutoff
-    }
-
-    /// Metric dimensionality the model was trained on; scoring a batch of
-    /// any other dimensionality is a typed error.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Whether the model carries a fitted unsupervised estimator (as opposed
     /// to labeling through a supervised rule alone).
-    pub fn is_unsupervised(&self) -> bool {
+    pub(crate) fn is_unsupervised(&self) -> bool {
         self.classifier.is_some()
     }
 
@@ -544,7 +536,7 @@ pub(crate) fn execute_naive(
     // snapshots the pool and task counts are not double-counted.
     let timer = trace.start();
     let results: Vec<Result<MdpReport>> = mb_pool::global().map_vec(chunks, |chunk| {
-        let mut input = ColumnarInput::from_points(parts.analysis, chunk)?;
+        let mut input = ColumnarInput::from_points(parts.analysis, &Executor::OneShot, chunk)?;
         input.pool_before = None;
         train_and_execute(parts, &mut input)
     });
@@ -814,8 +806,8 @@ mod tests {
             crate::wire::report_to_string(&report),
             crate::wire::report_to_string(&reference)
         );
-        assert_eq!(model.cutoff(), reference.score_cutoff);
-        assert_eq!(model.dim(), 1);
+        assert_eq!(model.cutoff, reference.score_cutoff);
+        assert_eq!(model.dim, 1);
     }
 
     #[test]
@@ -847,7 +839,7 @@ mod tests {
         let q = rule_only();
         let model = q.train(&points).unwrap();
         assert!(!model.is_unsupervised());
-        assert_eq!(model.cutoff(), None);
+        assert_eq!(model.cutoff, None);
         assert_eq!(q.execute_with_model(&model, &points).unwrap(), reference);
     }
 

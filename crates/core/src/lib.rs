@@ -7,22 +7,24 @@
 //! into the system described in Sections 3–5 of *MacroBase: Prioritizing
 //! Attention in Fast Data*:
 //!
-//! * [`types`] — [`Point`], labels, and rendered explanation reports.
+//! * [`types`] — [`Point`](types::Point), labels, and rendered explanation
+//!   reports.
 //! * [`operator`] — the Table 1 stages a query takes from its user
-//!   (Ingestor, Transformer), adapters for closures, and the batching
-//!   [`CsvIngestor`](operator::CsvIngestor).
-//! * [`query`] — the unified surface: an [`MdpQuery`] (shared
-//!   [`AnalysisConfig`] + transformer chain + classifier stages) executed by
-//!   any [`Executor`] backend — one-shot, coordinated partitioned, naïve
-//!   partitioned, or streaming — over a slice or any ingestor, returning
-//!   one unified [`MdpReport`].
+//!   (Ingestor, Transformer), an adapter for per-point closures, and the
+//!   batching [`CsvIngestor`](operator::CsvIngestor).
+//! * [`query`] — the unified surface: an [`MdpQuery`](query::MdpQuery)
+//!   (shared [`AnalysisConfig`](query::AnalysisConfig) + transformer
+//!   chain + classifier stages) executed by any
+//!   [`Executor`](query::Executor) backend — one-shot, coordinated
+//!   partitioned, naïve partitioned, or streaming — over a slice or any
+//!   ingestor, returning one unified [`MdpReport`](types::MdpReport).
 //! * [`executor`] — the batch core behind those backends: one-shot is
 //!   training followed by the with-model engine over a columnar input,
 //!   coordinated runs the one-shot engine, the naïve engine runs one-shot
 //!   per partition. Classification and explanation are the query's
 //!   configuration, run by these engines, not operators a user plugs in.
 //! * [`streaming`] — the exponentially weighted streaming (EWS) engine and
-//!   the incremental [`StreamingSession`].
+//!   the incremental [`StreamingSession`](streaming::StreamingSession).
 //! * [`parallel`] — the partitioning utilities of the naïve partitioned
 //!   backend.
 //! * [`presentation`] — ranking and text rendering of explanation reports.
@@ -66,13 +68,8 @@ pub mod streaming;
 pub mod types;
 pub mod wire;
 
-pub use executor::FittedModel;
 pub use mb_classify::{Classification, Label};
 pub use mb_obs::{ObsConfig, QueryTrace};
-pub use parallel::default_num_partitions;
-pub use query::{AnalysisConfig, EstimatorKind, Executor, MdpQuery, MdpQueryBuilder, StreamingOptions};
-pub use streaming::StreamingSession;
-pub use types::{MdpReport, Point, RenderedExplanation};
 
 /// Errors surfaced by query construction and execution.
 #[derive(Debug)]

@@ -25,7 +25,7 @@ mod tests {
         (points, workload.outlying_devices)
     }
 
-    fn run(config: AnalysisConfig, points: &[Point]) -> crate::Result<crate::MdpReport> {
+    fn run(config: AnalysisConfig, points: &[Point]) -> crate::Result<crate::types::MdpReport> {
         MdpQuery::new(config).execute(&Executor::OneShot, points)
     }
 

@@ -53,7 +53,7 @@ impl EncodedBatch {
     /// adopts `other`'s buffers instead of copying them, and an empty
     /// `other` changes nothing. Errors if the metric dimensionalities of two
     /// non-empty batches disagree (a malformed source).
-    pub fn append(&mut self, other: EncodedBatch) -> crate::Result<()> {
+    pub(crate) fn append(&mut self, other: EncodedBatch) -> crate::Result<()> {
         // An empty batch's `dim` is whatever its source defaulted to.
         if other.is_empty() {
             return Ok(());
@@ -112,15 +112,10 @@ pub struct ColumnarInput {
 }
 
 impl ColumnarInput {
-    /// An empty input for `analysis`: its attribute dictionary, and a trace
+    /// An empty input for a query `executor` will run over `analysis`: its
+    /// attribute dictionary, and a trace carrying the executor's name,
     /// started now, so the work that fills the input is part of the query.
-    pub fn new(analysis: &AnalysisConfig) -> Self {
-        Self::for_executor(analysis, &Executor::OneShot)
-    }
-
-    /// [`ColumnarInput::new`] for a query `executor` will run: its trace
-    /// carries that executor's name.
-    pub(crate) fn for_executor(analysis: &AnalysisConfig, executor: &Executor) -> Self {
+    pub fn new(analysis: &AnalysisConfig, executor: &Executor) -> Self {
         let trace = mb_obs::TraceBuilder::new(analysis.obs, executor.name());
         ColumnarInput {
             batch: EncodedBatch::default(),
@@ -135,8 +130,12 @@ impl ColumnarInput {
     /// explanation never reads the items, so its rows are only counted.
     /// Fails as the one-shot engine does on an empty, zero-metric, or ragged
     /// batch.
-    pub fn from_points(analysis: &AnalysisConfig, points: &[Point]) -> crate::Result<Self> {
-        let mut input = ColumnarInput::new(analysis);
+    pub fn from_points(
+        analysis: &AnalysisConfig,
+        executor: &Executor,
+        points: &[Point],
+    ) -> crate::Result<Self> {
+        let mut input = ColumnarInput::new(analysis, executor);
         input.fill(analysis, points)?;
         Ok(input)
     }
@@ -304,25 +303,6 @@ impl<F: FnMut(Point) -> Point> MapTransformer<F> {
 impl<F: FnMut(Point) -> Point> Transformer for MapTransformer<F> {
     fn transform(&mut self, points: Vec<Point>) -> Vec<Point> {
         points.into_iter().map(&mut self.f).collect()
-    }
-}
-
-/// Adapter turning a batch-level closure into a [`Transformer`] (for
-/// transforms that need to see the whole batch, e.g. windowed aggregation).
-pub struct BatchTransformer<F: FnMut(Vec<Point>) -> Vec<Point>> {
-    f: F,
-}
-
-impl<F: FnMut(Vec<Point>) -> Vec<Point>> BatchTransformer<F> {
-    /// Wrap a per-batch closure.
-    pub fn new(f: F) -> Self {
-        BatchTransformer { f }
-    }
-}
-
-impl<F: FnMut(Vec<Point>) -> Vec<Point>> Transformer for BatchTransformer<F> {
-    fn transform(&mut self, points: Vec<Point>) -> Vec<Point> {
-        (self.f)(points)
     }
 }
 
@@ -569,7 +549,8 @@ mod tests {
         for analysis in [AnalysisConfig::default(), named, skipping] {
             for (n, dim) in [(1, 1), (2, 3), (7, 2), (1_000, 1), (5_003, 4)] {
                 let points = stored_rows(n, dim);
-                let input = ColumnarInput::from_points(&analysis, &points).unwrap();
+                let input =
+                    ColumnarInput::from_points(&analysis, &Executor::OneShot, &points).unwrap();
                 let (batch, encoder) = flatten_then_encode(&analysis, &points);
                 assert_eq!(input.batch.metrics, batch.metrics, "{n} rows of {dim}");
                 assert_eq!(input.batch.dim, dim);
@@ -590,7 +571,8 @@ mod tests {
     fn from_points_fails_as_the_row_checks_do() {
         let analysis = AnalysisConfig::default();
         let error = |points: &[Point]| {
-            let fused = ColumnarInput::from_points(&analysis, points).unwrap_err();
+            let fused =
+                ColumnarInput::from_points(&analysis, &Executor::OneShot, points).unwrap_err();
             let checked = crate::executor::check_dimensions(points).unwrap_err();
             assert_eq!(format!("{fused:?}"), format!("{checked:?}"));
             fused
@@ -649,25 +631,6 @@ mod tests {
         let out = t.transform(vec![Point::simple(2.0, "x"), Point::simple(3.0, "y")]);
         assert_eq!(out[0].metrics[0], 4.0);
         assert_eq!(out[1].metrics[0], 6.0);
-    }
-
-    #[test]
-    fn batch_transformer_can_change_cardinality() {
-        // A windowing transform that averages pairs of points.
-        let mut t = BatchTransformer::new(|points: Vec<Point>| {
-            points
-                .chunks(2)
-                .map(|chunk| {
-                    let mean =
-                        chunk.iter().map(|p| p.metrics[0]).sum::<f64>() / chunk.len() as f64;
-                    Point::simple(mean, chunk[0].attributes[0].clone())
-                })
-                .collect()
-        });
-        let input: Vec<Point> = (0..6).map(|i| Point::simple(i as f64, "w")).collect();
-        let out = t.transform(input);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].metrics[0], 0.5);
     }
 
     #[test]

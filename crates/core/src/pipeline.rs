@@ -7,7 +7,7 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::operator::{BatchTransformer, MapTransformer};
+    use crate::operator::{MapTransformer, Transformer};
     use crate::query::{Executor, MdpQuery};
     use crate::types::Point;
     use crate::PipelineError;
@@ -120,10 +120,14 @@ mod tests {
 
     #[test]
     fn empty_after_transform_is_an_error() {
-        let mut query = MdpQuery::builder()
-            .transform(Box::new(BatchTransformer::new(|_points: Vec<Point>| {
+        struct Emptying;
+        impl Transformer for Emptying {
+            fn transform(&mut self, _: Vec<Point>) -> Vec<Point> {
                 Vec::new()
-            })))
+            }
+        }
+        let mut query = MdpQuery::builder()
+            .transform(Box::new(Emptying))
             .build()
             .unwrap();
         assert!(matches!(

@@ -85,7 +85,7 @@ impl EstimatorKind {
     /// cannot diverge.
     ///
     /// [`Auto`]: EstimatorKind::Auto
-    pub fn resolve(self, dim: usize) -> EstimatorKind {
+    pub(crate) fn resolve(self, dim: usize) -> EstimatorKind {
         match self {
             EstimatorKind::Auto => {
                 if dim == 1 {
@@ -148,6 +148,35 @@ impl Default for AnalysisConfig {
             skip_explanation: false,
             obs: mb_obs::ObsConfig::default(),
         }
+    }
+}
+
+impl AnalysisConfig {
+    /// Reject values no executor can run faithfully, naming the field: a
+    /// percentile outside [0, 1], a training sample of zero points, a
+    /// support outside [0, 1] and a NaN risk ratio. Every executor runs
+    /// this before it touches a row, and a served submission before it is
+    /// admitted.
+    pub fn validate(&self) -> Result<()> {
+        let invalid = |field: &str, rule: &str, got: &dyn std::fmt::Display| {
+            Err(PipelineError::InvalidConfiguration(format!(
+                "{field} must be {rule}, got {got}"
+            )))
+        };
+        if !(0.0..=1.0).contains(&self.target_percentile) {
+            return invalid("target_percentile", "in [0, 1]", &self.target_percentile);
+        }
+        if self.training_sample_size == Some(0) {
+            return invalid("training_sample_size", "positive", &0);
+        }
+        let thresholds = &self.explanation;
+        if !(0.0..=1.0).contains(&thresholds.min_support) {
+            return invalid("min_support", "in [0, 1]", &thresholds.min_support);
+        }
+        if thresholds.min_risk_ratio.is_nan() {
+            return invalid("min_risk_ratio", "a number", &thresholds.min_risk_ratio);
+        }
+        Ok(())
     }
 }
 
@@ -316,6 +345,7 @@ impl MdpQuery {
 
     /// Reject query/backend combinations that cannot be executed faithfully.
     fn check_backend(&self, executor: &Executor) -> Result<()> {
+        self.analysis.validate()?;
         if let Executor::Streaming { options } = executor {
             options.validate()?;
             // The streaming explainer's trees take support as a fraction of
@@ -324,14 +354,6 @@ impl MdpQuery {
             if !(min_support > 0.0 && min_support < 1.0) {
                 return Err(PipelineError::InvalidConfiguration(format!(
                     "streaming min_support must be in (0, 1), got {min_support}"
-                )));
-            }
-            // The session builds its classifier at the first point; a bad
-            // percentile must be refused here, not at every point after.
-            let percentile = self.analysis.target_percentile;
-            if !(0.0..=1.0).contains(&percentile) {
-                return Err(PipelineError::InvalidConfiguration(format!(
-                    "streaming target_percentile must be in [0, 1], got {percentile}"
                 )));
             }
             // The classifier trains once its reservoir holds the warm-up,
@@ -395,7 +417,7 @@ impl MdpQuery {
         if let Executor::NaivePartitioned { partitions } = executor {
             return execute_naive(self.parts(), input, *partitions);
         }
-        let mut columns = ColumnarInput::for_executor(&self.analysis, executor);
+        let mut columns = ColumnarInput::new(&self.analysis, executor);
         columns.fill(&self.analysis, input)?;
         train_and_execute(self.parts(), &mut columns)
     }
@@ -472,7 +494,7 @@ impl MdpQuery {
             // scores, threshold, explanations — is exactly what the
             // materializing path below produces.
             Executor::OneShot | Executor::Coordinated { .. } if self.transformers.is_empty() => {
-                let mut input = ColumnarInput::for_executor(&self.analysis, executor);
+                let mut input = ColumnarInput::new(&self.analysis, executor);
                 let timer = input.trace.start();
                 let mut batches = 0usize;
                 while let Some(batch) = source.next_encoded_batch(&mut input.encoder)? {
@@ -504,10 +526,12 @@ impl MdpQuery {
         }
     }
 
-    /// Transformer chains are stateful batch operators; a model fitted on
-    /// one chain state would silently disagree with a fresh execution, so
-    /// the train/score split rejects them with a typed error.
+    /// The analysis is validated as every executor validates it. Transformer
+    /// chains are stateful batch operators; a model fitted on one chain
+    /// state would silently disagree with a fresh execution, so the
+    /// train/score split rejects them with a typed error.
     fn check_model_compatible(&self) -> Result<()> {
+        self.analysis.validate()?;
         if !self.transformers.is_empty() {
             return Err(PipelineError::UnsupportedByBackend {
                 feature: "transformer chain",
@@ -564,7 +588,7 @@ impl MdpQuery {
     /// [`execute_columns_with_model`]: MdpQuery::execute_columns_with_model
     pub fn execute_with_model(&self, model: &FittedModel, points: &[Point]) -> Result<MdpReport> {
         self.check_model_compatible()?;
-        let mut input = ColumnarInput::from_points(&self.analysis, points)?;
+        let mut input = ColumnarInput::from_points(&self.analysis, &Executor::OneShot, points)?;
         execute_with_model(self.parts(), model, &mut input)
     }
 
@@ -633,19 +657,13 @@ impl Default for MdpQueryBuilder {
 impl MdpQueryBuilder {
     /// Start with default analysis parameters and the unsupervised
     /// classifier enabled.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MdpQueryBuilder {
             analysis: AnalysisConfig::default(),
             transformers: Vec::new(),
             rule: None,
             unsupervised: true,
         }
-    }
-
-    /// Replace the whole analysis configuration.
-    pub fn analysis(mut self, analysis: AnalysisConfig) -> Self {
-        self.analysis = analysis;
-        self
     }
 
     /// Select the estimator.
@@ -734,12 +752,7 @@ impl MdpQueryBuilder {
         if !self.unsupervised && self.rule.is_none() {
             return Err(PipelineError::MissingClassifier);
         }
-        if !(0.0..=1.0).contains(&self.analysis.target_percentile) {
-            return Err(PipelineError::InvalidConfiguration(format!(
-                "target percentile must be in [0, 1], got {}",
-                self.analysis.target_percentile
-            )));
-        }
+        self.analysis.validate()?;
         Ok(MdpQuery {
             analysis: self.analysis,
             transformers: self.transformers,
@@ -861,8 +874,10 @@ mod tests {
         assert_eq!(label, crate::Label::Outlier);
 
         for min_support in [0.0, 1.0, f64::NAN] {
-            let thresholds = ExplanationConfig::new(min_support, 3.0);
-            let query = MdpQuery::builder().explanation(thresholds).build().unwrap();
+            let query = MdpQuery::new(AnalysisConfig {
+                explanation: ExplanationConfig::new(min_support, 3.0),
+                ..AnalysisConfig::default()
+            });
             assert!(matches!(
                 query.into_streaming(&base()),
                 Err(PipelineError::InvalidConfiguration(message)) if message.contains("min_support")
@@ -963,15 +978,19 @@ mod tests {
             Point::new(vec![1.0], vec!["a".to_string()]),
             Point::new(vec![1.0, 2.0], vec!["a".to_string()]),
         ];
+        struct Emptying;
+        impl Transformer for Emptying {
+            fn transform(&mut self, _: Vec<Point>) -> Vec<Point> {
+                Vec::new()
+            }
+        }
         for executor in [
             Executor::OneShot,
             Executor::Coordinated { partitions: 1 },
             Executor::NaivePartitioned { partitions: 1 },
         ] {
             let mut emptied = MdpQuery::builder()
-                .transform(Box::new(crate::operator::BatchTransformer::new(
-                    |_: Vec<Point>| Vec::new(),
-                )))
+                .transform(Box::new(Emptying))
                 .build()
                 .unwrap();
             assert!(

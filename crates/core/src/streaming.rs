@@ -254,23 +254,6 @@ impl StreamingSession {
         outcome.map(|()| outliers)
     }
 
-    /// Force a decay period boundary (also triggered automatically every
-    /// `decay_period` points).
-    pub fn on_period_boundary(&mut self) {
-        let decay_start = StageTimer::start_if(self.labeler.obs_enabled);
-        if let Some(classifier) = self.labeler.classifier.as_mut() {
-            classifier.on_period_boundary();
-        }
-        if !self.labeler.skip_explanation {
-            self.explainer.on_window_boundary();
-        }
-        if decay_start.is_running() {
-            self.labeler
-                .metrics
-                .record_ns("decay_ns", decay_start.elapsed_ns());
-        }
-    }
-
     /// Total points observed so far.
     pub fn points_seen(&self) -> u64 {
         self.labeler.points_seen
@@ -279,13 +262,6 @@ impl StreamingSession {
     /// Total points labeled outlier so far.
     pub fn outliers_seen(&self) -> u64 {
         self.labeler.outliers_seen
-    }
-
-    /// Whether the underlying model has completed its warm-up training
-    /// (always true for rule-only queries).
-    pub fn is_trained(&self) -> bool {
-        let labeler = &self.labeler;
-        !labeler.unsupervised || labeler.classifier.as_ref().is_some_and(|c| c.is_trained())
     }
 
     /// Render the current explanations and counters as a report.
@@ -702,7 +678,6 @@ mod tests {
             let point = Point::new(r.record.metrics.clone(), r.record.attributes.clone());
             session.observe(&point).unwrap();
         }
-        assert!(session.is_trained());
         assert!(session.outliers_seen() > 0);
         let report = session.report();
         let reported: Vec<String> = report
@@ -771,7 +746,6 @@ mod tests {
             );
             session.observe(&point).unwrap();
         }
-        assert!(session.is_trained());
         // An extreme multivariate point is flagged.
         let label = session
             .observe(&Point::new(

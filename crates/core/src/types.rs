@@ -33,7 +33,7 @@ impl Point {
     }
 
     /// Metric dimensionality.
-    pub fn dimension(&self) -> usize {
+    pub(crate) fn dimension(&self) -> usize {
         self.metrics.len()
     }
 }
@@ -95,7 +95,7 @@ pub struct MdpReport {
 
 impl MdpReport {
     /// Fraction of points classified as outliers.
-    pub fn outlier_fraction(&self) -> f64 {
+    pub(crate) fn outlier_fraction(&self) -> f64 {
         if self.num_points == 0 {
             0.0
         } else {

@@ -346,7 +346,11 @@ fn histogram_from_json(value: &Value, context: &str) -> Result<HistogramSnapshot
     })
 }
 
-fn trace_to_json(trace: &QueryTrace) -> Value {
+/// A trace in the layout a report embeds it in: one object with the
+/// executor, the partitions, the stages, counters and gauges as
+/// `[name, value]` pairs (a non-finite gauge as `"Infinity"`, `"-Infinity"`
+/// or `"NaN"`), and the histograms.
+pub fn trace_to_json(trace: &QueryTrace) -> Value {
     let mut map = Map::new();
     map.insert("executor".to_string(), Value::String(trace.executor.clone()));
     map.insert("partitions".to_string(), Value::from(trace.partitions));
@@ -1017,7 +1021,8 @@ impl<'a> DecodedPoints<'a> {
         }
     }
 
-    /// The rows in columns for `analysis`: metrics into the flat buffer as
+    /// The rows in columns for a query `executor` will run over `analysis`
+    /// (see [`ColumnarInput::new`]): metrics into the flat buffer as
     /// they are, attributes interned into the query's dictionary row by
     /// row, column by column — the ids a serial `encode_point` pass assigns
     /// — or, for a query that skips explanation, only counted. The trace's
@@ -1028,6 +1033,7 @@ impl<'a> DecodedPoints<'a> {
     pub fn into_columns(
         self,
         analysis: &AnalysisConfig,
+        executor: &Executor,
     ) -> Result<crate::Result<ColumnarInput>, WireError> {
         let DecodedPoints {
             metrics,
@@ -1050,7 +1056,7 @@ impl<'a> DecodedPoints<'a> {
                 }));
             }
         }
-        let mut input = ColumnarInput::new(analysis);
+        let mut input = ColumnarInput::new(analysis, executor);
         let batch = &mut input.batch;
         batch.metrics = metrics;
         batch.dim = first_dim;
@@ -2208,7 +2214,9 @@ mod tests {
         text: &str,
         analysis: &AnalysisConfig,
     ) -> Result<crate::Result<ColumnarInput>, WireError> {
-        decode(text, |points| points.into_columns(analysis))
+        decode(text, |points| {
+            points.into_columns(analysis, &Executor::OneShot)
+        })
     }
 
     /// Points compared by metric bits, so `NaN` equals itself.
@@ -2296,7 +2304,7 @@ mod tests {
         let full = columns(text, &AnalysisConfig::default()).unwrap().unwrap();
         let scanned = columns(text, &skip).unwrap().unwrap();
         let points = rows(text).unwrap();
-        let adapted = ColumnarInput::from_points(&skip, &points).unwrap();
+        let adapted = ColumnarInput::from_points(&skip, &Executor::OneShot, &points).unwrap();
         for input in [&scanned, &adapted] {
             assert_eq!(input.batch.metrics, full.batch.metrics);
             assert_eq!(input.batch.dim, 2);

@@ -8,9 +8,10 @@
 //! implementation — using the same row layout.
 //!
 //! With `--trace`, every query also runs with telemetry enabled
-//! (`ObsConfig::enabled()`): per-stage spans are printed as `TRACE:`
-//! JSON-lines, the traced report is asserted equal to the untraced one with
-//! the trace stripped, and both runs are timed best-of-3 so the telemetry
+//! (`ObsConfig::enabled()`): each query's trace is printed on one `TRACE:`
+//! line, in the layout a report embeds it in (`macrobase_core::wire`), the
+//! traced report is asserted equal to the untraced one with the trace
+//! stripped, and both runs are timed best-of-3 so the telemetry
 //! overhead can be reported — and gated with `--max-overhead-pct N`
 //! (non-zero exit when the aggregate traced time exceeds untraced by more
 //! than `N` percent). The emitted JSON rows keep the untraced shape, so the
@@ -18,6 +19,7 @@
 
 use macrobase_core::query::{Executor, MdpQuery};
 use macrobase_core::types::MdpReport;
+use macrobase_core::wire::trace_to_json;
 use mb_bench::{arg_flag, arg_usize, emit_json, human_count, records_to_points, throughput, timed};
 use mb_ingest::datasets::{generate_dataset, simple_query_view, DatasetId, DatasetScale};
 
@@ -87,9 +89,7 @@ fn main() {
                 traced_report, report,
                 "{name}: tracing changed the report"
             );
-            for line in mb_obs::export::trace_to_json_lines(&trace).lines() {
-                println!("TRACE: {line}");
-            }
+            println!("TRACE: {}", trace_to_json(&trace));
             if let Some(obj) = row.as_object_mut() {
                 // `_ms` keys are volatile to the diff harness: present only
                 // in traced runs, ignored when diffing against the untraced

@@ -101,8 +101,8 @@ impl<E: Estimator> BatchClassifier<E> {
     /// fitted model through [`Estimator::score_batch_flat`], so estimators
     /// with a parallel bulk path (MCD's pool-scattered distance pass) use
     /// it. The scores are exactly what row-by-row [`Estimator::score`] on
-    /// [`estimator`](BatchClassifier::estimator) returns, so a caller that
-    /// scores one row at a time agrees with one that scores the batch.
+    /// the fitted estimator returns, so a caller that scores one row at a
+    /// time agrees with one that scores the batch.
     pub fn score_batch_flat(&self, flat: &[f64], dim: usize) -> Result<Vec<f64>> {
         self.estimator.score_batch_flat(flat, dim)
     }
@@ -120,11 +120,6 @@ impl<E: Estimator> BatchClassifier<E> {
             .into_iter()
             .map(|score| threshold.classify(score))
             .collect())
-    }
-
-    /// Access the wrapped estimator.
-    pub fn estimator(&self) -> &E {
-        &self.estimator
     }
 }
 
@@ -274,7 +269,7 @@ mod tests {
         let batch = c.score_batch_flat(&metrics, 2).unwrap();
         assert_eq!(batch.len(), 4_000);
         for (row, &s) in metrics.chunks_exact(2).zip(batch.iter()) {
-            assert_eq!(s, c.estimator().score(row).unwrap());
+            assert_eq!(s, c.estimator.score(row).unwrap());
         }
     }
 

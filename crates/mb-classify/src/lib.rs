@@ -4,8 +4,9 @@
 //! from its metrics. This crate provides the pieces the MDP pipeline
 //! assembles (Figure 2, left half):
 //!
-//! * [`threshold`] — percentile-based score cutoffs, either static (one-shot)
-//!   or maintained over a damped reservoir of scores (streaming).
+//! * [`threshold`] — the exact percentile cutoff of a batch of scores
+//!   (one-shot); the streaming classifier keeps its own over a damped
+//!   reservoir of scores.
 //! * [`rule`] — rule-based (supervised) classifiers for the hybrid
 //!   supervision case study of Section 6.4.
 //! * [`batch`] — one-shot classification: train a robust estimator on the
@@ -58,7 +59,7 @@ impl Label {
     }
 
     /// Construct a label from an outlier flag.
-    pub fn from_outlier_flag(is_outlier: bool) -> Self {
+    pub(crate) fn from_outlier_flag(is_outlier: bool) -> Self {
         if is_outlier {
             Label::Outlier
         } else {

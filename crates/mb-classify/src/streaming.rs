@@ -79,7 +79,7 @@ impl<E: Estimator> StreamingClassifier<E> {
         // would take it (or, at 0, panic on it).
         if config.reservoir_size < WARMUP_POINTS {
             return Err(StatsError::InvalidParameter(format!(
-                "score reservoir capacity must be at least {WARMUP_POINTS}, got {}",
+                "reservoir size must be at least {WARMUP_POINTS}, got {}",
                 config.reservoir_size
             )));
         }
@@ -167,7 +167,7 @@ impl<E: Estimator> StreamingClassifier<E> {
     /// Force a model retrain from the current input reservoir. A sample the
     /// estimator rejects (empty, non-finite, points of differing widths)
     /// keeps the current model.
-    pub fn retrain(&mut self) {
+    pub(crate) fn retrain(&mut self) {
         self.points_since_retrain = 0;
         let sample = self.input_reservoir.sample();
         let Some(dim) = sample.first().map(Vec::len) else {
@@ -191,14 +191,9 @@ impl<E: Estimator> StreamingClassifier<E> {
         self.scores.refresh();
     }
 
-    /// Whether the model has been trained at least once.
-    pub fn is_trained(&self) -> bool {
-        self.model_trained
-    }
-
     /// Points observed since the model was last (re)trained — the model
     /// staleness a monitoring layer wants to watch. Resets to 0 on every
-    /// [`StreamingClassifier::retrain`], including warm-up training.
+    /// `StreamingClassifier::retrain`, including warm-up training.
     pub fn points_since_retrain(&self) -> u64 {
         self.points_since_retrain
     }
@@ -206,11 +201,6 @@ impl<E: Estimator> StreamingClassifier<E> {
     /// The current score cutoff, if available.
     pub fn current_cutoff(&mut self) -> Option<f64> {
         self.scores.threshold().ok()
-    }
-
-    /// Access the wrapped estimator (e.g. to read MCD location/scatter).
-    pub fn estimator(&self) -> &E {
-        &self.estimator
     }
 }
 
@@ -255,7 +245,7 @@ mod tests {
         for _ in 0..2_000 {
             c.observe(&[normal(&mut rng, 0.0, 1.0)]);
         }
-        assert!(c.is_trained());
+        assert!(c.model_trained);
         assert!(c.observe(&[1_000.0]).label.is_outlier());
     }
 
@@ -266,7 +256,7 @@ mod tests {
             let r = c.observe(&[i as f64]);
             assert_eq!(r.label, Label::Inlier);
         }
-        assert!(!c.is_trained());
+        assert!(!c.model_trained);
     }
 
     #[test]
@@ -276,7 +266,7 @@ mod tests {
         for _ in 0..5_000 {
             c.observe(&[normal(&mut rng, 10.0, 1.0)]);
         }
-        assert!(c.is_trained());
+        assert!(c.model_trained);
         let extreme = c.observe(&[1_000.0]);
         assert_eq!(extreme.label, Label::Outlier);
         assert!(extreme.score > 100.0);
@@ -343,7 +333,7 @@ mod tests {
         for _ in 0..3_000 {
             c.observe(&[normal(&mut rng, 0.0, 1.0), normal(&mut rng, 5.0, 2.0)]);
         }
-        assert!(c.is_trained());
+        assert!(c.model_trained);
         assert!(c.observe(&[100.0, 100.0]).label.is_outlier());
         assert_eq!(c.observe(&[0.0, 5.0]).label, Label::Inlier);
     }
@@ -362,7 +352,7 @@ mod tests {
                 c.observe(&[x, x * 0.5, 1.0, 2.0]);
             }
         }
-        assert!(!c.is_trained());
+        assert!(!c.model_trained);
     }
 
     #[test]
@@ -375,34 +365,5 @@ mod tests {
         }
         let cutoff = c.current_cutoff().unwrap();
         assert!(cutoff > 1.0 && cutoff < 10.0, "cutoff = {cutoff}");
-    }
-
-    #[test]
-    fn streaming_threshold_starts_conservative() {
-        // The model trains at the warm-up; the score reservoir then needs a
-        // warm-up of its own before any point is labeled an outlier.
-        let mut rng = SplitMix64::new(9);
-        let mut c = StreamingClassifier::new(MadEstimator::new(), test_config()).unwrap();
-        for _ in 0..WARMUP_POINTS {
-            c.observe(&[normal(&mut rng, 0.0, 1.0)]);
-        }
-        assert!(c.is_trained());
-        let first = c.observe(&[1_000_000.0]);
-        assert!(first.score > 100.0);
-        assert_eq!(first.label, Label::Inlier);
-        assert!(c.current_cutoff().is_some());
-        for _ in 0..WARMUP_POINTS {
-            c.observe(&[normal(&mut rng, 0.0, 1.0)]);
-        }
-        assert!(c.observe(&[1_000_000.0]).label.is_outlier());
-    }
-
-    #[test]
-    fn invalid_percentile_rejected() {
-        let cfg = StreamingClassifierConfig {
-            target_percentile: 1.5,
-            ..test_config()
-        };
-        assert!(StreamingClassifier::new(MadEstimator::new(), cfg).is_err());
     }
 }

@@ -46,6 +46,9 @@ impl StaticThreshold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::{StreamingClassifier, StreamingClassifierConfig, WARMUP_POINTS};
+    use mb_stats::mad::MadEstimator;
+    use mb_stats::rand_ext::{normal, SplitMix64};
     use mb_stats::StatsError;
 
     #[test]
@@ -72,5 +75,59 @@ mod tests {
             StaticThreshold::from_scores(&[], 0.99),
             Err(StatsError::EmptyInput)
         ));
+    }
+
+    // The streaming cutoff is a percentile of the streaming classifier's
+    // score ADR; these drive it through the classifier.
+
+    #[test]
+    fn streaming_threshold_flags_about_one_percent() {
+        let config = StreamingClassifierConfig {
+            reservoir_size: 20_000,
+            decay_rate: 0.0,
+            retrain_period: 50_000,
+            ..StreamingClassifierConfig::default()
+        };
+        let mut c = StreamingClassifier::new(MadEstimator::new(), config).unwrap();
+        let mut rng = SplitMix64::new(3);
+        let n = 100_000;
+        let outliers = (0..n)
+            .filter(|_| c.observe(&[normal(&mut rng, 0.0, 1.0)]).label.is_outlier())
+            .count();
+        let fraction = outliers as f64 / n as f64;
+        assert!(
+            (0.005..0.02).contains(&fraction),
+            "outlier fraction was {fraction}"
+        );
+    }
+
+    #[test]
+    fn streaming_threshold_starts_conservative() {
+        // The model trains at the warm-up (the extreme point is scored);
+        // the score reservoir then needs a warm-up of its own before any
+        // point is labeled an outlier.
+        let config = StreamingClassifierConfig::default();
+        let mut c = StreamingClassifier::new(MadEstimator::new(), config).unwrap();
+        let mut rng = SplitMix64::new(9);
+        for _ in 0..WARMUP_POINTS {
+            c.observe(&[normal(&mut rng, 0.0, 1.0)]);
+        }
+        let first = c.observe(&[1_000_000.0]);
+        assert!(first.score > 100.0);
+        assert_eq!(first.label, Label::Inlier);
+        assert!(c.current_cutoff().is_some());
+        for _ in 0..WARMUP_POINTS {
+            c.observe(&[normal(&mut rng, 0.0, 1.0)]);
+        }
+        assert!(c.observe(&[1_000_000.0]).label.is_outlier());
+    }
+
+    #[test]
+    fn invalid_percentile_rejected() {
+        let config = StreamingClassifierConfig {
+            target_percentile: 1.5,
+            ..StreamingClassifierConfig::default()
+        };
+        assert!(StreamingClassifier::new(MadEstimator::new(), config).is_err());
     }
 }

@@ -11,7 +11,7 @@
 
 /// One lexed token. `line` is 1-based and refers to the token's first line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     pub kind: TokenKind,
     pub line: u32,
 }
@@ -20,7 +20,7 @@ pub struct Token {
 /// them: identifier text drives every pattern match and comment text carries
 /// SAFETY markers and pragmas.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword (`unsafe`, `for`, `HashMap`, …).
     Ident(String),
     /// Any single punctuation character (`.`, `:`, `{`, …).
@@ -42,7 +42,7 @@ pub enum TokenKind {
 
 impl TokenKind {
     /// The identifier text, if this token is an identifier.
-    pub fn ident(&self) -> Option<&str> {
+    pub(crate) fn ident(&self) -> Option<&str> {
         match self {
             TokenKind::Ident(s) => Some(s),
             _ => None,
@@ -91,7 +91,7 @@ impl Cursor {
 
 /// Lex `src` into a token stream. Unterminated literals or comments consume
 /// the rest of the input as that literal; the lexer never fails.
-pub fn lex(src: &str) -> Vec<Token> {
+pub(crate) fn lex(src: &str) -> Vec<Token> {
     let mut cur = Cursor::new(src);
     let mut out = Vec::new();
     while let Some(c) = cur.peek(0) {

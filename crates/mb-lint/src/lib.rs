@@ -8,7 +8,7 @@
 //! its invariant, hash-iteration order must never reach report bytes, and
 //! the executor/server hot paths must fail typed, not panic. This crate is a
 //! from-scratch, dependency-free lexer + rule engine that enforces those
-//! contracts in CI; see [`rules::RuleId`] for the rule set and [`pragma`]
+//! contracts in CI; see [`rules::RuleId`] for the rule set and `pragma`
 //! for the inline suppression syntax.
 //!
 //! ```
@@ -23,10 +23,10 @@
 //! assert_eq!(diags[0].line, 1);
 //! ```
 
-pub mod lexer;
-pub mod pragma;
+mod lexer;
+mod pragma;
 pub mod rules;
-pub mod walk;
+mod walk;
 
 use rules::{Diagnostic, RuleId};
 
@@ -66,7 +66,7 @@ fn in_tests_or_benches(path: &str) -> bool {
 /// - `trace-names-from-taxonomy` covers core and mb-serve, the crates that
 ///   build query traces.
 /// - `unsafe-needs-safety-comment` applies everywhere, tests included.
-pub fn rules_for_path(path: &str) -> Vec<RuleId> {
+pub(crate) fn rules_for_path(path: &str) -> Vec<RuleId> {
     let mut rules = vec![RuleId::UnsafeNeedsSafetyComment];
     if in_tests_or_benches(path) {
         return rules;

@@ -18,7 +18,7 @@ use crate::rules::{Diagnostic, RuleId};
 /// itself; a pragma alone on its line silences `line + 1`. The two forms
 /// never bleed further, so one justification covers exactly one site.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pragma {
+pub(crate) struct Pragma {
     pub line: u32,
     pub rules: Vec<RuleId>,
     /// No code shares the pragma's line (the comment stands alone).
@@ -30,7 +30,7 @@ const MARKER: &str = "mb-lint:";
 /// Extract pragmas from a token stream. Malformed pragmas come back as
 /// `invalid-pragma` diagnostics (never as silent no-ops) and suppress
 /// nothing.
-pub fn collect_pragmas(path: &str, toks: &[Token]) -> (Vec<Pragma>, Vec<Diagnostic>) {
+pub(crate) fn collect_pragmas(path: &str, toks: &[Token]) -> (Vec<Pragma>, Vec<Diagnostic>) {
     let code_lines: std::collections::HashSet<u32> = toks
         .iter()
         .filter(|t| {
@@ -109,7 +109,7 @@ fn parse_pragma(rest: &str) -> Result<Vec<RuleId>, String> {
 /// Whether `diag` is silenced by any pragma: a trailing pragma covers its
 /// own line, a standalone pragma covers the next line. `invalid-pragma`
 /// diagnostics are never suppressible.
-pub fn suppressed(diag: &Diagnostic, pragmas: &[Pragma]) -> bool {
+pub(crate) fn suppressed(diag: &Diagnostic, pragmas: &[Pragma]) -> bool {
     if diag.rule == RuleId::InvalidPragma {
         return false;
     }

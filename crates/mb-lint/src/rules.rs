@@ -37,7 +37,7 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule a pragma may suppress (`invalid-pragma` itself cannot be).
-    pub const SUPPRESSIBLE: [RuleId; 7] = [
+    pub(crate) const SUPPRESSIBLE: [RuleId; 7] = [
         RuleId::FloatTotalOrder,
         RuleId::NoAdhocThreads,
         RuleId::NoAdhocClock,
@@ -62,7 +62,7 @@ impl RuleId {
     }
 
     /// Parse a pragma rule name.
-    pub fn parse(name: &str) -> Option<RuleId> {
+    pub(crate) fn parse(name: &str) -> Option<RuleId> {
         RuleId::SUPPRESSIBLE
             .into_iter()
             .find(|r| r.as_str() == name)
@@ -141,7 +141,7 @@ struct CodeTok<'a> {
 
 /// Run `rules` over a lexed file. `path` is only used to label diagnostics;
 /// the per-path rule policy lives in [`crate::rules_for_path`].
-pub fn lint_tokens(path: &str, toks: &[Token], rules: &[RuleId]) -> Vec<Diagnostic> {
+pub(crate) fn lint_tokens(path: &str, toks: &[Token], rules: &[RuleId]) -> Vec<Diagnostic> {
     let code: Vec<CodeTok<'_>> = toks
         .iter()
         .filter(|t| {

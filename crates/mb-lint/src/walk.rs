@@ -17,7 +17,7 @@ const SKIP_PREFIXES: [&str; 1] = ["crates/mb-lint/tests/fixtures"];
 
 /// All lintable `.rs` files under `root`, workspace-relative with forward
 /// slashes, sorted for deterministic output.
-pub fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {
+pub(crate) fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
     walk_dir(root, PathBuf::new(), &mut out)?;
     out.sort();

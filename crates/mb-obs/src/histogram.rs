@@ -37,21 +37,16 @@ fn bucket_index(ns: u64) -> usize {
 
 impl LatencyHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyHistogram::default()
     }
 
     /// Record one sample, in nanoseconds.
-    pub fn record_ns(&mut self, ns: u64) {
+    pub(crate) fn record_ns(&mut self, ns: u64) {
         self.count += 1;
         self.sum_ns = self.sum_ns.saturating_add(ns);
         self.max_ns = self.max_ns.max(ns);
         self.buckets[bucket_index(ns)] += 1;
-    }
-
-    /// Record one sample from a [`std::time::Duration`].
-    pub fn record(&mut self, elapsed: std::time::Duration) {
-        self.record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Number of recorded samples.
@@ -64,38 +59,9 @@ impl LatencyHistogram {
         self.sum_ns
     }
 
-    /// Largest recorded sample in nanoseconds.
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
-    /// Mean sample in nanoseconds, or 0 when empty.
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Upper bound (exclusive bucket edge) of the bucket containing the
-    /// `q`-quantile, or `None` when the histogram is empty. `q` is clamped
-    /// to `[0, 1]`. Resolution is one octave — good enough to spot a
-    /// regression, cheap enough to keep on the hot path.
-    pub fn quantile_upper_bound_ns(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(if i + 1 >= 64 { u64::MAX } else { 1u64 << (i + 1) });
-            }
-        }
-        Some(u64::MAX)
-    }
-
     /// A compact named snapshot (non-empty buckets only) for embedding in a
     /// [`QueryTrace`](crate::QueryTrace) and the wire format.
-    pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self, name: &str) -> HistogramSnapshot {
         HistogramSnapshot {
             name: name.to_string(),
             count: self.count,
@@ -130,13 +96,6 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u32, u64)>,
 }
 
-impl HistogramSnapshot {
-    /// Mean sample in nanoseconds, or 0 when empty.
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,34 +113,13 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_report_bucket_upper_edges() {
-        let mut h = LatencyHistogram::new();
-        for _ in 0..99 {
-            h.record_ns(100); // bucket 6: [64, 128)
-        }
-        h.record_ns(1 << 20); // bucket 20
-        assert_eq!(h.quantile_upper_bound_ns(0.5), Some(128));
-        assert_eq!(h.quantile_upper_bound_ns(0.99), Some(128));
-        assert_eq!(h.quantile_upper_bound_ns(1.0), Some(1 << 21));
-        assert_eq!(LatencyHistogram::new().quantile_upper_bound_ns(0.5), None);
-    }
-
-    #[test]
     fn snapshot_mean_matches_histogram() {
-        let mut h = LatencyHistogram::new();
-        h.record_ns(100);
-        h.record_ns(300);
-        assert_eq!(h.mean_ns(), 200);
-        assert_eq!(h.snapshot("x").mean_ns(), 200);
         // The snapshot keeps the count, sum, max and only non-empty buckets.
         let mut h = LatencyHistogram::new();
         for ns in [10, 1_000, 10, 1_000_000] {
             h.record_ns(ns);
         }
-        assert_eq!(
-            (h.count(), h.sum_ns(), h.max_ns()),
-            (4, 1_001_020, 1_000_000)
-        );
+        assert_eq!((h.count(), h.sum_ns(), h.max_ns), (4, 1_001_020, 1_000_000));
         let snap = h.snapshot("t");
         assert_eq!(
             (snap.count, snap.sum_ns, snap.max_ns),

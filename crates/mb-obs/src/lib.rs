@@ -16,9 +16,8 @@
 //!   merge`). Disabled builders compile down to a branch and no clock reads.
 //! * [`QueryTrace`] / [`StageTrace`] — the immutable record attached to a
 //!   finished report (`MdpReport::trace`), wire-round-tripped by
-//!   `macrobase_core::wire`.
-//! * [`export`] — a JSON-lines exporter over the vendored `serde_json`, for
-//!   the `--trace` flag on the reproduction binaries.
+//!   `macrobase_core::wire`, which also prints it for the `--trace` flag
+//!   on the reproduction binaries.
 //!
 //! Everything is off by default: [`ObsConfig::default`] is disabled, and a
 //! disabled [`TraceBuilder`] produces `None`, so blessed baseline reports
@@ -32,7 +31,6 @@
 //! end-to-end cost under 3% of query wall time. Disabled, the cost is a
 //! boolean test.
 
-pub mod export;
 mod histogram;
 mod registry;
 mod trace;

@@ -89,11 +89,6 @@ impl MetricRegistry {
     pub fn histogram_snapshots(&self) -> Vec<HistogramSnapshot> {
         self.histograms.iter().map(|(k, h)| h.snapshot(k)).collect()
     }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +125,5 @@ mod tests {
             r.histogram_snapshots().iter().map(|s| s.name.as_str()).collect::<Vec<_>>(),
             vec!["m1", "m2"]
         );
-        assert!(!r.is_empty());
-        assert!(MetricRegistry::new().is_empty());
     }
 }

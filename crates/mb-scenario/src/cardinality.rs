@@ -15,7 +15,7 @@ use mb_stats::rand_ext::{normal, SplitMix64};
 
 /// Configuration for the attribute-cardinality-explosion scenario.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CardinalityExplosionScenario {
+pub(crate) struct CardinalityExplosionScenario {
     /// Total number of rows.
     pub num_points: usize,
     /// Number of distinct apps (the low-cardinality column).

@@ -16,7 +16,7 @@ use mb_stats::rand_ext::{standard_normal, SplitMix64};
 
 /// Configuration for the correlated multi-metric failure scenario.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CorrelatedFailureScenario {
+pub(crate) struct CorrelatedFailureScenario {
     /// Number of hosts in the fleet.
     pub num_hosts: usize,
     /// Rows (time ticks) per host; total rows = `num_hosts * rows_per_host`.

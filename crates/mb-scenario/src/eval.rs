@@ -12,7 +12,7 @@
 //!   [`MdpReport::outlier_rows`]).
 //! * **Explanation level**: which attribute combinations were indicted.
 //!   [`explanation_jaccard`] scores the whole reported set against the
-//!   guilty set; [`value_metrics`] scores the named attribute *values*
+//!   guilty set; `value_metrics` scores the named attribute *values*
 //!   (the figure 4/11 device-F1 convention); [`truth_rank`] finds where the
 //!   true cause landed in the ranking (the Table 4 convention).
 //!
@@ -40,7 +40,11 @@ pub struct BinaryMetrics {
 
 impl BinaryMetrics {
     /// Build from explicit confusion counts.
-    pub fn from_counts(true_positives: usize, false_positives: usize, false_negatives: usize) -> Self {
+    pub(crate) fn from_counts(
+        true_positives: usize,
+        false_positives: usize,
+        false_negatives: usize,
+    ) -> Self {
         BinaryMetrics {
             true_positives,
             false_positives,
@@ -91,7 +95,7 @@ pub fn point_metrics(predicted_rows: &[usize], truth_rows: &[usize]) -> BinaryMe
 
 /// Set-level confusion counts over attribute values (or any strings):
 /// reported values vs. ground-truth values, duplicates ignored.
-pub fn value_metrics(reported: &[String], truth: &[String]) -> BinaryMetrics {
+pub(crate) fn value_metrics(reported: &[String], truth: &[String]) -> BinaryMetrics {
     let reported: HashSet<&String> = reported.iter().collect();
     let truth: HashSet<&String> = truth.iter().collect();
     let tp = reported.intersection(&truth).count();
@@ -106,7 +110,7 @@ pub fn value_f1(reported: &[String], truth: &[String]) -> f64 {
 
 /// The value part (`after the first '='`) of a rendered attribute string,
 /// or the whole string if it carries no column prefix.
-pub fn attribute_value(attribute: &str) -> &str {
+pub(crate) fn attribute_value(attribute: &str) -> &str {
     attribute.split('=').nth(1).unwrap_or(attribute)
 }
 

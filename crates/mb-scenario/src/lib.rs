@@ -11,12 +11,12 @@
 //!   guilty) and recommends the [`AnalysisConfig`] a diagnostician would run.
 //! * Four generators spanning the failure modes in the paper's motivating
 //!   deployments (Sections 1–2): [`LevelShiftScenario`] (a misbehaving
-//!   device shifts its metric), [`CorrelatedFailureScenario`] (a
+//!   device shifts its metric), `CorrelatedFailureScenario` (a
 //!   DBSherlock-shaped multi-metric failure window on one host),
-//!   [`SeasonalDriftScenario`] (spikes on top of a drifting seasonal
-//!   baseline), and [`CardinalityExplosionScenario`] (a guilty value hiding
+//!   `SeasonalDriftScenario` (spikes on top of a drifting seasonal
+//!   baseline), and `CardinalityExplosionScenario` (a guilty value hiding
 //!   in a high-cardinality attribute column) — plus
-//!   [`SelfTelemetryScenario`], the observability layer's dogfood workload:
+//!   `SelfTelemetryScenario`, the observability layer's dogfood workload:
 //!   a recorded stream of the system's own per-stage latency telemetry with
 //!   a planted stage regression.
 //! * [`eval`] — the single shared implementation of point-level
@@ -49,18 +49,18 @@
 
 #![warn(missing_docs)]
 
-pub mod cardinality;
-pub mod correlated;
+mod cardinality;
+mod correlated;
 pub mod eval;
 pub mod level_shift;
-pub mod seasonal;
-pub mod self_telemetry;
+mod seasonal;
+mod self_telemetry;
 
-pub use cardinality::CardinalityExplosionScenario;
-pub use correlated::CorrelatedFailureScenario;
+use cardinality::CardinalityExplosionScenario;
+use correlated::CorrelatedFailureScenario;
 pub use level_shift::LevelShiftScenario;
-pub use seasonal::SeasonalDriftScenario;
-pub use self_telemetry::SelfTelemetryScenario;
+use seasonal::SeasonalDriftScenario;
+use self_telemetry::SelfTelemetryScenario;
 
 use macrobase_core::query::{AnalysisConfig, MdpQuery};
 use macrobase_core::types::Point;

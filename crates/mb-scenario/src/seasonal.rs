@@ -16,7 +16,7 @@ use mb_stats::rand_ext::{normal, SplitMix64};
 
 /// Configuration for the seasonal-drift scenario.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SeasonalDriftScenario {
+pub(crate) struct SeasonalDriftScenario {
     /// Total number of rows (time-ordered).
     pub num_points: usize,
     /// Number of sensors; healthy rows draw a sensor uniformly.

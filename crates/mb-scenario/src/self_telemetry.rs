@@ -22,7 +22,7 @@ use mb_stats::rand_ext::{normal, SplitMix64};
 
 /// Configuration for the self-telemetry scenario.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SelfTelemetryScenario {
+pub(crate) struct SelfTelemetryScenario {
     /// Total number of telemetry rows (stage latency samples).
     pub num_points: usize,
     /// Number of pool workers emitting samples; each row draws one

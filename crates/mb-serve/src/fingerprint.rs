@@ -109,6 +109,7 @@ impl Fingerprint {
 mod tests {
     use super::*;
     use macrobase_core::operator::ColumnarInput;
+    use macrobase_core::query::Executor;
 
     fn points() -> Vec<Point> {
         (0..100)
@@ -165,7 +166,7 @@ mod tests {
         let mut batch = points();
         batch[3].metrics[0] = -0.0;
         batch[4].metrics[0] = f64::NAN;
-        let columns = ColumnarInput::from_points(&analysis, &batch).unwrap();
+        let columns = ColumnarInput::from_points(&analysis, &Executor::OneShot, &batch).unwrap();
         assert_eq!(
             Fingerprint::of_columns(&analysis, &columns.batch),
             Fingerprint::compute(&analysis, &batch)

@@ -24,7 +24,7 @@ pub enum Priority {
 
 impl Priority {
     /// Parse the wire spelling (`high` / `normal` / `low`).
-    pub fn parse(name: &str) -> Option<Priority> {
+    pub(crate) fn parse(name: &str) -> Option<Priority> {
         match name {
             "high" => Some(Priority::High),
             "normal" => Some(Priority::Normal),

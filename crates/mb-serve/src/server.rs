@@ -59,6 +59,18 @@ pub struct QuerySpec {
     pub executor: Executor,
 }
 
+impl QuerySpec {
+    /// Whether a batch job of this spec runs over columns through the
+    /// model table: one-shot and coordinated both run the one-shot engine,
+    /// so they share its fingerprint and its trained model.
+    pub(crate) fn uses_model_table(&self) -> bool {
+        matches!(
+            self.executor,
+            Executor::OneShot | Executor::Coordinated { .. }
+        )
+    }
+}
+
 /// A finished job: the report plus model-cache provenance. The provenance
 /// lives *next to* the report, never inside it, so the report stays
 /// byte-identical to a standalone run.
@@ -66,8 +78,8 @@ pub struct QuerySpec {
 pub struct JobResult {
     /// The report, byte-identical to the same query run standalone.
     pub report: MdpReport,
-    /// Epoch of the model snapshot that scored this job (one-shot jobs
-    /// through the cache only).
+    /// Epoch of the model snapshot that scored this job (one-shot and
+    /// coordinated jobs, which run through the cache, only).
     pub model_epoch: Option<u64>,
     /// Whether the model was trained for this job or reused.
     pub cache: Option<CacheOutcome>,
@@ -210,16 +222,15 @@ impl Server {
         }
     }
 
-    /// Submit a batch query under a fresh id. One-shot executions go
-    /// through the shared model cache (train once, score for every
-    /// subscriber); partitioned and run-to-completion streaming executions
-    /// run the standalone engines unchanged. A coordinated job is one of
-    /// these: it runs the one-shot engine as `MdpQuery::execute` does, but
-    /// outside the model cache, so it trains its own model and its result
-    /// carries no model epoch (`model_epoch: null` on the wire). A one-shot
-    /// batch is flattened and encoded here, on the caller's thread, into the
-    /// columns the job runs over — the form the wire front end decodes
-    /// requests into.
+    /// Submit a batch query under a fresh id. One-shot and coordinated
+    /// executions (coordinated runs the one-shot engine) go through the
+    /// shared model cache: train once, score for every subscriber, and the
+    /// result names the model epoch that answered. Partitioned and
+    /// run-to-completion streaming executions run the standalone engines
+    /// unchanged. A model-table batch is flattened and encoded here, on the
+    /// caller's thread, into the columns the job runs over — the form the
+    /// wire front end decodes requests into. An analysis no executor could
+    /// run is refused here, as [`ServeError::Query`], before admission.
     pub fn submit(
         &self,
         id: &str,
@@ -227,12 +238,14 @@ impl Server {
         points: Vec<Point>,
         priority: Priority,
     ) -> Result<(), ServeError> {
-        let input = match spec.executor {
-            Executor::OneShot => match ColumnarInput::from_points(&spec.analysis, &points) {
-                Ok(columns) => JobInput::Columns(Box::new(columns)),
-                Err(e) => JobInput::Rows(Err(e.to_string())),
-            },
-            _ => JobInput::Rows(Ok(points)),
+        let input = if spec.uses_model_table() {
+            JobInput::columns(ColumnarInput::from_points(
+                &spec.analysis,
+                &spec.executor,
+                &points,
+            ))
+        } else {
+            JobInput::Rows(Ok(points))
         };
         self.submit_input(id, spec, input, priority)
     }
@@ -244,6 +257,9 @@ impl Server {
         input: JobInput,
         priority: Priority,
     ) -> Result<(), ServeError> {
+        spec.analysis
+            .validate()
+            .map_err(|e| ServeError::Query(e.to_string()))?;
         let submit = Command::Submit(id.to_string(), priority, spec, input);
         self.call(submit).map(drop)
     }
@@ -348,7 +364,7 @@ impl Server {
     }
 
     /// Nanoseconds since the server started.
-    pub fn uptime_ns(&self) -> u64 {
+    pub(crate) fn uptime_ns(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 

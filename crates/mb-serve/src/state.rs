@@ -30,14 +30,26 @@ use std::time::{Duration, Instant};
 
 /// What a job runs over.
 pub(crate) enum JobInput {
-    /// A one-shot job's rows in columns, interned into its dictionary.
+    /// A one-shot or coordinated job's rows in columns, interned into its
+    /// dictionary.
     Columns(Box<ColumnarInput>),
-    /// Rows for the partitioned and streaming executors — or why a batch
+    /// Rows for the naïve partitioned and streaming executors — or why a batch
     /// cannot run, which fails the job as the standalone query would.
     Rows(Result<Vec<Point>, String>),
 }
 
-/// A one-shot job over columns: it runs through the model table.
+impl JobInput {
+    /// A model-table job's columns, or why its rows cannot run.
+    pub(crate) fn columns(columns: macrobase_core::Result<ColumnarInput>) -> Self {
+        match columns {
+            Ok(columns) => JobInput::Columns(Box::new(columns)),
+            Err(e) => JobInput::Rows(Err(e.to_string())),
+        }
+    }
+}
+
+/// A one-shot or coordinated job over columns: it runs through the model
+/// table.
 pub(crate) struct CachedJob {
     pub(crate) id: String,
     pub(crate) analysis: AnalysisConfig,
@@ -532,7 +544,7 @@ impl State {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use macrobase_core::query::{MdpQuery, StreamingOptions};
+    use macrobase_core::query::{Executor, MdpQuery, StreamingOptions};
     use macrobase_core::types::MdpReport;
     use std::collections::BTreeMap;
 
@@ -673,7 +685,7 @@ pub(crate) mod tests {
                 Some(n) => {
                     self.fingerprints
                         .insert(id.to_string(), super::tests::fingerprint(n));
-                    JobInput::Columns(Box::new(ColumnarInput::new(&analysis)))
+                    JobInput::Columns(Box::new(ColumnarInput::new(&analysis, &Executor::OneShot)))
                 }
                 None => JobInput::Rows(Ok(Vec::new())),
             };

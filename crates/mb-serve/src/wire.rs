@@ -207,17 +207,13 @@ fn handle_submit(server: &Server, request: &mut Request<'_>) -> Result<Value, Va
 
     // A streaming executor with no inline points opens a session to feed;
     // everything else is a batch job over the supplied points — in columns
-    // for one-shot, as rows for the other executors.
+    // for the model table, as rows for the other executors.
     let input = match request.points.take() {
-        Some(points) if spec.executor == Executor::OneShot => {
-            let columns = points
-                .into_columns(&spec.analysis)
-                .map_err(protocol_error)?;
-            Some(match columns {
-                Ok(columns) => JobInput::Columns(Box::new(columns)),
-                Err(e) => JobInput::Rows(Err(e.to_string())),
-            })
-        }
+        Some(points) if spec.uses_model_table() => Some(JobInput::columns(
+            points
+                .into_columns(&spec.analysis, &spec.executor)
+                .map_err(protocol_error)?,
+        )),
         Some(points) => Some(JobInput::Rows(Ok(
             Vec::try_from(points).map_err(protocol_error)?
         ))),

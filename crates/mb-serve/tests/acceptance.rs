@@ -127,9 +127,15 @@ fn partitioned_and_streaming_submissions_match_their_standalone_runs() {
             report_to_string(&standalone),
             "{executor:?} diverged through the server"
         );
-        // Non-one-shot executors bypass the cache: no provenance.
-        assert_eq!(result.model_epoch, None);
-        assert_eq!(result.cache, None);
+        // Coordinated runs the one-shot engine, so it goes through the
+        // model table; the other executors bypass it: no provenance.
+        if let Executor::Coordinated { .. } = executor {
+            assert_eq!(result.model_epoch, Some(1));
+            assert_eq!(result.cache, Some(CacheOutcome::Miss));
+        } else {
+            assert_eq!(result.model_epoch, None);
+            assert_eq!(result.cache, None);
+        }
     }
 }
 

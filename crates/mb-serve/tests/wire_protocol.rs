@@ -223,22 +223,52 @@ fn protocol_typos_and_misuse_are_typed_errors() {
     let response = request(&server, r#"{"op":"feed","id":"ghost","points":[]}"#);
     assert_eq!(error_kind(&response), "unknown_id");
 
-    // A training sample of zero points fails the job with a typed message,
-    // and the next line is answered.
+    // An analysis no executor can run is refused at submit, naming the
+    // field, with nothing queued under the id; the next line is answered.
     let points: Vec<Point> = corpus().into_iter().take(300).collect();
-    let submit = format!(
-        r#"{{"op":"submit","id":"zero","analysis":{{"training_sample_size":0}},"points":{}}}"#,
-        points_to_json(&points)
-    );
-    assert_ok(&request(&server, &submit));
-    let response = request(&server, r#"{"op":"poll","id":"zero","wait_ms":120000}"#);
-    assert_ok(&response);
-    assert_eq!(get_str(&response, "state"), Some("failed"));
-    assert!(get_str(&response, "message")
-        .unwrap()
-        .contains("training sample size must be positive"));
-    let response = request(&server, r#"{"op":"poll","id":"ghost"}"#);
-    assert_eq!(error_kind(&response), "unknown_id");
+    for (field, knob) in [
+        ("training_sample_size", r#""training_sample_size":0"#),
+        ("min_support", r#""min_support":2"#),
+    ] {
+        let submit = format!(
+            r#"{{"op":"submit","id":"bad","analysis":{{{knob}}},"points":{}}}"#,
+            points_to_json(&points)
+        );
+        let response = request(&server, &submit);
+        assert_eq!(error_kind(&response), "query", "{field}");
+        assert!(get_str(get(&response, "error").unwrap(), "message")
+            .unwrap()
+            .contains(field));
+        let response = request(&server, r#"{"op":"poll","id":"bad"}"#);
+        assert_eq!(error_kind(&response), "unknown_id");
+    }
+}
+
+#[test]
+fn a_coordinated_submit_scores_against_the_model_a_one_shot_submit_trained() {
+    let points = corpus();
+    let server = Server::start(ServeConfig::default());
+    let mut reports = Vec::new();
+    for (id, mode, cache) in [
+        ("one", r#"{"mode":"one_shot"}"#, "miss"),
+        ("coord", r#"{"mode":"coordinated","partitions":4}"#, "hit"),
+    ] {
+        let submit = format!(
+            r#"{{"op":"submit","id":"{id}","executor":{mode},"points":{}}}"#,
+            points_to_json(&points)
+        );
+        assert_ok(&request(&server, &submit));
+        let poll = format!(r#"{{"op":"poll","id":"{id}","wait_ms":120000}}"#);
+        let response = request(&server, &poll);
+        assert_eq!(get_str(assert_ok(&response), "state"), Some("done"));
+        assert_eq!(get_f64(&response, "model_epoch"), Some(1.0), "{id}");
+        assert_eq!(get_str(&response, "model_cache"), Some(cache), "{id}");
+        reports.push(get(&response, "report").unwrap().to_string());
+    }
+    assert_eq!(reports[0], reports[1]);
+    let stats = request(&server, r#"{"op":"stats"}"#);
+    let counters = get(assert_ok(&stats), "counters").unwrap();
+    assert_eq!(get_f64(counters, "model_trainings"), Some(1.0));
 }
 
 #[test]

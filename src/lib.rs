@@ -34,8 +34,8 @@
 //! * [`obs`] — the telemetry layer: metric registries (counters, gauges,
 //!   log-bucketed latency histograms), each written by the query, session
 //!   or server that owns it, per-stage query traces attached to reports
-//!   when `ObsConfig` is enabled (off by default), and a JSON-lines
-//!   exporter behind the reproduction binaries' `--trace`.
+//!   when `ObsConfig` is enabled (off by default), printed by the
+//!   reproduction binaries' `--trace` in the layout a report embeds them in.
 //! * [`serve`] — the resident multi-query server: bounded priority
 //!   admission over the shared pool, an epoch-versioned shared model cache
 //!   (train once, score for every subscriber; retrains publish new epochs

@@ -160,6 +160,48 @@ fn builder_misconfigurations_return_typed_errors() {
             ..
         })
     ));
+    // Thresholds no executor can honour are refused by every batch
+    // executor before it reads a row, naming the field, and by the builder.
+    let mut bad = vec![
+        (
+            "training_sample_size",
+            AnalysisConfig {
+                training_sample_size: Some(0),
+                ..AnalysisConfig::default()
+            },
+        ),
+        (
+            "min_risk_ratio",
+            AnalysisConfig {
+                explanation: ExplanationConfig::new(0.01, f64::NAN),
+                ..AnalysisConfig::default()
+            },
+        ),
+    ];
+    for min_support in [2.0, -1.0, f64::NAN] {
+        bad.push((
+            "min_support",
+            AnalysisConfig {
+                explanation: ExplanationConfig::new(min_support, 3.0),
+                ..AnalysisConfig::default()
+            },
+        ));
+    }
+    for (field, analysis) in bad {
+        let names_field = |result: Result<MdpReport, PipelineError>| {
+            matches!(result, Err(PipelineError::InvalidConfiguration(message))
+                if message.contains(field))
+        };
+        for executor in [
+            Executor::OneShot,
+            Executor::Coordinated { partitions: 2 },
+            Executor::NaivePartitioned { partitions: 2 },
+        ] {
+            let result = MdpQuery::new(analysis.clone()).execute(&executor, &points);
+            assert!(names_field(result), "{field} on {}", executor.name());
+        }
+    }
+    assert!(MdpQuery::builder().training_sample_size(0).build().is_err());
 }
 
 #[test]
@@ -272,7 +314,8 @@ fn reports_through_every_entry_point(
         "train + execute_with_model".to_string(),
         bytes(query.execute_with_model(&model, points).unwrap()),
     ));
-    let mut input = ColumnarInput::from_points(query.analysis(), points).unwrap();
+    let mut input =
+        ColumnarInput::from_points(query.analysis(), &Executor::OneShot, points).unwrap();
     let model = query.train_columns(&input.batch).unwrap();
     reports.push((
         "from_points + train_columns + execute_columns_with_model".to_string(),

@@ -128,3 +128,19 @@ fn traced_streaming_report_round_trips_histogram_buckets() {
         retrains.buckets
     );
 }
+
+#[test]
+fn a_trace_prints_in_the_layout_its_report_embeds() {
+    let mut original = report_with_obs(&Executor::OneShot, ObsConfig::enabled());
+    let trace = original.trace.as_mut().unwrap();
+    trace.gauges.push(("up".to_string(), f64::INFINITY));
+    trace.gauges.push(("down".to_string(), f64::NEG_INFINITY));
+    let printed = wire::trace_to_json(trace).to_string();
+    assert!(printed.contains(r#"["up","Infinity"]"#), "{printed}");
+    assert!(printed.contains(r#"["down","-Infinity"]"#), "{printed}");
+    // The printed trace is the one inside the encoded report, and it
+    // decodes back to the same trace.
+    let encoded = wire::report_to_string(&original);
+    assert!(encoded.contains(&printed));
+    assert_eq!(wire::report_from_str(&encoded).unwrap(), original);
+}

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! The batch execution core behind the [`Executor`] backends.
 //!
 //! One-shot execution is one engine over a
@@ -30,12 +31,13 @@ use mb_explain::batch::BatchExplainer;
 use mb_explain::encoder::AttributeEncoder;
 use mb_explain::risk_ratio::rank_explanations;
 use mb_explain::{Explanation, ExplanationConfig, ItemBatch};
-use mb_obs::{stage, StageTimer, TraceBuilder};
+use mb_obs::stage::Stage;
+use mb_obs::{StageTimer, TraceBuilder};
 use mb_stats::mad::MadEstimator;
 use mb_stats::mcd::McdEstimator;
 use mb_stats::zscore::ZScoreEstimator;
 use mb_stats::{Estimator, StatsError};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Fold the global pool's activity delta since `before` into a trace's
 /// registry (see [`mb_pool::Pool::total_stats`]). `before` is `Some` only
@@ -295,7 +297,7 @@ pub(crate) fn train_model(
             },
         );
         classifier.fit_flat(flat, dim)?;
-        trace.finish_stage(timer, stage::TRAIN, rows, rows, 1);
+        trace.finish_stage(timer, Stage::Train, rows, rows, 1);
         Some(classifier)
     } else {
         None
@@ -355,7 +357,7 @@ fn label_rows(
     }
     if trace.is_enabled() {
         let outliers = count_outliers(&classifications);
-        trace.finish_stage(scored.timer, stage::SCORE, rows, outliers, 1);
+        trace.finish_stage(scored.timer, Stage::Score, rows, outliers, 1);
     }
     classifications
 }
@@ -463,7 +465,7 @@ fn finish_one_shot(
         let explanations = explain_encoded(parts.analysis.explanation, encoder, &batch.items, |r| {
             classifications[r].label.is_outlier()
         });
-        trace.finish_stage(timer, stage::EXPLAIN, batch.len(), explanations.len(), 1);
+        trace.finish_stage(timer, Stage::Explain, batch.len(), explanations.len(), 1);
         explanations
     };
     assemble_report(
@@ -483,7 +485,7 @@ pub(crate) fn merge_rendered_explanations(
     partition_reports: &[MdpReport],
 ) -> Vec<RenderedExplanation> {
     let mut merged: Vec<RenderedExplanation> = Vec::new();
-    let mut by_combination: HashMap<Vec<String>, usize> = HashMap::new();
+    let mut by_combination: BTreeMap<Vec<String>, usize> = BTreeMap::new();
     for report in partition_reports {
         for e in &report.explanations {
             match by_combination.get(&e.attributes) {
@@ -547,7 +549,7 @@ pub(crate) fn execute_naive(
     }
     trace.finish_stage(
         timer,
-        stage::EXECUTE,
+        Stage::Execute,
         points.len(),
         points.len(),
         partition_reports.len(),
@@ -580,7 +582,7 @@ pub(crate) fn execute_naive(
     };
     trace.finish_stage(
         timer,
-        stage::MERGE,
+        Stage::Merge,
         partition_reports.iter().map(|r| r.explanations.len()).sum(),
         merged.len(),
         partition_reports.len(),
@@ -883,6 +885,24 @@ mod tests {
         }
     }
 
+    /// Every span of `trace` carries a [`Stage`] spelling, including the
+    /// ones the streaming engine builds without `finish_stage`.
+    fn assert_stages_are_named(trace: &mb_obs::QueryTrace) {
+        let names: Vec<&str> = Stage::ALL
+            .into_iter()
+            .chain([Stage::Execute])
+            .map(Stage::as_str)
+            .collect();
+        for span in &trace.stages {
+            assert!(
+                names.contains(&span.stage.as_str()),
+                "{}: {:?} is not a Stage",
+                trace.executor,
+                span.stage
+            );
+        }
+    }
+
     #[test]
     fn tracing_populates_every_backend_and_changes_nothing_else() {
         let points = workload(4_000);
@@ -897,11 +917,12 @@ mod tests {
             let trace = traced.trace.take().expect("trace populated");
             assert_eq!(trace.executor, executor.name());
             assert!(!trace.stages.is_empty(), "{} recorded no stages", executor.name());
+            assert_stages_are_named(&trace);
             // Stripped of telemetry, the traced report is the untraced one.
             if let Some(partitions) = traced.partition_reports.as_mut() {
                 for p in partitions {
-                    assert!(p.trace.is_some(), "naive partition lost its trace");
-                    p.trace = None;
+                    let partition_trace = p.trace.take().expect("naive partition lost its trace");
+                    assert_stages_are_named(&partition_trace);
                 }
             }
             assert_eq!(traced, untraced, "{} result drifted under tracing", executor.name());

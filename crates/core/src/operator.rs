@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! The typed operator interfaces of Table 1 that a query takes from its
 //! user, and the columnar input the engines run on.
 //!
@@ -179,7 +180,7 @@ impl ColumnarInput {
         );
         self.trace.finish_stage(
             timer,
-            mb_obs::stage::ENCODE,
+            mb_obs::stage::Stage::Encode,
             points.len(),
             points.len(),
             shards,

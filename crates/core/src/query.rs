@@ -509,7 +509,7 @@ impl MdpQuery {
                 let rows = input.batch.len();
                 input
                     .trace
-                    .finish_stage(timer, mb_obs::stage::INGEST, rows, rows, batches);
+                    .finish_stage(timer, mb_obs::stage::Stage::Ingest, rows, rows, batches);
                 train_and_execute(self.parts(), &mut input)
             }
             batch_executor => {

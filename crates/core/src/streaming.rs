@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Exponentially weighted streaming (EWS) MDP execution (Section 3.2's
 //! "streaming queries", assembled from the ADR-trained classifier of
 //! Section 4.2 and the AMC/M-CPS streaming explainer of Section 5.3).
@@ -28,7 +29,8 @@ use mb_classify::Label;
 use mb_explain::encoder::AttributeEncoder;
 use mb_explain::streaming::{StreamingExplainer, StreamingExplainerConfig};
 use mb_fpgrowth::Item;
-use mb_obs::{stage, MetricRegistry, QueryTrace, StageTimer, StageTrace};
+use mb_obs::stage::Stage;
+use mb_obs::{MetricRegistry, QueryTrace, StageTimer, StageTrace};
 use mb_pool::Pool;
 use mb_stats::StatsError;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -153,7 +155,7 @@ impl StreamingSession {
             blocks: Default::default(),
             observe_wall_ns: 0,
             explain_span: StageTrace {
-                stage: stage::EXPLAIN.to_string(),
+                stage: Stage::Explain.as_str().to_string(),
                 wall_ns: 0,
                 rows_in: 0,
                 rows_out: 0,
@@ -311,7 +313,7 @@ impl StreamingSession {
         // labels as they arrive, is its `score` stage; every report
         // rendered so far, this one included, is its `explain` stage.
         let mut stages = vec![StageTrace {
-            stage: stage::SCORE.to_string(),
+            stage: Stage::Score.as_str().to_string(),
             wall_ns: self.observe_wall_ns,
             rows_in: labeler.points_seen,
             rows_out: labeler.outliers_seen,
@@ -639,6 +641,10 @@ fn apply(explainer: &mut StreamingExplainer, block: &mut StagedBlock, timed: boo
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test code: threads that hold the pool or watch a hand-off, and their deadlines"
+)]
 mod tests {
     use super::*;
     use crate::query::{Executor, MdpQuery, MdpQueryBuilder};
@@ -1355,7 +1361,7 @@ mod tests {
             crate::wire::report_to_string(&first),
             crate::wire::report_to_string(&plain)
         );
-        let span = trace.stage(stage::EXPLAIN).expect("explain span");
+        let span = trace.stage(Stage::Explain.as_str()).expect("explain span");
         assert_eq!(span.batches, 1);
         assert_eq!(span.rows_out as usize, plain.explanations.len());
         assert!(span.rows_in > 0 && span.rows_in <= plain.num_outliers as u64);
@@ -1364,7 +1370,7 @@ mod tests {
         // The span accumulates over a session's reports, like `score` does
         // over its points.
         let again = second.trace.expect("trace populated");
-        assert_eq!(again.stage(stage::EXPLAIN).unwrap().batches, 2);
+        assert_eq!(again.stage(Stage::Explain.as_str()).unwrap().batches, 2);
         assert_eq!(again.histogram("explain_ns").unwrap().count, 2);
     }
 }

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Wire (de)serialization of [`MdpReport`] over the vendored `serde_json`.
 //!
 //! A report crosses a process boundary — an `mb-serve` response — as JSON;
@@ -1076,7 +1077,7 @@ impl<'a> DecodedPoints<'a> {
         let rows = batch.len();
         input
             .trace
-            .finish_stage(timer, mb_obs::stage::INGEST, rows, rows, 1);
+            .finish_stage(timer, mb_obs::stage::Stage::Ingest, rows, rows, 1);
         Ok(Ok(input))
     }
 }

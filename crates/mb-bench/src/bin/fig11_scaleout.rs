@@ -26,6 +26,7 @@ use mb_scenario::eval::{combination_set, jaccard, reported_values, value_f1};
 /// Scatter `work` over `chunks` with one scoped thread per chunk — the
 /// executor strategy the partitioned modes used before `mb-pool` existed,
 /// kept as the baseline the resident pool is measured against.
+#[expect(clippy::disallowed_methods, reason = "baseline measures spawn cost")]
 fn spawn_scatter<I, O, F>(chunks: Vec<I>, work: F) -> Vec<O>
 where
     I: Send,
@@ -33,7 +34,7 @@ where
     F: Fn(I) -> O + Sync,
 {
     let work = &work;
-    std::thread::scope(|scope| { // mb-lint: allow(no-adhoc-threads) -- baseline measures spawn cost
+    std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|chunk| scope.spawn(move || work(chunk)))

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! One-shot (batch) classification.
 //!
 //! In one-shot mode (Section 3.2, "operating modes"), MacroBase trains its

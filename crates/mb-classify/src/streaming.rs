@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Streaming classification with ADR-based retraining (Section 4.2, the left
 //! half of Figure 2).
 //!

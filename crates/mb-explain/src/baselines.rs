@@ -14,7 +14,7 @@ use crate::risk_ratio::{Explanation, ExplanationStats};
 use crate::ExplanationConfig;
 use mb_fpgrowth::apriori::apriori;
 use mb_fpgrowth::Item;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Data-cube explanation: enumerate every combination of up to
 /// `config.max_combination_size` attribute *columns*, group both classes by
@@ -51,23 +51,20 @@ pub fn cube_explain(
     let mut explanations = Vec::new();
     for subset in &column_subsets {
         // Group both classes by the projected value tuple.
-        let mut outlier_groups: HashMap<Vec<Item>, f64> = HashMap::new();
+        let mut outlier_groups: BTreeMap<Vec<Item>, f64> = BTreeMap::new();
         for t in outliers {
             if let Some(key) = project(t, subset) {
                 *outlier_groups.entry(key).or_insert(0.0) += 1.0;
             }
         }
-        let mut inlier_groups: HashMap<Vec<Item>, f64> = HashMap::new();
+        let mut inlier_groups: BTreeMap<Vec<Item>, f64> = BTreeMap::new();
         for t in inliers {
             if let Some(key) = project(t, subset) {
                 *inlier_groups.entry(key).or_insert(0.0) += 1.0;
             }
         }
-        // Emit groups in canonical key order so the baseline's output is
-        // deterministic even though the grouping pass hashed.
-        let mut groups: Vec<(Vec<Item>, f64)> = outlier_groups.into_iter().collect(); // mb-lint: allow(hashmap-order-hazard) -- drained to a Vec and sorted by key on the next line
-        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (key, ao) in groups {
+        // Emit groups in canonical key order, the map's own.
+        for (key, ao) in outlier_groups {
             if ao < min_outlier_count {
                 continue;
             }
@@ -120,19 +117,18 @@ pub fn decision_tree_explain(
     if outliers.is_empty() {
         return Vec::new();
     }
-    let outlier_sets: Vec<HashSet<Item>> = outliers
+    let outlier_sets: Vec<BTreeSet<Item>> = outliers
         .iter()
         .map(|t| t.iter().copied().collect())
         .collect();
-    let inlier_sets: Vec<HashSet<Item>> = inliers
+    let inlier_sets: Vec<BTreeSet<Item>> = inliers
         .iter()
         .map(|t| t.iter().copied().collect())
         .collect();
-    let candidate_set: HashSet<Item> = outliers.iter().flatten().copied().collect();
-    let mut candidates: Vec<Item> = candidate_set.into_iter().collect(); // mb-lint: allow(hashmap-order-hazard) -- deduplicated set is sorted on the next line
+    let candidate_set: BTreeSet<Item> = outliers.iter().flatten().copied().collect();
     // Sorted candidate order makes gain-tie splits (and thus the whole
     // tree) deterministic.
-    candidates.sort_unstable();
+    let candidates: Vec<Item> = candidate_set.into_iter().collect();
 
     let tree = build_tree(
         &outlier_sets.iter().collect::<Vec<_>>(),
@@ -164,8 +160,8 @@ fn entropy(p: f64) -> f64 {
 }
 
 fn build_tree(
-    outliers: &[&HashSet<Item>],
-    inliers: &[&HashSet<Item>],
+    outliers: &[&BTreeSet<Item>],
+    inliers: &[&BTreeSet<Item>],
     candidates: &[Item],
     depth_remaining: usize,
 ) -> TreeNode {
@@ -202,22 +198,22 @@ fn build_tree(
             inliers: ni,
         };
     };
-    let o_present: Vec<&HashSet<Item>> = outliers
+    let o_present: Vec<&BTreeSet<Item>> = outliers
         .iter()
         .copied()
         .filter(|s| s.contains(&split_item))
         .collect();
-    let o_absent: Vec<&HashSet<Item>> = outliers
+    let o_absent: Vec<&BTreeSet<Item>> = outliers
         .iter()
         .copied()
         .filter(|s| !s.contains(&split_item))
         .collect();
-    let i_present: Vec<&HashSet<Item>> = inliers
+    let i_present: Vec<&BTreeSet<Item>> = inliers
         .iter()
         .copied()
         .filter(|s| s.contains(&split_item))
         .collect();
-    let i_absent: Vec<&HashSet<Item>> = inliers
+    let i_absent: Vec<&BTreeSet<Item>> = inliers
         .iter()
         .copied()
         .filter(|s| !s.contains(&split_item))
@@ -244,7 +240,6 @@ fn build_tree(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn collect_paths(
     node: &TreeNode,
     path: &mut Vec<Item>,
@@ -318,7 +313,7 @@ pub fn apriori_explain(
     let outlier_sets = apriori(outliers, min_outlier_count, config.max_combination_size);
     let min_inlier_count = (config.min_support * total_inliers).max(1.0);
     let inlier_sets = apriori(inliers, min_inlier_count, config.max_combination_size);
-    let inlier_counts: HashMap<Vec<Item>, f64> = inlier_sets
+    let inlier_counts: BTreeMap<Vec<Item>, f64> = inlier_sets
         .into_iter()
         .map(|s| (s.items, s.support))
         .collect();

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Batch explanation: MacroBase's outlier-aware strategy (Algorithm 2) and
 //! the naïve two-sided FPGrowth baseline it is compared against (Section 6.3).
 //!
@@ -14,7 +15,7 @@ use crate::risk_ratio::{risk_ratio_from_totals, Explanation, ExplanationStats};
 use crate::ExplanationConfig;
 use mb_fpgrowth::fptree::FpTree;
 use mb_fpgrowth::{FrequentItemset, Item};
-use std::collections::HashMap;
+use mb_sketch::key_order::KeyOrderMap;
 
 /// The outlier-aware batch explainer (Algorithm 2).
 ///
@@ -601,7 +602,7 @@ pub fn naive_fpgrowth_explain(
     let min_inlier_count = (config.min_support * total_inliers).max(1.0);
     let inlier_tree = FpTree::from_transactions(inliers, min_inlier_count);
     let inlier_sets = inlier_tree.mine(min_inlier_count, config.max_combination_size);
-    let inlier_counts: HashMap<Vec<Item>, f64> = inlier_sets
+    let inlier_counts: KeyOrderMap<Vec<Item>, f64> = inlier_sets
         .into_iter()
         .map(|s| (s.items, s.support))
         .collect();
@@ -619,6 +620,10 @@ pub fn naive_fpgrowth_explain(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test code: a set of the naive baseline's combinations, for membership only"
+)]
 mod tests {
     use super::*;
     use crate::risk_ratio::rank_explanations;

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Dictionary encoding of attribute values.
 //!
 //! MacroBase points carry categorical attributes as strings (device ID,

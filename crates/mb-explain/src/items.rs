@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Columnar item transactions: the struct-of-arrays batch the encode pass
 //! produces and the explainers consume.
 //!

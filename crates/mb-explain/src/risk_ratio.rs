@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! The relative risk ratio and explanation result types (Section 5.1).
 //!
 //! Given an attribute combination appearing `ao` times among outliers and
@@ -137,9 +138,9 @@ pub fn rank_explanations(explanations: &mut [Explanation]) {
 /// compare one-shot and streaming results): |A ∩ B| / |A ∪ B| over the sets
 /// of reported item combinations.
 pub fn jaccard_similarity(a: &[Explanation], b: &[Explanation]) -> f64 {
-    use std::collections::HashSet;
-    let set_a: HashSet<&[Item]> = a.iter().map(|e| e.items.as_slice()).collect();
-    let set_b: HashSet<&[Item]> = b.iter().map(|e| e.items.as_slice()).collect();
+    use std::collections::BTreeSet;
+    let set_a: BTreeSet<&[Item]> = a.iter().map(|e| e.items.as_slice()).collect();
+    let set_b: BTreeSet<&[Item]> = b.iter().map(|e| e.items.as_slice()).collect();
     if set_a.is_empty() && set_b.is_empty() {
         return 1.0;
     }

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Streaming explanation (Section 5.3, right half of Figure 2).
 //!
 //! The streaming explainer maintains, for each class (outlier / inlier), one

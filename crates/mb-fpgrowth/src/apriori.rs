@@ -8,7 +8,7 @@
 //! Table 5 harness reproduces exactly that gap.
 
 use crate::{FrequentItemset, Item};
-use std::collections::{HashMap, HashSet};
+use mb_sketch::key_order::{KeyOrderMap, KeyOrderSet};
 
 /// Mine all itemsets with support at least `min_support` (absolute count)
 /// using the Apriori algorithm, with combination size bounded by `max_size`.
@@ -34,28 +34,20 @@ pub fn apriori(
     let mut results: Vec<FrequentItemset> = Vec::new();
 
     // Level 1: single-item counts.
-    let mut counts: HashMap<Vec<Item>, f64> = HashMap::new();
+    let mut counts: KeyOrderMap<Vec<Item>, f64> = KeyOrderMap::default();
     for t in &cleaned {
         for &item in t {
             *counts.entry(vec![item]).or_insert(0.0) += 1.0;
         }
     }
-    let mut frequent: Vec<Vec<Item>> = counts
-        .iter() // mb-lint: allow(hashmap-order-hazard) -- surviving keys are sorted before use, three lines down
-        .filter(|(_, &c)| c >= min_support)
-        .map(|(items, _)| items.clone())
-        .collect();
-    frequent.sort();
-    for items in &frequent {
-        results.push(FrequentItemset::new(items.clone(), counts[items]));
-    }
+    let mut frequent = keep_frequent(&counts, min_support, &mut results);
 
     let mut k = 1;
     while !frequent.is_empty() && k < max_size {
         k += 1;
         // Candidate generation: join frequent (k-1)-itemsets sharing a prefix.
-        let frequent_set: HashSet<Vec<Item>> = frequent.iter().cloned().collect();
-        let mut candidates: HashSet<Vec<Item>> = HashSet::new();
+        let frequent_set: KeyOrderSet<Vec<Item>> = frequent.iter().cloned().collect();
+        let mut candidates: KeyOrderSet<Vec<Item>> = KeyOrderSet::default();
         for (i, a) in frequent.iter().enumerate() {
             for b in frequent.iter().skip(i + 1) {
                 if a[..k - 2] == b[..k - 2] {
@@ -78,34 +70,42 @@ pub fn apriori(
                 }
             }
         }
+        let candidates = candidates.into_sorted();
         if candidates.is_empty() {
             break;
         }
-        // Count candidates with one pass over the transactions.
-        let mut level_counts: HashMap<Vec<Item>, f64> = HashMap::new();
+        // Count candidates with one pass over the (sorted) transactions.
+        let mut level_counts: KeyOrderMap<Vec<Item>, f64> = KeyOrderMap::default();
         for t in &cleaned {
             if t.len() < k {
                 continue;
             }
-            let t_set: HashSet<Item> = t.iter().copied().collect();
-            // mb-lint: allow(hashmap-order-hazard) -- order-insensitive fold: each candidate's count accumulates independently
             for candidate in &candidates {
-                if candidate.iter().all(|item| t_set.contains(item)) {
+                if candidate.iter().all(|item| t.binary_search(item).is_ok()) {
                     *level_counts.entry(candidate.clone()).or_insert(0.0) += 1.0;
                 }
             }
         }
-        frequent = level_counts
-            .iter() // mb-lint: allow(hashmap-order-hazard) -- surviving keys are sorted before use, three lines down
-            .filter(|(_, &c)| c >= min_support)
-            .map(|(items, _)| items.clone())
-            .collect();
-        frequent.sort();
-        for items in &frequent {
-            results.push(FrequentItemset::new(items.clone(), level_counts[items]));
-        }
+        frequent = keep_frequent(&level_counts, min_support, &mut results);
     }
     results
+}
+
+/// The itemsets of `counts` with support at least `min_support`, in key
+/// order, each also pushed onto `results` with its support.
+fn keep_frequent(
+    counts: &KeyOrderMap<Vec<Item>, f64>,
+    min_support: f64,
+    results: &mut Vec<FrequentItemset>,
+) -> Vec<Vec<Item>> {
+    let mut frequent = Vec::new();
+    for (items, &count) in counts.sorted() {
+        if count >= min_support {
+            results.push(FrequentItemset::new(items.clone(), count));
+            frequent.push(items.clone());
+        }
+    }
+    frequent
 }
 
 #[cfg(test)]

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Streaming frequency-descending prefix trees: the CPS-tree (Tanbeer et
 //! al.), used as the baseline for MacroBase's M-CPS-tree (Appendix B/D).
 //!
@@ -19,8 +20,8 @@
 
 use crate::fptree::FpTree;
 use crate::{FrequentItemset, Item};
+use mb_sketch::key_order::KeyOrderSet;
 use std::cmp::Ordering;
-use std::collections::HashSet;
 
 /// "No node" in every link and "empty" in every table slot: the root is
 /// nobody's child and nobody's sibling, so its index is free to mean that.
@@ -42,8 +43,11 @@ const RECORD_ROWS: usize = 1 << 17;
 const ROW_BITS: u32 = RECORD_ROWS.trailing_zeros();
 
 /// `index` as the `u32` the arena's links and tables store.
+#[expect(
+    clippy::expect_used,
+    reason = "node and item ids are 32-bit by design; 2^32 nodes is out of memory first"
+)]
 fn arena_index(index: usize) -> u32 {
-    // mb-lint: allow(no-unwrap-in-executors) -- node and item ids are 32-bit by design; 2^32 nodes is out of memory first
     u32::try_from(index).expect("a prefix tree numbers its nodes and items in 32 bits")
 }
 
@@ -676,7 +680,7 @@ impl StreamingPrefixTree {
     }
 
     /// Remove every item not contained in `keep`, then restructure.
-    pub(crate) fn retain_items(&mut self, keep: &HashSet<Item>) {
+    pub(crate) fn retain_items(&mut self, keep: &KeyOrderSet<Item>) {
         self.rebuild(|item| keep.contains(&item));
     }
 
@@ -800,6 +804,10 @@ impl CpsTree {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test code: the old layout's oracle keeps its item counts in a HashMap"
+)]
 mod tests {
     use super::*;
     use crate::sort_canonical;
@@ -929,7 +937,7 @@ mod tests {
         tree.insert(&[1, 2], 5.0);
         tree.insert(&[1, 3], 1.0);
         tree.insert(&[4], 2.0);
-        let keep: HashSet<Item> = [1, 2].into_iter().collect();
+        let keep: KeyOrderSet<Item> = [1, 2].into_iter().collect();
         tree.retain_items(&keep);
         assert_eq!(tree.item_count(3), 0.0);
         assert_eq!(tree.item_count(4), 0.0);
@@ -1026,7 +1034,7 @@ mod tests {
                             model.transactions.values_mut().for_each(|w| *w *= 0.75);
                         }
                         7 => {
-                            let keep: HashSet<Item> = items.iter().copied().collect();
+                            let keep: KeyOrderSet<Item> = items.iter().copied().collect();
                             tree.retain_items(&keep);
                             let old = std::mem::take(&mut model.transactions);
                             for (set, weight) in old {
@@ -1053,7 +1061,8 @@ mod tests {
     mod oracle {
         use crate::fptree::FpTree;
         use crate::{FrequentItemset, Item};
-        use std::collections::{HashMap, HashSet};
+        use mb_sketch::key_order::KeyOrderSet;
+        use std::collections::HashMap;
 
         /// An incrementally maintained, weighted, frequency-descending prefix tree.
         ///
@@ -1222,7 +1231,7 @@ mod tests {
             /// Remove every item not contained in `keep`, then restructure. The
             /// total weight is untouched (transactions whose items were all pruned
             /// still count), so support fractions stay meaningful.
-            pub fn retain_items(&mut self, keep: &HashSet<Item>) {
+            pub fn retain_items(&mut self, keep: &KeyOrderSet<Item>) {
                 self.rebuild(|item| keep.contains(&item));
             }
 
@@ -1348,7 +1357,7 @@ mod tests {
                         pair.oracle.restructure();
                     }
                     5..=6 => {
-                        let keep: HashSet<Item> = (0..alphabet as Item)
+                        let keep: KeyOrderSet<Item> = (0..alphabet as Item)
                             .filter(|_| rng.next_below(10) < 8)
                             .collect();
                         pair.arena.retain_items(&keep);
@@ -1436,7 +1445,7 @@ mod tests {
         struct Pair {
             recorded: StreamingPrefixTree,
             descended: StreamingPrefixTree,
-            seen: HashSet<Item>,
+            seen: std::collections::BTreeSet<Item>,
         }
 
         impl Pair {
@@ -1510,7 +1519,7 @@ mod tests {
                 pair.both(|tree| tree.decay(0.99));
                 pair.assert_same();
                 if window % 2 == 0 {
-                    let keep: HashSet<Item> =
+                    let keep: KeyOrderSet<Item> =
                         pair.seen.iter().copied().filter(|_| rng.next_below(10) < 7).collect();
                     pair.both(|tree| tree.retain_items(&keep));
                 } else {

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! FP-tree construction and FPGrowth mining (Han et al.), the itemset miner
 //! behind MacroBase's batch explanation (Section 5.2).
 //!
@@ -8,7 +9,7 @@
 //! contents as weighted transactions).
 
 use crate::{FrequentItemset, Item};
-use std::collections::HashMap;
+use mb_sketch::key_order::KeyOrderMap;
 
 /// One node of the FP-tree.
 ///
@@ -32,9 +33,9 @@ struct Node {
 pub struct FpTree {
     nodes: Vec<Node>,
     /// First node per item for header-table traversal.
-    header: HashMap<Item, usize>,
+    header: KeyOrderMap<Item, usize>,
     /// Total item frequencies (used to order transactions).
-    item_counts: HashMap<Item, f64>,
+    item_counts: KeyOrderMap<Item, f64>,
 }
 
 const ROOT: usize = 0;
@@ -56,8 +57,8 @@ impl FpTree {
                 children: Vec::new(),
                 next_same_item: None,
             }],
-            header: HashMap::new(),
-            item_counts: HashMap::new(),
+            header: KeyOrderMap::default(),
+            item_counts: KeyOrderMap::default(),
         }
     }
 
@@ -75,7 +76,7 @@ impl FpTree {
         transactions: &[(Vec<Item>, f64)],
         min_support: f64,
     ) -> Self {
-        let mut counts: HashMap<Item, f64> = HashMap::new();
+        let mut counts: KeyOrderMap<Item, f64> = KeyOrderMap::default();
         for (items, weight) in transactions {
             for &item in items {
                 *counts.entry(item).or_insert(0.0) += weight;
@@ -232,8 +233,9 @@ impl FpTree {
         // Items in this (conditional) tree, with totals.
         let mut items: Vec<(Item, f64)> = self
             .header
-            .keys() // mb-lint: allow(hashmap-order-hazard) -- collected keys are sorted canonically just below
-            .map(|&item| (item, self.item_total(item)))
+            .sorted()
+            .into_iter()
+            .map(|(&item, _)| (item, self.item_total(item)))
             .filter(|&(_, total)| total >= min_support && bound(total))
             .collect();
         // Process in ascending frequency order (classic FPGrowth recursion order).

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! The M-CPS-tree: MacroBase's streaming itemset structure (Appendix B).
 //!
 //! In an exponentially damped model, the plain CPS-tree stores at least one
@@ -26,8 +27,8 @@
 use crate::cps::{EdgeTable, StreamingPrefixTree};
 use crate::{FrequentItemset, Item};
 use mb_sketch::amc::{AmcSketch, MaintenancePolicy};
+use mb_sketch::key_order::KeyOrderSet;
 use mb_sketch::HeavyHitterSketch;
-use std::collections::HashSet;
 
 /// Configuration for the M-CPS-tree.
 #[derive(Debug, Clone)]
@@ -61,7 +62,7 @@ pub struct McpsTree {
     config: McpsConfig,
     tree: StreamingPrefixTree,
     amc: AmcSketch<Item>,
-    frequent: HashSet<Item>,
+    frequent: KeyOrderSet<Item>,
     /// `frequent` again, as the item table [`insert`](McpsTree::insert)
     /// filters every point through.
     admits: EdgeTable,
@@ -98,7 +99,7 @@ impl McpsTree {
             config,
             tree: StreamingPrefixTree::new(),
             amc,
-            frequent: HashSet::new(),
+            frequent: KeyOrderSet::default(),
             admits: EdgeTable::with_capacity(0),
             admitted: Vec::new(),
             transactions: 0.0,
@@ -166,7 +167,7 @@ impl McpsTree {
 
     /// The current frequent item set (empty until the first window boundary).
     #[cfg(test)]
-    pub(crate) fn frequent_items(&self) -> &HashSet<Item> {
+    pub(crate) fn frequent_items(&self) -> &KeyOrderSet<Item> {
         &self.frequent
     }
 

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Minimal CSV ingestion.
 //!
 //! MacroBase's reference implementation ingests from JDBC/CSV sources; this

@@ -311,8 +311,8 @@ mod tests {
 
     #[test]
     fn query_prefixes_are_unique() {
-        use std::collections::HashSet;
-        let prefixes: HashSet<&str> = DatasetId::all().iter().map(|d| d.query_prefix()).collect();
+        use std::collections::BTreeSet;
+        let prefixes: BTreeSet<&str> = DatasetId::all().iter().map(|d| d.query_prefix()).collect();
         assert_eq!(prefixes.len(), 6);
     }
 }

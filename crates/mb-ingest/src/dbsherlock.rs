@@ -214,14 +214,14 @@ mod tests {
 
     #[test]
     fn all_anomalies_have_unique_labels() {
-        use std::collections::HashSet;
-        let labels: HashSet<&str> = AnomalyType::all().iter().map(|a| a.label()).collect();
+        use std::collections::BTreeSet;
+        let labels: BTreeSet<&str> = AnomalyType::all().iter().map(|a| a.label()).collect();
         assert_eq!(labels.len(), 9);
     }
 
     #[test]
     fn qs_metrics_cover_a1_to_a8_but_not_a9() {
-        let qs: std::collections::HashSet<usize> = qs_metric_indices().into_iter().collect();
+        let qs: std::collections::BTreeSet<usize> = qs_metric_indices().into_iter().collect();
         for anomaly in AnomalyType::all() {
             let covered = anomaly
                 .affected_counters()
@@ -247,7 +247,7 @@ mod tests {
         assert_eq!(experiment.records[0].attributes.len(), 1);
         assert!(experiment.anomalous_host.starts_with("host_"));
         // Exactly 11 distinct hostnames.
-        let hosts: std::collections::HashSet<&String> = experiment
+        let hosts: std::collections::BTreeSet<&String> = experiment
             .records
             .iter()
             .map(|r| &r.attributes[0])

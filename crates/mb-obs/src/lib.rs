@@ -67,30 +67,73 @@ impl ObsConfig {
     }
 }
 
-/// Canonical pipeline stage names used in [`StageTrace::stage`].
-///
-/// [`ALL`](stage::ALL) is the stable six-stage taxonomy shared with the
-/// self-telemetry scenario. The naïve partitioned engine also emits one
-/// auxiliary span named here, [`EXECUTE`](stage::EXECUTE), which stays
-/// outside it.
+/// The pipeline stages a trace records, as a type: [`TraceBuilder::finish_stage`]
+/// takes a [`Stage`](stage::Stage), so a span's name cannot be misspelt.
 pub mod stage {
-    /// Draining rows out of an `Ingestor` source.
-    pub const INGEST: &str = "ingest";
-    /// Attribute dictionary encoding (row attributes → interned item ids).
-    pub const ENCODE: &str = "encode";
-    /// Fitting the estimator (MAD / MCD training sample).
-    pub const TRAIN: &str = "train";
-    /// Scoring points and resolving the percentile threshold.
-    pub const SCORE: &str = "score";
-    /// Risk-ratio explanation mining over the encoded outliers.
-    pub const EXPLAIN: &str = "explain";
-    /// Cross-partition merge (the partitions' rendered explanations).
-    pub const MERGE: &str = "merge";
-    /// The canonical stage taxonomy, in pipeline order.
-    pub const ALL: [&str; 6] = [INGEST, ENCODE, TRAIN, SCORE, EXPLAIN, MERGE];
-    /// Auxiliary: the naïve partitioned engine's per-partition queries, as
-    /// one span over all of them.
-    pub const EXECUTE: &str = "execute";
+    /// One traced pipeline stage. [`Stage::as_str`] is its name in a
+    /// [`StageTrace`](crate::StageTrace) and on the wire.
+    ///
+    /// [`Stage::ALL`] is the stable six-stage taxonomy shared with the
+    /// self-telemetry scenario. The naïve partitioned engine also emits one
+    /// auxiliary span, [`Stage::Execute`], which stays outside it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Stage {
+        /// Draining rows out of an `Ingestor` source.
+        Ingest,
+        /// Attribute dictionary encoding (row attributes → interned item ids).
+        Encode,
+        /// Fitting the estimator (MAD / MCD training sample).
+        Train,
+        /// Scoring points and resolving the percentile threshold.
+        Score,
+        /// Risk-ratio explanation mining over the encoded outliers.
+        Explain,
+        /// Cross-partition merge (the partitions' rendered explanations).
+        Merge,
+        /// Auxiliary: the naïve partitioned engine's per-partition queries,
+        /// as one span over all of them.
+        Execute,
+    }
+
+    impl Stage {
+        /// The canonical stage taxonomy, in pipeline order.
+        pub const ALL: [Stage; 6] = [
+            Stage::Ingest,
+            Stage::Encode,
+            Stage::Train,
+            Stage::Score,
+            Stage::Explain,
+            Stage::Merge,
+        ];
+
+        /// The stage's name in a trace.
+        pub const fn as_str(self) -> &'static str {
+            match self {
+                Stage::Ingest => "ingest",
+                Stage::Encode => "encode",
+                Stage::Train => "train",
+                Stage::Score => "score",
+                Stage::Explain => "explain",
+                Stage::Merge => "merge",
+                Stage::Execute => "execute",
+            }
+        }
+    }
+
+    // The six names as strings, for the benchmark's layer run, which lists
+    // them beside a span name of its own. Code in this workspace uses `Stage`.
+    /// [`Stage::Ingest`]'s name.
+    pub const INGEST: &str = Stage::Ingest.as_str();
+    /// [`Stage::Encode`]'s name.
+    pub const ENCODE: &str = Stage::Encode.as_str();
+    /// [`Stage::Train`]'s name.
+    pub const TRAIN: &str = Stage::Train.as_str();
+    /// [`Stage::Score`]'s name.
+    pub const SCORE: &str = Stage::Score.as_str();
+    /// [`Stage::Explain`]'s name.
+    pub const EXPLAIN: &str = Stage::Explain.as_str();
+    /// [`Stage::Merge`]'s name.
+    pub const MERGE: &str = Stage::Merge.as_str();
 }
 
 #[cfg(test)]
@@ -106,11 +149,12 @@ mod tests {
 
     #[test]
     fn stage_taxonomy_is_ordered_and_unique() {
+        use stage::Stage;
         let mut seen = std::collections::BTreeSet::new();
-        for name in stage::ALL {
-            assert!(seen.insert(name), "duplicate stage {name}");
+        for stage in Stage::ALL.into_iter().chain([Stage::Execute]) {
+            assert!(seen.insert(stage.as_str()), "duplicate stage {stage:?}");
         }
-        assert_eq!(stage::ALL[0], stage::INGEST);
-        assert_eq!(stage::ALL[5], stage::MERGE);
+        assert_eq!(Stage::ALL[0], Stage::Ingest);
+        assert_eq!(Stage::ALL[5], Stage::Merge);
     }
 }

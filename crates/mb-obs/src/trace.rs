@@ -2,13 +2,14 @@
 
 use crate::histogram::HistogramSnapshot;
 use crate::registry::MetricRegistry;
+use crate::stage::Stage;
 use crate::ObsConfig;
 use std::time::Instant;
 
 /// One timed pipeline stage inside a query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageTrace {
-    /// Stage name — one of [`crate::stage`] or an engine-specific span.
+    /// Stage name: a [`Stage::as_str`] spelling.
     pub stage: String,
     /// Wall time spent in the stage, in nanoseconds.
     pub wall_ns: u64,
@@ -84,10 +85,14 @@ impl StageTimer {
     /// Start a standalone timer when `enabled`, a disabled (`None`) timer
     /// otherwise. This is the sanctioned clock read for engine code that
     /// times work outside a [`TraceBuilder`] stage (e.g. per-tick costs fed
-    /// straight into a [`MetricRegistry`] histogram): the `mb-lint`
-    /// `no-adhoc-clock` rule confines raw `Instant::now` to the
-    /// observability and benchmark layers, and this constructor keeps the
-    /// disabled path clock-free just like [`TraceBuilder::start`].
+    /// straight into a [`MetricRegistry`] histogram): `clippy.toml` confines
+    /// raw `Instant::now` to the observability and benchmark layers, and
+    /// this constructor keeps the disabled path clock-free just like
+    /// [`TraceBuilder::start`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "mb-obs owns the clock; a disabled timer reads none"
+    )]
     pub fn start_if(enabled: bool) -> Self {
         StageTimer(if enabled { Some(Instant::now()) } else { None })
     }
@@ -154,6 +159,10 @@ impl TraceBuilder {
     }
 
     /// Start a stage clock (no-op when disabled).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "mb-obs owns the clock; a disabled builder reads none"
+    )]
     pub fn start(&self) -> StageTimer {
         StageTimer(if self.enabled {
             Some(Instant::now())
@@ -166,7 +175,7 @@ impl TraceBuilder {
     pub fn finish_stage(
         &mut self,
         timer: StageTimer,
-        stage: &str,
+        stage: Stage,
         rows_in: usize,
         rows_out: usize,
         batches: usize,
@@ -175,7 +184,7 @@ impl TraceBuilder {
             return;
         }
         self.stages.push(StageTrace {
-            stage: stage.to_string(),
+            stage: stage.as_str().to_string(),
             wall_ns: timer.elapsed_ns(),
             rows_in: rows_in as u64,
             rows_out: rows_out as u64,
@@ -216,7 +225,7 @@ mod tests {
         let mut tb = TraceBuilder::disabled();
         let t = tb.start();
         assert_eq!(t.elapsed_ns(), 0);
-        tb.finish_stage(t, "train", 10, 10, 1);
+        tb.finish_stage(t, Stage::Train, 10, 10, 1);
         tb.set_partitions(8);
         tb.registry().add("tasks", 5);
         assert!(!tb.is_enabled());
@@ -228,9 +237,9 @@ mod tests {
         let mut tb = TraceBuilder::new(ObsConfig::enabled(), "one-shot");
         tb.set_partitions(4);
         let t = tb.start();
-        tb.finish_stage(t, "train", 100, 100, 1);
+        tb.finish_stage(t, Stage::Train, 100, 100, 1);
         let t = tb.start();
-        tb.finish_stage(t, "score", 100, 7, 1);
+        tb.finish_stage(t, Stage::Score, 100, 7, 1);
         tb.registry().add("pool_tasks", 4);
         tb.registry().set_gauge("workers", 4.0);
         tb.registry().record_ns("chunk_ns", 50);

@@ -438,6 +438,10 @@ impl Pool {
         let handles = (0..threads)
             .map(|index| {
                 let shared = Arc::clone(&shared);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "mb-pool owns the worker threads everything else runs on"
+                )]
                 std::thread::Builder::new()
                     .name(format!("mb-pool-{index}"))
                     .stack_size(WORKER_STACK_BYTES)

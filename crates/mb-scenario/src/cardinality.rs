@@ -120,13 +120,13 @@ impl Scenario for CardinalityExplosionScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn user_column_explodes_while_truth_stays_narrow() {
         let scenario = CardinalityExplosionScenario::default();
         let generated = scenario.generate();
-        let users: HashSet<&String> = generated.points.iter().map(|p| &p.attributes[1]).collect();
+        let users: BTreeSet<&String> = generated.points.iter().map(|p| &p.attributes[1]).collect();
         assert!(
             users.len() > 1_000,
             "expected >1000 distinct users, got {}",
@@ -138,7 +138,7 @@ mod tests {
         }
         // No single user dominates the planted anomalies, so the support
         // threshold can prune every user-level combination.
-        let mut per_user: std::collections::HashMap<&String, usize> = Default::default();
+        let mut per_user: std::collections::BTreeMap<&String, usize> = Default::default();
         for &row in &generated.truth.outlier_rows {
             *per_user.entry(&generated.points[row].attributes[1]).or_default() += 1;
         }

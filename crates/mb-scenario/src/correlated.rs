@@ -154,7 +154,7 @@ mod tests {
     fn shifted_counters_separate_from_healthy_ones() {
         let scenario = CorrelatedFailureScenario::default();
         let generated = scenario.generate();
-        let planted: std::collections::HashSet<usize> =
+        let planted: std::collections::BTreeSet<usize> =
             generated.truth.outlier_rows.iter().copied().collect();
         let mean = |rows: &mut dyn Iterator<Item = &Point>| {
             let mut sum = 0.0;

@@ -20,7 +20,7 @@
 //! [`MdpReport::outlier_rows`]: macrobase_core::types::MdpReport::outlier_rows
 
 use macrobase_core::types::RenderedExplanation;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// Confusion counts for a binary decision, with the derived rates.
 ///
@@ -87,8 +87,8 @@ impl BinaryMetrics {
 /// Point-level confusion counts: predicted outlier rows vs. planted rows.
 /// Both slices are treated as sets (duplicates ignored).
 pub fn point_metrics(predicted_rows: &[usize], truth_rows: &[usize]) -> BinaryMetrics {
-    let predicted: HashSet<usize> = predicted_rows.iter().copied().collect();
-    let truth: HashSet<usize> = truth_rows.iter().copied().collect();
+    let predicted: BTreeSet<usize> = predicted_rows.iter().copied().collect();
+    let truth: BTreeSet<usize> = truth_rows.iter().copied().collect();
     let tp = predicted.intersection(&truth).count();
     BinaryMetrics::from_counts(tp, predicted.len() - tp, truth.len() - tp)
 }
@@ -96,8 +96,8 @@ pub fn point_metrics(predicted_rows: &[usize], truth_rows: &[usize]) -> BinaryMe
 /// Set-level confusion counts over attribute values (or any strings):
 /// reported values vs. ground-truth values, duplicates ignored.
 pub(crate) fn value_metrics(reported: &[String], truth: &[String]) -> BinaryMetrics {
-    let reported: HashSet<&String> = reported.iter().collect();
-    let truth: HashSet<&String> = truth.iter().collect();
+    let reported: BTreeSet<&String> = reported.iter().collect();
+    let truth: BTreeSet<&String> = truth.iter().collect();
     let tp = reported.intersection(&truth).count();
     BinaryMetrics::from_counts(tp, reported.len() - tp, truth.len() - tp)
 }

@@ -130,7 +130,7 @@ mod tests {
     fn healthy_rows_stay_near_baseline() {
         let scenario = LevelShiftScenario::default();
         let generated = scenario.generate();
-        let planted: std::collections::HashSet<usize> =
+        let planted: std::collections::BTreeSet<usize> =
             generated.truth.outlier_rows.iter().copied().collect();
         for (row, point) in generated.points.iter().enumerate() {
             if !planted.contains(&row) {

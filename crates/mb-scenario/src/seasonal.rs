@@ -123,7 +123,7 @@ mod tests {
         let scenario = SeasonalDriftScenario::default();
         let generated = scenario.generate();
         assert_eq!(generated.truth.outlier_rows.len(), 120);
-        let planted: std::collections::HashSet<usize> =
+        let planted: std::collections::BTreeSet<usize> =
             generated.truth.outlier_rows.iter().copied().collect();
         let healthy_max = generated
             .points

@@ -10,7 +10,7 @@
 //! which all observe the regression at equal rates.
 //!
 //! This is the observability layer's dogfood scenario: the attribute
-//! vocabulary is `mb_obs::stage::ALL` itself, and recovering the planted
+//! vocabulary is `mb_obs::stage::Stage::ALL` itself, and recovering the planted
 //! regression through the EWS pipeline is exactly the "monitor the monitor"
 //! loop a deployment would run.
 
@@ -18,6 +18,7 @@ use crate::{GeneratedScenario, GroundTruth, Scenario};
 use macrobase_core::query::AnalysisConfig;
 use macrobase_core::types::Point;
 use mb_explain::ExplanationConfig;
+use mb_obs::stage::Stage;
 use mb_stats::rand_ext::{normal, SplitMix64};
 
 /// Configuration for the self-telemetry scenario.
@@ -28,7 +29,7 @@ pub(crate) struct SelfTelemetryScenario {
     /// Number of pool workers emitting samples; each row draws one
     /// uniformly, so no worker is guilty.
     pub num_workers: usize,
-    /// Index into [`mb_obs::stage::ALL`] of the stage that regresses.
+    /// Index into [`Stage::ALL`] of the stage that regresses.
     pub guilty_stage: usize,
     /// Fraction of rows planted as regressed samples.
     pub outlier_fraction: f64,
@@ -48,7 +49,7 @@ impl Default for SelfTelemetryScenario {
         SelfTelemetryScenario {
             num_points: 6_000,
             num_workers: 8,
-            // stage::ALL[3] == "score" — the stage a real regression most
+            // Stage::ALL[3] == Stage::Score — the stage a real regression most
             // often lands in (model scoring cost).
             guilty_stage: 3,
             outlier_fraction: 0.02,
@@ -62,7 +63,7 @@ impl Default for SelfTelemetryScenario {
 
 impl SelfTelemetryScenario {
     fn guilty_value(&self) -> &'static str {
-        mb_obs::stage::ALL[self.guilty_stage % mb_obs::stage::ALL.len()]
+        Stage::ALL[self.guilty_stage % Stage::ALL.len()].as_str()
     }
 }
 
@@ -88,7 +89,7 @@ impl Scenario for SelfTelemetryScenario {
         let mut rng = SplitMix64::new(self.seed);
         let n = self.num_points;
         let workers = self.num_workers.max(1);
-        let stages = mb_obs::stage::ALL;
+        let stages = Stage::ALL;
         let planted = ((n as f64) * self.outlier_fraction).round() as usize;
         let guilty = self.guilty_value();
 
@@ -113,7 +114,7 @@ impl Scenario for SelfTelemetryScenario {
                 let ratio = normal(&mut rng, 1.0, self.baseline_std);
                 points.push(Point::new(
                     vec![ratio],
-                    vec![stage.to_string(), worker],
+                    vec![stage.as_str().to_string(), worker],
                 ));
             }
         }
@@ -156,7 +157,7 @@ mod tests {
         let generated = SelfTelemetryScenario::default().generate();
         for point in &generated.points {
             assert!(
-                mb_obs::stage::ALL.contains(&point.attributes[0].as_str()),
+                Stage::ALL.iter().any(|s| s.as_str() == point.attributes[0]),
                 "unknown stage {}",
                 point.attributes[0]
             );

@@ -56,6 +56,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the state machine's job, session and model tables are lookups; nothing walks \
+              them into a response"
+)]
 
 mod cache;
 pub mod fingerprint;

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! The resident server: the shell around the state machine.
 //!
 //! A [`Server`] is one `Mutex` over the crate's `State` (jobs, admission
@@ -176,6 +177,10 @@ impl Shared {
 
     /// Apply `command` now, wake whoever its effects name, and return its
     /// answer.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the shell reads the clock for the state machine, which takes time as input"
+    )]
     fn call(&self, state: &mut State, command: Command) -> Result<Reply, ServeError> {
         let mut reply = Ok(Reply::Accepted);
         for effect in state.apply(command, Instant::now()) {
@@ -199,6 +204,11 @@ pub struct Server {
 
 impl Server {
     /// Start worker threads and return a ready server.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "resident server workers park on a condvar, and mb-pool tasks must never \
+                  block; the shell reads the clock for the state machine"
+    )]
     pub fn start(config: ServeConfig) -> Server {
         let shared = Arc::new(Shared {
             state: Mutex::new(State::new(config.max_queue, config.session_idle)),
@@ -208,11 +218,15 @@ impl Server {
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                // mb-lint: allow(no-adhoc-threads) -- resident server workers park on a condvar; mb-pool tasks must never block
+                #[expect(
+                    clippy::expect_used,
+                    reason = "at startup, before any request: a server with no workers cannot \
+                              serve"
+                )]
                 std::thread::Builder::new()
                     .name(format!("mb-serve-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    .expect("failed to spawn server worker") // mb-lint: allow(no-unwrap-in-executors) -- at startup, before any request: a server with no workers cannot serve
+                    .expect("failed to spawn server worker")
             })
             .collect();
         Server {
@@ -266,6 +280,10 @@ impl Server {
 
     /// Current status of a job, optionally blocking until it reaches a
     /// terminal state (done / failed / cancelled) or `wait` elapses.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the shell reads the clock for the state machine and for a poll's deadline"
+    )]
     pub fn poll(&self, id: &str, wait: Option<Duration>) -> Result<JobStatus, ServeError> {
         let deadline = wait.map(|w| Instant::now() + w);
         let mut state = self.shared.lock();
@@ -495,6 +513,10 @@ fn run(task: Task) -> Command {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test code: the test stands in for the worker, and a poller waits beside it"
+)]
 mod tests {
     use super::*;
 

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! The server as one state machine: every job, session, queued task and
 //! model lives in one plain [`State`], changed only by [`State::apply`].
 //!
@@ -542,6 +543,10 @@ impl State {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test code: the driver's clock starts at a real instant and moves by hand"
+)]
 pub(crate) mod tests {
     use super::*;
     use macrobase_core::query::{Executor, MdpQuery, StreamingOptions};

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! The JSON-lines wire front end: one request object per line in, one
 //! response object per line out.
 //!

@@ -1,6 +1,10 @@
 //! The mb-serve acceptance criteria: concurrent submissions sharing one
 //! fingerprint train once, report byte-identically to standalone runs, and
 //! retrains publish new epochs without touching in-flight readers.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "test code: concurrent callers on threads of their own, and deadlines"
+)]
 
 use macrobase_core::query::{Executor, MdpQuery};
 use macrobase_core::types::Point;

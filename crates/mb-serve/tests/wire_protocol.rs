@@ -5,6 +5,7 @@
 use macrobase_core::query::{AnalysisConfig, Executor, MdpQuery};
 use macrobase_core::types::Point;
 use macrobase_core::wire::{points_to_json, report_to_json};
+use mb_obs::stage::Stage;
 use mb_serve::{handle_line, serve_loop, JobStatus, Priority, QuerySpec, ServeConfig, Server};
 use serde_json::Value;
 use std::time::Duration;
@@ -458,12 +459,12 @@ fn a_traced_served_report_accounts_for_its_decode() {
         let stages: Vec<&str> = trace.stages.iter().map(|s| s.stage.as_str()).collect();
         for stage in &stages {
             assert!(
-                mb_obs::stage::ALL.contains(stage),
+                Stage::ALL.iter().any(|s| s.as_str() == *stage),
                 "{stage} is not a pipeline stage: {stages:?}"
             );
         }
         let ingest = &trace.stages[0];
-        assert_eq!(ingest.stage, mb_obs::stage::INGEST, "{id}: {stages:?}");
+        assert_eq!(ingest.stage, Stage::Ingest.as_str(), "{id}: {stages:?}");
         assert_eq!(ingest.rows_in, 3_000, "{id}");
         assert!(ingest.wall_ns > 0, "{id}");
     }

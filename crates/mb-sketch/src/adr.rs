@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! The Adaptable Damped Reservoir (ADR) — Algorithm 1 of the paper.
 //!
 //! The ADR is an exponentially damped reservoir sampler that decays over

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! The Amortized Maintenance Counter (AMC) — Algorithm 3 of the paper.
 //!
 //! The AMC is a heavy-hitters sketch sitting at the opposite end of the
@@ -21,8 +22,8 @@
 //! temporarily grow between maintenance calls (bounded by the maintenance
 //! period).
 
+use crate::key_order::KeyOrderMap;
 use crate::{FixedState, HeavyHitterSketch};
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// Maintenance policy for the AMC.
@@ -42,7 +43,7 @@ pub enum MaintenancePolicy {
 pub struct AmcSketch<T: Eq + Hash + Clone> {
     stable_size: usize,
     policy: MaintenancePolicy,
-    counts: HashMap<T, f64, FixedState>,
+    counts: KeyOrderMap<T, f64, FixedState>,
     /// Largest count discarded at the previous maintenance (the `w_i` of
     /// Algorithm 3); new items are credited this much on first observation.
     discarded_weight: f64,
@@ -75,7 +76,7 @@ impl<T: Eq + Hash + Clone> AmcSketch<T> {
         AmcSketch {
             stable_size,
             policy,
-            counts: HashMap::with_capacity_and_hasher(stable_size * 2, FixedState),
+            counts: KeyOrderMap::with_capacity_and_hasher(stable_size * 2, FixedState),
             discarded_weight: 0.0,
             observations_since_maintenance: 0,
             total_weight: 0.0,
@@ -91,7 +92,14 @@ impl<T: Eq + Hash + Clone> AmcSketch<T> {
             return;
         }
         // Select the stable_size largest counts; everything else is dropped.
-        let mut entries: Vec<(T, f64)> = self.counts.drain().collect(); // mb-lint: allow(hashmap-order-hazard) -- re-sorted below, stably, so which equal-count entry survives the prune is drain order; the εN bound covers accuracy, not determinism, so the map hashes with fixed keys (FixedState) and that order is the same in every session and process
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "re-sorted below, stably, so which equal-count entry survives the prune is \
+                      drain order; the εN bound covers accuracy, not determinism, so the map \
+                      hashes with fixed keys (FixedState) and that order is the same in every \
+                      session and process"
+        )]
+        let mut entries: Vec<(T, f64)> = self.counts.drain_unordered().collect();
         crate::sort_entries_desc(&mut entries);
         let mut max_discarded: f64 = 0.0;
         for (idx, (key, count)) in entries.into_iter().enumerate() {
@@ -148,8 +156,11 @@ impl<T: Eq + Hash + Clone> HeavyHitterSketch<T> for AmcSketch<T> {
             (0.0..=1.0).contains(&factor),
             "decay factor must be in [0, 1]"
         );
-        // mb-lint: allow(hashmap-order-hazard) -- order-insensitive scaling: each count shrinks independently
-        for count in self.counts.values_mut() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "order-insensitive scaling: each count shrinks independently"
+        )]
+        for count in self.counts.values_mut_unordered() {
             *count *= factor;
         }
         self.discarded_weight *= factor;
@@ -158,9 +169,14 @@ impl<T: Eq + Hash + Clone> HeavyHitterSketch<T> for AmcSketch<T> {
         self.maintain();
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "entries() is unordered by contract; report-bound consumers sort via \
+                  sort_entries_desc"
+    )]
     fn entries(&self) -> Vec<(T, f64)> {
         self.counts
-            .iter() // mb-lint: allow(hashmap-order-hazard) -- entries() is unordered by contract; report-bound consumers sort via sort_entries_desc
+            .iter_unordered()
             .map(|(k, v)| (k.clone(), *v))
             .collect()
     }
@@ -175,6 +191,10 @@ impl<T: Eq + Hash + Clone> HeavyHitterSketch<T> for AmcSketch<T> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test code: exact counts to check the sketch against"
+)]
 mod tests {
     use super::*;
     use mb_stats::rand_ext::{SplitMix64, Zipf};

@@ -45,6 +45,7 @@
 pub mod adr;
 pub mod amc;
 pub mod biased;
+pub mod key_order;
 pub mod quantile;
 pub mod reservoir;
 pub mod spacesaving;

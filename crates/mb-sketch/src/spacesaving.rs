@@ -15,8 +15,8 @@
 //! which may grow between maintenance calls) and guarantee estimates within
 //! `εN` of true counts.
 
+use crate::key_order::KeyOrderMap;
 use crate::{FixedState, HeavyHitterSketch};
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// Ordered-list SpaceSaving ("SSL" in Figure 6).
@@ -26,7 +26,7 @@ pub struct SpaceSavingList<T: Eq + Hash + Clone> {
     /// Entries kept sorted by descending count; the minimum is at the back.
     entries: Vec<(T, f64)>,
     /// Index from item to its position in `entries`.
-    index: HashMap<T, usize>,
+    index: KeyOrderMap<T, usize>,
     total_weight: f64,
 }
 
@@ -37,7 +37,7 @@ impl<T: Eq + Hash + Clone> SpaceSavingList<T> {
         SpaceSavingList {
             capacity,
             entries: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
+            index: KeyOrderMap::with_capacity_and_hasher(capacity, Default::default()),
             total_weight: 0.0,
         }
     }
@@ -126,7 +126,7 @@ impl<T: Eq + Hash + Clone> HeavyHitterSketch<T> for SpaceSavingList<T> {
 #[derive(Debug, Clone)]
 pub struct SpaceSavingHash<T: Eq + Hash + Clone> {
     capacity: usize,
-    counts: HashMap<T, f64, FixedState>,
+    counts: KeyOrderMap<T, f64, FixedState>,
     total_weight: f64,
 }
 
@@ -136,7 +136,7 @@ impl<T: Eq + Hash + Clone> SpaceSavingHash<T> {
         assert!(capacity > 0, "capacity must be positive");
         SpaceSavingHash {
             capacity,
-            counts: HashMap::with_capacity_and_hasher(capacity, FixedState),
+            counts: KeyOrderMap::with_capacity_and_hasher(capacity, FixedState),
             total_weight: 0.0,
         }
     }
@@ -155,9 +155,14 @@ impl<T: Eq + Hash + Clone> HeavyHitterSketch<T> for SpaceSavingHash<T> {
             return;
         }
         // Evict the current minimum; newcomer inherits its count.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "any minimal-count victim satisfies the SpaceSaving bound; SSH is a \
+                      Figure 6 timing baseline"
+        )]
         let (min_item, min_count) = self
             .counts
-            .iter() // mb-lint: allow(hashmap-order-hazard) -- any minimal-count victim satisfies the SpaceSaving bound; SSH is a Figure 6 timing baseline
+            .iter_unordered()
             .min_by(|a, b| a.1.total_cmp(b.1))
             .map(|(k, v)| (k.clone(), *v))
             .expect("sketch is non-empty at capacity");
@@ -174,15 +179,26 @@ impl<T: Eq + Hash + Clone> HeavyHitterSketch<T> for SpaceSavingHash<T> {
             (0.0..=1.0).contains(&factor),
             "decay factor must be in [0, 1]"
         );
-        // mb-lint: allow(hashmap-order-hazard) -- order-insensitive scaling: each count shrinks independently
-        for count in self.counts.values_mut() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "order-insensitive scaling: each count shrinks independently"
+        )]
+        for count in self.counts.values_mut_unordered() {
             *count *= factor;
         }
         self.total_weight *= factor;
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "entries() is unordered by contract; report-bound consumers sort via \
+                  sort_entries_desc"
+    )]
     fn entries(&self) -> Vec<(T, f64)> {
-        self.counts.iter().map(|(k, v)| (k.clone(), *v)).collect() // mb-lint: allow(hashmap-order-hazard) -- entries() is unordered by contract; report-bound consumers sort via sort_entries_desc
+        self.counts
+            .iter_unordered()
+            .map(|(k, v)| (k.clone(), *v))
+            .collect()
     }
 
     fn total_weight(&self) -> f64 {
@@ -195,6 +211,10 @@ impl<T: Eq + Hash + Clone> HeavyHitterSketch<T> for SpaceSavingHash<T> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test code: exact counts to check the sketches against"
+)]
 mod tests {
     use super::*;
     use mb_stats::rand_ext::{SplitMix64, Zipf};

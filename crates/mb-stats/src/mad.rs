@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! MAD-based robust univariate outlier scoring (Section 4.1).
 //!
 //! Given a univariate metric, the MAD estimator fits the sample median and

@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Minimum Covariance Determinant estimation via FastMCD (Section 4.1,
 //! Appendix A) and Mahalanobis-distance scoring for multivariate metrics.
 //!

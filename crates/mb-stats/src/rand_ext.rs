@@ -141,7 +141,7 @@ mod tests {
     use super::*;
     use crate::univariate::{mean, population_std};
     use proptest::prelude::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn standard_normal_moments() {
@@ -249,7 +249,7 @@ mod tests {
             let parent = SplitMix64::new(seed);
             let mut left = parent.split(index);
             let mut right = parent.split(index + 1);
-            let draws: HashSet<u64> = (0..1_000).map(|_| left.next_u64()).collect();
+            let draws: BTreeSet<u64> = (0..1_000).map(|_| left.next_u64()).collect();
             prop_assert_eq!(draws.len(), 1_000);
             for draw in 0..1_000u32 {
                 let value = right.next_u64();

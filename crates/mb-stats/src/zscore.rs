@@ -1,3 +1,4 @@
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Z-score estimator: the non-robust baseline of Figure 3.
 //!
 //! The Z-score measures how many standard deviations a point lies from the

@@ -59,7 +59,11 @@ fn main() {
         .build()
         .expect("query construction failed");
 
-    let start = std::time::Instant::now(); // mb-lint: allow(no-adhoc-clock) -- demo prints wall-clock throughput
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "demo prints wall-clock throughput"
+    )]
+    let start = std::time::Instant::now();
     let report = query
         .execute(&Executor::OneShot, &points)
         .expect("query run failed");

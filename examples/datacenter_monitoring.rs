@@ -43,7 +43,11 @@ fn run_query(
         .training_sample_size(1_000)
         .build()
         .expect("query construction failed");
-    let start = std::time::Instant::now(); // mb-lint: allow(no-adhoc-clock) -- demo prints wall-clock throughput
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "demo prints wall-clock throughput"
+    )]
+    let start = std::time::Instant::now();
     let report = query
         .execute(&Executor::OneShot, &points)
         .expect("query failed");

@@ -43,7 +43,11 @@ fn main() {
     }
 
     // Feature transform: mean optical-flow magnitude per frame pair.
-    let transform_start = std::time::Instant::now(); // mb-lint: allow(no-adhoc-clock) -- demo prints wall-clock throughput
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "demo prints wall-clock throughput"
+    )]
+    let transform_start = std::time::Instant::now();
     let flows = flow_series(&frames, &FlowConfig::default()).expect("flow failed");
     let transform_elapsed = transform_start.elapsed();
 
@@ -66,7 +70,11 @@ fn main() {
         .attribute_names(vec!["interval".to_string()])
         .build()
         .expect("query construction failed");
-    let mdp_start = std::time::Instant::now(); // mb-lint: allow(no-adhoc-clock) -- demo prints wall-clock throughput
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "demo prints wall-clock throughput"
+    )]
+    let mdp_start = std::time::Instant::now();
     let report = query
         .execute(&Executor::OneShot, &points)
         .expect("MDP failed");

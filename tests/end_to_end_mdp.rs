@@ -107,9 +107,9 @@ fn streaming_and_one_shot_agree_on_stable_streams() {
         )
         .unwrap();
 
-    let one_shot_devices: std::collections::HashSet<String> =
+    let one_shot_devices: std::collections::BTreeSet<String> =
         reported_devices(&one_shot_report).into_iter().collect();
-    let streaming_devices: std::collections::HashSet<String> =
+    let streaming_devices: std::collections::BTreeSet<String> =
         reported_devices(&streaming_report).into_iter().collect();
     // Every ground-truth device is found by both modes.
     for device in &truth {
@@ -143,7 +143,7 @@ fn partitioned_execution_preserves_recall_but_not_precision() {
         .execute(&Executor::NaivePartitioned { partitions: 8 }, &points)
         .unwrap();
 
-    let devices_of = |explanations: &[RenderedExplanation]| -> std::collections::HashSet<String> {
+    let devices_of = |explanations: &[RenderedExplanation]| -> std::collections::BTreeSet<String> {
         eval::reported_values(explanations).into_iter().collect()
     };
     let single_devices = devices_of(&single.explanations);
